@@ -247,8 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="most entity rows coalesced into one model call",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=5.0, metavar="MS",
-        help="how long the oldest queued request may wait for company",
+        "--max-wait-ms", type=float, default=0.0, metavar="MS",
+        help="optional cap on holding a non-full batch for company "
+             "(0 = dispatch at once; batches form from what piles up meanwhile)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=256, metavar="N",
@@ -692,31 +693,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.warmup:
         warmed = service.warmup(args.warmup)
         _log.info("caches warmed", extra={"entities": warmed})
-    # SIGTERM/SIGINT raise GracefulShutdown *in the main thread* —
-    # Python delivers it out of the blocking stdin read (PEP 475), the
-    # loop stops admitting, the writer drains every in-flight response,
-    # the stats snapshot flushes, and the process exits 0.
+    # SIGTERM/SIGINT land between turns of the single-threaded loop: out
+    # of the blocking stdin read, or — mid-batch — once everything already
+    # admitted is answered.  Then the stats snapshot flushes and the
+    # process exits 0.
     import signal
 
-    from repro.serve import GracefulShutdown
+    from repro.serve import ShutdownLatch
 
-    def _request_shutdown(signum, frame):
-        raise GracefulShutdown(signal.Signals(signum).name)
-
+    shutdown = ShutdownLatch()
     previous_handlers = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
-        previous_handlers[sig] = signal.signal(sig, _request_shutdown)
+        previous_handlers[sig] = signal.signal(sig, shutdown.request)
     # The ready line goes to stderr: stdout carries only protocol
     # responses, and subprocess clients wait on this line before
     # sending their first request.
     print(f"ready: {service.name} ({service.model.task_type.value})", file=sys.stderr, flush=True)
     try:
-        try:
-            answered = serve_loop(service, sys.stdin, sys.stdout)
-        except GracefulShutdown:
-            # The signal landed outside the read loop (e.g. between
-            # lines); everything submitted has already been answered.
-            answered = -1
+        answered = serve_loop(service, sys.stdin, sys.stdout, shutdown)
     finally:
         for sig, handler in previous_handlers.items():
             signal.signal(sig, handler)
@@ -731,10 +725,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"telemetry snapshot written to {args.stats_json}",
                   file=sys.stderr, flush=True)
         service.close()
-    if answered >= 0:
-        print(f"served {answered} requests", file=sys.stderr, flush=True)
-    else:
+    if shutdown.requested:
         print("drained and shut down gracefully", file=sys.stderr, flush=True)
+    print(f"served {answered} requests", file=sys.stderr, flush=True)
     return 0
 
 

@@ -101,10 +101,7 @@ def node_index_for_keys(graph: HeteroGraph, node_type: str, keys: np.ndarray) ->
 
     Raises ``KeyError`` if any key is unknown.
     """
-    table_keys = graph.node_keys.get(node_type)
-    if table_keys is None:
-        raise KeyError(f"node type {node_type!r} has no primary-key index")
-    mapping = {key: i for i, key in enumerate(table_keys.tolist())}
+    mapping = graph.key_index(node_type)
     out = np.empty(len(keys), dtype=np.int64)
     for i, key in enumerate(np.asarray(keys).tolist()):
         if key not in mapping:

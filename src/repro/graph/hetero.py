@@ -206,6 +206,7 @@ class HeteroGraph:
         self.features: Dict[str, "NodeFeatures"] = {}
         #: per node type, original primary-key value per node index.
         self.node_keys: Dict[str, np.ndarray] = {}
+        self._key_index: Dict[str, Tuple[np.ndarray, Dict[object, int]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -346,6 +347,7 @@ class HeteroGraph:
         graph._edges = dict(edge_stores)
         graph.features = dict(features or {})
         graph.node_keys = dict(node_keys or {})
+        graph._key_index = {}
         for name, count in graph._num_nodes.items():
             if graph._node_times[name].shape != (count,):
                 raise ValueError(f"node type {name!r}: times shape mismatch")
@@ -367,6 +369,24 @@ class HeteroGraph:
     def num_nodes(self, node_type: str) -> int:
         """Node count of one type."""
         return self._num_nodes[node_type]
+
+    def key_index(self, node_type: str) -> Dict[object, int]:
+        """Primary-key value → node index for ``node_type`` (read-only).
+
+        Built once per key array: the memo holds the array it was built
+        from and is reused only while ``node_keys[node_type]`` *is*
+        that array.  Ingest replaces the array when the type grows,
+        which invalidates the memo for free.  Raises ``KeyError`` when
+        the type has no primary-key index.
+        """
+        keys = self.node_keys.get(node_type)
+        if keys is None:
+            raise KeyError(f"node type {node_type!r} has no primary-key index")
+        cached = self._key_index.get(node_type)
+        if cached is None or cached[0] is not keys:
+            mapping = {key: i for i, key in enumerate(keys.tolist())}
+            cached = self._key_index[node_type] = (keys, mapping)
+        return cached[1]
 
     def total_nodes(self) -> int:
         """Node count over all types."""

@@ -10,6 +10,12 @@ from repro.nn.tensor import Tensor
 
 __all__ = ["Module", "Parameter"]
 
+# Bumped whenever any module is built or has a module/container attribute
+# assigned, so a flat module list cached at one epoch is still complete
+# while the epoch has not moved.  (The one edit this cannot see is moving
+# an already-built module into an existing dict/list in place.)
+_structure_epoch = [0]
+
 
 class Parameter(Tensor):
     """A tensor that is registered as a learnable parameter.
@@ -34,7 +40,13 @@ class Module:
     """
 
     def __init__(self) -> None:
+        _structure_epoch[0] += 1
         self.training = True
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if isinstance(value, (Module, dict, list, tuple)):
+            _structure_epoch[0] += 1
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Discovery
@@ -82,7 +94,18 @@ class Module:
 
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants (shared modules once)."""
-        yield from self._modules(set())
+        yield from self._flat_modules()
+
+    def _flat_modules(self) -> Tuple["Module", ...]:
+        """:meth:`modules` as a tuple, re-walked only after the structure
+        epoch moved (mode switches run on every predict call)."""
+        epoch = _structure_epoch[0]
+        cached = self.__dict__.get("_flat")
+        if cached is None or cached[0] != epoch:
+            # Nested so attribute discovery (which descends one container
+            # level) never mistakes the cache for child modules.
+            cached = self.__dict__["_flat"] = (epoch, tuple(self._modules(set())))
+        return cached[1]
 
     def _modules(self, seen: set) -> Iterator["Module"]:
         if id(self) in seen:
@@ -106,14 +129,14 @@ class Module:
     # ------------------------------------------------------------------
     def train(self) -> "Module":
         """Switch to training mode (enables dropout etc.)."""
-        for module in self.modules():
-            module.training = True
+        for module in self._flat_modules():
+            module.__dict__["training"] = True
         return self
 
     def eval(self) -> "Module":
         """Switch to evaluation mode."""
-        for module in self.modules():
-            module.training = False
+        for module in self._flat_modules():
+            module.__dict__["training"] = False
         return self
 
     def zero_grad(self) -> None:

@@ -15,13 +15,24 @@ are passed as plain numpy arrays to ops like :meth:`Tensor.take` and
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "as_dtype"]
 
-_GRAD_ENABLED = True
+
+
+class _GradMode(threading.local):
+    """Per-thread autograd switch: a serving or canary thread under
+    :func:`no_grad` must not turn graph construction off (or, on exit,
+    leave it off) for a trainer on another thread."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 #: Dtypes a Tensor will keep as-is; everything else is cast to float64.
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -41,13 +52,12 @@ def as_dtype(spec) -> np.dtype:
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -91,7 +101,7 @@ class Tensor:
                 arr = arr.astype(np.float64)
             self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _grad_mode.enabled
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
 
@@ -141,7 +151,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

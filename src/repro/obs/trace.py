@@ -24,7 +24,7 @@ on the hot path.  Enable collection around a region with
 
 The collector is **thread-safe**: every thread keeps its own open-span
 stack, so spans opened concurrently (the serving micro-batcher worker,
-its writer thread, and programmatic callers) nest correctly within
+the canary worker, and programmatic callers) nest correctly within
 their own thread and land as separate roots of the same trace.  Trace
 assembly (root registration, finalization) is lock-protected.
 

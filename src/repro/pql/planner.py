@@ -757,7 +757,7 @@ class TrainedPredictiveModel:
         scores = self._item_scorer().score_against_items(
             entity_type, q_ids, subset.cutoffs, item_ids
         )
-        item_key_to_node = {key: i for i, key in enumerate(self.graph.node_keys[item_type].tolist())}
+        item_key_to_node = self.graph.key_index(item_type)
         relevance = []
         for item_keys in subset.item_keys:
             mask = np.zeros(len(item_ids), dtype=bool)

@@ -115,7 +115,7 @@ def _fit_heuristic(binding, train: LabelTable) -> HeuristicFallback:
 
 def _fit_popularity(graph, item_type: str, train: LabelTable) -> PopularityFallback:
     num_items = graph.num_nodes(item_type)
-    key_to_node = {key: i for i, key in enumerate(graph.node_keys[item_type].tolist())}
+    key_to_node = graph.key_index(item_type)
     counts = np.zeros(num_items, dtype=np.float64)
     for item_keys in train.item_keys or []:
         for key in np.asarray(item_keys).tolist():

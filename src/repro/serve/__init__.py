@@ -11,9 +11,10 @@ into an in-process prediction service:
   and ``fsck`` — a publish killed at any point leaves the registry
   consistent;
 * :mod:`repro.serve.batcher` — a **micro-batching scheduler**: a
-  bounded request queue whose worker coalesces compatible requests up
-  to ``max_batch_size`` rows or ``max_wait_ms``, executes them as one
-  model call, and resolves responses strictly in submission order;
+  bounded request queue whose single executor coalesces whatever
+  compatible requests piled up while the last batch ran (up to
+  ``max_batch_size`` rows), executes them as one model call, and
+  resolves responses strictly in submission order;
 * :mod:`repro.serve.service` — :class:`PredictionService`, the
   programmatic API: admission control (queue-depth fast-reject),
   per-request deadlines, serve-time graceful degradation (GNN →
@@ -52,7 +53,12 @@ from repro.serve.batcher import (
 )
 from repro.serve.canary import CanaryConfig, CanaryController
 from repro.serve.fallback import ActivityHeuristic
-from repro.serve.protocol import GracefulShutdown, parse_request, serve_loop
+from repro.serve.protocol import (
+    GracefulShutdown,
+    ShutdownLatch,
+    parse_request,
+    serve_loop,
+)
 from repro.serve.registry import ModelRegistry, RegistryError, RegistryVersionError
 from repro.serve.service import PredictionService, ServeConfig
 
@@ -62,6 +68,7 @@ __all__ = [
     "CanaryController",
     "DeadlineExceededError",
     "GracefulShutdown",
+    "ShutdownLatch",
     "MicroBatcher",
     "ModelRegistry",
     "PredictionService",

@@ -8,10 +8,13 @@ batcher exploits that without changing request semantics:
   :class:`ResponseFuture` immediately (**admission control**: a full
   queue fast-rejects with :class:`QueueFullError` instead of building
   unbounded backlog);
-* a single worker thread drains the queue, coalescing consecutive
-  *compatible* requests (same operation, same ``k``, same admission
-  **context**) until the batch holds ``max_batch_size`` rows or the
-  oldest request has waited ``max_wait_ms``;
+* one executor — a worker thread or, inside :meth:`MicroBatcher.drive`,
+  the calling thread alone (``repro serve``) — drains the queue,
+  coalescing consecutive *compatible* requests (same operation, same
+  ``k``, same admission **context**) up to ``max_batch_size`` rows.
+  Batching is **work-conserving**: an idle executor dispatches a lone
+  request at once and whatever queued up while a batch ran is the next
+  batch (``max_wait_ms`` > 0 optionally holds a non-full one that long);
 * the coalesced batch is executed as **one** runner call and each
   request's slice of the result resolves its future — strictly in
   submission order, so a pipelined client can match responses to
@@ -51,8 +54,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -173,7 +177,7 @@ class _Request:
 
 
 class MicroBatcher:
-    """Bounded queue + worker thread coalescing requests into batches.
+    """Bounded queue + one executor coalescing requests into batches.
 
     ``runner(op, k, entity_keys, cutoffs, context)`` receives the
     concatenated batch plus the batch's shared admission context and
@@ -187,12 +191,8 @@ class MicroBatcher:
     """
 
     def __init__(
-        self,
-        runner: Callable[[str, int, np.ndarray, np.ndarray, Any], Any],
-        *,
-        max_batch_size: int = 64,
-        max_wait_ms: float = 5.0,
-        max_queue_depth: int = 256,
+        self, runner: Callable[[str, int, np.ndarray, np.ndarray, Any], Any], *,
+        max_batch_size: int = 64, max_wait_ms: float = 0.0, max_queue_depth: int = 256,
         telemetry: Optional[ServingTelemetry] = None,
     ) -> None:
         if max_batch_size < 1:
@@ -212,22 +212,22 @@ class MicroBatcher:
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
         self._closed = False
-        self._thread = threading.Thread(target=self._run, name="serve-batcher", daemon=True)
+        # Who executes: the worker thread or, inside drive(), only the
+        # thread whose ident is in _driver (the worker is stopped).
+        self._driver: Optional[int] = None
+        self._start_worker()
+
+    def _start_worker(self) -> None:
+        self._thread = threading.Thread(
+            target=self._run, args=(True,), name="serve-batcher", daemon=True)
         self._thread.start()
 
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
     def submit(
-        self,
-        op: str,
-        entity_keys: np.ndarray,
-        cutoffs: np.ndarray,
-        *,
-        k: int = 0,
-        deadline_ms: Optional[float] = None,
-        context: Any = None,
-        route: Optional[str] = None,
+        self, op: str, entity_keys: np.ndarray, cutoffs: np.ndarray, *, k: int = 0,
+        deadline_ms: Optional[float] = None, context: Any = None, route: Optional[str] = None,
     ) -> ResponseFuture:
         """Admit one request; returns its future or fast-rejects.
 
@@ -246,7 +246,6 @@ class MicroBatcher:
             )
         if len(entity_keys) == 0:
             raise ValueError("request must name at least one entity")
-        registry = get_registry()
         now = time.monotonic()
         deadline = now + deadline_ms / 1000.0 if deadline_ms is not None else None
         request_id, sampled = self.telemetry.admit()
@@ -254,13 +253,22 @@ class MicroBatcher:
                            k=int(k), deadline=deadline,
                            request_id=request_id, sampled=sampled, context=context,
                            route=route)
-        request.future.submitted_at = now
-        request.future.request_id = request_id
-        request.future.context = context
+        self._enqueue(request, now)
+        registry = get_registry()
+        registry.counter("serve.requests").inc()
+        registry.counter("serve.rows").inc(len(entity_keys))
+        return request.future
+
+    def _enqueue(self, request: _Request, now: float) -> None:
+        """Queue ``request`` (barriers bypass the depth bound)."""
+        future = request.future
+        future.submitted_at, future.request_id, future.context = (
+            now, request.request_id, request.context)
+        registry = get_registry()
         with self._nonempty:
             if self._closed:
                 raise ServiceClosedError("service is closed; request not admitted")
-            if len(self._queue) >= self.max_queue_depth:
+            if request.barrier is None and len(self._queue) >= self.max_queue_depth:
                 # Fast-reject path: shedding load here costs one exception;
                 # admitting it would cost a model call the caller may never
                 # wait for.
@@ -271,39 +279,54 @@ class MicroBatcher:
             self._queue.append(request)
             registry.gauge("serve.queue_depth").set(len(self._queue))
             self._nonempty.notify()
-        registry.counter("serve.requests").inc()
-        registry.counter("serve.rows").inc(len(entity_keys))
-        return request.future
 
     def run_barrier(self, fn: Callable[[], Any], timeout: Optional[float] = 30.0) -> Any:
-        """Run ``fn`` on the worker thread, exclusive of any batch.
+        """Run ``fn`` on the executor, exclusive of any batch.
 
         The barrier enters the queue like a request but never
-        coalesces: every batch admitted before it fully executes
-        first, every request admitted after it executes against
-        whatever state ``fn`` left behind.  This is the micro-batch
-        seam the ingest layer uses to swap a refreshed graph into the
-        serving path without answering any request half-old/half-new.
-        Blocks until ``fn`` has run and returns its result
-        (re-raising its exception).
+        coalesces or waits out ``max_wait_ms``: every batch admitted
+        before it fully executes first, every request admitted after
+        it executes against whatever state ``fn`` left behind.  This
+        is the seam the ingest layer uses to swap a refreshed graph in
+        without answering any request half-old/half-new.  Blocks until
+        ``fn`` has run and returns its result (re-raising its exception).
         """
         request = _Request(
             op="predict", entity_keys=np.empty(0, dtype=np.int64),
             cutoffs=np.empty(0, dtype=np.int64), k=0, deadline=None,
             request_id="barrier", barrier=fn,
         )
-        request.future.submitted_at = time.monotonic()
-        request.future.request_id = request.request_id
-        with self._nonempty:
-            if self._closed:
-                raise ServiceClosedError("service is closed; barrier not admitted")
-            self._queue.append(request)
-            self._nonempty.notify()
+        self._enqueue(request, time.monotonic())
         get_registry().counter("serve.barriers").inc()
+        if self._driver == threading.get_ident():
+            self._run()  # the driver is the executor: nobody else will
         return request.future.result(timeout)
 
+    @contextmanager
+    def drive(self) -> Iterator[Callable[[], None]]:
+        """Make the calling thread the only executor until exit.
+
+        Yields ``run_pending``, which executes everything queued on the
+        caller's thread — same collect/execute code as the worker — and
+        returns once the queue is empty.  The worker is stopped first
+        (its running batch completes) and restarted on exit, so
+        ``repro serve`` answers without a cross-thread wake-up.
+        """
+        with self._nonempty:
+            if self._driver is not None:
+                raise RuntimeError("the batcher already has a driver")
+            self._driver = threading.get_ident()
+            self._nonempty.notify_all()
+        self._thread.join()
+        try:
+            yield self._run
+        finally:
+            self._run()
+            self._driver = None  # before the worker starts: it yields to a driver
+            self._start_worker()
+
     def close(self, drain: bool = True, timeout: Optional[float] = 30.0) -> None:
-        """Stop the worker.  ``drain=True`` answers queued requests first;
+        """Stop executing.  ``drain=True`` answers queued requests first;
         ``drain=False`` rejects them with :class:`ServiceClosedError`."""
         with self._nonempty:
             if self._closed:
@@ -324,16 +347,20 @@ class MicroBatcher:
             return len(self._queue)
 
     # ------------------------------------------------------------------
-    # Worker side
+    # Executor side
     # ------------------------------------------------------------------
-    def _collect_batch(self) -> Optional[List[_Request]]:
-        """Block for the next coalesced batch; None when shut down."""
-        registry = get_registry()
+    def _collect_batch(self, wait: bool) -> Optional[List[_Request]]:
+        """The next coalesced batch, or None when there is none to run.
+
+        The worker (``wait=True``) blocks for a first request and may
+        hold a non-full batch up to ``max_wait_ms``; a driver
+        (``wait=False``) only ever takes what is already queued.
+        """
         with self._nonempty:
-            while not self._queue:
-                if self._closed:
-                    return None
+            while wait and not self._queue and not self._closed and self._driver is None:
                 self._nonempty.wait(0.05)
+            if not self._queue or (wait and self._driver is not None):
+                return None
             first = self._queue.popleft()
             batch = [first]
             rows = len(first.entity_keys)
@@ -341,10 +368,10 @@ class MicroBatcher:
             # not when we got around to it: requests that already waited
             # out the window while a previous batch executed ship now.
             window_end = first.future.submitted_at + self.max_wait_ms / 1000.0
-            while rows < self.max_batch_size:
+            while rows < self.max_batch_size and first.barrier is None:
                 if not self._queue:
                     remaining = window_end - time.monotonic()
-                    if remaining <= 0 or self._closed:
+                    if not wait or remaining <= 0 or self._closed:
                         break
                     self._nonempty.wait(remaining)
                     if not self._queue:
@@ -358,31 +385,27 @@ class MicroBatcher:
                     break
                 batch.append(self._queue.popleft())
                 rows += len(head.entity_keys)
-            registry.gauge("serve.queue_depth").set(len(self._queue))
+            get_registry().gauge("serve.queue_depth").set(len(self._queue))
         return batch
 
-    def _run(self) -> None:
-        while True:
-            batch = self._collect_batch()
-            if batch is None:
-                return
+    def _run(self, wait: bool = False) -> None:
+        """Execute batches until :meth:`_collect_batch` has none left."""
+        while (batch := self._collect_batch(wait)) is not None:
             try:
                 self._execute(batch)
-            except BaseException:  # pragma: no cover - worker must never die
+            except BaseException as err:  # never leave a future unresolved
                 _log.exception("batch execution failed outside the runner")
                 for request in batch:
                     if not request.future.done():
                         request.future._finish(
                             error=ServiceClosedError("internal batcher failure")
                         )
+                if not isinstance(err, Exception):
+                    raise
 
-    def _record_trace(
-        self,
-        request: _Request,
-        outcome: str,
-        latency_ms: Optional[float] = None,
-        batch: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def _record_trace(self, request: _Request, outcome: str,
+                      latency_ms: Optional[float] = None,
+                      batch: Optional[Dict[str, Any]] = None) -> None:
         """Retain the per-request span tree for a head-sampled request."""
         if not request.sampled:
             return
@@ -399,36 +422,17 @@ class MicroBatcher:
             trace["batch"] = batch
         self.telemetry.record_trace(trace)
 
-    def _call_runner(self, op: str, k: int, keys: np.ndarray, cutoffs: np.ndarray,
-                     context: Any, route: Optional[str] = None):
-        """One runner invocation under a ``serve.batch`` span.
-
-        Returns ``(results, error)`` so callers can unwind collection
-        windows before deciding how to resolve the batch.  A forced
-        route is forwarded as a keyword only when present, so runners
-        that predate routing keep their five-argument signature.
-        """
-        try:
-            with obs_trace.span("serve.batch") as batch_span:
-                batch_span.add_counter("serve.batch_rows", len(keys))
-                if route is None:
-                    return self._runner(op, k, keys, cutoffs, context), None
-                return self._runner(op, k, keys, cutoffs, context, route=route), None
-        except Exception as err:
-            return None, err
-
     def _execute(self, batch: List[_Request]) -> None:
         registry = get_registry()
         if len(batch) == 1 and batch[0].barrier is not None:
             # Exclusive barrier: no prior batch is in flight (this is
-            # the worker thread) and nothing coalesced with it.
+            # the one executor) and nothing coalesced with it.
             request = batch[0]
             try:
                 request.future._finish(value=request.barrier())
             except Exception as err:
                 request.future._finish(error=err)
             return
-        telemetry = self.telemetry
         # (request_id, latency_ms, ok) for every request this batch
         # resolves, fed to the SLO window in one call at the end.
         resolved: List[Tuple[str, float, bool]] = []
@@ -452,32 +456,32 @@ class MicroBatcher:
         if queue_waits:
             registry.histogram("serve.queue_wait_ms").observe_many(queue_waits)
         if not live:
-            telemetry.on_resolved_batch(resolved)
+            self.telemetry.on_resolved_batch(resolved)
             return
         keys = np.concatenate([r.entity_keys for r in live])
         cutoffs = np.concatenate([r.cutoffs for r in live])
         registry.counter("serve.batches").inc()
         registry.histogram("serve.batch_rows").observe(len(keys))
         request_ids = [r.request_id for r in live]
-        batch_spans: Optional[List[Dict[str, Any]]] = None
+        first = live[0]
+        # When a head-sampled request rides in this batch, capture the
+        # model spans in a thread-private collection window so the
+        # request's retained trace carries the full stage tree.
+        sampled = any(r.sampled for r in live)
+        window = obs_trace.collect(scope="thread") if sampled else nullcontext()
+        # A forced route rides as a keyword only when present, so runners
+        # that predate routing keep their five-argument signature.
+        kwargs = {} if first.route is None else {"route": first.route}
+        results = error = None
         start = time.monotonic()
         set_current_request_ids(request_ids)
         try:
-            if any(r.sampled for r in live):
-                # A head-sampled request rides in this batch: capture the
-                # model spans in a thread-private collection window so the
-                # request's retained trace carries the full stage tree.
-                with obs_trace.collect(scope="thread") as batch_trace:
-                    results, error = self._call_runner(
-                        live[0].op, live[0].k, keys, cutoffs, live[0].context,
-                        route=live[0].route,
-                    )
-                batch_spans = batch_trace.to_dict()["spans"]
-            else:
-                results, error = self._call_runner(
-                    live[0].op, live[0].k, keys, cutoffs, live[0].context,
-                    route=live[0].route,
-                )
+            with window as batch_trace, obs_trace.span("serve.batch") as batch_span:
+                batch_span.add_counter("serve.batch_rows", len(keys))
+                results = self._runner(
+                    first.op, first.k, keys, cutoffs, first.context, **kwargs)
+        except Exception as err:
+            error = err
         finally:
             set_current_request_ids(())
         elapsed_ms = (time.monotonic() - start) * 1000.0
@@ -487,50 +491,37 @@ class MicroBatcher:
             "request_ids": list(request_ids),
             "execute_ms": round(elapsed_ms, 3),
         }
-        if batch_spans:
-            batch_info["spans"] = batch_spans
+        if sampled and batch_trace.roots:
+            batch_info["spans"] = batch_trace.to_dict()["spans"]
         if error is not None:
             registry.counter("serve.errors").inc()
-            for request in live:
-                request.future._finish(error=error)
-                latency_ms = request.future.latency_seconds() * 1000.0
-                resolved.append((request.request_id, latency_ms, False))
-                self._record_trace(
-                    request, outcome=f"error:{type(error).__name__}",
-                    latency_ms=latency_ms, batch=batch_info,
-                )
-            telemetry.on_resolved_batch(resolved)
-            return
-        registry.histogram("serve.execute_ms").observe(elapsed_ms)
+        else:
+            registry.histogram("serve.execute_ms").observe(elapsed_ms)
         done = time.monotonic()
         offset = 0
         latencies: List[float] = []
         for request in live:
             stop = offset + len(request.entity_keys)
-            if request.expired(done):
+            if error is not None:
+                failure, outcome = error, f"error:{type(error).__name__}"
+            elif request.expired(done):
                 # Mid-batch expiry: the answer exists but arrived too late
                 # to honor the caller's contract — deliver the error, not
                 # a result the caller has stopped waiting for.
                 registry.counter("serve.expired").inc()
-                request.future._finish(error=DeadlineExceededError(
+                failure, outcome = DeadlineExceededError(
                     f"deadline expired during execution ({elapsed_ms:.1f}ms batch)"
-                ))
-                latency_ms = request.future.latency_seconds() * 1000.0
-                resolved.append((request.request_id, latency_ms, False))
-                self._record_trace(
-                    request, outcome="expired_mid_batch",
-                    latency_ms=latency_ms, batch=batch_info,
-                )
+                ), "expired_mid_batch"
             else:
-                request.future._finish(value=results[offset:stop])
-                latency_ms = request.future.latency_seconds() * 1000.0
+                failure, outcome = None, "ok"
+            request.future._finish(
+                results[offset:stop] if failure is None else None, failure)
+            latency_ms = request.future.latency_seconds() * 1000.0
+            if failure is None:
                 latencies.append(latency_ms)
-                resolved.append((request.request_id, latency_ms, True))
-                if request.sampled:
-                    self._record_trace(
-                        request, outcome="ok", latency_ms=latency_ms, batch=batch_info,
-                    )
+            resolved.append((request.request_id, latency_ms, failure is None))
+            self._record_trace(request, outcome, latency_ms=latency_ms, batch=batch_info)
             offset = stop
         if latencies:
             registry.histogram("serve.latency_ms").observe_many(latencies)
-        telemetry.on_resolved_batch(resolved)
+        self.telemetry.on_resolved_batch(resolved)

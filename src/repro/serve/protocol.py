@@ -46,30 +46,29 @@ service: ``swap`` hot-swaps to another registry version (warmed off
 the hot path; in-flight requests finish on the old model), ``canary``
 starts/inspects/cancels a shadow-traffic evaluation of a challenger,
 and ``lifecycle`` reports the live version, transition history, and
-canary state.  Swap and canary-start execute synchronously at read
-time — every earlier line was already admitted (and answers with the
-old model), and no later line is parsed until the verb finished — so
-a piped script gets deterministic before/after semantics while the
-hot path keeps executing throughout.
+canary state.  A verb executes at its own position in the stream —
+every earlier line has been admitted and answered by the old model,
+and no later line is parsed until the verb finished — so a piped
+script gets deterministic before/after semantics.
 
 Error kinds: ``bad_request``, ``queue_full``, ``deadline_exceeded``,
 ``closed``, ``internal``.  The loop itself never crashes on a bad
 line — malformed JSON is answered with a ``bad_request`` error and the
 stream continues.
 
-Despite reading from a single stream, the loop still micro-batches:
-requests are *submitted* as they are read and a writer thread drains
-responses in order, so a burst of piped lines coalesces in the
-scheduler exactly like concurrent programmatic callers.
+The loop is **one thread** (see :func:`serve_loop`): a lone request on
+an idle server is dispatched at once, and whatever piled up in the
+pipe while a batch ran is the next batch — a burst of piped lines
+coalesces like concurrent programmatic callers, without a timer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import queue
-import threading
-from typing import Any, Dict, Optional, TextIO, Tuple
+import select
+import time
+from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -83,13 +82,11 @@ from repro.serve.batcher import (
 )
 from repro.serve.service import PredictionService
 
-__all__ = ["GracefulShutdown", "parse_request", "serve_loop"]
+__all__ = ["GracefulShutdown", "ShutdownLatch", "parse_request", "serve_loop"]
 
 _log = get_logger("serve.protocol")
 
-_OPS = (
-    "predict", "rank", "stats", "health", "ping", "swap", "canary", "lifecycle",
-)
+_OPS = ("predict", "rank", "stats", "health", "ping", "swap", "canary", "lifecycle")
 
 
 class BadRequestError(ValueError):
@@ -97,18 +94,34 @@ class BadRequestError(ValueError):
 
 
 class GracefulShutdown(Exception):
-    """Raised in the reader thread (by a signal handler) to drain and exit.
+    """Raised by :class:`ShutdownLatch` out of the loop's blocking read."""
 
-    :func:`serve_loop` treats it exactly like EOF: stop reading, let
-    the writer answer everything already submitted, return normally.
+
+class ShutdownLatch:
+    """SIGTERM/SIGINT handler that only ever lands **between turns**.
+
+    Install :meth:`request` with ``signal.signal``.  While the loop is
+    blocked for input it raises :class:`GracefulShutdown` out of the
+    read (PEP 475 would otherwise resume it); mid-batch or mid-write it
+    only latches, and the loop stops once the turn is answered.
     """
 
+    def __init__(self) -> None:
+        self.requested = False
+        self.waiting = False
 
-def parse_request(line: str) -> Dict[str, Any]:
-    """Decode one request line into a validated dict."""
+    def request(self, signum=None, frame=None) -> None:
+        """Ask the loop to stop after everything admitted is answered."""
+        self.requested = True
+        if self.waiting:
+            raise GracefulShutdown()
+
+
+def parse_request(line) -> Dict[str, Any]:
+    """Decode one request line (``str`` or UTF-8 bytes) into a validated dict."""
     try:
         request = json.loads(line)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
         raise BadRequestError(f"invalid JSON: {err}") from err
     if not isinstance(request, dict):
         raise BadRequestError("request must be a JSON object")
@@ -143,6 +156,10 @@ def _error(request_id, kind: str, message: str) -> Dict[str, Any]:
     return {"id": request_id, "status": "error", "error": kind, "message": message}
 
 
+def _ok(request_id, /, **fields) -> Dict[str, Any]:
+    return {"id": request_id, "status": "ok", **fields}
+
+
 def _submit(service: PredictionService, request: Dict[str, Any]) -> ResponseFuture:
     keys = np.asarray(request["entity_keys"])
     cutoff = request["cutoff"]
@@ -154,21 +171,13 @@ def _submit(service: PredictionService, request: Dict[str, Any]) -> ResponseFutu
     return service.predict_async(keys, cutoff, deadline_ms=deadline_ms, route=route)
 
 
-def _render(
-    service: PredictionService, request: Dict[str, Any], value,
-    future: Optional[ResponseFuture] = None,
-) -> Dict[str, Any]:
-    response: Dict[str, Any] = {
-        "id": request.get("id"),
-        "status": "ok",
-        "degraded": service.degraded,
-    }
-    if future is not None and future.request_id:
-        response["request_id"] = future.request_id
-    if future is not None and future.context is not None:
-        # The slot this request was admitted under — not necessarily
-        # the one live at write time (hot swaps happen mid-stream).
-        response["model_version"] = future.context.label
+def _render(service: PredictionService, request: Dict[str, Any],
+            future: ResponseFuture) -> Dict[str, Any]:
+    value = future.result(0.0)  # the turn has executed: resolved, or a bug
+    # model_version is the slot this request was admitted under — not
+    # necessarily the one live at write time (hot swaps happen mid-stream).
+    response = _ok(request.get("id"), degraded=service.degraded,
+                   request_id=future.request_id, model_version=future.context.label)
     decision = getattr(value, "route", None)
     if decision is not None:
         # The routed tier that answered this request's batch, plus the
@@ -196,33 +205,25 @@ def _future_error(request_id, err: BaseException) -> Dict[str, Any]:
     return _error(request_id, "internal", f"{type(err).__name__}: {err}")
 
 
-def _lifecycle_execute(
-    service: PredictionService, request: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Execute a swap/canary/lifecycle verb **synchronously at read
-    time**, returning the pre-rendered response.
+def _lifecycle_execute(service: PredictionService, request: Dict[str, Any]) -> Dict[str, Any]:
+    """Execute a swap/canary/lifecycle verb, returning its response.
 
-    Running on the reader thread is what gives the verb its ordering
-    guarantee: every line before it was already admitted (and answers
-    with the old model, off the hot path, undisturbed), and no later
-    line is even parsed until the verb — including challenger warming
-    — has finished.  The response itself is still written at its
-    in-order turn.
+    The loop drains everything admitted earlier before calling this
+    and parses no later line until it returns — challenger warming
+    included — which is the verb's ordering guarantee.
     """
     request_id = request.get("id")
     op = request["op"]
     try:
+        version = request.get("version")
+        version = int(version) if version is not None else None
         if op == "swap":
-            version = request.get("version")
             transition = service.swap(
-                version=int(version) if version is not None else None,
-                reason=request.get("reason", "swap requested over the wire"),
+                version=version, reason=request.get("reason", "swap requested over the wire"),
             )
-            return {"id": request_id, "status": "ok", "swapped": transition,
-                    "live": service.name}
+            return _ok(request_id, swapped=transition, live=service.name)
         if op == "lifecycle":
-            return {"id": request_id, "status": "ok",
-                    "lifecycle": service.lifecycle()}
+            return _ok(request_id, lifecycle=service.lifecycle())
         action = request.get("action", "status")
         if action == "start":
             knobs = {
@@ -231,127 +232,135 @@ def _lifecycle_execute(
                  "max_latency_ratio", "max_error_rate", "min_compare")
                 if key in request
             }
-            version = request.get("version")
             # Request knobs layer over the service's configured
             # canary defaults (--canary-fraction and friends).
             controller = service.start_canary(
-                version=int(version) if version is not None else None,
+                version=version,
                 config=dataclasses.replace(service.config.canary_config(), **knobs)
                 if knobs else None,
             )
-            return {"id": request_id, "status": "ok",
-                    "canary": controller.report()}
-        if action == "cancel":
-            controller = service.canary
-            service.cancel_canary(request.get("reason", "cancelled over the wire"))
-            return {"id": request_id, "status": "ok",
-                    "canary": controller.report() if controller else None}
+            return _ok(request_id, canary=controller.report())
         controller = service.canary
-        return {"id": request_id, "status": "ok",
-                "canary": controller.report() if controller else None}
+        if action == "cancel":
+            service.cancel_canary(request.get("reason", "cancelled over the wire"))
+        return _ok(request_id, canary=controller.report() if controller else None)
     except (ValueError, RuntimeError) as err:
         return _error(request_id, "bad_request", f"{type(err).__name__}: {err}")
     except Exception as err:  # registry/IO failures must not kill the loop
         return _error(request_id, "internal", f"{type(err).__name__}: {err}")
 
 
-def _read_lines(stdin: TextIO):
-    """Yield input lines until EOF — or a :class:`GracefulShutdown`.
+def _admit(service: PredictionService, line, run_pending: Callable[[], None]):
+    """One input line → ``(request, future-or-response)``.
 
-    A SIGTERM/SIGINT handler raises :class:`GracefulShutdown` in the
-    main thread; Python delivers it out of the blocking ``readline``
-    (PEP 475 re-raises after the signal handler runs), and the loop
-    drains instead of dying mid-response.
+    Predict/rank are only *admitted* here (they execute with the rest
+    of the turn).  Every other verb except ``ping`` first drains what
+    was admitted before it, so ``stats``/``health`` count every earlier
+    request and a lifecycle verb never overtakes one.
     """
     try:
-        for line in stdin:
-            yield line
-    except GracefulShutdown:
-        _log.info("graceful shutdown requested; draining in-flight requests")
+        request = parse_request(line)
+    except BadRequestError as err:
+        return {}, _error(None, "bad_request", str(err))
+    request_id = request.get("id")
+    op = request["op"]
+    if op == "ping":
+        return request, _ok(request_id, pong=True)
+    if op in ("predict", "rank"):
+        try:
+            return request, _submit(service, request)
+        except QueueFullError as err:
+            return request, _error(request_id, "queue_full", str(err))
+        except ServiceClosedError as err:
+            return request, _error(request_id, "closed", str(err))
+        except (ValueError, KeyError) as err:
+            return request, _error(request_id, "bad_request", str(err))
+    run_pending()
+    if op == "stats" and request.get("format") == "prometheus":
+        return request, _ok(request_id, prometheus=render_prometheus())
+    if op == "stats":
+        return request, _ok(request_id, stats=service.stats())
+    if op == "health":
+        return request, _ok(request_id, health=service.health())
+    return request, _lifecycle_execute(service, request)
 
 
-def serve_loop(service: PredictionService, stdin: TextIO, stdout: TextIO) -> int:
-    """Run the JSON-lines loop until EOF; returns requests answered.
+def _answer(service: PredictionService, request: Dict[str, Any], payload) -> str:
+    """The response line for one entry of an executed turn."""
+    if isinstance(payload, ResponseFuture):
+        try:
+            payload = _render(service, request, payload)
+        except Exception as err:
+            payload = dict(_future_error(request.get("id"), err),
+                           request_id=payload.request_id)
+    return json.dumps(payload)
 
-    The reader thread (the caller's) submits; a writer thread resolves
-    futures strictly in submission order and emits one response line
-    each, flushing after every line so interactive clients see answers
-    promptly.  ``stats``/``health`` payloads are rendered by the writer
-    at their in-order turn — not when the line is read — so a piped
-    script's snapshot reflects every request submitted before it.
+
+_CHUNK = 1 << 16
+
+
+def _turns(stdin: TextIO, latch: ShutdownLatch, hold_s: float, full: int) -> Iterator[List]:
+    """Block for input, then yield every complete line already there.
+
+    A stream with a binary ``buffer`` (``sys.stdin``, a pipe) is read
+    with ``read1`` — one ``read(2)``, whatever it returns; an in-memory
+    text stream is all available at once.  With the ``max_wait_ms`` cap
+    set, a turn of fewer than ``full`` lines keeps taking input for up
+    to ``hold_s`` more.  Ends at EOF or when ``latch`` fires.
     """
-    pending: "queue.Queue[Optional[Tuple[Dict[str, Any], Any]]]" = queue.Queue()
+    raw = getattr(stdin, "buffer", None)
+    if raw is None:
+        yield stdin.readlines()
+        return
+    tail = b""
+    while True:
+        latch.waiting = True
+        try:
+            chunk = b"" if latch.requested else raw.read1(_CHUNK)
+        except GracefulShutdown:
+            chunk = b""
+        finally:
+            latch.waiting = False
+        if not chunk:
+            if latch.requested:
+                _log.info("graceful shutdown requested; draining in-flight requests")
+            if tail:
+                yield [tail]
+            return
+        hold_until = time.monotonic() + hold_s
+        while hold_s > 0 and chunk.count(b"\n") < full and select.select(
+                [raw], [], [], max(hold_until - time.monotonic(), 0.0))[0]:
+            more = raw.read1(_CHUNK)
+            if not more:
+                break
+            chunk += more
+        *lines, tail = (tail + chunk).split(b"\n")
+        if lines:
+            yield lines
+
+
+def serve_loop(service: PredictionService, stdin: TextIO, stdout: TextIO,
+               shutdown: Optional[ShutdownLatch] = None) -> int:
+    """Run the JSON-lines loop until EOF (or ``shutdown`` fires); returns
+    requests answered.
+
+    One thread, one turn at a time: take the available lines, admit
+    them, execute the queued micro-batches on this thread, write every
+    answer in request order, flush once.  The service's worker thread
+    never runs while the loop drives.
+    """
+    latch = shutdown if shutdown is not None else ShutdownLatch()
+    hold_s, full = service.config.max_wait_ms / 1000.0, service.config.max_batch_size
     answered = 0
-    lock = threading.Lock()
-
-    def writer() -> None:
-        nonlocal answered
-        while True:
-            item = pending.get()
-            if item is None:
-                return
-            request, payload = item
-            if isinstance(payload, ResponseFuture):
-                try:
-                    response = _render(service, request, payload.result(), future=payload)
-                except BaseException as err:
-                    response = _future_error(request.get("id"), err)
-                    if payload.request_id:
-                        response["request_id"] = payload.request_id
-            elif callable(payload):
-                response = payload()  # lazily rendered (stats/health)
-            else:
-                response = payload  # pre-rendered (ping/errors)
-            stdout.write(json.dumps(response) + "\n")
-            stdout.flush()
-            with lock:
-                answered += 1
-
-    writer_thread = threading.Thread(target=writer, name="serve-writer", daemon=True)
-    writer_thread.start()
-    try:
-        for line in _read_lines(stdin):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                request = parse_request(line)
-            except BadRequestError as err:
-                pending.put(({}, _error(None, "bad_request", str(err))))
-                continue
-            request_id = request.get("id")
-            op = request["op"]
-            if op == "ping":
-                pending.put((request, {"id": request_id, "status": "ok", "pong": True}))
-                continue
-            if op == "stats":
-                if request.get("format") == "prometheus":
-                    pending.put((request, lambda rid=request_id: {
-                        "id": rid, "status": "ok",
-                        "prometheus": render_prometheus()}))
-                else:
-                    pending.put((request, lambda rid=request_id: {
-                        "id": rid, "status": "ok", "stats": service.stats()}))
-                continue
-            if op == "health":
-                pending.put((request, lambda rid=request_id: {
-                    "id": rid, "status": "ok", "health": service.health()}))
-                continue
-            if op in ("swap", "canary", "lifecycle"):
-                pending.put((request, _lifecycle_execute(service, request)))
-                continue
-            try:
-                future = _submit(service, request)
-            except QueueFullError as err:
-                pending.put((request, _error(request_id, "queue_full", str(err))))
-            except ServiceClosedError as err:
-                pending.put((request, _error(request_id, "closed", str(err))))
-            except (ValueError, KeyError) as err:
-                pending.put((request, _error(request_id, "bad_request", str(err))))
-            else:
-                pending.put((request, future))
-    finally:
-        pending.put(None)
-        writer_thread.join(60.0)
-    with lock:
-        return answered
+    with service.drive() as run_pending:
+        for lines in _turns(stdin, latch, hold_s, full):
+            entries = [_admit(service, line, run_pending)
+                       for line in lines if line.strip()]
+            run_pending()
+            if entries:
+                stdout.write("".join(
+                    _answer(service, request, payload) + "\n"
+                    for request, payload in entries))
+                stdout.flush()
+                answered += len(entries)
+    return answered

@@ -20,8 +20,10 @@ currently **live**:
 
 Behind ``predict``/``rank`` sits the full serving contract:
 
-* **micro-batching** — concurrent requests coalesce into one batched
-  no-grad model call (bounded by ``max_batch_size`` / ``max_wait_ms``);
+* **micro-batching** — requests that arrive while a batch runs
+  coalesce into the next batched no-grad model call (up to
+  ``max_batch_size`` rows; ``max_wait_ms`` is an optional cap, off by
+  default);
 * **admission control** — a bounded queue fast-rejects excess load
   with :class:`~repro.serve.batcher.QueueFullError`;
 * **deadlines** — per-request ``deadline_ms`` (or the configured
@@ -91,8 +93,9 @@ class ServeConfig:
 
     #: Most entity rows coalesced into one model call.
     max_batch_size: int = 64
-    #: How long the oldest queued request may wait for company (ms).
-    max_wait_ms: float = 5.0
+    #: Optional cap (ms) on holding a non-full batch for company; 0 =
+    #: work-conserving: dispatch as soon as the executor is free.
+    max_wait_ms: float = 0.0
     #: Pending-request ceiling; submissions beyond it fast-reject.
     max_queue_depth: int = 256
     #: Deadline applied when a request does not carry its own (ms);
@@ -607,10 +610,16 @@ class PredictionService:
         )
         return transition
 
+    def drive(self):
+        """Serve from the calling thread alone: ``with service.drive()
+        as run_pending`` (see :meth:`MicroBatcher.drive`; ``serve_loop``
+        uses it, so ``repro serve`` runs no batcher thread)."""
+        return self._batcher.drive()
+
     def refresh_graph(self, apply_fn, reason: str = "ingest graph refresh"):
         """Apply an ingest refresh on the micro-batch seam, zero downtime.
 
-        ``apply_fn()`` runs on the batcher's worker thread as an
+        ``apply_fn()`` runs on the batcher's executor as an
         exclusive barrier: every batch admitted before the refresh
         executes against the pre-delta graph, every request admitted
         after it sees the refreshed one, and no single batch ever

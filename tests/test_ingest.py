@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro.graph import NeighborSampler, build_graph
+from repro.graph.builder import node_index_for_keys
 from repro.graph.cache import (
     CachedSampler,
     KEY_PREFIX_LEN,
@@ -535,6 +536,23 @@ class TestDeltaReport:
         assert graph.num_nodes("orders") == 5
         pipeline.process([order_event(205, ts=600)])
         assert graph.num_nodes("orders") == 6  # same object, grown
+
+    def test_key_index_memo_follows_growth(self, pipeline):
+        graph = pipeline.graph
+        before = graph.key_index("customers")
+        assert graph.key_index("customers") is before   # one mapping per key array
+        assert node_index_for_keys(graph, "customers", np.array([20])).tolist() == [1]
+        with pytest.raises(KeyError):
+            node_index_for_keys(graph, "customers", np.array([30]))
+        pipeline.process([customer_event(30)])
+        # The delta replaced the key array, so the memo was rebuilt: the new
+        # key resolves, an unknown one still raises.
+        assert node_index_for_keys(graph, "customers", np.array([30, 10])).tolist() == [2, 0]
+        assert graph.key_index("customers") is not before
+        with pytest.raises(KeyError):
+            node_index_for_keys(graph, "customers", np.array([31]))
+        with pytest.raises(KeyError):
+            graph.key_index("no_such_type")
 
 
 class TestRefreshPolicy:

@@ -64,6 +64,34 @@ class TestModule:
         model.train()
         assert all(m.training for m in model.modules())
 
+    def test_mode_switch_reaches_modules_added_after_the_first_call(self):
+        class Net(Module):
+            def __init__(self):
+                super().__init__()
+                self.trunk = Sequential(Linear(2, 2, rng()), Dropout(0.5, rng()))
+                self.heads = {"a": Linear(2, 1, rng())}
+
+        model = Net()
+        model.eval()  # the first call caches the flat module list
+        assert model._flat_modules() is model._flat_modules()  # ... and reuses it
+        model.heads["b"] = Linear(2, 1, rng())      # in-place dict growth
+        model.trunk.extra = Dropout(0.1, rng())     # attribute on a descendant
+        model.late = ReLU()                         # attribute on the root
+        added = [model.heads["b"], model.trunk.extra, model.late]
+        assert all(m.training for m in added)
+        model.eval()
+        walked = list(model._modules(set()))        # the uncached reference walk
+        assert list(model.modules()) == walked
+        assert all(m in walked for m in added)
+        assert all(not m.training for m in walked)
+        model.trunk.train()                         # a subtree switched on its own
+        model.eval()
+        assert all(not m.training for m in model.modules())
+        model.train()
+        assert all(m.training for m in walked)
+        # The cache is never mistaken for children or parameters.
+        assert not any(name.startswith("_flat") for name, _ in model.named_parameters())
+
     def test_state_dict_roundtrip(self):
         a = MLP([3, 4, 1], rng())
         b = MLP([3, 4, 1], np.random.default_rng(99))

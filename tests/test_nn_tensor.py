@@ -208,6 +208,31 @@ class TestGraphMechanics:
             out = t * 2.0
         assert not out.requires_grad
 
+    def test_no_grad_is_per_thread(self):
+        # Interleaved no_grad blocks on two threads (a serving worker and a
+        # canary worker) used to leave the process-global flag stuck off.
+        import threading
+
+        inside, leave = threading.Barrier(3), threading.Barrier(3)
+
+        def serve_like():
+            with no_grad():
+                inside.wait(5.0)
+                leave.wait(5.0)
+
+        threads = [threading.Thread(target=serve_like) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        inside.wait(5.0)  # both threads are inside no_grad right now
+        t = Tensor([1.0], requires_grad=True)
+        out = t * 2.0
+        assert out.requires_grad, "another thread's no_grad leaked into this one"
+        leave.wait(5.0)
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        (Tensor([1.0], requires_grad=True) * 2.0).backward()  # still on afterwards
+
     def test_detach(self):
         t = Tensor([1.0], requires_grad=True)
         d = t.detach()

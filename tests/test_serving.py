@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -193,6 +194,75 @@ def test_close_without_drain_rejects_queued_requests():
         queued.result(timeout=5.0)
     with pytest.raises(ServiceClosedError):
         batcher.submit("predict", np.array([2]), np.array([0]))
+
+
+def test_work_conserving_coalescing_is_deterministic():
+    release = threading.Event()
+    started = threading.Event()
+    calls = []
+
+    def blocking_runner(op, k, keys, cutoffs, context=None):
+        calls.append(np.asarray(keys).tolist())
+        if not started.is_set():
+            started.set()
+            release.wait(10.0)
+        return np.zeros(len(keys))
+
+    batcher = MicroBatcher(blocking_runner, max_batch_size=64)  # default: no window
+    try:
+        futures = [batcher.submit("predict", np.array([0]), np.array([0]))]
+        assert started.wait(5.0), "an idle executor must dispatch a lone request at once"
+        # Whatever queues up while the batch runs is the next batch ...
+        futures += [batcher.submit("predict", np.array([i]), np.array([0]))
+                    for i in range(1, 6)]
+        # ... up to the first incompatible request (another op).
+        futures.append(batcher.submit("rank", np.array([6]), np.array([0]), k=3))
+        release.set()
+        for future in futures:
+            future.result(timeout=5.0)
+    finally:
+        release.set()
+        batcher.close()
+    assert calls == [[0], [1, 2, 3, 4, 5], [6]]
+
+
+def test_barrier_never_waits_out_the_coalescing_window():
+    batcher = MicroBatcher(echo_runner, max_batch_size=8, max_wait_ms=500.0)
+    try:
+        start = time.monotonic()
+        assert batcher.run_barrier(lambda: "applied", timeout=5.0) == "applied"
+        elapsed = time.monotonic() - start
+    finally:
+        batcher.close()
+    assert elapsed < 0.25, f"barrier slept {elapsed:.3f}s for company it can never accept"
+
+
+def test_drive_executes_on_the_calling_thread_and_hands_back_to_the_worker():
+    threads = []
+
+    def runner(op, k, keys, cutoffs, context=None):
+        threads.append(threading.current_thread().name)
+        return np.zeros(len(keys))
+
+    batcher = MicroBatcher(runner, max_batch_size=8)
+    try:
+        batcher.submit("predict", np.array([0]), np.array([0])).result(timeout=5.0)
+        with batcher.drive() as run_pending:
+            futures = [batcher.submit("predict", np.array([i]), np.array([0]))
+                       for i in range(3)]
+            time.sleep(0.12)  # two idle-poll periods: a live worker would have run them
+            assert not any(f.done() for f in futures)
+            assert batcher.run_barrier(lambda: "inline", timeout=1.0) == "inline"
+            assert all(f.done() for f in futures)  # the barrier drained them first
+            with pytest.raises(RuntimeError):
+                with batcher.drive():
+                    pass
+            run_pending()
+        batcher.submit("predict", np.array([9]), np.array([0])).result(timeout=5.0)
+    finally:
+        batcher.close()
+    me = threading.current_thread().name
+    assert threads == ["serve-batcher", me, "serve-batcher"]
 
 
 def test_batcher_validates_configuration():
@@ -478,6 +548,97 @@ def test_serve_loop_stats_and_health_expose_windowed_telemetry(
     assert "serve_requests_total 2" in prometheus
 
 
+def run_loop_over_pipes(service, feed):
+    """``serve_loop`` on real pipes; ``feed(write_fd)`` supplies the input."""
+    in_r, in_w = os.pipe()
+    out_r, out_w = os.pipe()
+    collected = []
+    with os.fdopen(out_r, "r") as out_reader:
+        drain = threading.Thread(target=lambda: collected.append(out_reader.read()))
+        drain.start()
+        feeder = threading.Thread(target=feed, args=(in_w,))
+        feeder.start()
+        try:
+            with os.fdopen(in_r, "r") as stdin, os.fdopen(out_w, "w") as stdout:
+                answered = serve_loop(service, stdin, stdout)
+        finally:
+            feeder.join(10.0)
+            drain.join(10.0)
+    assert not feeder.is_alive() and not drain.is_alive()
+    return answered, [json.loads(line) for line in collected[0].splitlines()]
+
+
+def test_serve_loop_is_one_thread_and_batches_what_piled_up_in_the_pipe(
+    churn_model, small_ecommerce_split, monkeypatch
+):
+    cutoff = int(small_ecommerce_split.test_cutoff)
+    keys = entity_keys(churn_model, 12).tolist()
+    requests = [{"op": "predict", "id": i, "entity_keys": [key], "cutoff": cutoff}
+                for i, key in enumerate(keys)]
+    requests.insert(8, {"op": "stats", "id": "mid"})
+    burst = "".join(json.dumps(r) + "\n" for r in requests).encode()
+    model_threads = []
+    real_predict = churn_model.predict
+
+    def spy(*args, **kwargs):
+        model_threads.append(threading.get_ident())
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(churn_model, "predict", spy)
+    with PredictionService(churn_model) as service:
+        in_r, in_w = os.pipe()
+        os.write(in_w, burst)  # the whole burst is in the pipe before the loop reads
+        os.close(in_w)
+        stdout = io.StringIO()
+        with os.fdopen(in_r, "r") as stdin:
+            answered = serve_loop(service, stdin, stdout)
+        final = service.stats()["metrics"]
+        service.predict(keys[:1], cutoff)  # the worker is back for in-process callers
+    responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert answered == len(requests)
+    assert [r["id"] for r in responses] == [r["id"] for r in requests]
+    assert all(r["status"] == "ok" for r in responses)
+    # The interleaved stats line saw every earlier request already answered.
+    mid = responses[8]["stats"]["metrics"]
+    assert mid["serve.requests"]["value"] == 8
+    assert mid["serve.latency_ms"]["count"] == 8
+    # What piled up in the pipe became the batches: one before stats, one after.
+    assert final["serve.requests"]["value"] == 12
+    assert final["serve.batches"]["value"] == 2
+    # Only the caller's thread ran the model while the loop drove.
+    assert set(model_threads[:-1]) == {threading.get_ident()}
+    assert model_threads[-1] != threading.get_ident()
+
+
+def test_serve_loop_over_pipes_dispatches_at_once_unless_capped(
+    churn_model, small_ecommerce_split
+):
+    cutoff = int(small_ecommerce_split.test_cutoff)
+    keys = entity_keys(churn_model, 2).tolist()
+    lines = [(json.dumps({"op": "predict", "id": i, "entity_keys": [key],
+                          "cutoff": cutoff}) + "\n").encode()
+             for i, key in enumerate(keys)]
+
+    def feed(fd):
+        os.write(fd, lines[0])
+        time.sleep(0.1)
+        os.write(fd, lines[1])
+        os.close(fd)
+
+    batches = {}
+    for cap_ms in (0.0, 2000.0):
+        config = ServeConfig(max_batch_size=2, max_wait_ms=cap_ms)
+        with PredictionService(churn_model, config) as service:
+            answered, responses = run_loop_over_pipes(service, feed)
+            batches[cap_ms] = service.stats()["metrics"]["serve.batches"]["value"]
+        assert answered == 2
+        assert [r["id"] for r in responses] == [0, 1]
+        assert all(r["status"] == "ok" for r in responses)
+    # No cap: the lone first request is dispatched without waiting for the
+    # second.  With the optional cap the turn holds for company until full.
+    assert batches == {0.0: 2, 2000.0: 1}
+
+
 def test_degradation_records_slo_provenance_with_request_ids(
     churn_model, small_ecommerce_split, monkeypatch
 ):
@@ -507,8 +668,9 @@ def test_degradation_records_slo_provenance_with_request_ids(
 SERVE_SCALE = "0.2"
 
 
-def start_serve_process(model_dir):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+def start_serve_process(model_dir, **extra_env):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               **extra_env)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--dataset", "ecommerce", "--scale", SERVE_SCALE, "--seed", "0",
@@ -530,6 +692,33 @@ def ask(proc, request):
     line = proc.stdout.readline()
     assert line, "service produced no response"
     return json.loads(line)
+
+
+def test_sigterm_mid_batch_answers_every_admitted_request(churn_model, tmp_path):
+    model_dir = tmp_path / "model"
+    churn_model.save(str(model_dir))
+    # The first model call sleeps 2 s: SIGTERM lands while that batch runs.
+    proc = start_serve_process(model_dir, REPRO_FAULTS="service.execute@1:delay",
+                               REPRO_FAULTS_DELAY_MS="2000")
+    try:
+        proc.stdin.write("".join(
+            json.dumps({"op": "predict", "id": i, "entity_keys": [i + 1],
+                        "cutoff": 4102444800}) + "\n" for i in range(3)))
+        proc.stdin.flush()
+        time.sleep(0.7)
+        readable, _, _ = select.select([proc.stdout], [], [], 0)
+        assert not readable, "the batch finished before the signal; nothing was tested"
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(30)
+    responses = [json.loads(line) for line in stdout.splitlines()]
+    assert [r["id"] for r in responses] == [0, 1, 2]
+    assert all(r["status"] == "ok" and not r["degraded"] for r in responses)
+    assert proc.returncode == 0
+    assert "drained and shut down gracefully" in stderr
 
 
 def test_kill_and_restart_service_process(churn_model, tmp_path):
