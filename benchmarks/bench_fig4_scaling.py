@@ -1,11 +1,9 @@
 """Figure 4 — systems scaling: graph compilation and sampling vs DB size.
 
 Builds the e-commerce database at four scales and times (a) the
-DB→graph compiler and (b) neighbor-sampling throughput for both the
-reference sampler and the vectorized one.  Expected shape:
-near-linear growth of build time in total rows; per-seed sampling
-cost roughly flat (it depends on fanout, not graph size); the
-vectorized sampler several times faster at every scale.
+DB→graph compiler and (b) neighbor-sampling throughput.  Expected
+shape: near-linear growth of build time in total rows; per-seed
+sampling cost roughly flat (it depends on fanout, not graph size).
 """
 
 import time
@@ -15,13 +13,13 @@ import pytest
 
 from harness import fmt, print_table
 from repro.datasets import make_ecommerce
-from repro.graph import NeighborSampler, VectorizedNeighborSampler, build_graph
+from repro.graph import NeighborSampler, build_graph
 
 SCALES = [0.25, 0.5, 1.0, 2.0]
 
 
-def _time_sampler(sampler_cls, graph, span_end, repeats=2):
-    sampler = sampler_cls(graph, fanouts=[8, 8], rng=np.random.default_rng(0))
+def _time_sampler(graph, span_end, repeats=2):
+    sampler = NeighborSampler(graph, fanouts=[8, 8], rng=np.random.default_rng(0))
     num_seeds = min(graph.num_nodes("customers"), 200)
     seeds = np.arange(num_seeds)
     times = np.full(num_seeds, span_end, dtype=np.int64)
@@ -48,8 +46,7 @@ def results():
                 "rows": total_rows,
                 "edges": graph.total_edges(),
                 "build_s": build_seconds,
-                "ref_us": _time_sampler(NeighborSampler, graph, span[1]),
-                "vec_us": _time_sampler(VectorizedNeighborSampler, graph, span[1]),
+                "sample_us": _time_sampler(graph, span[1]),
             }
         )
     return rows
@@ -58,15 +55,14 @@ def results():
 def test_fig4_scaling(results, benchmark):
     print_table(
         "Figure 4: DB→graph build and sampling cost vs database size",
-        ["scale", "rows", "edges", "build (s)", "sample ref (µs/seed)", "sample vec (µs/seed)"],
+        ["scale", "rows", "edges", "build (s)", "sample (µs/seed)"],
         [
             [
                 f"{r['scale']:.2f}x",
                 str(r["rows"]),
                 str(r["edges"]),
                 fmt(r["build_s"], 4),
-                fmt(r["ref_us"], 1),
-                fmt(r["vec_us"], 1),
+                fmt(r["sample_us"], 1),
             ]
             for r in results
         ],
@@ -76,8 +72,6 @@ def test_fig4_scaling(results, benchmark):
     row_ratio = large["rows"] / small["rows"]
     time_ratio = large["build_s"] / max(small["build_s"], 1e-9)
     assert time_ratio < 4 * row_ratio
-    # The vectorized sampler wins clearly at the largest scale.
-    assert large["vec_us"] < large["ref_us"]
 
     db = make_ecommerce(num_customers=300, seed=0)
     benchmark(lambda: build_graph(db, encode_features=False))

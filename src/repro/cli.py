@@ -50,13 +50,10 @@
 
 Throughput flags (``fit`` / ``query``; see docs/performance.md):
 
-* ``--sampler {reference,vectorized,vectorized-unique}`` picks the
-  neighbor-sampler implementation.
 * ``--num-workers N`` shards minibatch subgraph sampling across N
   worker processes so sampling overlaps training (deterministic:
   results are bit-identical to the serial path for a fixed seed).
-  Workers view the graph through a shared-memory CSR store by
-  default; ``--no-shared-graph`` falls back to fork inheritance.
+  Workers view the graph through a shared-memory CSR store.
 * ``--cache-size BATCHES`` memoizes sampled subgraphs in an LRU keyed
   on batch content, reused across epochs and at inference.
 * ``--prefetch-batches N`` bounds the in-flight sampling window.
@@ -133,10 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hidden", type=int, default=32)
         p.add_argument("--conv", choices=["sage", "gat"], default="sage")
         p.add_argument(
-            "--sampler", choices=["reference", "vectorized", "vectorized-unique"],
-            default="reference", help="neighbor-sampler implementation",
-        )
-        p.add_argument(
             "--num-workers", type=int, default=0, metavar="N",
             help="sampling worker processes; 0 samples in-process",
         )
@@ -147,12 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--prefetch-batches", type=int, default=2, metavar="N",
             help="batches kept in flight beyond one per worker",
-        )
-        p.add_argument(
-            "--no-shared-graph", dest="shared_graph", action="store_false",
-            help="disable the shared-memory CSR graph store for sampler "
-                 "workers (fall back to fork inheritance; bit-identical "
-                 "results either way)",
         )
         p.add_argument(
             "--infer-batch-size", type=int, default=None, metavar="N",
@@ -169,11 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--quality-floor", type=float, default=None, metavar="F",
             help="routing quality floor as a fraction of the best tier's "
                  "validation quality (default 0.98); implies --route auto",
-        )
-        p.add_argument(
-            "--compute-dtype", choices=["float32", "float64"], default="float64",
-            help="model compute precision; float32 is the fast path, "
-                 "float64 the bit-exact reference",
         )
         p.add_argument(
             "--profile", action="store_true",
@@ -435,13 +417,10 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
         epochs=args.epochs,
         seed=args.seed,
         conv_type=args.conv,
-        sampler_impl=args.sampler,
         num_workers=args.num_workers,
         cache_size=args.cache_size,
         prefetch_batches=args.prefetch_batches,
-        shared_graph=args.shared_graph,
         infer_batch_size=args.infer_batch_size,
-        compute_dtype=args.compute_dtype,
     )
 
 

@@ -85,9 +85,6 @@ class TrainConfig:
     num_workers: int = 0
     #: Batches kept in flight beyond one per worker.
     prefetch_batches: int = 2
-    #: Whether that loader serves workers from the shared-memory CSR
-    #: graph store (zero-copy) or plain fork inheritance.
-    shared_graph: bool = True
     #: Batch size for no-grad evaluation/prediction.  Inference builds
     #: no backward graph, so it can usually run much larger batches
     #: than training; ``None`` falls back to ``batch_size``.

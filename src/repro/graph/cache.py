@@ -4,8 +4,8 @@ The throughput layer (this module plus
 :mod:`repro.graph.parallel`) rests on one invariant:
 
     **Sampling is a pure function of the batch.**  The subgraph for a
-    batch depends only on (sampler implementation, fanouts,
-    time-respecting flag, base seed, seed type, seed ids, seed times)
+    batch depends only on (fanouts, time-respecting flag, base seed,
+    seed type, seed ids, seed times)
     drawn against the current graph — never on how many batches were
     sampled before it, which worker sampled it, or whether a cache
     served it.
@@ -57,7 +57,6 @@ from repro.obs import trace as obs_trace
 __all__ = [
     "graph_fingerprint",
     "batch_rng_seed",
-    "sampler_impl_name",
     "KEY_PREFIX_LEN",
     "LRUSubgraphCache",
     "CachedSampler",
@@ -98,24 +97,14 @@ def graph_fingerprint(graph: HeteroGraph) -> str:
     return fingerprint
 
 
-def sampler_impl_name(sampler) -> str:
-    """Canonical implementation tag for a sampler instance.
-
-    Part of the cache key: the reference and vectorized samplers draw
-    differently from the same generator, so their subgraphs must never
-    alias.  The vectorized sampler's ``unique`` mode is a third
-    distinct draw order.
-    """
-    name = type(sampler).__name__
-    if name == "NeighborSampler":
-        return "reference"
-    if name == "VectorizedNeighborSampler":
-        return "vectorized-unique" if getattr(sampler, "unique", False) else "vectorized"
-    return name
+#: First bytes of every batch digest.  They once named the sampler
+#: implementation; the tag of the surviving exact-fanout kernel is kept
+#: verbatim so per-batch RNG seeds — and with them every trained model
+#: and prediction — are unchanged from what that implementation drew.
+_DIGEST_TAG = b"vectorized-unique"
 
 
 def _batch_digest(
-    impl: str,
     fanouts,
     time_respecting: bool,
     base_seed: int,
@@ -124,7 +113,7 @@ def _batch_digest(
     seed_times: np.ndarray,
 ) -> bytes:
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(impl.encode())
+    digest.update(_DIGEST_TAG)
     digest.update(np.asarray(list(fanouts), dtype=np.int64).tobytes())
     digest.update(b"T" if time_respecting else b"F")
     digest.update(np.int64(base_seed).tobytes())
@@ -136,7 +125,6 @@ def _batch_digest(
 
 
 def batch_rng_seed(
-    impl: str,
     fanouts,
     time_respecting: bool,
     base_seed: int,
@@ -154,8 +142,7 @@ def batch_rng_seed(
     docstring).
     """
     digest = _batch_digest(
-        impl, fanouts, time_respecting, base_seed,
-        seed_type, seed_ids, seed_times,
+        fanouts, time_respecting, base_seed, seed_type, seed_ids, seed_times,
     )
     return int.from_bytes(digest[:8], "little")
 
@@ -342,8 +329,8 @@ class LRUSubgraphCache:
 class CachedSampler:
     """Deterministic (and optionally memoizing) sampler wrapper.
 
-    Wraps a reference or vectorized sampler and re-seeds its generator
-    per batch from the content digest, making every draw a pure
+    Wraps a :class:`~repro.graph.sampler.NeighborSampler` and re-seeds
+    its generator per batch from the content digest, making every draw a pure
     function of the batch (see the module docstring).  With a
     :class:`LRUSubgraphCache` attached, repeated batches — across
     epochs, across train/eval, across ``predict`` calls — are served
@@ -364,7 +351,6 @@ class CachedSampler:
         self.base_seed = int(base_seed)
         self.cache = cache
         self._fingerprint = graph_fingerprint(base.graph)
-        self._impl = sampler_impl_name(base)
 
     # -- sampler surface ------------------------------------------------
     @property
@@ -403,8 +389,7 @@ class CachedSampler:
         module docstring for why the two halves are kept separate.
         """
         return bytes.fromhex(self._fingerprint) + _batch_digest(
-            self._impl, self.base.fanouts,
-            self.base.time_respecting, self.base_seed,
+            self.base.fanouts, self.base.time_respecting, self.base_seed,
             seed_type, seed_ids, seed_times,
         )
 

@@ -16,13 +16,13 @@ strictly in submission order.
 Zero-copy IPC
 -------------
 
-The graph itself never crosses a pipe.  By default the loader packs it
-into a :class:`~repro.graph.shared.SharedGraphStore` — one
-shared-memory segment of contiguous CSR/columnar arrays — and forked
-workers materialize a read-only view that aliases the segment (with
-``shared_graph=False``, or when shared memory is unavailable, workers
-fall back to plain fork inheritance, which still shares pages
-copy-on-write).  Results travel back as compact per-type index arrays
+The graph itself never crosses a pipe.  The loader packs it into a
+:class:`~repro.graph.shared.SharedGraphStore` — one shared-memory
+segment of contiguous CSR/columnar arrays — and forked workers
+materialize a read-only view that aliases the segment (when shared
+memory is unavailable, workers fall back to plain fork inheritance,
+which still shares pages copy-on-write).  Results travel back as
+compact per-type index arrays
 (:meth:`~repro.graph.sampler.SampledSubgraph.to_arrays`), not pickled
 object graphs, and cache-miss batches are dispatched in *chunks* —
 about one per worker — so per-task executor overhead is amortized
@@ -54,7 +54,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.cache import KEY_PREFIX_LEN, CachedSampler
-from repro.graph.hetero import HeteroGraph
 from repro.graph.sampler import NeighborSampler, SampledSubgraph
 from repro.graph.shared import SharedGraphStore
 from repro.obs import get_logger, get_registry
@@ -70,24 +69,6 @@ _WORKER: Dict[str, object] = {}
 #: Upper bound on batches per dispatched chunk; keeps the fallback
 #: re-sampling cost of one lost chunk bounded on very long epochs.
 _MAX_CHUNK = 32
-
-
-def _build_sampler(graph: HeteroGraph, spec: Dict[str, object]):
-    """Instantiate the sampler implementation named by ``spec``."""
-    impl = spec["impl"]
-    kwargs = dict(
-        graph=graph,
-        fanouts=list(spec["fanouts"]),
-        rng=np.random.default_rng(0),  # re-seeded per task
-        time_respecting=bool(spec["time_respecting"]),
-    )
-    if impl == "reference":
-        return NeighborSampler(**kwargs)
-    if impl in ("vectorized", "vectorized-unique"):
-        from repro.graph.fast_sampler import VectorizedNeighborSampler
-
-        return VectorizedNeighborSampler(unique=(impl == "vectorized-unique"), **kwargs)
-    raise ValueError(f"unknown sampler impl {impl!r}")
 
 
 def _arm_parent_death_signal(parent_pid: int) -> None:
@@ -113,13 +94,18 @@ def _arm_parent_death_signal(parent_pid: int) -> None:
         os._exit(1)
 
 
-def _init_worker(graph_source, spec: Dict[str, object], parent_pid: int) -> None:
+def _init_worker(graph_source, fanouts, time_respecting: bool, parent_pid: int) -> None:
     _arm_parent_death_signal(parent_pid)
     if isinstance(graph_source, SharedGraphStore):
         graph = graph_source.graph()
     else:
         graph = graph_source
-    _WORKER["sampler"] = _build_sampler(graph, spec)
+    _WORKER["sampler"] = NeighborSampler(
+        graph,
+        fanouts=fanouts,
+        rng=np.random.default_rng(0),  # re-seeded per task
+        time_respecting=time_respecting,
+    )
 
 
 def _worker_ready() -> bool:
@@ -146,10 +132,10 @@ class ParallelSampleLoader:
     ----------
     sampler:
         A :class:`~repro.graph.cache.CachedSampler` (or any sampler,
-        which will be wrapped in one).  Its implementation, fanouts,
-        base seed, and cache define both the serial fallback path and
-        the worker configuration — one source of truth, so the two
-        paths cannot drift.
+        which will be wrapped in one).  Its fanouts, base seed, and
+        cache define both the serial fallback path and the worker
+        configuration — one source of truth, so the two paths cannot
+        drift.
     num_workers:
         Worker processes; ``0`` means sample in-process (the loader
         then only adds cache handling).
@@ -157,10 +143,6 @@ class ParallelSampleLoader:
         Extra batches kept in flight beyond the chunked per-worker
         window.  Bounds both memory and speculative work lost to an
         abandoned epoch.
-    shared_graph:
-        Pack the graph into a shared-memory CSR store for the workers
-        (the default).  ``False`` falls back to fork inheritance —
-        useful for debugging or on hosts without ``/dev/shm``.
     """
 
     def __init__(
@@ -168,7 +150,6 @@ class ParallelSampleLoader:
         sampler,
         num_workers: int = 0,
         prefetch_batches: int = 2,
-        shared_graph: bool = True,
     ) -> None:
         if num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {num_workers}")
@@ -179,14 +160,8 @@ class ParallelSampleLoader:
         self.sampler = sampler
         self.num_workers = int(num_workers)
         self.prefetch_batches = int(prefetch_batches)
-        self.shared_graph = bool(shared_graph)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._store: Optional[SharedGraphStore] = None
-        self._spec = {
-            "impl": sampler._impl,
-            "fanouts": list(sampler.fanouts),
-            "time_respecting": sampler.time_respecting,
-        }
         if self.num_workers > 0:
             self._executor = self._start_pool()
 
@@ -194,17 +169,15 @@ class ParallelSampleLoader:
     def _start_pool(self) -> Optional[ProcessPoolExecutor]:
         graph_source = self.sampler.graph
         store = None
-        if self.shared_graph:
-            try:
-                store = SharedGraphStore.create(self.sampler.graph)
-                graph_source = store
-            except Exception as err:  # noqa: BLE001 - degrade, don't die
-                _log.warning(
-                    f"shared graph store unavailable ({type(err).__name__}: {err}); "
-                    "workers inherit the graph instead",
-                    extra={"num_workers": self.num_workers},
-                )
-                store = None
+        try:
+            store = SharedGraphStore.create(self.sampler.graph)
+            graph_source = store
+        except Exception as err:  # noqa: BLE001 - degrade, don't die
+            _log.warning(
+                f"shared graph store unavailable ({type(err).__name__}: {err}); "
+                "workers inherit the graph instead",
+                extra={"num_workers": self.num_workers},
+            )
         executor = None
         try:
             context = multiprocessing.get_context("fork")
@@ -212,7 +185,10 @@ class ParallelSampleLoader:
                 max_workers=self.num_workers,
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=(graph_source, self._spec, os.getpid()),
+                initargs=(
+                    graph_source, list(self.sampler.fanouts),
+                    self.sampler.time_respecting, os.getpid(),
+                ),
             )
             # Spawn + verify the workers now: the fork cost belongs to
             # loader setup, not to the first epoch, and an initializer

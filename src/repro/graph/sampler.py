@@ -15,7 +15,7 @@ distinct cutoff times, so deduplication keeps subgraphs compact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +38,13 @@ def _concat_parts(parts: List[object]) -> np.ndarray:
 class SampledSubgraph:
     """The result of one sampling call.
 
-    Internally, node/edge/degree columns are stored as *parts* — plain
-    python lists fed by the scalar reference-sampler API plus numpy
-    blocks appended by the vectorized sampler — and collapsed into
-    contiguous int64/float64 arrays by :meth:`finalize`.  The compact
-    array form (:meth:`to_arrays` / :meth:`from_arrays`) is what
-    parallel sampler workers ship back to the parent instead of a
-    pickled object graph.
+    Internally, node/edge/degree columns are stored as *parts* — the
+    python lists :meth:`add_node` interns into plus the numpy blocks
+    :meth:`add_edges` / :meth:`set_degrees_block` append — and
+    collapsed into contiguous int64/float64 arrays by
+    :meth:`finalize`.  The compact array form (:meth:`to_arrays` /
+    :meth:`from_arrays`) is what parallel sampler workers ship back to
+    the parent instead of a pickled object graph.
 
     Attributes
     ----------
@@ -63,11 +63,10 @@ class SampledSubgraph:
         self._orig: Dict[str, List[object]] = {}
         self._ctx_time: Dict[str, List[object]] = {}
         self._index: Dict[str, Dict[Tuple[int, int], int]] = {}
-        # Per edge type: (src parts, dst parts).
-        self._edges: Dict[EdgeType, Tuple[List[object], List[object]]] = {}
-        # Per node type: parts of degree rows — a part is either one
-        # row (list of floats) or a 2D float64 block.
-        self._degrees: Dict[str, List[object]] = {}
+        # Per edge type: (src parts, dst parts), int64 arrays.
+        self._edges: Dict[EdgeType, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
+        # Per node type: 2-D float64 blocks of degree rows.
+        self._degrees: Dict[str, List[np.ndarray]] = {}
         self._degree_rows: Dict[str, int] = {}
 
     # -- construction (used by the sampler) ----------------------------
@@ -84,22 +83,14 @@ class SampledSubgraph:
         self._ctx_time.setdefault(node_type, [[]])[-1].append(ctx_time)
         return local, True
 
-    def set_degrees(self, node_type: str, local: int, degrees: List[float]) -> None:
-        """Record time-valid in-degrees (one per incoming edge type)."""
-        rows = self._degree_rows.get(node_type, 0)
-        if local != rows:
-            raise ValueError("degrees must be recorded in node-creation order")
-        self._degrees.setdefault(node_type, []).append(degrees)
-        self._degree_rows[node_type] = rows + 1
-
     def set_degrees_block(
         self, node_type: str, locals_: np.ndarray, degrees: np.ndarray
     ) -> None:
-        """Bulk variant of :meth:`set_degrees`.
+        """Record time-valid in-degrees, one column per incoming edge type.
 
         ``locals_`` must be the next contiguous ascending run of local
-        indices (the vectorized sampler interns a hop's new nodes
-        sequentially, so this always holds there).
+        indices (the sampler interns a hop's new nodes sequentially, so
+        this always holds there).
         """
         if len(locals_) == 0:
             return
@@ -111,17 +102,8 @@ class SampledSubgraph:
         self._degrees.setdefault(node_type, []).append(block)
         self._degree_rows[node_type] = rows + len(locals_)
 
-    def add_edge(self, edge_type: EdgeType, src_local: int, dst_local: int) -> None:
-        """Record one edge between local node instances."""
-        src_parts, dst_parts = self._edges.setdefault(edge_type, ([], []))
-        if not src_parts or not isinstance(src_parts[-1], list):
-            src_parts.append([])
-            dst_parts.append([])
-        src_parts[-1].append(src_local)
-        dst_parts[-1].append(dst_local)
-
     def add_edges(self, edge_type: EdgeType, src_locals, dst_locals) -> None:
-        """Bulk variant of :meth:`add_edge` (appends one array block)."""
+        """Record edges between local node instances (one array block)."""
         src_parts, dst_parts = self._edges.setdefault(edge_type, ([], []))
         src_parts.append(np.asarray(src_locals, dtype=np.int64))
         dst_parts.append(np.asarray(dst_locals, dtype=np.int64))
@@ -146,22 +128,8 @@ class SampledSubgraph:
         return self
 
     @staticmethod
-    def _collapse_degrees(parts: List[object]) -> np.ndarray:
-        if len(parts) == 1 and isinstance(parts[0], np.ndarray):
-            return np.asarray(parts[0], dtype=np.float64)
-        blocks: List[np.ndarray] = []
-        pending: List[List[float]] = []
-        for part in parts:
-            if isinstance(part, np.ndarray):
-                if pending:
-                    blocks.append(np.asarray(pending, dtype=np.float64))
-                    pending = []
-                blocks.append(np.asarray(part, dtype=np.float64))
-            else:
-                pending.append(part)
-        if pending:
-            blocks.append(np.asarray(pending, dtype=np.float64))
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    def _collapse_degrees(parts: List[np.ndarray]) -> np.ndarray:
+        return parts[0] if len(parts) == 1 else np.vstack(parts)
 
     # -- compact wire format (used by parallel sampler workers) ---------
     def to_arrays(self) -> Dict[str, object]:
@@ -260,19 +228,32 @@ class SampledSubgraph:
         """Zero one in-degree channel across every node of ``node_type``.
 
         Used by relation knockouts (``explain_relations``): removing an
-        edge type's messages must also blank its degree feature, and
-        callers cannot poke ``_degrees`` directly because its parts mix
-        per-node rows with 2-D blocks.
+        edge type's messages must also blank its degree feature.
         """
         for part in self._degrees.get(node_type, []):
-            if isinstance(part, np.ndarray) and part.ndim == 2:
-                part[:, channel] = 0.0
-            else:
-                part[channel] = 0.0
+            part[:, channel] = 0.0
+
+
+#: One hop's frontier for one node type: original ids, context times,
+#: local indices, and per incoming edge type the ``(CSR start, valid
+#: count)`` ranges :meth:`NeighborSampler._record_degrees` computed.
+_Frontier = Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]
 
 
 class NeighborSampler:
     """Samples L-hop time-respecting neighborhoods.
+
+    The per-node work of a hop is batched into numpy kernels:
+
+    * time-valid neighbor counts for a whole frontier come from prefix
+      sums over each edge store's time-sorted neighbor lists (valid
+      neighbors are a prefix of every CSR segment), so no candidate
+      arrays are materialized;
+    * a node with at most ``fanout`` valid neighbors keeps all of them;
+      a node with more draws exactly ``fanout`` distinct ones, uniformly
+      **without replacement** — rows are grouped by valid degree and
+      each group argpartitions one matrix of uniform keys, so the cost
+      of a truncated node scales with its degree.
 
     Parameters
     ----------
@@ -282,8 +263,7 @@ class NeighborSampler:
         Neighbors sampled per edge type at each hop; ``len(fanouts)``
         is the number of hops (use the model depth).
     rng:
-        Random generator (sampling without replacement per neighbor
-        list).
+        Random generator for the without-replacement draws.
     time_respecting:
         When false, ignores timestamps entirely — the *leaky* variant
         used by the Figure 3 ablation.  Never use in production.
@@ -305,11 +285,58 @@ class NeighborSampler:
         self._edge_types_into: Dict[str, List[EdgeType]] = {
             node_type: graph.edge_types_into(node_type) for node_type in graph.node_types
         }
+        #: (edge type, cutoff) -> (edge store, cumulative valid-edge
+        #: counts over it).  Batches share a handful of cutoffs, so this
+        #: converts per-node binary searches into two gathers.  An entry
+        #: answers only for the store object it was computed from:
+        #: ``HeteroGraph.append_edges`` replaces the store, and sums over
+        #: the old neighbor list would index past the new ``indptr``.
+        self._cum_valid_cache: Dict[Tuple[EdgeType, int], Tuple[object, np.ndarray]] = {}
 
     @property
     def num_hops(self) -> int:
         """Sampling depth."""
         return len(self.fanouts)
+
+    # ------------------------------------------------------------------
+    # Vectorized primitives
+    # ------------------------------------------------------------------
+    def _cum_valid(self, edge_type: EdgeType, cutoff: int) -> np.ndarray:
+        """Prefix sums of the time-valid indicator over one edge store."""
+        store = self.graph._edges[edge_type]
+        key = (edge_type, cutoff)
+        cached = self._cum_valid_cache.get(key)
+        if cached is None or cached[0] is not store:
+            sums = np.concatenate([[0], np.cumsum(store.nbr_time <= cutoff, dtype=np.int64)])
+            if len(self._cum_valid_cache) > 64:
+                self._cum_valid_cache.clear()
+            cached = self._cum_valid_cache[key] = (store, sums)
+        return cached[1]
+
+    def _valid_counts(
+        self, edge_type: EdgeType, dsts: np.ndarray, times: np.ndarray, cutoff: Optional[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(CSR start offsets, time-valid neighbor count) per dst node.
+
+        Valid neighbors are a prefix of each CSR segment (lists are
+        time-sorted), so the count doubles as the sampling range.
+        ``cutoff`` is the batch's one context time, or ``None`` when
+        ``times`` mixes several.
+        """
+        store = self.graph._edges[edge_type]
+        starts = store.indptr[dsts]
+        stops = store.indptr[dsts + 1]
+        if not self.time_respecting:
+            return starts, stops - starts
+        if cutoff is not None:
+            csum = self._cum_valid(edge_type, cutoff)
+            return starts, csum[stops] - csum[starts]
+        counts = np.empty(len(dsts), dtype=np.int64)
+        for value in np.unique(times).tolist():
+            mask = times == value
+            csum = self._cum_valid(edge_type, value)
+            counts[mask] = csum[stops[mask]] - csum[starts[mask]]
+        return starts, counts
 
     def sample(
         self,
@@ -328,34 +355,46 @@ class NeighborSampler:
         seed_times = np.asarray(seed_times, dtype=np.int64)
         if seed_ids.shape != seed_times.shape:
             raise ValueError("seed_ids and seed_times must have the same shape")
+        # Every context time in the subgraph is some seed's time, so a
+        # batch whose seeds share one cutoff (the common case: a point
+        # predict, a scoring sweep) needs no per-hop grouping by time.
+        cutoff: Optional[int] = None
+        if len(seed_times) and (seed_times == seed_times[0]).all():
+            cutoff = int(seed_times[0])
 
         subgraph = SampledSubgraph(seed_type)
-        frontier: List[Tuple[str, int, int, int]] = []  # (type, orig, ctx_time, local)
+        frontier: Dict[str, _Frontier] = {}
+
         seed_locals = np.empty(len(seed_ids), dtype=np.int64)
+        new_origs, new_times, new_locals = [], [], []
         for i, (orig, time) in enumerate(zip(seed_ids.tolist(), seed_times.tolist())):
-            local, new = subgraph.add_node(seed_type, orig, time)
+            local, is_new = subgraph.add_node(seed_type, orig, time)
             seed_locals[i] = local
-            if new:
-                self._record_degrees(subgraph, seed_type, orig, time, local)
-                frontier.append((seed_type, orig, time, local))
+            if is_new:
+                new_origs.append(orig)
+                new_times.append(time)
+                new_locals.append(local)
         subgraph.seed_locals = seed_locals
+        if new_origs:
+            frontier[seed_type] = self._record_degrees(
+                subgraph, seed_type, new_origs, new_times, new_locals, cutoff
+            )
 
         truncations = 0
         for fanout in self.fanouts:
-            next_frontier: List[Tuple[str, int, int, int]] = []
-            for node_type, orig, ctx_time, local in frontier:
-                for edge_type in self._edge_types_into[node_type]:
-                    neighbors, truncated = self._sample_neighbors(edge_type, orig, ctx_time, fanout)
-                    truncations += truncated
-                    for nbr in neighbors:
-                        nbr_local, new = subgraph.add_node(edge_type.src, int(nbr), ctx_time)
-                        subgraph.add_edge(edge_type, nbr_local, local)
-                        if new:
-                            self._record_degrees(
-                                subgraph, edge_type.src, int(nbr), ctx_time, nbr_local
-                            )
-                            next_frontier.append((edge_type.src, int(nbr), ctx_time, nbr_local))
-            frontier = next_frontier
+            #: node type -> (origs, ctx times, locals) of this hop's new nodes
+            reached: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+            for node_type, (origs, times, locals_, ranges) in frontier.items():
+                for edge_type, (starts, counts) in zip(self._edge_types_into[node_type], ranges):
+                    truncations += self._expand_edge_type(
+                        subgraph, edge_type, starts, counts, times, locals_,
+                        fanout, cutoff, reached,
+                    )
+            frontier = {
+                node_type: self._record_degrees(subgraph, node_type, *entries, cutoff)
+                for node_type, entries in reached.items()
+                if entries[0]
+            }
         if obs_trace.enabled():
             obs_trace.add_counter("sampler.calls")
             obs_trace.add_counter("sampler.seeds", len(seed_ids))
@@ -364,28 +403,110 @@ class NeighborSampler:
             obs_trace.add_counter("sampler.fanout_truncations", truncations)
         return subgraph.finalize()
 
-    def _record_degrees(
-        self, subgraph: SampledSubgraph, node_type: str, orig: int, ctx_time: int, local: int
-    ) -> None:
-        """Store the node's time-valid in-degree per incoming edge type."""
-        incoming = self._edge_types_into[node_type]
-        if not incoming:
-            return
-        if self.time_respecting:
-            degrees = [float(self.graph.count_before(et, orig, ctx_time)) for et in incoming]
-        else:
-            degrees = [float(len(self.graph.all_neighbors(et, orig))) for et in incoming]
-        subgraph.set_degrees(node_type, local, degrees)
+    def _expand_edge_type(
+        self,
+        subgraph: SampledSubgraph,
+        edge_type: EdgeType,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        ctx_times: np.ndarray,
+        dst_locals: np.ndarray,
+        fanout: int,
+        cutoff: Optional[int],
+        reached: Dict[str, Tuple[List[int], List[int], List[int]]],
+    ) -> int:
+        """Expand one edge type; returns the fanout-truncated node count."""
+        store = self.graph._edges[edge_type]
+        small = np.flatnonzero((counts > 0) & (counts <= fanout))
+        large = np.flatnonzero(counts > fanout)
+        if not (len(small) or len(large)):
+            return 0
 
-    def _sample_neighbors(
-        self, edge_type: EdgeType, dst: int, ctx_time: int, fanout: int
-    ) -> Tuple[np.ndarray, bool]:
-        """(sampled neighbors, whether the fanout cap truncated them)."""
-        if self.time_respecting:
-            candidates, _ = self.graph.neighbors_before(edge_type, dst, ctx_time)
+        # Flat (neighbor id, frontier row) edge candidates, in blocks.
+        nbr_blocks: List[np.ndarray] = []
+        row_blocks: List[np.ndarray] = []
+        # Low-degree nodes: take every valid neighbor, gathered with one
+        # repeat-based index.
+        if len(small):
+            lengths = counts[small]
+            segment_starts = np.cumsum(lengths) - lengths
+            flat_index = np.arange(int(lengths.sum())) + np.repeat(
+                starts[small] - segment_starts, lengths
+            )
+            nbr_blocks.append(store.nbr_src[flat_index])
+            row_blocks.append(np.repeat(small, lengths))
+        # High-degree nodes: rows are grouped by valid degree so each
+        # group becomes one matrix of uniform keys whose smallest
+        # `fanout` entries pick distinct neighbor positions.
+        if len(large):
+            large_counts = counts[large]
+            for degree in np.unique(large_counts).tolist():
+                rows_d = large[large_counts == degree]
+                keys = self.rng.random((len(rows_d), degree))
+                offsets = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
+                picks = store.nbr_src[starts[rows_d][:, None] + offsets]
+                nbr_blocks.append(picks.reshape(-1))
+                row_blocks.append(np.repeat(rows_d, fanout))
+        if len(nbr_blocks) == 1:
+            nbrs, edge_rows = nbr_blocks[0], row_blocks[0]
         else:
-            candidates = self.graph.all_neighbors(edge_type, dst)
-        if len(candidates) <= fanout:
-            return candidates, False
-        picks = self.rng.choice(len(candidates), size=fanout, replace=False)
-        return candidates[picks], True
+            nbrs, edge_rows = np.concatenate(nbr_blocks), np.concatenate(row_blocks)
+
+        # Bulk interning: python-level work scales with *unique* node
+        # instances instead of with edges.  Instances are interned in
+        # ascending (node, ctx) order via one packed int64 key (ctx
+        # values per batch are few; with a single cutoff the node id
+        # is the key).
+        if cutoff is not None:
+            unique_keys, inverse = np.unique(nbrs, return_inverse=True)
+            new_nbrs = unique_keys.tolist()
+            new_ctxs = [cutoff] * len(new_nbrs)
+        else:
+            ctx_values, ctx_ranks = np.unique(ctx_times[edge_rows], return_inverse=True)
+            unique_keys, inverse = np.unique(
+                nbrs * len(ctx_values) + ctx_ranks, return_inverse=True
+            )
+            new_nbrs = (unique_keys // len(ctx_values)).tolist()
+            new_ctxs = ctx_values[unique_keys % len(ctx_values)].tolist()
+        origs, times, locals_ = reached.setdefault(edge_type.src, ([], [], []))
+        unique_locals = np.empty(len(new_nbrs), dtype=np.int64)
+        for i, (nbr, ctx) in enumerate(zip(new_nbrs, new_ctxs)):
+            local, is_new = subgraph.add_node(edge_type.src, nbr, ctx)
+            unique_locals[i] = local
+            if is_new:
+                origs.append(nbr)
+                times.append(ctx)
+                locals_.append(local)
+        subgraph.add_edges(edge_type, unique_locals[inverse], dst_locals[edge_rows])
+        return len(large)
+
+    def _record_degrees(
+        self,
+        subgraph: SampledSubgraph,
+        node_type: str,
+        origs: List[int],
+        times: List[int],
+        locals_: List[int],
+        cutoff: Optional[int],
+    ) -> _Frontier:
+        """Store the new nodes' time-valid in-degree per incoming edge type.
+
+        Returns them as the next hop's frontier: the ``(starts,
+        counts)`` ranges behind the degrees are exactly what expanding
+        each incoming edge type needs, so they are computed once.
+        """
+        origs = np.asarray(origs, dtype=np.int64)
+        times = np.asarray(times, dtype=np.int64)
+        locals_ = np.asarray(locals_, dtype=np.int64)
+        ranges = [
+            self._valid_counts(edge_type, origs, times, cutoff)
+            for edge_type in self._edge_types_into[node_type]
+        ]
+        if ranges:
+            degrees = np.empty((len(origs), len(ranges)))
+            for j, (_, counts) in enumerate(ranges):
+                degrees[:, j] = counts
+            # A hop's new nodes are interned sequentially per type, so
+            # their locals are the next contiguous ascending block.
+            subgraph.set_degrees_block(node_type, locals_, degrees)
+        return origs, times, locals_, ranges

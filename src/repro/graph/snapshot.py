@@ -53,11 +53,10 @@ def snapshot_subgraph(
             store = graph._edges[edge_type]
             csum = np.concatenate([[0], np.cumsum(store.nbr_time <= cutoff, dtype=np.int64)])
             degrees[:, j] = csum[store.indptr[origs + 1]] - csum[store.indptr[origs]]
-        for position, orig in enumerate(origs.tolist()):
-            local, _ = subgraph.add_node(node_type, orig, cutoff)
-            mapping[orig] = local
-            if incoming:
-                subgraph.set_degrees(node_type, local, degrees[position].tolist())
+        for orig in origs.tolist():
+            mapping[orig], _ = subgraph.add_node(node_type, orig, cutoff)
+        if incoming:
+            subgraph.set_degrees_block(node_type, mapping[origs], degrees)
         local_of[node_type] = mapping
 
     for edge_type in graph.edge_types:

@@ -12,15 +12,14 @@ node with a hand-written backward:
 * :func:`bce_with_logits` — elementwise binary cross-entropy from
   logits; backward is ``sigmoid(z) - y`` (per-example, pre-reduction)
 
-All kernels fall back to the unfused op-by-op composition when fusion
-is disabled (:func:`set_fused` / :func:`fusion`), which is what the
-gradcheck and equivalence suites diff against.  Kernels inherit their
-compute dtype from the inputs — float32 graphs stay float32.
+The op-by-op compositions they replace live in the test suite
+(``tests/test_compute_path.py``) as the oracles the equivalence checks
+diff against.  Kernels inherit their compute dtype from the inputs —
+float32 graphs stay float32.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional
 
 import numpy as np
@@ -32,36 +31,7 @@ __all__ = [
     "linear_relu",
     "softmax_cross_entropy",
     "bce_with_logits",
-    "set_fused",
-    "fused_enabled",
-    "fusion",
 ]
-
-_FUSED_ENABLED = True
-
-
-def set_fused(enabled: bool) -> None:
-    """Globally enable/disable kernel fusion (tests and benchmarks)."""
-    global _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-
-
-def fused_enabled() -> bool:
-    """Whether fused kernels are active."""
-    return _FUSED_ENABLED
-
-
-@contextlib.contextmanager
-def fusion(enabled: bool):
-    """Context manager scoping :func:`set_fused`."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSED_ENABLED = previous
-
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(
@@ -77,7 +47,7 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
 def addmm(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight + bias`` as a single graph node (2-D ``x`` only;
     other ranks fall back to the unfused composition)."""
-    if not _FUSED_ENABLED or x.data.ndim != 2 or weight.data.ndim != 2:
+    if x.data.ndim != 2 or weight.data.ndim != 2:
         out = x @ weight
         return out + bias if bias is not None else out
     data = x.data @ weight.data
@@ -99,7 +69,7 @@ def addmm(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 def linear_relu(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``relu(x @ weight + bias)`` as a single graph node."""
-    if not _FUSED_ENABLED or x.data.ndim != 2 or weight.data.ndim != 2:
+    if x.data.ndim != 2 or weight.data.ndim != 2:
         return addmm(x, weight, bias).relu()
     pre = x.data @ weight.data
     if bias is not None:
@@ -131,11 +101,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     unfused composition.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if not _FUSED_ENABLED:
-        num_classes = logits.data.shape[-1]
-        log_probs = logits.log_softmax(axis=-1)
-        one_hot = np.eye(num_classes, dtype=logits.data.dtype)[targets]
-        return -(log_probs * Tensor(one_hot)).sum(axis=-1).mean()
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_norm
@@ -166,13 +131,6 @@ def bce_with_logits(
     weight — no softplus/sigmoid intermediates in the graph.
     """
     targets = np.asarray(targets, dtype=logits.data.dtype)
-    if not _FUSED_ENABLED:
-        t = Tensor(targets)
-        per_example = logits.softplus() - logits * t
-        if pos_weight is not None:
-            weights = Tensor(np.where(targets > 0.5, float(pos_weight), 1.0).astype(logits.data.dtype))
-            per_example = per_example * weights
-        return per_example
     z = logits.data
     per_example = np.logaddexp(0.0, z) - z * targets
     weights = None

@@ -1,21 +1,20 @@
 """Optimizers, gradient clipping, and learning-rate schedules.
 
-Optimizers run in *flat* mode by default: at construction every
-parameter's storage is rebound to a view into one contiguous buffer
-per dtype, so an update step is a handful of vectorized numpy ops over
-the whole model instead of a Python loop per parameter.  The layout is
-recorded in a manifest (:meth:`Optimizer.layout_manifest`) and the
+Optimizers keep *flat* storage: at construction every parameter's
+storage is rebound to a view into one contiguous buffer per dtype, so
+an update step is a handful of vectorized numpy ops over the whole
+model instead of a Python loop per parameter.  The layout is recorded
+in a manifest (:meth:`Optimizer.layout_manifest`) and the
 per-parameter optimizer state (``_m``/``_v``/``_velocity``) is still
-addressable by parameter index, so checkpoints are bit-identical to
-the per-parameter reference implementation (``flat=False``), which is
-kept for the equivalence suite.
+addressable by parameter index, which is the form checkpoints use.
 
-The flat step is constructed to be *bit-identical* to the reference
-step in every dtype: each vectorized expression performs exactly the
-same elementwise operations in the same order as the reference loop
-(exploiting that float ``+``/``*`` are bitwise commutative), and
-parameters whose gradient is ``None`` are restored after the update,
-matching the reference's ``continue``.
+The flat step is constructed to be *bit-identical* in every dtype to
+the textbook per-parameter loop (kept in ``tests/test_compute_path.py``
+as the oracle): each vectorized expression performs exactly the same
+elementwise operations in the same order (exploiting that float
+``+``/``*`` are bitwise commutative), and parameters whose gradient is
+``None`` are restored after the update, matching the loop's
+``continue``.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ class FlatParamSpace:
 
         Returns the slots whose parameter has no gradient (their grad
         slice is zeroed; the optimizer restores their state after the
-        vectorized update, reproducing the reference's skip).
+        vectorized update, reproducing a per-parameter loop's skip).
         """
         missing: List[Tuple[int, _Slot]] = []
         for gi, group in enumerate(self.groups):
@@ -129,9 +128,9 @@ class FlatParamSpace:
 
         Accumulated per parameter in registration order with the exact
         ``(grad ** 2).sum()`` reduction :func:`clip_grad_norm` uses, so
-        flat clipping stays bit-identical to the per-parameter
-        reference (a BLAS dot over the whole buffer can differ in the
-        last ulp and would break checkpoint equivalence).
+        flat clipping stays bit-identical to it (a BLAS dot over the
+        whole buffer can differ in the last ulp and would break
+        checkpoint equivalence).
         """
         contributions: Dict[int, float] = {}
         for group in self.groups:
@@ -181,21 +180,17 @@ class Optimizer:
     ----------
     parameters:
         The learnable parameters (their storage is rebound into a flat
-        buffer unless ``flat=False``).
+        buffer).
     lr:
         Learning rate.
-    flat:
-        ``True`` (default) uses the vectorized flat-buffer step;
-        ``False`` keeps the original per-parameter Python loop (the
-        reference the equivalence tests diff against).
     """
 
-    def __init__(self, parameters: Sequence[Parameter], lr: float, flat: bool = True) -> None:
+    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer created with no parameters")
         self.lr = lr
-        self._flat: Optional[FlatParamSpace] = FlatParamSpace(self.parameters) if flat else None
+        self._flat = FlatParamSpace(self.parameters)
         self._gathered = False
         self._missing: List[Tuple[int, _Slot]] = []
 
@@ -206,18 +201,7 @@ class Optimizer:
 
     def layout_manifest(self) -> List[Dict]:
         """Flat-buffer layout (index/dtype/offset/size/shape per parameter)."""
-        if self._flat is not None:
-            return self._flat.layout_manifest()
-        return [
-            {
-                "index": i,
-                "dtype": str(p.data.dtype),
-                "offset": None,
-                "size": p.data.size,
-                "shape": list(p.data.shape),
-            }
-            for i, p in enumerate(self.parameters)
-        ]
+        return self._flat.layout_manifest()
 
     def gather_and_clip(self, max_norm: Optional[float] = None) -> float:
         """Gather grads into the flat buffer and return the global L2 norm.
@@ -225,11 +209,8 @@ class Optimizer:
         When ``max_norm`` is given and exceeded, the flat gradients are
         scaled down (the per-parameter ``.grad`` arrays are left
         untouched; the subsequent :meth:`step` consumes the flat
-        buffer).  In non-flat mode this falls back to
-        :func:`clip_grad_norm`, which scales ``.grad`` in place.
+        buffer).
         """
-        if self._flat is None:
-            return clip_grad_norm(self.parameters, math.inf if max_norm is None else max_norm)
         self._missing = self._flat.gather()
         self._gathered = True
         norm = self._flat.grad_norm()
@@ -237,7 +218,7 @@ class Optimizer:
             self._flat.scale_grads(max_norm / norm)
         return norm
 
-    # -- flat-mode helpers ------------------------------------------------
+    # -- step helpers ---------------------------------------------------
     def _ensure_gathered(self) -> None:
         if not self._gathered:
             self._missing = self._flat.gather()
@@ -280,41 +261,30 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        flat: bool = True,
     ) -> None:
-        super().__init__(parameters, lr, flat=flat)
+        super().__init__(parameters, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        if self._flat is not None:
-            self._flat_velocity = self._flat.alloc_like() if momentum else None
-            self._scratch = self._flat.alloc_like()
-        self._velocity = {}
+        self._flat_velocity = self._flat.alloc_like() if momentum else None
+        self._scratch = self._flat.alloc_like()
 
     @property
     def _velocity(self) -> Dict[int, np.ndarray]:
-        if self._flat is not None:
-            return self._flat.state_views(self._flat_velocity)
-        return self._velocity_dict
+        return self._flat.state_views(self._flat_velocity)
 
     @_velocity.setter
     def _velocity(self, value: Dict[int, np.ndarray]) -> None:
-        if self._flat is not None:
-            if self._flat_velocity is not None:
-                self._flat.load_state(self._flat_velocity, value)
-        else:
-            self._velocity_dict = dict(value)
+        if self._flat_velocity is not None:
+            self._flat.load_state(self._flat_velocity, value)
 
     def step(self) -> None:
         """Apply one (momentum) SGD update from accumulated gradients."""
-        if self._flat is None:
-            self._step_reference()
-            return
         self._ensure_gathered()
         saved = self._save_missing([self._flat_velocity])
         for gi, group in enumerate(self._flat.groups):
             # All arithmetic lands in persistent scratch: zero
-            # allocations per step, bit-identical to the reference
-            # (float +/* are bitwise commutative).
+            # allocations per step, bit-identical to the per-parameter
+            # loop (float +/* are bitwise commutative).
             scratch = self._scratch[gi]
             grad = group.grad
             if self.weight_decay:
@@ -334,22 +304,6 @@ class SGD(Optimizer):
         self._restore_missing(saved, [self._flat_velocity])
         self._gathered = False
 
-    def _step_reference(self) -> None:
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity_dict.get(i)
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity_dict[i] = velocity
-                grad = velocity
-            param.data -= self.lr * grad
-
 
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015)."""
@@ -364,60 +318,37 @@ class Adam(Optimizer):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        flat: bool = True,
     ) -> None:
-        super().__init__(parameters, lr, flat=flat)
+        super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        if self._flat is not None:
-            self._flat_m = self._flat.alloc_like()
-            self._flat_v = self._flat.alloc_like()
-            self._scratch_a = self._flat.alloc_like()
-            self._scratch_b = self._flat.alloc_like()
-        self._m = {}
-        self._v = {}
+        self._flat_m = self._flat.alloc_like()
+        self._flat_v = self._flat.alloc_like()
+        self._scratch_a = self._flat.alloc_like()
+        self._scratch_b = self._flat.alloc_like()
         self._t = 0
 
-    # Checkpoint compatibility: resilience snapshots read/write the
-    # moments as ``{param_index: array}`` regardless of storage mode.
+    # Resilience snapshots read/write the moments as
+    # ``{param_index: array}``.
     @property
     def _m(self) -> Dict[int, np.ndarray]:
-        if self._flat is not None:
-            return self._flat.state_views(self._flat_m)
-        return self._m_dict
+        return self._flat.state_views(self._flat_m)
 
     @_m.setter
     def _m(self, value: Dict[int, np.ndarray]) -> None:
-        if self._flat is not None:
-            self._flat.load_state(self._flat_m, value)
-        else:
-            self._m_dict = dict(value)
+        self._flat.load_state(self._flat_m, value)
 
     @property
     def _v(self) -> Dict[int, np.ndarray]:
-        if self._flat is not None:
-            return self._flat.state_views(self._flat_v)
-        return self._v_dict
+        return self._flat.state_views(self._flat_v)
 
     @_v.setter
     def _v(self, value: Dict[int, np.ndarray]) -> None:
-        if self._flat is not None:
-            self._flat.load_state(self._flat_v, value)
-        else:
-            self._v_dict = dict(value)
-
-    def _decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        # L2-style decay folded into the gradient (classic Adam).
-        if self.weight_decay:
-            return grad + self.weight_decay * param.data
-        return grad
+        self._flat.load_state(self._flat_v, value)
 
     def step(self) -> None:
         """Apply one bias-corrected Adam update."""
-        if self._flat is None:
-            self._step_reference()
-            return
         self._ensure_gathered()
         self._t += 1
         bias1 = 1.0 - self.beta1 ** self._t
@@ -426,7 +357,7 @@ class Adam(Optimizer):
         for gi, group in enumerate(self._flat.groups):
             # All arithmetic lands in two persistent scratch buffers:
             # zero allocations per step, and every expression computes
-            # the same floats (in the same order) as the reference loop.
+            # the same floats (in the same order) as the textbook loop.
             s_update, s_denom = self._scratch_a[gi], self._scratch_b[gi]
             grad = group.grad
             if self._decoupled_decay:
@@ -454,45 +385,19 @@ class Adam(Optimizer):
         self._restore_missing(saved, [self._flat_m, self._flat_v])
         self._gathered = False
 
-    def _step_reference(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = self._decay(param, param.grad)
-            m = self._m_dict.get(i)
-            v = self._v_dict.get(i)
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-            self._m_dict[i], self._v_dict[i] = m, v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
 
 class AdamW(Adam):
     """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
 
     _decoupled_decay = True
 
-    def _decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
-        # Decoupled: decay applied directly to weights, not the gradient.
-        if self.weight_decay:
-            param.data -= self.lr * self.weight_decay * param.data
-        return grad
-
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clipping norm.  (Flat-mode optimizers provide the
-    vectorized :meth:`Optimizer.gather_and_clip` instead; this
-    per-parameter version is kept as the reference and for ad-hoc use.)
+    Returns the pre-clipping norm.  (Optimizers provide the vectorized
+    :meth:`Optimizer.gather_and_clip` instead; this per-parameter
+    version is for ad-hoc use outside an optimizer step.)
     """
     total = 0.0
     for param in parameters:

@@ -58,7 +58,6 @@ from repro.gnn.trainer import LinkTaskTrainer, NodeTaskTrainer, TrainConfig
 from repro.graph.builder import build_graph, node_index_for_keys
 from repro.graph.cache import CachedSampler, LRUSubgraphCache
 from repro.graph.hetero import HeteroGraph
-from repro.graph.fast_sampler import VectorizedNeighborSampler
 from repro.graph.parallel import ParallelSampleLoader
 from repro.graph.sampler import NeighborSampler
 from repro.pql.ast import PredictiveQuery, TaskType
@@ -94,6 +93,10 @@ __all__ = [
 ]
 
 _log = get_logger("pql.planner")
+
+#: Dtype of every model the planner builds or reloads.  The nn library
+#: itself is dtype-generic (gradcheck runs in float64).
+MODEL_DTYPE = "float32"
 
 
 @dataclass
@@ -135,12 +138,6 @@ class PlannerConfig:
     #: Weight positive BCE terms by the inverse class ratio (binary
     #: tasks with skewed labels); improves recall at some AUROC cost.
     auto_pos_weight: bool = False
-    #: Neighbor-sampler implementation: "reference" (exact
-    #: without-replacement semantics), "vectorized" (~5x faster,
-    #: with-replacement draws on high-degree nodes), or
-    #: "vectorized-unique" (vectorized kernels, exact without-
-    #: replacement fanouts; costs scale with node degree).
-    sampler_impl: str = "reference"
     #: Subgraph LRU capacity in batches; 0 disables memoization.
     #: Sampling is deterministic per batch either way (see
     #: :mod:`repro.graph.cache`), so the cache never changes results —
@@ -150,47 +147,56 @@ class PlannerConfig:
     num_workers: int = 0
     #: Batches kept in flight beyond one per worker.
     prefetch_batches: int = 2
-    #: Serve sampler workers from a shared-memory CSR graph store
-    #: (zero-copy; the default).  ``False`` falls back to plain fork
-    #: inheritance of the graph — results are bit-identical either
-    #: way; see :mod:`repro.graph.shared`.
-    shared_graph: bool = True
-    #: Compute dtype for model parameters and activations: "float64"
-    #: (default, the reference numerics) or "float32" (the fast
-    #: training path; gradcheck always runs in float64).
-    compute_dtype: str = "float64"
     #: Batch size for no-grad inference (evaluation, predict,
     #: rank_items); None falls back to ``batch_size``.  Inference holds
     #: no backward graph, so this can usually be several times larger.
     infer_batch_size: Optional[int] = None
 
     def make_sampler(self, graph, rng) -> "CachedSampler":
-        """Instantiate the configured sampler implementation.
+        """Instantiate the sampler for ``graph``.
 
-        The base sampler is wrapped in a
+        The :class:`~repro.graph.sampler.NeighborSampler` is wrapped in a
         :class:`~repro.graph.cache.CachedSampler`, which re-seeds it
         per batch from the batch content (making every draw a pure
         function of the batch) and, with ``cache_size > 0``, memoizes
         subgraphs across epochs and inference calls.
         """
-        if self.sampler_impl in ("vectorized", "vectorized-unique"):
-            base = VectorizedNeighborSampler(
-                graph, fanouts=self.resolved_fanouts(), rng=rng,
-                time_respecting=self.time_respecting,
-                unique=self.sampler_impl == "vectorized-unique",
-            )
-        elif self.sampler_impl == "reference":
-            base = NeighborSampler(
-                graph, fanouts=self.resolved_fanouts(), rng=rng,
-                time_respecting=self.time_respecting,
-            )
-        else:
-            raise ValueError(
-                "sampler_impl must be 'reference', 'vectorized', or "
-                f"'vectorized-unique', got {self.sampler_impl!r}"
-            )
+        base = NeighborSampler(
+            graph, fanouts=self.resolved_fanouts(), rng=rng,
+            time_respecting=self.time_respecting,
+        )
         cache = LRUSubgraphCache(self.cache_size) if self.cache_size > 0 else None
         return CachedSampler(base, base_seed=self.seed, cache=cache)
+
+    def make_node_network(self, metadata, rng) -> HeteroGNN:
+        """The (untrained) network for a binary or regression query."""
+        return HeteroGNN(
+            metadata,
+            hidden_dim=self.hidden_dim,
+            out_dim=1,
+            num_layers=self.num_layers,
+            rng=rng,
+            aggregation=self.aggregation,
+            shared_weights=self.shared_weights,
+            dropout=self.dropout,
+            degree_features=self.degree_features,
+            conv_type=self.conv_type,
+            time_encoding=self.time_encoding,
+            dtype=MODEL_DTYPE,
+        )
+
+    def make_link_network(self, metadata, graph, item_type: str, rng) -> TwoTowerModel:
+        """The (untrained) two-tower network for a LIST query."""
+        return TwoTowerModel(
+            metadata,
+            item_type=item_type,
+            num_items=graph.num_nodes(item_type),
+            embed_dim=self.hidden_dim,
+            num_layers=self.num_layers,
+            rng=rng,
+            dropout=self.dropout,
+            dtype=MODEL_DTYPE,
+        )
 
     def resolved_fanouts(self) -> List[int]:
         """Fanouts, defaulting to 8 per message-passing hop."""
@@ -210,7 +216,6 @@ class PlannerConfig:
             seed=self.seed,
             num_workers=self.num_workers,
             prefetch_batches=self.prefetch_batches,
-            shared_graph=self.shared_graph,
             infer_batch_size=self.infer_batch_size,
         )
 
@@ -347,7 +352,6 @@ class PredictiveQueryPlanner:
                         sampler,
                         num_workers=self.config.num_workers,
                         prefetch_batches=self.config.prefetch_batches,
-                        shared_graph=self.config.shared_graph,
                     )
                 resume = bool(
                     self.resilience
@@ -451,20 +455,7 @@ class PredictiveQueryPlanner:
     def _fit_node(self, binding, split, graph, metadata, sampler, rng, train_labels, val_labels,
                   deadline=None, resume=False, loader=None):
         entity_type = binding.query.entity_table
-        model = HeteroGNN(
-            metadata,
-            hidden_dim=self.config.hidden_dim,
-            out_dim=1,
-            num_layers=self.config.num_layers,
-            rng=rng,
-            aggregation=self.config.aggregation,
-            shared_weights=self.config.shared_weights,
-            dropout=self.config.dropout,
-            degree_features=self.config.degree_features,
-            conv_type=self.config.conv_type,
-            time_encoding=self.config.time_encoding,
-            dtype=self.config.compute_dtype,
-        )
+        model = self.config.make_node_network(metadata, rng)
         task = "binary" if binding.task_type == TaskType.BINARY else "regression"
         pos_weight = None
         if task == "binary" and self.config.auto_pos_weight:
@@ -501,16 +492,7 @@ class PredictiveQueryPlanner:
                   deadline=None, resume=False, loader=None):
         entity_type = binding.query.entity_table
         item_type = binding.item_table
-        model = TwoTowerModel(
-            metadata,
-            item_type=item_type,
-            num_items=graph.num_nodes(item_type),
-            embed_dim=self.config.hidden_dim,
-            num_layers=self.config.num_layers,
-            rng=rng,
-            dropout=self.config.dropout,
-            dtype=self.config.compute_dtype,
-        )
+        model = self.config.make_link_network(metadata, graph, item_type, rng)
         trainer = LinkTaskTrainer(
             model,
             graph,
@@ -861,11 +843,16 @@ class TrainedPredictiveModel:
         feature-statistics cutoff, the architecture is rebuilt from the
         persisted config, and the weights are restored — after every
         payload passes its manifest SHA-256 (mismatch raises
-        :class:`CorruptModelError`).
+        :class:`CorruptModelError`).  Directories written by earlier
+        versions still load: retired config keys are ignored and
+        float64 weights are cast to the model's float32 on assignment.
         """
         with open(os.path.join(directory, cls.MANIFEST_FILE), "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
-        config = PlannerConfig(**manifest["config"])
+        known = {spec.name for spec in dataclasses.fields(PlannerConfig)}
+        config = PlannerConfig(**{
+            key: value for key, value in manifest["config"].items() if key in known
+        })
         planner = PredictiveQueryPlanner(db, config)
         binding = planner.plan(manifest["query"])
         graph = build_graph(db, stats_cutoff=manifest["stats_cutoff"])
@@ -895,16 +882,7 @@ class TrainedPredictiveModel:
         state = {name: weights[name] for name in weights.files}
 
         if binding.task_type == TaskType.LINK:
-            network = TwoTowerModel(
-                metadata,
-                item_type=binding.item_table,
-                num_items=graph.num_nodes(binding.item_table),
-                embed_dim=config.hidden_dim,
-                num_layers=config.num_layers,
-                rng=rng,
-                dropout=config.dropout,
-                dtype=config.compute_dtype,
-            )
+            network = config.make_link_network(metadata, graph, binding.item_table, rng)
             network.load_state_dict(state)
             network.eval()
             trainer = LinkTaskTrainer(
@@ -913,20 +891,7 @@ class TrainedPredictiveModel:
             )
             model = cls(db=db, binding=binding, graph=graph, config=config, link_trainer=trainer)
         else:
-            network = HeteroGNN(
-                metadata,
-                hidden_dim=config.hidden_dim,
-                out_dim=1,
-                num_layers=config.num_layers,
-                rng=rng,
-                aggregation=config.aggregation,
-                shared_weights=config.shared_weights,
-                dropout=config.dropout,
-                degree_features=config.degree_features,
-                conv_type=config.conv_type,
-                time_encoding=config.time_encoding,
-                dtype=config.compute_dtype,
-            )
+            network = config.make_node_network(metadata, rng)
             network.load_state_dict(state)
             network.eval()
             task = "binary" if binding.task_type == TaskType.BINARY else "regression"

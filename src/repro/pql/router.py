@@ -90,8 +90,7 @@ RED = "red"
 TIERS = (GREEN, YELLOW, RED)
 
 #: Fraction of red's per-row cost attributed to sampling (the part a
-#: subgraph-cache hit skips).  Matches the warm/cold split measured by
-#: bench_sampling: sampling dominates the no-grad path.
+#: subgraph-cache hit skips): sampling dominates the no-grad path.
 _RED_SAMPLING_FRACTION = 0.8
 #: Extra rows' worth of red cost charged while the model is cold
 #: (first call pays allocator warmup, lazy memos, branch-predictor

@@ -300,17 +300,24 @@ _CHUNK = 1 << 16
 
 
 def _turns(stdin: TextIO, latch: ShutdownLatch, hold_s: float, full: int) -> Iterator[List]:
-    """Block for input, then yield every complete line already there.
+    """Block for input, then yield every complete line already there;
+    an empty list ends the turn (the caller executes and answers).
 
     A stream with a binary ``buffer`` (``sys.stdin``, a pipe) is read
     with ``read1`` — one ``read(2)``, whatever it returns; an in-memory
-    text stream is all available at once.  With the ``max_wait_ms`` cap
-    set, a turn of fewer than ``full`` lines keeps taking input for up
-    to ``hold_s`` more.  Ends at EOF or when ``latch`` fires.
+    text stream is all available at once.  After each yield — the
+    caller has admitted those lines meanwhile — a turn of fewer than
+    ``full`` lines takes what has arrived since, without waiting (with
+    the ``max_wait_ms`` cap set, waiting up to ``hold_s`` from the
+    turn's start).  So a client that writes a burst line by line gets
+    one batch whether this process woke at its first line (client on
+    another CPU) or after its last (same CPU).  Ends at EOF or when
+    ``latch`` fires.
     """
     raw = getattr(stdin, "buffer", None)
     if raw is None:
         yield stdin.readlines()
+        yield []
         return
     tail = b""
     while True:
@@ -326,17 +333,20 @@ def _turns(stdin: TextIO, latch: ShutdownLatch, hold_s: float, full: int) -> Ite
                 _log.info("graceful shutdown requested; draining in-flight requests")
             if tail:
                 yield [tail]
+                yield []
             return
         hold_until = time.monotonic() + hold_s
-        while hold_s > 0 and chunk.count(b"\n") < full and select.select(
-                [raw], [], [], max(hold_until - time.monotonic(), 0.0))[0]:
-            more = raw.read1(_CHUNK)
-            if not more:
-                break
-            chunk += more
-        *lines, tail = (tail + chunk).split(b"\n")
-        if lines:
-            yield lines
+        taken = 0
+        while chunk:
+            *lines, tail = (tail + chunk).split(b"\n")
+            if lines:
+                taken += len(lines)
+                yield lines
+            chunk = b""
+            if taken < full and select.select(
+                    [raw], [], [], max(hold_until - time.monotonic(), 0.0))[0]:
+                chunk = raw.read1(_CHUNK)  # b"" at EOF; the blocking read sees it again
+        yield []
 
 
 def serve_loop(service: PredictionService, stdin: TextIO, stdout: TextIO,
@@ -345,7 +355,8 @@ def serve_loop(service: PredictionService, stdin: TextIO, stdout: TextIO,
     requests answered.
 
     One thread, one turn at a time: take the available lines, admit
-    them, execute the queued micro-batches on this thread, write every
+    them (and whatever arrived while admitting, up to a full batch),
+    execute the queued micro-batches on this thread, write every
     answer in request order, flush once.  The service's worker thread
     never runs while the loop drives.
     """
@@ -353,9 +364,12 @@ def serve_loop(service: PredictionService, stdin: TextIO, stdout: TextIO,
     hold_s, full = service.config.max_wait_ms / 1000.0, service.config.max_batch_size
     answered = 0
     with service.drive() as run_pending:
+        entries: List = []
         for lines in _turns(stdin, latch, hold_s, full):
-            entries = [_admit(service, line, run_pending)
-                       for line in lines if line.strip()]
+            if lines:
+                entries.extend(_admit(service, line, run_pending)
+                               for line in lines if line.strip())
+                continue
             run_pending()
             if entries:
                 stdout.write("".join(
@@ -363,4 +377,5 @@ def serve_loop(service: PredictionService, stdin: TextIO, stdout: TextIO,
                     for request, payload in entries))
                 stdout.flush()
                 answered += len(entries)
+                entries = []
     return answered

@@ -110,6 +110,16 @@ def assert_subgraphs_identical(a, b) -> None:
         np.testing.assert_array_equal(dst_a, dst_b)
 
 
+def subgraph_instances(subgraph) -> dict:
+    """``{node type: sorted (original id, context time) pairs}`` of a subgraph."""
+    return {
+        node_type: sorted(zip(
+            subgraph.node_orig(node_type).tolist(), subgraph.node_ctx_time(node_type).tolist()
+        ))
+        for node_type in subgraph.node_types
+    }
+
+
 def make_split(db: Database, horizon_days: int, num_train_cutoffs: int = 2):
     """Standard temporal split over a database's full time span."""
     span = db.time_span()

@@ -1,6 +1,12 @@
-"""Tests for the fast compute path: fused kernels, flat optimizers,
-compute dtype threading, vectorized categorical encoding, and the
-batched no-grad inference surface."""
+"""Tests for the compute path: fused kernels, flat optimizers, compute
+dtype threading, vectorized categorical encoding, and the batched
+no-grad inference surface.
+
+The op-by-op compositions the fused kernels replaced and the
+per-parameter optimizer loops the flat steps replaced are defined here
+as oracles (``unfused_*``, ``LoopSGD``, ``LoopAdam``)."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +45,42 @@ from repro.relational import (
 # ======================================================================
 # Fused kernels
 # ======================================================================
+def unfused_addmm(x, weight, bias=None):
+    out = x @ weight
+    return out + bias if bias is not None else out
+
+
+def unfused_linear_relu(x, weight, bias=None):
+    return unfused_addmm(x, weight, bias).relu()
+
+
+def unfused_softmax_cross_entropy(logits, targets):
+    targets = np.asarray(targets, dtype=np.int64)
+    log_probs = logits.log_softmax(axis=-1)
+    one_hot = np.eye(logits.data.shape[-1], dtype=logits.data.dtype)[targets]
+    return -(log_probs * Tensor(one_hot)).sum(axis=-1).mean()
+
+
+def unfused_bce_with_logits(logits, targets, pos_weight=None):
+    targets = np.asarray(targets, dtype=logits.data.dtype)
+    per_example = logits.softplus() - logits * Tensor(targets)
+    if pos_weight is not None:
+        weights = np.where(targets > 0.5, float(pos_weight), 1.0).astype(logits.data.dtype)
+        per_example = per_example * Tensor(weights)
+    return per_example
+
+
+#: fused? -> namespace with linear_relu / softmax_cross_entropy / bce_with_logits
+KERNELS = {
+    True: F,
+    False: SimpleNamespace(
+        linear_relu=unfused_linear_relu,
+        softmax_cross_entropy=unfused_softmax_cross_entropy,
+        bce_with_logits=unfused_bce_with_logits,
+    ),
+}
+
+
 class TestFusedKernelGradients:
     """Finite-difference checks for every fused kernel, in float64."""
 
@@ -89,20 +131,23 @@ class TestFusedKernelGradients:
         )
 
     def test_unfused_fallback_gradchecks(self):
-        # The reference compositions must pass the same checks.
+        # The oracle compositions must pass the same checks, and so
+        # must the kernels' own fall-back for inputs that are not 2-D.
         targets = np.array([0, 2, 5, 1, 3])
         logits = np.random.default_rng(4).normal(size=(5, 6))
         w, b = Tensor(self.w), Tensor(self.b)
-        with F.fusion(False):
-            check_gradients(lambda t: F.addmm(t, w, b).sum(), self.x)
-            check_gradients(lambda t: F.linear_relu(t, w, b).sum(), self.x)
-            check_gradients(lambda t: F.softmax_cross_entropy(t, targets), logits)
-            bce_targets = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-            bce_logits = np.random.default_rng(5).normal(size=5)
-            check_gradients(
-                lambda t: F.bce_with_logits(t, bce_targets, pos_weight=2.0).mean(),
-                bce_logits,
-            )
+        check_gradients(lambda t: unfused_addmm(t, w, b).sum(), self.x)
+        check_gradients(lambda t: unfused_linear_relu(t, w, b).sum(), self.x)
+        check_gradients(lambda t: unfused_softmax_cross_entropy(t, targets), logits)
+        bce_targets = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        bce_logits = np.random.default_rng(5).normal(size=5)
+        check_gradients(
+            lambda t: unfused_bce_with_logits(t, bce_targets, pos_weight=2.0).mean(),
+            bce_logits,
+        )
+        stacked = np.random.default_rng(6).normal(size=(2, 5, 4))
+        check_gradients(lambda t: F.addmm(t, w, b).sum(), stacked)
+        check_gradients(lambda t: F.linear_relu(t, w, b).sum(), stacked)
 
 
 class TestFusedVsUnfused:
@@ -115,14 +160,14 @@ class TestFusedVsUnfused:
         w_data = rng.normal(size=(5, 7))
         b_data = rng.normal(size=7)
         targets = rng.integers(0, 7, size=6)
-        with F.fusion(fused):
-            x = Tensor(x_data, requires_grad=True, dtype=dtype)
-            w = Tensor(w_data, requires_grad=True, dtype=dtype)
-            b = Tensor(b_data, requires_grad=True, dtype=dtype)
-            hidden = F.linear_relu(x, w, b)
-            loss = F.softmax_cross_entropy(hidden, targets)
-            loss.backward()
-            return loss.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
+        kernels = KERNELS[fused]
+        x = Tensor(x_data, requires_grad=True, dtype=dtype)
+        w = Tensor(w_data, requires_grad=True, dtype=dtype)
+        b = Tensor(b_data, requires_grad=True, dtype=dtype)
+        hidden = kernels.linear_relu(x, w, b)
+        loss = kernels.softmax_cross_entropy(hidden, targets)
+        loss.backward()
+        return loss.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
 
     def test_float64_equivalence(self):
         fused = self._forward_backward(True, "float64")
@@ -142,10 +187,9 @@ class TestFusedVsUnfused:
         targets = (np.arange(8) % 2).astype(float)
         results = []
         for fused in (True, False):
-            with F.fusion(fused):
-                logits = Tensor(logits_data, requires_grad=True)
-                F.bce_with_logits(logits, targets, pos_weight=2.0).mean().backward()
-                results.append((logits.grad.copy(),))
+            logits = Tensor(logits_data, requires_grad=True)
+            KERNELS[fused].bce_with_logits(logits, targets, pos_weight=2.0).mean().backward()
+            results.append((logits.grad.copy(),))
         np.testing.assert_allclose(results[0][0], results[1][0], rtol=1e-12, atol=1e-12)
 
 
@@ -163,13 +207,79 @@ def _random_grads(params, seed):
     return [rng.normal(size=param.data.shape) for param in params]
 
 
+class LoopSGD:
+    """Per-parameter SGD loop: the oracle for the flat :class:`SGD` step."""
+
+    def __init__(self, parameters, lr, momentum=0.0, weight_decay=0.0):
+        self.parameters, self.lr = list(parameters), lr
+        self.momentum, self.weight_decay = momentum, weight_decay
+        self._velocity = {}
+
+    def gather_and_clip(self, max_norm):
+        return clip_grad_norm(self.parameters, max_norm)
+
+    def step(self):
+        for i, param in enumerate(self.parameters):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.momentum:
+                velocity = self._velocity.get(i)
+                if velocity is None:
+                    velocity = np.zeros_like(param.data)
+                velocity = self.momentum * velocity + grad
+                self._velocity[i] = velocity
+                grad = velocity
+            param.data -= self.lr * grad
+
+
+class LoopAdam:
+    """Per-parameter Adam/AdamW loop: the oracle for the flat steps."""
+
+    def __init__(self, parameters, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0,
+                 decoupled=False):
+        self.parameters, self.lr = list(parameters), lr
+        (self.beta1, self.beta2), self.eps = betas, eps
+        self.weight_decay, self.decoupled = weight_decay, decoupled
+        self._m, self._v, self._t = {}, {}, 0
+
+    def gather_and_clip(self, max_norm):
+        return clip_grad_norm(self.parameters, max_norm)
+
+    def step(self):
+        self._t += 1
+        bias1 = 1.0 - self.beta1 ** self._t
+        bias2 = 1.0 - self.beta2 ** self._t
+        for i, param in enumerate(self.parameters):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay and self.decoupled:
+                param.data -= self.lr * self.weight_decay * param.data
+            elif self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            m = self._m.get(i)
+            v = self._v.get(i)
+            if m is None:
+                m = np.zeros_like(param.data)
+                v = np.zeros_like(param.data)
+            m = self.beta1 * m + (1.0 - self.beta1) * grad
+            v = self.beta2 * v + (1.0 - self.beta2) * grad**2
+            self._m[i], self._v[i] = m, v
+            m_hat = m / bias1
+            v_hat = v / bias2
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 class TestFlatOptimizerEquivalence:
     """Flat-buffer updates must be bit-identical to the per-parameter
-    reference loop in float64, including missing grads and clipping."""
+    oracle loops in float64, including missing grads and clipping."""
 
-    def _run(self, make_opt, flat, steps=5, missing_index=2, clip=None):
+    def _run(self, make_opt, steps=5, missing_index=2, clip=None):
         params = _make_params()
-        optimizer = make_opt(params, flat)
+        optimizer = make_opt(params)
         for step in range(steps):
             grads = _random_grads(params, seed=100 + step)
             for i, param in enumerate(params):
@@ -185,26 +295,26 @@ class TestFlatOptimizerEquivalence:
         return [param.data.copy() for param in params]
 
     @pytest.mark.parametrize(
-        "make_opt",
+        "flat_cls,loop_cls,kwargs",
         [
-            lambda p, flat: SGD(p, lr=0.05, flat=flat),
-            lambda p, flat: SGD(p, lr=0.05, momentum=0.9, weight_decay=0.01, flat=flat),
-            lambda p, flat: Adam(p, lr=0.01, flat=flat),
-            lambda p, flat: Adam(p, lr=0.01, weight_decay=0.02, flat=flat),
-            lambda p, flat: AdamW(p, lr=0.01, weight_decay=0.02, flat=flat),
+            (SGD, LoopSGD, dict(lr=0.05)),
+            (SGD, LoopSGD, dict(lr=0.05, momentum=0.9, weight_decay=0.01)),
+            (Adam, LoopAdam, dict(lr=0.01)),
+            (Adam, LoopAdam, dict(lr=0.01, weight_decay=0.02)),
+            (AdamW, lambda p, **kw: LoopAdam(p, decoupled=True, **kw),
+             dict(lr=0.01, weight_decay=0.02)),
         ],
         ids=["sgd", "sgd-momentum-wd", "adam", "adam-wd", "adamw"],
     )
-    def test_bit_identical_to_reference(self, make_opt):
-        flat = self._run(make_opt, flat=True)
-        reference = self._run(make_opt, flat=False)
+    def test_bit_identical_to_reference(self, flat_cls, loop_cls, kwargs):
+        flat = self._run(lambda p: flat_cls(p, **kwargs))
+        reference = self._run(lambda p: loop_cls(p, **kwargs))
         for got, want in zip(flat, reference):
             assert np.array_equal(got, want), "flat update diverged from reference"
 
     def test_bit_identical_with_clipping(self):
-        make = lambda p, flat: Adam(p, lr=0.01, flat=flat)
-        flat = self._run(make, flat=True, clip=0.5)
-        reference = self._run(make, flat=False, clip=0.5)
+        flat = self._run(lambda p: Adam(p, lr=0.01), clip=0.5)
+        reference = self._run(lambda p: LoopAdam(p, lr=0.01), clip=0.5)
         for got, want in zip(flat, reference):
             assert np.array_equal(got, want)
 
@@ -215,7 +325,7 @@ class TestFlatOptimizerEquivalence:
         for param, ref, grad in zip(params, reference, grads):
             param.grad = grad.copy()
             ref.grad = grad.copy()
-        optimizer = Adam(params, lr=0.01, flat=True)
+        optimizer = Adam(params, lr=0.01)
         norm = optimizer.gather_and_clip(0.1)
         expected_norm = clip_grad_norm(reference, 0.1)
         assert norm == pytest.approx(expected_norm, rel=1e-12)
@@ -223,7 +333,7 @@ class TestFlatOptimizerEquivalence:
 
     def test_layout_manifest_covers_every_parameter(self):
         params = _make_params()
-        optimizer = Adam(params, lr=0.01, flat=True)
+        optimizer = Adam(params, lr=0.01)
         manifest = optimizer.layout_manifest()
         assert [entry["index"] for entry in manifest] == list(range(len(params)))
         for entry, param in zip(manifest, params):
@@ -234,7 +344,7 @@ class TestFlatOptimizerEquivalence:
     def test_data_rebound_to_flat_views(self):
         params = _make_params()
         values = [param.data.copy() for param in params]
-        optimizer = Adam(params, lr=0.01, flat=True)
+        optimizer = Adam(params, lr=0.01)
         for param, value in zip(params, values):
             np.testing.assert_array_equal(param.data, value)
             assert param.data.base is not None  # a view into the flat buffer
@@ -244,7 +354,7 @@ class TestFlatOptimizerEquivalence:
         # The resilience layer snapshots/restores moments as
         # {param_index: array} dicts; flat storage must honor that.
         params = _make_params()
-        optimizer = Adam(params, lr=0.01, flat=True)
+        optimizer = Adam(params, lr=0.01)
         for param in params:
             param.grad = np.ones_like(param.data)
         optimizer.step()
@@ -265,7 +375,7 @@ class TestFlatOptimizerEquivalence:
     def test_state_dict_semantics_preserved_after_flat_rebind(self):
         # In-place loads through the flat views must update the buffer.
         params = _make_params()
-        Adam(params, lr=0.01, flat=True)
+        Adam(params, lr=0.01)
         replacement = np.full(params[0].data.shape, 3.5)
         params[0].data[...] = replacement
         np.testing.assert_array_equal(params[0].data, replacement)

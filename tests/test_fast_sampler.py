@@ -1,12 +1,26 @@
-"""Tests for the vectorized neighbor sampler."""
+"""Tests for the neighbor sampler's vectorized kernels.
+
+``LoopNeighborSampler`` (``tests/oracles.py``) is the per-node oracle.
+Cases that exercise the time-valid counts run once with a single-cutoff
+seed batch and once with a mixed-cutoff one: the sampler takes a
+shortcut when every seed shares one cutoff, and both arms must agree
+with ``graph.count_before`` and the oracle.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import NeighborSampler, build_graph
-from repro.graph.fast_sampler import VectorizedNeighborSampler
-from tests.conftest import shop_db
+from tests.conftest import shop_db, subgraph_instances
+from tests.oracles import LoopNeighborSampler
+
+#: (seed ids, seed times) over the shop graph's two customers: one
+#: cutoff shared by every seed, then a different cutoff per seed.
+CUTOFF_BATCHES = [
+    (np.array([0, 1]), np.array([400, 400])),
+    (np.array([0, 1, 0]), np.array([400, 250, 10**9])),
+]
 
 
 def graph():
@@ -16,14 +30,14 @@ def graph():
 class TestVectorizedSampler:
     def test_seed_layout_matches_reference(self):
         g = graph()
-        fast = VectorizedNeighborSampler(g, fanouts=[4], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[4], rng=np.random.default_rng(0))
         sub = fast.sample("customers", np.array([0, 1, 0]), np.array([1000, 1000, 1000]))
         assert sub.seed_locals.tolist() == [0, 1, 0]  # duplicate seed deduped
         assert sub.node_orig("customers")[sub.seed_locals].tolist() == [0, 1, 0]
 
     def test_time_respecting(self):
         g = graph()
-        fast = VectorizedNeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
         sub = fast.sample("customers", np.array([0]), np.array([250]))
         times = g.node_times("orders")[sub.node_orig("orders")]
         assert (times <= 250).all()
@@ -31,9 +45,9 @@ class TestVectorizedSampler:
     def test_low_degree_takes_all_neighbors(self):
         g = graph()
         # Customer 0 has 3 orders total; fanout 10 >= 3 -> all sampled.
-        fast = VectorizedNeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
         sub = fast.sample("customers", np.array([0]), np.array([10**9]))
-        ref = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        ref = LoopNeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
         ref_sub = ref.sample("customers", np.array([0]), np.array([10**9]))
         assert sorted(sub.node_orig("orders").tolist()) == sorted(
             ref_sub.node_orig("orders").tolist()
@@ -41,13 +55,13 @@ class TestVectorizedSampler:
 
     def test_fanout_caps_high_degree(self):
         g = graph()
-        fast = VectorizedNeighborSampler(g, fanouts=[2], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[2], rng=np.random.default_rng(0))
         sub = fast.sample("customers", np.array([0]), np.array([10**9]))
         assert sub.num_nodes("orders") <= 2
 
     def test_degrees_recorded_for_all_nodes(self):
         g = graph()
-        fast = VectorizedNeighborSampler(g, fanouts=[5, 5], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[5, 5], rng=np.random.default_rng(0))
         sub = fast.sample("customers", np.array([0, 1]), np.array([1000, 1000]))
         for node_type in sub.node_types:
             expected_width = len(g.edge_types_into(node_type))
@@ -57,18 +71,33 @@ class TestVectorizedSampler:
 
     def test_degrees_match_reference_sampler(self):
         g = graph()
-        fast = VectorizedNeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
-        ref = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
-        f_sub = fast.sample("customers", np.array([0, 1]), np.array([400, 400]))
-        r_sub = ref.sample("customers", np.array([0, 1]), np.array([400, 400]))
-        # Same seeds, same ctx: per-seed degree vectors must agree.
-        f_deg = f_sub.node_degrees("customers")[f_sub.seed_locals]
-        r_deg = r_sub.node_degrees("customers")[r_sub.seed_locals]
-        np.testing.assert_array_equal(f_deg, r_deg)
+        fast = NeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
+        ref = LoopNeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
+        for seed_ids, seed_times in CUTOFF_BATCHES:
+            f_sub = fast.sample("customers", seed_ids, seed_times)
+            r_sub = ref.sample("customers", seed_ids, seed_times)
+            # Same seeds, same ctx: per-seed degree vectors must agree.
+            f_deg = f_sub.node_degrees("customers")[f_sub.seed_locals]
+            r_deg = r_sub.node_degrees("customers")[r_sub.seed_locals]
+            np.testing.assert_array_equal(f_deg, r_deg)
+            # Fanout 10 exceeds every degree, so both samplers reach the
+            # same instances; each one's degrees are the graph's counts.
+            assert subgraph_instances(f_sub) == subgraph_instances(r_sub)
+            for node_type in f_sub.node_types:
+                degrees = f_sub.node_degrees(node_type)
+                for j, edge_type in enumerate(g.edge_types_into(node_type)):
+                    expected = [
+                        g.count_before(edge_type, orig, ctx)
+                        for orig, ctx in zip(
+                            f_sub.node_orig(node_type).tolist(),
+                            f_sub.node_ctx_time(node_type).tolist(),
+                        )
+                    ]
+                    assert degrees[:, j].tolist() == expected
 
     def test_edges_reference_valid_locals(self):
         g = graph()
-        fast = VectorizedNeighborSampler(g, fanouts=[4, 4], rng=np.random.default_rng(2))
+        fast = NeighborSampler(g, fanouts=[4, 4], rng=np.random.default_rng(2))
         sub = fast.sample("customers", np.array([0, 1]), np.array([1000, 500]))
         for et in sub.edge_types:
             src, dst = sub.edges_for(et)
@@ -77,7 +106,7 @@ class TestVectorizedSampler:
 
     def test_leaky_mode(self):
         g = graph()
-        fast = VectorizedNeighborSampler(
+        fast = NeighborSampler(
             g, fanouts=[10], rng=np.random.default_rng(0), time_respecting=False
         )
         sub = fast.sample("customers", np.array([0]), np.array([250]))
@@ -86,10 +115,10 @@ class TestVectorizedSampler:
 
     def test_bad_fanout(self):
         with pytest.raises(ValueError):
-            VectorizedNeighborSampler(graph(), fanouts=[0], rng=np.random.default_rng(0))
+            NeighborSampler(graph(), fanouts=[0], rng=np.random.default_rng(0))
 
     def test_shape_mismatch(self):
-        fast = VectorizedNeighborSampler(graph(), fanouts=[2], rng=np.random.default_rng(0))
+        fast = NeighborSampler(graph(), fanouts=[2], rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             fast.sample("customers", np.array([0]), np.array([1, 2]))
 
@@ -101,7 +130,7 @@ class TestVectorizedSampler:
         metadata = GraphMetadata.from_graph(g)
         model = HeteroGNN(metadata, hidden_dim=8, out_dim=1, num_layers=2,
                           rng=np.random.default_rng(0))
-        fast = VectorizedNeighborSampler(g, fanouts=[4, 4], rng=np.random.default_rng(1))
+        fast = NeighborSampler(g, fanouts=[4, 4], rng=np.random.default_rng(1))
         sub = fast.sample("customers", np.array([0, 1]), np.array([1000, 1000]))
         out = model(sub, g)
         assert out.shape == (2, 1)
@@ -109,26 +138,36 @@ class TestVectorizedSampler:
 
 
 class TestUniqueMode:
-    """unique=True: without-replacement draws on high-degree nodes."""
+    """Without-replacement draws on nodes with more neighbors than the fanout."""
 
     def test_exact_fanout_distinct_neighbors(self):
         g = graph()
         # Customer 0 has 3 orders; fanout 2 < 3 puts it on the
         # high-degree path, which must pick exactly 2 distinct orders.
-        fast = VectorizedNeighborSampler(
-            g, fanouts=[2], rng=np.random.default_rng(0), unique=True
-        )
+        fast = NeighborSampler(g, fanouts=[2], rng=np.random.default_rng(0))
         for trial in range(20):
             sub = fast.sample("customers", np.array([0]), np.array([10**9]))
             orders = sub.node_orig("orders").tolist()
             assert len(orders) == 2
             assert len(set(orders)) == 2
+        # Mixed cutoffs: customer 0 at two context times is two
+        # instances.  At 10**9 it has 3 valid orders (truncated to 2
+        # distinct); at 250 only the 2 placed by then (kept exactly);
+        # customer 1 at 400 has its 2.
+        order_edge = next(et for et in g.edge_types_into("customers") if et.src == "orders")
+        seed_ids, seed_times = np.array([0, 0, 1]), np.array([10**9, 250, 400])
+        for trial in range(20):
+            sub = fast.sample("customers", seed_ids, seed_times)
+            src, dst = sub.edges_for(order_edge)
+            for seed_local, seed_id, cutoff in zip(sub.seed_locals, seed_ids, seed_times):
+                picked = sub.node_orig("orders")[src[dst == seed_local]].tolist()
+                valid, _ = g.neighbors_before(order_edge, seed_id, cutoff)
+                assert len(picked) == len(set(picked)) == min(2, len(valid))
+                assert set(picked) <= set(valid.tolist())
 
     def test_covers_all_neighbors_across_draws(self):
         g = graph()
-        fast = VectorizedNeighborSampler(
-            g, fanouts=[2], rng=np.random.default_rng(0), unique=True
-        )
+        fast = NeighborSampler(g, fanouts=[2], rng=np.random.default_rng(0))
         seen = set()
         for trial in range(40):
             sub = fast.sample("customers", np.array([0]), np.array([10**9]))
@@ -138,11 +177,9 @@ class TestUniqueMode:
 
     def test_low_degree_path_unchanged(self):
         g = graph()
-        fast = VectorizedNeighborSampler(
-            g, fanouts=[10], rng=np.random.default_rng(0), unique=True
-        )
+        fast = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
         sub = fast.sample("customers", np.array([0]), np.array([10**9]))
-        ref = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        ref = LoopNeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
         ref_sub = ref.sample("customers", np.array([0]), np.array([10**9]))
         assert sorted(sub.node_orig("orders").tolist()) == sorted(
             ref_sub.node_orig("orders").tolist()
@@ -152,9 +189,7 @@ class TestUniqueMode:
         g = graph()
         # Fanout 2: customer 0 (3 orders) goes without-replacement,
         # customer 1 (2 orders) takes the exact low-degree path.
-        fast = VectorizedNeighborSampler(
-            g, fanouts=[2, 2], rng=np.random.default_rng(3), unique=True
-        )
+        fast = NeighborSampler(g, fanouts=[2, 2], rng=np.random.default_rng(3))
         sub = fast.sample("customers", np.array([0, 1]), np.array([10**9, 10**9]))
         for et in sub.edge_types:
             src, dst = sub.edges_for(et)
@@ -168,17 +203,18 @@ class TestUniqueMode:
     fanout=st.integers(1, 8),
     hops=st.integers(1, 3),
     rng_seed=st.integers(0, 100),
-    unique=st.booleans(),
+    other_time=st.none() | st.integers(0, 600),
 )
-def test_property_fast_sampler_never_sees_future(seed_time, fanout, hops, rng_seed, unique):
+def test_property_fast_sampler_never_sees_future(seed_time, fanout, hops, rng_seed, other_time):
+    """``other_time=None`` is a single-cutoff batch, else customer 1 gets its own."""
     g = build_graph(shop_db())
-    fast = VectorizedNeighborSampler(
-        g, fanouts=[fanout] * hops, rng=np.random.default_rng(rng_seed), unique=unique
-    )
-    sub = fast.sample("customers", np.array([0, 1]), np.array([seed_time, seed_time]))
+    fast = NeighborSampler(g, fanouts=[fanout] * hops, rng=np.random.default_rng(rng_seed))
+    seed_times = np.array([seed_time, seed_time if other_time is None else other_time])
+    sub = fast.sample("customers", np.array([0, 1]), seed_times)
     for node_type in sub.node_types:
         node_times = g.node_times(node_type)[sub.node_orig(node_type)]
-        assert (node_times <= seed_time).all()
+        assert (node_times <= sub.node_ctx_time(node_type)).all()
+    assert set(sub.node_ctx_time("customers").tolist()) == set(seed_times.tolist())
 
 
 class TestSnapshotSubgraph:

@@ -136,6 +136,35 @@ class TestShopScale:
         assert_subgraphs_identical(cached[0], cached[1])
         assert_subgraphs_identical(cached[0], cached[2])
 
+    def test_long_lived_sampler_survives_a_delta_at_its_cutoff(self, tmp_path):
+        """One sampler object, as a serving model holds it, across a delta.
+
+        It samples at cutoff T, the pipeline then applies events with
+        timestamps <= T (replacing edge stores), ``apply_delta`` runs as
+        ``refresh_model`` would, and the next sample at T must equal a
+        fresh sampler's on the grown graph: whatever the sampler memoized
+        about the old stores must not answer for the new ones.
+        """
+        base, events = carve(shop_db(), 2)
+        log = SegmentLog.create(str(tmp_path / "log"), base)
+        pipeline = IngestPipeline(log, stats_cutoff=300)
+
+        def make_sampler():
+            return CachedSampler(
+                NeighborSampler(pipeline.graph, fanouts=FANOUTS, rng=np.random.default_rng(0)),
+                base_seed=7, cache=LRUSubgraphCache(8),
+            )
+
+        ids, times = seed_batch(pipeline.graph, num=2)
+        long_lived = make_sampler()
+        before = long_lived.sample("customers", ids, times)
+        report = pipeline.process(events)
+        assert report.applied == len(events) and report.delta.min_event_time <= times[0]
+        long_lived.apply_delta(report.delta.touched, report.delta.min_event_time)
+        after = long_lived.sample("customers", ids, times)
+        assert_subgraphs_identical(after, make_sampler().sample("customers", ids, times))
+        assert after.total_edges() > before.total_edges()
+
     def test_equivalence_at_every_batch_boundary(self, tmp_path):
         db = shop_db()
         base, events = carve(db, 3)

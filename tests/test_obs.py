@@ -307,14 +307,11 @@ class TestSamplerCounters:
         graph.add_edge_type(edge.reverse(), dst, src, times=times)
         return graph
 
-    @pytest.mark.parametrize("impl", ["reference", "vectorized"])
-    def test_sample_records_counters_only_when_enabled(self, impl):
-        from repro.graph.fast_sampler import VectorizedNeighborSampler
+    def test_sample_records_counters_only_when_enabled(self):
         from repro.graph.sampler import NeighborSampler
 
-        cls = NeighborSampler if impl == "reference" else VectorizedNeighborSampler
         graph = self._graph()
-        sampler = cls(graph, fanouts=[2], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(graph, fanouts=[2], rng=np.random.default_rng(0))
         seeds = np.asarray([0, 1, 2], dtype=np.int64)
         times = np.full(3, 10, dtype=np.int64)
 

@@ -149,3 +149,25 @@ class TestFallback:
             )
         assert loader._executor is None
         assert get_registry().counter("sampler.parallel.fallbacks").value == before + 1
+
+    def test_no_shared_memory_falls_back_to_fork_inheritance(self, graph, monkeypatch):
+        """Hosts without usable shm: workers inherit the graph, same results."""
+        from repro.graph.shared import SharedGraphStore, list_shared_segments
+
+        def unavailable(cls, graph):
+            raise OSError("no space left on /dev/shm")
+
+        monkeypatch.setattr(SharedGraphStore, "create", classmethod(unavailable))
+        segments_before = set(list_shared_segments())
+        ids, times, batches = epoch_batches()
+        serial = make_cached(graph)
+        with ParallelSampleLoader(make_cached(graph, cache_size=0), num_workers=2) as loader:
+            if loader._executor is None:
+                pytest.skip("worker pool unavailable on this host")
+            assert loader._store is None
+            for batch, subgraph in loader.iter_epoch("customers", ids, times, batches):
+                assert_subgraphs_identical(
+                    subgraph, serial.sample("customers", ids[batch], times[batch])
+                )
+            assert loader._executor is not None  # the workers did the sampling
+        assert set(list_shared_segments()) == segments_before

@@ -255,31 +255,59 @@ class TestAutoPosWeight:
 
 
 class TestVectorizedSamplerConfig:
-    def test_fit_with_vectorized_sampler(self, db, split):
-        planner = PredictiveQueryPlanner(db, fast_config(epochs=3, sampler_impl="vectorized"))
-        model = planner.fit(
-            "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS", split
-        )
-        metrics = model.evaluate(split.test_cutoff)
-        assert metrics["auroc"] > 0.6
+    """One sampler, one dtype: the knobs that selected alternatives are gone,
+    and models saved while they existed still load."""
 
-    def test_bad_sampler_impl(self, db, split):
-        planner = PredictiveQueryPlanner(db, fast_config(epochs=1, sampler_impl="quantum"))
-        with pytest.raises(ValueError):
-            planner.fit(
-                "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS", split
-            )
+    QUERY = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
+
+    def test_fit_with_vectorized_sampler(self, db, split):
+        from repro.graph import NeighborSampler
+
+        model = PredictiveQueryPlanner(db, fast_config(epochs=3)).fit(self.QUERY, split)
+        trainer = model.node_trainer
+        assert type(trainer.sampler.base) is NeighborSampler
+        assert {p.data.dtype for p in trainer.model.parameters()} == {np.dtype("float32")}
+        assert model.evaluate(split.test_cutoff)["auroc"] > 0.6
+
+    def test_bad_sampler_impl(self):
+        from repro.gnn.trainer import TrainConfig
+
+        for retired in ("sampler_impl", "compute_dtype", "shared_graph"):
+            with pytest.raises(TypeError):
+                PlannerConfig(**{retired: "reference"})
+        with pytest.raises(TypeError):
+            TrainConfig(shared_graph=True)
 
     def test_vectorized_save_load_roundtrip(self, db, split, tmp_path):
-        planner = PredictiveQueryPlanner(db, fast_config(epochs=1, sampler_impl="vectorized"))
-        model = planner.fit(
-            "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS", split
-        )
+        """A model directory written before the knobs were removed — the
+        three retired config keys in its manifest, float64 weights —
+        loads, as float32, and predicts what the weights say."""
+        import hashlib
+        import json
+
+        model = PredictiveQueryPlanner(db, fast_config(epochs=1)).fit(self.QUERY, split)
         keys = db["customers"]["id"].values[:8]
         before = model.predict(keys, split.test_cutoff)
-        model.save(str(tmp_path / "m"))
-        restored = type(model).load(str(tmp_path / "m"), db)
-        np.testing.assert_allclose(before, restored.predict(keys, split.test_cutoff), atol=1e-10)
+        directory = tmp_path / "m"
+        model.save(str(directory))
+        manifest = json.loads((directory / "manifest.json").read_text())
+        legacy = {"sampler_impl": "vectorized-unique", "compute_dtype": "float64",
+                  "shared_graph": True}
+        assert not set(legacy) & set(manifest["config"])  # save no longer writes them
+
+        with np.load(directory / "weights.npz") as saved:
+            arrays = {name: saved[name].astype(np.float64) for name in saved.files}
+        np.savez(directory / "weights.npz", **arrays)
+        manifest["config"].update(legacy)
+        manifest["weights_sha256"] = hashlib.sha256(
+            (directory / "weights.npz").read_bytes()
+        ).hexdigest()
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+
+        restored = type(model).load(str(directory), db)
+        network = restored.node_trainer.model
+        assert {p.data.dtype for p in network.parameters()} == {np.dtype("float32")}
+        np.testing.assert_array_equal(before, restored.predict(keys, split.test_cutoff))
 
 
 class TestViaPipeline:

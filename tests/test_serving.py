@@ -639,6 +639,43 @@ def test_serve_loop_over_pipes_dispatches_at_once_unless_capped(
     assert batches == {0.0: 2, 2000.0: 1}
 
 
+def test_serve_loop_takes_lines_that_arrive_while_it_admits(
+    churn_model, small_ecommerce_split, monkeypatch
+):
+    """A client on another CPU is still writing its burst when the loop
+    wakes at the first line; the rest must join that turn's batch."""
+    from repro.serve import protocol
+
+    cutoff = int(small_ecommerce_split.test_cutoff)
+    keys = entity_keys(churn_model, 3).tolist()
+    lines = [(json.dumps({"op": "predict", "id": i, "entity_keys": [key],
+                          "cutoff": cutoff}) + "\n").encode()
+             for i, key in enumerate(keys)]
+    pending = list(lines[1:])
+    real_admit = protocol._admit
+    write_fd = []
+
+    def admit_while_client_writes(service, line, run_pending):
+        if pending:  # the next line lands in the pipe during this admission
+            os.write(write_fd[0], pending.pop(0))
+            if not pending:
+                os.close(write_fd[0])
+        return real_admit(service, line, run_pending)
+
+    def feed(fd):
+        write_fd.append(fd)
+        os.write(fd, lines[0])
+
+    monkeypatch.setattr(protocol, "_admit", admit_while_client_writes)
+    with PredictionService(churn_model, ServeConfig(max_wait_ms=0.0)) as service:
+        answered, responses = run_loop_over_pipes(service, feed)
+        batches = service.stats()["metrics"]["serve.batches"]["value"]
+    assert answered == 3
+    assert [r["id"] for r in responses] == [0, 1, 2]
+    assert all(r["status"] == "ok" for r in responses)
+    assert batches == 1
+
+
 def test_degradation_records_slo_provenance_with_request_ids(
     churn_model, small_ecommerce_split, monkeypatch
 ):
