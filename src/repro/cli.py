@@ -80,8 +80,8 @@ Fault-tolerance flags (``fit`` / ``query``; see docs/robustness.md):
 * ``--max-retries N`` retries transient stage failures with seeded
   exponential backoff; ``--stage-timeout STAGE=SECONDS`` (repeatable)
   budgets individual stages.
-* ``--fallback`` degrades a failed GNN train stage to GBDT (then a
-  heuristic) instead of failing the run.
+* ``--fallback`` degrades a failed GNN train stage to the router's
+  YELLOW tier (GBDT), then GREEN, instead of failing the run.
 * The ``REPRO_FAULTS`` environment variable (e.g.
   ``trainer.step@3:raise``) arms the deterministic fault injector.
 """
@@ -97,6 +97,7 @@ from repro.datasets import REGISTRY, get_dataset
 from repro.eval.splits import make_temporal_split
 from repro.obs import trace as obs_trace
 from repro.pql import PlannerConfig, PredictiveQueryPlanner, parse
+from repro.pql.router import ROUTES
 from repro.relational.sql import execute_sql
 from repro.resilience import FaultInjector, ResilienceConfig, install as install_injector
 
@@ -147,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "the training batch size",
         )
         p.add_argument(
-            "--route", choices=["auto", "green", "yellow", "red"], default=None,
+            "--route", choices=ROUTES, default=None,
             help="fit a cost-routed model and execute predictions on this "
                  "tier (auto = cheapest tier clearing the quality floor); "
                  "unset fits the plain GNN plan",
@@ -184,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--fallback", action="store_true",
-            help="degrade a failed GNN train stage to GBDT → heuristic "
-                 "instead of failing",
+            help="degrade a failed GNN train stage to the YELLOW (GBDT) "
+                 "tier, then GREEN, instead of failing",
         )
         add_verbosity(p)
 
@@ -244,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--latency-budget-ms", type=float, default=None, metavar="MS",
         help="per-batch model latency budget; repeated breaches degrade "
-             "to the heuristic rung",
+             "one rung down the tier ladder",
     )
     serve.add_argument(
         "--no-fallback", action="store_true",
@@ -255,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="prime caches with N entities before accepting traffic",
     )
     serve.add_argument(
-        "--route", choices=["auto", "green", "yellow", "red"], default="auto",
+        "--route", choices=ROUTES, default="auto",
         help="default execution tier for routed saved models (requests "
              "may override per line); ignored for plain models",
     )

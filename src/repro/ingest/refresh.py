@@ -11,9 +11,13 @@ walks a fitted model (plain or routed) and invalidates exactly those:
 * the link trainer's item-embedding memo — dropped only if the item
   type was touched;
 * the yellow tier's per-cutoff feature blocks and green's popularity
-  memos — dropped only for cutoffs at/after the earliest new event;
-* the router's fanout-work statistic — re-estimated from the grown
-  CSR (its latency EMAs are *kept*: machine speed did not change).
+  memos — dropped only for cutoffs at/after the earliest new event.
+  These are the tiers of the model's ladder
+  (:meth:`~repro.pql.planner.TrainedPredictiveModel.ladder`): a routed
+  model's own, a degraded fit's ``baseline``, and the green tier a
+  serving process degrades an unrouted model onto.
+
+The router's latency EMAs are *kept*: machine speed did not change.
 
 :class:`RefreshPolicy` decides *when* to do that work: immediately
 for big deltas (touched-entity fraction over a threshold), otherwise
@@ -154,20 +158,19 @@ def refresh_model(model, report: DeltaReport) -> Dict[str, int]:
             trainer._num_items = trainer.graph.num_nodes(item_type)
 
     min_time = report.min_event_time
-    green = getattr(model, "green", None)
-    if green is not None and green._heuristic is not None:
-        memo = green._heuristic._popularity
-        stale = [c for c in memo if min_time == TIME_MIN or c >= min_time]
-        for cutoff in stale:
-            del memo[cutoff]
-        stats["popularity_dropped"] += len(stale)
-    yellow = getattr(model, "yellow", None)
+    ladder = model.ladder()
+    memo = ladder.green._popularity
+    stale = [c for c in memo if min_time == TIME_MIN or c >= min_time]
+    for cutoff in stale:
+        del memo[cutoff]
+    stats["popularity_dropped"] += len(stale)
+    yellow = ladder.yellow
     if yellow is not None and yellow._builder is not None:
         if report.new_nodes.get(yellow.entity_table):
             # New entity rows: the builder's key→slot mapping is stale,
             # so rebind wholesale (drops every block).
             stats["yellow_blocks_dropped"] += len(yellow._blocks)
-            yellow.bind(red.db, green)
+            yellow.bind(red.db, red.graph)
         else:
             stale = [
                 c for c in yellow._blocks if min_time == TIME_MIN or c >= min_time
@@ -175,16 +178,6 @@ def refresh_model(model, report: DeltaReport) -> Dict[str, int]:
             for cutoff in stale:
                 del yellow._blocks[cutoff]
             stats["yellow_blocks_dropped"] += len(stale)
-    cost = getattr(model, "cost", None)
-    if cost is not None:
-        from repro.pql.router import estimate_fanout_work
-
-        config = red.config
-        fanouts = config.fanouts or [8] * config.num_layers
-        cost.fanout_work = estimate_fanout_work(
-            red.graph, red.binding.query.entity_table, fanouts
-        )
-
     registry = get_registry()
     for name, value in stats.items():
         if value:

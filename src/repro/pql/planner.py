@@ -19,9 +19,10 @@ is the point.
 Production hardening is opt-in via a
 :class:`~repro.resilience.ResilienceConfig`: per-stage deadline
 budgets and seeded retries, epoch checkpointing with ``--resume``,
-divergence guards inside the trainers, and a graceful-degradation
-ladder (GNN → GBDT → heuristic) whose provenance is recorded in the
-saved manifest as ``degraded_from``.
+divergence guards inside the trainers, and graceful degradation down
+the router's tier ladder (RED → YELLOW → GREEN, see
+:mod:`repro.pql.router`) whose provenance is recorded in the saved
+manifest as ``degraded_from``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ from repro.pql.labeler import LabelTable, build_label_table
 from repro.pql.parser import parse
 from repro.pql.validate import QueryBinding, validate
 from repro.relational.database import Database
-# Leaf-module imports only: repro.resilience.fallback (and therefore the
-# package __init__) imports back into repro.pql, so the planner must not
-# trigger it at import time.  fit_fallback is imported lazily in _degrade.
 from repro.resilience.checkpoint import (
     CorruptModelError,
     atomic_write_bytes,
@@ -411,8 +409,10 @@ class PredictiveQueryPlanner:
         return fit_routed(self, query, split, router)
 
     def _degrade(self, binding, graph, train_labels, val_labels, err) -> "TrainedPredictiveModel":
-        """Descend the fallback ladder after a failed GNN train stage."""
-        from repro.resilience.fallback import fit_fallback
+        """Descend the tier ladder after a failed GNN train stage:
+        YELLOW when it fits, else GREEN, which always does.  LIST
+        queries have no tabular formulation; theirs is GREEN's popularity."""
+        from repro.pql.router import fit_green, fit_yellow  # lazy: router imports this module
 
         reason = f"{type(err).__name__}: {err}"
         get_registry().counter("resilience.degraded").inc()
@@ -422,10 +422,19 @@ class PredictiveQueryPlanner:
             extra={"error": reason},
         )
         with obs_trace.span("planner.fallback"):
-            baseline = fit_fallback(
-                self.db, binding, graph, train_labels, val_labels,
-                include_two_hop=self.resilience.fallback_two_hop,
-            )
+            baseline = fit_green(self.db, graph, binding, train_labels)
+            if binding.task_type != TaskType.LINK:
+                try:
+                    fault_point("fallback.gbdt")
+                    baseline = fit_yellow(
+                        self.db, graph, binding, baseline, train_labels, val_labels
+                    )
+                except Exception as yellow_err:  # noqa: BLE001 — any failure drops a rung
+                    _log.warning(
+                        "YELLOW rung failed to fit; degrading to GREEN",
+                        extra={"error": f"{type(yellow_err).__name__}: {yellow_err}"},
+                    )
+        _log.warning("degraded to a cheaper tier", extra={"tier": baseline.kind})
         return TrainedPredictiveModel(
             db=self.db,
             binding=binding,
@@ -547,8 +556,9 @@ class TrainedPredictiveModel:
     """A fitted predictive query, ready to predict and self-evaluate.
 
     Usually backed by a trained GNN; after graceful degradation it is
-    backed by a fallback baseline instead, with ``degraded_from``
-    recording what failed and ``baseline.kind`` recording the rung.
+    backed by a cheaper tier of the router's ladder instead, with
+    ``degraded_from`` recording what failed and ``baseline.kind``
+    (``"yellow"`` or ``"green"``) recording the rung.
     """
 
     def __init__(
@@ -569,8 +579,9 @@ class TrainedPredictiveModel:
         self.config = config
         self.node_trainer = node_trainer
         self.link_trainer = link_trainer
-        #: Fallback predictor when the GNN stage degraded (see
-        #: :mod:`repro.resilience.fallback`).
+        #: The bound :class:`~repro.pql.router.YellowTier` or
+        #: :class:`~repro.pql.router.GreenTier` that answers when the
+        #: GNN stage degraded, else None.
         self.baseline = baseline
         #: What the fallback replaced (``"gnn"``), or None.
         self.degraded_from = degraded_from
@@ -581,11 +592,24 @@ class TrainedPredictiveModel:
         self.stats_cutoff: Optional[int] = None
         #: The planner's resilience policy (not persisted).
         self.resilience: Optional[ResilienceConfig] = None
+        self._ladder = None
 
     @property
     def task_type(self) -> TaskType:
         """The compiled task type."""
         return self.binding.task_type
+
+    def ladder(self):
+        """This model as the top of a degradation ladder: the
+        :class:`~repro.pql.router.RoutedPredictiveModel` over the cheap
+        tiers it owns (else an unfitted green tier).  Built once, so a
+        serving process degrading onto a rung and the ingest refresh
+        invalidating that rung's memos see one object."""
+        if self._ladder is None:
+            from repro.pql.router import RoutedPredictiveModel  # lazy: router imports this module
+
+            self._ladder = RoutedPredictiveModel.over(self)
+        return self._ladder
 
     def sampler_cache_stats(self) -> Optional[Dict[str, int]]:
         """Hit/miss/eviction stats of the subgraph cache, or None.
@@ -646,7 +670,7 @@ class TrainedPredictiveModel:
         if self.node_trainer is None:
             if self.baseline is None:
                 raise RuntimeError("model has neither a trained GNN nor a fallback baseline")
-            return self.baseline.predict(self.db, entity_keys, cutoffs)
+            return self.baseline.predict(entity_keys, cutoffs)
         entity_type = self.binding.query.entity_table
         ids = node_index_for_keys(self.graph, entity_type, entity_keys)
         return self.node_trainer.predict(entity_type, ids, cutoffs)
@@ -707,7 +731,10 @@ class TrainedPredictiveModel:
         )
 
     def _evaluate_node(self, labels: LabelTable, cutoff: int) -> Dict[str, float]:
-        predictions = self.predict(labels.entity_keys, int(cutoff))
+        return self.node_metrics(labels, self.predict(labels.entity_keys, int(cutoff)))
+
+    def node_metrics(self, labels: LabelTable, predictions: np.ndarray) -> Dict[str, float]:
+        """The node-task metric report for ``predictions`` against ``labels``."""
         if self.task_type == TaskType.BINARY:
             return {
                 "auroc": auroc(labels.labels, predictions),
@@ -769,7 +796,7 @@ class TrainedPredictiveModel:
         Layout: ``manifest.json`` (query text, planner config, task
         metadata, SHA-256 checksums, degradation provenance) plus
         ``weights.npz`` (GNN parameters by dotted name) or
-        ``fallback.pkl`` (a degraded model's baseline).  Everything is
+        ``fallback.pkl`` (a degraded model's baseline tier).  Everything is
         staged into a sibling temp directory and renamed into place, so
         a crash mid-save never corrupts a previously saved model.  The
         database itself is *not* saved — reload against the same (or a
@@ -861,8 +888,13 @@ class TrainedPredictiveModel:
             fallback_path = cls._verify_payload(
                 directory, cls.FALLBACK_FILE, manifest.get("fallback_sha256")
             )
+            if manifest["fallback_kind"] not in ("yellow", "green"):
+                raise CorruptModelError(
+                    f"degraded model saved by an earlier version — re-fit "
+                    f"(fallback_kind={manifest['fallback_kind']!r} is not a tier)"
+                )
             with open(fallback_path, "rb") as handle:
-                baseline = pickle.load(handle)
+                baseline = pickle.load(handle).bind(db, graph)
             model = cls(
                 db=db, binding=binding, graph=graph, config=config,
                 baseline=baseline,

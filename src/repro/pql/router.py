@@ -7,10 +7,10 @@ router that, per prediction request, estimates the cost and quality of
 three candidate plans and executes the cheapest one that clears a
 configurable quality floor:
 
-* **GREEN** — the :class:`~repro.serve.fallback.ActivityHeuristic`
-  activity count under a linear/logistic calibration fitted on the
-  training labels.  Microseconds per row (binary searches over the
-  CSR), no features, no model.
+* **GREEN** — the time-valid activity count (binary searches over the
+  graph's time-sorted CSR) under a linear/logistic calibration fitted
+  on the training labels.  Microseconds per row, no features, no
+  model; LIST queries rank by time-valid item popularity.
 * **YELLOW** — the from-scratch GBDT over auto-extracted relational
   features (:mod:`repro.baselines.trees` + ``features``), with the
   green activity signal stacked in as an extra column so the mid-tier
@@ -35,6 +35,11 @@ decision is exposed to the serving layer via :attr:`last_route`.
 Routing changes *which* plan runs, never what a plan computes: a
 forced route (``route="red"``) is bit-identical to the auto router
 choosing red, because both execute the same tier predictor.
+
+``GREEN < YELLOW < RED`` is also the only degradation ladder: a failed
+GNN train stage leaves a model whose ``baseline`` is its YELLOW (else
+GREEN) tier, and a serving process whose model path breaks forces its
+batches one rung down — a degraded answer is a forced route.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from repro.baselines.linear import LinearRegression, LogisticRegression
 from repro.baselines.trees import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.eval.metrics import auroc, mae
 from repro.eval.splits import TemporalSplit
+from repro.graph.builder import node_index_for_keys
 from repro.obs import get_logger, get_registry
 from repro.obs import trace as obs_trace
 from repro.pql.ast import PredictiveQuery, TaskType
@@ -70,6 +76,8 @@ __all__ = [
     "YELLOW",
     "RED",
     "TIERS",
+    "ROUTES",
+    "check_route",
     "RouterConfig",
     "TierEstimate",
     "RouteDecision",
@@ -78,7 +86,6 @@ __all__ = [
     "YellowTier",
     "RoutedPredictiveModel",
     "fit_routed",
-    "estimate_fanout_work",
     "is_routed_dir",
 ]
 
@@ -88,6 +95,15 @@ GREEN = "green"
 YELLOW = "yellow"
 RED = "red"
 TIERS = (GREEN, YELLOW, RED)
+#: What a ``route`` may name: let the cost model choose, or force a tier.
+ROUTES = ("auto",) + TIERS
+
+
+def check_route(route: str) -> str:
+    """``route`` if it is one of :data:`ROUTES`, else ``ValueError``."""
+    if route not in ROUTES:
+        raise ValueError(f"route must be {'|'.join(ROUTES)}, got {route!r}")
+    return route
 
 #: Fraction of red's per-row cost attributed to sampling (the part a
 #: subgraph-cache hit skips): sampling dominates the no-grad path.
@@ -131,8 +147,7 @@ class RouterConfig:
     max_calibration_rows: int = 512
 
     def __post_init__(self) -> None:
-        if self.route not in ("auto",) + TIERS:
-            raise ValueError(f"route must be auto|green|yellow|red, got {self.route!r}")
+        check_route(self.route)
         if not 0.0 <= self.quality_floor <= 1.0:
             raise ValueError(f"quality_floor must be in [0, 1], got {self.quality_floor}")
 
@@ -183,36 +198,6 @@ class RouteDecision:
         }
 
 
-def estimate_fanout_work(graph, entity_type: str, fanouts) -> float:
-    """Expected sampled nodes per seed, from the CSR degree arrays.
-
-    A cheap static statistic: hop 1 branches by the seed type's
-    capped mean in-degree; deeper hops use the graph-wide mean
-    branching factor (the frontier's type mix is unknown without
-    sampling, which is exactly what we are avoiding).
-    """
-
-    def branching(node_type: str, fanout: int) -> float:
-        total = 0.0
-        for edge_type in graph.edge_types_into(node_type):
-            store = graph._edges[edge_type]
-            mean_deg = float(store.indptr[-1]) / max(1, graph.num_nodes(node_type))
-            total += min(float(fanout), mean_deg)
-        return total
-
-    work, frontier = 1.0, 1.0
-    fanouts = list(fanouts)
-    for hop, fanout in enumerate(fanouts):
-        if hop == 0:
-            b = branching(entity_type, fanout)
-        else:
-            per_type = [branching(t, fanout) for t in graph.node_types]
-            b = float(np.mean(per_type)) if per_type else 0.0
-        frontier *= max(b, 1.0)
-        work += frontier
-    return work
-
-
 class CostModel:
     """Per-tier cost estimator, seeded at fit time and refined online.
 
@@ -234,12 +219,10 @@ class CostModel:
     def __init__(
         self,
         per_row_ms: Dict[str, float],
-        fanout_work: float = 1.0,
         overhead_ms: Optional[Dict[str, float]] = None,
     ) -> None:
         self._per_row_ms = {t: float(c) for t, c in per_row_ms.items()}
         self._overhead_ms = {t: float(c) for t, c in (overhead_ms or {}).items()}
-        self.fanout_work = float(fanout_work)
         self._lock = threading.Lock()
 
     def per_row_ms(self) -> Dict[str, float]:
@@ -290,40 +273,62 @@ class CostModel:
 
 
 class GreenTier:
-    """Linear/logistic calibration over the time-valid activity count.
+    """The time-valid activity count, optionally calibrated.
 
-    Picklable: holds fitted coefficients and names only; the graph is
-    re-attached with :meth:`bind` after load (mirroring how fallback
-    models take the database back at predict time).
+    Answers from the compiled graph's time-sorted CSR alone (one binary
+    search per entity and relation).  Unfitted (zero training) it
+    scores ``count / (count + 1)`` (binary) or the raw count
+    (regression); :meth:`fit` calibrates log-activity (linear/logistic);
+    LIST queries rank by item popularity among facts visible at the
+    cutoff, fitted or not.  Pickles names and coefficients only: the
+    graph is re-attached with :meth:`bind` after load.
     """
 
     kind = GREEN
+    #: What :meth:`bind` attaches; not pickled.
+    _BOUND = ("_graph", "_entity_edges", "_item_edges", "_popularity")
+    _graph = None
 
     def __init__(self, entity_table: str, task: str, item_table: str = "") -> None:
         self.entity_table = entity_table
         self.task = task  # "binary" | "regression" | "link"
         self.item_table = item_table  # set for LIST queries (popularity ranking)
         self.calibrator = None  # LogisticRegression | LinearRegression | None
-        self.constant: float = 0.0
-        self._heuristic = None
+        #: Base rate of a degenerate fit; None until :meth:`fit` needs it
+        #: (files that predate the None hold a float — they are all fitted).
+        self.constant: Optional[float] = None
+
+    @classmethod
+    def for_binding(cls, binding) -> "GreenTier":
+        """An unfitted, unbound green tier for a validated query."""
+        return cls(binding.query.entity_table, binding.task_type.value, binding.item_table or "")
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_heuristic"] = None
-        return state
+        return {k: v for k, v in self.__dict__.items() if k not in self._BOUND}
 
-    def bind(self, graph) -> "GreenTier":
-        """Attach the activity heuristic for ``graph`` (not pickled)."""
-        from repro.serve.fallback import ActivityHeuristic  # lazy: avoids a pql↔serve import cycle
-
-        self._heuristic = ActivityHeuristic(graph, self.entity_table, item_type=self.item_table)
+    def bind(self, db, graph) -> "GreenTier":
+        """Attach the compiled graph (``db`` is unused; see :class:`YellowTier`)."""
+        self._graph = graph
+        self._entity_edges = graph.edge_types_into(self.entity_table)
+        self._item_edges = graph.edge_types_into(self.item_table) if self.item_table else []
+        #: Per-cutoff memo of the item-popularity vector (rank path);
+        #: bounded because serving sees few distinct cutoffs.
+        self._popularity: Dict[int, np.ndarray] = {}
         return self
+
+    def _counts(self, node_ids: np.ndarray, cutoffs: np.ndarray, edge_types) -> np.ndarray:
+        counts = np.zeros(len(node_ids), dtype=np.float64)
+        for edge_type in edge_types:
+            for i, (node, cutoff) in enumerate(zip(node_ids.tolist(), cutoffs.tolist())):
+                counts[i] += self._graph.count_before(edge_type, int(node), int(cutoff))
+        return counts
 
     def activity(self, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
         """Raw time-valid fact counts (the shared green/yellow signal)."""
-        if self._heuristic is None:
-            raise RuntimeError("GreenTier is unbound; call bind(graph) first")
-        return self._heuristic.predict(entity_keys, cutoffs, task="regression")
+        if self._graph is None:
+            raise RuntimeError("GreenTier is unbound; call bind(db, graph) first")
+        ids = node_index_for_keys(self._graph, self.entity_table, np.asarray(entity_keys))
+        return self._counts(ids, np.asarray(cutoffs, dtype=np.int64), self._entity_edges)
 
     def fit(self, entity_keys: np.ndarray, cutoffs: np.ndarray, labels: np.ndarray) -> "GreenTier":
         """Calibrate log-activity against the labels (linear/logistic)."""
@@ -340,13 +345,52 @@ class GreenTier:
         return self
 
     def predict(self, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-        """Calibrated scores from activity alone (the cheapest plan)."""
-        x = np.log1p(self.activity(entity_keys, cutoffs))[:, None]
+        """Scores from activity alone (the cheapest plan)."""
+        counts = self.activity(entity_keys, cutoffs)
         if self.calibrator is None:
-            return np.full(len(x), self.constant, dtype=np.float64)
+            if self.constant is not None:
+                return np.full(len(counts), self.constant, dtype=np.float64)
+            return counts / (counts + 1.0) if self.task == "binary" else counts
+        x = np.log1p(counts)[:, None]
         if self.task == "binary":
             return np.asarray(self.calibrator.predict_proba(x), dtype=np.float64)
         return np.asarray(self.calibrator.predict(x), dtype=np.float64)
+
+    def _popularity_at(self, cutoff: int) -> np.ndarray:
+        cached = self._popularity.get(cutoff)
+        if cached is not None:
+            return cached
+        num_items = self._graph.num_nodes(self.item_table)
+        ids = np.arange(num_items, dtype=np.int64)
+        times = np.full(num_items, cutoff, dtype=np.int64)
+        scores = self._counts(ids, times, self._item_edges)
+        if len(self._popularity) >= 32:
+            self._popularity.clear()
+        self._popularity[cutoff] = scores
+        return scores
+
+    def rank(
+        self, entity_keys: np.ndarray, cutoffs: np.ndarray, k: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Top-``k`` (item_keys, scores) per entity by time-valid popularity."""
+        if not self.item_table:
+            raise RuntimeError("green ranking needs an item table (LIST queries only)")
+        item_keys = self._graph.node_keys[self.item_table]
+        out = []
+        for cutoff in np.asarray(cutoffs, dtype=np.int64).tolist():
+            scores = self._popularity_at(int(cutoff))
+            top = np.argsort(-scores, kind="stable")[:k]
+            out.append((item_keys[top], scores[top]))
+        return out
+
+    def score_against_items(self, seed_type, query_ids, query_times, item_ids) -> np.ndarray:
+        """Popularity scores per query, (queries, items) — the scorer
+        surface a degraded LIST model ranks and evaluates through."""
+        item_ids = np.asarray(item_ids, dtype=np.int64)
+        scores = np.empty((len(query_ids), len(item_ids)), dtype=np.float64)
+        for row, cutoff in enumerate(np.asarray(query_times, dtype=np.int64).tolist()):
+            scores[row] = self._popularity_at(int(cutoff))[item_ids]
+        return scores
 
 
 class YellowTier:
@@ -355,36 +399,37 @@ class YellowTier:
     Feature blocks are built once per distinct cutoff and memoized
     (serving traffic clusters on few cutoffs), so a warm yellow call is
     a row gather plus tree traversal — orders of magnitude under the
-    GNN's sample-and-infer.  Picklable: :meth:`bind` re-attaches the
-    database, feature builder, and green tier after load.
+    GNN's sample-and-infer.  Pickles with the green tier it stacks
+    (one object can therefore be a degraded model's whole ``baseline``);
+    :meth:`bind` re-attaches the feature builder and the graph.
     """
 
     kind = YELLOW
     #: Bound on memoized per-cutoff feature blocks.
     MAX_BLOCKS = 8
+    #: A file written before yellow pickled its green tier has no such
+    #: key; :meth:`RoutedPredictiveModel.load` hands the tier over.
+    green: Optional[GreenTier] = None
 
-    def __init__(self, entity_table: str, task: str, hybrid: bool) -> None:
+    def __init__(
+        self, entity_table: str, task: str, hybrid: bool, green: Optional[GreenTier] = None
+    ) -> None:
         self.entity_table = entity_table
         self.task = task
         self.hybrid = hybrid
+        self.green = green
         self.estimator = None
-        self._db = None
-        self._green: Optional[GreenTier] = None
         self._builder: Optional[FeatureBuilder] = None
         self._blocks: Dict[int, np.ndarray] = {}
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_db"] = None
-        state["_green"] = None
-        state["_builder"] = None
-        state["_blocks"] = {}
-        return state
+        return dict(self.__dict__, _builder=None, _blocks={})
 
-    def bind(self, db, green: Optional[GreenTier]) -> "YellowTier":
-        """Attach the database, green tier, and feature builder (not pickled)."""
-        self._db = db
-        self._green = green
+    def bind(self, db, graph) -> "YellowTier":
+        """Attach the feature builder over ``db`` and bind the stacked
+        green tier to ``graph`` (neither is pickled)."""
+        if self.green is not None:
+            self.green.bind(db, graph)
         self._builder = FeatureBuilder(db, self.entity_table, include_two_hop=False)
         self._blocks = {}
         return self
@@ -401,7 +446,7 @@ class YellowTier:
     def features(self, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
         """Auto-extracted features (+ stacked green activity) per row."""
         if self._builder is None:
-            raise RuntimeError("YellowTier is unbound; call bind(db, green) first")
+            raise RuntimeError("YellowTier is unbound; call bind(db, graph) first")
         entity_keys = np.asarray(entity_keys)
         cutoffs = np.asarray(cutoffs, dtype=np.int64)
         out = np.full((len(entity_keys), self._builder.num_features), np.nan)
@@ -413,34 +458,22 @@ class YellowTier:
         for cutoff in np.unique(cutoffs):
             rows = np.flatnonzero(cutoffs == cutoff)
             out[rows] = self._block(int(cutoff))[slots[rows]]
-        if self.hybrid and self._green is not None:
-            stacked = np.log1p(self._green.activity(entity_keys, cutoffs))[:, None]
+        if self.hybrid and self.green is not None:
+            stacked = np.log1p(self.green.activity(entity_keys, cutoffs))[:, None]
             out = np.hstack([out, stacked])
         return out
 
-    def fit(
-        self,
-        train_keys: np.ndarray,
-        train_cutoffs: np.ndarray,
-        train_labels: np.ndarray,
-        val_keys: np.ndarray,
-        val_cutoffs: np.ndarray,
-        val_labels: np.ndarray,
-    ) -> "YellowTier":
+    def fit(self, train: LabelTable, val: LabelTable) -> "YellowTier":
         """Fit the GBDT on auto features with validation early stopping."""
-        x_train = self.features(train_keys, train_cutoffs)
+        x_train = self.features(train.entity_keys, train.cutoffs)
         eval_set = None
-        if len(val_keys):
-            eval_set = (self.features(val_keys, val_cutoffs), val_labels)
-        if self.task == "binary":
-            self.estimator = GradientBoostingClassifier(
-                num_rounds=100, learning_rate=0.1, max_depth=4
-            )
-        else:
-            self.estimator = GradientBoostingRegressor(
-                num_rounds=100, learning_rate=0.1, max_depth=4
-            )
-        self.estimator.fit(x_train, train_labels, eval_set=eval_set)
+        if len(val):
+            eval_set = (self.features(val.entity_keys, val.cutoffs), val.labels)
+        boosting = (
+            GradientBoostingClassifier if self.task == "binary" else GradientBoostingRegressor
+        )
+        self.estimator = boosting(num_rounds=100, learning_rate=0.1, max_depth=4)
+        self.estimator.fit(x_train, train.labels, eval_set=eval_set)
         return self
 
     def predict(self, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -523,6 +556,24 @@ class RoutedPredictiveModel:
         self._red_calls = 0
         self._lock = threading.Lock()
 
+    @classmethod
+    def over(
+        cls, red: TrainedPredictiveModel, router: Optional[RouterConfig] = None
+    ) -> "RoutedPredictiveModel":
+        """``red`` over the cheap tiers it already owns, uncalibrated.
+
+        A red whose GNN stage degraded owns the tiers it degraded to
+        (its ``baseline``); any other gets the unfitted green tier as
+        its floor.  Enough for forced routes, so this is an unrouted
+        model's whole ladder; :func:`fit_routed` starts from it.
+        """
+        base = red.baseline
+        yellow = base if base is not None and base.kind == YELLOW else None
+        green = yellow.green if yellow is not None else base
+        if green is None:
+            green = GreenTier.for_binding(red.binding).bind(red.db, red.graph)
+        return cls(red, green, yellow, {}, CostModel({}), router or RouterConfig())
+
     # -- TrainedPredictiveModel surface --------------------------------
     @property
     def db(self):
@@ -574,14 +625,21 @@ class RoutedPredictiveModel:
 
     # -- routing -------------------------------------------------------
     def available_tiers(self) -> List[str]:
-        """Fitted tiers, cheapest first; red is always present."""
+        """Tiers that can answer, cheapest first.  A red whose GNN
+        stage degraded is not one: its ``baseline`` *is* a cheaper
+        tier, which answers under its own name."""
         tiers = []
         if self.green is not None:
             tiers.append(GREEN)
         if self.yellow is not None:
             tiers.append(YELLOW)
-        tiers.append(RED)
+        if self.red.degraded_from is None:
+            tiers.append(RED)
         return tiers
+
+    def ladder(self) -> "RoutedPredictiveModel":
+        """A routed model is its own degradation ladder."""
+        return self
 
     def _cache_hit_rate(self) -> float:
         snapshot = self.red.sampler_cache_snapshot()
@@ -597,9 +655,7 @@ class RoutedPredictiveModel:
         forces the tier; estimates are still computed so forced runs
         report the same cost accounting as auto runs.
         """
-        forced = route if route is not None else self.router.route
-        if forced not in ("auto",) + TIERS:
-            raise ValueError(f"route must be auto|green|yellow|red, got {forced!r}")
+        forced = check_route(route if route is not None else self.router.route)
         available = self.available_tiers()
         with self._lock:
             warm = self._red_calls > 0
@@ -654,8 +710,6 @@ class RoutedPredictiveModel:
         )
         if not blend:
             return self.red.predict(entity_keys, cutoffs)
-        from repro.graph.builder import node_index_for_keys
-
         entity_type = self.binding.query.entity_table
         ids = node_index_for_keys(self.graph, entity_type, np.asarray(entity_keys))
         if self.task_type == TaskType.BINARY:
@@ -667,19 +721,18 @@ class RoutedPredictiveModel:
             entity_keys, cutoffs
         )
 
-    def predict(self, entity_keys: np.ndarray, cutoff, route: Optional[str] = None) -> np.ndarray:
-        """Routed predictions (node tasks); see :meth:`decide`."""
-        if self.task_type == TaskType.LINK:
-            raise RuntimeError("predict() is for node tasks; use rank_items() for LIST queries")
+    def _routed(self, span_name: str, entity_keys, cutoff, route: Optional[str], run):
+        """Decide, then ``run(tier, keys, cutoffs)`` under a span with
+        the decision's estimated and realized cost accounted."""
         entity_keys = np.asarray(entity_keys)
         cutoffs = TrainedPredictiveModel._resolve_cutoffs(cutoff, len(entity_keys))
         decision = self.decide(len(entity_keys), route)
-        with obs_trace.span("router.predict") as route_span:
+        with obs_trace.span(span_name) as route_span:
             route_span.add_counter(f"router.route.{decision.tier}")
             route_span.add_counter("router.rows", len(entity_keys))
             route_span.add_counter("router.est_cost_us", int(decision.est_cost_ms * 1000))
             start = time.perf_counter()
-            out = self._tier_predict(decision.tier, entity_keys, cutoffs)
+            out = run(decision.tier, entity_keys, cutoffs)
             decision.realized_cost_ms = (time.perf_counter() - start) * 1000.0
             route_span.add_counter(
                 "router.realized_cost_us", int(decision.realized_cost_ms * 1000)
@@ -687,30 +740,24 @@ class RoutedPredictiveModel:
         self._account(decision)
         return out
 
+    def predict(self, entity_keys: np.ndarray, cutoff, route: Optional[str] = None) -> np.ndarray:
+        """Routed predictions (node tasks); see :meth:`decide`."""
+        if self.task_type == TaskType.LINK:
+            raise RuntimeError("predict() is for node tasks; use rank_items() for LIST queries")
+        return self._routed("router.predict", entity_keys, cutoff, route, self._tier_predict)
+
     def rank_items(
         self, entity_keys: np.ndarray, cutoff, k: int = 10, route: Optional[str] = None
     ):
         """Routed top-``k`` rankings (link tasks); green = popularity."""
         if self.task_type != TaskType.LINK:
             raise RuntimeError("rank_items() is only available for LIST queries")
-        entity_keys = np.asarray(entity_keys)
-        cutoffs = TrainedPredictiveModel._resolve_cutoffs(cutoff, len(entity_keys))
-        decision = self.decide(len(entity_keys), route)
-        with obs_trace.span("router.rank") as route_span:
-            route_span.add_counter(f"router.route.{decision.tier}")
-            route_span.add_counter("router.rows", len(entity_keys))
-            route_span.add_counter("router.est_cost_us", int(decision.est_cost_ms * 1000))
-            start = time.perf_counter()
-            if decision.tier == GREEN:
-                out = self.green._heuristic.rank(entity_keys, cutoffs, k)
-            else:
-                out = self.red.rank_items(entity_keys, cutoffs, k)
-            decision.realized_cost_ms = (time.perf_counter() - start) * 1000.0
-            route_span.add_counter(
-                "router.realized_cost_us", int(decision.realized_cost_ms * 1000)
-            )
-        self._account(decision)
-        return out
+
+        def rank(tier: str, keys: np.ndarray, cutoffs: np.ndarray):
+            ranker = self.green.rank if tier == GREEN else self.red.rank_items
+            return ranker(keys, cutoffs, k)
+
+        return self._routed("router.rank", entity_keys, cutoff, route, rank)
 
     def _account(self, decision: RouteDecision) -> None:
         get_registry().counter(f"router.route.{decision.tier}").inc()
@@ -727,33 +774,7 @@ class RoutedPredictiveModel:
             return self.red.evaluate(cutoff, k)
         labels = build_label_table(self.db, self.binding, [int(cutoff)])
         predictions = self.predict(labels.entity_keys, int(cutoff), route=route)
-        from repro.eval.metrics import (
-            accuracy,
-            average_precision,
-            brier_score,
-            expected_calibration_error,
-            f1_score,
-            r2_score,
-            rmse,
-        )
-
-        if self.task_type == TaskType.BINARY:
-            return {
-                "auroc": auroc(labels.labels, predictions),
-                "average_precision": average_precision(labels.labels, predictions),
-                "accuracy": accuracy(labels.labels, (predictions > 0.5).astype(float)),
-                "f1": f1_score(labels.labels, (predictions > 0.5).astype(float)),
-                "brier": brier_score(labels.labels, predictions),
-                "ece": expected_calibration_error(labels.labels, predictions),
-                "num_examples": float(len(labels)),
-                "positive_rate": labels.positive_rate,
-            }
-        return {
-            "mae": mae(labels.labels, predictions),
-            "rmse": rmse(labels.labels, predictions),
-            "r2": r2_score(labels.labels, predictions),
-            "num_examples": float(len(labels)),
-        }
+        return self.red.node_metrics(labels, predictions)
 
     # -- persistence ---------------------------------------------------
     def save(self, directory: str) -> None:
@@ -772,7 +793,6 @@ class RoutedPredictiveModel:
             "quality": {t: float(q) for t, q in self.quality.items()},
             "per_row_ms": self.cost.per_row_ms(),
             "overhead_ms": self.cost.overhead_ms(),
-            "fanout_work": self.cost.fanout_work,
             "blend_alpha": self.blend_alpha,
             "tiers_sha256": sha256_file(tiers_path),
         }
@@ -796,16 +816,14 @@ class RoutedPredictiveModel:
             tiers = pickle.loads(fh.read())
         green: Optional[GreenTier] = tiers.get("green")
         yellow: Optional[YellowTier] = tiers.get("yellow")
-        if green is not None:
-            green.bind(red.graph)
-        if yellow is not None:
-            yellow.bind(db, green)
+        if yellow is not None and yellow.green is None:
+            yellow.green = green
+        (yellow or green).bind(db, red.graph)  # yellow binds the green it stacks
+        if red.baseline is not None:
+            # A degraded red saved the same rungs twice; keep one copy.
+            red.baseline = yellow or green
         router = RouterConfig(**manifest["router"])
-        cost = CostModel(
-            manifest["per_row_ms"],
-            fanout_work=manifest.get("fanout_work", 1.0),
-            overhead_ms=manifest.get("overhead_ms"),
-        )
+        cost = CostModel(manifest["per_row_ms"], overhead_ms=manifest.get("overhead_ms"))
         return cls(
             red=red,
             green=green,
@@ -837,8 +855,6 @@ def _tune_blend_alpha(
     task: str,
 ) -> float:
     """Grid-search the GBDT→GNN stacking weight on validation."""
-    from repro.graph.builder import node_index_for_keys
-
     entity_type = red.binding.query.entity_table
     ids = node_index_for_keys(red.graph, entity_type, val.entity_keys)
     yellow_pred = yellow.predict(val.entity_keys, val.cutoffs)
@@ -868,32 +884,50 @@ def _tune_blend_alpha(
     return best_alpha
 
 
-def _fit_link_tiers(
-    red: TrainedPredictiveModel, val: LabelTable, router: RouterConfig, seed: int
-) -> Tuple[Optional[GreenTier], Dict[str, float], Dict[str, float]]:
-    """Green popularity tier + qualities/costs for LIST queries."""
-    entity_table = red.binding.query.entity_table
-    green = GreenTier(entity_table, "link", item_table=red.binding.item_table).bind(red.graph)
+def fit_green(db, graph, binding, train: LabelTable) -> GreenTier:
+    """The bound GREEN rung: calibrated on ``train``, except for LIST
+    queries, whose popularity needs no fitting."""
+    green = GreenTier.for_binding(binding).bind(db, graph)
+    if binding.task_type != TaskType.LINK:
+        green.fit(train.entity_keys, train.cutoffs, train.labels)
+    return green
+
+
+def fit_yellow(
+    db, graph, binding, green: GreenTier, train: LabelTable, val: LabelTable,
+    hybrid: bool = True,
+) -> YellowTier:
+    """The bound YELLOW rung of a node-task query, over ``green``.
+    With :func:`fit_green`, how cheap tiers get fitted: by
+    :func:`fit_routed` next to a healthy GNN, by the planner's
+    degradation path instead of one."""
+    yellow = YellowTier(binding.query.entity_table, binding.task_type.value, hybrid, green)
+    return yellow.bind(db, graph).fit(train, val)
+
+
+def _calibrate_link(model: RoutedPredictiveModel, val: LabelTable, seed: int) -> None:
+    """Hit-rate@10 quality and per-row cost of each LIST tier, on ``val``."""
+    tiers = model.available_tiers()
     keep = [i for i, items in enumerate(val.item_keys or []) if len(items) > 0]
     if not keep:
-        return green, {GREEN: 0.5, RED: 0.5}, {GREEN: 0.05, RED: 5.0}
-    subset = _cap_labels(val.subset(np.asarray(keep)), min(router.max_calibration_rows, 64), seed)
-
-    def hit_rate(rank_fn) -> Tuple[float, float]:
+        model.quality = {tier: 0.5 for tier in tiers}
+        model.cost = CostModel({tier: {GREEN: 0.05, RED: 5.0}[tier] for tier in tiers})
+        return
+    cap = min(model.router.max_calibration_rows, 64)
+    subset = _cap_labels(val.subset(np.asarray(keep)), cap, seed)
+    rank = {GREEN: model.green.rank, RED: model.red.rank_items}
+    per_row_ms = {}
+    for tier in tiers:
         start = time.perf_counter()
-        ranked = rank_fn(subset.entity_keys, subset.cutoffs, 10)
+        ranked = rank[tier](subset.entity_keys, subset.cutoffs, 10)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        hits = 0
-        for (item_keys, _), relevant in zip(ranked, subset.item_keys):
-            if np.isin(item_keys, np.asarray(relevant)).any():
-                hits += 1
-        return hits / len(ranked), elapsed_ms / len(ranked)
-
-    green_q, green_ms = hit_rate(lambda k, c, n: green._heuristic.rank(k, c, n))
-    red_q, red_ms = hit_rate(lambda k, c, n: red.rank_items(k, c, n))
-    quality = {GREEN: green_q, RED: red_q}
-    per_row_ms = {GREEN: max(green_ms, 1e-4), RED: max(red_ms, 1e-4)}
-    return green, quality, per_row_ms
+        hits = sum(
+            bool(np.isin(item_keys, np.asarray(relevant)).any())
+            for (item_keys, _), relevant in zip(ranked, subset.item_keys)
+        )
+        model.quality[tier] = hits / len(ranked)
+        per_row_ms[tier] = max(elapsed_ms / len(ranked), 1e-4)
+    model.cost = CostModel(per_row_ms)
 
 
 def fit_routed(
@@ -905,64 +939,39 @@ def fit_routed(
     """Fit the full tier ladder for one predictive query.
 
     Red is the planner's normal :meth:`~PredictiveQueryPlanner.fit`
-    (plan cache, resilience, degradation ladder all apply); green and
-    yellow are fitted against the same label tables; per-tier
-    validation quality and per-row cost are measured on a capped
-    validation sample and recorded as the router's calibration.
+    (plan cache, resilience, degradation all apply); green and yellow
+    are fitted against the same label tables; per-tier validation
+    quality and per-row cost are measured on a capped validation
+    sample and recorded as the router's calibration.  A red whose GNN
+    stage degraded already holds fitted cheap tiers: those are reused,
+    and red itself is left out of :meth:`~RoutedPredictiveModel.available_tiers`.
     """
     router = router or RouterConfig()
     red = planner.fit(query, split)
     binding = red.binding
     seed = planner.config.seed
     with obs_trace.span("router.fit") as fit_span:
+        val = build_label_table(planner.db, binding, [split.val_cutoff])
+        model = RoutedPredictiveModel.over(red, router)
         if binding.task_type == TaskType.LINK:
-            val = build_label_table(planner.db, binding, [split.val_cutoff])
-            green, quality, per_row_ms = _fit_link_tiers(red, val, router, seed)
-            fanout = estimate_fanout_work(
-                red.graph, binding.query.entity_table, planner.config.fanouts or [8] * planner.config.num_layers
-            )
-            model = RoutedPredictiveModel(
-                red=red,
-                green=green,
-                yellow=None,
-                quality=quality,
-                cost=CostModel(per_row_ms, fanout_work=fanout),
-                router=router,
-            )
+            _calibrate_link(model, val, seed)
             fit_span.add_counter("router.tiers", len(model.available_tiers()))
             return model
 
-        task = "binary" if binding.task_type == TaskType.BINARY else "regression"
-        entity_table = binding.query.entity_table
-        train = planner._maybe_subsample(
-            build_label_table(planner.db, binding, split.train_cutoffs)
-        )
-        val = build_label_table(planner.db, binding, [split.val_cutoff])
+        task = binding.task_type.value
         cal = _cap_labels(val, router.max_calibration_rows, seed + 11)
-
-        with obs_trace.span("router.fit_green"):
-            green = GreenTier(entity_table, task).bind(red.graph)
-            green.fit(train.entity_keys, train.cutoffs, train.labels)
-        with obs_trace.span("router.fit_yellow"):
-            yellow = YellowTier(entity_table, task, hybrid=router.hybrid).bind(planner.db, green)
-            yellow.fit(
-                train.entity_keys, train.cutoffs, train.labels,
-                val.entity_keys, val.cutoffs, val.labels,
+        if red.degraded_from is None:
+            train = planner._maybe_subsample(
+                build_label_table(planner.db, binding, split.train_cutoffs)
             )
-
-        blend_alpha = 1.0
-        if router.hybrid and red.node_trainer is not None and len(cal):
-            blend_alpha = _tune_blend_alpha(red, yellow, cal, task)
-
-        model = RoutedPredictiveModel(
-            red=red,
-            green=green,
-            yellow=yellow,
-            quality={},
-            cost=CostModel({GREEN: 0.01, YELLOW: 0.1, RED: 1.0}),
-            router=router,
-        )
-        model.blend_alpha = blend_alpha
+            with obs_trace.span("router.fit_green"):
+                model.green = fit_green(planner.db, red.graph, binding, train)
+            with obs_trace.span("router.fit_yellow"):
+                model.yellow = fit_yellow(
+                    planner.db, red.graph, binding, model.green, train, val, router.hybrid
+                )
+            if router.hybrid and len(cal):
+                model.blend_alpha = _tune_blend_alpha(red, model.yellow, cal, task)
 
         # Calibrate: score the validation sample through each tier,
         # measuring quality and per-row cost with the same clock the
@@ -985,18 +994,15 @@ def fit_routed(
                 overhead_ms[tier] = max(single_ms - per_row_ms[tier], 0.0)
                 cal_span.add_counter(f"router.quality_bp.{tier}", int(quality[tier] * 10000))
             cal_span.add_counter("router.calibration_rows", len(cal))
-        fanout = estimate_fanout_work(
-            red.graph, entity_table, planner.config.fanouts or [8] * planner.config.num_layers
-        )
         model.quality = quality
-        model.cost = CostModel(per_row_ms, fanout_work=fanout, overhead_ms=overhead_ms)
+        model.cost = CostModel(per_row_ms, overhead_ms=overhead_ms)
         fit_span.add_counter("router.tiers", len(model.available_tiers()))
         _log.info(
             "router calibrated",
             extra={
                 "quality": {t: round(q, 4) for t, q in quality.items()},
                 "per_row_ms": {t: round(c, 4) for t, c in per_row_ms.items()},
-                "blend_alpha": blend_alpha,
+                "blend_alpha": model.blend_alpha,
             },
         )
     return model

@@ -12,14 +12,14 @@ dependency-free and off by default:
   detection with restore-and-halve-LR recovery;
 * :mod:`repro.resilience.retry` — per-stage deadline budgets and
   seeded exponential-backoff retries;
-* :mod:`repro.resilience.fallback` — the GNN → GBDT → heuristic
-  degradation ladder;
 * :mod:`repro.resilience.faults` — a seeded fault injector that makes
   every recovery path above deterministic to test.
 
 :class:`ResilienceConfig` is the single knob surface: the planner
 takes one and threads the relevant pieces into labeling, graph build,
-training, and persistence.
+training, and persistence.  What a failed GNN stage degrades *to* is
+not defined here: with ``fallback`` on, the planner descends the
+router's tier ladder (YELLOW, then GREEN — :mod:`repro.pql.router`).
 """
 
 from __future__ import annotations
@@ -57,18 +57,6 @@ from repro.resilience.retry import (
     run_stage,
 )
 
-# Imported last: fallback reaches into repro.pql (for label/AST types),
-# which imports the planner, which imports the leaf modules above —
-# every other name in this package must already be bound by the time
-# that cycle re-enters here.
-from repro.resilience.fallback import (
-    FALLBACK_KINDS,
-    GBDTFallback,
-    HeuristicFallback,
-    PopularityFallback,
-    fit_fallback,
-)
-
 __all__ = [
     "CheckpointManager",
     "CorruptCheckpointError",
@@ -76,13 +64,9 @@ __all__ = [
     "Deadline",
     "DivergenceError",
     "DivergenceGuard",
-    "FALLBACK_KINDS",
     "FaultInjector",
     "FaultSpec",
-    "GBDTFallback",
-    "HeuristicFallback",
     "InjectedFault",
-    "PopularityFallback",
     "ResilienceConfig",
     "RETRYABLE_ERRORS",
     "RetryPolicy",
@@ -95,7 +79,6 @@ __all__ = [
     "corrupt_value",
     "fault_file",
     "fault_point",
-    "fit_fallback",
     "get_injector",
     "injected",
     "install",

@@ -1,10 +1,4 @@
-"""The planner-facing fault-tolerance policy object.
-
-Lives in its own leaf module (rather than the package ``__init__``) so
-the planner and trainers can import it without triggering the full
-package import — :mod:`repro.resilience.fallback` reaches back into
-``repro.pql``, which would otherwise cycle.
-"""
+"""The planner-facing fault-tolerance policy object."""
 
 from __future__ import annotations
 
@@ -38,11 +32,9 @@ class ResilienceConfig:
     #: Per-stage wall-clock budgets, e.g. ``{"train": 600.0}``.  Keys:
     #: ``label``, ``graph_build``, ``train``, ``evaluate``.
     stage_timeouts: Dict[str, float] = field(default_factory=dict)
-    #: Degrade GNN failures down the GBDT → heuristic ladder instead of
-    #: failing the whole fit.
+    #: Degrade a failed GNN stage down the tier ladder (YELLOW, then
+    #: GREEN) instead of failing the whole fit.
     fallback: bool = False
-    #: Two-hop features for the GBDT rung (slower, slightly better).
-    fallback_two_hop: bool = False
     #: Divergence recoveries (restore + halve LR) before giving up.
     divergence_recoveries: int = 2
     #: LR multiplier applied on each divergence recovery.

@@ -17,16 +17,15 @@ into an in-process prediction service:
   resolves responses strictly in submission order;
 * :mod:`repro.serve.service` — :class:`PredictionService`, the
   programmatic API: admission control (queue-depth fast-reject),
-  per-request deadlines, serve-time graceful degradation (GNN →
-  saved fallback → activity heuristic) when the model breaks its
+  per-request deadlines, serve-time graceful degradation (a forced
+  route one rung down the model's GREEN < YELLOW < RED tier ladder,
+  :mod:`repro.pql.router`) when the model path raises or breaks its
   latency budget, **zero-downtime hot swap** between registry
   versions, and warm subgraph / item-embedding caches shared across
   requests;
 * :mod:`repro.serve.canary` — :class:`CanaryController`, shadowing a
   fraction of live traffic to a challenger model and auto-promoting
   on sustained parity / rolling back on regression;
-* :mod:`repro.serve.fallback` — the zero-training activity heuristic
-  that backs the last rung of the serve-time ladder;
 * :mod:`repro.serve.protocol` — the JSON-lines request/response
   encoding behind ``python -m repro serve``, including the ``swap`` /
   ``canary`` / ``lifecycle`` management verbs.
@@ -52,7 +51,6 @@ from repro.serve.batcher import (
     ServiceClosedError,
 )
 from repro.serve.canary import CanaryConfig, CanaryController
-from repro.serve.fallback import ActivityHeuristic
 from repro.serve.protocol import (
     GracefulShutdown,
     ShutdownLatch,
@@ -63,7 +61,6 @@ from repro.serve.registry import ModelRegistry, RegistryError, RegistryVersionEr
 from repro.serve.service import PredictionService, ServeConfig
 
 __all__ = [
-    "ActivityHeuristic",
     "CanaryConfig",
     "CanaryController",
     "DeadlineExceededError",

@@ -134,11 +134,6 @@ def parse_request(line) -> Dict[str, Any]:
             raise BadRequestError("entity_keys must be a non-empty list")
         if "cutoff" not in request:
             raise BadRequestError("cutoff is required")
-        route = request.get("route")
-        if route is not None and route not in ("auto", "green", "yellow", "red"):
-            raise BadRequestError(
-                f"route must be auto|green|yellow|red, got {route!r}"
-            )
     if op == "stats":
         fmt = request.get("format", "json")
         if fmt not in ("json", "prometheus"):

@@ -31,11 +31,16 @@ Behind ``predict``/``rank`` sits the full serving contract:
   resolves to :class:`~repro.serve.batcher.DeadlineExceededError`;
 * **graceful degradation** — when the model path raises, or breaks
   ``latency_budget_ms`` for ``budget_breaches`` consecutive batches,
-  the service descends to the cheapest rung that still answers: the
-  model's own saved fallback baseline if it has one, else the
-  :class:`~repro.serve.fallback.ActivityHeuristic`.  The switch is
-  recorded (``serve.fallbacks`` counter, ``degraded`` in
-  :meth:`stats`) so monitoring can tell fast-but-crude from healthy;
+  the service trusts one rung less of the model's
+  ``GREEN < YELLOW < RED`` ladder and forces every batch onto the
+  highest rung still trusted (an unrouted model's ladder is the
+  unfitted green tier under the model itself); the same failure on
+  that rung lowers it again, and green's own errors propagate.  A
+  degraded answer is an ordinary forced route, so it carries the
+  route record (``forced``, ``reason`` starting ``degraded:``), and
+  each descent is recorded (``serve.fallbacks`` counter, ``degraded``
+  in :meth:`stats`) so monitoring can tell fast-but-crude from
+  healthy;
 * **hot swap** — :meth:`swap` (and :meth:`swap_model`) replaces the
   live model **between micro-batches with zero downtime**: every
   request captures the live :class:`_ModelSlot` at admission and its
@@ -77,10 +82,10 @@ import numpy as np
 from repro.obs import get_logger, get_registry
 from repro.obs.telemetry import ServingTelemetry, TelemetryConfig, current_request_ids
 from repro.pql.ast import TaskType
+from repro.pql.router import TIERS, check_route
 from repro.resilience.faults import fault_point
 from repro.serve.batcher import MicroBatcher, ResponseFuture
 from repro.serve.canary import CanaryConfig, CanaryController
-from repro.serve.fallback import ActivityHeuristic
 
 __all__ = ["PredictionService", "ServeConfig"]
 
@@ -211,7 +216,7 @@ class _ModelSlot:
     already in flight.  Slots are compared by identity when coalescing.
     """
 
-    __slots__ = ("model", "label", "version", "heuristic", "task", "routed")
+    __slots__ = ("model", "label", "version", "routed", "ladder", "rungs")
 
     def __init__(self, model, label: str, version: Optional[int]) -> None:
         self.model = model
@@ -219,12 +224,13 @@ class _ModelSlot:
         self.label = label
         #: Registry version number when known, else None.
         self.version = version
-        entity_type = model.binding.query.entity_table
-        item_type = model.binding.item_table if model.task_type == TaskType.LINK else ""
-        self.heuristic = ActivityHeuristic(model.graph, entity_type, item_type)
-        self.task = "binary" if model.task_type == TaskType.BINARY else "regression"
+        #: What forced routes execute on: a routed model itself, else
+        #: the model over its unfitted green tier.
+        self.ladder = model.ladder()
         #: Whether the model routes across GREEN/YELLOW/RED tiers.
-        self.routed = hasattr(model, "decide") and hasattr(model, "last_route")
+        self.routed = self.ladder is model
+        #: Its tiers, cheapest first; the last is the model path.
+        self.rungs = self.ladder.available_tiers()
 
 
 class PredictionService:
@@ -232,14 +238,13 @@ class PredictionService:
 
     def __init__(self, model, config: Optional[ServeConfig] = None, name: str = "model") -> None:
         self.config = config or ServeConfig()
-        if self.config.route not in ("auto", "green", "yellow", "red"):
-            raise ValueError(
-                f"route must be auto|green|yellow|red, got {self.config.route!r}"
-            )
+        check_route(self.config.route)
         self._slot = _ModelSlot(model, label=name, version=None)
         if self._slot.routed and self.config.quality_floor is not None:
             model.router.quality_floor = float(self.config.quality_floor)
-        self._degraded = False
+        #: The highest rung still trusted, forced on every batch while
+        #: degraded; None = healthy (the model path, routed as configured).
+        self._rung: Optional[str] = None
         self._degraded_reason: Optional[str] = None
         self._breaches = 0
         self._state_lock = threading.Lock()
@@ -343,8 +348,8 @@ class PredictionService:
 
     def _resolve_route(self, route: Optional[str]) -> Optional[str]:
         """Per-request route, validated; None when the model is unrouted."""
-        if route is not None and route not in ("auto", "green", "yellow", "red"):
-            raise ValueError(f"route must be auto|green|yellow|red, got {route!r}")
+        if route is not None:
+            check_route(route)
         if not self._slot.routed:
             if route is not None:
                 raise ValueError("route is only supported for routed models")
@@ -435,14 +440,15 @@ class PredictionService:
     def _model_call(self, slot: _ModelSlot, op: str, k: int,
                     keys: np.ndarray, cutoffs: np.ndarray,
                     route: Optional[str] = None):
-        if slot.routed:
-            # Per-request route wins; otherwise the service default.
+        if slot.routed or route is not None:
+            # Per-request (or degraded-rung) route wins; otherwise the
+            # service default.  An unrouted slot has only rungs to force.
             resolved = route if route is not None else self.config.route
             if op == "rank":
-                result = slot.model.rank_items(keys, cutoffs, k=k, route=resolved)
+                result = slot.ladder.rank_items(keys, cutoffs, k=k, route=resolved)
             else:
-                result = slot.model.predict(keys, cutoffs, route=resolved)
-            decision = slot.model.last_route
+                result = slot.ladder.predict(keys, cutoffs, route=resolved)
+            decision = slot.ladder.last_route
             return _attach_route(
                 result, decision.to_dict() if decision is not None else None
             )
@@ -450,19 +456,18 @@ class PredictionService:
             return slot.model.rank_items(keys, cutoffs, k=k)
         return slot.model.predict(keys, cutoffs)
 
-    def _fallback_call(self, slot: _ModelSlot, op: str, k: int,
-                       keys: np.ndarray, cutoffs: np.ndarray):
-        get_registry().counter("serve.degraded_batches").inc()
-        if op == "rank":
-            return slot.heuristic.rank(keys, cutoffs, k)
-        return slot.heuristic.predict(keys, cutoffs, slot.task)
-
-    def _degrade(self, reason: str) -> None:
+    def _lower(self, slot: _ModelSlot, current: Optional[str], reason: str) -> Optional[str]:
+        """Trust one rung less than ``current`` (None = the model path);
+        returns the rung now forced, or None at the bottom of the ladder."""
+        ceiling = TIERS.index(current if current is not None else slot.rungs[-1])
+        below = [tier for tier in slot.rungs if TIERS.index(tier) < ceiling]
+        if not below:
+            return None
+        rung = below[-1]
         with self._state_lock:
-            if self._degraded:
-                return
-            self._degraded = True
+            self._rung = rung
             self._degraded_reason = reason
+            self._breaches = 0
         get_registry().counter("serve.fallbacks").inc()
         # Provenance: which requests were in flight when the ladder
         # engaged — the batcher stamps the executing batch's request IDs
@@ -470,7 +475,55 @@ class PredictionService:
         self.telemetry.record_event(
             "degraded", reason, request_ids=current_request_ids()
         )
-        _log.warning("serving degraded to the heuristic rung", extra={"reason": reason})
+        _log.warning(f"serving degraded to the {rung} rung", extra={"reason": reason})
+        return rung
+
+    def _settle(self, slot: _ModelSlot, rung: Optional[str], result, rows: int,
+                elapsed_ms: float) -> None:
+        """Post-batch accounting: route counters and the latency budget
+        of the rung that answered (None = the model path)."""
+        decision = getattr(result, "route", None)
+        if decision is not None:
+            get_registry().counter(f"serve.route.{decision['tier']}").inc()
+            get_registry().counter(
+                f"serve.route_rows.{decision['tier']}"
+            ).inc(rows)
+        budget = self.config.latency_budget_ms
+        if budget is not None and self.config.fallback:
+            if elapsed_ms > budget:
+                with self._state_lock:
+                    self._breaches += 1
+                    breaches = self._breaches
+                get_registry().counter("serve.budget_breaches").inc()
+                if breaches >= self.config.budget_breaches:
+                    self._lower(
+                        slot, rung,
+                        f"latency budget broken {breaches}x in a row "
+                        f"(last batch {elapsed_ms:.1f}ms > {budget:.1f}ms)",
+                    )
+            else:
+                with self._state_lock:
+                    self._breaches = 0
+
+    def _run_degraded(self, slot: _ModelSlot, op: str, k: int, keys: np.ndarray,
+                      cutoffs: np.ndarray, rung: str):
+        """One batch forced onto ``rung``, descending while rungs fail."""
+        get_registry().counter("serve.degraded_batches").inc()
+        while True:
+            start = time.monotonic()
+            try:
+                result = self._model_call(slot, op, k, keys, cutoffs, route=rung)
+            except Exception as err:
+                failed = rung
+                rung = self._lower(
+                    slot, failed, f"{failed} rung failed: {type(err).__name__}: {err}"
+                )
+                if rung is None:
+                    raise
+                continue
+            result.route["reason"] = f"degraded: {self._degraded_reason}"
+            self._settle(slot, rung, result, len(keys), (time.monotonic() - start) * 1000.0)
+            return result
 
     def _execute(self, op: str, k: int, keys: np.ndarray, cutoffs: np.ndarray,
                  slot: Optional[_ModelSlot], route: Optional[str] = None):
@@ -480,43 +533,28 @@ class PredictionService:
         these requests were promised.  A batch admitted before a swap
         still runs here against its original slot even though
         ``self._slot`` has moved on.  ``route`` is the batch's forced
-        tier (routed models only; None = the service default).
+        tier (routed models only; None = the service default); while
+        the service is degraded the trusted rung overrides it.
         """
         if slot is None:
             slot = self._slot
-        if self._degraded:
-            return self._fallback_call(slot, op, k, keys, cutoffs)
+        rung = self._rung
+        if rung is not None:
+            return self._run_degraded(slot, op, k, keys, cutoffs, rung)
         fault_point("service.execute")
         start = time.monotonic()
         try:
             result = self._model_call(slot, op, k, keys, cutoffs, route=route)
         except Exception as err:
-            if not self.config.fallback:
+            if self.config.fallback:
+                rung = self._lower(
+                    slot, None, f"model path failed: {type(err).__name__}: {err}"
+                )
+            if rung is None:
                 raise
-            self._degrade(f"model path failed: {type(err).__name__}: {err}")
-            return self._fallback_call(slot, op, k, keys, cutoffs)
+            return self._run_degraded(slot, op, k, keys, cutoffs, rung)
         elapsed_ms = (time.monotonic() - start) * 1000.0
-        decision = getattr(result, "route", None)
-        if decision is not None:
-            get_registry().counter(f"serve.route.{decision['tier']}").inc()
-            get_registry().counter(
-                f"serve.route_rows.{decision['tier']}"
-            ).inc(len(keys))
-        budget = self.config.latency_budget_ms
-        if budget is not None and self.config.fallback:
-            if elapsed_ms > budget:
-                with self._state_lock:
-                    self._breaches += 1
-                    breaches = self._breaches
-                get_registry().counter("serve.budget_breaches").inc()
-                if breaches >= self.config.budget_breaches:
-                    self._degrade(
-                        f"latency budget broken {breaches}x in a row "
-                        f"(last batch {elapsed_ms:.1f}ms > {budget:.1f}ms)"
-                    )
-            else:
-                with self._state_lock:
-                    self._breaches = 0
+        self._settle(slot, None, result, len(keys), elapsed_ms)
         canary = self._canary
         if canary is not None and slot is self._slot:
             # Shadow only traffic served by the *incumbent* slot: batches
@@ -581,8 +619,8 @@ class PredictionService:
         with self._state_lock:
             previous = self._slot
             self._slot = slot          # the atomic switch: new admissions see `slot`
-            was_degraded = self._degraded
-            self._degraded = False
+            was_degraded = self._rung is not None
+            self._rung = None
             self._degraded_reason = None
             self._breaches = 0
         transition = {
@@ -752,14 +790,14 @@ class PredictionService:
     # ------------------------------------------------------------------
     @property
     def degraded(self) -> bool:
-        """Whether the service has descended to the fallback rung."""
-        return self._degraded
+        """Whether batches are being forced onto a rung under the model path."""
+        return self._rung is not None
 
     def restore(self) -> None:
         """Manually climb back to the model path (operator action)."""
         with self._state_lock:
-            was_degraded = self._degraded
-            self._degraded = False
+            was_degraded = self._rung is not None
+            self._rung = None
             self._degraded_reason = None
             self._breaches = 0
         if was_degraded:
@@ -790,7 +828,7 @@ class PredictionService:
         stats = {
             "name": self.name,
             "task_type": self.model.task_type.value,
-            "degraded": self._degraded,
+            "degraded": self.degraded,
             "degraded_reason": self._degraded_reason,
             "model_degraded_from": self.model.degraded_from,
             "queue_depth": self._batcher.queue_depth,
@@ -816,9 +854,9 @@ class PredictionService:
         slo = self.telemetry.slo
         canary = self._canary
         return {
-            "status": "degraded" if self._degraded else "ok",
+            "status": "degraded" if self.degraded else "ok",
             "name": self.name,
-            "degraded": self._degraded,
+            "degraded": self.degraded,
             "degraded_reason": self._degraded_reason,
             "queue_depth": self._batcher.queue_depth,
             "slo_breaching": slo.breaching,

@@ -784,6 +784,41 @@ class TestCacheRetention:
 # ----------------------------------------------------------------------
 # apply_events_to_database
 # ----------------------------------------------------------------------
+class TestRefreshReachesTheLadder:
+    LIST_QUERY = "PREDICT LIST(orders.product_id) FOR EACH customers.id ASSUMING HORIZON 1 DAYS"
+
+    def test_degraded_list_service_ranks_from_post_ingest_counts(self, pipeline):
+        from repro.pql import PredictiveQueryPlanner, TrainedPredictiveModel
+        from repro.pql.router import GreenTier
+        from repro.serve import PredictionService
+
+        planner = PredictiveQueryPlanner(pipeline.db)
+        # No ranker at all: the first rank fails over to the green rung.
+        model = TrainedPredictiveModel(
+            pipeline.db, planner.plan(self.LIST_QUERY), pipeline.graph, planner.config
+        )
+        cutoff, keys = 1000, np.array([10])
+        with PredictionService(model) as service:
+            items, scores = service.rank(keys, cutoff, k=3)[0]
+            assert service.degraded
+            assert (items.tolist(), scores.tolist()) == ([2, 3, 1], [2.0, 2.0, 1.0])
+
+            batch = [order_event(200 + i, product=3, ts=600 + i) for i in range(20)]
+
+            def apply():
+                report = pipeline.process(batch)
+                refresh_model(model, report.delta)
+                return report
+
+            assert service.refresh_graph(apply).applied == 20
+            items, scores = service.rank(keys, cutoff, k=3)[0]
+        fresh = GreenTier.for_binding(model.binding).bind(pipeline.db, pipeline.graph)
+        want_items, want_scores = fresh.rank(keys, np.array([cutoff]), 3)[0]
+        assert (items.tolist(), scores.tolist()) == ([3, 2, 1], [22.0, 2.0, 1.0])
+        np.testing.assert_array_equal(items, want_items)
+        np.testing.assert_array_equal(scores, want_scores)
+
+
 class TestApplyEventsToDatabase:
     def test_appends_in_order_and_shares_untouched_tables(self):
         db = shop_db()

@@ -453,7 +453,7 @@ class TestDegradation:
     def test_gnn_failure_degrades_to_gbdt(self, db, split):
         model = self.degraded_model(db, split)
         assert model.degraded_from == "gnn"
-        assert model.baseline.kind == "gbdt"
+        assert model.baseline.kind == "yellow"
         assert "StageFailedError" in model.degraded_reason
         assert model.node_trainer is None
         keys = db["customers"]["id"].values[:10]
@@ -465,9 +465,13 @@ class TestDegradation:
 
     def test_gbdt_failure_degrades_to_heuristic(self, db, split):
         model = self.degraded_model(db, split, extra_faults="fallback.gbdt@1:raise")
-        assert model.baseline.kind == "heuristic"
-        preds = model.predict(db["customers"]["id"].values[:5], split.test_cutoff)
-        assert len(set(preds.tolist())) == 1  # constant predictor
+        assert model.baseline.kind == "green"
+        keys = db["customers"]["id"].values[:20]
+        preds = model.predict(keys, split.test_cutoff)
+        assert np.all((preds >= 0) & (preds <= 1))
+        # Calibrated activity: the score is a function of the count alone.
+        counts = model.baseline.activity(keys, np.full(len(keys), split.test_cutoff))
+        assert len(set(zip(counts.tolist(), preds.tolist()))) == len(set(counts.tolist()))
 
     def test_no_fallback_raises(self, db, split):
         planner = PredictiveQueryPlanner(
@@ -484,14 +488,64 @@ class TestDegradation:
         with open(os.path.join(target, "manifest.json")) as handle:
             manifest = json.load(handle)
         assert manifest["degraded_from"] == "gnn"
-        assert manifest["fallback_kind"] == "gbdt"
+        assert manifest["fallback_kind"] == "yellow"
         assert "fallback_sha256" in manifest
         loaded = TrainedPredictiveModel.load(target, db)
         assert loaded.degraded_from == "gnn"
+        assert loaded.baseline.kind == "yellow"
         keys = db["customers"]["id"].values[:10]
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             model.predict(keys, split.test_cutoff),
             loaded.predict(keys, split.test_cutoff),
+        )
+
+    def test_degraded_model_from_an_earlier_version_asks_for_a_refit(
+        self, db, split, tmp_path
+    ):
+        target = str(tmp_path / "model")
+        self.degraded_model(db, split).save(target)
+        manifest_path = os.path.join(target, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        for kind in ("gbdt", "heuristic", "popularity"):
+            manifest["fallback_kind"] = kind
+            with open(manifest_path, "w") as handle:
+                json.dump(manifest, handle)
+            with pytest.raises(CorruptModelError, match="earlier version — re-fit"):
+                TrainedPredictiveModel.load(target, db)
+
+    def test_degraded_predict_builds_features_once(self, db, split, monkeypatch):
+        from repro.baselines.features import FeatureBuilder
+
+        built = []
+        real_init = FeatureBuilder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeatureBuilder, "__init__", counting_init)
+        model = self.degraded_model(db, split)
+        assert len(built) == 1  # at bind
+        keys = db["customers"]["id"].values[:4]
+        for _ in range(20):
+            model.predict(keys, split.test_cutoff)
+        assert len(built) == 1
+
+    def test_fit_routed_reuses_the_degraded_rungs(self, db, split):
+        planner = PredictiveQueryPlanner(
+            db, fast_config(), resilience=ResilienceConfig(fallback=True)
+        )
+        with injected("trainer.step%1.0:raise"):
+            routed = planner.fit_routed(BINARY_QUERY, split)
+        assert routed.available_tiers() == ["green", "yellow"]
+        assert routed.yellow is routed.baseline
+        assert routed.green is routed.yellow.green
+        assert set(routed.quality) == {"green", "yellow"}
+        keys = db["customers"]["id"].values[:6]
+        np.testing.assert_array_equal(
+            routed.predict(keys, split.test_cutoff, route="yellow"),
+            routed.red.predict(keys, split.test_cutoff),
         )
 
     def test_list_query_degrades_to_popularity(self, db, split):
@@ -504,7 +558,7 @@ class TestDegradation:
                 "ASSUMING HORIZON 30 DAYS",
                 split,
             )
-        assert model.baseline.kind == "popularity"
+        assert model.baseline.kind == "green"
         results = model.rank_items(db["customers"]["id"].values[:3], split.test_cutoff, k=5)
         assert len(results) == 3
         metrics = model.evaluate(split.test_cutoff, k=5)

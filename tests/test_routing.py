@@ -25,7 +25,7 @@ import pytest
 from repro.datasets import make_clinical, make_ecommerce, make_forum
 from repro.obs import get_registry
 from repro.pql import PredictiveQueryPlanner, RouterConfig, is_routed_dir
-from repro.pql.router import CostModel, RoutedPredictiveModel
+from repro.pql.router import CostModel, GreenTier, RoutedPredictiveModel, YellowTier
 from repro.serve import PredictionService, ServeConfig
 from tests.conftest import make_split, tiny_planner_config
 
@@ -78,6 +78,8 @@ def make_skeleton(quality, per_row_ms, quality_floor=0.98, route="auto"):
     model._lock = threading.Lock()
 
     class _Red:
+        degraded_from = None
+
         @staticmethod
         def sampler_cache_snapshot():
             return None
@@ -124,6 +126,14 @@ class TestDecide:
         model.yellow = None
         with pytest.raises(ValueError, match="unavailable"):
             model.decide(8, route="yellow")
+
+    def test_degraded_red_is_not_a_tier(self):
+        model = make_skeleton(self.QUALITY, self.COSTS, quality_floor=1.0)
+        model.red.degraded_from = "gnn"  # its baseline answers as yellow/green
+        assert model.available_tiers() == ["green", "yellow"]
+        assert model.decide(8).tier == "yellow"
+        with pytest.raises(ValueError, match="unavailable"):
+            model.decide(8, route="red")
 
     def test_estimates_scale_with_rows(self):
         model = make_skeleton(self.QUALITY, self.COSTS)
@@ -248,6 +258,31 @@ class TestRoutedModel:
                 routed_model.predict(keys, cutoff, route=tier),
             )
 
+    def test_tiers_accept_state_dicts_from_before_yellow_owned_green(
+        self, routed_model, small_ecommerce_db
+    ):
+        # What the previous version pickled: green without the graph
+        # handle it now keeps, yellow with its green tier stripped.
+        green_state = dict(routed_model.green.__getstate__(), _heuristic=None)
+        yellow_state = dict(
+            routed_model.yellow.__getstate__(), _db=None, _green=None, _builder=None, _blocks={}
+        )
+        del yellow_state["green"]
+        green, yellow = GreenTier.__new__(GreenTier), YellowTier.__new__(YellowTier)
+        green.__dict__.update(green_state)  # as pickle restores either class
+        yellow.__dict__.update(yellow_state)
+        assert yellow.green is None
+        yellow.green = green  # what RoutedPredictiveModel.load does for such a file
+        yellow.bind(small_ecommerce_db, routed_model.graph)
+        keys = entity_keys(routed_model, 10)
+        cutoffs = np.full(len(keys), routed_model.db.time_span()[1], dtype=np.int64)
+        np.testing.assert_array_equal(
+            green.predict(keys, cutoffs), routed_model.green.predict(keys, cutoffs)
+        )
+        np.testing.assert_array_equal(
+            yellow.predict(keys, cutoffs), routed_model.yellow.predict(keys, cutoffs)
+        )
+
     def test_snapshot_is_monotonic_and_survives_reset(self, routed_model):
         keys = entity_keys(routed_model, 8)
         cutoff = routed_model.db.time_span()[1]
@@ -315,3 +350,50 @@ class TestServeRoutePropagation:
         np.testing.assert_array_equal(
             served, routed_model.predict(keys, cutoff, route="yellow")
         )
+
+
+# ----------------------------------------------------------------------
+# Serving: degradation is a forced route down the same ladder
+# ----------------------------------------------------------------------
+class TestServeDegradation:
+    def test_failing_red_descends_rung_by_rung_with_route_records(
+        self, routed_model, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        cutoff = routed_model.db.time_span()[1]
+        keys = entity_keys(routed_model, 6)
+        expected = {
+            tier: routed_model.predict(keys, cutoff, route=tier) for tier in ("green", "yellow")
+        }
+        monkeypatch.setattr(routed_model, "_red_predict", boom)
+        with PredictionService(routed_model, ServeConfig(route="red")) as service:
+            served = service.predict(keys, cutoff)
+            assert service.degraded
+            assert served.route["tier"] == "yellow" and served.route["forced"]
+            assert served.route["reason"].startswith("degraded: model path failed")
+            np.testing.assert_array_equal(served, expected["yellow"])
+            # A request's own route does not climb back above the trusted rung.
+            assert service.predict(keys, cutoff, route="red").route["tier"] == "yellow"
+
+            monkeypatch.setattr(routed_model.yellow, "predict", boom)
+            served = service.predict(keys, cutoff)
+            assert served.route["tier"] == "green"
+            assert served.route["reason"].startswith("degraded: yellow rung failed")
+            np.testing.assert_array_equal(served, expected["green"])
+            stats = service.stats()
+            assert stats["metrics"]["serve.fallbacks"]["value"] == 2
+            assert stats["metrics"]["serve.degraded_batches"]["value"] == 3
+
+            # Green is the bottom: its own errors reach the caller.
+            monkeypatch.setattr(routed_model.green, "predict", boom)
+            with pytest.raises(RuntimeError, match="boom"):
+                service.predict(keys, cutoff)
+            assert service.stats()["metrics"]["serve.fallbacks"]["value"] == 2
+
+            monkeypatch.undo()
+            service.restore()
+            assert not service.degraded
+            healthy = service.predict(keys, cutoff)
+            assert healthy.route["tier"] == "red" and healthy.route["reason"] == "forced"

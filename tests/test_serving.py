@@ -25,8 +25,8 @@ import pytest
 
 from repro.obs import get_registry
 from repro.pql import PredictiveQueryPlanner
+from repro.pql.router import GreenTier
 from repro.serve import (
-    ActivityHeuristic,
     DeadlineExceededError,
     MicroBatcher,
     ModelRegistry,
@@ -332,11 +332,15 @@ def test_error_degrades_to_heuristic_and_restores(
         stats = service.stats()
         assert stats["degraded_reason"].startswith("model path failed")
         assert stats["metrics"]["serve.fallbacks"]["value"] == 1
-        heuristic = ActivityHeuristic(
-            churn_model.graph, churn_model.binding.query.entity_table
+        unfitted = GreenTier.for_binding(churn_model.binding).bind(
+            churn_model.db, churn_model.graph
         )
-        expected = heuristic.predict(keys, np.full(len(keys), cutoff), "binary")
+        expected = unfitted.predict(keys, np.full(len(keys), cutoff))
         np.testing.assert_array_equal(served, expected)
+        counts = unfitted.activity(keys, np.full(len(keys), cutoff))
+        np.testing.assert_array_equal(expected, counts / (counts + 1.0))
+        assert served.route["tier"] == "green" and served.route["forced"]
+        assert served.route["reason"].startswith("degraded: model path failed")
         service.restore()
         assert not service.degraded
 
