@@ -622,10 +622,9 @@ class LinkTaskTrainer:
         self.loader = loader
         self.history = _History()
         self._rng = np.random.default_rng(self.config.seed)
-        self._num_items = graph.num_nodes(model.item_type)
-        #: (item_ids bytes, embeddings) memo for inference; see
-        #: :meth:`_cached_item_embeddings`.
-        self._item_embed_cache: Optional[Tuple[bytes, Tensor]] = None
+        #: ((item-type version, item_ids bytes), embeddings) memo for
+        #: inference; see :meth:`_cached_item_embeddings`.
+        self._item_embed_cache: Optional[Tuple[Tuple[int, bytes], Tensor]] = None
 
     def fit(
         self,
@@ -692,7 +691,8 @@ class LinkTaskTrainer:
         pos_scores = self.model.score_pairs(queries, pos_embed)
         total = None
         for _ in range(self.num_negatives):
-            negatives = self._rng.integers(0, self._num_items, size=len(query_ids))
+            num_items = self.graph.num_nodes(self.model.item_type)
+            negatives = self._rng.integers(0, num_items, size=len(query_ids))
             neg_embed = self.model.item_embeddings(negatives, self.graph)
             neg_scores = self.model.score_pairs(queries, neg_embed)
             term = bpr_loss(pos_scores, neg_scores)
@@ -747,13 +747,27 @@ class LinkTaskTrainer:
 
         The item tower sees the same ids on every ``rank_items`` /
         ``score_against_items`` call, so its forward pass is pure
-        repeated work once the model is frozen.  ``fit`` invalidates
-        the cache (parameters change every step).
+        repeated work once the model is frozen.  The memo answers only
+        for the item type as it was when computed (its last-changed
+        version is part of the key); ``fit`` invalidates it
+        (parameters change every step).
         """
-        key = np.asarray(item_ids, dtype=np.int64).tobytes()
+        key = (
+            self.graph.last_changed(self.model.item_type),
+            np.asarray(item_ids, dtype=np.int64).tobytes(),
+        )
         cached = self._item_embed_cache
         if cached is not None and cached[0] == key:
             return cached[1]
         items = self.model.item_embeddings(item_ids, self.graph)
         self._item_embed_cache = (key, items)
         return items
+
+    def reconcile(self) -> Dict[str, int]:
+        """Drop the item memo now if the item type changed under it
+        (the next call would anyway); a ``refresh_model`` counter."""
+        cached = self._item_embed_cache
+        stale = cached is not None and cached[0][0] != self.graph.last_changed(self.model.item_type)
+        if stale:
+            self._item_embed_cache = None
+        return {"item_memo_dropped": int(stale)}

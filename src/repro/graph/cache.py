@@ -19,18 +19,15 @@ multi-worker runs produce the same metrics for a fixed seed.  The
 differential test suite (``tests/test_differential_sampling.py``)
 locks this in.
 
-The cache key is a 32-byte composite: the 16-byte graph fingerprint
-followed by the 16-byte batch digest.  The RNG seed derives from the
-batch digest *only* (bytes 16:24 of the key) — deliberately excluding
-the fingerprint.  The split is what makes incremental ingest cheap:
-after a delta mutates the graph, a retained cache entry whose
-subgraph provably cannot see the new rows (no touched node at a
-context time that admits them) is *still* bit-identical to a fresh
-draw on the new graph, because the draw's RNG stream did not move
-with the fingerprint and every CSR prefix it read is unchanged.
-:meth:`LRUSubgraphCache.apply_delta` applies exactly that rule,
-re-keying survivors under the new fingerprint instead of flushing
-the cache wholesale.
+The cache key is the 16-byte batch digest and the RNG seed its first
+8 bytes; the graph is deliberately *not* an input.  That is what
+makes incremental ingest cheap: after a delta grows the graph, a
+cached subgraph that provably cannot see the new rows (no touched node
+at a context time that admits them) is *still* bit-identical to a
+fresh draw, because the draw's RNG stream did not move and every CSR
+prefix it read is unchanged.  :class:`CachedSampler` reads the graph's
+change journal before answering from a newer graph and keeps exactly
+those entries — nobody has to tell it that a delta landed.
 
 :class:`LRUSubgraphCache` memoizes :class:`~repro.graph.sampler.SampledSubgraph`
 values across epochs and across train/eval phases, keyed on the same
@@ -57,7 +54,6 @@ from repro.obs import trace as obs_trace
 __all__ = [
     "graph_fingerprint",
     "batch_rng_seed",
-    "KEY_PREFIX_LEN",
     "LRUSubgraphCache",
     "CachedSampler",
 ]
@@ -66,21 +62,16 @@ __all__ = [
 def graph_fingerprint(graph: HeteroGraph) -> str:
     """A stable digest of the graph's structure and timestamps.
 
-    Two graphs built from the same database contents share a
-    fingerprint; any change to node counts, edges, or timestamps
-    changes it.  Computed once per graph instance and memoized, since
-    it hashes every edge array.
-
-    The digest covers exactly the CSR layout (``indptr``, ``nbr_src``,
-    ``nbr_time``) plus node counts and timestamps — the same arrays a
-    :class:`~repro.graph.shared.SharedGraphStore` packs — so a
-    shared-memory view of a graph (which carries the precomputed
-    fingerprint in its manifest) derives identical content keys, and
-    worker-sampled batches stay bit-identical to serial ones.
+    The cold-rebuild equality oracle: two graphs built from the same
+    database contents share a fingerprint; any change to node counts,
+    edges, or timestamps changes it.  It hashes every CSR array (the
+    ones a :class:`~repro.graph.shared.SharedGraphStore` packs, so a
+    view fingerprints like its source), so nothing on the sampling or
+    refresh path asks for it: computed on demand, memoized per version.
     """
     cached = getattr(graph, "_fingerprint", None)
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0] == graph.version:
+        return cached[1]
     digest = hashlib.blake2b(digest_size=16)
     for node_type in sorted(graph.node_types):
         digest.update(node_type.encode())
@@ -93,7 +84,7 @@ def graph_fingerprint(graph: HeteroGraph) -> str:
         digest.update(np.ascontiguousarray(store.nbr_time).tobytes())
         digest.update(np.ascontiguousarray(store.indptr).tobytes())
     fingerprint = digest.hexdigest()
-    graph._fingerprint = fingerprint
+    graph._fingerprint = (graph.version, fingerprint)
     return fingerprint
 
 
@@ -136,10 +127,9 @@ def batch_rng_seed(
 
     Shared by :class:`CachedSampler` (serial path) and the parallel
     workers, which is what makes their draws bit-identical.  The graph
-    fingerprint is deliberately *not* an input: the RNG stream for a
-    batch is stable across graph deltas, so subgraphs whose inputs a
-    delta provably did not touch stay valid (see the module
-    docstring).
+    is deliberately *not* an input: the RNG stream for a batch is
+    stable across graph deltas, so subgraphs whose inputs a delta
+    provably did not touch stay valid (see the module docstring).
     """
     digest = _batch_digest(
         fanouts, time_respecting, base_seed, seed_type, seed_ids, seed_times,
@@ -147,8 +137,19 @@ def batch_rng_seed(
     return int.from_bytes(digest[:8], "little")
 
 
-#: Byte length of the graph-fingerprint prefix in a composite cache key.
-KEY_PREFIX_LEN = 16
+def _could_see(subgraph: SampledSubgraph, touched: Dict[str, np.ndarray], min_time: int) -> bool:
+    """Whether ``subgraph`` holds a touched node at a context time that
+    admits rows as early as ``min_time``."""
+    for node_type, ids in touched.items():
+        orig = subgraph.node_orig(node_type)
+        if len(orig) == 0 or len(ids) == 0:
+            continue
+        hit = np.isin(orig, ids)
+        if min_time != TIME_MIN:
+            hit &= subgraph.node_ctx_time(node_type) >= min_time
+        if hit.any():
+            return True
+    return False
 
 
 class LRUSubgraphCache:
@@ -217,80 +218,45 @@ class LRUSubgraphCache:
             self._entries.clear()
 
     def apply_delta(
-        self,
-        old_prefix: bytes,
-        new_prefix: bytes,
-        touched: Dict[str, np.ndarray],
-        min_time: int,
+        self, touched: Optional[Dict[str, np.ndarray]], min_time: int
     ) -> Dict[str, int]:
         """Selectively retain entries after an incremental graph delta.
 
-        An entry keyed under ``old_prefix`` (the pre-delta fingerprint)
-        survives iff its subgraph contains no node of a touched type
-        whose original id is in ``touched[type]`` *and* whose context
-        time is ``>= min_time`` — the earliest timestamp the delta
-        introduced.  Such a subgraph read only CSR prefixes the delta
-        left byte-identical (appended edges land strictly after every
-        pre-existing ``(dst, time <= ctx)`` prefix), and since the RNG
-        seed excludes the fingerprint, a fresh draw on the new graph
-        reproduces it bit-for-bit.  Survivors are re-keyed under
-        ``new_prefix`` preserving LRU order; everything else (touched
-        entries and entries from other graph versions) is dropped.
+        An entry survives iff its subgraph contains no node of a
+        touched type whose original id is in ``touched[type]`` *and*
+        whose context time is ``>= min_time``, the earliest timestamp
+        the delta introduced.  Such a subgraph read only CSR prefixes
+        the delta left byte-identical (appended edges land strictly
+        after every pre-existing ``(dst, time <= ctx)`` prefix), so a
+        fresh draw on the grown graph reproduces it bit-for-bit.
+        ``min_time = TIME_MIN`` (static rows, or a sampler that is not
+        time-respecting) makes the context-time guard vacuous, and
+        ``touched = None`` (what changed is unknown) drops every entry.
 
-        Callers pass ``min_time = TIME_MIN`` when the delta includes
-        static rows (visible at every context time) or when the
-        sampler is not time-respecting — both make the context-time
-        guard vacuous, so only untouched-entity entries survive.
-
-        Returns ``{"retained": n, "invalidated": m}``; the same counts
-        land on the ``sampler.cache.{retained,invalidated}`` counters.
+        Returns ``{"cache_retained": n, "cache_invalidated": m}``; the
+        same counts land on ``sampler.cache.{retained,invalidated}``.
         """
-        touched = {
-            t: np.asarray(ids, dtype=np.int64)
-            for t, ids in touched.items()
-            if len(ids) > 0
-        }
-        retained = 0
-        invalidated = 0
         with self._lock:
-            survivors: "OrderedDict[bytes, SampledSubgraph]" = OrderedDict()
-            for key, subgraph in self._entries.items():
-                if not key.startswith(old_prefix):
-                    invalidated += 1
-                    continue
-                stale = False
-                for node_type, ids in touched.items():
-                    orig = subgraph.node_orig(node_type)
-                    if len(orig) == 0:
-                        continue
-                    hit = np.isin(orig, ids)
-                    if min_time != TIME_MIN:
-                        hit &= subgraph.node_ctx_time(node_type) >= min_time
-                    if hit.any():
-                        stale = True
-                        break
-                if stale:
-                    invalidated += 1
-                else:
-                    survivors[new_prefix + key[len(old_prefix):]] = subgraph
-                    retained += 1
-            self._entries = survivors
+            stale = [
+                key for key, subgraph in self._entries.items()
+                if touched is None or _could_see(subgraph, touched, min_time)
+            ]
+            for key in stale:
+                del self._entries[key]
+            retained = len(self._entries)
         registry = get_registry()
         registry.counter("sampler.cache.retained").inc(retained)
-        registry.counter("sampler.cache.invalidated").inc(invalidated)
-        return {"retained": retained, "invalidated": invalidated}
+        registry.counter("sampler.cache.invalidated").inc(len(stale))
+        return {"cache_retained": retained, "cache_invalidated": len(stale)}
 
     def reset_stats(self) -> None:
         """Rebase the hit/miss/eviction counters, keeping cached entries.
 
-        A warm cache is an asset worth keeping across owners (e.g. a
-        reloaded model or a fresh serving instance), but its traffic
-        history is not — resetting stops a previous owner's counters
-        from leaking into a new owner's reports.  The raw counters are
-        never zeroed; the reset only moves the baseline that
-        :meth:`stats` subtracts, so :meth:`snapshot` readers (the query
-        router estimating hit likelihood mid-run) never observe
-        counters going backwards.
+        A warm cache is worth keeping across owners (a reloaded model,
+        a fresh serving instance); its traffic history is not.  The
+        raw counters are never zeroed — the reset only moves the
+        baseline :meth:`stats` subtracts — so :meth:`snapshot` readers
+        never observe counters going backwards.
         """
         with self._lock:
             self._hits_base = self.hits
@@ -312,8 +278,7 @@ class LRUSubgraphCache:
     def snapshot(self) -> Dict[str, int]:
         """Monotonic lifetime counters, unaffected by :meth:`reset_stats`.
 
-        The non-destructive accessor for concurrent readers: routing
-        code can poll hit/miss likelihood at any time without racing an
+        A probe can poll the hit rate at any time without racing an
         owner that rebases its reporting window.
         """
         with self._lock:
@@ -350,7 +315,7 @@ class CachedSampler:
         self.base = base
         self.base_seed = int(base_seed)
         self.cache = cache
-        self._fingerprint = graph_fingerprint(base.graph)
+        self._seen = base.graph.version
 
     # -- sampler surface ------------------------------------------------
     @property
@@ -382,13 +347,10 @@ class CachedSampler:
 
     # -- keys -----------------------------------------------------------
     def batch_key(self, seed_type: str, seed_ids: np.ndarray, seed_times: np.ndarray) -> bytes:
-        """The composite cache key for one batch.
-
-        32 bytes: the 16-byte graph fingerprint (content versioning)
-        followed by the 16-byte batch digest (RNG derivation).  See the
-        module docstring for why the two halves are kept separate.
-        """
-        return bytes.fromhex(self._fingerprint) + _batch_digest(
+        """The 16-byte content digest of one batch: its cache key, and
+        (first 8 bytes) its RNG seed.  See the module docstring for why
+        the graph is not part of it."""
+        return _batch_digest(
             self.base.fanouts, self.base.time_respecting, self.base_seed,
             seed_type, seed_ids, seed_times,
         )
@@ -402,39 +364,35 @@ class CachedSampler:
         seed_times = np.asarray(seed_times, dtype=np.int64)
         key = self.batch_key(seed_type, seed_ids, seed_times)
         if self.cache is not None:
+            self.reconcile()
             hit = self.cache.get(key)
             if hit is not None:
                 return hit
-        seed_slice = key[KEY_PREFIX_LEN : KEY_PREFIX_LEN + 8]
-        self.base.rng = np.random.default_rng(int.from_bytes(seed_slice, "little"))
+        self.base.rng = np.random.default_rng(int.from_bytes(key[:8], "little"))
         subgraph = self.base.sample(seed_type, seed_ids, seed_times)
         if self.cache is not None:
             self.cache.put(key, subgraph)
         return subgraph
 
     # -- incremental maintenance ---------------------------------------
-    def apply_delta(
-        self, touched: Dict[str, np.ndarray], min_event_time: int
-    ) -> Dict[str, int]:
-        """Refresh the wrapper after an in-place graph delta.
+    def reconcile(self) -> Dict[str, int]:
+        """Bring the cache up to the graph's current version.
 
-        Recomputes the captured fingerprint from the (mutated) graph
-        and selectively retains cache entries via
-        :meth:`LRUSubgraphCache.apply_delta`.  ``touched`` maps node
-        type → original ids whose rows or incident edges the delta
-        changed; ``min_event_time`` is the earliest event timestamp it
-        introduced.  A non-time-respecting base sampler reads full
-        neighbor lists, so any touched entity invalidates regardless
-        of context time (``min_time`` collapses to ``TIME_MIN``).
+        Runs before every cached lookup (one integer compare when
+        nothing changed) and from ``refresh_model``, which only moves
+        the work off the first request after a delta.  Keeps what
+        :meth:`LRUSubgraphCache.apply_delta` keeps; a sampler that is
+        not time-respecting reads full neighbor lists, so for it any
+        touched entity invalidates, and one left further behind than
+        the journal reaches drops everything.  Returns this call's
+        counts.
         """
-        old_fingerprint = self._fingerprint
-        self._fingerprint = graph_fingerprint(self.base.graph)
-        if self.cache is None:
-            return {"retained": 0, "invalidated": 0}
-        min_time = min_event_time if self.base.time_respecting else TIME_MIN
-        return self.cache.apply_delta(
-            bytes.fromhex(old_fingerprint),
-            bytes.fromhex(self._fingerprint),
-            touched,
-            min_time,
-        )
+        graph = self.base.graph
+        if self.cache is None or self._seen == graph.version:
+            return {"cache_retained": 0, "cache_invalidated": 0}
+        change = graph.changes_since(self._seen)
+        self._seen = graph.version
+        if change is None:
+            return self.cache.apply_delta(None, TIME_MIN)
+        min_time = change.min_time if self.base.time_respecting else TIME_MIN
+        return self.cache.apply_delta(change.touched, min_time)

@@ -5,21 +5,44 @@ timestamps, and encoded features; and per edge type, the edge list plus
 a CSR index keyed by *destination* node whose neighbor lists are sorted
 by edge timestamp.  The time-sorted CSR is what makes time-respecting
 neighbor sampling a binary search instead of a filter.
+
+A built graph changes only by appending (``grow_node_type``,
+``append_edges``), and it is the single source of *what changed*: each
+append bumps ``HeteroGraph.version`` and lands in a short journal that
+``changes_since`` reads back.  Whatever memoizes graph-derived state
+checks itself against that before it answers, by one rule — *a value
+computed at cutoff* ``c`` *stays valid until a row with time* ``<= c``
+*arrives that it could see* (:class:`CutoffMemo`).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["EdgeType", "HeteroGraph", "TIME_MIN"]
+__all__ = ["EdgeType", "GraphChange", "HeteroGraph", "CutoffMemo", "TIME_MIN"]
 
 #: Timestamp assigned to static (non-temporal) nodes and edges; it
 #: compares below every real timestamp so static entities are visible
 #: at any seed time.
 TIME_MIN = np.iinfo(np.int64).min
+#: Mutations the change journal keeps (one ingest batch writes about
+#: ten: a growth per table plus two appends per foreign key).
+JOURNAL_LEN = 256
+
+
+class GraphChange(NamedTuple):
+    """What a graph gained between two versions: per node type the
+    sorted ids that are new or gained an incoming edge, the earliest
+    timestamp introduced (``TIME_MIN`` for a static row or edge, which
+    every cutoff sees), and the node types that gained nodes."""
+
+    touched: Dict[str, np.ndarray]
+    min_time: int
+    grown: FrozenSet[str]
 
 
 @dataclass(frozen=True)
@@ -206,7 +229,21 @@ class HeteroGraph:
         self.features: Dict[str, "NodeFeatures"] = {}
         #: per node type, original primary-key value per node index.
         self.node_keys: Dict[str, np.ndarray] = {}
-        self._key_index: Dict[str, Tuple[np.ndarray, Dict[object, int]]] = {}
+        self._key_index: Dict[str, Dict[object, int]] = {}
+        self._start_journal()
+
+    def _start_journal(self) -> None:
+        #: Count of appends since construction; anything memoized from
+        #: the graph is current iff it was reconciled at this version.
+        self.version = 0
+        # The last JOURNAL_LEN appends, oldest first, one node type each.
+        self._journal: Deque[Tuple[str, np.ndarray, int, bool]] = deque(maxlen=JOURNAL_LEN)
+        self._changed_at: Dict[str, int] = {}
+
+    def _record(self, node_type: str, ids: np.ndarray, times: np.ndarray, grew: bool) -> None:
+        self.version += 1
+        self._journal.append((node_type, ids, int(times.min()), grew))
+        self._changed_at[node_type] = self.version
 
     # ------------------------------------------------------------------
     # Construction
@@ -252,6 +289,12 @@ class HeteroGraph:
         dst_ids = np.asarray(dst_ids, dtype=np.int64)
         if times is None:
             times = np.full(len(src_ids), TIME_MIN, dtype=np.int64)
+        self._check_ids(edge_type, src_ids, dst_ids)
+        self._edges[edge_type] = _EdgeStore(
+            src_ids, dst_ids, times, self._num_nodes[edge_type.dst]
+        )
+
+    def _check_ids(self, edge_type: EdgeType, src_ids: np.ndarray, dst_ids: np.ndarray) -> None:
         if len(src_ids) and (
             src_ids.min() < 0
             or src_ids.max() >= self._num_nodes[edge_type.src]
@@ -259,36 +302,40 @@ class HeteroGraph:
             or dst_ids.max() >= self._num_nodes[edge_type.dst]
         ):
             raise IndexError(f"edge type {edge_type}: node ids out of range")
-        self._edges[edge_type] = _EdgeStore(
-            src_ids, dst_ids, times, self._num_nodes[edge_type.dst]
-        )
 
     # ------------------------------------------------------------------
     # Incremental growth (the ingest delta path)
     # ------------------------------------------------------------------
-    def grow_node_type(self, name: str, times: np.ndarray) -> int:
+    def grow_node_type(self, name: str, times: np.ndarray, keys=None) -> int:
         """Append nodes to an existing type; returns the first new index.
 
         ``times`` holds one creation timestamp per new node
-        (``TIME_MIN`` entries for static rows).  CSR indices of edge
-        types *into* the grown type are padded with empty neighbor
-        lists — byte-identical to what a cold rebuild at the same
-        contents produces, since trailing zero counts cumsum to
-        repeated ``indptr`` tails.  Features and ``node_keys`` are the
-        caller's to extend (see ``repro.ingest.delta``); the memoized
-        fingerprint is cleared.
+        (``TIME_MIN`` entries for static rows) and ``keys`` their
+        primary keys, extending the type's key index in place.  CSR
+        indices of edge types *into* the grown type are padded with
+        empty neighbor lists — byte-identical to a cold rebuild, since
+        trailing zero counts cumsum to repeated ``indptr`` tails.
+        Features are the caller's to extend (see ``repro.ingest.delta``).
         """
         if name not in self._num_nodes:
             raise KeyError(f"unknown node type {name!r}")
         times = np.asarray(times, dtype=np.int64)
         start = self._num_nodes[name]
+        if len(times) == 0:
+            return start
         self._node_times[name] = np.concatenate([self._node_times[name], times])
         self._num_nodes[name] = start + len(times)
         for edge_type, store in self._edges.items():
             if edge_type.dst == name:
                 pad = np.full(len(times), store.indptr[-1], dtype=np.int64)
                 store.indptr = np.concatenate([store.indptr, pad])
-        self._fingerprint = None
+        if keys is not None:
+            keys = np.asarray(keys)
+            mapping = self._key_index.get(name)
+            if mapping is not None:
+                mapping.update(zip(keys.tolist(), range(start, start + len(keys))))
+            self.node_keys[name] = np.concatenate([self.node_keys[name], keys])
+        self._record(name, np.arange(start, start + len(times), dtype=np.int64), times, True)
         return start
 
     def append_edges(
@@ -302,8 +349,7 @@ class HeteroGraph:
 
         The store is replaced with a stably merged one
         (:meth:`_EdgeStore.merged`) that is bit-identical to a cold
-        rebuild over the combined edge list; the memoized fingerprint
-        is cleared.
+        rebuild over the combined edge list.
         """
         if edge_type not in self._edges:
             raise KeyError(f"unknown edge type {edge_type}")
@@ -314,17 +360,41 @@ class HeteroGraph:
         times = np.asarray(times, dtype=np.int64)
         if len(src_ids) == 0:
             return
-        if (
-            src_ids.min() < 0
-            or src_ids.max() >= self._num_nodes[edge_type.src]
-            or dst_ids.min() < 0
-            or dst_ids.max() >= self._num_nodes[edge_type.dst]
-        ):
-            raise IndexError(f"edge type {edge_type}: node ids out of range")
+        self._check_ids(edge_type, src_ids, dst_ids)
         self._edges[edge_type] = self._edges[edge_type].merged(
             src_ids, dst_ids, times, self._num_nodes[edge_type.dst]
         )
-        self._fingerprint = None
+        # Only a destination's neighbor list changed; the reverse edge
+        # type, appended by its own call, covers the other endpoint.
+        self._record(edge_type.dst, np.unique(dst_ids), times, False)
+
+    def changes_since(self, version: int) -> Optional[GraphChange]:
+        """Everything appended after ``version``, merged into one change.
+
+        ``None`` when ``version`` is older than the journal reaches:
+        the caller cannot know what it missed and drops everything.
+        """
+        behind = self.version - version
+        if behind > len(self._journal):
+            return None
+        touched: Dict[str, List[np.ndarray]] = {}
+        min_time, grown = np.iinfo(np.int64).max, set()  # empty change: later than any cutoff
+        for index in range(len(self._journal) - behind, len(self._journal)):
+            node_type, ids, earliest, grew = self._journal[index]
+            touched.setdefault(node_type, []).append(ids)
+            min_time = min(min_time, earliest)
+            if grew:
+                grown.add(node_type)
+        merged = {
+            node_type: parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+            for node_type, parts in touched.items()
+        }
+        return GraphChange(merged, min_time, frozenset(grown))
+
+    def last_changed(self, node_type: str) -> int:
+        """The version at which ``node_type`` last gained a node or an
+        incoming edge (0: not since construction)."""
+        return self._changed_at.get(node_type, 0)
 
     @classmethod
     def from_parts(
@@ -348,6 +418,7 @@ class HeteroGraph:
         graph.features = dict(features or {})
         graph.node_keys = dict(node_keys or {})
         graph._key_index = {}
+        graph._start_journal()
         for name, count in graph._num_nodes.items():
             if graph._node_times[name].shape != (count,):
                 raise ValueError(f"node type {name!r}: times shape mismatch")
@@ -373,20 +444,19 @@ class HeteroGraph:
     def key_index(self, node_type: str) -> Dict[object, int]:
         """Primary-key value → node index for ``node_type`` (read-only).
 
-        Built once per key array: the memo holds the array it was built
-        from and is reused only while ``node_keys[node_type]`` *is*
-        that array.  Ingest replaces the array when the type grows,
-        which invalidates the memo for free.  Raises ``KeyError`` when
-        the type has no primary-key index.
+        The one such map: built on first use and extended in place by
+        :meth:`grow_node_type`.  Raises ``KeyError`` when the type has
+        no primary-key index.
         """
-        keys = self.node_keys.get(node_type)
-        if keys is None:
-            raise KeyError(f"node type {node_type!r} has no primary-key index")
-        cached = self._key_index.get(node_type)
-        if cached is None or cached[0] is not keys:
-            mapping = {key: i for i, key in enumerate(keys.tolist())}
-            cached = self._key_index[node_type] = (keys, mapping)
-        return cached[1]
+        mapping = self._key_index.get(node_type)
+        if mapping is None:
+            keys = self.node_keys.get(node_type)
+            if keys is None:
+                raise KeyError(f"node type {node_type!r} has no primary-key index")
+            mapping = self._key_index[node_type] = {
+                key: i for i, key in enumerate(keys.tolist())
+            }
+        return mapping
 
     def total_nodes(self) -> int:
         """Node count over all types."""
@@ -449,3 +519,51 @@ class HeteroGraph:
             "nodes_by_type": dict(self._num_nodes),
             "edges_by_type": {str(et): store.num_edges for et, store in self._edges.items()},
         }
+
+
+class CutoffMemo:
+    """A small LRU of per-cutoff values derived from one graph.
+
+    The one place the staleness rule for such values lives: an entry
+    computed at cutoff ``c`` survives a change whose earliest
+    introduced time is ``m`` iff ``m != TIME_MIN and c < m`` — nothing
+    the change brought is visible at ``c``.  Growth of ``sized_by``
+    (the node type the values have one row per node of, if any) drops
+    every entry, as does falling behind the graph's journal.  The memo
+    reconciles itself on every :meth:`get`.
+    """
+
+    #: Cutoffs kept; serving and training see a handful.
+    CAPACITY = 8
+
+    def __init__(self, graph: HeteroGraph, sized_by: Optional[str] = None) -> None:
+        self._graph = graph
+        self._sized_by = sized_by
+        self._seen = graph.version
+        self._entries: Dict[int, object] = {}
+
+    def reconcile(self) -> int:
+        """Drop what the graph's changes since the last look could have
+        altered; returns how many entries went."""
+        if self._seen == self._graph.version:
+            return 0
+        change = self._graph.changes_since(self._seen)
+        self._seen = self._graph.version
+        if change is None or change.min_time == TIME_MIN or self._sized_by in change.grown:
+            stale = list(self._entries)
+        else:
+            stale = [cutoff for cutoff in self._entries if cutoff >= change.min_time]
+        for cutoff in stale:
+            del self._entries[cutoff]
+        return len(stale)
+
+    def get(self, cutoff: int, compute: Callable[[], object]):
+        """The value at ``cutoff``, computing (and keeping) it on a miss."""
+        self.reconcile()
+        value = self._entries.pop(cutoff, None)
+        if value is None:
+            value = compute()
+        self._entries[cutoff] = value  # most recently used last
+        if len(self._entries) > self.CAPACITY:
+            del self._entries[next(iter(self._entries))]
+        return value

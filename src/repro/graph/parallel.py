@@ -53,7 +53,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.cache import KEY_PREFIX_LEN, CachedSampler
+from repro.graph.cache import CachedSampler
 from repro.graph.sampler import NeighborSampler, SampledSubgraph
 from repro.graph.shared import SharedGraphStore
 from repro.obs import get_logger, get_registry
@@ -162,12 +162,15 @@ class ParallelSampleLoader:
         self.prefetch_batches = int(prefetch_batches)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._store: Optional[SharedGraphStore] = None
+        #: Graph version the workers' copy of the graph was taken at.
+        self._pool_version = -1
         if self.num_workers > 0:
             self._executor = self._start_pool()
 
     # -- pool lifecycle -------------------------------------------------
     def _start_pool(self) -> Optional[ProcessPoolExecutor]:
         graph_source = self.sampler.graph
+        self._pool_version = graph_source.version
         store = None
         try:
             store = SharedGraphStore.create(self.sampler.graph)
@@ -260,6 +263,12 @@ class ParallelSampleLoader:
         batches = list(batches)
         n = len(batches)
         cache = self.sampler.cache
+        self.sampler.reconcile()
+        if self._executor is not None and self._pool_version != self.sampler.graph.version:
+            # The workers sample a copy of the graph taken at pool
+            # start; the graph has grown since, so take a new one.
+            self.close()
+            self._executor = self._start_pool()
         if self._executor is not None and self.num_workers > 0:
             chunk_size = min(_MAX_CHUNK, max(1, -(-n // self.num_workers)))
         else:
@@ -281,7 +290,7 @@ class ParallelSampleLoader:
                     state[position] = ("hit", self.sampler.sample(seed_type, ids, times))
                 return
             payload = [
-                (ids, times, int.from_bytes(key[KEY_PREFIX_LEN : KEY_PREFIX_LEN + 8], "little"))
+                (ids, times, int.from_bytes(key[:8], "little"))
                 for _, key, ids, times in items
             ]
             try:

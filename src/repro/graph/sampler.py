@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.hetero import EdgeType, HeteroGraph
+from repro.graph.hetero import CutoffMemo, EdgeType, HeteroGraph
 from repro.obs import trace as obs_trace
 from repro.resilience.faults import fault_point
 
@@ -285,13 +285,10 @@ class NeighborSampler:
         self._edge_types_into: Dict[str, List[EdgeType]] = {
             node_type: graph.edge_types_into(node_type) for node_type in graph.node_types
         }
-        #: (edge type, cutoff) -> (edge store, cumulative valid-edge
-        #: counts over it).  Batches share a handful of cutoffs, so this
-        #: converts per-node binary searches into two gathers.  An entry
-        #: answers only for the store object it was computed from:
-        #: ``HeteroGraph.append_edges`` replaces the store, and sums over
-        #: the old neighbor list would index past the new ``indptr``.
-        self._cum_valid_cache: Dict[Tuple[EdgeType, int], Tuple[object, np.ndarray]] = {}
+        #: cutoff -> {edge type: time-valid in-degree of every
+        #: destination node}.  Batches share a handful of cutoffs, so
+        #: this converts per-node binary searches into one gather.
+        self._valid_degrees = CutoffMemo(graph)
 
     @property
     def num_hops(self) -> int:
@@ -301,17 +298,21 @@ class NeighborSampler:
     # ------------------------------------------------------------------
     # Vectorized primitives
     # ------------------------------------------------------------------
-    def _cum_valid(self, edge_type: EdgeType, cutoff: int) -> np.ndarray:
-        """Prefix sums of the time-valid indicator over one edge store."""
+    def _valid_degree(self, edge_type: EdgeType, cutoff: int) -> np.ndarray:
+        """Time-valid in-degree of every destination node at ``cutoff``."""
+        per_type = self._valid_degrees.get(cutoff, dict)
         store = self.graph._edges[edge_type]
-        key = (edge_type, cutoff)
-        cached = self._cum_valid_cache.get(key)
-        if cached is None or cached[0] is not store:
-            sums = np.concatenate([[0], np.cumsum(store.nbr_time <= cutoff, dtype=np.int64)])
-            if len(self._cum_valid_cache) > 64:
-                self._cum_valid_cache.clear()
-            cached = self._cum_valid_cache[key] = (store, sums)
-        return cached[1]
+        num_dst = len(store.indptr) - 1
+        degree = per_type.get(edge_type)
+        if degree is None:
+            csum = np.concatenate([[0], np.cumsum(store.nbr_time <= cutoff, dtype=np.int64)])
+            degree = per_type[edge_type] = csum[store.indptr[1:]] - csum[store.indptr[:-1]]
+        elif len(degree) < num_dst:
+            # The entry outlived a delta, so every node that delta added
+            # (and every edge into it) is later than the cutoff.
+            pad = np.zeros(num_dst - len(degree), dtype=np.int64)
+            degree = per_type[edge_type] = np.concatenate([degree, pad])
+        return degree
 
     def _valid_counts(
         self, edge_type: EdgeType, dsts: np.ndarray, times: np.ndarray, cutoff: Optional[int]
@@ -325,17 +326,14 @@ class NeighborSampler:
         """
         store = self.graph._edges[edge_type]
         starts = store.indptr[dsts]
-        stops = store.indptr[dsts + 1]
         if not self.time_respecting:
-            return starts, stops - starts
+            return starts, store.indptr[dsts + 1] - starts
         if cutoff is not None:
-            csum = self._cum_valid(edge_type, cutoff)
-            return starts, csum[stops] - csum[starts]
+            return starts, self._valid_degree(edge_type, cutoff)[dsts]
         counts = np.empty(len(dsts), dtype=np.int64)
         for value in np.unique(times).tolist():
             mask = times == value
-            csum = self._cum_valid(edge_type, value)
-            counts[mask] = csum[stops[mask]] - csum[starts[mask]]
+            counts[mask] = self._valid_degree(edge_type, value)[dsts[mask]]
         return starts, counts
 
     def sample(

@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.cache import graph_fingerprint
 from repro.graph.encoders import CategoricalEncoding, NodeFeatures
 from repro.graph.hetero import EdgeType, HeteroGraph, _EdgeStore
 
@@ -97,7 +96,6 @@ class _Packer:
 
 def _build_manifest(graph: HeteroGraph, packer: _Packer) -> Dict[str, object]:
     manifest: Dict[str, object] = {
-        "fingerprint": graph_fingerprint(graph),
         "num_nodes": {nt: graph.num_nodes(nt) for nt in graph.node_types},
         "node_times": {nt: packer.ref(graph.node_times(nt)) for nt in graph.node_types},
         "edge_csr": {},
@@ -218,11 +216,6 @@ class SharedGraphStore:
         return self._manifest["size"]
 
     @property
-    def fingerprint(self) -> str:
-        """Content fingerprint of the packed graph (see cache module)."""
-        return self._manifest["fingerprint"]
-
-    @property
     def is_owner(self) -> bool:
         """Whether this store created (and must unlink) the segment."""
         return self._owner
@@ -244,8 +237,7 @@ class SharedGraphStore:
         """The zero-copy :class:`HeteroGraph` view over the segment.
 
         Arrays alias shared memory and are marked read-only; the view
-        (including its precomputed content fingerprint) is cached, so
-        repeated calls are free.  Call sites must drop references to
+        is cached, so repeated calls are free.  Call sites must drop references to
         the view and its arrays before :meth:`close` can unmap.
         """
         if self._closed:
@@ -290,9 +282,6 @@ class SharedGraphStore:
             features=features,
             node_keys=node_keys,
         )
-        # Seed the memoized fingerprint so content-keyed RNG draws over
-        # the view are bit-identical to draws over the source graph.
-        graph._fingerprint = m["fingerprint"]
         self._graph = graph
         return graph
 

@@ -43,7 +43,8 @@ __all__ = ["DeltaGraphBuilder", "DeltaReport"]
 
 @dataclass
 class DeltaReport:
-    """What one applied delta changed — the refresh layer's contract.
+    """What one applied delta changed — for the refresh policy, logs
+    and the CLI (memos read the graph's own journal, which this digests).
 
     ``touched`` maps node type → node indices whose rows or incident
     edges changed (new nodes and the existing foreign-key parents they
@@ -87,14 +88,6 @@ class DeltaGraphBuilder:
         self.stats_cutoff = stats_cutoff
         self.graph = graph if graph is not None else build_graph(db, stats_cutoff=stats_cutoff)
         self._grower = FeatureGrower(stats_cutoff)
-        self._key_to_index: Dict[str, Dict[object, int]] = {}
-        for table in db:
-            pk = table.schema.primary_key
-            if pk is not None:
-                keys = table[pk].values
-                self._key_to_index[table.name] = {
-                    key: i for i, key in enumerate(keys.tolist())
-                }
         span = db.time_span()
         self.watermark: Optional[int] = int(span[1]) if span is not None else None
 
@@ -112,48 +105,47 @@ class DeltaGraphBuilder:
         to a fixed point so a child is not admitted on the strength of
         a parent that was itself quarantined.
         """
+        key_index = self.graph.key_index
         appliable: List[RowEvent] = []
         duplicates: List[Tuple[RowEvent, str]] = []
-        batch_keys: Dict[str, set] = {name: set() for name in self._key_to_index}
+        #: table -> primary keys arriving with the batch's admitted events.
+        arriving: Dict[str, set] = {}
         for event in events:
-            schema = self.db[event.table].schema
-            pk = schema.primary_key
+            pk = self.db[event.table].schema.primary_key
             if pk is not None:
                 key = event.values[pk]
-                if key in self._key_to_index[event.table] or key in batch_keys[event.table]:
+                batch_keys = arriving.setdefault(event.table, set())
+                if key in key_index(event.table) or key in batch_keys:
                     duplicates.append((event, f"duplicate primary key {key!r}"))
                     continue
-                batch_keys[event.table].add(key)
+                batch_keys.add(key)
             appliable.append(event)
+
+        def resolved(event: RowEvent) -> bool:
+            for fk in self.db[event.table].schema.foreign_keys:
+                key = event.values[fk.column]
+                if (
+                    key is not None
+                    and key not in key_index(fk.ref_table)
+                    and key not in arriving.get(fk.ref_table, ())
+                ):
+                    return False
+            return True
 
         unresolved: List[RowEvent] = []
         while True:
-            available = {
-                name: set(self._key_to_index.get(name, {}))
-                for name in self.db.table_names
-            }
-            for event in appliable:
+            # A round's verdicts all read the same arriving keys; only
+            # then do the quarantined events' own keys stop arriving.
+            verdicts = [resolved(event) for event in appliable]
+            if all(verdicts):
+                break
+            dropped = [event for event, ok in zip(appliable, verdicts) if not ok]
+            appliable = [event for event, ok in zip(appliable, verdicts) if ok]
+            for event in dropped:
                 pk = self.db[event.table].schema.primary_key
                 if pk is not None:
-                    available[event.table].add(event.values[pk])
-            still: List[RowEvent] = []
-            moved = False
-            for event in appliable:
-                schema = self.db[event.table].schema
-                missing = None
-                for fk in schema.foreign_keys:
-                    key = event.values[fk.column]
-                    if key is not None and key not in available.get(fk.ref_table, set()):
-                        missing = fk
-                        break
-                if missing is None:
-                    still.append(event)
-                else:
-                    unresolved.append(event)
-                    moved = True
-            appliable = still
-            if not moved:
-                break
+                    arriving[event.table].discard(event.values[pk])
+            unresolved.extend(dropped)
         return appliable, duplicates, unresolved
 
     # -- application ----------------------------------------------------
@@ -163,7 +155,7 @@ class DeltaGraphBuilder:
         Events must be validated and screened (strict: a duplicate key
         raises :class:`EventValidationError`, an unresolved reference
         raises :class:`UnresolvedReferenceError`).  Returns the
-        :class:`DeltaReport` the refresh layer consumes.
+        :class:`DeltaReport` of what changed.
         """
         appliable, duplicates, unresolved = self.screen(events)
         if duplicates:
@@ -174,7 +166,7 @@ class DeltaGraphBuilder:
             schema = self.db[event.table].schema
             for fk in schema.foreign_keys:
                 key = event.values[fk.column]
-                if key is not None and key not in self._key_to_index.get(fk.ref_table, {}):
+                if key is not None and key not in self.graph.key_index(fk.ref_table):
                     raise UnresolvedReferenceError(event.table, fk.column, key)
             raise UnresolvedReferenceError(event.table, "?", None)
 
@@ -183,10 +175,8 @@ class DeltaGraphBuilder:
             grouped.setdefault(event.table, []).append(event)
 
         report = DeltaReport(watermark=self.watermark, num_events=len(events))
-        touched: Dict[str, List[np.ndarray]] = {}
+        version = self.graph.version
         old_counts = {name: self.graph.num_nodes(name) for name in self.graph.node_types}
-        min_time: Optional[int] = None
-        has_static = False
 
         # Pass 1 — grow tables and node types (mirrors build_graph's
         # first loop: nodes before any edge, so same-batch foreign keys
@@ -218,28 +208,18 @@ class DeltaGraphBuilder:
                 new_times = np.where(
                     raw.null_mask(), TIME_MIN, raw.values.astype(np.int64)
                 )[start:]
-                batch_min = int(new_times.min())
-                min_time = batch_min if min_time is None else min(min_time, batch_min)
                 stamped = new_times[new_times != TIME_MIN]
                 if len(stamped):
                     high = int(stamped.max())
                     self.watermark = high if self.watermark is None else max(self.watermark, high)
             else:
                 new_times = np.full(len(batch), TIME_MIN, dtype=np.int64)
-                has_static = True
-            self.graph.grow_node_type(table.name, new_times)
-            report.new_nodes[table.name] = len(batch)
-            touched.setdefault(table.name, []).append(
-                np.arange(start, start + len(batch), dtype=np.int64)
-            )
-
             pk = schema.primary_key
-            if pk is not None:
-                keys = new_table[pk].values
-                self.graph.node_keys[table.name] = keys
-                mapping = self._key_to_index[table.name]
-                for offset, key in enumerate(keys[start:].tolist()):
-                    mapping[key] = start + offset
+            self.graph.grow_node_type(
+                table.name, new_times,
+                keys=new_table[pk].values[start:] if pk is not None else None,
+            )
+            report.new_nodes[table.name] = len(batch)
             if table.name in self.graph.features:
                 self.graph.features[table.name] = self._grower.grow(
                     new_table, self.graph.features[table.name]
@@ -263,7 +243,7 @@ class DeltaGraphBuilder:
                 child_rows = np.flatnonzero(valid)
                 if not len(child_rows):
                     continue
-                mapping = self._key_to_index[fk.ref_table]
+                mapping = self.graph.key_index(fk.ref_table)
                 parent_rows = np.fromiter(
                     (mapping[key] for key in column.values[child_rows].tolist()),
                     dtype=np.int64,
@@ -280,14 +260,10 @@ class DeltaGraphBuilder:
                     forward.reverse(), parent_rows, child_rows, times=edge_times
                 )
                 report.new_edges += 2 * len(child_rows)
-                touched.setdefault(fk.ref_table, []).append(np.unique(parent_rows))
 
-        report.touched = {
-            name: np.unique(np.concatenate(parts)) for name, parts in touched.items()
-        }
-        report.min_event_time = (
-            TIME_MIN if has_static or min_time is None else int(min_time)
-        )
+        # What changed is the graph's to say: its journal saw every append.
+        change = self.graph.changes_since(version)
+        report.touched, report.min_event_time = change.touched, change.min_time
         report.watermark = self.watermark
         fractions = [
             len(ids[ids < old_counts.get(name, 0)]) / old_counts[name]

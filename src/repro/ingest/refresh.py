@@ -1,23 +1,16 @@
-"""Staleness-aware refresh: propagate a delta to models, selectively.
+"""Staleness-aware refresh: when to reconcile models with the stream.
 
-After a delta lands, everything downstream that memoized graph-derived
-state is *potentially* stale — but only the pieces whose inputs the
-delta actually touched are *actually* stale.  :func:`refresh_model`
-walks a fitted model (plain or routed) and invalidates exactly those:
-
-* subgraph-cache entries — retained unless they contain a touched
-  entity at a context time that admits the new rows
-  (:meth:`~repro.graph.cache.CachedSampler.apply_delta`);
-* the link trainer's item-embedding memo — dropped only if the item
-  type was touched;
-* the yellow tier's per-cutoff feature blocks and green's popularity
-  memos — dropped only for cutoffs at/after the earliest new event.
-  These are the tiers of the model's ladder
-  (:meth:`~repro.pql.planner.TrainedPredictiveModel.ladder`): a routed
-  model's own, a degraded fit's ``baseline``, and the green tier a
-  serving process degrades an unrouted model onto.
-
-The router's latency EMAs are *kept*: machine speed did not change.
+Everything downstream of a delta that memoized graph-derived state is
+*potentially* stale, but nothing needs to be told: the graph carries a
+version and a change journal (:mod:`repro.graph.hetero`), and every
+holder — the subgraph cache, the link trainer's item-embedding memo,
+yellow's per-cutoff feature blocks, green's popularity memos —
+reconciles itself against it before it answers, keeping exactly what
+the change cannot have altered.  :func:`refresh_model` has a fitted
+model's holders do that *now*, inside the caller's barrier instead of
+on the first request after it, and reports what they dropped; leaving
+it out costs that request the reconcile, never a wrong answer.  The
+router's latency EMAs are *kept*: machine speed did not change.
 
 :class:`RefreshPolicy` decides *when* to do that work: immediately
 for big deltas (touched-entity fraction over a threshold), otherwise
@@ -33,13 +26,17 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.graph.hetero import TIME_MIN
 from repro.ingest.delta import DeltaReport
 from repro.obs import get_logger, get_registry
 
 __all__ = ["RefreshPolicy", "refresh_model"]
 
 _log = get_logger("ingest.refresh")
+
+_COUNTERS = (
+    "cache_retained", "cache_invalidated", "item_memo_dropped",
+    "yellow_blocks_dropped", "popularity_dropped",
+)
 
 
 def _merge_touched(
@@ -124,60 +121,27 @@ class RefreshPolicy:
         return report
 
 
-def refresh_model(model, report: DeltaReport) -> Dict[str, int]:
-    """Selectively invalidate a fitted model's memoized state.
+def refresh_model(model, report: Optional[DeltaReport] = None) -> Dict[str, int]:
+    """Reconcile a fitted model's memoized state with its graph, now.
 
     ``model`` is a ``TrainedPredictiveModel`` or
     ``RoutedPredictiveModel`` whose ``graph``/``db`` are the live
-    objects the delta mutated.  Returns invalidation counters (also
+    objects ingest grows.  What changed is read from the graph's own
+    journal, so ``report`` (accepted for callers that have one) cannot
+    under-invalidate.  Returns what this call dropped or kept (also
     exported under ``ingest.refresh.*``).
     """
     red = getattr(model, "red", model)
-    stats = {
-        "cache_retained": 0,
-        "cache_invalidated": 0,
-        "item_memo_dropped": 0,
-        "yellow_blocks_dropped": 0,
-        "popularity_dropped": 0,
-    }
-    for trainer in (red.node_trainer, red.link_trainer):
-        if trainer is None:
-            continue
-        sampler = trainer.sampler
-        if hasattr(sampler, "apply_delta"):
-            out = sampler.apply_delta(report.touched, report.min_event_time)
-            stats["cache_retained"] += out["retained"]
-            stats["cache_invalidated"] += out["invalidated"]
-        if hasattr(trainer, "_item_embed_cache"):
-            item_type = trainer.model.item_type
-            touched_items = report.touched.get(item_type)
-            if touched_items is not None and len(touched_items):
-                if trainer._item_embed_cache is not None:
-                    stats["item_memo_dropped"] += 1
-                trainer._item_embed_cache = None
-            trainer._num_items = trainer.graph.num_nodes(item_type)
-
-    min_time = report.min_event_time
     ladder = model.ladder()
-    memo = ladder.green._popularity
-    stale = [c for c in memo if min_time == TIME_MIN or c >= min_time]
-    for cutoff in stale:
-        del memo[cutoff]
-    stats["popularity_dropped"] += len(stale)
-    yellow = ladder.yellow
-    if yellow is not None and yellow._builder is not None:
-        if report.new_nodes.get(yellow.entity_table):
-            # New entity rows: the builder's key→slot mapping is stale,
-            # so rebind wholesale (drops every block).
-            stats["yellow_blocks_dropped"] += len(yellow._blocks)
-            yellow.bind(red.db, red.graph)
-        else:
-            stale = [
-                c for c in yellow._blocks if min_time == TIME_MIN or c >= min_time
-            ]
-            for cutoff in stale:
-                del yellow._blocks[cutoff]
-            stats["yellow_blocks_dropped"] += len(stale)
+    stats = dict.fromkeys(_COUNTERS, 0)
+    trainers = [t for t in (red.node_trainer, red.link_trainer) if t is not None]
+    holders = [t.sampler for t in trainers] + [red.link_trainer, ladder.green, ladder.yellow]
+    for holder in holders:
+        # None and a bare NeighborSampler have nothing to count.
+        reconcile = getattr(holder, "reconcile", None)
+        if reconcile is not None:
+            for name, count in reconcile().items():
+                stats[name] += count
     registry = get_registry()
     for name, value in stats.items():
         if value:

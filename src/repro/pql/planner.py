@@ -258,21 +258,6 @@ class PredictiveQueryPlanner:
         self._plan_cache[text] = binding
         return binding
 
-    def notify_delta(self, report) -> int:
-        """Ingest-refresh hook: revalidate the plan cache after a delta.
-
-        Bindings depend only on the schema, and append-only ingest
-        never changes it, so every cached plan survives — the point of
-        this hook is to make that decision *observable* (the
-        ``planner.plan_cache.retained_after_delta`` counter feeds the
-        selective-invalidation evidence in ``BENCH_ingest.json``)
-        rather than conservatively flushing.  Returns the retained
-        count.
-        """
-        retained = len(self._plan_cache)
-        get_registry().counter("planner.plan_cache.retained_after_delta").inc(retained)
-        return retained
-
     def _run_stage(self, name: str, fn):
         """Run one compile stage under the configured retry/budget policy."""
         if self.resilience is None:
@@ -604,37 +589,28 @@ class TrainedPredictiveModel:
         :class:`~repro.pql.router.RoutedPredictiveModel` over the cheap
         tiers it owns (else an unfitted green tier).  Built once, so a
         serving process degrading onto a rung and the ingest refresh
-        invalidating that rung's memos see one object."""
+        reconciling that rung's memos see one object."""
         if self._ladder is None:
             from repro.pql.router import RoutedPredictiveModel  # lazy: router imports this module
 
             self._ladder = RoutedPredictiveModel.over(self)
         return self._ladder
 
-    def sampler_cache_stats(self) -> Optional[Dict[str, int]]:
-        """Hit/miss/eviction stats of the subgraph cache, or None.
-
-        None when the model is degraded (no sampler) or the planner
-        was configured with ``cache_size=0``.
-        """
+    def _sampler_cache(self):
         trainer = self.node_trainer or self.link_trainer
-        if trainer is None:
-            return None
-        cache = getattr(trainer.sampler, "cache", None)
+        return getattr(trainer.sampler, "cache", None) if trainer is not None else None
+
+    def sampler_cache_stats(self) -> Optional[Dict[str, int]]:
+        """Hit/miss/eviction stats of the subgraph cache, or None when
+        the model is degraded (no sampler) or ``cache_size=0``."""
+        cache = self._sampler_cache()
         return cache.stats() if cache is not None else None
 
     def sampler_cache_snapshot(self) -> Optional[Dict[str, int]]:
-        """Monotonic lifetime cache counters, or None.
-
-        Unlike :meth:`sampler_cache_stats` (whose window an owner may
-        rebase via ``reset_stats``), this is safe for concurrent
-        readers: the query router polls it to estimate subgraph-cache
-        hit likelihood without disturbing anyone's reporting window.
-        """
-        trainer = self.node_trainer or self.link_trainer
-        if trainer is None:
-            return None
-        cache = getattr(trainer.sampler, "cache", None)
+        """Monotonic lifetime cache counters, or None.  Unlike
+        :meth:`sampler_cache_stats` (whose window an owner may rebase
+        via ``reset_stats``), safe for a concurrent probe to poll."""
+        cache = self._sampler_cache()
         return cache.snapshot() if cache is not None else None
 
     # ------------------------------------------------------------------

@@ -22,10 +22,9 @@ configurable quality floor:
   Deep Learning with Pretrained Tabular Models".
 
 Costs come from cheap statistics: per-tier per-row costs calibrated
-at fit time (and refined online by an EMA of realized latencies),
-the seed fan-out expected from the graph's CSR degree arrays, the
-subgraph-cache hit likelihood read non-destructively from
-:meth:`LRUSubgraphCache.snapshot`, and the model's warm/cold state.
+at fit time and refined online by an EMA of realized latencies (which
+is also how subgraph-cache hits reach the estimate), and the model's
+warm/cold state.
 Quality comes from per-tier validation scores recorded at fit time.
 Every routed call runs under a ``router.predict`` span carrying the
 chosen tier plus estimated and realized cost, so ``--profile``
@@ -61,6 +60,7 @@ from repro.baselines.trees import GradientBoostingClassifier, GradientBoostingRe
 from repro.eval.metrics import auroc, mae
 from repro.eval.splits import TemporalSplit
 from repro.graph.builder import node_index_for_keys
+from repro.graph.hetero import CutoffMemo
 from repro.obs import get_logger, get_registry
 from repro.obs import trace as obs_trace
 from repro.pql.ast import PredictiveQuery, TaskType
@@ -105,9 +105,6 @@ def check_route(route: str) -> str:
         raise ValueError(f"route must be {'|'.join(ROUTES)}, got {route!r}")
     return route
 
-#: Fraction of red's per-row cost attributed to sampling (the part a
-#: subgraph-cache hit skips): sampling dominates the no-grad path.
-_RED_SAMPLING_FRACTION = 0.8
 #: Extra rows' worth of red cost charged while the model is cold
 #: (first call pays allocator warmup, lazy memos, branch-predictor
 #: cold paths).
@@ -210,10 +207,8 @@ class CostModel:
     yellow's first call building its feature block) nudges the
     estimate instead of poisoning it, which matters because the router
     stops sending traffic to a tier it believes is expensive and an
-    unvisited tier's estimate never self-corrects.  Red's estimate is
-    additionally shaped by the subgraph-cache hit likelihood (hits
-    skip the sampling fraction of the marginal work) and a cold-start
-    surcharge.
+    unvisited tier's estimate never self-corrects.  Red's estimate
+    additionally carries a cold-start surcharge.
     """
 
     def __init__(
@@ -235,18 +230,14 @@ class CostModel:
         with self._lock:
             return dict(self._overhead_ms)
 
-    def estimate(
-        self, tier: str, rows: int, cache_hit_rate: float = 0.0, warm: bool = True
-    ) -> float:
+    def estimate(self, tier: str, rows: int, warm: bool = True) -> float:
         """Estimated cost in milliseconds for ``rows`` predictions."""
         with self._lock:
             per_row = self._per_row_ms.get(tier, 1.0)
             overhead = self._overhead_ms.get(tier, 0.0)
         marginal = per_row * max(int(rows), 1)
-        if tier == RED:
-            marginal *= 1.0 - _RED_SAMPLING_FRACTION * float(np.clip(cache_hit_rate, 0.0, 1.0))
-            if not warm:
-                marginal += per_row * _COLD_SURCHARGE_ROWS
+        if tier == RED and not warm:
+            marginal += per_row * _COLD_SURCHARGE_ROWS
         return overhead + marginal
 
     def observe(self, tier: str, rows: int, elapsed_ms: float) -> None:
@@ -311,10 +302,14 @@ class GreenTier:
         self._graph = graph
         self._entity_edges = graph.edge_types_into(self.entity_table)
         self._item_edges = graph.edge_types_into(self.item_table) if self.item_table else []
-        #: Per-cutoff memo of the item-popularity vector (rank path);
-        #: bounded because serving sees few distinct cutoffs.
-        self._popularity: Dict[int, np.ndarray] = {}
+        #: Per-cutoff memo of the item-popularity vector (rank path).
+        self._popularity = CutoffMemo(graph, sized_by=self.item_table)
         return self
+
+    def reconcile(self) -> Dict[str, int]:
+        """Reconcile the popularity memo with the graph now rather than
+        on the next rank; returns the ``refresh_model`` counter."""
+        return {"popularity_dropped": self._popularity.reconcile()}
 
     def _counts(self, node_ids: np.ndarray, cutoffs: np.ndarray, edge_types) -> np.ndarray:
         counts = np.zeros(len(node_ids), dtype=np.float64)
@@ -357,17 +352,13 @@ class GreenTier:
         return np.asarray(self.calibrator.predict(x), dtype=np.float64)
 
     def _popularity_at(self, cutoff: int) -> np.ndarray:
-        cached = self._popularity.get(cutoff)
-        if cached is not None:
-            return cached
-        num_items = self._graph.num_nodes(self.item_table)
-        ids = np.arange(num_items, dtype=np.int64)
-        times = np.full(num_items, cutoff, dtype=np.int64)
-        scores = self._counts(ids, times, self._item_edges)
-        if len(self._popularity) >= 32:
-            self._popularity.clear()
-        self._popularity[cutoff] = scores
-        return scores
+        def count() -> np.ndarray:
+            num_items = self._graph.num_nodes(self.item_table)
+            ids = np.arange(num_items, dtype=np.int64)
+            times = np.full(num_items, cutoff, dtype=np.int64)
+            return self._counts(ids, times, self._item_edges)
+
+        return self._popularity.get(cutoff, count)
 
     def rank(
         self, entity_keys: np.ndarray, cutoffs: np.ndarray, k: int
@@ -401,12 +392,13 @@ class YellowTier:
     a row gather plus tree traversal — orders of magnitude under the
     GNN's sample-and-infer.  Pickles with the green tier it stacks
     (one object can therefore be a degraded model's whole ``baseline``);
-    :meth:`bind` re-attaches the feature builder and the graph.
+    :meth:`bind` re-attaches the database and the graph.
     """
 
     kind = YELLOW
-    #: Bound on memoized per-cutoff feature blocks.
-    MAX_BLOCKS = 8
+    #: What :meth:`bind` attaches; not pickled.
+    _BOUND = ("_db", "_graph", "_builder", "_built_at", "_blocks")
+    _builder: Optional[FeatureBuilder] = None
     #: A file written before yellow pickled its green tier has no such
     #: key; :meth:`RoutedPredictiveModel.load` hands the tier over.
     green: Optional[GreenTier] = None
@@ -419,45 +411,53 @@ class YellowTier:
         self.hybrid = hybrid
         self.green = green
         self.estimator = None
-        self._builder: Optional[FeatureBuilder] = None
-        self._blocks: Dict[int, np.ndarray] = {}
 
     def __getstate__(self):
-        return dict(self.__dict__, _builder=None, _blocks={})
+        return {k: v for k, v in self.__dict__.items() if k not in self._BOUND}
 
     def bind(self, db, graph) -> "YellowTier":
         """Attach the feature builder over ``db`` and bind the stacked
-        green tier to ``graph`` (neither is pickled)."""
+        green tier to ``graph`` (neither is pickled).  Ingest grows the
+        two in one step, so the graph's version dates ``db`` too."""
         if self.green is not None:
             self.green.bind(db, graph)
-        self._builder = FeatureBuilder(db, self.entity_table, include_two_hop=False)
-        self._blocks = {}
+        self._db, self._graph = db, graph
+        self._build()
+        self._blocks = CutoffMemo(graph, sized_by=self.entity_table)
         return self
 
-    def _block(self, cutoff: int) -> np.ndarray:
-        cached = self._blocks.get(cutoff)
-        if cached is None:
-            if len(self._blocks) >= self.MAX_BLOCKS:
-                self._blocks.clear()
-            cached = self._builder._build_at_cutoff(int(cutoff))
-            self._blocks[cutoff] = cached
-        return cached
+    def _build(self) -> None:
+        self._builder = FeatureBuilder(self._db, self.entity_table, include_two_hop=False)
+        self._built_at = self._graph.version
+
+    def reconcile(self) -> Dict[str, int]:
+        """Reconcile with the live pair (runs before every answer):
+        blocks follow the per-cutoff rule; the feature builder, which
+        holds the tables it was built over, is rebuilt over the grown
+        ones.  Returns the ``refresh_model`` counter."""
+        dropped = self._blocks.reconcile()
+        if self._built_at != self._graph.version:
+            self._build()
+        return {"yellow_blocks_dropped": dropped}
 
     def features(self, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
         """Auto-extracted features (+ stacked green activity) per row."""
         if self._builder is None:
             raise RuntimeError("YellowTier is unbound; call bind(db, graph) first")
+        self.reconcile()
+        builder = self._builder
         entity_keys = np.asarray(entity_keys)
         cutoffs = np.asarray(cutoffs, dtype=np.int64)
-        out = np.full((len(entity_keys), self._builder.num_features), np.nan)
+        out = np.full((len(entity_keys), builder.num_features), np.nan)
         slots = np.fromiter(
-            (self._builder._key_to_slot[key] for key in entity_keys.tolist()),
+            (builder._key_to_slot[key] for key in entity_keys.tolist()),
             dtype=np.int64,
             count=len(entity_keys),
         )
-        for cutoff in np.unique(cutoffs):
+        for cutoff in np.unique(cutoffs).tolist():
             rows = np.flatnonzero(cutoffs == cutoff)
-            out[rows] = self._block(int(cutoff))[slots[rows]]
+            block = self._blocks.get(cutoff, lambda: builder._build_at_cutoff(cutoff))
+            out[rows] = block[slots[rows]]
         if self.hybrid and self.green is not None:
             stacked = np.log1p(self.green.activity(entity_keys, cutoffs))[:, None]
             out = np.hstack([out, stacked])
@@ -641,13 +641,6 @@ class RoutedPredictiveModel:
         """A routed model is its own degradation ladder."""
         return self
 
-    def _cache_hit_rate(self) -> float:
-        snapshot = self.red.sampler_cache_snapshot()
-        if not snapshot:
-            return 0.0
-        total = snapshot["hits"] + snapshot["misses"]
-        return snapshot["hits"] / total if total else 0.0
-
     def decide(self, rows: int, route: Optional[str] = None) -> RouteDecision:
         """Pick the tier for a request of ``rows`` predictions.
 
@@ -659,7 +652,6 @@ class RoutedPredictiveModel:
         available = self.available_tiers()
         with self._lock:
             warm = self._red_calls > 0
-        hit_rate = self._cache_hit_rate()
         best = max(self.quality.get(t, 0.0) for t in available)
         floor = self.router.quality_floor * best
         estimates = []
@@ -668,7 +660,7 @@ class RoutedPredictiveModel:
                 estimates.append(TierEstimate(tier, 0.0, float("inf"), False, "unavailable"))
                 continue
             q = self.quality.get(tier, 0.0)
-            est = self.cost.estimate(tier, rows, cache_hit_rate=hit_rate, warm=warm)
+            est = self.cost.estimate(tier, rows, warm=warm)
             eligible = q >= floor
             estimates.append(
                 TierEstimate(tier, q, est, eligible, "" if eligible else "below quality floor")

@@ -662,8 +662,10 @@ class PredictionService:
         executes against the pre-delta graph, every request admitted
         after it sees the refreshed one, and no single batch ever
         straddles the mutation.  This is how the ingest pipeline's
-        in-place graph growth (``DeltaGraphBuilder.apply`` +
-        ``refresh_model``) reaches a live service safely.  Records a
+        in-place graph growth (``IngestPipeline.process``) reaches a
+        live service safely; the model's caches reconcile themselves
+        with the grown graph on the next request, or inside this
+        barrier if ``apply_fn`` also calls ``refresh_model``.  Records a
         ``graph_refreshed`` provenance event and returns ``apply_fn``'s
         result.
         """

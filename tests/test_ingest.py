@@ -19,7 +19,10 @@ Covers the `repro.ingest` subsystem end to end:
 * the incremental layers underneath: ``_EdgeStore.merged`` vs the
   cold stable lexsort, :class:`FeatureGrower` fast path vs full
   re-encode, the subgraph-cache retention rule, and
-  :class:`RefreshPolicy` scheduling.
+  :class:`RefreshPolicy` scheduling;
+* the one staleness rule: every holder of graph-derived state follows
+  a delta nobody told it about (no ``refresh_model``), including one
+  older than the graph's change journal.
 """
 
 from __future__ import annotations
@@ -37,12 +40,7 @@ import pytest
 
 from repro.graph import NeighborSampler, build_graph
 from repro.graph.builder import node_index_for_keys
-from repro.graph.cache import (
-    CachedSampler,
-    KEY_PREFIX_LEN,
-    LRUSubgraphCache,
-    graph_fingerprint,
-)
+from repro.graph.cache import CachedSampler, LRUSubgraphCache, graph_fingerprint
 from repro.graph.encoders import FeatureGrower, encode_table_features
 from repro.graph.hetero import TIME_MIN, EdgeType, _EdgeStore
 from repro.ingest import (
@@ -511,6 +509,38 @@ class TestPipelinePolicies:
                                           pipeline.db["orders"].schema)])
 
 
+    def test_screening_never_walks_an_untouched_tables_keys(self, pipeline):
+        class SpyIndex(dict):
+            walks = 0
+
+            def _walked(self, method):
+                SpyIndex.walks += 1
+                return method()
+
+            def __iter__(self):
+                return self._walked(super().__iter__)
+
+            def keys(self):
+                return self._walked(super().keys)
+
+            def items(self):
+                return self._walked(super().items)
+
+        graph = pipeline.graph
+        for name in ("customers", "products"):
+            graph._key_index[name] = SpyIndex(graph.key_index(name))
+        report = pipeline.process([
+            order_event(205, customer=10, product=1, ts=600),
+            order_event(206, customer=99, ts=610),   # quarantined: screening loops
+            order_event(205, ts=620),                # duplicate
+        ])
+        assert (report.applied, report.quarantined, len(report.rejected)) == (1, 1, 1)
+        # Screen ran twice (pipeline, then apply's strict re-check) and
+        # looked keys up; it never copied or iterated a parent's map.
+        assert SpyIndex.walks == 0
+        assert graph.key_index("customers") is graph._key_index["customers"]
+
+
 # ----------------------------------------------------------------------
 # Delta reports and refresh policy
 # ----------------------------------------------------------------------
@@ -536,23 +566,6 @@ class TestDeltaReport:
         assert graph.num_nodes("orders") == 5
         pipeline.process([order_event(205, ts=600)])
         assert graph.num_nodes("orders") == 6  # same object, grown
-
-    def test_key_index_memo_follows_growth(self, pipeline):
-        graph = pipeline.graph
-        before = graph.key_index("customers")
-        assert graph.key_index("customers") is before   # one mapping per key array
-        assert node_index_for_keys(graph, "customers", np.array([20])).tolist() == [1]
-        with pytest.raises(KeyError):
-            node_index_for_keys(graph, "customers", np.array([30]))
-        pipeline.process([customer_event(30)])
-        # The delta replaced the key array, so the memo was rebuilt: the new
-        # key resolves, an unknown one still raises.
-        assert node_index_for_keys(graph, "customers", np.array([30, 10])).tolist() == [2, 0]
-        assert graph.key_index("customers") is not before
-        with pytest.raises(KeyError):
-            node_index_for_keys(graph, "customers", np.array([31]))
-        with pytest.raises(KeyError):
-            graph.key_index("no_such_type")
 
 
 class TestRefreshPolicy:
@@ -711,21 +724,19 @@ class TestCacheRetention:
             base_seed=0, cache=LRUSubgraphCache(cache_size),
         )
 
-    def test_untouched_entries_survive_and_rekey(self, pipeline):
+    def test_untouched_entries_survive_under_the_same_key(self, pipeline):
         sampler = self._sampler(pipeline.graph)
         ids = np.array([1], dtype=np.int64)  # customer 20: untouched below
         times = np.array([450], dtype=np.int64)
         before = sampler.sample("customers", ids, times)
-        old_key = sampler.batch_key("customers", ids, times)
+        key = sampler.batch_key("customers", ids, times)
 
-        delta = pipeline.process([order_event(205, customer=10, ts=600)]).delta
-        stats = sampler.apply_delta(delta.touched, delta.min_event_time)
-        assert stats == {"retained": 1, "invalidated": 0}
+        pipeline.process([order_event(205, customer=10, ts=600)])
+        assert sampler.reconcile() == {"cache_retained": 1, "cache_invalidated": 0}
+        assert sampler.reconcile() == {"cache_retained": 0, "cache_invalidated": 0}  # nothing new
 
-        new_key = sampler.batch_key("customers", ids, times)
-        assert new_key != old_key  # fingerprint prefix moved
-        assert new_key[KEY_PREFIX_LEN:] == old_key[KEY_PREFIX_LEN:]
-        hit = sampler.cache.get(new_key)
+        assert sampler.batch_key("customers", ids, times) == key  # the graph is not in the key
+        hit = sampler.cache.get(key)
         assert hit is not None
         assert_subgraphs_identical(hit, before)
 
@@ -738,9 +749,8 @@ class TestCacheRetention:
         sampler.sample("customers", ids, np.array([450], dtype=np.int64))
         assert late is not None
 
-        delta = pipeline.process([order_event(205, customer=10, ts=600)]).delta
-        stats = sampler.apply_delta(delta.touched, delta.min_event_time)
-        assert stats == {"retained": 1, "invalidated": 1}
+        pipeline.process([order_event(205, customer=10, ts=600)])
+        assert sampler.reconcile() == {"cache_retained": 1, "cache_invalidated": 1}
 
     def test_static_delta_invalidates_regardless_of_context(self, pipeline):
         # New customer row: static-table events are visible at every
@@ -750,40 +760,204 @@ class TestCacheRetention:
         sampler = self._sampler(pipeline.graph)
         sampler.sample("customers", np.array([0], dtype=np.int64),
                        np.array([450], dtype=np.int64))
+        version = pipeline.graph.version
         delta = pipeline.process([
             customer_event(30),
             order_event(205, customer=30, product=1, ts=600),
         ]).delta
         assert delta.min_event_time == TIME_MIN
-        stats = sampler.apply_delta(delta.touched, delta.min_event_time)
+        assert pipeline.graph.changes_since(version).min_time == TIME_MIN
         # Customer 0's subgraph contains product 1 (orders 100 at t=100).
-        assert stats["invalidated"] == 1
+        assert sampler.reconcile()["cache_invalidated"] == 1
 
     def test_retained_entries_equal_fresh_draws(self, pipeline):
-        # The heart of the key/seed split: a retained entry must be
-        # bit-identical to re-sampling on the grown graph.
+        # The heart of keeping the graph out of key and seed: a retained
+        # entry must be bit-identical to re-sampling on the grown graph.
         sampler = self._sampler(pipeline.graph)
         batches = [
             ("customers", np.array([1], dtype=np.int64), np.array([450], dtype=np.int64)),
             ("products", np.array([1, 2], dtype=np.int64), np.array([450, 450], dtype=np.int64)),
         ]
-        kept = [sampler.sample(*b) for b in batches]
-        delta = pipeline.process([order_event(205, customer=10, product=1, ts=600)]).delta
-        sampler.apply_delta(delta.touched, delta.min_event_time)
+        for batch in batches:
+            sampler.sample(*batch)
+        pipeline.process([order_event(205, customer=10, product=1, ts=600)])
+        assert sampler.reconcile()["cache_retained"] >= 1
         fresh = CachedSampler(
             NeighborSampler(pipeline.graph, fanouts=[2, 2], rng=np.random.default_rng(9)),
             base_seed=0,
         )
-        for batch, old in zip(batches, kept):
+        for batch in batches:
             cached = sampler.cache.get(sampler.batch_key(*batch))
             if cached is None:
                 continue  # invalidated (touched): nothing to compare
             assert_subgraphs_identical(cached, fresh.sample(*batch))
 
+    def test_journal_reports_what_the_delta_report_does(self, pipeline):
+        graph = pipeline.graph
+        version = graph.version
+        delta = pipeline.process([
+            order_event(205, customer=10, product=1, ts=600),
+            order_event(206, customer=20, product=1, ts=610),
+        ]).delta
+        change = graph.changes_since(version)
+        assert change.min_time == delta.min_event_time == 600
+        assert change.grown == {"orders"}
+        assert sorted(change.touched) == sorted(delta.touched)
+        for node_type, ids in delta.touched.items():
+            assert change.touched[node_type].tolist() == ids.tolist()
+        assert version < graph.last_changed("products") < graph.last_changed("orders")
+        assert graph.last_changed("orders") == graph.version
+        assert graph.changes_since(graph.version).touched == {}
+        # One read covers several deltas, merged.
+        pipeline.process([order_event(207, customer=20, product=2, ts=620)])
+        merged = graph.changes_since(version)
+        assert merged.min_time == 600
+        assert merged.touched["products"].tolist() == [0, 1]
+
 
 # ----------------------------------------------------------------------
 # apply_events_to_database
 # ----------------------------------------------------------------------
+CHURN_QUERY = "PREDICT COUNT(orders) = 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
+
+
+@pytest.fixture(scope="module")
+def routed_churn(tmp_path_factory):
+    """A routed churn model with a subgraph cache, saved once; plus the
+    database it was fitted on."""
+    from repro.datasets import make_ecommerce
+    from repro.pql import PredictiveQueryPlanner
+    from tests.conftest import make_split, tiny_planner_config
+
+    db = make_ecommerce(num_customers=60, num_products=20, seed=3)
+    planner = PredictiveQueryPlanner(db, tiny_planner_config(cache_size=16, epochs=2))
+    directory = str(tmp_path_factory.mktemp("forgetful") / "model")
+    planner.fit_routed(CHURN_QUERY, make_split(db, horizon_days=30)).save(directory)
+    return db, directory
+
+
+class TestForgettingRefreshIsSafe:
+    """A delta lands through ``DeltaGraphBuilder.apply`` and nobody calls
+    ``refresh_model`` (or any other hook): every holder of graph-derived
+    state still answers as if built fresh on the grown graph."""
+
+    T = 10**10  # every streamed row is visible at the probed cutoff
+
+    def _streamed_and_cold(self, routed_churn, num_events=120):
+        from repro.pql.router import RoutedPredictiveModel
+        from tests.test_ingest_differential import carve
+
+        db, directory = routed_churn
+        base, events = carve(db, num_events)
+        events = [validate_event(e, db[e.table].schema) for e in events]
+        cold = RoutedPredictiveModel.load(directory, apply_events_to_database(base, events))
+        live = RoutedPredictiveModel.load(directory, base)
+        builder = DeltaGraphBuilder(live.db, graph=live.graph, stats_cutoff=live.red.stats_cutoff)
+        return live, cold, builder, events
+
+    def test_model_predicts_like_a_cold_rebuild(self, routed_churn):
+        live, cold, builder, events = self._streamed_and_cold(routed_churn)
+        keys = live.graph.node_keys["customers"]
+        stale = {tier: live.predict(keys, self.T, route=tier) for tier in ("green", "yellow", "red")}
+        assert live.sampler_cache_stats()["entries"] > 0
+        for start in (0, 60):  # the second delta finds holders reconciled at the first
+            builder.apply(events[start:start + 60])
+            if start == 0:
+                live.predict(keys[:5], self.T, route="red")
+        for tier in ("green", "yellow", "red"):
+            np.testing.assert_array_equal(
+                live.predict(keys, self.T, route=tier), cold.predict(keys, self.T, route=tier)
+            )
+            assert not np.array_equal(stale[tier], cold.predict(keys, self.T, route=tier))
+        # What refresh_model reports when it does run late: nothing left to do.
+        assert not any(refresh_model(live).values())
+
+    @pytest.mark.parametrize("holder", ["green_rank", "yellow", "sampler", "cached_sampler"])
+    def test_holder_follows_a_delta_nobody_announced(self, pipeline, holder):
+        from repro.pql.router import GreenTier, YellowTier
+
+        db, graph = pipeline.db, pipeline.graph
+        keys, cutoffs = np.array([10, 20]), np.array([1000, 1000])
+        ids = np.array([0, 1], dtype=np.int64)
+
+        def build():
+            if holder == "green_rank":
+                tier = GreenTier("customers", "link", item_table="products").bind(db, graph)
+                return lambda: tier.rank(keys, cutoffs, 3)
+            if holder == "yellow":
+                tier = YellowTier("customers", "binary", hybrid=False).bind(db, graph)
+                return lambda: tier.features(keys, cutoffs)
+            base = NeighborSampler(graph, fanouts=[8, 8], rng=np.random.default_rng(0))
+            if holder == "sampler":
+                def draw():
+                    base.rng = np.random.default_rng(5)
+                    return base.sample("customers", ids, cutoffs)
+                return draw
+            sampler = CachedSampler(base, base_seed=7, cache=LRUSubgraphCache(8))
+            return lambda: sampler.sample("customers", ids, cutoffs)
+
+        sampled = holder in ("sampler", "cached_sampler")
+        long_lived = build()
+        before = long_lived()
+        index = graph.key_index("customers")
+        with pytest.raises(KeyError):
+            node_index_for_keys(graph, "customers", np.array([30]))
+        # Rows at ts <= the probed cutoff, one of them for a new customer.
+        report = pipeline.process([
+            customer_event(30),
+            order_event(205, customer=10, product=3, ts=600),
+            order_event(206, customer=30, product=3, ts=610),
+        ])
+        assert report.applied == 3
+        after, fresh = long_lived(), build()()
+        if sampled:
+            assert_subgraphs_identical(after, fresh)
+            assert after.total_edges() > before.total_edges()  # the delta was visible
+        else:
+            np.testing.assert_equal(after, fresh)
+            assert str(after) != str(before)
+        # The graph's one key map grew in place; the new key resolves.
+        assert graph.key_index("customers") is index
+        assert node_index_for_keys(graph, "customers", np.array([30, 10])).tolist() == [2, 0]
+        with pytest.raises(KeyError):
+            node_index_for_keys(graph, "customers", np.array([31]))
+        with pytest.raises(KeyError):
+            graph.key_index("no_such_type")
+
+    def test_holder_left_behind_the_journal_drops_everything(self):
+        from repro.graph.hetero import JOURNAL_LEN
+        from repro.pql.router import GreenTier
+
+        db = shop_db()
+        builder = DeltaGraphBuilder(db, stats_cutoff=400)
+        graph = builder.graph
+        sampler = CachedSampler(
+            NeighborSampler(graph, fanouts=[2, 2], rng=np.random.default_rng(0)),
+            base_seed=0, cache=LRUSubgraphCache(8),
+        )
+        green = GreenTier("customers", "link", item_table="products").bind(db, graph)
+        # Entries the retention rule would keep if it could see the
+        # change: customer 20 and popularity, both at cutoff 450.
+        batch = ("customers", np.array([1], dtype=np.int64), np.array([450], dtype=np.int64))
+        sampler.sample(*batch)
+        green.rank(np.array([20]), np.array([450]), 3)
+        version, schema, oid = graph.version, db["orders"].schema, 205
+        while graph.version - version <= JOURNAL_LEN:
+            builder.apply([validate_event(order_event(oid, customer=10, ts=600 + oid), schema)])
+            oid += 1
+        assert graph.changes_since(version) is None
+        assert graph.changes_since(graph.version - JOURNAL_LEN) is not None
+        assert sampler.reconcile() == {"cache_retained": 0, "cache_invalidated": 1}
+        assert green.reconcile() == {"popularity_dropped": 1}
+        fresh = CachedSampler(
+            NeighborSampler(graph, fanouts=[2, 2], rng=np.random.default_rng(3)), base_seed=0
+        )
+        late = ("customers", np.array([0, 1], dtype=np.int64), np.array([10**6] * 2, dtype=np.int64))
+        for probe in (batch, late):
+            assert_subgraphs_identical(sampler.sample(*probe), fresh.sample(*probe))
+        assert graph_fingerprint(graph) == graph_fingerprint(build_graph(db, stats_cutoff=400))
+
+
 class TestRefreshReachesTheLadder:
     LIST_QUERY = "PREDICT LIST(orders.product_id) FOR EACH customers.id ASSUMING HORIZON 1 DAYS"
 

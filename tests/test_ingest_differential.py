@@ -136,35 +136,6 @@ class TestShopScale:
         assert_subgraphs_identical(cached[0], cached[1])
         assert_subgraphs_identical(cached[0], cached[2])
 
-    def test_long_lived_sampler_survives_a_delta_at_its_cutoff(self, tmp_path):
-        """One sampler object, as a serving model holds it, across a delta.
-
-        It samples at cutoff T, the pipeline then applies events with
-        timestamps <= T (replacing edge stores), ``apply_delta`` runs as
-        ``refresh_model`` would, and the next sample at T must equal a
-        fresh sampler's on the grown graph: whatever the sampler memoized
-        about the old stores must not answer for the new ones.
-        """
-        base, events = carve(shop_db(), 2)
-        log = SegmentLog.create(str(tmp_path / "log"), base)
-        pipeline = IngestPipeline(log, stats_cutoff=300)
-
-        def make_sampler():
-            return CachedSampler(
-                NeighborSampler(pipeline.graph, fanouts=FANOUTS, rng=np.random.default_rng(0)),
-                base_seed=7, cache=LRUSubgraphCache(8),
-            )
-
-        ids, times = seed_batch(pipeline.graph, num=2)
-        long_lived = make_sampler()
-        before = long_lived.sample("customers", ids, times)
-        report = pipeline.process(events)
-        assert report.applied == len(events) and report.delta.min_event_time <= times[0]
-        long_lived.apply_delta(report.delta.touched, report.delta.min_event_time)
-        after = long_lived.sample("customers", ids, times)
-        assert_subgraphs_identical(after, make_sampler().sample("customers", ids, times))
-        assert after.total_edges() > before.total_edges()
-
     def test_equivalence_at_every_batch_boundary(self, tmp_path):
         db = shop_db()
         base, events = carve(db, 3)
@@ -183,6 +154,30 @@ class TestShopScale:
             assert_graphs_equivalent(
                 pipeline.graph, build_graph(running, stats_cutoff=300)
             )
+
+
+@pytest.mark.slow
+def test_parallel_loader_retakes_its_graph_copy_after_a_delta(tmp_path):
+    """The worker pool samples a copy of the graph taken at pool start;
+    an epoch after a delta must draw what a fresh sampler draws."""
+    base, events = carve(shop_db(), 2)
+    pipeline = IngestPipeline(SegmentLog.create(str(tmp_path / "log"), base), stats_cutoff=300)
+
+    def make_sampler(cache=None):
+        return CachedSampler(
+            NeighborSampler(pipeline.graph, fanouts=FANOUTS, rng=np.random.default_rng(0)),
+            base_seed=7, cache=cache,
+        )
+
+    ids, times = seed_batch(pipeline.graph, num=2)
+    batches = [np.arange(2)]
+    with ParallelSampleLoader(make_sampler(LRUSubgraphCache(8)), num_workers=1) as loader:
+        (_, before), = loader.iter_epoch("customers", ids, times, batches)
+        assert pipeline.process(events).applied == len(events)
+        (_, after), = loader.iter_epoch("customers", ids, times, batches)
+        assert loader._executor is not None  # restarted, not degraded
+    assert_subgraphs_identical(after, make_sampler().sample("customers", ids, times))
+    assert after.total_edges() > before.total_edges()
 
 
 @pytest.mark.slow

@@ -75,7 +75,13 @@ class TestRoundTrip:
         graph = build_graph(shop_db())
         store = SharedGraphStore.create(graph)
         try:
-            assert_graphs_equivalent(graph, store.graph())
+            view = store.graph()
+            # Packing hashed nothing: the view's fingerprint is computed
+            # on demand from the shared arrays, and equals the source's.
+            assert "fingerprint" not in store._manifest
+            assert getattr(view, "_fingerprint", None) is None
+            assert_graphs_equivalent(graph, view)
+            assert view._fingerprint == (0, graph_fingerprint(graph))
         finally:
             store.cleanup()
 
@@ -187,8 +193,8 @@ class TestSampleBitIdentity:
     """Samples drawn from either store are bit-identical.
 
     The content-keyed RNG contract seeds each draw from (fanouts,
-    seeds); the shared store carries the precomputed fingerprint, so
-    the draws must coincide exactly — through the vectorized sampler's
+    seeds) and from nothing about the graph object, so the draws must
+    coincide exactly — through the vectorized sampler's
     array reads and through the scalar ``neighbors_before`` /
     ``count_before`` API the loop oracle ("reference") walks.
     """

@@ -10,12 +10,12 @@ import pytest
 
 from repro.graph import NeighborSampler, build_graph
 from repro.graph.cache import (
-    KEY_PREFIX_LEN,
     CachedSampler,
     LRUSubgraphCache,
     batch_rng_seed,
     graph_fingerprint,
 )
+from repro.graph.hetero import TIME_MIN
 from repro.obs import get_registry
 from tests.conftest import assert_subgraphs_identical, shop_db
 
@@ -86,10 +86,20 @@ class TestGraphFingerprint:
         assert graph_fingerprint(g1) == graph_fingerprint(g2)
 
     def test_memoized_on_instance(self):
+        # Computed on demand, memoized per graph version: a second ask
+        # hashes nothing, an append makes the next ask hash again.
         g = build_graph(shop_db())
         first = graph_fingerprint(g)
-        assert g._fingerprint == first
+        assert g._fingerprint == (g.version, first)
+        g._edges = None  # any re-hash would now raise
         assert graph_fingerprint(g) == first
+
+    def test_recomputed_after_the_graph_grows(self):
+        g = build_graph(shop_db())
+        first = graph_fingerprint(g)
+        g.grow_node_type("customers", np.array([TIME_MIN]), keys=np.array([30]))
+        assert graph_fingerprint(g) != first
+        assert g._fingerprint[0] == g.version == 1
 
     def test_sensitive_to_content(self):
         from repro.datasets import make_ecommerce
@@ -99,6 +109,15 @@ class TestGraphFingerprint:
         g_ecom2 = build_graph(make_ecommerce(num_customers=20, num_products=5, seed=1))
         assert graph_fingerprint(g_shop) != graph_fingerprint(g_ecom)
         assert graph_fingerprint(g_ecom) != graph_fingerprint(g_ecom2)
+
+
+#: (seed type, ids, times, base seed, the seed the parent commit derived)
+#: for fanouts (4, 4), time-respecting.
+PINNED_SEEDS = [
+    ("customers", [1], [500], 7, 7159962616173719153),
+    ("customers", [0, 1], [400, 400], 0, 14719165160539945783),
+    ("products", [2, 0, 1], [300, 10**9, 450], 11, 5543108369514645591),
+]
 
 
 class TestBatchKey:
@@ -132,19 +151,23 @@ class TestBatchKey:
 
     def test_rng_seed_matches_key_digest_half(self):
         g = self.graph()
-        sampler = CachedSampler(make_sampler(g), base_seed=7)
-        ids, times = np.array([1]), np.array([500])
-        key = sampler.batch_key("customers", ids, times)
-        derived = batch_rng_seed(sampler.fanouts, True, 7, "customers", ids, times)
-        # The derivation is frozen: this is the seed the exact-fanout
-        # vectorized implementation drew from before it became the only
-        # sampler, so models and predictions reproduce across the change.
-        assert derived == 7159962616173719153
-        # 32-byte composite key: fingerprint prefix + batch digest; the
-        # RNG seed comes from the digest half only.
-        assert len(key) == KEY_PREFIX_LEN + 16
-        assert key[:KEY_PREFIX_LEN] == bytes.fromhex(graph_fingerprint(g))
-        assert int.from_bytes(key[KEY_PREFIX_LEN : KEY_PREFIX_LEN + 8], "little") == derived
+        grown = self.graph()
+        grown.grow_node_type("customers", np.array([TIME_MIN]), keys=np.array([30]))
+        for seed_type, ids, times, base_seed, pinned in PINNED_SEEDS:
+            sampler = CachedSampler(make_sampler(g), base_seed=base_seed)
+            ids, times = np.array(ids), np.array(times)
+            key = sampler.batch_key(seed_type, ids, times)
+            derived = batch_rng_seed(sampler.fanouts, True, base_seed, seed_type, ids, times)
+            # The derivation is frozen: these are the seeds the previous
+            # version (composite fingerprint + digest key) drew from, so
+            # models and predictions reproduce across the change.
+            assert derived == pinned
+            # The key is the 16-byte batch digest alone — the graph is
+            # not part of it — and the RNG seed is its first half.
+            assert len(key) == 16
+            assert int.from_bytes(key[:8], "little") == derived
+            other = CachedSampler(make_sampler(grown), base_seed=base_seed)
+            assert other.batch_key(seed_type, ids, times) == key
 
 
 class TestCachedSamplerDeterminism:
