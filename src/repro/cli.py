@@ -17,10 +17,13 @@
     python -m repro sql --dataset ecommerce "SELECT COUNT(*) FROM orders"
         Run a SQL SELECT against a generated dataset and print rows.
 
-    python -m repro serve --dataset ecommerce --model artifacts/churn
+    python -m repro serve --model artifacts/churn
         Serve a saved model over a JSON-lines request loop (stdin →
         stdout) with micro-batching, admission control, and per-request
-        deadlines.  ``--registry ROOT --model-name NAME`` loads from a
+        deadlines.  The database is the snapshot the artifact carries;
+        ``--dataset/--scale/--seed`` only regenerate one for artifacts
+        saved before snapshots existed and are ignored otherwise.
+        ``--registry ROOT --model-name NAME`` loads from a
         versioned model registry instead and unlocks the lifecycle
         verbs (``swap``/``canary``/``lifecycle``; defaults via
         ``--canary-fraction``, ``--promote-after``, ``--rollback-on``);
@@ -211,7 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="serve a saved model over a JSON-lines stdin/stdout loop"
     )
-    serve.add_argument("--dataset", required=True, choices=sorted(REGISTRY))
+    serve.add_argument(
+        "--dataset", default=None, choices=sorted(REGISTRY),
+        help="regenerate this dataset (at --scale/--seed) for an artifact saved "
+             "without a data snapshot; ignored when the artifact carries one",
+    )
     serve.add_argument("--scale", type=float, default=1.0, help="dataset size multiplier")
     serve.add_argument("--seed", type=int, default=0)
     source = serve.add_mutually_exclusive_group(required=True)
@@ -472,6 +479,7 @@ def _build_dataset(args: argparse.Namespace):
     )
     with obs_trace.span("cli.dataset_build"):
         db = spec.build(scale=args.scale, seed=args.seed)
+    db.source = "generated"
     _log.info(
         "dataset ready",
         extra={"dataset": args.dataset, "rows": sum(t.num_rows for t in db)},
@@ -628,9 +636,41 @@ def _rollback_budgets(items: List[str]) -> dict:
     return budgets
 
 
+def _open_service(args: argparse.Namespace, config):
+    """The service ``repro serve`` runs, over the data snapshot its
+    artifact carries.  Only an artifact saved before snapshots existed
+    falls back to regenerating ``--dataset``."""
+    from repro.pql import NoSnapshotError, load_model
+    from repro.serve import ModelRegistry, PredictionService
+
+    registry = ModelRegistry(args.registry) if args.registry else None
+
+    def open_over(db):
+        if registry is not None:
+            return PredictionService.from_registry(
+                registry, args.model_name, db, version=args.model_version, config=config,
+            )
+        return PredictionService(load_model(args.model, db), config=config, name=args.model)
+
+    try:
+        return open_over(None)
+    except NoSnapshotError as err:
+        if args.dataset is None:
+            raise NoSnapshotError(
+                f"{err}: add --dataset NAME, with the --scale and --seed it was "
+                f"fitted at, to regenerate it (or save the model again)"
+            ) from None
+        _, db = _build_dataset(args)
+        return open_over(db)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.pql.planner import TrainedPredictiveModel
-    from repro.serve import ModelRegistry, PredictionService, ServeConfig, serve_loop
+    import json
+
+    from repro.obs.telemetry import render_data_summary, stats_document
+    from repro.pql import NoSnapshotError
+    from repro.resilience import CorruptModelError
+    from repro.serve import RegistryError, ServeConfig, serve_loop
 
     if args.registry and not args.model_name:
         raise SystemExit("--registry requires --model-name")
@@ -639,7 +679,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not 0.0 <= args.canary_fraction <= 1.0:
         raise SystemExit("--canary-fraction must be in [0, 1]")
     rollback = _rollback_budgets(args.rollback_on)
-    _, db = _build_dataset(args)
     config = ServeConfig(
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
@@ -657,19 +696,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         canary_promote_after=args.promote_after,
         **rollback,
     )
-    if args.registry:
-        registry = ModelRegistry(args.registry)
-        service = PredictionService.from_registry(
-            registry, args.model_name, db, version=args.model_version, config=config,
-        )
-    else:
-        from repro.pql.router import RoutedPredictiveModel, is_routed_dir
-
-        if is_routed_dir(args.model):
-            model = RoutedPredictiveModel.load(args.model, db)
-        else:
-            model = TrainedPredictiveModel.load(args.model, db)
-        service = PredictionService(model, config=config, name=args.model)
+    try:
+        service = _open_service(args, config)
+    except (OSError, json.JSONDecodeError, CorruptModelError, NoSnapshotError,
+            RegistryError) as err:
+        # A missing, corrupt or unservable artifact is an operator error:
+        # one line, exit 2, before anything else is built.
+        print(f"repro serve: cannot load {args.model or args.registry}: {err}",
+              file=sys.stderr)
+        return 2
     if args.warmup:
         warmed = service.warmup(args.warmup)
         _log.info("caches warmed", extra={"entities": warmed})
@@ -688,17 +723,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # The ready line goes to stderr: stdout carries only protocol
     # responses, and subprocess clients wait on this line before
     # sending their first request.
-    print(f"ready: {service.name} ({service.model.task_type.value})", file=sys.stderr, flush=True)
+    print(
+        f"ready: {service.name} ({service.model.task_type.value}) "
+        f"{render_data_summary(service.model.data_summary())}",
+        file=sys.stderr, flush=True,
+    )
     try:
         answered = serve_loop(service, sys.stdin, sys.stdout, shutdown)
     finally:
         for sig, handler in previous_handlers.items():
             signal.signal(sig, handler)
         if args.stats_json:
-            import json
-
-            from repro.obs.telemetry import stats_document
-
             with open(args.stats_json, "w", encoding="utf-8") as handle:
                 json.dump(stats_document(service), handle, indent=2)
                 handle.write("\n")

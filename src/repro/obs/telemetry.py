@@ -49,6 +49,7 @@ __all__ = [
     "TelemetryConfig",
     "WindowedHistogram",
     "current_request_ids",
+    "render_data_summary",
     "render_prometheus",
     "render_stats_text",
     "set_current_request_ids",
@@ -668,6 +669,13 @@ def _fmt_num(value: Any) -> str:
     return str(value)
 
 
+def render_data_summary(data: Dict[str, Any]) -> str:
+    """One ``key=value`` line for a model's ``data_summary()`` — where
+    the served database came from and how large and fresh it is.  The
+    ``ready:`` line of ``repro serve`` and ``repro stats`` share it."""
+    return " ".join(f"{key}={_fmt_num(value)}" for key, value in data.items())
+
+
 def render_stats_text(document: Dict[str, Any]) -> str:
     """Human-readable rendering of a :func:`stats_document` snapshot."""
     lines: List[str] = []
@@ -678,6 +686,8 @@ def render_stats_text(document: Dict[str, Any]) -> str:
     lines.append(f"service {name}: {status}")
     if health.get("degraded_reason"):
         lines.append(f"  degraded: {health['degraded_reason']}")
+    if service.get("data"):
+        lines.append(f"  data: {render_data_summary(service['data'])}")
     metrics = document.get("metrics", {})
     if metrics:
         lines.append("")

@@ -42,7 +42,12 @@ from repro.pql.ast import (
 from repro.pql.parser import PQLSyntaxError, parse
 from repro.pql.validate import PQLValidationError, validate
 from repro.pql.labeler import LabelTable, build_label_table
-from repro.pql.planner import PlannerConfig, PredictiveQueryPlanner, TrainedPredictiveModel
+from repro.pql.planner import (
+    NoSnapshotError,
+    PlannerConfig,
+    PredictiveQueryPlanner,
+    TrainedPredictiveModel,
+)
 from repro.pql.explain import explain_relations
 from repro.pql.router import (
     RoutedPredictiveModel,
@@ -50,6 +55,7 @@ from repro.pql.router import (
     RouterConfig,
     fit_routed,
     is_routed_dir,
+    load_model,
 )
 from repro.pql.tuning import TuneResult, tune
 
@@ -75,6 +81,8 @@ __all__ = [
     "RoutedPredictiveModel",
     "fit_routed",
     "is_routed_dir",
+    "load_model",
+    "NoSnapshotError",
     "tune",
     "TuneResult",
 ]

@@ -66,6 +66,7 @@ from repro.pql.labeler import LabelTable, build_label_table
 from repro.pql.parser import parse
 from repro.pql.validate import QueryBinding, validate
 from repro.relational.database import Database
+from repro.relational.snapshot import read_snapshot, write_snapshot
 from repro.resilience.checkpoint import (
     CorruptModelError,
     atomic_write_bytes,
@@ -88,9 +89,16 @@ __all__ = [
     "PredictiveQueryPlanner",
     "TrainedPredictiveModel",
     "CorruptModelError",
+    "NoSnapshotError",
 ]
 
 _log = get_logger("pql.planner")
+
+
+class NoSnapshotError(RuntimeError):
+    """A saved model carries no data snapshot (it was saved before
+    artifacts carried their data) and the caller passed no database."""
+
 
 #: Dtype of every model the planner builds or reloads.  The nn library
 #: itself is dtype-generic (gradcheck runs in float64).
@@ -596,6 +604,20 @@ class TrainedPredictiveModel:
             self._ladder = RoutedPredictiveModel.over(self)
         return self._ladder
 
+    def data_summary(self) -> Dict[str, object]:
+        """What this model answers from, for the ``ready:`` line and
+        ``repro stats``: provenance, live row count, the snapshot's
+        checksum prefix, newest timestamp and ``stats_cutoff``."""
+        span = self.db.time_span()
+        sha256 = self.db.source_sha256
+        return {
+            "data_source": self.db.source,
+            "rows": sum(table.num_rows for table in self.db),
+            "data_sha256": sha256[:12] if sha256 else None,
+            "max_timestamp": span[1] if span else None,
+            "stats_cutoff": self.stats_cutoff,
+        }
+
     def _sampler_cache(self):
         trainer = self.node_trainer or self.link_trainer
         return getattr(trainer.sampler, "cache", None) if trainer is not None else None
@@ -764,19 +786,28 @@ class TrainedPredictiveModel:
     # ------------------------------------------------------------------
     WEIGHTS_FILE = "weights.npz"
     FALLBACK_FILE = "fallback.pkl"
+    DATA_FILE = "data.npz"
     MANIFEST_FILE = "manifest.json"
+    #: Head of the artifact's checksum chain (what a registry hashes).
+    ROOT_FILE = MANIFEST_FILE
 
     def save(self, directory: str) -> None:
         """Persist the trained model to ``directory`` atomically.
 
         Layout: ``manifest.json`` (query text, planner config, task
-        metadata, SHA-256 checksums, degradation provenance) plus
+        metadata, SHA-256 checksums, degradation provenance),
         ``weights.npz`` (GNN parameters by dotted name) or
-        ``fallback.pkl`` (a degraded model's baseline tier).  Everything is
-        staged into a sibling temp directory and renamed into place, so
-        a crash mid-save never corrupts a previously saved model.  The
-        database itself is *not* saved — reload against the same (or a
-        schema-compatible, refreshed) database.
+        ``fallback.pkl`` (a degraded model's baseline tier), and
+        ``data.npz`` — the database the model answers from, as a
+        columnar snapshot (:mod:`repro.relational.snapshot`) with its
+        checksum, per-table row counts and newest timestamp in the
+        manifest.  The artifact is therefore self-contained:
+        :meth:`load` with no database serves exactly the data the model
+        was saved over, and a database passed to :meth:`load` (a
+        refreshed or schema-compatible one) still takes precedence.
+        Everything is staged into a sibling temp directory and renamed
+        into place, so a crash mid-save never corrupts a previously
+        saved model or its snapshot.
         """
         trainer = self.node_trainer or self.link_trainer
         manifest = {
@@ -805,6 +836,12 @@ class TrainedPredictiveModel:
             atomic_write_bytes(fallback_path, pickle.dumps(self.baseline))
             manifest["fallback_kind"] = self.baseline.kind
             manifest["fallback_sha256"] = sha256_file(fallback_path)
+        data_path = os.path.join(staging, self.DATA_FILE)
+        write_snapshot(self.db, data_path)
+        span = self.db.time_span()
+        manifest["data_sha256"] = sha256_file(data_path)
+        manifest["data_rows"] = {table.name: table.num_rows for table in self.db}
+        manifest["data_max_timestamp"] = span[1] if span else None
         atomic_write_json(os.path.join(staging, self.MANIFEST_FILE), manifest)
         # Crash window under test: everything staged, commit pending.  A
         # kill here must leave any previously saved model untouched.
@@ -839,19 +876,57 @@ class TrainedPredictiveModel:
         return path
 
     @classmethod
-    def load(cls, directory: str, db: Database) -> "TrainedPredictiveModel":
-        """Reload a model saved by :meth:`save` against ``db``.
-
-        The graph is recompiled from ``db`` with the persisted
-        feature-statistics cutoff, the architecture is rebuilt from the
-        persisted config, and the weights are restored — after every
-        payload passes its manifest SHA-256 (mismatch raises
-        :class:`CorruptModelError`).  Directories written by earlier
-        versions still load: retired config keys are ignored and
-        float64 weights are cast to the model's float32 on assignment.
-        """
+    def read_manifest(cls, directory: str) -> dict:
+        """The saved model's ``manifest.json`` (query, config, checksums)."""
         with open(os.path.join(directory, cls.MANIFEST_FILE), "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+            return json.load(handle)
+
+    @classmethod
+    def verify_data(cls, directory: str) -> Optional[str]:
+        """Re-hash a saved model's data snapshot against its manifest.
+
+        Returns the checksum, or None for an artifact saved without a
+        snapshot; a missing or altered ``data.npz`` raises
+        :class:`CorruptModelError`.
+        """
+        expected = cls.read_manifest(directory).get("data_sha256")
+        if expected is not None:
+            cls._verify_payload(directory, cls.DATA_FILE, expected)
+        return expected
+
+    @classmethod
+    def load(cls, directory: str, db: Optional[Database] = None) -> "TrainedPredictiveModel":
+        """Reload a model saved by :meth:`save`.
+
+        With ``db=None`` the database is the artifact's own snapshot,
+        read (never unpickled) after it passes its manifest SHA-256 and
+        re-validated; an artifact saved before snapshots existed raises
+        :class:`NoSnapshotError`.  A passed ``db`` is used unchanged and
+        the snapshot is not touched.  Either way the graph is recompiled
+        with the persisted feature-statistics cutoff, the architecture
+        is rebuilt from the persisted config, and the weights are
+        restored — after every payload passes its manifest SHA-256
+        (mismatch raises :class:`CorruptModelError`).  Directories
+        written by earlier versions still load: retired config keys are
+        ignored and float64 weights are cast to the model's float32 on
+        assignment.
+        """
+        manifest = cls.read_manifest(directory)
+        if db is None:
+            data_sha256 = manifest.get("data_sha256")
+            if data_sha256 is None:
+                raise NoSnapshotError(
+                    f"{directory!r} was saved without a data snapshot; "
+                    f"pass the database it was fitted on"
+                )
+            db = read_snapshot(cls._verify_payload(directory, cls.DATA_FILE, data_sha256))
+            db.source, db.source_sha256 = "snapshot", data_sha256
+        model = cls._restore(directory, manifest, db)
+        model.stats_cutoff = manifest["stats_cutoff"]
+        return model
+
+    @classmethod
+    def _restore(cls, directory: str, manifest: dict, db: Database) -> "TrainedPredictiveModel":
         known = {spec.name for spec in dataclasses.fields(PlannerConfig)}
         config = PlannerConfig(**{
             key: value for key, value in manifest["config"].items() if key in known
@@ -871,14 +946,12 @@ class TrainedPredictiveModel:
                 )
             with open(fallback_path, "rb") as handle:
                 baseline = pickle.load(handle).bind(db, graph)
-            model = cls(
+            return cls(
                 db=db, binding=binding, graph=graph, config=config,
                 baseline=baseline,
                 degraded_from=manifest.get("degraded_from"),
                 degraded_reason=manifest.get("degraded_reason"),
             )
-            model.stats_cutoff = manifest["stats_cutoff"]
-            return model
 
         metadata = GraphMetadata.from_graph(graph)
         rng = np.random.default_rng(config.seed)
@@ -907,7 +980,6 @@ class TrainedPredictiveModel:
             trainer._target_mean = manifest.get("target_mean", 0.0)
             trainer._target_std = manifest.get("target_std", 1.0)
             model = cls(db=db, binding=binding, graph=graph, config=config, node_trainer=trainer)
-        model.stats_cutoff = manifest["stats_cutoff"]
         return model
 
     # ------------------------------------------------------------------

@@ -87,6 +87,8 @@ __all__ = [
     "RoutedPredictiveModel",
     "fit_routed",
     "is_routed_dir",
+    "load_model",
+    "model_class",
 ]
 
 _log = get_logger("pql.router")
@@ -529,6 +531,7 @@ class RoutedPredictiveModel:
     """
 
     ROUTING_FILE = "routing.json"
+    ROOT_FILE = ROUTING_FILE
     TIERS_FILE = "tiers.pkl"
     RED_DIR = "red"
 
@@ -614,6 +617,10 @@ class RoutedPredictiveModel:
     @property
     def link_trainer(self):
         return self.red.link_trainer
+
+    def data_summary(self):
+        """Provenance and size of the database the tiers answer from."""
+        return self.red.data_summary()
 
     def sampler_cache_stats(self):
         """Windowed subgraph-cache stats of the red model (may be reset)."""
@@ -770,9 +777,10 @@ class RoutedPredictiveModel:
 
     # -- persistence ---------------------------------------------------
     def save(self, directory: str) -> None:
-        """Persist atomically: ``red/`` (the GNN model), ``tiers.pkl``
-        (green/yellow, database-free), ``routing.json`` (policy,
-        qualities, calibrated costs, checksums)."""
+        """Persist atomically: ``red/`` (the GNN model and, once for
+        all tiers, the data snapshot), ``tiers.pkl`` (green/yellow,
+        database-free), ``routing.json`` (policy, qualities, calibrated
+        costs, checksums of ``tiers.pkl`` and ``red/manifest.json``)."""
         staging = directory.rstrip(os.sep) + ".tmp"
         if os.path.exists(staging):
             shutil.rmtree(staging)
@@ -787,6 +795,9 @@ class RoutedPredictiveModel:
             "overhead_ms": self.cost.overhead_ms(),
             "blend_alpha": self.blend_alpha,
             "tiers_sha256": sha256_file(tiers_path),
+            "red_manifest_sha256": sha256_file(
+                os.path.join(staging, self.RED_DIR, TrainedPredictiveModel.MANIFEST_FILE)
+            ),
         }
         atomic_write_json(os.path.join(staging, self.ROUTING_FILE), manifest)
         backup = directory.rstrip(os.sep) + ".old"
@@ -799,12 +810,40 @@ class RoutedPredictiveModel:
             shutil.rmtree(backup)
 
     @classmethod
-    def load(cls, directory: str, db) -> "RoutedPredictiveModel":
-        """Reload against a database, rebinding the cheap tiers."""
+    def _read_routing(cls, directory: str):
+        """``routing.json`` and the ``red/`` directory whose manifest
+        passed the checksum it records."""
         with open(os.path.join(directory, cls.ROUTING_FILE)) as fh:
             manifest = json.load(fh)
-        red = TrainedPredictiveModel.load(os.path.join(directory, cls.RED_DIR), db)
-        with open(os.path.join(directory, cls.TIERS_FILE), "rb") as fh:
+        red_dir = os.path.join(directory, cls.RED_DIR)
+        TrainedPredictiveModel._verify_payload(
+            red_dir, TrainedPredictiveModel.MANIFEST_FILE, manifest.get("red_manifest_sha256")
+        )
+        return manifest, red_dir
+
+    @classmethod
+    def read_manifest(cls, directory: str) -> dict:
+        """The verified ``red/manifest.json`` (query, config, checksums)."""
+        return TrainedPredictiveModel.read_manifest(cls._read_routing(directory)[1])
+
+    @classmethod
+    def verify_data(cls, directory: str) -> Optional[str]:
+        """Re-hash the data snapshot down the checksum chain; see
+        :meth:`TrainedPredictiveModel.verify_data`."""
+        return TrainedPredictiveModel.verify_data(cls._read_routing(directory)[1])
+
+    @classmethod
+    def load(cls, directory: str, db=None) -> "RoutedPredictiveModel":
+        """Reload, rebinding the cheap tiers to ``db`` — or, with
+        ``db=None``, to the snapshot ``red/`` carries (see
+        :meth:`TrainedPredictiveModel.load`)."""
+        manifest, red_dir = cls._read_routing(directory)
+        red = TrainedPredictiveModel.load(red_dir, db)
+        db = red.db
+        tiers_path = TrainedPredictiveModel._verify_payload(
+            directory, cls.TIERS_FILE, manifest.get("tiers_sha256")
+        )
+        with open(tiers_path, "rb") as fh:
             tiers = pickle.loads(fh.read())
         green: Optional[GreenTier] = tiers.get("green")
         yellow: Optional[YellowTier] = tiers.get("yellow")
@@ -830,6 +869,17 @@ class RoutedPredictiveModel:
 def is_routed_dir(directory: str) -> bool:
     """Whether ``directory`` holds a saved :class:`RoutedPredictiveModel`."""
     return os.path.exists(os.path.join(directory, RoutedPredictiveModel.ROUTING_FILE))
+
+
+def model_class(directory: str):
+    """The class whose ``save`` wrote ``directory``."""
+    return RoutedPredictiveModel if is_routed_dir(directory) else TrainedPredictiveModel
+
+
+def load_model(directory: str, db=None):
+    """Load whichever kind of model ``directory`` holds — routed or
+    plain — over ``db``, or over the artifact's own data snapshot."""
+    return model_class(directory).load(directory, db)
 
 
 def _cap_labels(labels: LabelTable, cap: int, seed: int) -> LabelTable:

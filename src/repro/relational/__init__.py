@@ -6,12 +6,15 @@ schemas with primary/foreign keys (:mod:`repro.relational.schema`),
 tables (:mod:`repro.relational.table`), a database container with
 referential-integrity validation (:mod:`repro.relational.database`),
 vectorized relational-algebra operators
-(:mod:`repro.relational.algebra`), and CSV persistence
-(:mod:`repro.relational.csvio`).
+(:mod:`repro.relational.algebra`), and persistence
+(:mod:`repro.relational.csvio`, :mod:`repro.relational.snapshot`).
 
 The engine is deliberately small but complete for the predictive-query
 workload: selections, projections, hash joins, group-aggregates over
-time windows, and sorting — all vectorized on numpy.
+time windows, and sorting — all vectorized on numpy.  A database
+persists two ways: CSV + ``schema.json`` for interchange, and one
+binary columnar snapshot file (:mod:`repro.relational.snapshot`) that
+loads in milliseconds and round-trips every value exactly.
 """
 
 from repro.relational.types import DType, NULL_SENTINELS, Timestamp, days, hours
@@ -21,6 +24,7 @@ from repro.relational.table import Table
 from repro.relational.database import Database
 from repro.relational import algebra
 from repro.relational.csvio import load_database, save_database
+from repro.relational.snapshot import read_snapshot, write_snapshot
 from repro.relational.sql import SQLError, execute_sql
 
 __all__ = [
@@ -38,6 +42,8 @@ __all__ = [
     "algebra",
     "load_database",
     "save_database",
+    "read_snapshot",
+    "write_snapshot",
     "execute_sql",
     "SQLError",
 ]

@@ -22,7 +22,7 @@ from repro.relational.table import Table
 from repro.relational.types import DType
 from repro.resilience.faults import fault_point
 
-__all__ = ["save_database", "load_database", "MalformedRowError"]
+__all__ = ["save_database", "load_database", "schema_manifest", "MalformedRowError"]
 
 _SCHEMA_FILE = "schema.json"
 _NULL_TOKEN = ""
@@ -43,6 +43,16 @@ class MalformedRowError(ValueError):
         self.column = column
 
 
+def schema_manifest(db: Database) -> dict:
+    """The JSON document that describes ``db``: its name and every table
+    schema, in table order.  ``schema.json`` and the binary snapshot
+    (:mod:`repro.relational.snapshot`) both carry exactly this."""
+    return {
+        "name": db.name,
+        "tables": [table.schema.to_dict() for table in db],
+    }
+
+
 def save_database(db: Database, directory: str) -> None:
     """Write ``db`` to ``directory`` (created if missing).
 
@@ -51,12 +61,8 @@ def save_database(db: Database, directory: str) -> None:
     fields.
     """
     os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "name": db.name,
-        "tables": [table.schema.to_dict() for table in db],
-    }
     with open(os.path.join(directory, _SCHEMA_FILE), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+        json.dump(schema_manifest(db), handle, indent=2)
     for table in db:
         _save_table(table, os.path.join(directory, f"{table.name}.csv"))
 

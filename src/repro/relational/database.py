@@ -27,6 +27,11 @@ class Database:
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
+        #: Where the rows came from, for operators (``repro stats``):
+        #: ``"memory"`` (built in this process), ``"generated"``, or
+        #: ``"snapshot"`` with the file's SHA-256 beside it.
+        self.source = "memory"
+        self.source_sha256: Optional[str] = None
         self._tables: Dict[str, Table] = {}
 
     # ------------------------------------------------------------------

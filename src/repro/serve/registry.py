@@ -14,8 +14,11 @@ with enough provenance to verify and roll back:
         v1/               # a TrainedPredictiveModel.save() directory
           manifest.json
           weights.npz
-        v2/
-          ...
+          data.npz        # the database it answers from
+        v2/               # or a RoutedPredictiveModel.save() directory
+          routing.json
+          tiers.pkl
+          red/            # manifest.json, weights.npz, data.npz
         .staging-v3/      # an in-flight publish (never read)
         .quarantine/      # versions fsck moved aside (never served)
 
@@ -32,11 +35,13 @@ opened; :meth:`ModelRegistry.fsck` additionally re-verifies every
 indexed version's checksum and repairs the ``latest`` pointer.
 
 Each index entry records the query text, task type, publication time,
-and the SHA-256 of the saved ``manifest.json``.  ``load`` re-hashes
-the manifest before deserializing anything: a version directory that
-was swapped, edited, or half-restored from backup fails with
-:class:`RegistryVersionError` instead of silently serving the wrong
-model.
+and the SHA-256 of the artifact's root file — ``manifest.json``, or a
+routed model's ``routing.json``, which in turn checksums
+``red/manifest.json``.  ``load`` re-hashes the root file before
+deserializing anything: a version directory that was swapped, edited,
+or half-restored from backup fails with :class:`RegistryVersionError`
+instead of silently serving the wrong model.  Every payload, the data
+snapshot included, hangs off that chain by its own SHA-256.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.obs import get_logger
+from repro.pql.planner import CorruptModelError
+from repro.pql.router import load_model, model_class
 from repro.relational.database import Database
 from repro.resilience.checkpoint import atomic_write_json, sha256_file
 from repro.resilience.faults import fault_file, fault_point
@@ -56,7 +63,6 @@ __all__ = ["ModelRegistry", "RegistryError", "RegistryVersionError"]
 
 _log = get_logger("serve.registry")
 
-MANIFEST_FILE = "manifest.json"
 INDEX_FILE = "index.json"
 STAGING_PREFIX = ".staging-"
 QUARANTINE_DIR = ".quarantine"
@@ -72,6 +78,12 @@ class RegistryVersionError(RegistryError):
 
 def _version_dir(name_dir: str, version: int) -> str:
     return os.path.join(name_dir, f"v{int(version)}")
+
+
+def _root_file(directory: str) -> str:
+    """The file the index checksums: the head of the artifact's own
+    checksum chain."""
+    return os.path.join(directory, model_class(directory).ROOT_FILE)
 
 
 def _fsync_dir(path: str) -> None:
@@ -184,17 +196,14 @@ class ModelRegistry:
     def publish_dir(self, directory: str, name: str) -> int:
         """Publish an already-saved model directory as the next version.
 
-        ``directory`` must be a :meth:`TrainedPredictiveModel.save`
-        layout (``manifest.json`` + payloads); the files are copied
-        into the staged version without loading the model, so a
-        publisher process needs no database.  This is what
-        ``repro registry publish`` uses.
+        ``directory`` must be a ``save`` layout of a plain or a routed
+        model; the files are copied into the staged version without
+        loading the model, so a publisher process needs no database.
+        This is what ``repro registry publish`` uses.
         """
-        manifest_path = os.path.join(directory, MANIFEST_FILE)
         try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
+            manifest = model_class(directory).read_manifest(directory)
+        except (OSError, json.JSONDecodeError, CorruptModelError) as err:
             raise RegistryError(
                 f"{directory!r} is not a saved model directory: {err}"
             ) from err
@@ -224,10 +233,10 @@ class ModelRegistry:
 
         # Step 1 — stage.  A crash in here leaves only .staging-vN.
         write_artifact(staging)
-        manifest_path = os.path.join(staging, MANIFEST_FILE)
+        manifest_path = _root_file(staging)
         if not os.path.exists(manifest_path):
             raise RegistryError(
-                f"artifact for {name!r} v{version} has no {MANIFEST_FILE!r}"
+                f"artifact for {name!r} v{version} has no {os.path.basename(manifest_path)!r}"
             )
         manifest_sha = sha256_file(manifest_path)
         fault_file("registry.publish.staged", manifest_path)
@@ -266,7 +275,7 @@ class ModelRegistry:
         entry = self.describe(name, version)
         resolved = int(entry["version"])
         directory = _version_dir(self._name_dir(name), resolved)
-        manifest_path = os.path.join(directory, MANIFEST_FILE)
+        manifest_path = _root_file(directory)
         if not os.path.exists(manifest_path):
             raise RegistryVersionError(
                 f"{name!r} v{resolved} is in the index but its artifact is missing "
@@ -282,18 +291,18 @@ class ModelRegistry:
             )
         return resolved
 
-    def load(self, name: str, db: Database, version: Optional[int] = None):
-        """Reload one version (default: latest) against ``db``.
+    def load(self, name: str, db: Optional[Database] = None, version: Optional[int] = None):
+        """Reload one version (default: latest), plain or routed, against
+        ``db`` — or, with ``db=None``, against the data snapshot the
+        version carries.
 
-        The manifest is re-hashed against the index before anything is
+        The root file is re-hashed against the index before anything is
         deserialized (see :meth:`verify`).
         """
-        from repro.pql.planner import TrainedPredictiveModel
-
         fault_point("registry.load")
         resolved = self.verify(name, version)
         directory = _version_dir(self._name_dir(name), resolved)
-        model = TrainedPredictiveModel.load(directory, db)
+        model = load_model(directory, db)
         _log.info("model loaded", extra={"model": name, "version": resolved})
         return model
 
@@ -362,8 +371,9 @@ class ModelRegistry:
         """Full consistency check (and repair) of the registry.
 
         Runs the structural :meth:`recover` pass, then — with
-        ``verify_checksums`` — re-hashes every indexed version's
-        manifest: versions whose artifact is missing or fails its
+        ``verify_checksums`` — re-hashes every indexed version's root
+        file and its data snapshot (against the manifest's
+        ``data_sha256``): versions whose artifact is missing or fails a
         checksum are dropped from the index and their directories
         quarantined.  If ``latest`` points at a dropped (or absent)
         version it is repaired to the highest surviving one.
@@ -384,7 +394,8 @@ class ModelRegistry:
                     directory = _version_dir(self._name_dir(model_name), version)
                     try:
                         self.verify(model_name, version)
-                    except RegistryVersionError as err:
+                        model_class(directory).verify_data(directory)
+                    except (RegistryVersionError, CorruptModelError) as err:
                         del index["versions"][str(version)]
                         dirty = True
                         if os.path.isdir(directory):

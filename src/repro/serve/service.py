@@ -7,7 +7,7 @@ currently **live**:
 ::
 
     registry = ModelRegistry("models/")
-    service = PredictionService.from_registry(registry, "churn", db)
+    service = PredictionService.from_registry(registry, "churn")
     service.warmup()
     p = service.predict([1017], cutoff)            # blocking, one entity
     f = service.predict_async(keys, cutoff)        # future, bulk
@@ -280,22 +280,25 @@ class PredictionService:
         cls,
         registry,
         name: str,
-        db,
+        db=None,
         version: Optional[int] = None,
         config: Optional[ServeConfig] = None,
     ) -> "PredictionService":
-        """Load a registry version (default: latest) and serve it.
+        """Load a registry version (default: latest) and serve it, over
+        ``db`` or — when none is passed — over the data snapshot that
+        version carries.
 
         A registry-backed service can later :meth:`swap` to (or
         :meth:`start_canary` against) any other published version by
-        number alone.
+        number alone; those bind to the database this first load
+        settled on, so they never read another snapshot.
         """
         model = registry.load(name, db, version=version)
         resolved = version if version is not None else registry.latest(name)
         service = cls(model, config=config, name=f"{name}@v{resolved}")
         service._slot.version = int(resolved)
         service._registry = registry
-        service._db = db
+        service._db = model.db
         service._registry_name = name
         return service
 
@@ -833,6 +836,7 @@ class PredictionService:
             "degraded": self.degraded,
             "degraded_reason": self._degraded_reason,
             "model_degraded_from": self.model.degraded_from,
+            "data": self.model.data_summary(),
             "queue_depth": self._batcher.queue_depth,
             "metrics": metrics,
             "sampler_cache": self.model.sampler_cache_stats(),

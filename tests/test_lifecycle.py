@@ -450,7 +450,6 @@ def test_sigterm_drains_and_exits_zero(saved_model_dir, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--dataset", "ecommerce", "--scale", "0.2", "--seed", "0",
          "--model", str(saved_model_dir), "--stats-json", str(stats_path)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, env=env,

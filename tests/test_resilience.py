@@ -587,13 +587,22 @@ class TestAtomicSave:
         model.save(target)
         keys = db["customers"]["id"].values[:10]
         expected = TrainedPredictiveModel.load(target, db).predict(keys, split.test_cutoff)
-        # Second save dies after staging, before the directory swap.
+        snapshot_sha = TrainedPredictiveModel.verify_data(target)
+        # Second save — over a database that has changed since — dies
+        # after staging, before the directory swap.
+        grown = TrainedPredictiveModel.load(target)
+        grown.db.add_table(grown.db["products"].head(3), replace=True)
         with injected("planner.save@1:kill"):
             with pytest.raises(SimulatedCrash):
-                model.save(target)
+                grown.save(target)
         reloaded = TrainedPredictiveModel.load(target, db)
         np.testing.assert_array_equal(
             reloaded.predict(keys, split.test_cutoff), expected
+        )
+        # The previous artifact's own snapshot survived with it.
+        assert TrainedPredictiveModel.verify_data(target) == snapshot_sha
+        np.testing.assert_array_equal(
+            TrainedPredictiveModel.load(target).predict(keys, split.test_cutoff), expected
         )
 
     def test_corrupted_weights_raise_corrupt_model_error(self, model, db, tmp_path):

@@ -706,16 +706,11 @@ def test_degradation_records_slo_provenance_with_request_ids(
 # ----------------------------------------------------------------------
 # The CLI process: kill -9 and restart reaches the same answers
 # ----------------------------------------------------------------------
-SERVE_SCALE = "0.2"
-
-
 def start_serve_process(model_dir, **extra_env):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
                **extra_env)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--dataset", "ecommerce", "--scale", SERVE_SCALE, "--seed", "0",
-         "--model", str(model_dir)],
+        [sys.executable, "-m", "repro", "serve", "--model", str(model_dir)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, env=env,
     )
