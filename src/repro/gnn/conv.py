@@ -99,13 +99,12 @@ class HeteroSAGEConv(Module):
             key = str(edge_type)
             if key not in self.rel_linears:
                 raise KeyError(f"layer has no weights for edge type {edge_type}")
-            src_local, dst_local = subgraph.edges_for(edge_type)
-            if len(src_local) == 0:
+            src_plan, dst_plan = subgraph.edge_plans(edge_type)
+            if len(src_plan) == 0:
                 continue
-            source_hidden = hidden[edge_type.src].take(src_local)
+            source_hidden = hidden[edge_type.src].take(src_plan)
             messages = self.rel_linears[key](source_hidden)
-            num_dst = subgraph.num_nodes(edge_type.dst)
-            incoming[edge_type.dst].append(aggregate(messages, dst_local, num_dst))
+            incoming[edge_type.dst].append(aggregate(messages, dst_plan, dst_plan.num_segments))
 
         output: Dict[str, Tensor] = {}
         for node_type, state in hidden.items():
@@ -174,21 +173,19 @@ class HeteroGATConv(Module):
             key = str(edge_type)
             if key not in self.rel_linears:
                 raise KeyError(f"layer has no weights for edge type {edge_type}")
-            src_local, dst_local = subgraph.edges_for(edge_type)
-            if len(src_local) == 0:
+            src_plan, dst_plan = subgraph.edge_plans(edge_type)
+            if len(src_plan) == 0:
                 continue
-            source_hidden = hidden[edge_type.src].take(src_local)
+            source_hidden = hidden[edge_type.src].take(src_plan)
             messages = self.rel_linears[key](source_hidden)
-            dst_hidden = hidden[edge_type.dst].take(dst_local)
+            dst_hidden = hidden[edge_type.dst].take(dst_plan)
             scores = self.attn_src[key](messages) + self.attn_dst[key](
                 self.self_linears[edge_type.dst](dst_hidden)
             )
             scores = scores.leaky_relu(self.negative_slope)
-            num_dst = subgraph.num_nodes(edge_type.dst)
-            alpha = segment_softmax(scores, dst_local, num_dst)
-            incoming[edge_type.dst].append(
-                scatter_sum(messages * alpha, dst_local, num_dst)
-            )
+            num_dst = dst_plan.num_segments
+            alpha = segment_softmax(scores, dst_plan, num_dst)
+            incoming[edge_type.dst].append(scatter_sum(messages * alpha, dst_plan, num_dst))
 
         output: Dict[str, Tensor] = {}
         for node_type, state in hidden.items():

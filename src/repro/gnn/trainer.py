@@ -167,6 +167,43 @@ def _epoch_batches(
         yield from trainer.loader.iter_epoch(seed_type, ids, times, batches)
 
 
+def _begin_inference(trainer) -> None:
+    """Eval mode, and draws that do not depend on how many training
+    consumed (save/load parity); a ``pure`` sampler re-seeds per batch
+    anyway."""
+    trainer.model.eval()
+    if not getattr(trainer.sampler, "pure", False):
+        trainer.sampler.rng = np.random.default_rng(trainer.config.seed + 9999)
+
+
+#: Validation batches a fit keeps (about 0.3 MB each at the default
+#: batch size and fanouts); a larger validation set re-samples the rest
+#: every epoch, as all of it used to be.
+_HELD_BATCHES = 32
+
+
+def _eval_batches(
+    trainer, seed_type: str, ids: np.ndarray, times: np.ndarray, held: Optional[dict] = None
+) -> Iterator[Tuple[slice, "SampledSubgraph"]]:
+    """Yield ``(rows, subgraph)`` over inference-size batches.
+
+    ``held`` (:attr:`_ResilientLoop.held`; ``None`` samples afresh
+    every call) keeps the first :data:`_HELD_BATCHES` subgraphs, with
+    their aggregation plans, for the next call: a fit validates on the
+    same batches after every epoch.
+    """
+    batch_size = trainer.config.effective_infer_batch_size
+    for start in range(0, len(ids), batch_size):
+        rows = slice(start, start + batch_size)
+        key = (start, trainer.graph.version)
+        subgraph = held.get(key) if held is not None else None
+        if subgraph is None:
+            subgraph = trainer.sampler.sample(seed_type, ids[rows], times[rows])
+            if held is not None and len(held) < _HELD_BATCHES:
+                held[key] = subgraph
+        yield rows, subgraph
+
+
 class _Diverged(Exception):
     """Internal signal: the current epoch hit a divergence condition."""
 
@@ -209,6 +246,12 @@ class _ResilientLoop:
         self.best_state = trainer.model.state_dict()
         self.stale = 0
         self.current_lr = optimizer.lr
+        #: Validation subgraphs kept across epochs (:func:`_eval_batches`)
+        #: when the sampler would redraw them identically every time and
+        #: has no subgraph cache of its own to recall them from.
+        sampler = trainer.sampler
+        keep = getattr(sampler, "pure", False) and getattr(sampler, "cache", None) is None
+        self.held: Optional[dict] = {} if keep else None
 
     # -- RNG plumbing ---------------------------------------------------
     def _generators(self) -> List[np.random.Generator]:
@@ -478,8 +521,7 @@ class NodeTaskTrainer:
                     deadline.check("trainer.step")
                 fault_point("trainer.step")
                 loss = self._batch_loss(
-                    seed_type, train_ids[batch], train_times[batch], train_labels[batch],
-                    subgraph=subgraph,
+                    seed_type, train_ids[batch], train_times[batch], train_labels[batch], subgraph
                 )
                 loss_value = corrupt_value("trainer.loss", float(loss.item()))
                 reason = loop.guard.check_loss(loss_value)
@@ -498,7 +540,9 @@ class NodeTaskTrainer:
 
         run_val = None
         if val_ids is not None:
-            run_val = lambda: self._evaluate_loss(seed_type, val_ids, val_times, val_labels)
+            run_val = lambda: self._evaluate_loss(
+                seed_type, val_ids, val_times, val_labels, loop.held
+            )
         loop.run(run_epoch, run_val)
         return self.history
 
@@ -513,9 +557,7 @@ class NodeTaskTrainer:
             return (labels - self._target_mean) / self._target_std
         return labels
 
-    def _batch_loss(self, seed_type, ids, times, labels, subgraph=None):
-        if subgraph is None:
-            subgraph = self.sampler.sample(seed_type, ids, times)
+    def _batch_loss(self, seed_type, ids, times, labels, subgraph):
         outputs = self.model(subgraph, self.graph)
         if self.task_type == "binary":
             return binary_cross_entropy_with_logits(
@@ -525,17 +567,15 @@ class NodeTaskTrainer:
             return cross_entropy(outputs, labels)
         return mse_loss(outputs.reshape(len(ids)), labels)
 
-    def _evaluate_loss(self, seed_type, ids, times, labels) -> float:
+    def _evaluate_loss(self, seed_type, ids, times, labels, held=None) -> float:
         self.model.eval()
         losses = []
         weights = []
-        batch_size = self.config.effective_infer_batch_size
         with no_grad():
-            for start in range(0, len(ids), batch_size):
-                stop = start + batch_size
-                loss = self._batch_loss(seed_type, ids[start:stop], times[start:stop], labels[start:stop])
+            for rows, subgraph in _eval_batches(self, seed_type, ids, times, held):
+                loss = self._batch_loss(seed_type, ids[rows], times[rows], labels[rows], subgraph)
                 losses.append(loss.item())
-                weights.append(min(stop, len(ids)) - start)
+                weights.append(len(ids[rows]))
         return float(np.average(losses, weights=weights))
 
     # ------------------------------------------------------------------
@@ -548,16 +588,10 @@ class NodeTaskTrainer:
         Multiclass → class probabilities, shape (n, C).
         Regression → de-standardized values, shape (n,).
         """
-        self.model.eval()
-        # Deterministic inference: prediction must not depend on how many
-        # random draws training consumed (important for save/load parity).
-        self.sampler.rng = np.random.default_rng(self.config.seed + 9999)
+        _begin_inference(self)
         outputs: List[np.ndarray] = []
-        batch_size = self.config.effective_infer_batch_size
         with no_grad():
-            for start in range(0, len(ids), batch_size):
-                stop = start + batch_size
-                subgraph = self.sampler.sample(seed_type, ids[start:stop], times[start:stop])
+            for _, subgraph in _eval_batches(self, seed_type, ids, times):
                 raw = self.model(subgraph, self.graph)
                 if self.task_type == "binary":
                     outputs.append(raw.reshape(len(raw)).sigmoid().data)
@@ -582,14 +616,10 @@ class NodeTaskTrainer:
         """
         if self.task_type == "multiclass":
             raise ValueError("export_scores supports binary and regression tasks only")
-        self.model.eval()
-        self.sampler.rng = np.random.default_rng(self.config.seed + 9999)
+        _begin_inference(self)
         outputs: List[np.ndarray] = []
-        batch_size = self.config.effective_infer_batch_size
         with no_grad():
-            for start in range(0, len(ids), batch_size):
-                stop = start + batch_size
-                subgraph = self.sampler.sample(seed_type, ids[start:stop], times[start:stop])
+            for _, subgraph in _eval_batches(self, seed_type, ids, times):
                 raw = self.model(subgraph, self.graph)
                 outputs.append(raw.reshape(len(raw)).data.copy())
         return np.concatenate(outputs) if outputs else np.empty(0)
@@ -656,8 +686,7 @@ class LinkTaskTrainer:
                     deadline.check("trainer.step")
                 fault_point("trainer.step")
                 loss = self._batch_loss(
-                    seed_type, query_ids[batch], query_times[batch], pos_item_ids[batch],
-                    subgraph=subgraph,
+                    seed_type, query_ids[batch], query_times[batch], pos_item_ids[batch], subgraph
                 )
                 loss_value = corrupt_value("trainer.loss", float(loss.item()))
                 reason = loop.guard.check_loss(loss_value)
@@ -677,15 +706,13 @@ class LinkTaskTrainer:
         run_val = None
         if val_query_ids is not None:
             run_val = lambda: self._evaluate_loss(
-                seed_type, val_query_ids, val_query_times, val_pos_item_ids
+                seed_type, val_query_ids, val_query_times, val_pos_item_ids, loop.held
             )
         loop.run(run_epoch, run_val)
         self._item_embed_cache = None  # drop anything cached mid-fit
         return self.history
 
-    def _batch_loss(self, seed_type, query_ids, query_times, pos_items, subgraph=None):
-        if subgraph is None:
-            subgraph = self.sampler.sample(seed_type, query_ids, query_times)
+    def _batch_loss(self, seed_type, query_ids, query_times, pos_items, subgraph):
         queries = self.model.query_embeddings(subgraph, self.graph)
         pos_embed = self.model.item_embeddings(pos_items, self.graph)
         pos_scores = self.model.score_pairs(queries, pos_embed)
@@ -699,21 +726,16 @@ class LinkTaskTrainer:
             total = term if total is None else total + term
         return total * (1.0 / self.num_negatives)
 
-    def _evaluate_loss(self, seed_type, query_ids, query_times, pos_items) -> float:
+    def _evaluate_loss(self, seed_type, query_ids, query_times, pos_items, held=None) -> float:
         self.model.eval()
         losses, weights = [], []
-        batch_size = self.config.effective_infer_batch_size
         with no_grad():
-            for start in range(0, len(query_ids), batch_size):
-                stop = start + batch_size
+            for rows, subgraph in _eval_batches(self, seed_type, query_ids, query_times, held):
                 loss = self._batch_loss(
-                    seed_type,
-                    query_ids[start:stop],
-                    query_times[start:stop],
-                    pos_items[start:stop],
+                    seed_type, query_ids[rows], query_times[rows], pos_items[rows], subgraph
                 )
                 losses.append(loss.item())
-                weights.append(min(stop, len(query_ids)) - start)
+                weights.append(len(query_ids[rows]))
         return float(np.average(losses, weights=weights))
 
     def score_against_items(
@@ -724,18 +746,11 @@ class LinkTaskTrainer:
         item_ids: np.ndarray,
     ) -> np.ndarray:
         """Score every query against every item: (num_queries, num_items)."""
-        self.model.eval()
-        # Deterministic inference (see NodeTaskTrainer.predict).
-        self.sampler.rng = np.random.default_rng(self.config.seed + 9999)
+        _begin_inference(self)
         blocks: List[np.ndarray] = []
-        batch_size = self.config.effective_infer_batch_size
         with no_grad():
             items = self._cached_item_embeddings(item_ids)
-            for start in range(0, len(query_ids), batch_size):
-                stop = start + batch_size
-                subgraph = self.sampler.sample(
-                    seed_type, query_ids[start:stop], query_times[start:stop]
-                )
+            for _, subgraph in _eval_batches(self, seed_type, query_ids, query_times):
                 queries = self.model.query_embeddings(subgraph, self.graph)
                 blocks.append(self.model.score(queries, items).data)
         if not blocks:

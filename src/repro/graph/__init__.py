@@ -22,7 +22,6 @@ from repro.graph.hetero import EdgeType, HeteroGraph, TIME_MIN
 from repro.graph.encoders import NodeFeatures, encode_table_features
 from repro.graph.builder import build_graph
 from repro.graph.sampler import NeighborSampler, SampledSubgraph
-from repro.graph.snapshot import snapshot_subgraph
 from repro.graph.cache import CachedSampler, LRUSubgraphCache, graph_fingerprint
 from repro.graph.shared import SharedGraphStore, list_shared_segments
 from repro.graph.parallel import ParallelSampleLoader
@@ -36,7 +35,6 @@ __all__ = [
     "build_graph",
     "NeighborSampler",
     "SampledSubgraph",
-    "snapshot_subgraph",
     "CachedSampler",
     "LRUSubgraphCache",
     "graph_fingerprint",

@@ -306,6 +306,10 @@ class CachedSampler:
     ``time_respecting``, ``rng``), so it is a drop-in replacement.
     """
 
+    #: ``sample()`` is a pure function of the batch and the graph:
+    #: callers may keep a subgraph instead of asking for it again.
+    pure = True
+
     def __init__(
         self,
         base,

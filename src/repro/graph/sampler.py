@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.hetero import CutoffMemo, EdgeType, HeteroGraph
+from repro.nn.segment import SegmentPlan
 from repro.obs import trace as obs_trace
 from repro.resilience.faults import fault_point
 
@@ -39,12 +40,13 @@ class SampledSubgraph:
     """The result of one sampling call.
 
     Internally, node/edge/degree columns are stored as *parts* — the
-    python lists :meth:`add_node` interns into plus the numpy blocks
-    :meth:`add_edges` / :meth:`set_degrees_block` append — and
-    collapsed into contiguous int64/float64 arrays by
-    :meth:`finalize`.  The compact array form (:meth:`to_arrays` /
-    :meth:`from_arrays`) is what parallel sampler workers ship back to
-    the parent instead of a pickled object graph.
+    numpy blocks :meth:`add_nodes` / :meth:`add_edges` /
+    :meth:`set_degrees_block` append — and collapsed into contiguous
+    int64/float64 arrays by :meth:`finalize`.  The compact array form
+    (:meth:`to_arrays` / :meth:`from_arrays`) is what parallel sampler
+    workers ship back to the parent instead of a pickled object graph.
+    The per-edge-type aggregation plans (:meth:`edge_plans`) are derived
+    from the edge arrays on first use and are part of neither form.
 
     Attributes
     ----------
@@ -68,10 +70,25 @@ class SampledSubgraph:
         # Per node type: 2-D float64 blocks of degree rows.
         self._degrees: Dict[str, List[np.ndarray]] = {}
         self._degree_rows: Dict[str, int] = {}
+        # Per edge type: (src plan, dst plan), derived from ``_edges``.
+        self._plans: Dict[EdgeType, Tuple[SegmentPlan, SegmentPlan]] = {}
 
-    # -- construction (used by the sampler) ----------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_plans": {}}
+
+    # -- construction ---------------------------------------------------
+    def add_nodes(self, node_type: str, origs: np.ndarray, ctx_times: np.ndarray) -> None:
+        """Append a block of instances the caller already deduplicated;
+        they take the next ``len(origs)`` local indices of the type."""
+        self._orig.setdefault(node_type, []).append(origs)
+        self._ctx_time.setdefault(node_type, []).append(ctx_times)
+
     def add_node(self, node_type: str, orig_id: int, ctx_time: int) -> Tuple[int, bool]:
-        """Intern a node instance; returns (local index, was-new)."""
+        """Intern one node instance; returns (local index, was-new).
+
+        The scalar construction API of hand-built subgraphs and the
+        test oracles; do not mix with :meth:`add_nodes` on one type.
+        """
         index = self._index.setdefault(node_type, {})
         key = (orig_id, ctx_time)
         local = index.get(key)
@@ -92,21 +109,29 @@ class SampledSubgraph:
         indices (the sampler interns a hop's new nodes sequentially, so
         this always holds there).
         """
-        if len(locals_) == 0:
+        count = len(locals_)
+        if count == 0:
             return
         rows = self._degree_rows.get(node_type, 0)
-        expected = np.arange(rows, rows + len(locals_), dtype=np.int64)
-        if not np.array_equal(np.asarray(locals_, dtype=np.int64), expected):
+        if locals_[0] != rows or locals_[-1] != rows + count - 1:
             raise ValueError("degree blocks must cover the next contiguous locals")
         block = np.asarray(degrees, dtype=np.float64)
+        if len(block) != count:
+            raise ValueError(f"{count} locals but {len(block)} degree rows")
         self._degrees.setdefault(node_type, []).append(block)
-        self._degree_rows[node_type] = rows + len(locals_)
+        self._degree_rows[node_type] = rows + count
 
     def add_edges(self, edge_type: EdgeType, src_locals, dst_locals) -> None:
         """Record edges between local node instances (one array block)."""
         src_parts, dst_parts = self._edges.setdefault(edge_type, ([], []))
         src_parts.append(np.asarray(src_locals, dtype=np.int64))
         dst_parts.append(np.asarray(dst_locals, dtype=np.int64))
+        self._plans.pop(edge_type, None)
+
+    def drop_edge_type(self, edge_type: EdgeType) -> None:
+        """Remove one edge type's edges (and the plans derived from them)."""
+        self._edges.pop(edge_type, None)
+        self._plans.pop(edge_type, None)
 
     def finalize(self) -> "SampledSubgraph":
         """Collapse part lists into contiguous arrays (idempotent).
@@ -212,6 +237,23 @@ class SampledSubgraph:
         src_parts, dst_parts = self._edges.get(edge_type, ((), ()))
         return _concat_parts(list(src_parts)), _concat_parts(list(dst_parts))
 
+    def edge_plans(self, edge_type: EdgeType) -> Tuple[SegmentPlan, SegmentPlan]:
+        """``(src, dst)`` :class:`~repro.nn.segment.SegmentPlan` of one
+        edge type's local index arrays.
+
+        Built (and range-checked) on first use and kept, so both conv
+        layers — gather and aggregation, forward and backward — and
+        every epoch that reuses the subgraph share one grouping.
+        """
+        plans = self._plans.get(edge_type)
+        if plans is None:
+            src, dst = self.edges_for(edge_type)
+            plans = self._plans[edge_type] = (
+                SegmentPlan(src, self.num_nodes(edge_type.src)),
+                SegmentPlan(dst, self.num_nodes(edge_type.dst)),
+            )
+        return plans
+
     def node_degrees(self, node_type: str) -> np.ndarray:
         """Time-valid in-degrees per instance, shape (n, k).
 
@@ -234,10 +276,80 @@ class SampledSubgraph:
             part[:, channel] = 0.0
 
 
-#: One hop's frontier for one node type: original ids, context times,
-#: local indices, and per incoming edge type the ``(CSR start, valid
-#: count)`` ranges :meth:`NeighborSampler._record_degrees` computed.
-_Frontier = Tuple[np.ndarray, np.ndarray, np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]
+class _Interner:
+    """Array interning of node instances: packed ``node * contexts +
+    context rank`` keys index one int32 table of local indices per node
+    type, so a hop's python work is O(edge types), not O(nodes).
+
+    The tables cost 4 bytes per node and distinct cutoff of the widest
+    batch seen; they are allocated once, re-grown only when the graph
+    grows, hold -1 between calls, and :meth:`reset` clears exactly the
+    entries a call wrote — nothing here is O(num_nodes) per sample.
+    """
+
+    def __init__(self, graph: HeteroGraph) -> None:
+        self.graph = graph
+        self._tables: Dict[str, np.ndarray] = {}
+        #: Distinct context times of the subgraph being sampled.
+        self.contexts = np.empty(0, dtype=np.int64)
+        self._written: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Return every table entry the last subgraph wrote to -1."""
+        for table, keys in self._written:
+            table[keys] = -1
+        self._written = []
+        self._counts: Dict[str, int] = {}
+        #: node type -> key blocks numbered since :meth:`take_reached`.
+        self._reached: Dict[str, List[np.ndarray]] = {}
+
+    def _table(self, node_type: str) -> np.ndarray:
+        need = self.graph.num_nodes(node_type) * len(self.contexts)
+        table = self._tables.get(node_type)
+        if table is None or len(table) < need:
+            # Slack, so a stream of small deltas re-allocates rarely.
+            table = self._tables[node_type] = np.full(need + need // 4, -1, dtype=np.int32)
+        return table
+
+    def intern(self, node_type: str, keys: np.ndarray, ascending: bool = True) -> np.ndarray:
+        """Local index per key.  Unseen instances take the type's next
+        local indices in ascending key — ``(node, context)`` — order
+        (neighbors), or by first appearance (the seeds)."""
+        table = self._table(node_type)
+        # Registered even when nothing is new: the next frontier visits
+        # node types in the order this hop first reached them.
+        blocks = self._reached.setdefault(node_type, [])
+        locals_ = table[keys]
+        unseen = locals_ < 0
+        if unseen.any():
+            fresh = keys[unseen]
+            self._written.append((table, fresh))
+            if ascending:
+                fresh = np.sort(fresh)
+                fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+            else:  # written back to front, a key's first position survives
+                position = np.arange(len(fresh))
+                table[fresh[::-1]] = position[::-1]
+                fresh = fresh[table[fresh] == position]
+            base = self._counts.get(node_type, 0)
+            self._counts[node_type] = base + len(fresh)
+            table[fresh] = np.arange(base, base + len(fresh))
+            blocks.append(fresh)
+            locals_ = table[keys]
+        return locals_
+
+    def take_reached(self) -> Dict[str, List[np.ndarray]]:
+        """Key blocks numbered since the last call, per node type."""
+        reached, self._reached = self._reached, {}
+        return {node_type: blocks for node_type, blocks in reached.items() if blocks}
+
+
+#: One hop's frontier for one node type: context ranks (``None`` when
+#: the batch has one cutoff), local indices, and per incoming edge type
+#: the ``(CSR start, valid count)`` ranges
+#: :meth:`NeighborSampler._record_degrees` computed.
+_Frontier = Tuple[Optional[np.ndarray], np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]
 
 
 class NeighborSampler:
@@ -253,7 +365,10 @@ class NeighborSampler:
       a node with more draws exactly ``fanout`` distinct ones, uniformly
       **without replacement** — rows are grouped by valid degree and
       each group argpartitions one matrix of uniform keys, so the cost
-      of a truncated node scales with its degree.
+      of a truncated node scales with its degree;
+    * node instances are interned by table lookup (:class:`_Interner`),
+      whose per-call state makes one sampler serve one ``sample()`` at
+      a time.
 
     Parameters
     ----------
@@ -289,6 +404,7 @@ class NeighborSampler:
         #: destination node}.  Batches share a handful of cutoffs, so
         #: this converts per-node binary searches into one gather.
         self._valid_degrees = CutoffMemo(graph)
+        self._interner = _Interner(graph)
 
     @property
     def num_hops(self) -> int:
@@ -315,25 +431,26 @@ class NeighborSampler:
         return degree
 
     def _valid_counts(
-        self, edge_type: EdgeType, dsts: np.ndarray, times: np.ndarray, cutoff: Optional[int]
+        self, edge_type: EdgeType, dsts: np.ndarray, ranks: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(CSR start offsets, time-valid neighbor count) per dst node.
 
         Valid neighbors are a prefix of each CSR segment (lists are
         time-sorted), so the count doubles as the sampling range.
-        ``cutoff`` is the batch's one context time, or ``None`` when
-        ``times`` mixes several.
+        ``ranks`` index the batch's context times, or are ``None`` when
+        it has a single one.
         """
         store = self.graph._edges[edge_type]
         starts = store.indptr[dsts]
         if not self.time_respecting:
             return starts, store.indptr[dsts + 1] - starts
-        if cutoff is not None:
-            return starts, self._valid_degree(edge_type, cutoff)[dsts]
+        contexts = self._interner.contexts
+        if ranks is None:
+            return starts, self._valid_degree(edge_type, int(contexts[0]))[dsts]
         counts = np.empty(len(dsts), dtype=np.int64)
-        for value in np.unique(times).tolist():
-            mask = times == value
-            counts[mask] = self._valid_degree(edge_type, value)[dsts[mask]]
+        for rank in np.flatnonzero(np.bincount(ranks)).tolist():
+            mask = ranks == rank
+            counts[mask] = self._valid_degree(edge_type, int(contexts[rank]))[dsts[mask]]
         return starts, counts
 
     def sample(
@@ -355,44 +472,31 @@ class NeighborSampler:
             raise ValueError("seed_ids and seed_times must have the same shape")
         # Every context time in the subgraph is some seed's time, so a
         # batch whose seeds share one cutoff (the common case: a point
-        # predict, a scoring sweep) needs no per-hop grouping by time.
-        cutoff: Optional[int] = None
-        if len(seed_times) and (seed_times == seed_times[0]).all():
-            cutoff = int(seed_times[0])
-
+        # predict, a scoring sweep) needs no context packing or per-hop
+        # grouping by time: the node id is the key.
+        if len(seed_times) == 0 or (seed_times == seed_times[0]).all():
+            contexts, keys = seed_times[:1], seed_ids
+        else:
+            contexts, ranks = np.unique(seed_times, return_inverse=True)
+            keys = seed_ids * len(contexts) + ranks
         subgraph = SampledSubgraph(seed_type)
-        frontier: Dict[str, _Frontier] = {}
-
-        seed_locals = np.empty(len(seed_ids), dtype=np.int64)
-        new_origs, new_times, new_locals = [], [], []
-        for i, (orig, time) in enumerate(zip(seed_ids.tolist(), seed_times.tolist())):
-            local, is_new = subgraph.add_node(seed_type, orig, time)
-            seed_locals[i] = local
-            if is_new:
-                new_origs.append(orig)
-                new_times.append(time)
-                new_locals.append(local)
-        subgraph.seed_locals = seed_locals
-        if new_origs:
-            frontier[seed_type] = self._record_degrees(
-                subgraph, seed_type, new_origs, new_times, new_locals, cutoff
-            )
-
+        interner = self._interner
+        interner.contexts = contexts
         truncations = 0
-        for fanout in self.fanouts:
-            #: node type -> (origs, ctx times, locals) of this hop's new nodes
-            reached: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
-            for node_type, (origs, times, locals_, ranges) in frontier.items():
-                for edge_type, (starts, counts) in zip(self._edge_types_into[node_type], ranges):
-                    truncations += self._expand_edge_type(
-                        subgraph, edge_type, starts, counts, times, locals_,
-                        fanout, cutoff, reached,
-                    )
-            frontier = {
-                node_type: self._record_degrees(subgraph, node_type, *entries, cutoff)
-                for node_type, entries in reached.items()
-                if entries[0]
-            }
+        try:
+            seed_locals = interner.intern(seed_type, keys, ascending=False)
+            subgraph.seed_locals = seed_locals.astype(np.int64)
+            frontier = self._record_degrees(subgraph)
+            for fanout in self.fanouts:
+                fault_point("sampler.expand")
+                for node_type, (ranks, locals_, ranges) in frontier.items():
+                    for edge_type, (starts, counts) in zip(self._edge_types_into[node_type], ranges):
+                        truncations += self._expand_edge_type(
+                            subgraph, edge_type, starts, counts, ranks, locals_, fanout
+                        )
+                frontier = self._record_degrees(subgraph)
+        finally:
+            interner.reset()
         if obs_trace.enabled():
             obs_trace.add_counter("sampler.calls")
             obs_trace.add_counter("sampler.seeds", len(seed_ids))
@@ -407,11 +511,9 @@ class NeighborSampler:
         edge_type: EdgeType,
         starts: np.ndarray,
         counts: np.ndarray,
-        ctx_times: np.ndarray,
+        ranks: Optional[np.ndarray],
         dst_locals: np.ndarray,
         fanout: int,
-        cutoff: Optional[int],
-        reached: Dict[str, Tuple[List[int], List[int], List[int]]],
     ) -> int:
         """Expand one edge type; returns the fanout-truncated node count."""
         store = self.graph._edges[edge_type]
@@ -450,61 +552,44 @@ class NeighborSampler:
         else:
             nbrs, edge_rows = np.concatenate(nbr_blocks), np.concatenate(row_blocks)
 
-        # Bulk interning: python-level work scales with *unique* node
-        # instances instead of with edges.  Instances are interned in
-        # ascending (node, ctx) order via one packed int64 key (ctx
-        # values per batch are few; with a single cutoff the node id
-        # is the key).
-        if cutoff is not None:
-            unique_keys, inverse = np.unique(nbrs, return_inverse=True)
-            new_nbrs = unique_keys.tolist()
-            new_ctxs = [cutoff] * len(new_nbrs)
-        else:
-            ctx_values, ctx_ranks = np.unique(ctx_times[edge_rows], return_inverse=True)
-            unique_keys, inverse = np.unique(
-                nbrs * len(ctx_values) + ctx_ranks, return_inverse=True
-            )
-            new_nbrs = (unique_keys // len(ctx_values)).tolist()
-            new_ctxs = ctx_values[unique_keys % len(ctx_values)].tolist()
-        origs, times, locals_ = reached.setdefault(edge_type.src, ([], [], []))
-        unique_locals = np.empty(len(new_nbrs), dtype=np.int64)
-        for i, (nbr, ctx) in enumerate(zip(new_nbrs, new_ctxs)):
-            local, is_new = subgraph.add_node(edge_type.src, nbr, ctx)
-            unique_locals[i] = local
-            if is_new:
-                origs.append(nbr)
-                times.append(ctx)
-                locals_.append(local)
-        subgraph.add_edges(edge_type, unique_locals[inverse], dst_locals[edge_rows])
+        # A neighbor inherits the context of the frontier row it hangs
+        # off; with a single cutoff the node id is the whole key.
+        if ranks is not None:
+            nbrs = nbrs * len(self._interner.contexts) + ranks[edge_rows]
+        src_locals = self._interner.intern(edge_type.src, nbrs)
+        subgraph.add_edges(edge_type, src_locals, dst_locals[edge_rows])
         return len(large)
 
-    def _record_degrees(
-        self,
-        subgraph: SampledSubgraph,
-        node_type: str,
-        origs: List[int],
-        times: List[int],
-        locals_: List[int],
-        cutoff: Optional[int],
-    ) -> _Frontier:
-        """Store the new nodes' time-valid in-degree per incoming edge type.
+    def _record_degrees(self, subgraph: SampledSubgraph) -> Dict[str, _Frontier]:
+        """Append the instances interned since the last call, with their
+        time-valid in-degree per incoming edge type.
 
         Returns them as the next hop's frontier: the ``(starts,
         counts)`` ranges behind the degrees are exactly what expanding
         each incoming edge type needs, so they are computed once.
         """
-        origs = np.asarray(origs, dtype=np.int64)
-        times = np.asarray(times, dtype=np.int64)
-        locals_ = np.asarray(locals_, dtype=np.int64)
-        ranges = [
-            self._valid_counts(edge_type, origs, times, cutoff)
-            for edge_type in self._edge_types_into[node_type]
-        ]
-        if ranges:
-            degrees = np.empty((len(origs), len(ranges)))
-            for j, (_, counts) in enumerate(ranges):
-                degrees[:, j] = counts
-            # A hop's new nodes are interned sequentially per type, so
-            # their locals are the next contiguous ascending block.
-            subgraph.set_degrees_block(node_type, locals_, degrees)
-        return origs, times, locals_, ranges
+        contexts = self._interner.contexts
+        frontier: Dict[str, _Frontier] = {}
+        for node_type, parts in self._interner.take_reached().items():
+            keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if len(contexts) == 1:
+                origs, ranks, times = keys, None, np.full(len(keys), contexts[0])
+            else:
+                origs, ranks = np.divmod(keys, len(contexts))
+                times = contexts[ranks]
+            # Numbered sequentially by the interner, so the block takes
+            # the type's next contiguous ascending locals.
+            first = subgraph.num_nodes(node_type)
+            locals_ = np.arange(first, first + len(keys))
+            subgraph.add_nodes(node_type, origs, times)
+            ranges = [
+                self._valid_counts(edge_type, origs, ranks)
+                for edge_type in self._edge_types_into[node_type]
+            ]
+            if ranges:
+                degrees = np.empty((len(origs), len(ranges)))
+                for j, (_, counts) in enumerate(ranges):
+                    degrees[:, j] = counts
+                subgraph.set_degrees_block(node_type, locals_, degrees)
+            frontier[node_type] = ranks, locals_, ranges
+        return frontier

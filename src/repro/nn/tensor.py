@@ -20,6 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.nn.segment import SegmentPlan
+
 __all__ = ["Tensor", "no_grad", "as_dtype"]
 
 
@@ -499,16 +501,26 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def take(self, indices: np.ndarray) -> "Tensor":
-        """Gather rows along axis 0 (repeats allowed; grads accumulate)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        data = self.data[indices]
+    def take(self, indices: Union[np.ndarray, SegmentPlan]) -> "Tensor":
+        """Gather rows along axis 0 (repeats allowed; grads accumulate).
+
+        Given the :class:`~repro.nn.segment.SegmentPlan` of an index,
+        every backward pass over it shares the plan's grouping.
+        """
+        plan = indices if isinstance(indices, SegmentPlan) else None
+        index = np.asarray(indices, dtype=np.int64) if plan is None else plan.index
+        if plan is not None and plan.num_segments != len(self.data):
+            raise ValueError(f"plan covers {plan.num_segments} rows, tensor has {len(self.data)}")
+        data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
-                self._accumulate(full)
+                rows = plan  # negative indices count from the end, as in the gather
+                if rows is None:
+                    rows = SegmentPlan(index.reshape(-1) % max(len(self.data), 1), len(self.data))
+                width = self.data[:1].size  # trailing dims flattened, known even for no rows
+                full = rows.sum(np.asarray(grad).reshape(len(rows), width))
+                self._accumulate(full.reshape(self.data.shape), owned=True)
 
         return Tensor._make(data, (self,), backward)
 

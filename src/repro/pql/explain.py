@@ -28,7 +28,7 @@ __all__ = ["explain_relations"]
 
 def _knock_out(subgraph: SampledSubgraph, edge_type: EdgeType, graph) -> None:
     """Remove one edge type's messages and zero its degree channel."""
-    subgraph._edges.pop(edge_type, None)
+    subgraph.drop_edge_type(edge_type)
     dst = edge_type.dst
     incoming = graph.edge_types_into(dst)
     if edge_type in incoming:

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.graph.sampler import SampledSubgraph
+from repro.nn.tensor import Tensor
 
 
 class LoopNeighborSampler:
@@ -104,3 +105,176 @@ class LoopNeighborSampler:
         if len(candidates) <= fanout:
             return candidates
         return candidates[self.rng.choice(len(candidates), size=fanout, replace=False)]
+
+
+class DictInterner:
+    """Per-node dict interning: the oracle for the sampler's array
+    interner (``repro.graph.sampler._Interner``, same interface).
+
+    It is the loop the sampler shipped with: seeds are numbered by
+    first appearance; an expansion walks its distinct keys in ascending
+    order and gives each unseen one the type's next local index; the
+    next frontier visits node types in the order a hop first reached
+    them, whether or not that reach found anything new.
+    """
+
+    def __init__(self, graph: HeteroGraph) -> None:
+        self.contexts = np.empty(0, dtype=np.int64)
+        self.reset()
+
+    def reset(self) -> None:
+        self._index: Dict[str, Dict[int, int]] = {}
+        self._reached: Dict[str, List[np.ndarray]] = {}
+
+    def _walk(self, node_type: str, keys: List[int]) -> Tuple[Dict[int, int], List[int]]:
+        index = self._index.setdefault(node_type, {})
+        fresh = []
+        for key in keys:
+            if key not in index:
+                index[key] = len(index)
+                fresh.append(key)
+        return index, fresh
+
+    def intern(self, node_type: str, keys: np.ndarray, ascending: bool = True) -> np.ndarray:
+        blocks = self._reached.setdefault(node_type, [])
+        order = sorted(set(keys.tolist())) if ascending else keys.tolist()
+        index, fresh = self._walk(node_type, order)
+        if fresh:
+            blocks.append(np.asarray(fresh, dtype=np.int64))
+        return np.asarray([index[key] for key in keys.tolist()], dtype=np.int64)
+
+    def take_reached(self) -> Dict[str, List[np.ndarray]]:
+        reached, self._reached = self._reached, {}
+        return {node_type: blocks for node_type, blocks in reached.items() if blocks}
+
+
+# ----------------------------------------------------------------------
+# Full-snapshot subgraphs: exact (non-sampled) inference
+# ----------------------------------------------------------------------
+def snapshot_subgraph(
+    graph: HeteroGraph,
+    cutoff: int,
+    seed_type: str,
+    seed_ids: Sequence[int],
+) -> SampledSubgraph:
+    """The complete time-valid graph at ``cutoff`` as a subgraph.
+
+    Every node with timestamp ≤ ``cutoff`` (static nodes always) is
+    included with exact per-relation degrees; every edge whose
+    timestamp and endpoints are valid is included.  ``seed_ids`` must
+    all be valid at ``cutoff``.
+    """
+    cutoff = int(cutoff)
+    subgraph = SampledSubgraph(seed_type)
+    local_of = {}
+
+    for node_type in graph.node_types:
+        valid = graph.node_times(node_type) <= cutoff
+        origs = np.flatnonzero(valid)
+        mapping = np.full(graph.num_nodes(node_type), -1, dtype=np.int64)
+        incoming = graph.edge_types_into(node_type)
+        degrees = np.zeros((len(origs), len(incoming)))
+        for j, edge_type in enumerate(incoming):
+            store = graph._edges[edge_type]
+            csum = np.concatenate([[0], np.cumsum(store.nbr_time <= cutoff, dtype=np.int64)])
+            degrees[:, j] = csum[store.indptr[origs + 1]] - csum[store.indptr[origs]]
+        for orig in origs.tolist():
+            mapping[orig], _ = subgraph.add_node(node_type, orig, cutoff)
+        if incoming:
+            subgraph.set_degrees_block(node_type, mapping[origs], degrees)
+        local_of[node_type] = mapping
+
+    for edge_type in graph.edge_types:
+        src_ids, dst_ids, times = graph.edges(edge_type)
+        valid = (
+            (times <= cutoff)
+            & (local_of[edge_type.src][src_ids] >= 0)
+            & (local_of[edge_type.dst][dst_ids] >= 0)
+        )
+        if not valid.any():
+            continue
+        subgraph.add_edges(
+            edge_type,
+            local_of[edge_type.src][src_ids[valid]],
+            local_of[edge_type.dst][dst_ids[valid]],
+        )
+
+    seed_ids = np.asarray(seed_ids, dtype=np.int64)
+    seed_locals = local_of[seed_type][seed_ids]
+    if (seed_locals < 0).any():
+        missing = seed_ids[seed_locals < 0][:3].tolist()
+        raise ValueError(f"seeds not valid at cutoff {cutoff}: e.g. {missing}")
+    subgraph.seed_locals = seed_locals
+    return subgraph
+
+
+# ----------------------------------------------------------------------
+# ``ufunc.at`` scatter: the oracle for ``repro.nn.segment.SegmentPlan``
+# ----------------------------------------------------------------------
+def at_sum(values: np.ndarray, index: np.ndarray, num_targets: int) -> np.ndarray:
+    """``out[index[e]] += values[e]``, one edge after another."""
+    out = np.zeros((num_targets,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
+
+
+def at_max(values: np.ndarray, index: np.ndarray, num_targets: int) -> np.ndarray:
+    """Running maximum per slot; empty slots stay ``-inf``."""
+    out = np.full((num_targets,) + values.shape[1:], -np.inf, dtype=values.dtype)
+    np.maximum.at(out, index, values)
+    return out
+
+
+def at_scatter_sum(messages: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
+    """``scatter_sum`` as it shipped before the segment kernel."""
+    data = at_sum(messages.data, index, num_targets)
+
+    def backward(grad: np.ndarray) -> None:
+        if messages.requires_grad:
+            messages._accumulate(np.asarray(grad)[index], owned=True)
+
+    return Tensor._make(data, (messages,), backward)
+
+
+def at_scatter_mean(messages: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
+    """``scatter_mean`` as it shipped before the segment kernel."""
+    counts = np.bincount(index, minlength=num_targets).astype(messages.data.dtype)
+    safe_counts = np.maximum(counts, 1.0)
+    data = at_sum(messages.data, index, num_targets)
+    data /= safe_counts[:, None]
+
+    def backward(grad: np.ndarray) -> None:
+        if messages.requires_grad:
+            scaled = np.asarray(grad) / safe_counts[:, None]
+            messages._accumulate(scaled[index], owned=True)
+
+    return Tensor._make(data, (messages,), backward)
+
+
+def at_scatter_max(messages: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
+    """``scatter_max`` as it shipped before the segment kernel."""
+    data = at_max(messages.data, index, num_targets)
+    empty = ~np.isfinite(data)
+    data = np.where(empty, 0.0, data)
+
+    def backward(grad: np.ndarray) -> None:
+        if not messages.requires_grad:
+            return
+        grad = np.asarray(grad)
+        is_max = (messages.data == data[index]) & ~empty[index]
+        tie_counts = at_sum(is_max.astype(messages.data.dtype), index, num_targets)
+        tie_counts = np.maximum(tie_counts, 1.0)
+        messages._accumulate(np.where(is_max, grad[index] / tie_counts[index], 0.0), owned=True)
+
+    return Tensor._make(data, (messages,), backward)
+
+
+def at_take(tensor: Tensor, indices: np.ndarray) -> Tensor:
+    """``Tensor.take`` with its ``np.add.at`` backward."""
+    indices = np.asarray(indices, dtype=np.int64)
+
+    def backward(grad: np.ndarray) -> None:
+        if tensor.requires_grad:
+            tensor._accumulate(at_sum(np.asarray(grad), indices, len(tensor.data)))
+
+    return Tensor._make(tensor.data[indices], (tensor,), backward)

@@ -154,6 +154,39 @@ class TestSubgraphBitIdentity:
                     assert_subgraphs_identical(serial_sub, parallel_sub)
 
 
+    @pytest.mark.parametrize("batch_size", [1, 16, 256])
+    def test_identity_holds_at_every_batch_size(self, small_ecommerce_db, batch_size):
+        """One seed, a few, and more than there are entities (repeated
+        seeds, two cutoffs): the interner takes a different shortcut
+        for each.  serial == cached == parallel draw for draw, and with
+        the fanout above every degree the loop oracle reaches the same
+        instances."""
+        g = build_graph(small_ecommerce_db)
+        span = small_ecommerce_db.time_span()
+        rng = np.random.default_rng(batch_size)
+        ids = rng.integers(0, g.num_nodes("customers"), size=3 * batch_size)
+        times = rng.choice([(span[0] + span[1]) // 2, span[1]], size=3 * batch_size)
+        batches = [np.arange(i * batch_size, (i + 1) * batch_size) for i in range(3)]
+
+        serial = CachedSampler(build_impl(g), base_seed=0)
+        cached = CachedSampler(build_impl(g), base_seed=0, cache=LRUSubgraphCache(8))
+        with ParallelSampleLoader(CachedSampler(build_impl(g), base_seed=0), num_workers=2) as loader:
+            for batch, parallel_sub in loader.iter_epoch("customers", ids, times, batches):
+                serial_sub = serial.sample("customers", ids[batch], times[batch])
+                assert_subgraphs_identical(serial_sub, parallel_sub)
+                for trial in range(2):  # second round hits the cache
+                    assert_subgraphs_identical(
+                        serial_sub, cached.sample("customers", ids[batch], times[batch])
+                    )
+        exhaustive = {impl: build_impl(g, impl, fanouts=(10**6, 10**6)) for impl in IMPLS}
+        for batch in batches:
+            product, oracle = (
+                exhaustive[impl].sample("customers", ids[batch], times[batch])
+                for impl in ("vectorized", "reference")
+            )
+            assert subgraph_instances(product) == subgraph_instances(oracle)
+
+
 # ----------------------------------------------------------------------
 # Seed-sharded bulk sampling over the shared-memory store
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import NeighborSampler, build_graph
 from tests.conftest import shop_db, subgraph_instances
-from tests.oracles import LoopNeighborSampler
+from tests.oracles import LoopNeighborSampler, snapshot_subgraph
 
 #: (seed ids, seed times) over the shop graph's two customers: one
 #: cutoff shared by every seed, then a different cutoff per seed.
@@ -219,8 +219,6 @@ def test_property_fast_sampler_never_sees_future(seed_time, fanout, hops, rng_se
 
 class TestSnapshotSubgraph:
     def test_contains_all_valid_nodes_and_edges(self):
-        from repro.graph import snapshot_subgraph
-
         g = graph()
         sub = snapshot_subgraph(g, 250, "customers", [0, 1])
         # Customers and products are static -> all present.
@@ -232,7 +230,7 @@ class TestSnapshotSubgraph:
         assert (times <= 250).all()
 
     def test_edges_complete_and_valid(self):
-        from repro.graph import EdgeType, snapshot_subgraph
+        from repro.graph import EdgeType
 
         g = graph()
         sub = snapshot_subgraph(g, 10**9, "customers", [0])
@@ -241,8 +239,6 @@ class TestSnapshotSubgraph:
         assert len(src) == g.num_edges(et)
 
     def test_exact_degrees(self):
-        from repro.graph import snapshot_subgraph
-
         g = graph()
         sub = snapshot_subgraph(g, 250, "customers", [0, 1])
         degrees = sub.node_degrees("customers")[sub.seed_locals]
@@ -255,7 +251,6 @@ class TestSnapshotSubgraph:
         assert degrees[1, col] == g.count_before(et, 1, 250)
 
     def test_invalid_seed_rejected(self):
-        from repro.graph import snapshot_subgraph
         from repro.relational import Column
 
         g = graph()
@@ -265,7 +260,6 @@ class TestSnapshotSubgraph:
 
     def test_model_exact_inference_runs(self):
         from repro.gnn import GraphMetadata, HeteroGNN
-        from repro.graph import snapshot_subgraph
 
         g = graph()
         metadata = GraphMetadata.from_graph(g)
@@ -278,7 +272,6 @@ class TestSnapshotSubgraph:
     def test_exact_matches_sampler_with_huge_fanout(self):
         """With fanout >= max degree, sampled inference == exact inference."""
         from repro.gnn import GraphMetadata, HeteroGNN
-        from repro.graph import snapshot_subgraph
         from repro.nn import no_grad
 
         g = graph()

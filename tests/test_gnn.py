@@ -321,6 +321,56 @@ class TestTrainer:
         assert len(history.val_loss) >= 1
 
 
+    def fit_counting_samples(self, wrap, cache=None):
+        """A 4-epoch fit with 2 train batches + 1 validation batch per epoch;
+        returns (sample() calls that reached the sampler, val losses)."""
+        from repro.graph.cache import CachedSampler
+
+        db = shop_db(num_customers=24)
+        graph = build_graph(db)
+        model = HeteroGNN(
+            GraphMetadata.from_graph(graph), hidden_dim=8, out_dim=1, num_layers=1,
+            rng=np.random.default_rng(0),
+        )
+        base = NeighborSampler(graph, fanouts=[2], rng=np.random.default_rng(1))
+        calls = []
+        sample = base.sample
+        base.sample = lambda *args: calls.append(len(args[1])) or sample(*args)
+        sampler = CachedSampler(base, base_seed=0, cache=cache) if wrap else base
+        trainer = NodeTaskTrainer(
+            model, graph, sampler, task_type="binary",
+            config=TrainConfig(epochs=4, batch_size=8, patience=9),
+        )
+        ids = np.arange(24)
+        times = np.full(24, 2000, dtype=np.int64)
+        labels = (ids % 2 == 0).astype(np.float64)
+        history = trainer.fit(
+            "customers", ids[:16], times[:16], labels[:16], ids[16:], times[16:], labels[16:]
+        )
+        return calls, history.val_loss
+
+    def test_validation_batches_are_sampled_once_per_fit_when_draws_are_pure(self):
+        from repro.graph.cache import LRUSubgraphCache
+
+        held_calls, held_losses = self.fit_counting_samples(wrap=True)
+        assert len(held_calls) == 4 * 2 + 1  # validation drawn in epoch 1 only
+        # A subgraph cache is the memo when there is one (and counts its hits) ...
+        cached_calls, cached_losses = self.fit_counting_samples(wrap=True, cache=LRUSubgraphCache(64))
+        assert cached_losses == held_losses
+        # ... and a bare sampler's draws depend on its stream, so it is asked every epoch.
+        raw_calls, _ = self.fit_counting_samples(wrap=False)
+        assert len(raw_calls) == 4 * (2 + 1)
+
+    def test_held_validation_equals_resampling_every_epoch(self, monkeypatch):
+        import repro.gnn.trainer as trainer_module
+
+        _, held = self.fit_counting_samples(wrap=True)
+        monkeypatch.setattr(trainer_module, "_HELD_BATCHES", 0)
+        calls, resampled = self.fit_counting_samples(wrap=True)
+        assert len(calls) == 4 * (2 + 1)
+        assert resampled == held
+
+
 class TestTwoTower:
     def test_scores_shape(self):
         graph = build_graph(shop_db(num_customers=10))
