@@ -38,7 +38,7 @@ def results():
     trainer.sampler = NeighborSampler(
         leaky_model.graph,
         fanouts=trainer.sampler.fanouts,
-        rng=np.random.default_rng(123),
+        seed=123,
         time_respecting=True,
     )
     leaky_deployed = leaky_model.evaluate(split.test_cutoff)["auroc"]
@@ -66,7 +66,7 @@ def test_fig3_temporal_leakage(results, benchmark):
     from repro.graph import build_graph
 
     graph = build_graph(db)
-    sampler = NeighborSampler(graph, fanouts=[8, 8], rng=np.random.default_rng(0))
+    sampler = NeighborSampler(graph, fanouts=[8, 8], seed=0)
     seeds = np.arange(64)
     times = np.full(64, split.test_cutoff, dtype=np.int64)
     benchmark(lambda: sampler.sample("customers", seeds, times))

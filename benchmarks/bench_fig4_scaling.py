@@ -19,7 +19,7 @@ SCALES = [0.25, 0.5, 1.0, 2.0]
 
 
 def _time_sampler(graph, span_end, repeats=2):
-    sampler = NeighborSampler(graph, fanouts=[8, 8], rng=np.random.default_rng(0))
+    sampler = NeighborSampler(graph, fanouts=[8, 8], seed=0)
     num_seeds = min(graph.num_nodes("customers"), 200)
     seeds = np.arange(num_seeds)
     times = np.full(num_seeds, span_end, dtype=np.int64)

@@ -2,8 +2,7 @@
 
 The ingest subsystem's promise is that a live graph can follow an
 append-only event stream **bit-identically** to cold-rebuilding it at
-every watermark, at a small fraction of the cost, while invalidating
-only the memoized state the delta actually touched.  This benchmark
+every watermark, at a small fraction of the cost.  This benchmark
 measures and gates exactly that:
 
 * ``apply`` streams the tail of the ecommerce dataset (orders +
@@ -15,16 +14,11 @@ measures and gates exactly that:
   fraction <= 1%) and compares its wall time against a cold
   ``build_graph`` over the same final database — the acceptance
   claim requires a >= 5x speedup; the ``refresh_model`` call that
-  follows the delta (the retention test over a primed subgraph cache)
-  is timed beside it and reported as ``speedup_with_refresh``;
+  follows the delta is timed beside it and reported as
+  ``speedup_with_refresh``;
 * the **bit-identity probe** asserts the streamed graph equals the
   cold rebuild at the same watermark: graph fingerprint, feature
-  bytes, node keys, and a sampled subgraph drawn with the same seed;
-* ``invalidation`` proves refresh is *selective*, not global: after
-  the probe delta, ``refresh_model``'s counters show subgraph-cache
-  entries on untouched entities retained (and provably reusable — the
-  graph is no part of the cache key or the RNG seed) and entries on
-  touched entities dropped.
+  bytes, node keys, and a sampled subgraph drawn with the same seed.
 
 ::
 
@@ -54,7 +48,6 @@ from repro.datasets import get_dataset
 from repro.gnn.models import GraphMetadata
 from repro.gnn.trainer import NodeTaskTrainer
 from repro.graph import NeighborSampler, build_graph
-from repro.graph.builder import node_index_for_keys
 from repro.graph.cache import graph_fingerprint
 from repro.ingest import (
     IngestPipeline,
@@ -122,10 +115,10 @@ def carve_stream(db: Database, num_events: int):
 
 def sampled_subgraphs_equal(a, b, seed_ids, seed_times) -> bool:
     """Draw the same batch on two graphs with the same RNG; compare."""
-    sub_a = NeighborSampler(a, fanouts=FANOUTS, rng=np.random.default_rng(0)).sample(
+    sub_a = NeighborSampler(a, fanouts=FANOUTS, seed=0).sample(
         "customers", seed_ids, seed_times
     )
-    sub_b = NeighborSampler(b, fanouts=FANOUTS, rng=np.random.default_rng(0)).sample(
+    sub_b = NeighborSampler(b, fanouts=FANOUTS, seed=0).sample(
         "customers", seed_ids, seed_times
     )
     for node_type in sub_a.node_types:
@@ -242,36 +235,17 @@ def run_suite(stream_events: int = STREAM_EVENTS, batch_rows: int = BATCH_ROWS) 
             "max_staleness_s": int(max_staleness),
         }
 
-        # -- invalidation: selective, not global ------------------------
-        # An (unfitted) model over the live graph, its subgraph cache
-        # primed with one batch per customer, one of them pinned to the
-        # customers the probe will touch.
-        config = PlannerConfig(fanouts=FANOUTS, cache_size=64)
-        rng = np.random.default_rng(0)
-        sampler = config.make_sampler(pipeline.graph, rng)
-        network = config.make_node_network(GraphMetadata.from_graph(pipeline.graph), rng)
+        # An (unfitted) model over the live graph, for refresh_model.
+        config = PlannerConfig(fanouts=FANOUTS)
+        sampler = config.make_sampler(pipeline.graph)
+        network = config.make_node_network(
+            GraphMetadata.from_graph(pipeline.graph), np.random.default_rng(0)
+        )
         model = TrainedPredictiveModel(
             pipeline.db, PredictiveQueryPlanner(pipeline.db, config).plan(PLAN_QUERY),
             pipeline.graph, config,
             node_trainer=NodeTaskTrainer(network, pipeline.graph, sampler, "binary"),
         )
-        touched_customers = np.unique(node_index_for_keys(
-            pipeline.graph, "customers", [e.values["customer_id"] for e in probe]
-        ))
-        untouched = np.setdiff1d(np.arange(len(base["customers"])), touched_customers)[:15]
-        ctx = np.array([t_cut], dtype=np.int64)
-        for idx in untouched:
-            sampler.sample("customers", np.array([idx], dtype=np.int64), ctx)
-        # The pinned batch looks at a touched customer from a context
-        # time past the probe's events — the one combination the
-        # retention rule must drop (a pre-probe context cannot see the
-        # new rows and is validly retained).
-        probe_max_ts = max(e.values["ts"] for e in probe)
-        sampler.sample(
-            "customers", touched_customers,
-            np.full(len(touched_customers), probe_max_ts + 1, dtype=np.int64),
-        )
-        primed = model.sampler_cache_stats()["entries"]
         model.ladder()  # built once per model, not per refresh
 
         # -- delta_vs_rebuild: the probe batch ---------------------------
@@ -286,13 +260,8 @@ def run_suite(stream_events: int = STREAM_EVENTS, batch_rows: int = BATCH_ROWS) 
         probe_delta = pipeline.builder.apply(appliable)
         delta_ms = (time.perf_counter() - start) * 1000.0
         start = time.perf_counter()
-        refreshed = refresh_model(model, probe_delta)
+        refresh_model(model, probe_delta)
         refresh_ms = (time.perf_counter() - start) * 1000.0
-        report["modes"]["invalidation"] = {
-            "cache_entries": primed,
-            "cache_retained": refreshed["cache_retained"],
-            "cache_invalidated": refreshed["cache_invalidated"],
-        }
 
         # apply_events_to_database never mutates its input, so the cold
         # target reuses the in-memory base the log was created from.
@@ -335,22 +304,17 @@ def run_suite(stream_events: int = STREAM_EVENTS, batch_rows: int = BATCH_ROWS) 
         shutil.rmtree(root, ignore_errors=True)
 
     dvr = report["modes"]["delta_vs_rebuild"]
-    inv = report["modes"]["invalidation"]
     report["acceptance"] = {
         "speedup": dvr["speedup"],
         "required_min_speedup": MIN_SPEEDUP,
         "touched_fraction": dvr["touched_fraction"],
         "required_max_touched_fraction": MAX_TOUCHED_FRACTION,
-        "selective_invalidation": inv["cache_retained"] > 0
-        and inv["cache_invalidated"] > 0,
         "bit_identical": all(
             bool(v) for k, v in report["identity"].items() if k != "watermark"
         ),
         "passed": (
             dvr["speedup"] >= MIN_SPEEDUP
             and dvr["touched_fraction"] <= MAX_TOUCHED_FRACTION
-            and inv["cache_retained"] > 0
-            and inv["cache_invalidated"] > 0
             and all(
                 bool(v) for k, v in report["identity"].items() if k != "watermark"
             )
@@ -375,8 +339,7 @@ def check_against_baseline(report: Dict, baseline: Dict) -> List[str]:
         problems.append(
             f"acceptance failed: speedup {acc['speedup']}x "
             f"(min {MIN_SPEEDUP}) at touched fraction {acc['touched_fraction']} "
-            f"(max {MAX_TOUCHED_FRACTION}), selective="
-            f"{acc['selective_invalidation']}, identical={acc['bit_identical']}"
+            f"(max {MAX_TOUCHED_FRACTION}), identical={acc['bit_identical']}"
         )
     return problems
 
@@ -394,16 +357,13 @@ def main(argv=None) -> int:
     report = run_suite(stream_events=args.stream_events)
     apply_mode = report["modes"]["apply"]
     dvr = report["modes"]["delta_vs_rebuild"]
-    inv = report["modes"]["invalidation"]
     print(f"apply     {apply_mode['rows_per_sec']:.0f} rows/s over "
           f"{apply_mode['events']} events in {apply_mode['batches']} batches "
           f"({apply_mode['refreshes']} refreshes)")
     print(f"delta     {dvr['delta_ms']:.2f}ms vs rebuild {dvr['rebuild_ms']:.2f}ms "
           f"= {dvr['speedup']:.1f}x at {dvr['touched_fraction']:.4f} touched "
           f"({dvr['speedup_with_refresh']:.1f}x counting the {dvr['refresh_ms']:.2f}ms "
-          f"refresh_model over {inv['cache_entries']} cached subgraphs)")
-    print(f"caches    {inv['cache_retained']}/{inv['cache_entries']} subgraph "
-          f"entries retained, {inv['cache_invalidated']} invalidated")
+          f"refresh_model)")
     print(f"identity  {report['identity']}")
 
     with open(args.output, "w") as handle:
@@ -432,7 +392,6 @@ def test_ingest_acceptance(tmp_path):
     report = run_suite(stream_events=300)
     acc = report["acceptance"]
     assert acc["bit_identical"], report["identity"]
-    assert acc["selective_invalidation"], report["modes"]["invalidation"]
     assert acc["touched_fraction"] <= MAX_TOUCHED_FRACTION
     assert acc["speedup"] >= MIN_SPEEDUP, report["modes"]["delta_vs_rebuild"]
     out = tmp_path / "BENCH_ingest.json"

@@ -81,7 +81,7 @@ def train_routed_model(save_dir: str):
     )
     config = PlannerConfig(
         hidden_dim=8, num_layers=1, epochs=3, seed=SEED,
-        cache_size=256, infer_batch_size=64,
+        infer_batch_size=64,
     )
     planner = PredictiveQueryPlanner(db, config)
     model = planner.fit_routed(task.query, split)
@@ -200,7 +200,7 @@ def run_suite(num_queries: int = NUM_QUERIES) -> Dict:
             "modes": {},
         }
         for mode in ("all-gnn", "routed", "yellow", "green"):
-            # A fresh load per mode: cold subgraph cache, cold cost EMA —
+            # A fresh load per mode: cold memos, cold cost EMA —
             # no mode inherits another's warmth.
             model = RoutedPredictiveModel.load(model_dir, db)
             entry = run_mode(model, queries, cutoff, mode)

@@ -4,7 +4,7 @@ Measures the micro-batching scheduler end to end: a burst of
 single-entity predict requests is pushed through a
 :class:`~repro.serve.service.PredictionService` and each mode reports
 throughput (rows/s) plus per-request latency percentiles (p50/p99),
-for a cold subgraph cache and again for a warm one:
+for a first (cold) pass and again for a warm one:
 
 * ``single``        — ``max_batch_size=1``: every request pays its own
   model call (the no-batching baseline)
@@ -85,7 +85,7 @@ def train_model(scale: float = 0.3, seed: int = 0):
     )
     config = PlannerConfig(
         hidden_dim=8, num_layers=1, epochs=3, seed=seed,
-        cache_size=256, infer_batch_size=64,
+        infer_batch_size=64,
     )
     model = PredictiveQueryPlanner(db, config).fit(task.query, split)
     return model, split, db
@@ -97,11 +97,6 @@ def build_requests(model, split, num_requests: int = 192):
     keys = model.graph.node_keys[entity_type]
     reps = int(np.ceil(num_requests / len(keys)))
     return np.tile(keys, reps)[:num_requests], int(split.test_cutoff)
-
-
-def _subgraph_cache(model):
-    trainer = model.node_trainer or model.link_trainer
-    return getattr(trainer.sampler, "cache", None) if trainer is not None else None
 
 
 def run_pass(service: PredictionService, keys: np.ndarray, cutoff: int) -> Dict:
@@ -160,10 +155,7 @@ def run_wave_pass(
 
 
 def run_mode(model, mode: str, keys: np.ndarray, cutoff: int) -> Dict:
-    """Cold pass (empty subgraph cache) then warm pass on one service."""
-    cache = _subgraph_cache(model)
-    if cache is not None:
-        cache.clear()
+    """Cold pass (a fresh service's first requests) then warm pass."""
     service = PredictionService(model, config=MODES[mode], name=f"bench-{mode}")
     try:
         cold = run_pass(service, keys, cutoff)
@@ -201,7 +193,7 @@ def run_swap_under_load(model, db, keys: np.ndarray, cutoff: int,
         )
         service.warmup()
         for future in [service.predict_async([key], cutoff)
-                       for key in keys[:64].tolist()]:  # warm the fresh cache
+                       for key in keys[:64].tolist()]:  # warm the fresh service
             future.result(timeout=120.0)
 
         total = clients * len(keys)
@@ -394,9 +386,6 @@ def run_telemetry_probe(model, keys: np.ndarray, cutoff: int) -> Dict:
     }
     reps = int(np.ceil(TELEMETRY_PROBE_REQUESTS / len(keys)))
     probe_keys = np.tile(keys, reps)[:TELEMETRY_PROBE_REQUESTS]
-    cache = _subgraph_cache(model)
-    if cache is not None:
-        cache.clear()
     rates: Dict[str, List[float]] = {label: [] for label in arms}
     cpus: Dict[str, List[float]] = {label: [] for label in arms}
     # The enabled arm allocates more, so cyclic GC would fire more

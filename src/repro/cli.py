@@ -51,15 +51,8 @@
         --stats-json``) as a human table, raw JSON, or Prometheus text
         format.
 
-Throughput flags (``fit`` / ``query``; see docs/performance.md):
+Routing flags (``fit`` / ``query``; see docs/performance.md):
 
-* ``--num-workers N`` shards minibatch subgraph sampling across N
-  worker processes so sampling overlaps training (deterministic:
-  results are bit-identical to the serial path for a fixed seed).
-  Workers view the graph through a shared-memory CSR store.
-* ``--cache-size BATCHES`` memoizes sampled subgraphs in an LRU keyed
-  on batch content, reused across epochs and at inference.
-* ``--prefetch-batches N`` bounds the in-flight sampling window.
 * ``--route {auto,green,yellow,red}`` fits a cost-routed model
   (GREEN = calibrated activity baseline, YELLOW = GBDT on auto
   features, RED = full GNN) and routes each prediction to the
@@ -133,18 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--layers", type=int, default=2)
         p.add_argument("--hidden", type=int, default=32)
         p.add_argument("--conv", choices=["sage", "gat"], default="sage")
-        p.add_argument(
-            "--num-workers", type=int, default=0, metavar="N",
-            help="sampling worker processes; 0 samples in-process",
-        )
-        p.add_argument(
-            "--cache-size", type=int, default=0, metavar="BATCHES",
-            help="subgraph LRU capacity in batches; 0 disables caching",
-        )
-        p.add_argument(
-            "--prefetch-batches", type=int, default=2, metavar="N",
-            help="batches kept in flight beyond one per worker",
-        )
         p.add_argument(
             "--infer-batch-size", type=int, default=None, metavar="N",
             help="micro-batch size for no-grad eval/predict; defaults to "
@@ -260,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--warmup", type=int, default=0, metavar="N",
-        help="prime caches with N entities before accepting traffic",
+        help="pay first-call costs (and prime LIST item embeddings) with "
+             "N entities before accepting traffic",
     )
     serve.add_argument(
         "--route", choices=ROUTES, default="auto",
@@ -425,9 +407,6 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
         epochs=args.epochs,
         seed=args.seed,
         conv_type=args.conv,
-        num_workers=args.num_workers,
-        cache_size=args.cache_size,
-        prefetch_batches=args.prefetch_batches,
         infer_batch_size=args.infer_batch_size,
     )
 
@@ -573,20 +552,15 @@ def _publish_trainer_metrics(registry, trace) -> None:
         registry.gauge("train.mean_epoch_seconds").set(seconds / epochs)
     if seconds > 0:
         registry.gauge("train.examples_per_sec").set(totals.get("train.examples", 0.0) / seconds)
-    # (cache and plan-cache counters hit the registry directly at the
-    # point of use; only span-local counters are summarized here.)
+    # (plan-cache counters hit the registry directly at the point of
+    # use; only span-local counters are summarized here.)
     for name in (
         "sampler.nodes_sampled",
         "sampler.edges_sampled",
         "sampler.fanout_truncations",
-        "sampler.parallel.batches",
     ):
         if name in totals:
             registry.counter(name).inc(totals[name])
-    hits = totals.get("sampler.cache.hits", 0.0)
-    misses = totals.get("sampler.cache.misses", 0.0)
-    if hits or misses:
-        registry.gauge("sampler.cache.hit_rate").set(hits / (hits + misses))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -707,7 +681,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.warmup:
         warmed = service.warmup(args.warmup)
-        _log.info("caches warmed", extra={"entities": warmed})
+        _log.info("model warmed", extra={"entities": warmed})
     # SIGTERM/SIGINT land between turns of the single-threaded loop: out
     # of the blocking stdin read, or — mid-batch — once everything already
     # admitted is answered.  Then the stats snapshot flushes and the

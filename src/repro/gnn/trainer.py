@@ -15,10 +15,11 @@ driver (:class:`_ResilientLoop`):
   :class:`~repro.resilience.DivergenceError`;
 * with a configured ``checkpoint_dir``, every epoch commits an atomic,
   checksummed checkpoint capturing weights, best weights, optimizer
-  moments, and **all RNG states** (trainer shuffle/negative-sampling,
-  neighbor sampler, and any model dropout generators) — so a killed
-  run resumed with ``resume=True`` replays the remaining epochs
-  bit-identically to an uninterrupted run;
+  moments, and **all RNG states** (trainer shuffle/negative-sampling
+  and any model dropout generators; the neighbor sampler holds none,
+  its draws are a function of the batch) — so a killed run resumed
+  with ``resume=True`` replays the remaining epochs bit-identically
+  to an uninterrupted run;
 * a cooperative :class:`~repro.resilience.Deadline` may be passed to
   ``fit``; it is checked at batch boundaries so stage budgets can stop
   a run mid-epoch.
@@ -29,12 +30,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.graph.parallel import ParallelSampleLoader
 
 from repro.gnn.models import HeteroGNN, TwoTowerModel
 from repro.graph.hetero import HeteroGraph
@@ -80,11 +78,6 @@ class TrainConfig:
     lr_backoff: float = 0.5
     #: Pre-clip gradient norms above this count as divergence.
     grad_norm_limit: float = 1e6
-    #: Sampling worker processes (0 = sample in-process).  Takes
-    #: effect through the loader the planner attaches to the trainer.
-    num_workers: int = 0
-    #: Batches kept in flight beyond one per worker.
-    prefetch_batches: int = 2
     #: Batch size for no-grad evaluation/prediction.  Inference builds
     #: no backward graph, so it can usually run much larger batches
     #: than training; ``None`` falls back to ``batch_size``.
@@ -150,30 +143,12 @@ def _record_epoch(
 def _epoch_batches(
     trainer, seed_type: str, ids: np.ndarray, times: np.ndarray, order: np.ndarray
 ) -> Iterator[Tuple[np.ndarray, "SampledSubgraph"]]:
-    """Yield ``(batch_indices, subgraph)`` for one shuffled epoch.
-
-    With a loader attached, sampling runs on worker processes and
-    overlaps the training compute of earlier batches; otherwise each
-    batch samples in-process right before its forward pass.  Both
-    paths produce identical subgraphs whenever the sampler follows the
-    deterministic contract of :mod:`repro.graph.cache`.
-    """
+    """Yield ``(batch_indices, subgraph)`` for one shuffled epoch, each
+    batch sampled right before its forward pass."""
     batch_size = trainer.config.batch_size
-    batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
-    if trainer.loader is None:
-        for batch in batches:
-            yield batch, trainer.sampler.sample(seed_type, ids[batch], times[batch])
-    else:
-        yield from trainer.loader.iter_epoch(seed_type, ids, times, batches)
-
-
-def _begin_inference(trainer) -> None:
-    """Eval mode, and draws that do not depend on how many training
-    consumed (save/load parity); a ``pure`` sampler re-seeds per batch
-    anyway."""
-    trainer.model.eval()
-    if not getattr(trainer.sampler, "pure", False):
-        trainer.sampler.rng = np.random.default_rng(trainer.config.seed + 9999)
+    for start in range(0, len(order), batch_size):
+        batch = order[start : start + batch_size]
+        yield batch, trainer.sampler.sample(seed_type, ids[batch], times[batch])
 
 
 #: Validation batches a fit keeps (about 0.3 MB each at the default
@@ -246,20 +221,14 @@ class _ResilientLoop:
         self.best_state = trainer.model.state_dict()
         self.stale = 0
         self.current_lr = optimizer.lr
-        #: Validation subgraphs kept across epochs (:func:`_eval_batches`)
-        #: when the sampler would redraw them identically every time and
-        #: has no subgraph cache of its own to recall them from.
-        sampler = trainer.sampler
-        keep = getattr(sampler, "pure", False) and getattr(sampler, "cache", None) is None
-        self.held: Optional[dict] = {} if keep else None
+        #: Validation subgraphs kept across epochs (:func:`_eval_batches`):
+        #: the sampler would redraw them identically every time.
+        self.held: dict = {}
 
     # -- RNG plumbing ---------------------------------------------------
     def _generators(self) -> List[np.random.Generator]:
         """Every generator whose draws shape training, in a stable order."""
         found: List[np.random.Generator] = [self.trainer._rng]
-        sampler_rng = getattr(self.trainer.sampler, "rng", None)
-        if isinstance(sampler_rng, np.random.Generator):
-            found.append(sampler_rng)
         for module in self.trainer.model.modules():
             for attr in ("rng", "_rng"):
                 candidate = getattr(module, attr, None)
@@ -463,7 +432,6 @@ class NodeTaskTrainer:
         task_type: str,
         config: Optional[TrainConfig] = None,
         pos_weight: Optional[float] = None,
-        loader: Optional["ParallelSampleLoader"] = None,
     ) -> None:
         if task_type not in _TASK_TYPES:
             raise ValueError(f"task_type must be one of {_TASK_TYPES}, got {task_type!r}")
@@ -474,9 +442,6 @@ class NodeTaskTrainer:
         self.config = config or TrainConfig()
         #: Weight on the positive-class BCE term (binary tasks only).
         self.pos_weight = pos_weight
-        #: Optional parallel/prefetching batch source for training
-        #: epochs; when None, batches sample in-process via ``sampler``.
-        self.loader = loader
         self.history = _History()
         self._rng = np.random.default_rng(self.config.seed)
         self._target_mean = 0.0
@@ -588,7 +553,7 @@ class NodeTaskTrainer:
         Multiclass → class probabilities, shape (n, C).
         Regression → de-standardized values, shape (n,).
         """
-        _begin_inference(self)
+        self.model.eval()
         outputs: List[np.ndarray] = []
         with no_grad():
             for _, subgraph in _eval_batches(self, seed_type, ids, times):
@@ -616,7 +581,7 @@ class NodeTaskTrainer:
         """
         if self.task_type == "multiclass":
             raise ValueError("export_scores supports binary and regression tasks only")
-        _begin_inference(self)
+        self.model.eval()
         outputs: List[np.ndarray] = []
         with no_grad():
             for _, subgraph in _eval_batches(self, seed_type, ids, times):
@@ -641,15 +606,12 @@ class LinkTaskTrainer:
         sampler: NeighborSampler,
         config: Optional[TrainConfig] = None,
         num_negatives: int = 4,
-        loader: Optional["ParallelSampleLoader"] = None,
     ) -> None:
         self.model = model
         self.graph = graph
         self.sampler = sampler
         self.config = config or TrainConfig()
         self.num_negatives = num_negatives
-        #: Optional parallel/prefetching batch source (see NodeTaskTrainer).
-        self.loader = loader
         self.history = _History()
         self._rng = np.random.default_rng(self.config.seed)
         #: ((item-type version, item_ids bytes), embeddings) memo for
@@ -746,7 +708,7 @@ class LinkTaskTrainer:
         item_ids: np.ndarray,
     ) -> np.ndarray:
         """Score every query against every item: (num_queries, num_items)."""
-        _begin_inference(self)
+        self.model.eval()
         blocks: List[np.ndarray] = []
         with no_grad():
             items = self._cached_item_embeddings(item_ids)

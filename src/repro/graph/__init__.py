@@ -9,22 +9,17 @@ and every time column a timestamp on nodes and edges.
 * :mod:`repro.graph.encoders` — column encoders turning table columns
   into model-ready numeric arrays and categorical codes;
 * :mod:`repro.graph.builder` — the DB→graph compiler;
-* :mod:`repro.graph.sampler` — time-respecting neighbor sampling;
-* :mod:`repro.graph.cache` — subgraph memoization plus the
-  deterministic (content-keyed RNG) sampling contract;
-* :mod:`repro.graph.shared` — the shared-memory CSR store that lets
-  sampler workers view the graph zero-copy;
-* :mod:`repro.graph.parallel` — multi-process minibatch sampling with
-  bounded prefetch over the shared store.
+* :mod:`repro.graph.sampler` — time-respecting neighbor sampling, a
+  pure function of the batch and the graph (content-keyed RNG);
+* :mod:`repro.graph.cache` — ``graph_fingerprint``, the cold-rebuild
+  equality oracle.
 """
 
 from repro.graph.hetero import EdgeType, HeteroGraph, TIME_MIN
 from repro.graph.encoders import NodeFeatures, encode_table_features
 from repro.graph.builder import build_graph
 from repro.graph.sampler import NeighborSampler, SampledSubgraph
-from repro.graph.cache import CachedSampler, LRUSubgraphCache, graph_fingerprint
-from repro.graph.shared import SharedGraphStore, list_shared_segments
-from repro.graph.parallel import ParallelSampleLoader
+from repro.graph.cache import graph_fingerprint
 
 __all__ = [
     "EdgeType",
@@ -35,10 +30,5 @@ __all__ = [
     "build_graph",
     "NeighborSampler",
     "SampledSubgraph",
-    "CachedSampler",
-    "LRUSubgraphCache",
     "graph_fingerprint",
-    "SharedGraphStore",
-    "list_shared_segments",
-    "ParallelSampleLoader",
 ]

@@ -70,11 +70,8 @@ class EdgeType:
 class _EdgeStore:
     """Edge list plus dst-keyed CSR with time-sorted neighbor lists.
 
-    A store built from raw edge arrays keeps the original (unsorted)
-    ``src_ids``/``dst_ids``/``times``; one restored from a serialized
-    CSR layout (:meth:`from_csr`, used by the shared-memory graph
-    store) holds only the CSR arrays and reconstructs edge lists on
-    demand in CSR order.
+    The original (unsorted) ``src_ids``/``dst_ids``/``times`` are kept
+    next to the CSR arrays.
     """
 
     __slots__ = ("src_ids", "dst_ids", "times", "indptr", "nbr_src", "nbr_time")
@@ -98,42 +95,6 @@ class _EdgeStore:
         self.nbr_time = self.times[order]
         counts = np.bincount(sorted_dst, minlength=num_dst)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-    @classmethod
-    def from_csr(
-        cls, indptr: np.ndarray, nbr_src: np.ndarray, nbr_time: np.ndarray
-    ) -> "_EdgeStore":
-        """Wrap existing CSR arrays without copying or re-sorting.
-
-        The arrays are used as-is (they may be read-only views into a
-        shared-memory segment); ``nbr_time`` must already be ascending
-        within each destination's segment, as produced by the primary
-        constructor.
-        """
-        store = cls.__new__(cls)
-        store.indptr = indptr
-        store.nbr_src = nbr_src
-        store.nbr_time = nbr_time
-        if len(indptr) == 0 or int(indptr[-1]) != len(nbr_src) or len(nbr_src) != len(nbr_time):
-            raise ValueError("inconsistent CSR arrays")
-        store.src_ids = None
-        store.dst_ids = None
-        store.times = None
-        return store
-
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw (src, dst, time) arrays.
-
-        For CSR-restored stores the original insertion order is gone;
-        the arrays come back in CSR (dst-major, time-ascending) order —
-        the same multiset of edges.
-        """
-        if self.src_ids is not None:
-            return self.src_ids, self.dst_ids, self.times
-        dst = np.repeat(
-            np.arange(len(self.indptr) - 1, dtype=np.int64), np.diff(self.indptr)
-        )
-        return self.nbr_src, dst, self.nbr_time
 
     @property
     def num_edges(self) -> int:
@@ -205,16 +166,11 @@ class _EdgeStore:
         store.nbr_src = np.insert(self.nbr_src, positions, s_src)
         store.nbr_time = np.insert(self.nbr_time, positions, s_times)
         store.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        if self.src_ids is not None:
-            # Raw arrays keep event order (base rows then delta rows),
-            # mirroring how a cold build consumes appended table rows.
-            store.src_ids = np.concatenate([self.src_ids, d_src])
-            store.dst_ids = np.concatenate([self.dst_ids, d_dst])
-            store.times = np.concatenate([self.times, d_times])
-        else:
-            store.src_ids = None
-            store.dst_ids = None
-            store.times = None
+        # Raw arrays keep event order (base rows then delta rows),
+        # mirroring how a cold build consumes appended table rows.
+        store.src_ids = np.concatenate([self.src_ids, d_src])
+        store.dst_ids = np.concatenate([self.dst_ids, d_dst])
+        store.times = np.concatenate([self.times, d_times])
         return store
 
 
@@ -396,34 +352,6 @@ class HeteroGraph:
         incoming edge (0: not since construction)."""
         return self._changed_at.get(node_type, 0)
 
-    @classmethod
-    def from_parts(
-        cls,
-        num_nodes: Dict[str, int],
-        node_times: Dict[str, np.ndarray],
-        edge_stores: Dict[EdgeType, _EdgeStore],
-        features: Optional[Dict[str, "NodeFeatures"]] = None,
-        node_keys: Optional[Dict[str, np.ndarray]] = None,
-    ) -> "HeteroGraph":
-        """Assemble a graph directly from prebuilt parts.
-
-        Used by the shared-memory store to materialize a zero-copy view:
-        the dicts and arrays are taken as-is, with no validation or
-        copying beyond a node-count/timestamp shape check.
-        """
-        graph = cls.__new__(cls)
-        graph._num_nodes = dict(num_nodes)
-        graph._node_times = dict(node_times)
-        graph._edges = dict(edge_stores)
-        graph.features = dict(features or {})
-        graph.node_keys = dict(node_keys or {})
-        graph._key_index = {}
-        graph._start_journal()
-        for name, count in graph._num_nodes.items():
-            if graph._node_times[name].shape != (count,):
-                raise ValueError(f"node type {name!r}: times shape mismatch")
-        return graph
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -475,13 +403,9 @@ class HeteroGraph:
         return self._node_times[node_type]
 
     def edges(self, edge_type: EdgeType) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw (src, dst, time) arrays of one edge type.
-
-        For graphs restored from a CSR-only layout (e.g. a shared-memory
-        view) the arrays come back in CSR order; see
-        :meth:`_EdgeStore.edge_arrays`.
-        """
-        return self._edges[edge_type].edge_arrays()
+        """Raw (src, dst, time) arrays of one edge type, in insertion order."""
+        store = self._edges[edge_type]
+        return store.src_ids, store.dst_ids, store.times
 
     def edge_types_into(self, node_type: str) -> List[EdgeType]:
         """Edge types whose destination is ``node_type``."""

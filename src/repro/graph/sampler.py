@@ -15,6 +15,7 @@ distinct cutoff times, so deduplication keeps subgraphs compact.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,11 +43,9 @@ class SampledSubgraph:
     Internally, node/edge/degree columns are stored as *parts* — the
     numpy blocks :meth:`add_nodes` / :meth:`add_edges` /
     :meth:`set_degrees_block` append — and collapsed into contiguous
-    int64/float64 arrays by :meth:`finalize`.  The compact array form
-    (:meth:`to_arrays` / :meth:`from_arrays`) is what parallel sampler
-    workers ship back to the parent instead of a pickled object graph.
-    The per-edge-type aggregation plans (:meth:`edge_plans`) are derived
-    from the edge arrays on first use and are part of neither form.
+    int64/float64 arrays by :meth:`finalize`.  The per-edge-type
+    aggregation plans (:meth:`edge_plans`) are derived from the edge
+    arrays on first use.
 
     Attributes
     ----------
@@ -72,9 +71,6 @@ class SampledSubgraph:
         self._degree_rows: Dict[str, int] = {}
         # Per edge type: (src plan, dst plan), derived from ``_edges``.
         self._plans: Dict[EdgeType, Tuple[SegmentPlan, SegmentPlan]] = {}
-
-    def __getstate__(self) -> Dict[str, object]:
-        return {**self.__dict__, "_plans": {}}
 
     # -- construction ---------------------------------------------------
     def add_nodes(self, node_type: str, origs: np.ndarray, ctx_times: np.ndarray) -> None:
@@ -137,8 +133,7 @@ class SampledSubgraph:
         """Collapse part lists into contiguous arrays (idempotent).
 
         Samplers call this once sampling ends; afterwards every
-        accessor returns (views of) a single contiguous array and the
-        subgraph is cheap to cache, compare, and serialize.
+        accessor returns (views of) a single contiguous array.
         """
         for store in (self._orig, self._ctx_time):
             for node_type, parts in store.items():
@@ -155,49 +150,6 @@ class SampledSubgraph:
     @staticmethod
     def _collapse_degrees(parts: List[np.ndarray]) -> np.ndarray:
         return parts[0] if len(parts) == 1 else np.vstack(parts)
-
-    # -- compact wire format (used by parallel sampler workers) ---------
-    def to_arrays(self) -> Dict[str, object]:
-        """Serialize to a dict of flat numpy arrays.
-
-        The payload contains no python object graph — just the seed
-        metadata plus per-type id/time/edge/degree columns — so it is
-        cheap to pickle across a process boundary and rebuilds without
-        re-interning via :meth:`from_arrays`.
-        """
-        self.finalize()
-        return {
-            "seed_type": self.seed_type,
-            "seed_locals": self.seed_locals,
-            "nodes": {
-                node_type: (parts[0], self._ctx_time[node_type][0])
-                for node_type, parts in self._orig.items()
-            },
-            "edges": {
-                edge_type: (src_parts[0], dst_parts[0])
-                for edge_type, (src_parts, dst_parts) in self._edges.items()
-            },
-            "degrees": {node_type: parts[0] for node_type, parts in self._degrees.items()},
-        }
-
-    @classmethod
-    def from_arrays(cls, payload: Dict[str, object]) -> "SampledSubgraph":
-        """Rebuild a (read-only) subgraph from :meth:`to_arrays` output."""
-        subgraph = cls(payload["seed_type"])
-        subgraph.seed_locals = np.asarray(payload["seed_locals"], dtype=np.int64)
-        for node_type, (orig, ctx) in payload["nodes"].items():
-            subgraph._orig[node_type] = [np.asarray(orig, dtype=np.int64)]
-            subgraph._ctx_time[node_type] = [np.asarray(ctx, dtype=np.int64)]
-        for edge_type, (src, dst) in payload["edges"].items():
-            subgraph._edges[edge_type] = (
-                [np.asarray(src, dtype=np.int64)],
-                [np.asarray(dst, dtype=np.int64)],
-            )
-        for node_type, block in payload["degrees"].items():
-            block = np.asarray(block, dtype=np.float64)
-            subgraph._degrees[node_type] = [block]
-            subgraph._degree_rows[node_type] = len(block)
-        return subgraph
 
     # -- read access (used by the model) -------------------------------
     @property
@@ -352,8 +304,25 @@ class _Interner:
 _Frontier = Tuple[Optional[np.ndarray], np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]
 
 
+#: First bytes of every batch digest.  They once named the sampler
+#: implementation; the tag of the surviving exact-fanout kernel is kept
+#: verbatim so per-batch RNG seeds — and with them every trained model
+#: and prediction — are unchanged from what that implementation drew.
+_DIGEST_TAG = b"vectorized-unique"
+
+
 class NeighborSampler:
     """Samples L-hop time-respecting neighborhoods.
+
+    **A draw is a pure function of the batch and the graph.**  Every
+    :meth:`sample` call seeds its own generator from the batch's content
+    digest (:meth:`batch_digest`), so the subgraph for a batch never
+    depends on how many batches were sampled before it or on which
+    sampler instance (of equal configuration) drew it.  Callers may
+    therefore keep a subgraph instead of asking for it again.  The
+    graph is deliberately *not* an input of the digest: the stream for
+    a batch is stable across graph deltas, so a draw whose inputs a
+    delta did not touch reproduces bit for bit on the grown graph.
 
     The per-node work of a hop is batched into numpy kernels:
 
@@ -377,8 +346,9 @@ class NeighborSampler:
     fanouts:
         Neighbors sampled per edge type at each hop; ``len(fanouts)``
         is the number of hops (use the model depth).
-    rng:
-        Random generator for the without-replacement draws.
+    seed:
+        The model seed; with the batch content it determines the
+        without-replacement draws.
     time_respecting:
         When false, ignores timestamps entirely — the *leaky* variant
         used by the Figure 3 ablation.  Never use in production.
@@ -388,14 +358,14 @@ class NeighborSampler:
         self,
         graph: HeteroGraph,
         fanouts: Sequence[int],
-        rng: np.random.Generator,
+        seed: int = 0,
         time_respecting: bool = True,
     ) -> None:
         if any(f <= 0 for f in fanouts):
             raise ValueError(f"fanouts must be positive, got {list(fanouts)}")
         self.graph = graph
         self.fanouts = list(fanouts)
-        self.rng = rng
+        self.seed = int(seed)
         self.time_respecting = time_respecting
         self._edge_types_into: Dict[str, List[EdgeType]] = {
             node_type: graph.edge_types_into(node_type) for node_type in graph.node_types
@@ -453,6 +423,23 @@ class NeighborSampler:
             counts[mask] = self._valid_degree(edge_type, int(contexts[rank]))[dsts[mask]]
         return starts, counts
 
+    def batch_digest(
+        self, seed_type: str, seed_ids: np.ndarray, seed_times: np.ndarray
+    ) -> bytes:
+        """The 16-byte content digest of one batch — fanouts, time flag,
+        model seed, seed type, ids, times; its first 8 bytes seed the
+        batch's generator."""
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(_DIGEST_TAG)
+        digest.update(np.asarray(self.fanouts, dtype=np.int64).tobytes())
+        digest.update(b"T" if self.time_respecting else b"F")
+        digest.update(np.int64(self.seed).tobytes())
+        digest.update(seed_type.encode())
+        digest.update(b"\x00")
+        digest.update(np.ascontiguousarray(seed_ids, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(seed_times, dtype=np.int64).tobytes())
+        return digest.digest()
+
     def sample(
         self,
         seed_type: str,
@@ -470,6 +457,8 @@ class NeighborSampler:
         seed_times = np.asarray(seed_times, dtype=np.int64)
         if seed_ids.shape != seed_times.shape:
             raise ValueError("seed_ids and seed_times must have the same shape")
+        digest = self.batch_digest(seed_type, seed_ids, seed_times)
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         # Every context time in the subgraph is some seed's time, so a
         # batch whose seeds share one cutoff (the common case: a point
         # predict, a scoring sweep) needs no context packing or per-hop
@@ -492,7 +481,7 @@ class NeighborSampler:
                 for node_type, (ranks, locals_, ranges) in frontier.items():
                     for edge_type, (starts, counts) in zip(self._edge_types_into[node_type], ranges):
                         truncations += self._expand_edge_type(
-                            subgraph, edge_type, starts, counts, ranks, locals_, fanout
+                            subgraph, edge_type, starts, counts, ranks, locals_, fanout, rng
                         )
                 frontier = self._record_degrees(subgraph)
         finally:
@@ -514,6 +503,7 @@ class NeighborSampler:
         ranks: Optional[np.ndarray],
         dst_locals: np.ndarray,
         fanout: int,
+        rng: np.random.Generator,
     ) -> int:
         """Expand one edge type; returns the fanout-truncated node count."""
         store = self.graph._edges[edge_type]
@@ -542,7 +532,7 @@ class NeighborSampler:
             large_counts = counts[large]
             for degree in np.unique(large_counts).tolist():
                 rows_d = large[large_counts == degree]
-                keys = self.rng.random((len(rows_d), degree))
+                keys = rng.random((len(rows_d), degree))
                 offsets = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
                 picks = store.nbr_src[starts[rows_d][:, None] + offsets]
                 nbr_blocks.append(picks.reshape(-1))

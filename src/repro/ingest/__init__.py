@@ -9,8 +9,8 @@ deltas to the live :class:`~repro.graph.hetero.HeteroGraph`
 (:mod:`repro.ingest.delta`) — bit-identical to a cold rebuild at the
 same watermark.  Staleness-aware refresh hooks
 (:mod:`repro.ingest.refresh`) invalidate only what a delta actually
-touched: subgraph-cache entries, item-embedding memos, and router
-cost snapshots survive unless their inputs changed.
+touched: per-cutoff memos, item-embedding memos, and router cost
+snapshots survive unless their inputs changed.
 """
 
 from repro.ingest.delta import DeltaGraphBuilder, DeltaReport

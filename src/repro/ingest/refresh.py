@@ -3,8 +3,9 @@
 Everything downstream of a delta that memoized graph-derived state is
 *potentially* stale, but nothing needs to be told: the graph carries a
 version and a change journal (:mod:`repro.graph.hetero`), and every
-holder — the subgraph cache, the link trainer's item-embedding memo,
-yellow's per-cutoff feature blocks, green's popularity memos —
+holder — the sampler's per-cutoff degrees, the link trainer's
+item-embedding memo, yellow's per-cutoff feature blocks, green's
+popularity memos —
 reconciles itself against it before it answers, keeping exactly what
 the change cannot have altered.  :func:`refresh_model` has a fitted
 model's holders do that *now*, inside the caller's barrier instead of
@@ -34,8 +35,9 @@ __all__ = ["RefreshPolicy", "refresh_model"]
 _log = get_logger("ingest.refresh")
 
 _COUNTERS = (
-    "cache_retained", "cache_invalidated", "item_memo_dropped",
-    "yellow_blocks_dropped", "popularity_dropped",
+    # Always 0; kept for their reader benchmarks/e2e/layers.py until the re-baseline PR.
+    "cache_retained", "cache_invalidated",
+    "item_memo_dropped", "yellow_blocks_dropped", "popularity_dropped",
 )
 
 
@@ -134,13 +136,10 @@ def refresh_model(model, report: Optional[DeltaReport] = None) -> Dict[str, int]
     red = getattr(model, "red", model)
     ladder = model.ladder()
     stats = dict.fromkeys(_COUNTERS, 0)
-    trainers = [t for t in (red.node_trainer, red.link_trainer) if t is not None]
-    holders = [t.sampler for t in trainers] + [red.link_trainer, ladder.green, ladder.yellow]
-    for holder in holders:
-        # None and a bare NeighborSampler have nothing to count.
-        reconcile = getattr(holder, "reconcile", None)
-        if reconcile is not None:
-            for name, count in reconcile().items():
+    # The sampler's memo reconciles in its own ``get`` and counts nothing.
+    for holder in (red.link_trainer, ladder.green, ladder.yellow):
+        if holder is not None:
+            for name, count in holder.reconcile().items():
                 stats[name] += count
     registry = get_registry()
     for name, value in stats.items():

@@ -57,7 +57,6 @@ from repro.pql.router import (
     is_routed_dir,
     load_model,
 )
-from repro.pql.tuning import TuneResult, tune
 
 __all__ = [
     "Aggregate",
@@ -83,6 +82,4 @@ __all__ = [
     "is_routed_dir",
     "load_model",
     "NoSnapshotError",
-    "tune",
-    "TuneResult",
 ]

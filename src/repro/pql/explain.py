@@ -85,26 +85,21 @@ def explain_relations(
     knocked_scores: Dict[EdgeType, List[np.ndarray]] = {et: [] for et in graph.edge_types}
     batch = trainer.config.batch_size
 
+    # A draw is a function of the batch, so re-sampling hands the
+    # baseline and every knockout the *same* neighborhoods (each its own
+    # copy: a knockout edits the subgraph in place).
+    sampler = NeighborSampler(
+        graph,
+        fanouts=trainer.sampler.fanouts,
+        seed=seed,
+        time_respecting=trainer.sampler.time_respecting,
+    )
     for start in range(0, len(ids), batch):
         stop = start + batch
-        # One sampler per batch with a fixed seed: the baseline and all
-        # knockouts see the *same* sampled neighborhoods.
-        sampler = NeighborSampler(
-            graph,
-            fanouts=trainer.sampler.fanouts,
-            rng=np.random.default_rng(seed),
-            time_respecting=trainer.sampler.time_respecting,
-        )
         base_subgraph = sampler.sample(entity_type, ids[start:stop], times[start:stop])
         baseline_scores.append(forward(base_subgraph))
         for edge_type in graph.edge_types:
-            sampler_k = NeighborSampler(
-                graph,
-                fanouts=trainer.sampler.fanouts,
-                rng=np.random.default_rng(seed),
-                time_respecting=trainer.sampler.time_respecting,
-            )
-            subgraph = sampler_k.sample(entity_type, ids[start:stop], times[start:stop])
+            subgraph = sampler.sample(entity_type, ids[start:stop], times[start:stop])
             _knock_out(subgraph, edge_type, graph)
             knocked_scores[edge_type].append(forward(subgraph))
 

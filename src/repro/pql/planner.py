@@ -57,9 +57,7 @@ from repro.eval.splits import TemporalSplit
 from repro.gnn.models import GraphMetadata, HeteroGNN, TwoTowerModel
 from repro.gnn.trainer import LinkTaskTrainer, NodeTaskTrainer, TrainConfig
 from repro.graph.builder import build_graph, node_index_for_keys
-from repro.graph.cache import CachedSampler, LRUSubgraphCache
 from repro.graph.hetero import HeteroGraph
-from repro.graph.parallel import ParallelSampleLoader
 from repro.graph.sampler import NeighborSampler
 from repro.pql.ast import PredictiveQuery, TaskType
 from repro.pql.labeler import LabelTable, build_label_table
@@ -144,35 +142,19 @@ class PlannerConfig:
     #: Weight positive BCE terms by the inverse class ratio (binary
     #: tasks with skewed labels); improves recall at some AUROC cost.
     auto_pos_weight: bool = False
-    #: Subgraph LRU capacity in batches; 0 disables memoization.
-    #: Sampling is deterministic per batch either way (see
-    #: :mod:`repro.graph.cache`), so the cache never changes results —
-    #: only how often identical batches are re-sampled.
-    cache_size: int = 0
-    #: Sampling worker processes for training epochs (0 = in-process).
-    num_workers: int = 0
-    #: Batches kept in flight beyond one per worker.
-    prefetch_batches: int = 2
     #: Batch size for no-grad inference (evaluation, predict,
     #: rank_items); None falls back to ``batch_size``.  Inference holds
     #: no backward graph, so this can usually be several times larger.
     infer_batch_size: Optional[int] = None
 
-    def make_sampler(self, graph, rng) -> "CachedSampler":
-        """Instantiate the sampler for ``graph``.
-
-        The :class:`~repro.graph.sampler.NeighborSampler` is wrapped in a
-        :class:`~repro.graph.cache.CachedSampler`, which re-seeds it
-        per batch from the batch content (making every draw a pure
-        function of the batch) and, with ``cache_size > 0``, memoizes
-        subgraphs across epochs and inference calls.
-        """
-        base = NeighborSampler(
-            graph, fanouts=self.resolved_fanouts(), rng=rng,
+    # ``rng`` is unused; kept for its reader benchmarks/e2e/layers.py until the re-baseline PR.
+    def make_sampler(self, graph, rng=None) -> NeighborSampler:
+        """Instantiate the sampler for ``graph``: its draws are a
+        function of this config's ``seed`` and the batch."""
+        return NeighborSampler(
+            graph, fanouts=self.resolved_fanouts(), seed=self.seed,
             time_respecting=self.time_respecting,
         )
-        cache = LRUSubgraphCache(self.cache_size) if self.cache_size > 0 else None
-        return CachedSampler(base, base_seed=self.seed, cache=cache)
 
     def make_node_network(self, metadata, rng) -> HeteroGNN:
         """The (untrained) network for a binary or regression query."""
@@ -220,8 +202,6 @@ class PlannerConfig:
             patience=self.patience,
             clip_norm=self.clip_norm,
             seed=self.seed,
-            num_workers=self.num_workers,
-            prefetch_batches=self.prefetch_batches,
             infer_batch_size=self.infer_batch_size,
         )
 
@@ -334,36 +314,21 @@ class PredictiveQueryPlanner:
                 # checkpointing enabled, the retry resumes from the last
                 # committed epoch instead of epoch 0.
                 rng = np.random.default_rng(self.config.seed)
-                sampler = self.config.make_sampler(
-                    graph, np.random.default_rng(self.config.seed + 1)
-                )
-                loader = None
-                if self.config.num_workers > 0:
-                    loader = ParallelSampleLoader(
-                        sampler,
-                        num_workers=self.config.num_workers,
-                        prefetch_batches=self.config.prefetch_batches,
-                    )
+                sampler = self.config.make_sampler(graph)
                 resume = bool(
                     self.resilience
                     and (self.resilience.resume
                          or (attempt > 0 and self.resilience.checkpoint_dir))
                 )
-                try:
-                    if binding.task_type == TaskType.LINK:
-                        return self._fit_link(
-                            binding, split, graph, metadata, sampler, rng,
-                            train_labels, val_labels, deadline=deadline, resume=resume,
-                            loader=loader,
-                        )
-                    return self._fit_node(
+                if binding.task_type == TaskType.LINK:
+                    return self._fit_link(
                         binding, split, graph, metadata, sampler, rng,
                         train_labels, val_labels, deadline=deadline, resume=resume,
-                        loader=loader,
                     )
-                finally:
-                    if loader is not None:
-                        loader.close()
+                return self._fit_node(
+                    binding, split, graph, metadata, sampler, rng,
+                    train_labels, val_labels, deadline=deadline, resume=resume,
+                )
 
             with obs_trace.span("planner.train"):
                 try:
@@ -455,7 +420,7 @@ class PredictiveQueryPlanner:
     # Node tasks (binary / regression)
     # ------------------------------------------------------------------
     def _fit_node(self, binding, split, graph, metadata, sampler, rng, train_labels, val_labels,
-                  deadline=None, resume=False, loader=None):
+                  deadline=None, resume=False):
         entity_type = binding.query.entity_table
         model = self.config.make_node_network(metadata, rng)
         task = "binary" if binding.task_type == TaskType.BINARY else "regression"
@@ -467,7 +432,6 @@ class PredictiveQueryPlanner:
             model, graph, sampler, task,
             config=self._train_config(resume),
             pos_weight=pos_weight,
-            loader=loader,
         )
         train_ids = node_index_for_keys(graph, entity_type, train_labels.entity_keys)
         kwargs = {}
@@ -491,7 +455,7 @@ class PredictiveQueryPlanner:
     # Link tasks
     # ------------------------------------------------------------------
     def _fit_link(self, binding, split, graph, metadata, sampler, rng, train_labels, val_labels,
-                  deadline=None, resume=False, loader=None):
+                  deadline=None, resume=False):
         entity_type = binding.query.entity_table
         item_type = binding.item_table
         model = self.config.make_link_network(metadata, graph, item_type, rng)
@@ -501,7 +465,6 @@ class PredictiveQueryPlanner:
             sampler,
             config=self._train_config(resume),
             num_negatives=self.config.num_negatives,
-            loader=loader,
         )
         q_ids, q_times, pos_items = self._explode_pairs(graph, entity_type, item_type, train_labels)
         if len(q_ids) == 0:
@@ -618,22 +581,10 @@ class TrainedPredictiveModel:
             "stats_cutoff": self.stats_cutoff,
         }
 
-    def _sampler_cache(self):
-        trainer = self.node_trainer or self.link_trainer
-        return getattr(trainer.sampler, "cache", None) if trainer is not None else None
-
-    def sampler_cache_stats(self) -> Optional[Dict[str, int]]:
-        """Hit/miss/eviction stats of the subgraph cache, or None when
-        the model is degraded (no sampler) or ``cache_size=0``."""
-        cache = self._sampler_cache()
-        return cache.stats() if cache is not None else None
-
-    def sampler_cache_snapshot(self) -> Optional[Dict[str, int]]:
-        """Monotonic lifetime cache counters, or None.  Unlike
-        :meth:`sampler_cache_stats` (whose window an owner may rebase
-        via ``reset_stats``), safe for a concurrent probe to poll."""
-        cache = self._sampler_cache()
-        return cache.snapshot() if cache is not None else None
+    # Kept for its reader benchmarks/e2e/layers.py until the re-baseline PR.
+    def sampler_cache_snapshot(self) -> None:
+        """None: there is no subgraph cache."""
+        return None
 
     # ------------------------------------------------------------------
     # Prediction
@@ -655,8 +606,7 @@ class TrainedPredictiveModel:
 
         ``cutoff`` may be one timestamp for the whole batch or an
         array with one prediction time per entity — one call then
-        serves mixed-horizon requests, batched through the sampler
-        (and its subgraph cache, when the planner configured one).
+        serves mixed-horizon requests, batched through the sampler.
 
         Binary → P(positive); regression → value on the label scale.
         For link tasks use :meth:`rank_items`.
@@ -955,7 +905,7 @@ class TrainedPredictiveModel:
 
         metadata = GraphMetadata.from_graph(graph)
         rng = np.random.default_rng(config.seed)
-        sampler = config.make_sampler(graph, np.random.default_rng(config.seed + 1))
+        sampler = config.make_sampler(graph)
         weights_path = cls._verify_payload(
             directory, cls.WEIGHTS_FILE, manifest.get("weights_sha256")
         )

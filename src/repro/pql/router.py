@@ -22,9 +22,8 @@ configurable quality floor:
   Deep Learning with Pretrained Tabular Models".
 
 Costs come from cheap statistics: per-tier per-row costs calibrated
-at fit time and refined online by an EMA of realized latencies (which
-is also how subgraph-cache hits reach the estimate), and the model's
-warm/cold state.
+at fit time and refined online by an EMA of realized latencies, and
+the model's warm/cold state.
 Quality comes from per-tier validation scores recorded at fit time.
 Every routed call runs under a ``router.predict`` span carrying the
 chosen tier plus estimated and realized cost, so ``--profile``
@@ -622,13 +621,10 @@ class RoutedPredictiveModel:
         """Provenance and size of the database the tiers answer from."""
         return self.red.data_summary()
 
-    def sampler_cache_stats(self):
-        """Windowed subgraph-cache stats of the red model (may be reset)."""
-        return self.red.sampler_cache_stats()
-
-    def sampler_cache_snapshot(self):
-        """Monotonic lifetime subgraph-cache counters (non-destructive)."""
-        return self.red.sampler_cache_snapshot()
+    # Kept for its reader benchmarks/e2e/layers.py until the re-baseline PR.
+    def sampler_cache_snapshot(self) -> None:
+        """None: there is no subgraph cache."""
+        return None
 
     # -- routing -------------------------------------------------------
     def available_tiers(self) -> List[str]:

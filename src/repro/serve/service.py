@@ -46,16 +46,17 @@ Behind ``predict``/``rank`` sits the full serving contract:
   request captures the live :class:`_ModelSlot` at admission and its
   batch executes against exactly that slot, so in-flight futures
   complete against the model they were admitted under while new
-  admissions see the replacement.  The challenger is warmed (subgraph
-  + item-embedding caches) *before* the switch, off the hot path; a
+  admissions see the replacement.  The challenger is warmed (first-call
+  costs and the item-embedding memo) *before* the switch, off the hot
+  path; a
   successful swap resets the degradation ladder and latency budgets
   (provenance ``restored_by: swap``) and records a ``swapped`` event;
 * **canary** — :meth:`start_canary` shadows a fraction of live
   traffic to a challenger and auto-promotes on sustained parity or
   rolls back on regression (see :mod:`repro.serve.canary`);
-* **warm caches** — all requests share the live model's subgraph LRU
-  and (for LIST queries) the memoized item-tower embeddings, and
-  :meth:`warmup` primes both before traffic arrives;
+* **warm start** — requests for LIST queries share the memoized
+  item-tower embeddings, and :meth:`warmup` primes them (and pays the
+  model's first-call costs) before traffic arrives;
 * **cost-based routing** — when the live model is a
   :class:`~repro.pql.router.RoutedPredictiveModel`, every request is
   executed on the GREEN/YELLOW/RED tier the router picks (or the tier
@@ -64,7 +65,7 @@ Behind ``predict``/``rank`` sits the full serving contract:
   is counted per tier as ``serve.route.<tier>``.
 
 A fresh instance starts with clean telemetry: construction drops the
-``serve.*`` instruments and the sampler-cache counters, so numbers
+``serve.*`` and ``router.*`` instruments, so numbers
 reported for this service are this service's alone.  A hot swap keeps
 them — the serving timeline is continuous across versions, and the
 ``swapped`` event marks the boundary.
@@ -324,21 +325,14 @@ class PredictionService:
     # Telemetry lifecycle
     # ------------------------------------------------------------------
     def reset_metrics(self) -> None:
-        """Drop ``serve.*`` instruments and sampler-cache counters.
+        """Drop ``serve.*`` and ``router.*`` instruments.
 
         Called on construction so a new service instance never reports
         a predecessor's traffic in its own stats/EXPLAIN output.
-        Cached subgraph *entries* are kept — warmth is worth
-        inheriting, stale counters are not.
         """
         registry = get_registry()
         registry.drop_prefix("serve.")
-        registry.drop_prefix("sampler.cache.")
         registry.drop_prefix("router.")
-        trainer = self.model.node_trainer or self.model.link_trainer
-        cache = getattr(trainer.sampler, "cache", None) if trainer is not None else None
-        if cache is not None:
-            cache.reset_stats()
 
     # ------------------------------------------------------------------
     # Request surface
@@ -413,7 +407,8 @@ class PredictionService:
 
     def _warm_slot(self, slot: _ModelSlot, num_entities: int,
                    cutoff: Optional[int]) -> int:
-        """Prime one slot's caches by direct model calls (no batcher)."""
+        """Pay one slot's first-call costs (and prime its item-embedding
+        memo) by direct model calls (no batcher)."""
         entity_type = slot.model.binding.query.entity_table
         keys = slot.model.graph.node_keys[entity_type][:num_entities]
         if len(keys) == 0:
@@ -429,7 +424,8 @@ class PredictionService:
         return len(keys)
 
     def warmup(self, num_entities: int = 16, cutoff: Optional[int] = None) -> int:
-        """Prime the live model's subgraph and item-embedding caches.
+        """Pay the live model's first-call costs and, for LIST queries,
+        prime its item-embedding memo.
 
         Uses the first ``num_entities`` entity keys and the latest
         graph timestamp unless told otherwise; returns the number of
@@ -602,8 +598,8 @@ class PredictionService:
         """Hot-swap the live model to a registry version, zero downtime.
 
         The challenger is loaded and **warmed off the hot path**
-        (subgraph + item-embedding caches primed by direct model
-        calls), then the live slot is replaced atomically between
+        (first-call costs paid and the item-embedding memo primed by
+        direct model calls), then the live slot is replaced atomically between
         micro-batches: requests admitted before the swap complete
         against the old model, requests admitted after it run the new
         one, and nothing is rejected or dropped in between.  A
@@ -666,7 +662,7 @@ class PredictionService:
         after it sees the refreshed one, and no single batch ever
         straddles the mutation.  This is how the ingest pipeline's
         in-place graph growth (``IngestPipeline.process``) reaches a
-        live service safely; the model's caches reconcile themselves
+        live service safely; the model's memos reconcile themselves
         with the grown graph on the next request, or inside this
         barrier if ``apply_fn`` also calls ``refresh_model``.  Records a
         ``graph_refreshed`` provenance event and returns ``apply_fn``'s
@@ -823,7 +819,7 @@ class PredictionService:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Serve metrics + cache stats + degradation + telemetry, JSON-ready."""
+        """Serve metrics + degradation + telemetry, JSON-ready."""
         registry = get_registry()
         exported = registry.to_dict()
         metrics = {
@@ -839,7 +835,6 @@ class PredictionService:
             "data": self.model.data_summary(),
             "queue_depth": self._batcher.queue_depth,
             "metrics": metrics,
-            "sampler_cache": self.model.sampler_cache_stats(),
             "telemetry": self.telemetry.snapshot(),
             "lifecycle": self.lifecycle(),
         }

@@ -110,6 +110,36 @@ def assert_subgraphs_identical(a, b) -> None:
         np.testing.assert_array_equal(dst_a, dst_b)
 
 
+def assert_graphs_equivalent(a, b) -> None:
+    """Assert two HeteroGraphs agree on nodes, CSR arrays, features,
+    keys and fingerprint."""
+    from repro.graph import graph_fingerprint
+
+    assert sorted(a.node_types) == sorted(b.node_types)
+    assert sorted(map(str, a.edge_types)) == sorted(map(str, b.edge_types))
+    for node_type in a.node_types:
+        assert a.num_nodes(node_type) == b.num_nodes(node_type)
+        np.testing.assert_array_equal(a.node_times(node_type), b.node_times(node_type))
+    for edge_type in a.edge_types:
+        sa, sb = a._edges[edge_type], b._edges[edge_type]
+        np.testing.assert_array_equal(sa.indptr, sb.indptr)
+        np.testing.assert_array_equal(sa.nbr_src, sb.nbr_src)
+        np.testing.assert_array_equal(sa.nbr_time, sb.nbr_time)
+    for node_type, feats in a.features.items():
+        other = b.features[node_type]
+        np.testing.assert_array_equal(feats.numeric, other.numeric)
+        assert feats.numeric_names == other.numeric_names
+        assert len(feats.categorical) == len(other.categorical)
+        for cat_a, cat_b in zip(feats.categorical, other.categorical):
+            assert cat_a.name == cat_b.name
+            assert cat_a.cardinality == cat_b.cardinality
+            np.testing.assert_array_equal(cat_a.codes, cat_b.codes)
+            assert cat_a.vocabulary == cat_b.vocabulary
+    for node_type, keys in a.node_keys.items():
+        np.testing.assert_array_equal(np.asarray(keys), np.asarray(b.node_keys[node_type]))
+    assert graph_fingerprint(a) == graph_fingerprint(b)
+
+
 def subgraph_instances(subgraph) -> dict:
     """``{node type: sorted (original id, context time) pairs}`` of a subgraph."""
     return {

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.datasets import get_dataset
+from repro.pql import PlannerConfig, TrainedPredictiveModel
 
 
 class TestTasks:
@@ -98,3 +103,30 @@ class TestQuery:
     def test_bad_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["explode"])
+
+
+QUERY = "PREDICT EXISTS(orders) = 1 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
+LEGACY_FIXTURE = Path(__file__).parent / "fixtures" / "legacy_model"
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--num-workers", "num_workers"),
+    ("--cache-size", "cache_size"),
+    ("--prefetch-batches", "prefetch_batches"),
+])
+def test_retired_sampling_knobs_are_refused_not_ignored(flag, field, capsys):
+    """The flags and config fields are gone — argparse and the dataclass
+    say so — while an artifact whose manifest still carries the keys loads."""
+    for argv in (
+        ["fit", "--dataset", "ecommerce", "--task", "churn", flag, "1"],
+        ["query", "--dataset", "ecommerce", flag, "1", QUERY],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        PlannerConfig(**{field: 1})
+    assert field in json.loads((LEGACY_FIXTURE / "manifest.json").read_text())["config"]
+    db = get_dataset("ecommerce").build(scale=0.2, seed=0)
+    assert not hasattr(TrainedPredictiveModel.load(str(LEGACY_FIXTURE), db).config, field)

@@ -419,7 +419,7 @@ class TestComputeDtype:
         model = HeteroGNN(metadata, hidden_dim=8, out_dim=1, num_layers=1,
                           rng=rng, dtype="float32")
         assert all(p.data.dtype == np.float32 for p in model.parameters())
-        sampler = NeighborSampler(graph, fanouts=[4], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         subgraph = sampler.sample(
             "customers", np.array([0, 1]), np.array([900, 900], dtype=np.int64)
         )
@@ -561,7 +561,7 @@ def _node_trainer(infer_batch_size=None, epochs=2):
     metadata = GraphMetadata.from_graph(graph)
     model = HeteroGNN(metadata, hidden_dim=8, out_dim=1, num_layers=1,
                       rng=np.random.default_rng(0))
-    sampler = NeighborSampler(graph, fanouts=[4], rng=np.random.default_rng(1))
+    sampler = NeighborSampler(graph, fanouts=[4], seed=1)
     config = TrainConfig(epochs=epochs, batch_size=8, patience=10,
                          infer_batch_size=infer_batch_size)
     return NodeTaskTrainer(model, graph, sampler, "binary", config=config), graph
@@ -625,7 +625,7 @@ class TestItemEmbeddingCache:
                               num_items=graph.num_nodes("customers"),
                               embed_dim=8, num_layers=0,
                               rng=np.random.default_rng(0))
-        sampler = NeighborSampler(graph, fanouts=[4], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         config = TrainConfig(epochs=1, batch_size=8)
         return LinkTaskTrainer(model, graph, sampler, config=config), graph
 

@@ -107,7 +107,7 @@ class TestDegenerateActivity:
     def test_sampler_on_graph_with_no_fact_nodes(self):
         db = minimal_db()
         graph = build_graph(db)
-        sampler = NeighborSampler(graph, fanouts=[4, 4], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(graph, fanouts=[4, 4], seed=0)
         sub = sampler.sample("customers", np.array([0, 1, 2]), np.full(3, 100))
         assert sub.num_nodes("customers") == 3
         assert sub.num_nodes("orders") == 0

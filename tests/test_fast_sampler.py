@@ -30,14 +30,14 @@ def graph():
 class TestVectorizedSampler:
     def test_seed_layout_matches_reference(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[4], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[4], seed=0)
         sub = fast.sample("customers", np.array([0, 1, 0]), np.array([1000, 1000, 1000]))
         assert sub.seed_locals.tolist() == [0, 1, 0]  # duplicate seed deduped
         assert sub.node_orig("customers")[sub.seed_locals].tolist() == [0, 1, 0]
 
     def test_time_respecting(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[10, 10], seed=0)
         sub = fast.sample("customers", np.array([0]), np.array([250]))
         times = g.node_times("orders")[sub.node_orig("orders")]
         assert (times <= 250).all()
@@ -45,7 +45,7 @@ class TestVectorizedSampler:
     def test_low_degree_takes_all_neighbors(self):
         g = graph()
         # Customer 0 has 3 orders total; fanout 10 >= 3 -> all sampled.
-        fast = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[10], seed=0)
         sub = fast.sample("customers", np.array([0]), np.array([10**9]))
         ref = LoopNeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
         ref_sub = ref.sample("customers", np.array([0]), np.array([10**9]))
@@ -55,13 +55,13 @@ class TestVectorizedSampler:
 
     def test_fanout_caps_high_degree(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[2], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[2], seed=0)
         sub = fast.sample("customers", np.array([0]), np.array([10**9]))
         assert sub.num_nodes("orders") <= 2
 
     def test_degrees_recorded_for_all_nodes(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[5, 5], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[5, 5], seed=0)
         sub = fast.sample("customers", np.array([0, 1]), np.array([1000, 1000]))
         for node_type in sub.node_types:
             expected_width = len(g.edge_types_into(node_type))
@@ -71,7 +71,7 @@ class TestVectorizedSampler:
 
     def test_degrees_match_reference_sampler(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[10, 10], seed=0)
         ref = LoopNeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
         for seed_ids, seed_times in CUTOFF_BATCHES:
             f_sub = fast.sample("customers", seed_ids, seed_times)
@@ -97,7 +97,7 @@ class TestVectorizedSampler:
 
     def test_edges_reference_valid_locals(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[4, 4], rng=np.random.default_rng(2))
+        fast = NeighborSampler(g, fanouts=[4, 4], seed=2)
         sub = fast.sample("customers", np.array([0, 1]), np.array([1000, 500]))
         for et in sub.edge_types:
             src, dst = sub.edges_for(et)
@@ -107,7 +107,7 @@ class TestVectorizedSampler:
     def test_leaky_mode(self):
         g = graph()
         fast = NeighborSampler(
-            g, fanouts=[10], rng=np.random.default_rng(0), time_respecting=False
+            g, fanouts=[10], seed=0, time_respecting=False
         )
         sub = fast.sample("customers", np.array([0]), np.array([250]))
         times = g.node_times("orders")[sub.node_orig("orders")]
@@ -115,10 +115,10 @@ class TestVectorizedSampler:
 
     def test_bad_fanout(self):
         with pytest.raises(ValueError):
-            NeighborSampler(graph(), fanouts=[0], rng=np.random.default_rng(0))
+            NeighborSampler(graph(), fanouts=[0], seed=0)
 
     def test_shape_mismatch(self):
-        fast = NeighborSampler(graph(), fanouts=[2], rng=np.random.default_rng(0))
+        fast = NeighborSampler(graph(), fanouts=[2], seed=0)
         with pytest.raises(ValueError):
             fast.sample("customers", np.array([0]), np.array([1, 2]))
 
@@ -130,7 +130,7 @@ class TestVectorizedSampler:
         metadata = GraphMetadata.from_graph(g)
         model = HeteroGNN(metadata, hidden_dim=8, out_dim=1, num_layers=2,
                           rng=np.random.default_rng(0))
-        fast = NeighborSampler(g, fanouts=[4, 4], rng=np.random.default_rng(1))
+        fast = NeighborSampler(g, fanouts=[4, 4], seed=1)
         sub = fast.sample("customers", np.array([0, 1]), np.array([1000, 1000]))
         out = model(sub, g)
         assert out.shape == (2, 1)
@@ -144,8 +144,8 @@ class TestUniqueMode:
         g = graph()
         # Customer 0 has 3 orders; fanout 2 < 3 puts it on the
         # high-degree path, which must pick exactly 2 distinct orders.
-        fast = NeighborSampler(g, fanouts=[2], rng=np.random.default_rng(0))
-        for trial in range(20):
+        for seed in range(20):
+            fast = NeighborSampler(g, fanouts=[2], seed=seed)
             sub = fast.sample("customers", np.array([0]), np.array([10**9]))
             orders = sub.node_orig("orders").tolist()
             assert len(orders) == 2
@@ -156,7 +156,8 @@ class TestUniqueMode:
         # customer 1 at 400 has its 2.
         order_edge = next(et for et in g.edge_types_into("customers") if et.src == "orders")
         seed_ids, seed_times = np.array([0, 0, 1]), np.array([10**9, 250, 400])
-        for trial in range(20):
+        for seed in range(20):
+            fast = NeighborSampler(g, fanouts=[2], seed=seed)
             sub = fast.sample("customers", seed_ids, seed_times)
             src, dst = sub.edges_for(order_edge)
             for seed_local, seed_id, cutoff in zip(sub.seed_locals, seed_ids, seed_times):
@@ -167,9 +168,9 @@ class TestUniqueMode:
 
     def test_covers_all_neighbors_across_draws(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[2], rng=np.random.default_rng(0))
         seen = set()
-        for trial in range(40):
+        for seed in range(40):  # one batch draws one way per seed
+            fast = NeighborSampler(g, fanouts=[2], seed=seed)
             sub = fast.sample("customers", np.array([0]), np.array([10**9]))
             seen.update(sub.node_orig("orders").tolist())
         # Customer 0's three orders are rows 0, 1, 4 of the orders table.
@@ -177,7 +178,7 @@ class TestUniqueMode:
 
     def test_low_degree_path_unchanged(self):
         g = graph()
-        fast = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        fast = NeighborSampler(g, fanouts=[10], seed=0)
         sub = fast.sample("customers", np.array([0]), np.array([10**9]))
         ref = LoopNeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
         ref_sub = ref.sample("customers", np.array([0]), np.array([10**9]))
@@ -189,7 +190,7 @@ class TestUniqueMode:
         g = graph()
         # Fanout 2: customer 0 (3 orders) goes without-replacement,
         # customer 1 (2 orders) takes the exact low-degree path.
-        fast = NeighborSampler(g, fanouts=[2, 2], rng=np.random.default_rng(3))
+        fast = NeighborSampler(g, fanouts=[2, 2], seed=3)
         sub = fast.sample("customers", np.array([0, 1]), np.array([10**9, 10**9]))
         for et in sub.edge_types:
             src, dst = sub.edges_for(et)
@@ -208,7 +209,7 @@ class TestUniqueMode:
 def test_property_fast_sampler_never_sees_future(seed_time, fanout, hops, rng_seed, other_time):
     """``other_time=None`` is a single-cutoff batch, else customer 1 gets its own."""
     g = build_graph(shop_db())
-    fast = NeighborSampler(g, fanouts=[fanout] * hops, rng=np.random.default_rng(rng_seed))
+    fast = NeighborSampler(g, fanouts=[fanout] * hops, seed=rng_seed)
     seed_times = np.array([seed_time, seed_time if other_time is None else other_time])
     sub = fast.sample("customers", np.array([0, 1]), seed_times)
     for node_type in sub.node_types:
@@ -280,7 +281,7 @@ class TestSnapshotSubgraph:
                           rng=np.random.default_rng(0))
         model.eval()
         exact = snapshot_subgraph(g, 10**9, "customers", [0, 1])
-        sampler = NeighborSampler(g, fanouts=[100, 100], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(g, fanouts=[100, 100], seed=1)
         sampled = sampler.sample("customers", np.array([0, 1]), np.full(2, 10**9))
         with no_grad():
             a = model(exact, g).data

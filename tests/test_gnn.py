@@ -129,7 +129,7 @@ def shop_db(num_customers=40, orders_per_heavy=6, rng_seed=0):
 class TestConv:
     def make_inputs(self):
         graph = build_graph(shop_db())
-        sampler = NeighborSampler(graph, fanouts=[8], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(graph, fanouts=[8], seed=0)
         subgraph = sampler.sample(
             "customers", np.arange(10), np.full(10, 2000, dtype=np.int64)
         )
@@ -197,7 +197,7 @@ class TestHeteroGNN:
         metadata = GraphMetadata.from_graph(graph)
         rng = np.random.default_rng(0)
         model = HeteroGNN(metadata, hidden_dim=16, out_dim=out_dim, num_layers=num_layers, rng=rng)
-        sampler = NeighborSampler(graph, fanouts=[8] * max(num_layers, 1), rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[8] * max(num_layers, 1), seed=1)
         return graph, model, sampler
 
     def test_forward_shape(self):
@@ -238,7 +238,7 @@ class TestTrainer:
         graph = build_graph(db, stats_cutoff=1000)
         metadata = GraphMetadata.from_graph(graph)
         model = HeteroGNN(metadata, hidden_dim=16, out_dim=1, num_layers=1, rng=np.random.default_rng(0))
-        sampler = NeighborSampler(graph, fanouts=[10], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[10], seed=1)
         trainer = NodeTaskTrainer(
             model,
             graph,
@@ -261,7 +261,7 @@ class TestTrainer:
         graph = build_graph(db)
         metadata = GraphMetadata.from_graph(graph)
         model = HeteroGNN(metadata, hidden_dim=8, out_dim=1, num_layers=1, rng=np.random.default_rng(0))
-        sampler = NeighborSampler(graph, fanouts=[5], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[5], seed=1)
         trainer = NodeTaskTrainer(
             model, graph, sampler, task_type="regression",
             config=TrainConfig(epochs=3, batch_size=16),
@@ -279,7 +279,7 @@ class TestTrainer:
         graph = build_graph(db)
         metadata = GraphMetadata.from_graph(graph)
         model = HeteroGNN(metadata, hidden_dim=8, out_dim=3, num_layers=1, rng=np.random.default_rng(0))
-        sampler = NeighborSampler(graph, fanouts=[4], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         trainer = NodeTaskTrainer(
             model, graph, sampler, task_type="multiclass",
             config=TrainConfig(epochs=2, batch_size=8),
@@ -297,7 +297,7 @@ class TestTrainer:
         graph = build_graph(db)
         metadata = GraphMetadata.from_graph(graph)
         model = HeteroGNN(metadata, hidden_dim=4, out_dim=1, num_layers=1, rng=np.random.default_rng(0))
-        sampler = NeighborSampler(graph, fanouts=[2], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[2], seed=1)
         with pytest.raises(ValueError):
             NodeTaskTrainer(model, graph, sampler, task_type="ranking")
 
@@ -306,7 +306,7 @@ class TestTrainer:
         graph = build_graph(db)
         metadata = GraphMetadata.from_graph(graph)
         model = HeteroGNN(metadata, hidden_dim=8, out_dim=1, num_layers=1, rng=np.random.default_rng(0))
-        sampler = NeighborSampler(graph, fanouts=[4], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         trainer = NodeTaskTrainer(
             model, graph, sampler, task_type="binary",
             config=TrainConfig(epochs=12, batch_size=8, patience=2),
@@ -321,22 +321,19 @@ class TestTrainer:
         assert len(history.val_loss) >= 1
 
 
-    def fit_counting_samples(self, wrap, cache=None):
+    def fit_counting_samples(self):
         """A 4-epoch fit with 2 train batches + 1 validation batch per epoch;
         returns (sample() calls that reached the sampler, val losses)."""
-        from repro.graph.cache import CachedSampler
-
         db = shop_db(num_customers=24)
         graph = build_graph(db)
         model = HeteroGNN(
             GraphMetadata.from_graph(graph), hidden_dim=8, out_dim=1, num_layers=1,
             rng=np.random.default_rng(0),
         )
-        base = NeighborSampler(graph, fanouts=[2], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[2], seed=0)
         calls = []
-        sample = base.sample
-        base.sample = lambda *args: calls.append(len(args[1])) or sample(*args)
-        sampler = CachedSampler(base, base_seed=0, cache=cache) if wrap else base
+        sample = sampler.sample
+        sampler.sample = lambda *args: calls.append(len(args[1])) or sample(*args)
         trainer = NodeTaskTrainer(
             model, graph, sampler, task_type="binary",
             config=TrainConfig(epochs=4, batch_size=8, patience=9),
@@ -350,23 +347,15 @@ class TestTrainer:
         return calls, history.val_loss
 
     def test_validation_batches_are_sampled_once_per_fit_when_draws_are_pure(self):
-        from repro.graph.cache import LRUSubgraphCache
-
-        held_calls, held_losses = self.fit_counting_samples(wrap=True)
+        held_calls, _ = self.fit_counting_samples()
         assert len(held_calls) == 4 * 2 + 1  # validation drawn in epoch 1 only
-        # A subgraph cache is the memo when there is one (and counts its hits) ...
-        cached_calls, cached_losses = self.fit_counting_samples(wrap=True, cache=LRUSubgraphCache(64))
-        assert cached_losses == held_losses
-        # ... and a bare sampler's draws depend on its stream, so it is asked every epoch.
-        raw_calls, _ = self.fit_counting_samples(wrap=False)
-        assert len(raw_calls) == 4 * (2 + 1)
 
     def test_held_validation_equals_resampling_every_epoch(self, monkeypatch):
         import repro.gnn.trainer as trainer_module
 
-        _, held = self.fit_counting_samples(wrap=True)
+        _, held = self.fit_counting_samples()
         monkeypatch.setattr(trainer_module, "_HELD_BATCHES", 0)
-        calls, resampled = self.fit_counting_samples(wrap=True)
+        calls, resampled = self.fit_counting_samples()
         assert len(calls) == 4 * (2 + 1)
         assert resampled == held
 
@@ -383,7 +372,7 @@ class TestTwoTower:
             num_layers=1,
             rng=np.random.default_rng(0),
         )
-        sampler = NeighborSampler(graph, fanouts=[4], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         sub = sampler.sample("customers", np.arange(3), np.full(3, 2000))
         queries = model.query_embeddings(sub, graph)
         items = model.item_embeddings(np.arange(5), graph)
@@ -419,7 +408,7 @@ class TestTimeEncoding:
             metadata, hidden_dim=8, out_dim=1, num_layers=1,
             rng=np.random.default_rng(0), time_encoding="fourier",
         )
-        sampler = NeighborSampler(graph, fanouts=[4], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         sub = sampler.sample("customers", np.arange(4), np.full(4, 2000))
         out = model(sub, graph)
         assert out.shape == (4, 1)

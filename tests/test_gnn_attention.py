@@ -59,7 +59,7 @@ class TestSegmentSoftmax:
 class TestHeteroGAT:
     def make_inputs(self):
         graph = build_graph(shop_db())
-        sampler = NeighborSampler(graph, fanouts=[6], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(graph, fanouts=[6], seed=0)
         subgraph = sampler.sample("customers", np.arange(8), np.full(8, 2000, dtype=np.int64))
         return graph, subgraph
 
@@ -101,7 +101,7 @@ class TestHeteroGAT:
             metadata, hidden_dim=16, out_dim=1, num_layers=1,
             rng=np.random.default_rng(0), conv_type="gat",
         )
-        sampler = NeighborSampler(graph, fanouts=[8], rng=np.random.default_rng(1))
+        sampler = NeighborSampler(graph, fanouts=[8], seed=1)
         from repro.gnn import NodeTaskTrainer, TrainConfig
 
         trainer = NodeTaskTrainer(

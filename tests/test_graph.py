@@ -263,7 +263,7 @@ class TestSampler:
 
     def test_seed_nodes_present(self):
         g = self.graph()
-        sampler = NeighborSampler(g, fanouts=[4, 4], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(g, fanouts=[4, 4], seed=0)
         sub = sampler.sample("customers", np.array([0, 1]), np.array([1000, 1000]))
         assert sub.num_nodes("customers") >= 2
         assert sub.seed_locals.tolist() == [0, 1]
@@ -271,7 +271,7 @@ class TestSampler:
 
     def test_time_respecting_excludes_future_orders(self):
         g = self.graph()
-        sampler = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(g, fanouts=[10], seed=0)
         # Customer 10 (node 0) has orders at ts 100, 200, 500.
         sub = sampler.sample("customers", np.array([0]), np.array([250]))
         orders_orig = sub.node_orig("orders")
@@ -282,7 +282,7 @@ class TestSampler:
     def test_leaky_mode_sees_future(self):
         g = self.graph()
         sampler = NeighborSampler(
-            g, fanouts=[10], rng=np.random.default_rng(0), time_respecting=False
+            g, fanouts=[10], seed=0, time_respecting=False
         )
         sub = sampler.sample("customers", np.array([0]), np.array([250]))
         times = g.node_times("orders")[sub.node_orig("orders")]
@@ -290,42 +290,42 @@ class TestSampler:
 
     def test_two_hops_reach_products(self):
         g = self.graph()
-        sampler = NeighborSampler(g, fanouts=[10, 10], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(g, fanouts=[10, 10], seed=0)
         sub = sampler.sample("customers", np.array([0]), np.array([1000]))
         assert sub.num_nodes("products") > 0
 
     def test_fanout_limits_neighbors(self):
         g = self.graph()
-        sampler = NeighborSampler(g, fanouts=[1], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(g, fanouts=[1], seed=0)
         sub = sampler.sample("customers", np.array([0]), np.array([1000]))
         # Only one order sampled despite three existing.
         assert sub.num_nodes("orders") == 1
 
     def test_same_seed_two_times_gets_two_instances(self):
         g = self.graph()
-        sampler = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(g, fanouts=[10], seed=0)
         sub = sampler.sample("customers", np.array([0, 0]), np.array([150, 1000]))
         assert sub.num_nodes("customers") == 2
 
     def test_duplicate_seed_same_time_deduped(self):
         g = self.graph()
-        sampler = NeighborSampler(g, fanouts=[10], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(g, fanouts=[10], seed=0)
         sub = sampler.sample("customers", np.array([0, 0]), np.array([150, 150]))
         assert sub.num_nodes("customers") == 1
         assert sub.seed_locals.tolist() == [0, 0]
 
     def test_bad_fanout_rejected(self):
         with pytest.raises(ValueError):
-            NeighborSampler(self.graph(), fanouts=[0], rng=np.random.default_rng(0))
+            NeighborSampler(self.graph(), fanouts=[0], seed=0)
 
     def test_shape_mismatch_rejected(self):
-        sampler = NeighborSampler(self.graph(), fanouts=[2], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(self.graph(), fanouts=[2], seed=0)
         with pytest.raises(ValueError):
             sampler.sample("customers", np.array([0]), np.array([1, 2]))
 
     def test_edges_reference_valid_locals(self):
         g = self.graph()
-        sampler = NeighborSampler(g, fanouts=[5, 5], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(g, fanouts=[5, 5], seed=0)
         sub = sampler.sample("customers", np.array([0, 1]), np.array([1000, 400]))
         for et in sub.edge_types:
             src, dst = sub.edges_for(et)
@@ -343,7 +343,7 @@ class TestSampler:
 def test_property_no_node_or_edge_from_future(seed_time, fanout, hops, rng_seed):
     """The temporal invariant: nothing sampled postdates the seed time."""
     g = build_graph(shop_db())
-    sampler = NeighborSampler(g, fanouts=[fanout] * hops, rng=np.random.default_rng(rng_seed))
+    sampler = NeighborSampler(g, fanouts=[fanout] * hops, seed=rng_seed)
     sub = sampler.sample("customers", np.array([0, 1]), np.array([seed_time, seed_time]))
     for node_type in sub.node_types:
         node_times = g.node_times(node_type)[sub.node_orig(node_type)]

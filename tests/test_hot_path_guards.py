@@ -67,7 +67,7 @@ def test_sample_never_calls_add_node(monkeypatch):
         raise AssertionError("NeighborSampler.sample interned a node through add_node")
 
     monkeypatch.setattr(SampledSubgraph, "add_node", forbidden)
-    sampler = NeighborSampler(build_graph(shop_db()), [3, 3], np.random.default_rng(0))
+    sampler = NeighborSampler(build_graph(shop_db()), [3, 3], seed=0)
     sub = sampler.sample("customers", np.array([0, 1, 0]), np.array([400, 10**9, 400]))
     assert sub.total_nodes() > 3
 

@@ -18,7 +18,7 @@ Covers the `repro.ingest` subsystem end to end:
   empty-segment compaction;
 * the incremental layers underneath: ``_EdgeStore.merged`` vs the
   cold stable lexsort, :class:`FeatureGrower` fast path vs full
-  re-encode, the subgraph-cache retention rule, and
+  re-encode, the graph's change journal, and
   :class:`RefreshPolicy` scheduling;
 * the one staleness rule: every holder of graph-derived state follows
   a delta nobody told it about (no ``refresh_model``), including one
@@ -40,7 +40,7 @@ import pytest
 
 from repro.graph import NeighborSampler, build_graph
 from repro.graph.builder import node_index_for_keys
-from repro.graph.cache import CachedSampler, LRUSubgraphCache, graph_fingerprint
+from repro.graph.cache import graph_fingerprint
 from repro.graph.encoders import FeatureGrower, encode_table_features
 from repro.graph.hetero import TIME_MIN, EdgeType, _EdgeStore
 from repro.ingest import (
@@ -715,82 +715,24 @@ class TestFeatureGrower:
 
 
 # ----------------------------------------------------------------------
-# Subgraph-cache retention rule
+# The change journal, and what a delta cannot reach
 # ----------------------------------------------------------------------
-class TestCacheRetention:
-    def _sampler(self, graph, cache_size=32):
-        return CachedSampler(
-            NeighborSampler(graph, fanouts=[2, 2], rng=np.random.default_rng(0)),
-            base_seed=0, cache=LRUSubgraphCache(cache_size),
-        )
-
-    def test_untouched_entries_survive_under_the_same_key(self, pipeline):
-        sampler = self._sampler(pipeline.graph)
-        ids = np.array([1], dtype=np.int64)  # customer 20: untouched below
-        times = np.array([450], dtype=np.int64)
-        before = sampler.sample("customers", ids, times)
-        key = sampler.batch_key("customers", ids, times)
-
-        pipeline.process([order_event(205, customer=10, ts=600)])
-        assert sampler.reconcile() == {"cache_retained": 1, "cache_invalidated": 0}
-        assert sampler.reconcile() == {"cache_retained": 0, "cache_invalidated": 0}  # nothing new
-
-        assert sampler.batch_key("customers", ids, times) == key  # the graph is not in the key
-        hit = sampler.cache.get(key)
-        assert hit is not None
-        assert_subgraphs_identical(hit, before)
-
-    def test_touched_entry_with_admitting_context_dropped(self, pipeline):
-        sampler = self._sampler(pipeline.graph)
-        ids = np.array([0], dtype=np.int64)  # customer 10
-        # Context time past the incoming event: would see the new row.
-        late = sampler.sample("customers", ids, np.array([650], dtype=np.int64))
-        # Context time before it: provably cannot see the new row.
-        sampler.sample("customers", ids, np.array([450], dtype=np.int64))
-        assert late is not None
-
-        pipeline.process([order_event(205, customer=10, ts=600)])
-        assert sampler.reconcile() == {"cache_retained": 1, "cache_invalidated": 1}
-
-    def test_static_delta_invalidates_regardless_of_context(self, pipeline):
-        # New customer row: static-table events are visible at every
-        # context time, so min_time collapses and any entry containing
-        # a touched node drops.  (A brand-new customer is not in any
-        # existing subgraph, so prime an entry on a touched product.)
-        sampler = self._sampler(pipeline.graph)
-        sampler.sample("customers", np.array([0], dtype=np.int64),
-                       np.array([450], dtype=np.int64))
-        version = pipeline.graph.version
-        delta = pipeline.process([
-            customer_event(30),
-            order_event(205, customer=30, product=1, ts=600),
-        ]).delta
-        assert delta.min_event_time == TIME_MIN
-        assert pipeline.graph.changes_since(version).min_time == TIME_MIN
-        # Customer 0's subgraph contains product 1 (orders 100 at t=100).
-        assert sampler.reconcile()["cache_invalidated"] == 1
-
-    def test_retained_entries_equal_fresh_draws(self, pipeline):
-        # The heart of keeping the graph out of key and seed: a retained
-        # entry must be bit-identical to re-sampling on the grown graph.
-        sampler = self._sampler(pipeline.graph)
+class TestChangeJournal:
+    def test_draws_a_delta_cannot_reach_are_unchanged(self, pipeline):
+        # The heart of keeping the graph out of the batch digest: a
+        # batch whose context times precede everything a delta added
+        # re-samples bit-identically on the grown graph.
+        sampler = NeighborSampler(pipeline.graph, fanouts=[2, 2], seed=0)
         batches = [
             ("customers", np.array([1], dtype=np.int64), np.array([450], dtype=np.int64)),
             ("products", np.array([1, 2], dtype=np.int64), np.array([450, 450], dtype=np.int64)),
         ]
-        for batch in batches:
-            sampler.sample(*batch)
+        before = [sampler.sample(*batch) for batch in batches]
         pipeline.process([order_event(205, customer=10, product=1, ts=600)])
-        assert sampler.reconcile()["cache_retained"] >= 1
-        fresh = CachedSampler(
-            NeighborSampler(pipeline.graph, fanouts=[2, 2], rng=np.random.default_rng(9)),
-            base_seed=0,
-        )
-        for batch in batches:
-            cached = sampler.cache.get(sampler.batch_key(*batch))
-            if cached is None:
-                continue  # invalidated (touched): nothing to compare
-            assert_subgraphs_identical(cached, fresh.sample(*batch))
+        fresh = NeighborSampler(pipeline.graph, fanouts=[2, 2], seed=0)
+        for batch, drawn in zip(batches, before):
+            assert_subgraphs_identical(drawn, sampler.sample(*batch))
+            assert_subgraphs_identical(drawn, fresh.sample(*batch))
 
     def test_journal_reports_what_the_delta_report_does(self, pipeline):
         graph = pipeline.graph
@@ -823,14 +765,14 @@ CHURN_QUERY = "PREDICT COUNT(orders) = 0 FOR EACH customers.id ASSUMING HORIZON 
 
 @pytest.fixture(scope="module")
 def routed_churn(tmp_path_factory):
-    """A routed churn model with a subgraph cache, saved once; plus the
-    database it was fitted on."""
+    """A routed churn model, saved once; plus the database it was
+    fitted on."""
     from repro.datasets import make_ecommerce
     from repro.pql import PredictiveQueryPlanner
     from tests.conftest import make_split, tiny_planner_config
 
     db = make_ecommerce(num_customers=60, num_products=20, seed=3)
-    planner = PredictiveQueryPlanner(db, tiny_planner_config(cache_size=16, epochs=2))
+    planner = PredictiveQueryPlanner(db, tiny_planner_config(epochs=2))
     directory = str(tmp_path_factory.mktemp("forgetful") / "model")
     planner.fit_routed(CHURN_QUERY, make_split(db, horizon_days=30)).save(directory)
     return db, directory
@@ -859,7 +801,6 @@ class TestForgettingRefreshIsSafe:
         live, cold, builder, events = self._streamed_and_cold(routed_churn)
         keys = live.graph.node_keys["customers"]
         stale = {tier: live.predict(keys, self.T, route=tier) for tier in ("green", "yellow", "red")}
-        assert live.sampler_cache_stats()["entries"] > 0
         for start in (0, 60):  # the second delta finds holders reconciled at the first
             builder.apply(events[start:start + 60])
             if start == 0:
@@ -872,7 +813,7 @@ class TestForgettingRefreshIsSafe:
         # What refresh_model reports when it does run late: nothing left to do.
         assert not any(refresh_model(live).values())
 
-    @pytest.mark.parametrize("holder", ["green_rank", "yellow", "sampler", "cached_sampler"])
+    @pytest.mark.parametrize("holder", ["green_rank", "yellow", "sampler"])
     def test_holder_follows_a_delta_nobody_announced(self, pipeline, holder):
         from repro.pql.router import GreenTier, YellowTier
 
@@ -887,16 +828,10 @@ class TestForgettingRefreshIsSafe:
             if holder == "yellow":
                 tier = YellowTier("customers", "binary", hybrid=False).bind(db, graph)
                 return lambda: tier.features(keys, cutoffs)
-            base = NeighborSampler(graph, fanouts=[8, 8], rng=np.random.default_rng(0))
-            if holder == "sampler":
-                def draw():
-                    base.rng = np.random.default_rng(5)
-                    return base.sample("customers", ids, cutoffs)
-                return draw
-            sampler = CachedSampler(base, base_seed=7, cache=LRUSubgraphCache(8))
+            sampler = NeighborSampler(graph, fanouts=[8, 8], seed=7)
             return lambda: sampler.sample("customers", ids, cutoffs)
 
-        sampled = holder in ("sampler", "cached_sampler")
+        sampled = holder == "sampler"
         long_lived = build()
         before = long_lived()
         index = graph.key_index("customers")
@@ -931,13 +866,10 @@ class TestForgettingRefreshIsSafe:
         db = shop_db()
         builder = DeltaGraphBuilder(db, stats_cutoff=400)
         graph = builder.graph
-        sampler = CachedSampler(
-            NeighborSampler(graph, fanouts=[2, 2], rng=np.random.default_rng(0)),
-            base_seed=0, cache=LRUSubgraphCache(8),
-        )
+        sampler = NeighborSampler(graph, fanouts=[2, 2], seed=0)
         green = GreenTier("customers", "link", item_table="products").bind(db, graph)
-        # Entries the retention rule would keep if it could see the
-        # change: customer 20 and popularity, both at cutoff 450.
+        # Memo entries the time rule would keep if it could see the
+        # change: customer 20's degrees and popularity, both at cutoff 450.
         batch = ("customers", np.array([1], dtype=np.int64), np.array([450], dtype=np.int64))
         sampler.sample(*batch)
         green.rank(np.array([20]), np.array([450]), 3)
@@ -947,11 +879,8 @@ class TestForgettingRefreshIsSafe:
             oid += 1
         assert graph.changes_since(version) is None
         assert graph.changes_since(graph.version - JOURNAL_LEN) is not None
-        assert sampler.reconcile() == {"cache_retained": 0, "cache_invalidated": 1}
         assert green.reconcile() == {"popularity_dropped": 1}
-        fresh = CachedSampler(
-            NeighborSampler(graph, fanouts=[2, 2], rng=np.random.default_rng(3)), base_seed=0
-        )
+        fresh = NeighborSampler(graph, fanouts=[2, 2], seed=0)
         late = ("customers", np.array([0, 1], dtype=np.int64), np.array([10**6] * 2, dtype=np.int64))
         for probe in (batch, late):
             assert_subgraphs_identical(sampler.sample(*probe), fresh.sample(*probe))

@@ -8,16 +8,13 @@ cold at the same watermark.  These tests check the claim three ways —
   apply, and the compacted log all produce graphs that agree on node
   counts/times, CSR arrays, feature bytes, node keys, and fingerprint;
 * **sampler bit-identity** — the same seed batch drawn on each store
-  through every sampler front-end (serial :class:`NeighborSampler`,
-  content-keyed :class:`CachedSampler`, the multi-process
-  :class:`ParallelSampleLoader`, and a :class:`SharedGraphStore`
-  zero-copy view) yields byte-identical subgraphs;
+  yields byte-identical subgraphs;
 * **per-batch convergence** — equivalence holds at *every* micro-batch
   boundary, not just the final watermark.
 
 The quick shop-scale checks run in tier 1; the ecommerce-scale sweep
-and the multi-process/shared-memory arms are marked slow and run in
-the perf-smoke CI job next to the other differential suites.
+is marked slow and runs in the perf-smoke CI job next to the other
+differential suites.
 """
 
 from __future__ import annotations
@@ -26,19 +23,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_ecommerce
-from repro.graph import (
-    NeighborSampler,
-    SharedGraphStore,
-    build_graph,
-    graph_fingerprint,
-)
-from repro.graph.cache import CachedSampler, LRUSubgraphCache
-from repro.graph.parallel import ParallelSampleLoader
+from repro.graph import NeighborSampler, build_graph, graph_fingerprint
 from repro.ingest import IngestPipeline, RowEvent, SegmentLog
 from repro.ingest.segments import apply_events_to_database
 from repro.relational.database import Database
-from tests.conftest import assert_subgraphs_identical, shop_db
-from tests.test_shared_graph import assert_graphs_equivalent
+from tests.conftest import assert_graphs_equivalent, assert_subgraphs_identical, shop_db
 
 #: Tables whose tail becomes the event stream (parents stay in base).
 STREAM_TABLES = ("orders", "reviews")
@@ -116,25 +105,16 @@ class TestShopScale:
         assert_graphs_equivalent(snapshot, incremental)
         assert_graphs_equivalent(snapshot, compacted)
 
-    def test_serial_and_cached_samplers_bit_identical(self, tmp_path):
+    def test_samples_bit_identical_across_stores(self, tmp_path):
         snapshot, incremental, compacted = self._stores(tmp_path)
         ids, times = seed_batch(snapshot, num=2)
-        draws = [
-            NeighborSampler(g, fanouts=FANOUTS, rng=np.random.default_rng(0))
-            .sample("customers", ids, times)
-            for g in (snapshot, incremental, compacted)
-        ]
-        assert_subgraphs_identical(draws[0], draws[1])
-        assert_subgraphs_identical(draws[0], draws[2])
-        cached = [
-            CachedSampler(
-                NeighborSampler(g, fanouts=FANOUTS, rng=np.random.default_rng(1)),
-                base_seed=7, cache=LRUSubgraphCache(8),
-            ).sample("customers", ids, times)
-            for g in (snapshot, incremental, compacted)
-        ]
-        assert_subgraphs_identical(cached[0], cached[1])
-        assert_subgraphs_identical(cached[0], cached[2])
+        for fanouts, seed in ((FANOUTS, 0), ([1, 1], 7)):  # the second truncates
+            draws = [
+                NeighborSampler(g, fanouts=fanouts, seed=seed).sample("customers", ids, times)
+                for g in (snapshot, incremental, compacted)
+            ]
+            assert_subgraphs_identical(draws[0], draws[1])
+            assert_subgraphs_identical(draws[0], draws[2])
 
     def test_equivalence_at_every_batch_boundary(self, tmp_path):
         db = shop_db()
@@ -157,32 +137,8 @@ class TestShopScale:
 
 
 @pytest.mark.slow
-def test_parallel_loader_retakes_its_graph_copy_after_a_delta(tmp_path):
-    """The worker pool samples a copy of the graph taken at pool start;
-    an epoch after a delta must draw what a fresh sampler draws."""
-    base, events = carve(shop_db(), 2)
-    pipeline = IngestPipeline(SegmentLog.create(str(tmp_path / "log"), base), stats_cutoff=300)
-
-    def make_sampler(cache=None):
-        return CachedSampler(
-            NeighborSampler(pipeline.graph, fanouts=FANOUTS, rng=np.random.default_rng(0)),
-            base_seed=7, cache=cache,
-        )
-
-    ids, times = seed_batch(pipeline.graph, num=2)
-    batches = [np.arange(2)]
-    with ParallelSampleLoader(make_sampler(LRUSubgraphCache(8)), num_workers=1) as loader:
-        (_, before), = loader.iter_epoch("customers", ids, times, batches)
-        assert pipeline.process(events).applied == len(events)
-        (_, after), = loader.iter_epoch("customers", ids, times, batches)
-        assert loader._executor is not None  # restarted, not degraded
-    assert_subgraphs_identical(after, make_sampler().sample("customers", ids, times))
-    assert after.total_edges() > before.total_edges()
-
-
-@pytest.mark.slow
 class TestEcommerceScale:
-    """Full-size differential sweep across all four sampler front-ends."""
+    """Full-size differential sweep."""
 
     NUM_EVENTS = 240
     STATS_CUTOFF = None  # filled from the carve
@@ -218,38 +174,14 @@ class TestEcommerceScale:
         assert_graphs_equivalent(snapshot, compacted)
         assert graph_fingerprint(snapshot) == graph_fingerprint(incremental)
 
-    def test_parallel_loader_bit_identical_across_stores(self, stores):
-        snapshot, incremental, _ = stores
+    def test_samples_bit_identical_across_stores(self, stores):
+        snapshot, incremental, compacted = stores
         ids, times = seed_batch(snapshot, num=12)
-        batches = [np.arange(0, 6), np.arange(6, 12), np.arange(0, 12)]
-
-        def epoch(graph):
-            sampler = CachedSampler(
-                NeighborSampler(graph, fanouts=FANOUTS, rng=np.random.default_rng(0)),
-                base_seed=0, cache=LRUSubgraphCache(16),
-            )
-            with ParallelSampleLoader(sampler, num_workers=2) as loader:
-                return [
-                    sub for _, sub in
-                    loader.iter_epoch("customers", ids, times, batches)
-                ]
-
-        for sub_snapshot, sub_incremental in zip(epoch(snapshot), epoch(incremental)):
-            assert_subgraphs_identical(sub_snapshot, sub_incremental)
-
-    def test_shared_store_view_bit_identical(self, stores):
-        snapshot, incremental, _ = stores
-        store = SharedGraphStore.create(incremental)
-        try:
-            view = store.graph()
-            assert_graphs_equivalent(snapshot, view)
-            ids, times = seed_batch(snapshot, num=12)
-            expected = NeighborSampler(
-                snapshot, fanouts=FANOUTS, rng=np.random.default_rng(0)
-            ).sample("customers", ids, times)
-            actual = NeighborSampler(
-                view, fanouts=FANOUTS, rng=np.random.default_rng(0)
-            ).sample("customers", ids, times)
-            assert_subgraphs_identical(expected, actual)
-        finally:
-            store.cleanup()
+        for batch in (np.arange(0, 6), np.arange(6, 12), np.arange(0, 12)):
+            draws = [
+                NeighborSampler(g, fanouts=FANOUTS, seed=0)
+                .sample("customers", ids[batch], times[batch])
+                for g in (snapshot, incremental, compacted)
+            ]
+            assert_subgraphs_identical(draws[0], draws[1])
+            assert_subgraphs_identical(draws[0], draws[2])

@@ -50,7 +50,7 @@ CUTOFF = 4102444800  # far future: every entity's full history is visible
 @pytest.fixture(scope="module")
 def churn_model(small_ecommerce_db, small_ecommerce_split):
     planner = PredictiveQueryPlanner(
-        small_ecommerce_db, tiny_planner_config(cache_size=64)
+        small_ecommerce_db, tiny_planner_config()
     )
     return planner.fit(CHURN_QUERY, small_ecommerce_split)
 

@@ -311,7 +311,7 @@ class TestSamplerCounters:
         from repro.graph.sampler import NeighborSampler
 
         graph = self._graph()
-        sampler = NeighborSampler(graph, fanouts=[2], rng=np.random.default_rng(0))
+        sampler = NeighborSampler(graph, fanouts=[2], seed=0)
         seeds = np.asarray([0, 1, 2], dtype=np.int64)
         times = np.full(3, 10, dtype=np.int64)
 

@@ -214,6 +214,39 @@ class TestExplain:
         b = explain_relations(model, keys, split.test_cutoff, seed=3)
         assert a == b
 
+    def test_baseline_and_every_knockout_start_from_one_neighborhood(self, db, split, monkeypatch):
+        """One sampler, asked again per knockout: what it hands back —
+        before ``_knock_out`` edits it — is the baseline's subgraph."""
+        import copy
+
+        import repro.pql.explain as explain_module
+        from tests.conftest import assert_subgraphs_identical
+
+        model = PredictiveQueryPlanner(db, fast_config(epochs=1, fanouts=[2], batch_size=8)).fit(
+            "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS", split
+        )
+        built, drawn = [], []
+
+        class Spy(explain_module.NeighborSampler):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def sample(self, *args):
+                subgraph = super().sample(*args)
+                drawn.append(copy.deepcopy(subgraph))  # the caller's is about to be edited
+                return subgraph
+
+        monkeypatch.setattr(explain_module, "NeighborSampler", Spy)
+        keys = db["customers"]["id"].values[:16]
+        explain_module.explain_relations(model, keys, split.test_cutoff, seed=3)
+        per_batch = 1 + len(model.graph.edge_types)
+        assert len(built) == 1 and len(drawn) == 2 * per_batch
+        assert any(sub.total_nodes() for sub in drawn)
+        for batch in (drawn[:per_batch], drawn[per_batch:]):
+            for knockout_input in batch[1:]:
+                assert_subgraphs_identical(batch[0], knockout_input)
+
     def test_explain_rejected_for_link(self, db, split):
         from repro.pql import explain_relations
 
@@ -265,7 +298,7 @@ class TestVectorizedSamplerConfig:
 
         model = PredictiveQueryPlanner(db, fast_config(epochs=3)).fit(self.QUERY, split)
         trainer = model.node_trainer
-        assert type(trainer.sampler.base) is NeighborSampler
+        assert type(trainer.sampler) is NeighborSampler
         assert {p.data.dtype for p in trainer.model.parameters()} == {np.dtype("float32")}
         assert model.evaluate(split.test_cutoff)["auroc"] > 0.6
 
@@ -352,56 +385,3 @@ class TestMaterialize:
         )
         with pytest.raises(RuntimeError):
             model.materialize(split.test_cutoff)
-
-
-class TestTuning:
-    def test_grid_search_selects_on_validation(self, db, split):
-        from repro.pql import tune
-
-        result = tune(
-            db,
-            "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
-            split,
-            grid={"hidden_dim": [8, 16]},
-            base_config=fast_config(epochs=2),
-        )
-        assert len(result.leaderboard) == 2
-        assert result.metric == "auroc"
-        assert result.best_params["hidden_dim"] in (8, 16)
-        # Leaderboard is best-first for a higher-is-better metric.
-        assert result.leaderboard[0].score >= result.leaderboard[-1].score
-        # The returned model predicts.
-        preds = result.best_model.predict(db["customers"]["id"].values[:4], split.test_cutoff)
-        assert preds.shape == (4,)
-
-    def test_regression_minimizes_mae(self, db, split):
-        from repro.pql import tune
-
-        result = tune(
-            db,
-            "PREDICT SUM(orders.amount) FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
-            split,
-            grid={"num_layers": [0, 1]},
-            base_config=fast_config(epochs=2),
-        )
-        assert result.metric == "mae"
-        assert not result.higher_is_better
-        assert result.leaderboard[0].score <= result.leaderboard[-1].score
-
-    def test_empty_grid_rejected(self, db, split):
-        from repro.pql import tune
-
-        with pytest.raises(ValueError):
-            tune(db, "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
-                 split, grid={})
-
-    def test_unknown_field_rejected(self, db, split):
-        from repro.pql import tune
-
-        with pytest.raises(KeyError):
-            tune(
-                db,
-                "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
-                split,
-                grid={"warp_factor": [9]},
-            )

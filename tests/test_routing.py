@@ -1,18 +1,17 @@
-"""Cost-based query routing: tier ladder, cache-key reuse, serving.
+"""Cost-based query routing: tier ladder, plan-cache and digest keys, serving.
 
 Three layers of coverage:
 
 * **Decision logic** — :meth:`RoutedPredictiveModel.decide` unit-tested
   on a hand-built model skeleton (no training), so quality-floor and
   forced-route behavior are pinned down exactly.
-* **Cache keys** — the plan cache and :class:`LRUSubgraphCache` must
+* **Cache keys** — the plan cache and the sampler's batch digest must
   share what they can (identical query text, identical batches) and
   distinguish what they must (different horizons, different cutoffs)
   across all three dataset generators.
 * **Integration** — a tiny routed churn model: forced routes are
   bit-identical to calling the tier directly, persistence round-trips,
-  the snapshot accessor never goes backwards, and routes propagate
-  through a coalesced serving micro-batch.
+  and routes propagate through a coalesced serving micro-batch.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ GENERATORS = {
 @pytest.fixture(scope="module")
 def routed_model(small_ecommerce_db, small_ecommerce_split):
     planner = PredictiveQueryPlanner(
-        small_ecommerce_db, tiny_planner_config(cache_size=64)
+        small_ecommerce_db, tiny_planner_config()
     )
     return planner.fit_routed(CHURN_QUERY, small_ecommerce_split)
 
@@ -79,10 +78,6 @@ def make_skeleton(quality, per_row_ms, quality_floor=0.98, route="auto"):
 
     class _Red:
         degraded_from = None
-
-        @staticmethod
-        def sampler_cache_snapshot():
-            return None
 
     model.red = _Red()
     return model
@@ -177,24 +172,17 @@ class TestCacheKeys:
         db = build()
         from repro.graph import build_graph
 
-        config = tiny_planner_config(cache_size=32)
-        sampler = config.make_sampler(build_graph(db), np.random.default_rng(0))
+        config = tiny_planner_config()
+        sampler = config.make_sampler(build_graph(db))
         seeds = np.arange(4, dtype=np.int64)
         t0, t1 = db.time_span()
         early = np.full(4, t0 + (t1 - t0) // 2, dtype=np.int64)
         late = np.full(4, t1, dtype=np.int64)
 
-        repeat = sampler.batch_key(entity, seeds, early)
-        assert sampler.batch_key(entity, seeds, early) == repeat
-        assert sampler.batch_key(entity, seeds, late) != repeat
-        assert sampler.batch_key(entity, seeds[::-1].copy(), early) != repeat
-
-        # And the cache behaves accordingly: repeat hits, new cutoff misses.
-        sampler.sample(entity, seeds, early)
-        sampler.sample(entity, seeds, early)
-        sampler.sample(entity, seeds, late)
-        stats = sampler.cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 2
+        repeat = sampler.batch_digest(entity, seeds, early)
+        assert sampler.batch_digest(entity, seeds, early) == repeat
+        assert sampler.batch_digest(entity, seeds, late) != repeat
+        assert sampler.batch_digest(entity, seeds[::-1].copy(), early) != repeat
 
 
 # ----------------------------------------------------------------------
@@ -282,24 +270,6 @@ class TestRoutedModel:
         np.testing.assert_array_equal(
             yellow.predict(keys, cutoffs), routed_model.yellow.predict(keys, cutoffs)
         )
-
-    def test_snapshot_is_monotonic_and_survives_reset(self, routed_model):
-        keys = entity_keys(routed_model, 8)
-        cutoff = routed_model.db.time_span()[1]
-        routed_model.predict(keys, cutoff, route="red")
-        first = routed_model.sampler_cache_snapshot()
-        assert first is not None
-        routed_model.predict(keys, cutoff, route="red")
-        second = routed_model.sampler_cache_snapshot()
-        for field in ("hits", "misses"):
-            assert second[field] >= first[field]
-        # Rebasing the per-owner stats window must not rewind snapshots.
-        cache = routed_model.red.node_trainer.sampler.cache
-        cache.reset_stats()
-        assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 0
-        third = routed_model.sampler_cache_snapshot()
-        for field in ("hits", "misses"):
-            assert third[field] >= second[field]
 
 
 # ----------------------------------------------------------------------

@@ -1,82 +1,22 @@
-"""Tests for the subgraph cache and the deterministic sampling contract.
+"""Tests for the deterministic sampling contract and the graph fingerprint.
 
-The contract (see ``repro.graph.cache``): a batch's subgraph is a pure
-function of its content digest, so a cached entry is bit-identical to a
-re-sampled one and batch order never matters.
+The contract (see ``repro.graph.sampler``): a batch's subgraph is a pure
+function of its content digest and the graph, so a re-sampled batch is
+bit-identical to the first draw and batch order never matters.
 """
 
 import numpy as np
-import pytest
 
 from repro.graph import NeighborSampler, build_graph
-from repro.graph.cache import (
-    CachedSampler,
-    LRUSubgraphCache,
-    batch_rng_seed,
-    graph_fingerprint,
-)
+from repro.graph.cache import graph_fingerprint
 from repro.graph.hetero import TIME_MIN
-from repro.obs import get_registry
 from tests.conftest import assert_subgraphs_identical, shop_db
 
 
-def make_sampler(graph, fanouts=(4, 4), seed=0):
-    return NeighborSampler(graph, fanouts=list(fanouts), rng=np.random.default_rng(seed))
-
-
-class TestLRUSubgraphCache:
-    def test_put_get_roundtrip(self):
-        cache = LRUSubgraphCache(max_entries=4)
-        sentinel = object()
-        cache.put(b"k1", sentinel)
-        assert cache.get(b"k1") is sentinel
-        assert len(cache) == 1
-
-    def test_miss_and_hit_counters(self):
-        cache = LRUSubgraphCache(max_entries=4)
-        assert cache.get(b"absent") is None
-        cache.put(b"k", object())
-        cache.get(b"k")
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["evictions"] == 0
-
-    def test_evicts_least_recently_used(self):
-        cache = LRUSubgraphCache(max_entries=2)
-        a, b, c = object(), object(), object()
-        cache.put(b"a", a)
-        cache.put(b"b", b)
-        cache.get(b"a")  # refresh a; b is now least recent
-        cache.put(b"c", c)
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") is a
-        assert cache.get(b"c") is c
-        assert cache.stats()["evictions"] == 1
-
-    def test_clear_keeps_counters(self):
-        cache = LRUSubgraphCache(max_entries=2)
-        cache.put(b"a", object())
-        cache.get(b"a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(b"a") is None
-        assert cache.stats()["hits"] == 1
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            LRUSubgraphCache(max_entries=0)
-
-    def test_counters_mirrored_into_registry(self):
-        registry = get_registry()
-        before_hits = registry.counter("sampler.cache.hits").value
-        before_misses = registry.counter("sampler.cache.misses").value
-        cache = LRUSubgraphCache(max_entries=2)
-        cache.get(b"x")
-        cache.put(b"x", object())
-        cache.get(b"x")
-        assert registry.counter("sampler.cache.hits").value == before_hits + 1
-        assert registry.counter("sampler.cache.misses").value == before_misses + 1
+def make_sampler(graph, fanouts=(4, 4), seed=0, time_respecting=True):
+    return NeighborSampler(
+        graph, fanouts=list(fanouts), seed=seed, time_respecting=time_respecting
+    )
 
 
 class TestGraphFingerprint:
@@ -125,57 +65,61 @@ class TestBatchKey:
         return build_graph(shop_db())
 
     def test_key_depends_on_batch_content(self):
-        sampler = CachedSampler(make_sampler(self.graph()), base_seed=0)
+        sampler = make_sampler(self.graph())
         ids = np.array([0, 1])
         times = np.array([400, 400])
-        base = sampler.batch_key("customers", ids, times)
-        assert sampler.batch_key("customers", ids, times) == base
-        assert sampler.batch_key("customers", ids[::-1].copy(), times) != base
-        assert sampler.batch_key("customers", ids, times + 1) != base
-        assert sampler.batch_key("products", ids, times) != base
+        base = sampler.batch_digest("customers", ids, times)
+        assert sampler.batch_digest("customers", ids, times) == base
+        assert sampler.batch_digest("customers", ids[::-1].copy(), times) != base
+        assert sampler.batch_digest("customers", ids, times + 1) != base
+        assert sampler.batch_digest("products", ids, times) != base
 
     def test_key_depends_on_sampler_config(self):
         g = self.graph()
         ids, times = np.array([0, 1]), np.array([400, 400])
-        ref = CachedSampler(make_sampler(g), base_seed=0)
-        other_seed = CachedSampler(make_sampler(g), base_seed=1)
-        other_fanout = CachedSampler(make_sampler(g, fanouts=(2, 2)), base_seed=0)
-        leaky = CachedSampler(
-            NeighborSampler(g, [4, 4], np.random.default_rng(0), time_respecting=False),
-            base_seed=0,
+        samplers = (
+            make_sampler(g),
+            make_sampler(g, seed=1),
+            make_sampler(g, fanouts=(2, 2)),
+            make_sampler(g, time_respecting=False),
         )
-        keys = {
-            s.batch_key("customers", ids, times) for s in (ref, other_seed, other_fanout, leaky)
-        }
-        assert len(keys) == 4
+        assert len({s.batch_digest("customers", ids, times) for s in samplers}) == 4
 
-    def test_rng_seed_matches_key_digest_half(self):
+    def test_rng_seed_matches_key_digest_half(self, monkeypatch):
         g = self.graph()
         grown = self.graph()
         grown.grow_node_type("customers", np.array([TIME_MIN]), keys=np.array([30]))
+        seeded = []
+        real_default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: seeded.append(seed) or real_default_rng(seed)
+        )
         for seed_type, ids, times, base_seed, pinned in PINNED_SEEDS:
-            sampler = CachedSampler(make_sampler(g), base_seed=base_seed)
+            sampler = make_sampler(g, seed=base_seed)
             ids, times = np.array(ids), np.array(times)
-            key = sampler.batch_key(seed_type, ids, times)
-            derived = batch_rng_seed(sampler.fanouts, True, base_seed, seed_type, ids, times)
+            key = sampler.batch_digest(seed_type, ids, times)
             # The derivation is frozen: these are the seeds the previous
-            # version (composite fingerprint + digest key) drew from, so
-            # models and predictions reproduce across the change.
-            assert derived == pinned
-            # The key is the 16-byte batch digest alone — the graph is
-            # not part of it — and the RNG seed is its first half.
+            # versions (composite fingerprint + digest key, then the
+            # re-seeding wrapper) drew from, so models and predictions
+            # reproduce across the change.
+            sampler.sample(seed_type, ids, times)
+            assert seeded.pop() == pinned
+            # The digest is 16 bytes of batch content alone — the graph
+            # is not part of it — and the RNG seed is its first half.
             assert len(key) == 16
-            assert int.from_bytes(key[:8], "little") == derived
-            other = CachedSampler(make_sampler(grown), base_seed=base_seed)
-            assert other.batch_key(seed_type, ids, times) == key
+            assert int.from_bytes(key[:8], "little") == pinned
+            assert make_sampler(grown, seed=base_seed).batch_digest(seed_type, ids, times) == key
 
 
-class TestCachedSamplerDeterminism:
+class TestSamplerPurity:
     def graph(self):
         return build_graph(shop_db())
 
-    def test_repeated_batch_is_bit_identical_without_cache(self):
-        sampler = CachedSampler(make_sampler(self.graph()), base_seed=0)
+    def test_sampler_holds_no_generator(self):
+        assert not hasattr(make_sampler(self.graph()), "rng")
+
+    def test_repeated_batch_is_bit_identical(self):
+        sampler = make_sampler(self.graph(), fanouts=(2, 2))
         ids, times = np.array([0, 1]), np.array([10**9, 10**9])
         a = sampler.sample("customers", ids, times)
         b = sampler.sample("customers", ids, times)
@@ -186,57 +130,18 @@ class TestCachedSamplerDeterminism:
         g = self.graph()
         ids_a, times_a = np.array([0]), np.array([10**9])
         ids_b, times_b = np.array([1]), np.array([10**9])
-        one = CachedSampler(make_sampler(g), base_seed=0)
-        sub_a_first = one.sample("customers", ids_a, times_a)
-        two = CachedSampler(make_sampler(g), base_seed=0)
+        sub_a_first = make_sampler(g, fanouts=(2, 2)).sample("customers", ids_a, times_a)
+        two = make_sampler(g, fanouts=(2, 2))
         two.sample("customers", ids_b, times_b)  # interleave another batch
-        sub_a_second = two.sample("customers", ids_a, times_a)
-        assert_subgraphs_identical(sub_a_first, sub_a_second)
+        assert_subgraphs_identical(sub_a_first, two.sample("customers", ids_a, times_a))
 
-    def test_cache_hit_returns_memoized_subgraph(self):
-        sampler = CachedSampler(
-            make_sampler(self.graph()), base_seed=0, cache=LRUSubgraphCache(8)
-        )
-        ids, times = np.array([0, 1]), np.array([10**9, 10**9])
-        first = sampler.sample("customers", ids, times)
-        second = sampler.sample("customers", ids, times)
-        assert second is first  # served from memory
-        assert sampler.cache.stats() == {
-            "hits": 1, "misses": 1, "evictions": 0, "entries": 1, "max_entries": 8,
+    def test_a_different_seed_draws_differently(self):
+        # Customer 0 has three orders; at fanout 2 some seed picks another pair.
+        g = self.graph()
+        ids, times = np.array([0]), np.array([10**9])
+        picks = {
+            tuple(make_sampler(g, fanouts=(2,), seed=seed)
+                  .sample("customers", ids, times).node_orig("orders").tolist())
+            for seed in range(16)
         }
-
-    def test_cached_equals_uncached(self):
-        g = self.graph()
-        ids, times = np.array([0, 1, 0]), np.array([300, 500, 10**9])
-        plain = CachedSampler(make_sampler(g), base_seed=0)
-        cached = CachedSampler(make_sampler(g), base_seed=0, cache=LRUSubgraphCache(4))
-        for _ in range(3):  # repeats exercise the hit path
-            assert_subgraphs_identical(
-                plain.sample("customers", ids, times),
-                cached.sample("customers", ids, times),
-            )
-
-    def test_eviction_resamples_identically(self):
-        g = self.graph()
-        sampler = CachedSampler(make_sampler(g), base_seed=0, cache=LRUSubgraphCache(1))
-        ids_a, ids_b = np.array([0]), np.array([1])
-        times = np.array([10**9])
-        first = sampler.sample("customers", ids_a, times)
-        sampler.sample("customers", ids_b, times)  # evicts batch a
-        again = sampler.sample("customers", ids_a, times)
-        assert again is not first
-        assert_subgraphs_identical(first, again)
-        assert sampler.cache.stats()["evictions"] == 2
-
-    def test_delegating_surface(self):
-        g = self.graph()
-        base = make_sampler(g, fanouts=(3, 2))
-        sampler = CachedSampler(base, base_seed=0)
-        assert sampler.graph is g
-        assert sampler.fanouts == [3, 2]
-        assert sampler.num_hops == 2
-        assert sampler.time_respecting is True
-        fresh = np.random.default_rng(42)
-        sampler.rng = fresh
-        assert base.rng is fresh
-        assert sampler.rng is fresh
+        assert len(picks) > 1

@@ -84,7 +84,7 @@ def make_trainer(db, epochs=10, seed=0):
         num_layers=2,
         rng=np.random.default_rng(seed),
     )
-    sampler = NeighborSampler(graph, fanouts=[6, 6], rng=np.random.default_rng(seed + 1))
+    sampler = NeighborSampler(graph, fanouts=[6, 6], seed=seed + 1)
     trainer = LinkTaskTrainer(
         model,
         graph,
