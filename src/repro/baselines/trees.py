@@ -3,8 +3,16 @@
 A faithful stand-in for the LightGBM/XGBoost baseline:
 
 * **Histogram splits** — each feature is quantile-binned once (up to
-  ``max_bins`` bins); split search scans bin boundaries accumulating
-  gradient/hessian sums, so each node costs O(features × bins).
+  ``max_bins`` bins).  A node's split search is one O(rows × features)
+  histogram pass over *all* features (three ``np.bincount`` calls on
+  ``feature * width + bin`` codes: gradient, hessian, count) plus one
+  O(features × bins) vector scan of every candidate's gain.  The scan
+  is bit-identical to a feature-major / bin-major / missing-left-first
+  loop keeping the first strictly best gain
+  (``tests/oracles.py:LoopTreeGrower``): within a histogram cell rows
+  accumulate in ascending row order, node totals are ``g[rows].sum()``,
+  squares are products, and a child's histogram is never derived as
+  parent − sibling, because that changes the float sums.
 * **Second-order boosting** — leaf values are the Newton step
   ``-Σg / (Σh + λ)``, with squared loss for regression and logistic
   loss for binary classification.
@@ -100,6 +108,22 @@ class _Binner:
         return len(self.edges_[feature]) + 2
 
 
+class _SplitPlan:
+    """What every node of every tree of one fit shares, built once per
+    fit and never stored on an estimator: the binned matrix pre-offset
+    to ``feature * width + bin`` codes, so one flat ``np.bincount``
+    histograms all features at once, and which ``(feature, threshold)``
+    candidates exist (features are padded to the widest one)."""
+
+    def __init__(self, binned: np.ndarray, binner: _Binner) -> None:
+        num_features = binned.shape[1]
+        num_bins = np.array([binner.num_bins(j) for j in range(num_features)], dtype=np.intp)
+        self.width = int(num_bins.max(initial=2))
+        self.codes = binned + self.width * np.arange(num_features, dtype=np.intp)
+        # "Go left if bin <= t" is a split for t in 1 .. num_bins - 2.
+        self.valid = np.arange(self.width - 2) < (num_bins - 2)[:, None]
+
+
 @dataclass
 class _Node:
     feature: int = -1
@@ -139,8 +163,8 @@ class DecisionTreeRegressor:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self._binner = _Binner().fit(x)
-        binned = self._binner.transform(x)
-        self.fit_binned(binned, self._binner, gradients=-y, hessians=np.ones(len(y)))
+        plan = _SplitPlan(self._binner.transform(x), self._binner)
+        self.fit_binned(plan, gradients=-y, hessians=np.ones(len(y)))
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -151,31 +175,27 @@ class DecisionTreeRegressor:
 
     # -- ensemble-facing API --------------------------------------------
     def fit_binned(
-        self,
-        binned: np.ndarray,
-        binner: _Binner,
-        gradients: np.ndarray,
-        hessians: np.ndarray,
+        self, plan: _SplitPlan, gradients: np.ndarray, hessians: np.ndarray
     ) -> "DecisionTreeRegressor":
         """Fit on pre-binned features to minimize Σ g·f + ½ h·f²."""
         self.nodes = []
         self._flat = None
-        self._grow(binned, binner, gradients, hessians, np.arange(len(gradients)), depth=0)
+        self._grow(plan, gradients, hessians, np.arange(len(gradients)), depth=0)
         return self
 
     def _leaf_value(self, gradients: np.ndarray, hessians: np.ndarray) -> float:
         return float(-gradients.sum() / (hessians.sum() + self.reg_lambda))
 
-    def _grow(self, binned, binner, gradients, hessians, rows, depth) -> int:
+    def _grow(self, plan, gradients, hessians, rows, depth) -> int:
         node_index = len(self.nodes)
         self.nodes.append(_Node(value=self._leaf_value(gradients[rows], hessians[rows])))
         if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
             return node_index
-        best = self._best_split(binned, binner, gradients, hessians, rows)
+        best = self._best_split(plan, gradients, hessians, rows)
         if best is None:
             return node_index
         feature, threshold_bin, missing_left = best
-        feature_bins = binned[rows, feature]
+        feature_bins = plan.codes[rows, feature] - feature * plan.width
         go_left = feature_bins <= threshold_bin
         if missing_left:
             go_left |= feature_bins == _MISSING_BIN
@@ -189,49 +209,46 @@ class DecisionTreeRegressor:
         node.feature = feature
         node.threshold_bin = threshold_bin
         node.missing_left = missing_left
-        node.left = self._grow(binned, binner, gradients, hessians, left_rows, depth + 1)
-        node.right = self._grow(binned, binner, gradients, hessians, right_rows, depth + 1)
+        node.left = self._grow(plan, gradients, hessians, left_rows, depth + 1)
+        node.right = self._grow(plan, gradients, hessians, right_rows, depth + 1)
         return node_index
 
-    def _best_split(self, binned, binner, gradients, hessians, rows):
-        g = gradients[rows]
-        h = hessians[rows]
+    def _best_split(self, plan, gradients, hessians, rows):
+        g, h = gradients[rows], hessians[rows]
         total_g, total_h = g.sum(), h.sum()
-        parent_score = total_g**2 / (total_h + self.reg_lambda)
-        best_gain = self.min_gain
-        best = None
-        for feature in range(binned.shape[1]):
-            bins = binned[rows, feature]
-            num_bins = binner.num_bins(feature)
-            if num_bins <= 2:
-                continue
-            g_hist = np.bincount(bins, weights=g, minlength=num_bins)
-            h_hist = np.bincount(bins, weights=h, minlength=num_bins)
-            n_hist = np.bincount(bins, minlength=num_bins)
-            missing_g, missing_h, missing_n = g_hist[0], h_hist[0], n_hist[0]
-            # Cumulative over real bins (1..num_bins-1), split after bin b.
-            cg = np.cumsum(g_hist[1:])
-            ch = np.cumsum(h_hist[1:])
-            cn = np.cumsum(n_hist[1:])
-            for b in range(len(cg) - 1):
-                for missing_left in (True, False):
-                    left_g = cg[b] + (missing_g if missing_left else 0.0)
-                    left_h = ch[b] + (missing_h if missing_left else 0.0)
-                    left_n = cn[b] + (missing_n if missing_left else 0)
-                    right_g = total_g - left_g
-                    right_h = total_h - left_h
-                    right_n = len(rows) - left_n
-                    if left_n < self.min_samples_leaf or right_n < self.min_samples_leaf:
-                        continue
-                    gain = (
-                        left_g**2 / (left_h + self.reg_lambda)
-                        + right_g**2 / (right_h + self.reg_lambda)
-                        - parent_score
-                    )
-                    if gain > best_gain:
-                        best_gain = gain
-                        best = (feature, b + 1, missing_left)
-        return best
+        num_features = plan.codes.shape[1]
+        flat = plan.codes[rows].ravel()
+
+        def left_sums(weights):
+            """Left-child sum per (feature, threshold, missing left / right)."""
+            if weights is not None:
+                weights = np.repeat(weights, num_features)
+            hist = np.bincount(flat, weights, minlength=num_features * plan.width)
+            hist = hist.reshape(num_features, plan.width)
+            missing = np.stack([hist[:, 0], np.zeros_like(hist[:, 0])], axis=1)
+            return np.cumsum(hist[:, 1:-1], axis=1)[:, :, None] + missing[:, None, :]
+
+        left_g, left_h, left_n = left_sums(g), left_sums(h), left_sums(None)
+        right_g, right_h = total_g - left_g, total_h - left_h
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked-out candidates
+            gain = (
+                left_g * left_g / (left_h + self.reg_lambda)
+                + right_g * right_g / (right_h + self.reg_lambda)
+                - total_g * total_g / (total_h + self.reg_lambda)
+            )
+        ok = (
+            plan.valid[:, :, None]
+            & (left_n >= self.min_samples_leaf)
+            & (len(rows) - left_n >= self.min_samples_leaf)
+            & (gain > self.min_gain)
+        )
+        if not ok.any():
+            return None
+        # The first maximum in C order is the loop's strict-> winner.
+        feature, b, missing_right = np.unravel_index(
+            np.argmax(np.where(ok, gain, -np.inf)), gain.shape
+        )
+        return int(feature), int(b) + 1, not missing_right
 
     def flat(self) -> Tuple[np.ndarray, ...]:
         """The node list as parallel arrays for vectorized traversal.
@@ -336,9 +353,11 @@ class _Boosting:
         rng = np.random.default_rng(self.seed)
         self._binner = _Binner(self.max_bins).fit(x)
         binned = self._binner.transform(x)
+        plan = _SplitPlan(binned, self._binner)
         self.base_score_ = self._base_score(y)
         raw = np.full(len(y), self.base_score_)
         self.trees_ = []
+        self.best_iteration_ = None  # a refit must not inherit a stale early stop
 
         val_binned = val_y = None
         val_raw = None
@@ -361,7 +380,7 @@ class _Boosting:
                 min_samples_leaf=self.min_samples_leaf,
                 reg_lambda=self.reg_lambda,
             )
-            tree.fit_binned(binned, self._binner, gradients, hessians)
+            tree.fit_binned(plan, gradients, hessians)
             update = tree.predict_binned(binned)
             raw = raw + self.learning_rate * update
             self.trees_.append(tree)

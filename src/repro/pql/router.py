@@ -938,9 +938,20 @@ def fit_yellow(
     """The bound YELLOW rung of a node-task query, over ``green``.
     With :func:`fit_green`, how cheap tiers get fitted: by
     :func:`fit_routed` next to a healthy GNN, by the planner's
-    degradation path instead of one."""
+    degradation path instead of one.  Either caller's open span gets
+    the ``yellow.*`` counters: what the boosting run was given and grew."""
     yellow = YellowTier(binding.query.entity_table, binding.task_type.value, hybrid, green)
-    return yellow.bind(db, graph).fit(train, val)
+    booster = yellow.bind(db, graph).fit(train, val).estimator
+    kept = rounds = len(booster.trees_)
+    if booster.best_iteration_ is not None:  # kept up to the best round, ran `patience` more
+        patience = booster.early_stopping_rounds or booster.num_rounds
+        rounds = min(booster.num_rounds, kept + patience)
+    obs_trace.add_counter("yellow.train_rows", len(train))
+    obs_trace.add_counter("yellow.features", len(booster._binner.edges_))
+    obs_trace.add_counter("yellow.rounds", rounds)
+    obs_trace.add_counter("yellow.trees", kept)
+    obs_trace.add_counter("yellow.nodes", sum(len(tree.nodes) for tree in booster.trees_))
+    return yellow
 
 
 def _calibrate_link(model: RoutedPredictiveModel, val: LabelTable, seed: int) -> None:

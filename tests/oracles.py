@@ -10,6 +10,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.trees import _MISSING_BIN, DecisionTreeRegressor, _Node
 from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.graph.sampler import SampledSubgraph
 from repro.nn.tensor import Tensor
@@ -278,3 +279,112 @@ def at_take(tensor: Tensor, indices: np.ndarray) -> Tensor:
             tensor._accumulate(at_sum(np.asarray(grad), indices, len(tensor.data)))
 
     return Tensor._make(tensor.data[indices], (tensor,), backward)
+
+
+# ----------------------------------------------------------------------
+# Per-feature, per-bin split scan: the oracle for
+# ``repro.baselines.trees.DecisionTreeRegressor``
+# ----------------------------------------------------------------------
+class LoopTreeGrower(DecisionTreeRegressor):
+    """The tree grower as it shipped before the all-feature histogram
+    pass: one ``np.bincount`` triple per feature and a python loop over
+    bins x {missing left, missing right} in scalar arithmetic, keeping
+    the first strictly best gain.  Takes the binned matrix and its
+    binner where the product takes a ``_SplitPlan``; everything it does
+    not define (leaf values, ``flat()``, prediction) is the product's.
+
+    One token differs from the loop that shipped: squares are products.
+    The shipped loop wrote ``x ** 2`` on numpy scalars, which is libm
+    ``pow`` and lands one ulp off ``x * x`` on roughly one input in a
+    thousand — enough to flip the winner between two candidates whose
+    gains are equal on paper (a column and its negation).  The product
+    is exact IEEE arithmetic on every host, so it is the contract;
+    :class:`PowLoopTreeGrower` is the shipped arithmetic."""
+
+    @staticmethod
+    def square(value):
+        """``value`` squared, as the gain formula squares it."""
+        return value * value
+
+    def fit_binned(self, binned, binner, gradients, hessians) -> "LoopTreeGrower":
+        """Fit on pre-binned features to minimize Σ g·f + ½ h·f²."""
+        self.nodes = []
+        self._flat = None
+        self._grow(binned, binner, gradients, hessians, np.arange(len(gradients)), depth=0)
+        return self
+
+    def _grow(self, binned, binner, gradients, hessians, rows, depth) -> int:
+        node_index = len(self.nodes)
+        self.nodes.append(_Node(value=self._leaf_value(gradients[rows], hessians[rows])))
+        if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
+            return node_index
+        best = self._best_split(binned, binner, gradients, hessians, rows)
+        if best is None:
+            return node_index
+        feature, threshold_bin, missing_left = best
+        feature_bins = binned[rows, feature]
+        go_left = feature_bins <= threshold_bin
+        if missing_left:
+            go_left |= feature_bins == _MISSING_BIN
+        else:
+            go_left &= feature_bins != _MISSING_BIN
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        if len(left_rows) < self.min_samples_leaf or len(right_rows) < self.min_samples_leaf:
+            return node_index
+        node = self.nodes[node_index]
+        node.is_leaf = False
+        node.feature = feature
+        node.threshold_bin = threshold_bin
+        node.missing_left = missing_left
+        node.left = self._grow(binned, binner, gradients, hessians, left_rows, depth + 1)
+        node.right = self._grow(binned, binner, gradients, hessians, right_rows, depth + 1)
+        return node_index
+
+    def _best_split(self, binned, binner, gradients, hessians, rows):
+        g = gradients[rows]
+        h = hessians[rows]
+        total_g, total_h = g.sum(), h.sum()
+        parent_score = self.square(total_g) / (total_h + self.reg_lambda)
+        best_gain = self.min_gain
+        best = None
+        for feature in range(binned.shape[1]):
+            bins = binned[rows, feature]
+            num_bins = binner.num_bins(feature)
+            if num_bins <= 2:
+                continue
+            g_hist = np.bincount(bins, weights=g, minlength=num_bins)
+            h_hist = np.bincount(bins, weights=h, minlength=num_bins)
+            n_hist = np.bincount(bins, minlength=num_bins)
+            missing_g, missing_h, missing_n = g_hist[0], h_hist[0], n_hist[0]
+            # Cumulative over real bins (1..num_bins-1), split after bin b.
+            cg = np.cumsum(g_hist[1:])
+            ch = np.cumsum(h_hist[1:])
+            cn = np.cumsum(n_hist[1:])
+            for b in range(len(cg) - 1):
+                for missing_left in (True, False):
+                    left_g = cg[b] + (missing_g if missing_left else 0.0)
+                    left_h = ch[b] + (missing_h if missing_left else 0.0)
+                    left_n = cn[b] + (missing_n if missing_left else 0)
+                    right_g = total_g - left_g
+                    right_h = total_h - left_h
+                    right_n = len(rows) - left_n
+                    if left_n < self.min_samples_leaf or right_n < self.min_samples_leaf:
+                        continue
+                    gain = (
+                        self.square(left_g) / (left_h + self.reg_lambda)
+                        + self.square(right_g) / (right_h + self.reg_lambda)
+                        - parent_score
+                    )
+                    if gain > best_gain:
+                        best_gain = gain
+                        best = (feature, b + 1, missing_left)
+        return best
+
+
+class PowLoopTreeGrower(LoopTreeGrower):
+    """The loop byte for byte as it shipped: scalar ``x ** 2``."""
+
+    @staticmethod
+    def square(value):
+        """``value`` squared through the scalar power operator."""
+        return value**2

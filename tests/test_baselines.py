@@ -92,6 +92,18 @@ class TestGradientBoosting:
         assert len(model.trees_) < 300
         assert model.best_iteration_ is not None
 
+    def test_refit_without_eval_set_forgets_the_last_early_stop(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(200, 2))
+        y = x[:, 0]
+        noise = (rng.normal(size=(50, 2)), rng.normal(size=50) * 100.0)
+        model = GradientBoostingRegressor(num_rounds=60, early_stopping_rounds=3)
+        model.fit(x, y, eval_set=noise)
+        assert model.best_iteration_ is not None and len(model.trees_) < 60
+        model.fit(x, y)
+        assert model.best_iteration_ is None
+        assert len(model.trees_) == 60
+
     def test_subsample(self):
         x = RNG.normal(size=(200, 2))
         y = x[:, 0]

@@ -1,11 +1,14 @@
-"""Regression guards for the training step's two hot primitives.
+"""Regression guards for the hot primitives of a fit.
 
 A default-config training step used to spend most of its time in
 ``np.add.at`` (scatter aggregation, gather backward) and in
 ``SampledSubgraph.add_node`` (one python-level dict intern per sampled
 node).  Both are gone from the hot path; these tests fail loudly if
 either comes back, or if a change to the interner or the segment kernel
-makes the default fit draw different nodes.
+makes the default fit draw different nodes.  A routed fit used to spend
+most of its time in the GBDT's per-feature, per-bin split loop; the
+last two tests fail if a per-feature histogram comes back or if the
+default routed fit grows different trees.
 """
 
 import contextlib
@@ -14,12 +17,13 @@ import io
 import numpy as np
 
 from repro import obs
+from repro.baselines import DecisionTreeRegressor
 from repro.cli import main as cli_main
 from repro.datasets import get_dataset
 from repro.graph import NeighborSampler, SampledSubgraph, build_graph
 from repro.nn.segment import SegmentPlan
 from repro.pql import PlannerConfig, PredictiveQueryPlanner
-from tests.conftest import shop_db
+from tests.conftest import shop_db, tiny_planner_config
 
 
 class _NoAt:
@@ -99,3 +103,52 @@ def test_default_fit_samples_exactly_what_it_always_sampled():
     assert trace.find("planner.train").counters["train.epochs"] == 15
     assert sampled("planner.train") == tuple(np.add(TRAIN_BATCHES, VALIDATION_PASS).tolist())
     assert sampled("planner.evaluate") == TEST_EVALUATION
+
+
+def test_tree_histograms_all_features_in_one_pass(monkeypatch):
+    """Three ``np.bincount`` calls (gradient, hessian, count) per
+    searched node, whatever the feature count; the per-feature loop
+    made ``3 * features`` of them."""
+    calls = []
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    rng = np.random.default_rng(0)
+    for num_features in (4, 40):
+        x = rng.normal(size=(400, num_features))
+        y = x[:, 0] * x[:, 1] + x[:, 2]
+        calls.clear()
+        tree = DecisionTreeRegressor(max_depth=4).fit(x, y)
+        assert len(tree.nodes) > 7
+        assert 0 < len(calls) <= 3 * len(tree.nodes)
+
+
+#: The YELLOW tier of ``fit_routed`` (default ``RouterConfig``) on the
+#: suite's small ecommerce database, read off the commit before the
+#: all-feature histogram pass; they repeat exactly.
+#: (boosting rounds run, trees kept, nodes in them, validation AUROC in bp)
+ROUTED_YELLOW = (70, 60, 806, 9749)
+
+
+def test_default_routed_fit_grows_exactly_the_trees_it_always_grew(
+    small_ecommerce_db, small_ecommerce_split
+):
+    planner = PredictiveQueryPlanner(small_ecommerce_db, tiny_planner_config())
+    with obs.collect() as trace:
+        model = planner.fit_routed(
+            "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
+            small_ecommerce_split,
+        )
+    counters = trace.find("router.fit_yellow").counters
+    quality_bp = trace.find("router.calibrate").counters["router.quality_bp.yellow"]
+    reported = tuple(int(counters[f"yellow.{name}"]) for name in ("rounds", "trees", "nodes"))
+    assert reported + (int(quality_bp),) == ROUTED_YELLOW
+    # The counters say what the estimator holds and what it was given.
+    trees = model.yellow.estimator.trees_
+    assert (len(trees), sum(len(tree.nodes) for tree in trees)) == reported[1:]
+    assert counters["yellow.train_rows"] == 160
+    assert counters["yellow.features"] == model.yellow._builder.num_features + 1  # + green's

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.eval.metrics import auroc, average_precision, brier_score, expected_calibration_error
 from repro.pql import PredictiveQueryPlanner
 from repro.pql.planner import TrainedPredictiveModel
@@ -523,9 +524,16 @@ class TestDegradation:
         planner = PredictiveQueryPlanner(
             db, fast_config(), resilience=ResilienceConfig(fallback=True)
         )
-        with injected("trainer.step%1.0:raise"):
+        with injected("trainer.step%1.0:raise"), obs.collect() as trace:
             routed = planner.fit_routed(BINARY_QUERY, split)
         assert routed.available_tiers() == ["green", "yellow"]
+        # The one GBDT fit is the fallback's, and says what it grew.
+        assert trace.find("router.fit_yellow") is None
+        counters = trace.find("planner.fallback").counters
+        trees = routed.yellow.estimator.trees_
+        assert counters["yellow.trees"] == len(trees) <= counters["yellow.rounds"] <= 100
+        assert counters["yellow.nodes"] == sum(len(tree.nodes) for tree in trees)
+        assert counters["yellow.train_rows"] > 0 and counters["yellow.features"] > 0
         assert routed.yellow is routed.baseline
         assert routed.green is routed.yellow.green
         assert set(routed.quality) == {"green", "yellow"}
