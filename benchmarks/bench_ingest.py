@@ -57,7 +57,7 @@ from repro.ingest import (
     refresh_model,
 )
 from repro.ingest.segments import apply_events_to_database
-from repro.pql import PlannerConfig, PredictiveQueryPlanner, TrainedPredictiveModel
+from repro.pql import PlannerConfig, PredictiveModel, PredictiveQueryPlanner
 from repro.relational.database import Database
 
 DATASET = "ecommerce"
@@ -241,12 +241,11 @@ def run_suite(stream_events: int = STREAM_EVENTS, batch_rows: int = BATCH_ROWS) 
         network = config.make_node_network(
             GraphMetadata.from_graph(pipeline.graph), np.random.default_rng(0)
         )
-        model = TrainedPredictiveModel(
+        model = PredictiveModel(
             pipeline.db, PredictiveQueryPlanner(pipeline.db, config).plan(PLAN_QUERY),
             pipeline.graph, config,
             node_trainer=NodeTaskTrainer(network, pipeline.graph, sampler, "binary"),
         )
-        model.ladder()  # built once per model, not per refresh
 
         # -- delta_vs_rebuild: the probe batch ---------------------------
         # Commit the probe to the log first (a durability cost paid by

@@ -50,9 +50,8 @@ from repro.datasets import get_dataset
 from repro.eval.metrics import auroc
 from repro.eval.splits import make_temporal_split
 from repro.obs import trace as obs_trace
-from repro.pql import PlannerConfig, PredictiveQueryPlanner, parse
+from repro.pql import PlannerConfig, PredictiveModel, PredictiveQueryPlanner, RouterConfig, parse
 from repro.pql.labeler import build_label_table
-from repro.pql.router import RoutedPredictiveModel
 
 DATASET = "ecommerce"
 TASK = "churn"
@@ -84,7 +83,7 @@ def train_routed_model(save_dir: str):
         infer_batch_size=64,
     )
     planner = PredictiveQueryPlanner(db, config)
-    model = planner.fit_routed(task.query, split)
+    model = planner.fit(task.query, split, router=RouterConfig())
     model.save(save_dir)
     return db, split
 
@@ -104,10 +103,13 @@ def build_workload(model, num_queries: int) -> List[np.ndarray]:
 
 def run_mode(model, queries: List[np.ndarray], cutoff: int, mode: str) -> Dict:
     """Execute the workload in one mode; per-query wall times + scores."""
+    # The unblended GNN plan: the same trainer as a plain (uncalibrated) fit.
+    plain = PredictiveModel(model.db, model.binding, model.graph, model.config,
+                            node_trainer=model.node_trainer, stats_cutoff=model.stats_cutoff)
 
     def call(batch: np.ndarray) -> np.ndarray:
         if mode == "all-gnn":
-            return model.red.predict(batch, cutoff)  # the unrouted plan
+            return plain.predict(batch, cutoff)
         if mode == "routed":
             return model.predict(batch, cutoff)      # router decides
         return model.predict(batch, cutoff, route=mode)
@@ -141,8 +143,8 @@ def run_mode(model, queries: List[np.ndarray], cutoff: int, mode: str) -> Dict:
 
 def check_bit_identity(model_dir: str, db, queries, cutoff: int) -> Dict[str, bool]:
     """Forced-route runs must equal calling the tier directly, bit for bit."""
-    routed = RoutedPredictiveModel.load(model_dir, db)
-    direct = RoutedPredictiveModel.load(model_dir, db)
+    routed = PredictiveModel.load(model_dir, db)
+    direct = PredictiveModel.load(model_dir, db)
     results = {}
     for tier in ("green", "yellow", "red"):
         ok = True
@@ -184,7 +186,7 @@ def run_suite(num_queries: int = NUM_QUERIES) -> Dict:
     try:
         db, split = train_routed_model(model_dir)
         cutoff = int(split.test_cutoff)
-        probe = RoutedPredictiveModel.load(model_dir, db)
+        probe = PredictiveModel.load(model_dir, db)
         queries = build_workload(probe, num_queries)
         labels = build_label_table(db, probe.binding, [cutoff])
         truth = {int(k): float(v) for k, v in zip(labels.entity_keys, labels.labels)}
@@ -202,7 +204,7 @@ def run_suite(num_queries: int = NUM_QUERIES) -> Dict:
         for mode in ("all-gnn", "routed", "yellow", "green"):
             # A fresh load per mode: cold memos, cold cost EMA —
             # no mode inherits another's warmth.
-            model = RoutedPredictiveModel.load(model_dir, db)
+            model = PredictiveModel.load(model_dir, db)
             entry = run_mode(model, queries, cutoff, mode)
             scores = entry.pop("scores_by_key")
             covered = sorted(set(scores) & set(truth))
@@ -220,7 +222,7 @@ def run_suite(num_queries: int = NUM_QUERIES) -> Dict:
         report["modes"]["routed"]["median_cost_ratio"] = round(ratio, 4)
         report["bit_identical"] = check_bit_identity(model_dir, db, queries, cutoff)
         report["explain"] = explain_route(
-            RoutedPredictiveModel.load(model_dir, db), queries, cutoff
+            PredictiveModel.load(model_dir, db), queries, cutoff
         )
         report["acceptance"] = {
             "routed_auroc": routed["auroc"],

@@ -53,12 +53,13 @@
 
 Routing flags (``fit`` / ``query``; see docs/performance.md):
 
-* ``--route {auto,green,yellow,red}`` fits a cost-routed model
-  (GREEN = calibrated activity baseline, YELLOW = GBDT on auto
-  features, RED = full GNN) and routes each prediction to the
-  cheapest tier whose validation quality clears ``--quality-floor``
-  (a fraction of the best tier's); ``serve`` accepts the same flags
-  as its default tier for routed saved models.
+* ``--route {auto,green,yellow,red}`` also fits and calibrates the
+  cheap tiers of the model's ladder (GREEN = calibrated activity
+  baseline, YELLOW = GBDT on auto features, RED = full GNN) and routes
+  each prediction to the cheapest tier whose validation quality
+  clears ``--quality-floor`` (a fraction of the best tier's); without
+  it the ladder is uncalibrated and answers from the GNN.  ``serve``
+  accepts the same flags as its default tier for any saved model.
 
 Observability flags (``fit`` / ``query``):
 
@@ -93,7 +94,7 @@ from repro.datasets import REGISTRY, get_dataset
 from repro.eval.splits import make_temporal_split
 from repro.obs import trace as obs_trace
 from repro.pql import PlannerConfig, PredictiveQueryPlanner, parse
-from repro.pql.router import ROUTES
+from repro.pql.router import ROUTES, RouterConfig
 from repro.relational.sql import execute_sql
 from repro.resilience import FaultInjector, ResilienceConfig, install as install_injector
 
@@ -133,9 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--route", choices=ROUTES, default=None,
-            help="fit a cost-routed model and execute predictions on this "
-                 "tier (auto = cheapest tier clearing the quality floor); "
-                 "unset fits the plain GNN plan",
+            help="fit and calibrate every tier and execute predictions on "
+                 "this one (auto = cheapest tier clearing the quality "
+                 "floor); unset answers from the GNN",
         )
         p.add_argument(
             "--quality-floor", type=float, default=None, metavar="F",
@@ -246,12 +247,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--route", choices=ROUTES, default="auto",
-        help="default execution tier for routed saved models (requests "
-             "may override per line); ignored for plain models",
+        help="default execution tier (requests may override per line; "
+             "auto on a model fitted without --route answers from the GNN)",
     )
     serve.add_argument(
         "--quality-floor", type=float, default=None, metavar="F",
-        help="override a routed model's fit-time quality floor "
+        help="override the fit-time quality floor of every model served "
              "(fraction of the best tier's validation quality)",
     )
     serve.add_argument(
@@ -443,8 +444,6 @@ def _router_config(args: argparse.Namespace):
     """A RouterConfig when --route/--quality-floor ask for one, else None."""
     if args.route is None and args.quality_floor is None:
         return None
-    from repro.pql.router import RouterConfig
-
     kwargs = {"route": args.route or "auto"}
     if args.quality_floor is not None:
         kwargs["quality_floor"] = args.quality_floor
@@ -477,23 +476,16 @@ def _fit_and_report(db, query_text: str, num_train_cutoffs: int, args, save: Opt
     )
     planner = PredictiveQueryPlanner(db, _planner_config(args), resilience=_resilience_config(args))
     _log.info("fit started", extra={"epochs": args.epochs, "layers": args.layers})
-    router = _router_config(args)
-    if router is not None:
-        model = planner.fit_routed(query_text, split, router=router)
+    model = planner.fit(query_text, split, router=_router_config(args))
+    if model.quality:
+        router, per_row = model.router, model.cost.per_row_ms()
         print(f"routing: default route {router.route}, quality floor {router.quality_floor:.2f}")
-        per_row = model.cost.per_row_ms()
-        for tier in ("green", "yellow", "red"):
-            if tier in model.quality:
-                print(
-                    f"  {tier:<7} quality {model.quality[tier]:.4f}  "
-                    f"~{per_row.get(tier, float('nan')):.4f} ms/row"
-                )
-    else:
-        model = planner.fit(query_text, split)
-    if model.degraded_from is not None:
+        for tier in model.available_tiers():
+            print(f"  {tier:<7} quality {model.quality[tier]:.4f}  ~{per_row[tier]:.4f} ms/row")
+    if model.degraded_reason is not None:
         print(
-            f"WARNING: degraded from {model.degraded_from} to "
-            f"{model.baseline.kind} ({model.degraded_reason})"
+            f"WARNING: degraded from gnn to "
+            f"{model.available_tiers()[-1]} ({model.degraded_reason})"
         )
     trainer = model.node_trainer or model.link_trainer
     history = trainer.history if trainer is not None else None
@@ -614,7 +606,7 @@ def _open_service(args: argparse.Namespace, config):
     """The service ``repro serve`` runs, over the data snapshot its
     artifact carries.  Only an artifact saved before snapshots existed
     falls back to regenerating ``--dataset``."""
-    from repro.pql import NoSnapshotError, load_model
+    from repro.pql import NoSnapshotError, PredictiveModel
     from repro.serve import ModelRegistry, PredictionService
 
     registry = ModelRegistry(args.registry) if args.registry else None
@@ -624,7 +616,8 @@ def _open_service(args: argparse.Namespace, config):
             return PredictionService.from_registry(
                 registry, args.model_name, db, version=args.model_version, config=config,
             )
-        return PredictionService(load_model(args.model, db), config=config, name=args.model)
+        return PredictionService(PredictiveModel.load(args.model, db), config=config,
+                                 name=args.model)
 
     try:
         return open_over(None)

@@ -126,18 +126,15 @@ class RefreshPolicy:
 def refresh_model(model, report: Optional[DeltaReport] = None) -> Dict[str, int]:
     """Reconcile a fitted model's memoized state with its graph, now.
 
-    ``model`` is a ``TrainedPredictiveModel`` or
-    ``RoutedPredictiveModel`` whose ``graph``/``db`` are the live
-    objects ingest grows.  What changed is read from the graph's own
-    journal, so ``report`` (accepted for callers that have one) cannot
-    under-invalidate.  Returns what this call dropped or kept (also
-    exported under ``ingest.refresh.*``).
+    ``model`` is a :class:`~repro.pql.planner.PredictiveModel` whose
+    ``graph``/``db`` are the live objects ingest grows.  What changed
+    is read from the graph's own journal, so ``report`` (accepted for
+    callers that have one) cannot under-invalidate.  Returns what this
+    call dropped or kept (also exported under ``ingest.refresh.*``).
     """
-    red = getattr(model, "red", model)
-    ladder = model.ladder()
     stats = dict.fromkeys(_COUNTERS, 0)
     # The sampler's memo reconciles in its own ``get`` and counts nothing.
-    for holder in (red.link_trainer, ladder.green, ladder.yellow):
+    for holder in (model.link_trainer, model.green, model.yellow):
         if holder is not None:
             for name, count in holder.reconcile().items():
                 stats[name] += count

@@ -27,8 +27,10 @@ compiles labels, graph, model, and training loop.  PQL is that surface:
 Modules: :mod:`repro.pql.tokens` (lexer), :mod:`repro.pql.ast`,
 :mod:`repro.pql.parser`, :mod:`repro.pql.validate` (schema checking +
 task typing), :mod:`repro.pql.labeler` (window-aggregate label
-computation over DB snapshots), and :mod:`repro.pql.planner` (the
-query → trained-model compiler).
+computation over DB snapshots), :mod:`repro.pql.planner` (the
+query → trained-model compiler and :class:`PredictiveModel`, the one
+model it compiles to), and :mod:`repro.pql.router` (the model's
+GREEN/YELLOW/RED tier ladder and routing policy).
 """
 
 from repro.pql.ast import (
@@ -45,18 +47,14 @@ from repro.pql.labeler import LabelTable, build_label_table
 from repro.pql.planner import (
     NoSnapshotError,
     PlannerConfig,
+    PredictiveModel,
     PredictiveQueryPlanner,
+    RoutedPredictiveModel,
     TrainedPredictiveModel,
+    is_routed_dir,
 )
 from repro.pql.explain import explain_relations
-from repro.pql.router import (
-    RoutedPredictiveModel,
-    RouteDecision,
-    RouterConfig,
-    fit_routed,
-    is_routed_dir,
-    load_model,
-)
+from repro.pql.router import RouteDecision, RouterConfig
 
 __all__ = [
     "Aggregate",
@@ -73,13 +71,12 @@ __all__ = [
     "build_label_table",
     "PlannerConfig",
     "PredictiveQueryPlanner",
+    "PredictiveModel",
     "TrainedPredictiveModel",
+    "RoutedPredictiveModel",
+    "is_routed_dir",
     "explain_relations",
     "RouterConfig",
     "RouteDecision",
-    "RoutedPredictiveModel",
-    "fit_routed",
-    "is_routed_dir",
-    "load_model",
     "NoSnapshotError",
 ]

@@ -46,8 +46,8 @@ def explain_relations(
     Parameters
     ----------
     model:
-        A :class:`~repro.pql.planner.TrainedPredictiveModel` for a
-        binary or regression query.
+        A :class:`~repro.pql.planner.PredictiveModel` with a trained
+        GNN, for a binary or regression query.
     entity_keys:
         Entities to explain (importances are averaged over them).
     cutoff:

@@ -1,4 +1,4 @@
-"""The query → trained-model compiler.
+"""The query → trained-model compiler, and the model it compiles to.
 
 :class:`PredictiveQueryPlanner` is the paper's headline API: hand it a
 database and a PQL string, and it produces a trained model —
@@ -10,19 +10,22 @@ database and a PQL string, and it produces a trained model —
    statistics fitted strictly before the first label window;
 4. **train** a heterogeneous GNN with time-respecting neighbor
    sampling (a two-tower retrieval model for LIST queries);
-5. return a :class:`TrainedPredictiveModel` that predicts for any
-   entity at any cutoff and evaluates itself on future cutoffs.
+5. return a :class:`PredictiveModel` that predicts for any entity at
+   any cutoff and evaluates itself on future cutoffs.
 
 No per-task feature engineering appears anywhere in this path — that
 is the point.
+
+The model is one tier ladder (:mod:`repro.pql.router`): the GNN is
+its RED tier, over a GREEN tier left unfitted unless ``fit`` gets a
+``router`` policy, which also fits YELLOW and calibrates every tier.
 
 Production hardening is opt-in via a
 :class:`~repro.resilience.ResilienceConfig`: per-stage deadline
 budgets and seeded retries, epoch checkpointing with ``--resume``,
 divergence guards inside the trainers, and graceful degradation down
-the router's tier ladder (RED → YELLOW → GREEN, see
-:mod:`repro.pql.router`) whose provenance is recorded in the saved
-manifest as ``degraded_from``.
+the tier ladder — a failed GNN train stage leaves a model without red,
+with ``degraded_reason`` in its manifest and in every route record.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import json
 import os
 import pickle
 import shutil
+import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -62,6 +67,23 @@ from repro.graph.sampler import NeighborSampler
 from repro.pql.ast import PredictiveQuery, TaskType
 from repro.pql.labeler import LabelTable, build_label_table
 from repro.pql.parser import parse
+from repro.pql.router import (
+    GREEN,
+    RED,
+    TIERS,
+    YELLOW,
+    CostModel,
+    GreenTier,
+    RouteDecision,
+    RouterConfig,
+    TierEstimate,
+    YellowTier,
+    blend,
+    check_route,
+    fit_green,
+    fit_ladder,
+    fit_yellow,
+)
 from repro.pql.validate import QueryBinding, validate
 from repro.relational.database import Database
 from repro.relational.snapshot import read_snapshot, write_snapshot
@@ -85,12 +107,28 @@ from repro.resilience.retry import (
 __all__ = [
     "PlannerConfig",
     "PredictiveQueryPlanner",
+    "PredictiveModel",
     "TrainedPredictiveModel",
+    "RoutedPredictiveModel",
+    "is_routed_dir",
     "CorruptModelError",
     "NoSnapshotError",
 ]
 
 _log = get_logger("pql.planner")
+
+
+def _run_stage(resilience: Optional[ResilienceConfig], name: str, fn):
+    """Run one compile (or evaluate) stage under ``resilience``'s
+    retry/budget policy; without one, once and unbudgeted."""
+    if resilience is None:
+        return fn(deadline=Deadline(None, stage=name), attempt=0)
+    return run_stage(
+        name,
+        fn,
+        policy=resilience.retry_policy(),
+        budget_seconds=resilience.timeout_for(name),
+    )
 
 
 class NoSnapshotError(RuntimeError):
@@ -246,23 +284,18 @@ class PredictiveQueryPlanner:
         self._plan_cache[text] = binding
         return binding
 
-    def _run_stage(self, name: str, fn):
-        """Run one compile stage under the configured retry/budget policy."""
-        if self.resilience is None:
-            return fn(deadline=Deadline(None, stage=name), attempt=0)
-        return run_stage(
-            name,
-            fn,
-            policy=self.resilience.retry_policy(),
-            budget_seconds=self.resilience.timeout_for(name),
-        )
-
     def fit(
         self,
         query: Union[str, PredictiveQuery],
         split: TemporalSplit,
-    ) -> "TrainedPredictiveModel":
-        """Compile and train; returns the deployable model."""
+        router: Optional[RouterConfig] = None,
+    ) -> "PredictiveModel":
+        """Compile and train; returns the deployable model.
+
+        With a ``router`` policy the ladder is also fitted and calibrated
+        on the same label tables (:func:`~repro.pql.router.fit_ladder`);
+        without one ``auto`` answers from the GNN.
+        """
         with obs_trace.span("planner.fit"):
             with obs_trace.span("planner.parse"):
                 binding = self.plan(query)
@@ -281,7 +314,7 @@ class PredictiveQueryPlanner:
                 deadline.check("planner.label")
                 return train, val
 
-            train_labels, val_labels = self._run_stage("label", label_stage)
+            train_labels, val_labels = _run_stage(self.resilience, "label", label_stage)
             if len(train_labels) == 0:
                 raise ValueError("no training rows: check cutoffs against the data's time span")
             _log.info(
@@ -301,7 +334,7 @@ class PredictiveQueryPlanner:
                 deadline.check("planner.graph_build")
                 return built
 
-            graph = self._run_stage("graph_build", graph_stage)
+            graph = _run_stage(self.resilience, "graph_build", graph_stage)
             _log.info(
                 "graph compiled",
                 extra={"nodes": graph.total_nodes(), "edges": graph.total_edges()},
@@ -332,12 +365,12 @@ class PredictiveQueryPlanner:
 
             with obs_trace.span("planner.train"):
                 try:
-                    model = self._run_stage("train", train_stage)
+                    model = _run_stage(self.resilience, "train", train_stage)
                 except (StageFailedError, StageTimeoutError, DivergenceError) as err:
                     if self.resilience is None or not self.resilience.fallback:
                         raise
                     model = self._degrade(binding, graph, train_labels, val_labels, err)
-            if model.degraded_from is None:
+            if model.degraded_reason is None:
                 trainer = model.node_trainer or model.link_trainer
                 _log.info(
                     "training finished",
@@ -346,32 +379,23 @@ class PredictiveQueryPlanner:
                 )
             model.stats_cutoff = stats_cutoff
             model.resilience = self.resilience
+            if router is not None:
+                model.router = router
+                with obs_trace.span("router.fit") as fit_span:
+                    fit_ladder(model, train_labels, val_labels, self.config.seed)
+                    fit_span.add_counter("router.tiers", len(model.available_tiers()))
         return model
 
-    def fit_routed(
-        self,
-        query: Union[str, PredictiveQuery],
-        split: TemporalSplit,
-        router=None,
-    ):
-        """Compile, train, and wrap in the cost-based tier router.
+    # Kept for its reader benchmarks/e2e/layers.py until the re-baseline PR (ROADMAP item 7).
+    def fit_routed(self, query, split, router: Optional[RouterConfig] = None):
+        """:meth:`fit` with a ``router`` policy (default when omitted)."""
+        return self.fit(query, split, router=router or RouterConfig())
 
-        Returns a :class:`~repro.pql.router.RoutedPredictiveModel`:
-        the full GNN (red) from :meth:`fit` plus the calibrated
-        green/yellow tiers and the cost model that routes between
-        them.  ``router`` is a :class:`~repro.pql.router.RouterConfig`
-        (default policy when omitted).
-        """
-        from repro.pql.router import fit_routed  # lazy: router imports this module
-
-        return fit_routed(self, query, split, router)
-
-    def _degrade(self, binding, graph, train_labels, val_labels, err) -> "TrainedPredictiveModel":
-        """Descend the tier ladder after a failed GNN train stage:
-        YELLOW when it fits, else GREEN, which always does.  LIST
-        queries have no tabular formulation; theirs is GREEN's popularity."""
-        from repro.pql.router import fit_green, fit_yellow  # lazy: router imports this module
-
+    def _degrade(self, binding, graph, train_labels, val_labels, err) -> "PredictiveModel":
+        """Descend the tier ladder after a failed GNN train stage: the
+        model without red, over YELLOW when it fits, else GREEN, which
+        always does.  LIST queries have no tabular formulation; theirs
+        is GREEN's popularity."""
         reason = f"{type(err).__name__}: {err}"
         get_registry().counter("resilience.degraded").inc()
         obs_trace.add_counter("resilience.degraded")
@@ -379,29 +403,24 @@ class PredictiveQueryPlanner:
             "GNN stage failed; descending the degradation ladder",
             extra={"error": reason},
         )
+        yellow = None
         with obs_trace.span("planner.fallback"):
-            baseline = fit_green(self.db, graph, binding, train_labels)
+            green = fit_green(self.db, graph, binding, train_labels)
             if binding.task_type != TaskType.LINK:
                 try:
                     fault_point("fallback.gbdt")
-                    baseline = fit_yellow(
-                        self.db, graph, binding, baseline, train_labels, val_labels
-                    )
+                    yellow = fit_yellow(self.db, graph, binding, green, train_labels, val_labels)
                 except Exception as yellow_err:  # noqa: BLE001 — any failure drops a rung
                     _log.warning(
                         "YELLOW rung failed to fit; degrading to GREEN",
                         extra={"error": f"{type(yellow_err).__name__}: {yellow_err}"},
                     )
-        _log.warning("degraded to a cheaper tier", extra={"tier": baseline.kind})
-        return TrainedPredictiveModel(
-            db=self.db,
-            binding=binding,
-            graph=graph,
-            config=self.config,
-            baseline=baseline,
-            degraded_from="gnn",
+        model = PredictiveModel(
+            self.db, binding, graph, self.config, green=green, yellow=yellow,
             degraded_reason=reason,
         )
+        _log.warning("degraded to a cheaper tier", extra={"tier": model.available_tiers()[-1]})
+        return model
 
     def _train_config(self, resume: bool) -> TrainConfig:
         """The inner-loop config with resilience policy threaded in."""
@@ -443,13 +462,7 @@ class PredictiveQueryPlanner:
             )
         trainer.fit(entity_type, train_ids, train_labels.cutoffs, train_labels.labels,
                     deadline=deadline, **kwargs)
-        return TrainedPredictiveModel(
-            db=self.db,
-            binding=binding,
-            graph=graph,
-            config=self.config,
-            node_trainer=trainer,
-        )
+        return PredictiveModel(self.db, binding, graph, self.config, node_trainer=trainer)
 
     # ------------------------------------------------------------------
     # Link tasks
@@ -474,13 +487,7 @@ class PredictiveQueryPlanner:
         if len(vq):
             kwargs = dict(val_query_ids=vq, val_query_times=vt, val_pos_item_ids=vi)
         trainer.fit(entity_type, q_ids, q_times, pos_items, deadline=deadline, **kwargs)
-        return TrainedPredictiveModel(
-            db=self.db,
-            binding=binding,
-            graph=graph,
-            config=self.config,
-            link_trainer=trainer,
-        )
+        return PredictiveModel(self.db, binding, graph, self.config, link_trainer=trainer)
 
     def _explode_pairs(self, graph, entity_type, item_type, labels: LabelTable):
         """Flatten a LIST label table into (query, time, item) triples."""
@@ -508,14 +515,63 @@ class PredictiveQueryPlanner:
         return labels.subset(np.sort(picks))
 
 
-class TrainedPredictiveModel:
-    """A fitted predictive query, ready to predict and self-evaluate.
+#: Payload files of a saved model, by role; each is checksummed in the manifest.
+_FILES = {"weights": "weights.npz", "tiers": "tiers.pkl", "data": "data.npz"}
+#: Earlier releases saved a routed model as this file over a ``red/``
+#: plain directory, and a degraded one with ``fallback.pkl``; read only.
+_LEGACY_ROUTING, _LEGACY_RED, _LEGACY_FALLBACK = "routing.json", "red", "fallback.pkl"
 
-    Usually backed by a trained GNN; after graceful degradation it is
-    backed by a cheaper tier of the router's ladder instead, with
-    ``degraded_from`` recording what failed and ``baseline.kind``
-    (``"yellow"`` or ``"green"``) recording the rung.
+
+def _read_json(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _verified(directory: str, name: str, expected: Optional[str]) -> str:
+    """``directory/name``, after it exists and matches ``expected``."""
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        raise CorruptModelError(f"saved model is missing {name!r} under {directory!r}")
+    if expected is not None:
+        actual = sha256_file(path)
+        if actual != expected:
+            raise CorruptModelError(
+                f"{name!r} failed its manifest checksum: "
+                f"manifest={expected[:12]}… actual={actual[:12]}… — "
+                f"the model directory is corrupt; re-save or restore from backup"
+            )
+    return path
+
+
+def _with_files(manifest: dict, prefix: str = "") -> dict:
+    """``manifest`` with each payload's path under ``files``; an earlier
+    release's degraded ``fallback.pkl`` (one rung) is its tiers file."""
+    kind = manifest.pop("fallback_kind", None)
+    if kind not in (None, YELLOW, GREEN):
+        raise CorruptModelError(
+            f"degraded model saved by an earlier version — re-fit "
+            f"(fallback_kind={kind!r} is not a tier)"
+        )
+    manifest["files"] = {role: os.path.join(prefix, name) for role, name in _FILES.items()}
+    if kind is not None:
+        manifest["tiers_sha256"] = manifest.pop("fallback_sha256", None)
+        manifest["files"]["tiers"] = os.path.join(prefix, _LEGACY_FALLBACK)
+    return manifest
+
+
+class PredictiveModel:
+    """A fitted predictive query: its tier ladder, the router policy and
+    the cost model that choose a tier per request.
+
+    The ladder is ``GREEN < YELLOW < RED`` (:mod:`repro.pql.router`):
+    ``green`` always (unfitted on a plain fit), ``yellow`` when fitted,
+    and red — the GNN's ``node_trainer`` or ``link_trainer`` — unless
+    the GNN stage degraded, which ``degraded_reason`` records.  Every
+    :meth:`predict` and :meth:`rank_items` goes through :meth:`decide`,
+    and the decision of the latest call is :attr:`last_route`.
     """
+
+    MANIFEST_FILE = "manifest.json"
 
     def __init__(
         self,
@@ -525,9 +581,15 @@ class TrainedPredictiveModel:
         config: PlannerConfig,
         node_trainer: Optional[NodeTaskTrainer] = None,
         link_trainer: Optional[LinkTaskTrainer] = None,
-        baseline=None,
-        degraded_from: Optional[str] = None,
+        green: Optional[GreenTier] = None,
+        yellow: Optional[YellowTier] = None,
+        router: Optional[RouterConfig] = None,
+        quality: Optional[Dict[str, float]] = None,
+        cost: Optional[CostModel] = None,
+        blend_alpha: float = 1.0,
+        raw_gnn_quality: Optional[float] = None,
         degraded_reason: Optional[str] = None,
+        stats_cutoff: Optional[int] = None,
     ) -> None:
         self.db = db
         self.binding = binding
@@ -535,37 +597,39 @@ class TrainedPredictiveModel:
         self.config = config
         self.node_trainer = node_trainer
         self.link_trainer = link_trainer
-        #: The bound :class:`~repro.pql.router.YellowTier` or
-        #: :class:`~repro.pql.router.GreenTier` that answers when the
-        #: GNN stage degraded, else None.
-        self.baseline = baseline
-        #: What the fallback replaced (``"gnn"``), or None.
-        self.degraded_from = degraded_from
-        #: Human-readable cause of the degradation.
+        self.green = green or GreenTier.for_binding(binding).bind(db, graph)
+        self.yellow = yellow
+        self.router = router or RouterConfig()
+        #: Fit-time validation quality per tier; empty = uncalibrated.
+        self.quality = dict(quality or {})
+        self.cost = cost or CostModel({})
+        #: Red's blend weight on the GNN (1.0 = pure GNN; tuned when
+        #: hybrid is on) and the unblended GNN's validation quality.
+        self.blend_alpha = float(blend_alpha)
+        self.raw_gnn_quality = raw_gnn_quality
+        #: Why the GNN stage failed (red is then absent), else None.
         self.degraded_reason = degraded_reason
         #: Feature-statistics cutoff used at fit time (set by the planner;
         #: persisted so a reloaded model rebuilds the identical graph).
-        self.stats_cutoff: Optional[int] = None
+        self.stats_cutoff = stats_cutoff
         #: The planner's resilience policy (not persisted).
         self.resilience: Optional[ResilienceConfig] = None
-        self._ladder = None
+        #: Decision record of the most recent routed call.
+        self.last_route: Optional[RouteDecision] = None
+        self._red_calls = 0
+        self._lock = threading.Lock()
 
     @property
     def task_type(self) -> TaskType:
         """The compiled task type."""
         return self.binding.task_type
 
-    def ladder(self):
-        """This model as the top of a degradation ladder: the
-        :class:`~repro.pql.router.RoutedPredictiveModel` over the cheap
-        tiers it owns (else an unfitted green tier).  Built once, so a
-        serving process degrading onto a rung and the ingest refresh
-        reconciling that rung's memos see one object."""
-        if self._ladder is None:
-            from repro.pql.router import RoutedPredictiveModel  # lazy: router imports this module
-
-            self._ladder = RoutedPredictiveModel.over(self)
-        return self._ladder
+    # Kept for its reader benchmarks/e2e/layers.py until the re-baseline PR (ROADMAP item 7).
+    @property
+    def red(self) -> "PredictiveModel":
+        """The plain fit inside this model: its GNN over an unfitted green tier."""
+        return PredictiveModel(self.db, self.binding, self.graph, self.config, self.node_trainer,
+                               self.link_trainer, stats_cutoff=self.stats_cutoff)
 
     def data_summary(self) -> Dict[str, object]:
         """What this model answers from, for the ``ready:`` line and
@@ -581,14 +645,71 @@ class TrainedPredictiveModel:
             "stats_cutoff": self.stats_cutoff,
         }
 
-    # Kept for its reader benchmarks/e2e/layers.py until the re-baseline PR.
+    # Kept for its reader benchmarks/e2e/layers.py until the re-baseline PR (ROADMAP item 7).
     def sampler_cache_snapshot(self) -> None:
         """None: there is no subgraph cache."""
         return None
 
     # ------------------------------------------------------------------
-    # Prediction
+    # Routing
     # ------------------------------------------------------------------
+    def available_tiers(self) -> List[str]:
+        """Tiers that can answer, cheapest first; red only when the GNN trained."""
+        tiers = [GREEN] if self.yellow is None else [GREEN, YELLOW]
+        if self.node_trainer is not None or self.link_trainer is not None:
+            tiers.append(RED)
+        return tiers
+
+    def decide(self, rows: int, route: Optional[str] = None,
+               quality_floor: Optional[float] = None) -> RouteDecision:
+        """Pick the tier for a request of ``rows`` predictions.
+
+        ``route`` (or ``RouterConfig.route``) other than ``"auto"``
+        forces the tier; estimates are still computed so forced runs
+        report the same cost accounting as auto runs.  ``auto`` takes
+        the cheapest tier clearing ``quality_floor`` (default: the
+        policy's) × the best quality — the top tier if uncalibrated.
+        """
+        forced = check_route(route if route is not None else self.router.route)
+        share = self.router.quality_floor if quality_floor is None else quality_floor
+        available = self.available_tiers()
+        with self._lock:
+            warm = self._red_calls > 0
+        best = max(self.quality.get(t, 0.0) for t in available)
+        floor = share * best
+        estimates = []
+        for tier in TIERS:
+            if tier not in available:
+                estimates.append(TierEstimate(tier, 0.0, float("inf"), False, "unavailable"))
+                continue
+            q = self.quality.get(tier, 0.0)
+            est = self.cost.estimate(tier, rows, warm=warm)
+            eligible = q >= floor
+            estimates.append(
+                TierEstimate(tier, q, est, eligible, "" if eligible else "below quality floor")
+            )
+        if forced != "auto":
+            if forced not in available:
+                raise ValueError(f"route {forced!r} unavailable; tiers: {available}")
+            chosen, reason = forced, "forced"
+        elif not self.quality:
+            chosen, reason = available[-1], "top tier of an uncalibrated ladder"
+        else:
+            eligible = [e for e in estimates if e.eligible]
+            chosen = min(eligible, key=lambda e: e.est_cost_ms).tier
+            reason = (f"cheapest of {len(eligible)} tiers with quality >= {floor:.4f} "
+                      f"({share:.2f} x best {best:.4f})")
+        if self.degraded_reason is not None and forced == "auto":
+            reason += f"; no red: {self.degraded_reason}"
+        return RouteDecision(
+            tier=chosen,
+            rows=int(rows),
+            est_cost_ms=next(e.est_cost_ms for e in estimates if e.tier == chosen),
+            forced=forced != "auto",
+            reason=reason,
+            estimates=estimates,
+        )
+
     @staticmethod
     def _resolve_cutoffs(cutoff, count: int) -> np.ndarray:
         """Broadcast a scalar cutoff (or pass through a vector) to ``count``."""
@@ -601,8 +722,66 @@ class TrainedPredictiveModel:
             )
         return cutoffs
 
-    def predict(self, entity_keys: np.ndarray, cutoff) -> np.ndarray:
-        """Predictions for given entities as of ``cutoff``.
+    def _routed(self, span_name: str, entity_keys, cutoff, route, quality_floor, run):
+        """Decide, then ``run(tier, keys, cutoffs)`` under a span with
+        the decision's estimated and realized cost accounted."""
+        entity_keys = np.asarray(entity_keys)
+        cutoffs = self._resolve_cutoffs(cutoff, len(entity_keys))
+        decision = self.decide(len(entity_keys), route, quality_floor)
+        with obs_trace.span(span_name) as route_span:
+            route_span.add_counter(f"router.route.{decision.tier}")
+            route_span.add_counter("router.rows", len(entity_keys))
+            route_span.add_counter("router.est_cost_us", int(decision.est_cost_ms * 1000))
+            start = time.perf_counter()
+            out = run(decision.tier, entity_keys, cutoffs)
+            decision.realized_cost_ms = (time.perf_counter() - start) * 1000.0
+            route_span.add_counter("router.realized_cost_us", int(decision.realized_cost_ms * 1000))
+        get_registry().counter(f"router.route.{decision.tier}").inc()
+        self.cost.observe(decision.tier, decision.rows, decision.realized_cost_ms)
+        with self._lock:
+            if decision.tier == RED:
+                self._red_calls += 1
+            self.last_route = decision
+        return out
+
+    def _tier_predict(self, tier: str, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+        if tier == GREEN:
+            return self.green.predict(entity_keys, cutoffs)
+        if tier == YELLOW:
+            return self.yellow.predict(entity_keys, cutoffs)
+        return self._red_predict(entity_keys, cutoffs)
+
+    def _red_predict(self, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+        entity_type = self.binding.query.entity_table
+        ids = node_index_for_keys(self.graph, entity_type, np.asarray(entity_keys))
+        trainer = self.node_trainer
+        if not (self.router.hybrid and self.blend_alpha < 1.0 and self.yellow is not None):
+            return trainer.predict(entity_type, ids, cutoffs)
+        task = self.task_type.value
+        gnn = (trainer.export_scores if task == "binary" else trainer.predict)(
+            entity_type, ids, cutoffs
+        )
+        return blend(task, self.blend_alpha, gnn, self.yellow.predict(entity_keys, cutoffs))
+
+    def _tier_rank(self, tier: str, entity_keys: np.ndarray, cutoffs: np.ndarray, k: int):
+        if tier == GREEN:
+            return self.green.rank(entity_keys, cutoffs, k)
+        entity_type = self.binding.query.entity_table
+        item_type = self.binding.item_table
+        q_ids = node_index_for_keys(self.graph, entity_type, np.asarray(entity_keys))
+        item_ids = np.arange(self.graph.num_nodes(item_type))
+        scores = self.link_trainer.score_against_items(entity_type, q_ids, cutoffs, item_ids)
+        item_keys = self.graph.node_keys[item_type]
+        # One vectorized sort across all rows; ``stable`` keeps the same
+        # deterministic tie order as sorting each row separately.
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        rows = np.arange(scores.shape[0])[:, None]
+        top_scores = scores[rows, top]
+        return [(item_keys[top[i]], top_scores[i]) for i in range(scores.shape[0])]
+
+    def predict(self, entity_keys: np.ndarray, cutoff, route: Optional[str] = None,
+                quality_floor: Optional[float] = None) -> np.ndarray:
+        """Predictions as of ``cutoff`` on the tier :meth:`decide` picks.
 
         ``cutoff`` may be one timestamp for the whole batch or an
         array with one prediction time per entity — one call then
@@ -613,51 +792,29 @@ class TrainedPredictiveModel:
         """
         if self.task_type == TaskType.LINK:
             raise RuntimeError("predict() is for node tasks; use rank_items() for LIST queries")
-        entity_keys = np.asarray(entity_keys)
-        cutoffs = self._resolve_cutoffs(cutoff, len(entity_keys))
-        if self.node_trainer is None:
-            if self.baseline is None:
-                raise RuntimeError("model has neither a trained GNN nor a fallback baseline")
-            return self.baseline.predict(entity_keys, cutoffs)
-        entity_type = self.binding.query.entity_table
-        ids = node_index_for_keys(self.graph, entity_type, entity_keys)
-        return self.node_trainer.predict(entity_type, ids, cutoffs)
+        return self._routed(
+            "router.predict", entity_keys, cutoff, route, quality_floor, self._tier_predict
+        )
 
-    def _item_scorer(self):
-        scorer = self.link_trainer or self.baseline
-        if scorer is None:
-            raise RuntimeError("model has neither a trained ranker nor a fallback baseline")
-        return scorer
-
-    def rank_items(self, entity_keys: np.ndarray, cutoff, k: int = 10):
-        """Top-``k`` item keys and scores per entity (link tasks only).
+    def rank_items(self, entity_keys: np.ndarray, cutoff, k: int = 10,
+                   route: Optional[str] = None, quality_floor: Optional[float] = None):
+        """Top-``k`` item keys and scores per entity (link tasks only),
+        on the tier :meth:`decide` picks (green ranks by popularity).
 
         ``cutoff`` may be a scalar or a per-entity array, as in
         :meth:`predict`.
         """
         if self.task_type != TaskType.LINK:
             raise RuntimeError("rank_items() is only available for LIST queries")
-        entity_type = self.binding.query.entity_table
-        item_type = self.binding.item_table
-        q_ids = node_index_for_keys(self.graph, entity_type, np.asarray(entity_keys))
-        times = self._resolve_cutoffs(cutoff, len(q_ids))
-        item_ids = np.arange(self.graph.num_nodes(item_type))
-        scores = self._item_scorer().score_against_items(entity_type, q_ids, times, item_ids)
-        item_keys = self.graph.node_keys[item_type]
-        # One vectorized sort across all rows; ``stable`` keeps the same
-        # deterministic tie order as sorting each row separately.
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        rows = np.arange(scores.shape[0])[:, None]
-        top_scores = scores[rows, top]
-        return [(item_keys[top[i]], top_scores[i]) for i in range(scores.shape[0])]
+        return self._routed("router.rank", entity_keys, cutoff, route, quality_floor,
+                            lambda tier, keys, cutoffs: self._tier_rank(tier, keys, cutoffs, k))
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, cutoff: int, k: int = 10) -> Dict[str, float]:
-        """Metrics against ground-truth labels computed at ``cutoff``."""
-        resil = self.resilience
-
+    def evaluate(self, cutoff: int, k: int = 10, route: Optional[str] = None) -> Dict[str, float]:
+        """Metrics against ground-truth labels computed at ``cutoff``,
+        with routed (or ``route``-forced) predictions."""
         def evaluate_stage(deadline: Deadline, attempt: int) -> Dict[str, float]:
             with obs_trace.span("planner.evaluate") as eval_span:
                 labels = build_label_table(self.db, self.binding, [int(cutoff)])
@@ -665,21 +822,12 @@ class TrainedPredictiveModel:
                 if self.task_type == TaskType.LINK:
                     result = self._evaluate_link(labels, k)
                 else:
-                    result = self._evaluate_node(labels, cutoff)
+                    predictions = self.predict(labels.entity_keys, int(cutoff), route=route)
+                    result = self.node_metrics(labels, predictions)
             deadline.check("planner.evaluate")
             return result
 
-        if resil is None:
-            return evaluate_stage(Deadline(None, stage="evaluate"), 0)
-        return run_stage(
-            "evaluate",
-            evaluate_stage,
-            policy=resil.retry_policy(),
-            budget_seconds=resil.timeout_for("evaluate"),
-        )
-
-    def _evaluate_node(self, labels: LabelTable, cutoff: int) -> Dict[str, float]:
-        return self.node_metrics(labels, self.predict(labels.entity_keys, int(cutoff)))
+        return _run_stage(self.resilience, "evaluate", evaluate_stage)
 
     def node_metrics(self, labels: LabelTable, predictions: np.ndarray) -> Dict[str, float]:
         """The node-task metric report for ``predictions`` against ``labels``."""
@@ -711,7 +859,7 @@ class TrainedPredictiveModel:
         subset = labels.subset(np.asarray(keep))
         q_ids = node_index_for_keys(self.graph, entity_type, subset.entity_keys)
         item_ids = np.arange(self.graph.num_nodes(item_type))
-        scores = self._item_scorer().score_against_items(
+        scores = (self.link_trainer or self.green).score_against_items(
             entity_type, q_ids, subset.cutoffs, item_ids
         )
         item_key_to_node = self.graph.key_index(item_type)
@@ -734,20 +882,15 @@ class TrainedPredictiveModel:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    WEIGHTS_FILE = "weights.npz"
-    FALLBACK_FILE = "fallback.pkl"
-    DATA_FILE = "data.npz"
-    MANIFEST_FILE = "manifest.json"
-    #: Head of the artifact's checksum chain (what a registry hashes).
-    ROOT_FILE = MANIFEST_FILE
-
     def save(self, directory: str) -> None:
-        """Persist the trained model to ``directory`` atomically.
+        """Persist the model to ``directory`` atomically, in one layout.
 
         Layout: ``manifest.json`` (query text, planner config, task
-        metadata, SHA-256 checksums, degradation provenance),
-        ``weights.npz`` (GNN parameters by dotted name) or
-        ``fallback.pkl`` (a degraded model's baseline tier), and
+        metadata, router policy, a calibrated ladder's qualities, costs,
+        ``blend_alpha`` and ``raw_gnn_quality``, ``degraded_reason``,
+        SHA-256 checksums), ``weights.npz`` (GNN parameters by dotted
+        name) when red is fitted, ``tiers.pkl`` (green and yellow,
+        database-free) when a cheaper tier is, and
         ``data.npz`` — the database the model answers from, as a
         columnar snapshot (:mod:`repro.relational.snapshot`) with its
         checksum, per-table row counts and newest timestamp in the
@@ -765,31 +908,37 @@ class TrainedPredictiveModel:
             "config": dataclasses.asdict(self.config),
             "task_type": self.task_type.value,
             "stats_cutoff": self.stats_cutoff,
+            "router": dataclasses.asdict(self.router),
         }
         if self.node_trainer is not None:
             manifest["target_mean"] = self.node_trainer._target_mean
             manifest["target_std"] = self.node_trainer._target_std
-        if self.degraded_from is not None:
-            manifest["degraded_from"] = self.degraded_from
+        if self.quality:
+            manifest.update(
+                quality={t: float(q) for t, q in self.quality.items()},
+                per_row_ms=self.cost.per_row_ms(),
+                overhead_ms=self.cost.overhead_ms(),
+                blend_alpha=self.blend_alpha,
+                raw_gnn_quality=self.raw_gnn_quality,
+            )
+        if self.degraded_reason is not None:
             manifest["degraded_reason"] = self.degraded_reason
 
         staging = directory.rstrip(os.sep) + ".tmp"
         if os.path.exists(staging):
             shutil.rmtree(staging)
         os.makedirs(staging)
+        paths = {role: os.path.join(staging, name) for role, name in _FILES.items()}
         if trainer is not None:
-            weights_path = os.path.join(staging, self.WEIGHTS_FILE)
-            atomic_write_npz(weights_path, trainer.model.state_dict())
-            manifest["weights_sha256"] = sha256_file(weights_path)
-        if self.baseline is not None:
-            fallback_path = os.path.join(staging, self.FALLBACK_FILE)
-            atomic_write_bytes(fallback_path, pickle.dumps(self.baseline))
-            manifest["fallback_kind"] = self.baseline.kind
-            manifest["fallback_sha256"] = sha256_file(fallback_path)
-        data_path = os.path.join(staging, self.DATA_FILE)
-        write_snapshot(self.db, data_path)
+            atomic_write_npz(paths["weights"], trainer.model.state_dict())
+        if self.yellow is not None or self.green.fitted:
+            rungs = pickle.dumps({"green": self.green, "yellow": self.yellow})
+            atomic_write_bytes(paths["tiers"], rungs)
+        write_snapshot(self.db, paths["data"])
+        for role, path in paths.items():
+            if os.path.exists(path):
+                manifest[f"{role}_sha256"] = sha256_file(path)
         span = self.db.time_span()
-        manifest["data_sha256"] = sha256_file(data_path)
         manifest["data_rows"] = {table.name: table.num_rows for table in self.db}
         manifest["data_max_timestamp"] = span[1] if span else None
         atomic_write_json(os.path.join(staging, self.MANIFEST_FILE), manifest)
@@ -806,30 +955,34 @@ class TrainedPredictiveModel:
             shutil.rmtree(backup)
         _log.info(
             "model saved",
-            extra={"directory": directory,
-                   "degraded_from": self.degraded_from or ""},
+            extra={"directory": directory, "tiers": ",".join(self.available_tiers())},
         )
 
     @classmethod
-    def _verify_payload(cls, directory: str, filename: str, expected: Optional[str]) -> str:
-        path = os.path.join(directory, filename)
-        if not os.path.exists(path):
-            raise CorruptModelError(f"saved model is missing {filename!r} under {directory!r}")
-        if expected is not None:
-            actual = sha256_file(path)
-            if actual != expected:
-                raise CorruptModelError(
-                    f"{filename!r} failed its manifest checksum: "
-                    f"manifest={expected[:12]}… actual={actual[:12]}… — "
-                    f"the model directory is corrupt; re-save or restore from backup"
-                )
-        return path
+    def root_file(cls, directory: str) -> str:
+        """The head of a saved model's checksum chain: what a registry hashes."""
+        legacy = os.path.join(directory, _LEGACY_ROUTING)
+        return legacy if os.path.exists(legacy) else os.path.join(directory, cls.MANIFEST_FILE)
 
     @classmethod
     def read_manifest(cls, directory: str) -> dict:
-        """The saved model's ``manifest.json`` (query, config, checksums)."""
-        with open(os.path.join(directory, cls.MANIFEST_FILE), "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        """The saved model's manifest, each payload's path under ``files``.
+
+        Also the one read-only reader of the layouts earlier releases
+        wrote, returned in the current schema: a routed ``routing.json``
+        over a checksummed ``red/`` plain directory, and a degraded
+        ``fallback.pkl`` holding one rung.
+        """
+        root = cls.root_file(directory)
+        if not root.endswith(_LEGACY_ROUTING):
+            return _with_files(_read_json(root))
+        routing = _read_json(root)
+        red = _verified(directory, os.path.join(_LEGACY_RED, cls.MANIFEST_FILE),
+                        routing.pop("red_manifest_sha256", None))
+        manifest = _with_files(_read_json(red), _LEGACY_RED)
+        manifest.update(routing)
+        manifest["files"]["tiers"] = _FILES["tiers"]
+        return manifest
 
     @classmethod
     def verify_data(cls, directory: str) -> Optional[str]:
@@ -839,13 +992,14 @@ class TrainedPredictiveModel:
         snapshot; a missing or altered ``data.npz`` raises
         :class:`CorruptModelError`.
         """
-        expected = cls.read_manifest(directory).get("data_sha256")
+        manifest = cls.read_manifest(directory)
+        expected = manifest.get("data_sha256")
         if expected is not None:
-            cls._verify_payload(directory, cls.DATA_FILE, expected)
+            _verified(directory, manifest["files"]["data"], expected)
         return expected
 
     @classmethod
-    def load(cls, directory: str, db: Optional[Database] = None) -> "TrainedPredictiveModel":
+    def load(cls, directory: str, db: Optional[Database] = None) -> "PredictiveModel":
         """Reload a model saved by :meth:`save`.
 
         With ``db=None`` the database is the artifact's own snapshot,
@@ -854,14 +1008,16 @@ class TrainedPredictiveModel:
         :class:`NoSnapshotError`.  A passed ``db`` is used unchanged and
         the snapshot is not touched.  Either way the graph is recompiled
         with the persisted feature-statistics cutoff, the architecture
-        is rebuilt from the persisted config, and the weights are
-        restored — after every payload passes its manifest SHA-256
-        (mismatch raises :class:`CorruptModelError`).  Directories
-        written by earlier versions still load: retired config keys are
-        ignored and float64 weights are cast to the model's float32 on
-        assignment.
+        is rebuilt from the persisted config, and the weights and the
+        cheap tiers are restored — after every payload passes its
+        manifest SHA-256 (mismatch raises :class:`CorruptModelError`).
+        A model whose GNN stage did not degrade must carry its weights.
+        Directories written by earlier versions still load (through
+        :meth:`read_manifest`): retired config keys are ignored and
+        float64 weights are cast to the model's float32 on assignment.
         """
         manifest = cls.read_manifest(directory)
+        files = manifest["files"]
         if db is None:
             data_sha256 = manifest.get("data_sha256")
             if data_sha256 is None:
@@ -869,68 +1025,62 @@ class TrainedPredictiveModel:
                     f"{directory!r} was saved without a data snapshot; "
                     f"pass the database it was fitted on"
                 )
-            db = read_snapshot(cls._verify_payload(directory, cls.DATA_FILE, data_sha256))
+            db = read_snapshot(_verified(directory, files["data"], data_sha256))
             db.source, db.source_sha256 = "snapshot", data_sha256
-        model = cls._restore(directory, manifest, db)
-        model.stats_cutoff = manifest["stats_cutoff"]
-        return model
-
-    @classmethod
-    def _restore(cls, directory: str, manifest: dict, db: Database) -> "TrainedPredictiveModel":
         known = {spec.name for spec in dataclasses.fields(PlannerConfig)}
         config = PlannerConfig(**{
             key: value for key, value in manifest["config"].items() if key in known
         })
-        planner = PredictiveQueryPlanner(db, config)
-        binding = planner.plan(manifest["query"])
+        binding = PredictiveQueryPlanner(db, config).plan(manifest["query"])
         graph = build_graph(db, stats_cutoff=manifest["stats_cutoff"])
 
-        if manifest.get("fallback_kind"):
-            fallback_path = cls._verify_payload(
-                directory, cls.FALLBACK_FILE, manifest.get("fallback_sha256")
-            )
-            if manifest["fallback_kind"] not in ("yellow", "green"):
-                raise CorruptModelError(
-                    f"degraded model saved by an earlier version — re-fit "
-                    f"(fallback_kind={manifest['fallback_kind']!r} is not a tier)"
+        trainers = {}
+        if "weights_sha256" in manifest or manifest.get("degraded_reason") is None:
+            metadata = GraphMetadata.from_graph(graph)
+            rng = np.random.default_rng(config.seed)
+            sampler = config.make_sampler(graph)
+            link = binding.task_type == TaskType.LINK
+            network = (config.make_link_network(metadata, graph, binding.item_table, rng) if link
+                       else config.make_node_network(metadata, rng))
+            weights_path = _verified(directory, files["weights"], manifest.get("weights_sha256"))
+            weights = np.load(weights_path)
+            network.load_state_dict({name: weights[name] for name in weights.files})
+            network.eval()
+            if link:
+                trainers["link_trainer"] = LinkTaskTrainer(
+                    network, graph, sampler, config=config.train_config(),
+                    num_negatives=config.num_negatives,
                 )
-            with open(fallback_path, "rb") as handle:
-                baseline = pickle.load(handle).bind(db, graph)
-            return cls(
-                db=db, binding=binding, graph=graph, config=config,
-                baseline=baseline,
-                degraded_from=manifest.get("degraded_from"),
-                degraded_reason=manifest.get("degraded_reason"),
-            )
+            else:
+                task = "binary" if binding.task_type == TaskType.BINARY else "regression"
+                trainer = NodeTaskTrainer(network, graph, sampler, task,
+                                          config=config.train_config())
+                trainer._target_mean = manifest.get("target_mean", 0.0)
+                trainer._target_std = manifest.get("target_std", 1.0)
+                trainers["node_trainer"] = trainer
 
-        metadata = GraphMetadata.from_graph(graph)
-        rng = np.random.default_rng(config.seed)
-        sampler = config.make_sampler(graph)
-        weights_path = cls._verify_payload(
-            directory, cls.WEIGHTS_FILE, manifest.get("weights_sha256")
+        green = yellow = None
+        if "tiers_sha256" in manifest:
+            with open(_verified(directory, files["tiers"], manifest["tiers_sha256"]), "rb") as fh:
+                rungs = pickle.load(fh)
+            if not isinstance(rungs, dict):  # a legacy fallback.pkl: yellow over green, or green
+                rungs = ({"green": rungs.green, "yellow": rungs} if rungs.kind == YELLOW
+                         else {"green": rungs, "yellow": None})
+            green, yellow = rungs["green"], rungs["yellow"]
+            if yellow is not None and yellow.green is None:
+                yellow.green = green  # a file written before yellow pickled its green tier
+            (yellow or green).bind(db, graph)  # yellow binds the green it stacks
+        return cls(
+            db, binding, graph, config, green=green, yellow=yellow,
+            router=RouterConfig(**manifest.get("router", {})),
+            quality=manifest.get("quality"),
+            cost=CostModel(manifest.get("per_row_ms", {}), overhead_ms=manifest.get("overhead_ms")),
+            blend_alpha=manifest.get("blend_alpha", 1.0),
+            raw_gnn_quality=manifest.get("raw_gnn_quality"),
+            degraded_reason=manifest.get("degraded_reason"),
+            stats_cutoff=manifest["stats_cutoff"],
+            **trainers,
         )
-        weights = np.load(weights_path)
-        state = {name: weights[name] for name in weights.files}
-
-        if binding.task_type == TaskType.LINK:
-            network = config.make_link_network(metadata, graph, binding.item_table, rng)
-            network.load_state_dict(state)
-            network.eval()
-            trainer = LinkTaskTrainer(
-                network, graph, sampler, config=config.train_config(),
-                num_negatives=config.num_negatives,
-            )
-            model = cls(db=db, binding=binding, graph=graph, config=config, link_trainer=trainer)
-        else:
-            network = config.make_node_network(metadata, rng)
-            network.load_state_dict(state)
-            network.eval()
-            task = "binary" if binding.task_type == TaskType.BINARY else "regression"
-            trainer = NodeTaskTrainer(network, graph, sampler, task, config=config.train_config())
-            trainer._target_mean = manifest.get("target_mean", 0.0)
-            trainer._target_std = manifest.get("target_std", 1.0)
-            model = cls(db=db, binding=binding, graph=graph, config=config, node_trainer=trainer)
-        return model
 
     # ------------------------------------------------------------------
     # Materialization
@@ -973,3 +1123,13 @@ class TrainedPredictiveModel:
                 ),
             },
         )
+
+
+# Kept for their readers in benchmarks/e2e until the re-baseline PR (ROADMAP item 7).
+TrainedPredictiveModel = RoutedPredictiveModel = PredictiveModel
+
+
+# Kept for its reader benchmarks/e2e/workloads.py until the re-baseline PR (ROADMAP item 7).
+def is_routed_dir(directory: str) -> bool:
+    """Whether ``directory`` holds a model saved with a calibrated ladder."""
+    return bool(PredictiveModel.read_manifest(directory).get("quality"))

@@ -2,7 +2,7 @@
 
 The paper's promise is declarative ML *end to end* — and the end is
 not a training log, it is an answered prediction request.  This
-package turns a trained :class:`~repro.pql.planner.TrainedPredictiveModel`
+package turns a trained :class:`~repro.pql.planner.PredictiveModel`
 into an in-process prediction service:
 
 * :mod:`repro.serve.registry` — a versioned, **transactional** model

@@ -231,9 +231,9 @@ class MicroBatcher:
     ) -> ResponseFuture:
         """Admit one request; returns its future or fast-rejects.
 
-        ``route`` forces the execution tier for this request (routed
-        models only); requests with different routes never coalesce,
-        and the runner receives it as a ``route=`` keyword.
+        ``route`` forces the execution tier for this request; requests
+        with different routes never coalesce, and the runner receives it
+        as a ``route=`` keyword.
         """
         if op not in ("predict", "rank"):
             raise ValueError(f"op must be 'predict' or 'rank', got {op!r}")

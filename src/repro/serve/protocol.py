@@ -19,10 +19,10 @@ by the echoed ``id``).  Requests:
     {"op": "lifecycle"}
 
 Optional fields: ``id`` (any JSON value, echoed back), ``deadline_ms``
-(per-request deadline), per-entity ``cutoff`` arrays, and — against a
-routed model — ``route`` (``auto``/``green``/``yellow``/``red``) to
-force the execution tier; routed responses report the tier that
-answered as ``route`` plus its ``route_cost``.  Responses:
+(per-request deadline), per-entity ``cutoff`` arrays, and ``route``
+(``auto``/``green``/``yellow``/``red``) to force the execution tier;
+every predict/rank response reports the tier that answered as
+``route`` plus its ``route_cost``.  Responses:
 
 ::
 

@@ -11,14 +11,11 @@ with enough provenance to verify and roll back:
     <root>/
       <name>/
         index.json        # {"latest": 2, "versions": {"1": {...}, "2": {...}}}
-        v1/               # a TrainedPredictiveModel.save() directory
-          manifest.json
-          weights.npz
+        v1/               # a PredictiveModel.save() directory
+          manifest.json   # checksums the payloads below
+          weights.npz     # the GNN, when red is fitted
+          tiers.pkl       # green/yellow, when a cheaper tier is fitted
           data.npz        # the database it answers from
-        v2/               # or a RoutedPredictiveModel.save() directory
-          routing.json
-          tiers.pkl
-          red/            # manifest.json, weights.npz, data.npz
         .staging-v3/      # an in-flight publish (never read)
         .quarantine/      # versions fsck moved aside (never served)
 
@@ -35,9 +32,10 @@ opened; :meth:`ModelRegistry.fsck` additionally re-verifies every
 indexed version's checksum and repairs the ``latest`` pointer.
 
 Each index entry records the query text, task type, publication time,
-and the SHA-256 of the artifact's root file — ``manifest.json``, or a
-routed model's ``routing.json``, which in turn checksums
-``red/manifest.json``.  ``load`` re-hashes the root file before
+and the SHA-256 of the artifact's root file — ``manifest.json``, or
+``routing.json`` for a routed model an earlier release saved (the one
+legacy reader, :meth:`~repro.pql.planner.PredictiveModel.read_manifest`,
+serves the registry too).  ``load`` re-hashes the root file before
 deserializing anything: a version directory that was swapped, edited,
 or half-restored from backup fails with :class:`RegistryVersionError`
 instead of silently serving the wrong model.  Every payload, the data
@@ -53,8 +51,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.obs import get_logger
-from repro.pql.planner import CorruptModelError
-from repro.pql.router import load_model, model_class
+from repro.pql.planner import CorruptModelError, PredictiveModel
 from repro.relational.database import Database
 from repro.resilience.checkpoint import atomic_write_json, sha256_file
 from repro.resilience.faults import fault_file, fault_point
@@ -78,12 +75,6 @@ class RegistryVersionError(RegistryError):
 
 def _version_dir(name_dir: str, version: int) -> str:
     return os.path.join(name_dir, f"v{int(version)}")
-
-
-def _root_file(directory: str) -> str:
-    """The file the index checksums: the head of the artifact's own
-    checksum chain."""
-    return os.path.join(directory, model_class(directory).ROOT_FILE)
 
 
 def _fsync_dir(path: str) -> None:
@@ -190,19 +181,20 @@ class ModelRegistry:
         return self._publish(name, lambda staging: model.save(staging), {
             "query": str(model.binding.query),
             "task_type": model.task_type.value,
-            "degraded_from": model.degraded_from,
+            "degraded_reason": model.degraded_reason,
         })
 
     def publish_dir(self, directory: str, name: str) -> int:
         """Publish an already-saved model directory as the next version.
 
-        ``directory`` must be a ``save`` layout of a plain or a routed
-        model; the files are copied into the staged version without
+        ``directory`` must be a saved model (any layout
+        :meth:`~repro.pql.planner.PredictiveModel.read_manifest` reads);
+        the files are copied into the staged version without
         loading the model, so a publisher process needs no database.
         This is what ``repro registry publish`` uses.
         """
         try:
-            manifest = model_class(directory).read_manifest(directory)
+            manifest = PredictiveModel.read_manifest(directory)
         except (OSError, json.JSONDecodeError, CorruptModelError) as err:
             raise RegistryError(
                 f"{directory!r} is not a saved model directory: {err}"
@@ -213,7 +205,7 @@ class ModelRegistry:
             {
                 "query": manifest.get("query", ""),
                 "task_type": manifest.get("task_type", ""),
-                "degraded_from": manifest.get("degraded_from"),
+                "degraded_reason": manifest.get("degraded_reason"),
             },
         )
 
@@ -233,7 +225,7 @@ class ModelRegistry:
 
         # Step 1 — stage.  A crash in here leaves only .staging-vN.
         write_artifact(staging)
-        manifest_path = _root_file(staging)
+        manifest_path = PredictiveModel.root_file(staging)
         if not os.path.exists(manifest_path):
             raise RegistryError(
                 f"artifact for {name!r} v{version} has no {os.path.basename(manifest_path)!r}"
@@ -275,7 +267,7 @@ class ModelRegistry:
         entry = self.describe(name, version)
         resolved = int(entry["version"])
         directory = _version_dir(self._name_dir(name), resolved)
-        manifest_path = _root_file(directory)
+        manifest_path = PredictiveModel.root_file(directory)
         if not os.path.exists(manifest_path):
             raise RegistryVersionError(
                 f"{name!r} v{resolved} is in the index but its artifact is missing "
@@ -292,7 +284,7 @@ class ModelRegistry:
         return resolved
 
     def load(self, name: str, db: Optional[Database] = None, version: Optional[int] = None):
-        """Reload one version (default: latest), plain or routed, against
+        """Reload one version (default: latest) against
         ``db`` — or, with ``db=None``, against the data snapshot the
         version carries.
 
@@ -302,7 +294,7 @@ class ModelRegistry:
         fault_point("registry.load")
         resolved = self.verify(name, version)
         directory = _version_dir(self._name_dir(name), resolved)
-        model = load_model(directory, db)
+        model = PredictiveModel.load(directory, db)
         _log.info("model loaded", extra={"model": name, "version": resolved})
         return model
 
@@ -394,7 +386,7 @@ class ModelRegistry:
                     directory = _version_dir(self._name_dir(model_name), version)
                     try:
                         self.verify(model_name, version)
-                        model_class(directory).verify_data(directory)
+                        PredictiveModel.verify_data(directory)
                     except (RegistryVersionError, CorruptModelError) as err:
                         del index["versions"][str(version)]
                         dirty = True

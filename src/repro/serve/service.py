@@ -33,11 +33,11 @@ Behind ``predict``/``rank`` sits the full serving contract:
   ``latency_budget_ms`` for ``budget_breaches`` consecutive batches,
   the service trusts one rung less of the model's
   ``GREEN < YELLOW < RED`` ladder and forces every batch onto the
-  highest rung still trusted (an unrouted model's ladder is the
-  unfitted green tier under the model itself); the same failure on
-  that rung lowers it again, and green's own errors propagate.  A
-  degraded answer is an ordinary forced route, so it carries the
-  route record (``forced``, ``reason`` starting ``degraded:``), and
+  highest rung still trusted (a plain fit's ladder is the unfitted
+  green tier under the GNN); the same failure on that rung lowers it
+  again, and green's own errors propagate.  A degraded answer is an
+  ordinary forced route, so it carries the route record (``forced``,
+  ``reason`` starting ``degraded:``), and
   each descent is recorded (``serve.fallbacks`` counter, ``degraded``
   in :meth:`stats`) so monitoring can tell fast-but-crude from
   healthy;
@@ -57,12 +57,13 @@ Behind ``predict``/``rank`` sits the full serving contract:
 * **warm start** — requests for LIST queries share the memoized
   item-tower embeddings, and :meth:`warmup` primes them (and pays the
   model's first-call costs) before traffic arrives;
-* **cost-based routing** — when the live model is a
-  :class:`~repro.pql.router.RoutedPredictiveModel`, every request is
-  executed on the GREEN/YELLOW/RED tier the router picks (or the tier
-  forced per request / by ``ServeConfig.route``); the decision rides
-  back on the result (``.route`` on the returned array/rankings) and
-  is counted per tier as ``serve.route.<tier>``.
+* **cost-based routing** — every request is executed on the
+  GREEN/YELLOW/RED tier the live model's router picks (or the tier
+  forced per request / by ``ServeConfig.route``; a plain fit answers
+  from red), under ``ServeConfig.quality_floor`` when set — for every
+  model the service runs, swapped-in and canary challengers included;
+  the decision rides back on the result (``.route`` on the returned
+  array/rankings) and is counted per tier as ``serve.route.<tier>``.
 
 A fresh instance starts with clean telemetry: construction drops the
 ``serve.*`` and ``router.*`` instruments, so numbers
@@ -116,12 +117,13 @@ class ServeConfig:
     fallback: bool = True
     #: Default k for rank requests.
     default_k: int = 10
-    #: Default execution tier for routed models: ``auto`` lets the
-    #: cost model choose; ``green``/``yellow``/``red`` force a tier.
-    #: Requests may override per call.  Ignored for unrouted models.
+    #: Default execution tier: ``auto`` lets the model's router
+    #: choose; ``green``/``yellow``/``red`` force a tier.  Requests may
+    #: override per call.
     route: str = "auto"
-    #: Override the routed model's quality floor (fraction of the best
-    #: tier's validation quality); None keeps the fit-time setting.
+    #: Override the quality floor of every model served (fraction of
+    #: the best tier's validation quality); None keeps each model's
+    #: fit-time setting.
     quality_floor: Optional[float] = None
     #: Live telemetry master switch: windowed ``serve.*`` histograms,
     #: request tracing, and SLO monitoring (request IDs are always on).
@@ -217,7 +219,7 @@ class _ModelSlot:
     already in flight.  Slots are compared by identity when coalescing.
     """
 
-    __slots__ = ("model", "label", "version", "routed", "ladder", "rungs")
+    __slots__ = ("model", "label", "version", "rungs")
 
     def __init__(self, model, label: str, version: Optional[int]) -> None:
         self.model = model
@@ -225,13 +227,8 @@ class _ModelSlot:
         self.label = label
         #: Registry version number when known, else None.
         self.version = version
-        #: What forced routes execute on: a routed model itself, else
-        #: the model over its unfitted green tier.
-        self.ladder = model.ladder()
-        #: Whether the model routes across GREEN/YELLOW/RED tiers.
-        self.routed = self.ladder is model
         #: Its tiers, cheapest first; the last is the model path.
-        self.rungs = self.ladder.available_tiers()
+        self.rungs = model.available_tiers()
 
 
 class PredictionService:
@@ -241,8 +238,6 @@ class PredictionService:
         self.config = config or ServeConfig()
         check_route(self.config.route)
         self._slot = _ModelSlot(model, label=name, version=None)
-        if self._slot.routed and self.config.quality_floor is not None:
-            model.router.quality_floor = float(self.config.quality_floor)
         #: The highest rung still trusted, forced on every batch while
         #: degraded; None = healthy (the model path, routed as configured).
         self._rung: Optional[str] = None
@@ -343,23 +338,13 @@ class PredictionService:
             return np.full(count, int(cutoffs), dtype=np.int64)
         return cutoffs
 
-    def _resolve_route(self, route: Optional[str]) -> Optional[str]:
-        """Per-request route, validated; None when the model is unrouted."""
-        if route is not None:
-            check_route(route)
-        if not self._slot.routed:
-            if route is not None:
-                raise ValueError("route is only supported for routed models")
-            return None
-        return route
-
     def predict_async(
         self, entity_keys, cutoff, deadline_ms: Optional[float] = None,
         route: Optional[str] = None,
     ) -> ResponseFuture:
         """Submit a predict request; returns its future immediately.
 
-        ``route`` forces the execution tier for routed models (default:
+        ``route`` forces the execution tier (default:
         ``ServeConfig.route``); requests forced to different tiers never
         share a batch.
         """
@@ -372,7 +357,7 @@ class PredictionService:
             deadline_ms=deadline_ms if deadline_ms is not None
             else self.config.default_deadline_ms,
             context=slot,
-            route=self._resolve_route(route),
+            route=route if route is None else check_route(route),
         )
 
     def predict(self, entity_keys, cutoff, deadline_ms: Optional[float] = None,
@@ -395,7 +380,7 @@ class PredictionService:
             deadline_ms=deadline_ms if deadline_ms is not None
             else self.config.default_deadline_ms,
             context=slot,
-            route=self._resolve_route(route),
+            route=route if route is None else check_route(route),
         )
 
     def rank(
@@ -439,21 +424,16 @@ class PredictionService:
     def _model_call(self, slot: _ModelSlot, op: str, k: int,
                     keys: np.ndarray, cutoffs: np.ndarray,
                     route: Optional[str] = None):
-        if slot.routed or route is not None:
-            # Per-request (or degraded-rung) route wins; otherwise the
-            # service default.  An unrouted slot has only rungs to force.
-            resolved = route if route is not None else self.config.route
-            if op == "rank":
-                result = slot.ladder.rank_items(keys, cutoffs, k=k, route=resolved)
-            else:
-                result = slot.ladder.predict(keys, cutoffs, route=resolved)
-            decision = slot.ladder.last_route
-            return _attach_route(
-                result, decision.to_dict() if decision is not None else None
-            )
+        # Per-request (or degraded-rung) route wins; otherwise the
+        # service default.  The floor override applies to every slot.
+        policy = dict(route=route if route is not None else self.config.route,
+                      quality_floor=self.config.quality_floor)
         if op == "rank":
-            return slot.model.rank_items(keys, cutoffs, k=k)
-        return slot.model.predict(keys, cutoffs)
+            result = slot.model.rank_items(keys, cutoffs, k=k, **policy)
+        else:
+            result = slot.model.predict(keys, cutoffs, **policy)
+        decision = slot.model.last_route
+        return _attach_route(result, decision.to_dict() if decision is not None else None)
 
     def _lower(self, slot: _ModelSlot, current: Optional[str], reason: str) -> Optional[str]:
         """Trust one rung less than ``current`` (None = the model path);
@@ -532,8 +512,8 @@ class PredictionService:
         these requests were promised.  A batch admitted before a swap
         still runs here against its original slot even though
         ``self._slot`` has moved on.  ``route`` is the batch's forced
-        tier (routed models only; None = the service default); while
-        the service is degraded the trusted rung overrides it.
+        tier (None = the service default); while the service is
+        degraded the trusted rung overrides it.
         """
         if slot is None:
             slot = self._slot
@@ -831,23 +811,25 @@ class PredictionService:
             "task_type": self.model.task_type.value,
             "degraded": self.degraded,
             "degraded_reason": self._degraded_reason,
-            "model_degraded_from": self.model.degraded_from,
+            "model_degraded_reason": self.model.degraded_reason,
             "data": self.model.data_summary(),
             "queue_depth": self._batcher.queue_depth,
             "metrics": metrics,
             "telemetry": self.telemetry.snapshot(),
             "lifecycle": self.lifecycle(),
         }
-        if self._slot.routed:
-            model = self._slot.model
-            last = model.last_route
-            stats["router"] = {
-                "route": self.config.route,
-                "quality_floor": model.router.quality_floor,
-                "quality": dict(model.quality),
-                "per_row_ms": model.cost.per_row_ms(),
-                "last_route": last.to_dict() if last is not None else None,
-            }
+        model = self._slot.model
+        floor = self.config.quality_floor
+        last = model.last_route
+        stats["router"] = {
+            "route": self.config.route,
+            "quality_floor": model.router.quality_floor if floor is None else floor,
+            "quality": dict(model.quality),
+            "raw_gnn_quality": model.raw_gnn_quality,
+            "blend_alpha": model.blend_alpha,
+            "per_row_ms": model.cost.per_row_ms(),
+            "last_route": last.to_dict() if last is not None else None,
+        }
         return stats
 
     def health(self) -> Dict[str, Any]:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets import get_dataset
-from repro.pql import PlannerConfig, TrainedPredictiveModel
+from repro.pql import PlannerConfig, PredictiveModel
 
 
 class TestTasks:
@@ -129,4 +129,4 @@ def test_retired_sampling_knobs_are_refused_not_ignored(flag, field, capsys):
         PlannerConfig(**{field: 1})
     assert field in json.loads((LEGACY_FIXTURE / "manifest.json").read_text())["config"]
     db = get_dataset("ecommerce").build(scale=0.2, seed=0)
-    assert not hasattr(TrainedPredictiveModel.load(str(LEGACY_FIXTURE), db).config, field)
+    assert not hasattr(PredictiveModel.load(str(LEGACY_FIXTURE), db).config, field)

@@ -22,7 +22,7 @@ from repro.cli import main as cli_main
 from repro.datasets import get_dataset
 from repro.graph import NeighborSampler, SampledSubgraph, build_graph
 from repro.nn.segment import SegmentPlan
-from repro.pql import PlannerConfig, PredictiveQueryPlanner
+from repro.pql import PlannerConfig, PredictiveQueryPlanner, RouterConfig
 from tests.conftest import shop_db, tiny_planner_config
 
 
@@ -93,16 +93,19 @@ def test_default_fit_samples_exactly_what_it_always_sampled():
     with obs.collect() as trace, contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(["fit", "--dataset", "ecommerce", "--task", "churn", "--scale", "0.5"]) == 0
 
-    def sampled(span_name):
-        counters = trace.find(span_name).counters
+    def sampled(span):
         return tuple(
-            int(counters[f"sampler.{name}"])
+            int(span.counters[f"sampler.{name}"])
             for name in ("nodes_sampled", "edges_sampled", "fanout_truncations")
         )
 
     assert trace.find("planner.train").counters["train.epochs"] == 15
-    assert sampled("planner.train") == tuple(np.add(TRAIN_BATCHES, VALIDATION_PASS).tolist())
-    assert sampled("planner.evaluate") == TEST_EVALUATION
+    assert sampled(trace.find("planner.train")) == tuple(
+        np.add(TRAIN_BATCHES, VALIDATION_PASS).tolist())
+    # The evaluation's predict is a routed call, answered by red.
+    routed = trace.find("planner.evaluate").find("router.predict")
+    assert routed.counters["router.route.red"] == 1
+    assert sampled(routed) == TEST_EVALUATION
 
 
 def test_tree_histograms_all_features_in_one_pass(monkeypatch):
@@ -127,7 +130,7 @@ def test_tree_histograms_all_features_in_one_pass(monkeypatch):
         assert 0 < len(calls) <= 3 * len(tree.nodes)
 
 
-#: The YELLOW tier of ``fit_routed`` (default ``RouterConfig``) on the
+#: The YELLOW tier of a routed fit (default ``RouterConfig``) on the
 #: suite's small ecommerce database, read off the commit before the
 #: all-feature histogram pass; they repeat exactly.
 #: (boosting rounds run, trees kept, nodes in them, validation AUROC in bp)
@@ -139,9 +142,9 @@ def test_default_routed_fit_grows_exactly_the_trees_it_always_grew(
 ):
     planner = PredictiveQueryPlanner(small_ecommerce_db, tiny_planner_config())
     with obs.collect() as trace:
-        model = planner.fit_routed(
+        model = planner.fit(
             "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
-            small_ecommerce_split,
+            small_ecommerce_split, router=RouterConfig(),
         )
     counters = trace.find("router.fit_yellow").counters
     quality_bp = trace.find("router.calibrate").counters["router.quality_bp.yellow"]
@@ -152,3 +155,7 @@ def test_default_routed_fit_grows_exactly_the_trees_it_always_grew(
     assert (len(trees), sum(len(tree.nodes) for tree in trees)) == reported[1:]
     assert counters["yellow.train_rows"] == 160
     assert counters["yellow.features"] == model.yellow._builder.num_features + 1  # + green's
+    # The unblended GNN's quality is on record next to the tiers', not among them.
+    calibrate = trace.find("router.calibrate").counters
+    assert calibrate["router.quality_bp.raw_gnn"] == int(model.raw_gnn_quality * 10000)
+    assert set(model.quality) == {"green", "yellow", "red"}

@@ -768,13 +768,14 @@ def routed_churn(tmp_path_factory):
     """A routed churn model, saved once; plus the database it was
     fitted on."""
     from repro.datasets import make_ecommerce
-    from repro.pql import PredictiveQueryPlanner
+    from repro.pql import PredictiveQueryPlanner, RouterConfig
     from tests.conftest import make_split, tiny_planner_config
 
     db = make_ecommerce(num_customers=60, num_products=20, seed=3)
     planner = PredictiveQueryPlanner(db, tiny_planner_config(epochs=2))
     directory = str(tmp_path_factory.mktemp("forgetful") / "model")
-    planner.fit_routed(CHURN_QUERY, make_split(db, horizon_days=30)).save(directory)
+    split = make_split(db, horizon_days=30)
+    planner.fit(CHURN_QUERY, split, router=RouterConfig()).save(directory)
     return db, directory
 
 
@@ -786,15 +787,15 @@ class TestForgettingRefreshIsSafe:
     T = 10**10  # every streamed row is visible at the probed cutoff
 
     def _streamed_and_cold(self, routed_churn, num_events=120):
-        from repro.pql.router import RoutedPredictiveModel
+        from repro.pql import PredictiveModel
         from tests.test_ingest_differential import carve
 
         db, directory = routed_churn
         base, events = carve(db, num_events)
         events = [validate_event(e, db[e.table].schema) for e in events]
-        cold = RoutedPredictiveModel.load(directory, apply_events_to_database(base, events))
-        live = RoutedPredictiveModel.load(directory, base)
-        builder = DeltaGraphBuilder(live.db, graph=live.graph, stats_cutoff=live.red.stats_cutoff)
+        cold = PredictiveModel.load(directory, apply_events_to_database(base, events))
+        live = PredictiveModel.load(directory, base)
+        builder = DeltaGraphBuilder(live.db, graph=live.graph, stats_cutoff=live.stats_cutoff)
         return live, cold, builder, events
 
     def test_model_predicts_like_a_cold_rebuild(self, routed_churn):
@@ -887,39 +888,79 @@ class TestForgettingRefreshIsSafe:
         assert graph_fingerprint(graph) == graph_fingerprint(build_graph(db, stats_cutoff=400))
 
 
+class _BrokenRanker:
+    """A LIST model's GNN ranker whose scoring always raises."""
+
+    def score_against_items(self, *args):
+        """Fail the way a broken model path does."""
+        raise RuntimeError("ranker unavailable")
+
+    def reconcile(self):
+        """Nothing memoized, nothing to drop."""
+        return {}
+
+
 class TestRefreshReachesTheLadder:
     LIST_QUERY = "PREDICT LIST(orders.product_id) FOR EACH customers.id ASSUMING HORIZON 1 DAYS"
+    CUTOFF, KEYS = 1000, np.array([10])
 
-    def test_degraded_list_service_ranks_from_post_ingest_counts(self, pipeline):
-        from repro.pql import PredictiveQueryPlanner, TrainedPredictiveModel
-        from repro.pql.router import GreenTier
-        from repro.serve import PredictionService
+    def _model(self, pipeline, **kwargs):
+        from repro.pql import PredictiveModel, PredictiveQueryPlanner
 
         planner = PredictiveQueryPlanner(pipeline.db)
-        # No ranker at all: the first rank fails over to the green rung.
-        model = TrainedPredictiveModel(
-            pipeline.db, planner.plan(self.LIST_QUERY), pipeline.graph, planner.config
+        return PredictiveModel(
+            pipeline.db, planner.plan(self.LIST_QUERY), pipeline.graph, planner.config, **kwargs
         )
-        cutoff, keys = 1000, np.array([10])
-        with PredictionService(model) as service:
-            items, scores = service.rank(keys, cutoff, k=3)[0]
-            assert service.degraded
-            assert (items.tolist(), scores.tolist()) == ([2, 3, 1], [2.0, 2.0, 1.0])
 
-            batch = [order_event(200 + i, product=3, ts=600 + i) for i in range(20)]
+    def _assert_ranks_from_post_ingest_counts(self, pipeline, model, service):
+        """Ingest 20 orders of product 3; green's next ranking counts them."""
+        from repro.pql.router import GreenTier
 
-            def apply():
-                report = pipeline.process(batch)
-                refresh_model(model, report.delta)
-                return report
+        batch = [order_event(200 + i, product=3, ts=600 + i) for i in range(20)]
 
-            assert service.refresh_graph(apply).applied == 20
-            items, scores = service.rank(keys, cutoff, k=3)[0]
+        def apply():
+            report = pipeline.process(batch)
+            refresh_model(model, report.delta)
+            return report
+
+        assert service.refresh_graph(apply).applied == 20
+        ranked = service.rank(self.KEYS, self.CUTOFF, k=3)
+        assert ranked.route["tier"] == "green"
+        items, scores = ranked[0]
         fresh = GreenTier.for_binding(model.binding).bind(pipeline.db, pipeline.graph)
-        want_items, want_scores = fresh.rank(keys, np.array([cutoff]), 3)[0]
+        want_items, want_scores = fresh.rank(self.KEYS, np.array([self.CUTOFF]), 3)[0]
         assert (items.tolist(), scores.tolist()) == ([3, 2, 1], [22.0, 2.0, 1.0])
         np.testing.assert_array_equal(items, want_items)
         np.testing.assert_array_equal(scores, want_scores)
+
+    def test_degraded_list_service_ranks_from_post_ingest_counts(self, pipeline):
+        from repro.serve import PredictionService
+
+        # No ranker at all (its GNN stage degraded): green's popularity
+        # is the whole ladder, and every rank says so.
+        model = self._model(pipeline, degraded_reason="StageFailedError: no ranker")
+        with PredictionService(model) as service:
+            ranked = service.rank(self.KEYS, self.CUTOFF, k=3)
+            assert ranked.route["tier"] == "green"
+            assert ranked.route["reason"].endswith("no red: StageFailedError: no ranker")
+            items, scores = ranked[0]
+            assert (items.tolist(), scores.tolist()) == ([2, 3, 1], [2.0, 2.0, 1.0])
+            self._assert_ranks_from_post_ingest_counts(pipeline, model, service)
+
+    def test_failing_ranker_fails_over_to_green_post_ingest_counts(self, pipeline):
+        from repro.serve import PredictionService
+
+        # The ranker raises: the first rank fails over to the green rung.
+        model = self._model(pipeline, link_trainer=_BrokenRanker())
+        with PredictionService(model) as service:
+            ranked = service.rank(self.KEYS, self.CUTOFF, k=3)
+            assert service.degraded
+            assert ranked.route["tier"] == "green"
+            assert ranked.route["reason"].startswith("degraded: model path failed")
+            items, scores = ranked[0]
+            assert (items.tolist(), scores.tolist()) == ([2, 3, 1], [2.0, 2.0, 1.0])
+            self._assert_ranks_from_post_ingest_counts(pipeline, model, service)
+            assert service.degraded
 
 
 class TestApplyEventsToDatabase:

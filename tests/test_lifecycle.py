@@ -311,8 +311,8 @@ def test_swap_resets_degradation_with_provenance(
     service = lifecycle_service(registry, small_ecommerce_db)
     keys = entity_keys(service.model, 2)
     try:
-        # Break the live model's path: the ladder engages and sticks.
-        service._slot.model.predict = lambda *a, **kw: (_ for _ in ()).throw(
+        # Break the live model's path (its GNN tier): the ladder engages and sticks.
+        service._slot.model._red_predict = lambda *a, **kw: (_ for _ in ()).throw(
             RuntimeError("induced model failure")
         )
         assert len(service.predict(keys, CUTOFF)) == len(keys)  # heuristic answers

@@ -10,14 +10,16 @@ saves, a degraded model with recorded provenance.
 import json
 import logging
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.eval.metrics import auroc, average_precision, brier_score, expected_calibration_error
-from repro.pql import PredictiveQueryPlanner
-from repro.pql.planner import TrainedPredictiveModel
+from repro.pql import PredictiveQueryPlanner, RouterConfig
+from repro.pql.planner import PredictiveModel
 from repro.resilience import (
     CheckpointManager,
     CorruptCheckpointError,
@@ -42,6 +44,7 @@ from repro.resilience import (
 from tests.conftest import tiny_planner_config as fast_config
 
 BINARY_QUERY = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -440,8 +443,7 @@ class TestDegradation:
 
     def test_gnn_failure_degrades_to_gbdt(self, db, split):
         model = self.degraded_model(db, split)
-        assert model.degraded_from == "gnn"
-        assert model.baseline.kind == "yellow"
+        assert model.available_tiers() == ["green", "yellow"]  # red is absent
         assert "StageFailedError" in model.degraded_reason
         assert model.node_trainer is None
         keys = db["customers"]["id"].values[:10]
@@ -453,12 +455,12 @@ class TestDegradation:
 
     def test_gbdt_failure_degrades_to_heuristic(self, db, split):
         model = self.degraded_model(db, split, extra_faults="fallback.gbdt@1:raise")
-        assert model.baseline.kind == "green"
+        assert model.available_tiers() == ["green"]
         keys = db["customers"]["id"].values[:20]
         preds = model.predict(keys, split.test_cutoff)
         assert np.all((preds >= 0) & (preds <= 1))
         # Calibrated activity: the score is a function of the count alone.
-        counts = model.baseline.activity(keys, np.full(len(keys), split.test_cutoff))
+        counts = model.green.activity(keys, np.full(len(keys), split.test_cutoff))
         assert len(set(zip(counts.tolist(), preds.tolist()))) == len(set(counts.tolist()))
 
     def test_no_fallback_raises(self, db, split):
@@ -469,29 +471,13 @@ class TestDegradation:
             with pytest.raises(StageFailedError):
                 planner.fit(BINARY_QUERY, split)
 
-    def test_degraded_model_saves_and_loads_with_provenance(self, db, split, tmp_path):
-        model = self.degraded_model(db, split)
-        target = str(tmp_path / "model")
-        model.save(target)
-        with open(os.path.join(target, "manifest.json")) as handle:
-            manifest = json.load(handle)
-        assert manifest["degraded_from"] == "gnn"
-        assert manifest["fallback_kind"] == "yellow"
-        assert "fallback_sha256" in manifest
-        loaded = TrainedPredictiveModel.load(target, db)
-        assert loaded.degraded_from == "gnn"
-        assert loaded.baseline.kind == "yellow"
-        keys = db["customers"]["id"].values[:10]
-        np.testing.assert_array_equal(
-            model.predict(keys, split.test_cutoff),
-            loaded.predict(keys, split.test_cutoff),
-        )
-
     def test_degraded_model_from_an_earlier_version_asks_for_a_refit(
         self, db, split, tmp_path
     ):
+        # The layout degraded models had before they saved tiers.pkl:
+        # one pickled rung in fallback.pkl, named by fallback_kind.
         target = str(tmp_path / "model")
-        self.degraded_model(db, split).save(target)
+        shutil.copytree(FIXTURES / "legacy_degraded_model", target)
         manifest_path = os.path.join(target, "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
@@ -500,7 +486,7 @@ class TestDegradation:
             with open(manifest_path, "w") as handle:
                 json.dump(manifest, handle)
             with pytest.raises(CorruptModelError, match="earlier version — re-fit"):
-                TrainedPredictiveModel.load(target, db)
+                PredictiveModel.load(target, db)
 
     def test_degraded_predict_builds_features_once(self, db, split, monkeypatch):
         from repro.baselines.features import FeatureBuilder
@@ -525,7 +511,7 @@ class TestDegradation:
             db, fast_config(), resilience=ResilienceConfig(fallback=True)
         )
         with injected("trainer.step%1.0:raise"), obs.collect() as trace:
-            routed = planner.fit_routed(BINARY_QUERY, split)
+            routed = planner.fit(BINARY_QUERY, split, router=RouterConfig())
         assert routed.available_tiers() == ["green", "yellow"]
         # The one GBDT fit is the fallback's, and says what it grew.
         assert trace.find("router.fit_yellow") is None
@@ -534,13 +520,13 @@ class TestDegradation:
         assert counters["yellow.trees"] == len(trees) <= counters["yellow.rounds"] <= 100
         assert counters["yellow.nodes"] == sum(len(tree.nodes) for tree in trees)
         assert counters["yellow.train_rows"] > 0 and counters["yellow.features"] > 0
-        assert routed.yellow is routed.baseline
         assert routed.green is routed.yellow.green
         assert set(routed.quality) == {"green", "yellow"}
+        assert "StageFailedError" in routed.degraded_reason
         keys = db["customers"]["id"].values[:6]
         np.testing.assert_array_equal(
             routed.predict(keys, split.test_cutoff, route="yellow"),
-            routed.red.predict(keys, split.test_cutoff),
+            routed.yellow.predict(keys, np.full(len(keys), split.test_cutoff)),
         )
 
     def test_list_query_degrades_to_popularity(self, db, split):
@@ -553,7 +539,7 @@ class TestDegradation:
                 "ASSUMING HORIZON 30 DAYS",
                 split,
             )
-        assert model.baseline.kind == "green"
+        assert model.available_tiers() == ["green"]
         results = model.rank_items(db["customers"]["id"].values[:3], split.test_cutoff, k=5)
         assert len(results) == 3
         metrics = model.evaluate(split.test_cutoff, k=5)
@@ -581,23 +567,23 @@ class TestAtomicSave:
         target = str(tmp_path / "model")
         model.save(target)
         keys = db["customers"]["id"].values[:10]
-        expected = TrainedPredictiveModel.load(target, db).predict(keys, split.test_cutoff)
-        snapshot_sha = TrainedPredictiveModel.verify_data(target)
+        expected = PredictiveModel.load(target, db).predict(keys, split.test_cutoff)
+        snapshot_sha = PredictiveModel.verify_data(target)
         # Second save — over a database that has changed since — dies
         # after staging, before the directory swap.
-        grown = TrainedPredictiveModel.load(target)
+        grown = PredictiveModel.load(target)
         grown.db.add_table(grown.db["products"].head(3), replace=True)
         with injected("planner.save@1:kill"):
             with pytest.raises(SimulatedCrash):
                 grown.save(target)
-        reloaded = TrainedPredictiveModel.load(target, db)
+        reloaded = PredictiveModel.load(target, db)
         np.testing.assert_array_equal(
             reloaded.predict(keys, split.test_cutoff), expected
         )
         # The previous artifact's own snapshot survived with it.
-        assert TrainedPredictiveModel.verify_data(target) == snapshot_sha
+        assert PredictiveModel.verify_data(target) == snapshot_sha
         np.testing.assert_array_equal(
-            TrainedPredictiveModel.load(target).predict(keys, split.test_cutoff), expected
+            PredictiveModel.load(target).predict(keys, split.test_cutoff), expected
         )
 
     def test_corrupted_weights_raise_corrupt_model_error(self, model, db, tmp_path):
@@ -606,24 +592,14 @@ class TestAtomicSave:
         with open(os.path.join(target, "weights.npz"), "ab") as handle:
             handle.write(b"flipped bits")
         with pytest.raises(CorruptModelError):
-            TrainedPredictiveModel.load(target, db)
+            PredictiveModel.load(target, db)
 
     def test_missing_weights_raise_corrupt_model_error(self, model, db, tmp_path):
         target = str(tmp_path / "model")
         model.save(target)
         os.unlink(os.path.join(target, "weights.npz"))
         with pytest.raises(CorruptModelError):
-            TrainedPredictiveModel.load(target, db)
-
-    def test_roundtrip_predictions_identical(self, model, db, split, tmp_path):
-        target = str(tmp_path / "model")
-        model.save(target)
-        loaded = TrainedPredictiveModel.load(target, db)
-        keys = db["customers"]["id"].values[:15]
-        np.testing.assert_array_equal(
-            model.predict(keys, split.test_cutoff),
-            loaded.predict(keys, split.test_cutoff),
-        )
+            PredictiveModel.load(target, db)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Three layers of coverage:
 
-* **Decision logic** — :meth:`RoutedPredictiveModel.decide` unit-tested
+* **Decision logic** — :meth:`PredictiveModel.decide` unit-tested
   on a hand-built model skeleton (no training), so quality-floor and
   forced-route behavior are pinned down exactly.
 * **Cache keys** — the plan cache and the sampler's batch digest must
@@ -10,8 +10,10 @@ Three layers of coverage:
   distinguish what they must (different horizons, different cutoffs)
   across all three dataset generators.
 * **Integration** — a tiny routed churn model: forced routes are
-  bit-identical to calling the tier directly, persistence round-trips,
-  and routes propagate through a coalesced serving micro-batch.
+  bit-identical to calling the tier directly, routes propagate through
+  a coalesced serving micro-batch, and a service's quality-floor
+  override holds for every model it serves.  (Persistence round-trips
+  of every model kind live in ``test_artifact_data.py``.)
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_clinical, make_ecommerce, make_forum
+from repro.eval.metrics import auroc
 from repro.obs import get_registry
-from repro.pql import PredictiveQueryPlanner, RouterConfig, is_routed_dir
-from repro.pql.router import CostModel, GreenTier, RoutedPredictiveModel, YellowTier
-from repro.serve import PredictionService, ServeConfig
+from repro.pql import PredictiveModel, PredictiveQueryPlanner, RouterConfig, build_label_table
+from repro.pql.router import CostModel, GreenTier, YellowTier
+from repro.serve import CanaryConfig, ModelRegistry, PredictionService, ServeConfig
 from tests.conftest import make_split, tiny_planner_config
 
 CHURN_QUERY = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
@@ -54,7 +57,7 @@ def routed_model(small_ecommerce_db, small_ecommerce_split):
     planner = PredictiveQueryPlanner(
         small_ecommerce_db, tiny_planner_config()
     )
-    return planner.fit_routed(CHURN_QUERY, small_ecommerce_split)
+    return planner.fit(CHURN_QUERY, small_ecommerce_split, router=RouterConfig())
 
 
 def entity_keys(model, count):
@@ -65,21 +68,18 @@ def entity_keys(model, count):
 # Decision logic on a hand-built skeleton (no training)
 # ----------------------------------------------------------------------
 def make_skeleton(quality, per_row_ms, quality_floor=0.98, route="auto"):
-    """A RoutedPredictiveModel with hand-set tiers/costs and no red model."""
-    model = RoutedPredictiveModel.__new__(RoutedPredictiveModel)
+    """A PredictiveModel with hand-set tiers/costs and a stand-in GNN."""
+    model = PredictiveModel.__new__(PredictiveModel)
     model.green = object()
     model.yellow = object()
+    model.node_trainer, model.link_trainer = object(), None
+    model.degraded_reason = None
     model.quality = dict(quality)
     model.cost = CostModel(per_row_ms)
     model.router = RouterConfig(route=route, quality_floor=quality_floor)
     model.last_route = None
     model._red_calls = 1  # warm: no cold surcharge in these unit tests
     model._lock = threading.Lock()
-
-    class _Red:
-        degraded_from = None
-
-    model.red = _Red()
     return model
 
 
@@ -124,11 +124,34 @@ class TestDecide:
 
     def test_degraded_red_is_not_a_tier(self):
         model = make_skeleton(self.QUALITY, self.COSTS, quality_floor=1.0)
-        model.red.degraded_from = "gnn"  # its baseline answers as yellow/green
+        model.node_trainer, model.degraded_reason = None, "StageFailedError: boom"
         assert model.available_tiers() == ["green", "yellow"]
-        assert model.decide(8).tier == "yellow"
+        decision = model.decide(8)
+        assert decision.tier == "yellow"
+        assert decision.reason.endswith("no red: StageFailedError: boom")
         with pytest.raises(ValueError, match="unavailable"):
             model.decide(8, route="red")
+
+    def test_uncalibrated_auto_answers_from_the_top_tier(self):
+        # A plain fit's ladder: green under the GNN, nothing calibrated.
+        model = make_skeleton({}, {})
+        model.yellow = None
+        decision = model.decide(1)
+        assert decision.tier == "red" and not decision.forced
+        assert decision.reason == "top tier of an uncalibrated ladder"
+        # ...and a degraded one: its top tier is the rung it fell to.
+        model.node_trainer, model.degraded_reason = None, "boom"
+        assert model.decide(1).tier == "green"
+        model.yellow = object()
+        assert model.decide(1).tier == "yellow"
+        # Forcing still reaches every tier the ladder has.
+        assert model.decide(1, route="green").tier == "green"
+
+    def test_quality_floor_argument_overrides_the_policy(self):
+        model = make_skeleton(self.QUALITY, self.COSTS, quality_floor=0.98)
+        assert model.decide(8, quality_floor=0.0).tier == "green"
+        assert model.decide(8).tier == "yellow"
+        assert model.router.quality_floor == 0.98
 
     def test_estimates_scale_with_rows(self):
         model = make_skeleton(self.QUALITY, self.COSTS)
@@ -194,6 +217,20 @@ class TestRoutedModel:
             assert 0.0 <= routed_model.quality[tier] <= 1.0
             assert routed_model.cost.per_row_ms()[tier] > 0.0
 
+    def test_raw_gnn_quality_is_the_unblended_gnn_on_validation(
+        self, routed_model, small_ecommerce_split
+    ):
+        val = build_label_table(
+            routed_model.db, routed_model.binding, [small_ecommerce_split.val_cutoff])
+        assert len(val) <= RouterConfig().max_calibration_rows  # calibrated on all of it
+        plain = PredictiveModel(
+            routed_model.db, routed_model.binding, routed_model.graph, routed_model.config,
+            node_trainer=routed_model.node_trainer,
+        )
+        unblended = plain.predict(val.entity_keys, val.cutoffs)
+        assert routed_model.raw_gnn_quality == pytest.approx(auroc(val.labels, unblended), abs=1e-3)
+        assert routed_model.blend_alpha in (0.25, 0.5, 0.75, 1.0)
+
     def test_forced_routes_are_bit_identical_to_direct_tier_calls(self, routed_model):
         keys = entity_keys(routed_model, 12)
         cutoff = routed_model.db.time_span()[1]
@@ -231,21 +268,6 @@ class TestRoutedModel:
         finally:
             routed_model.router.quality_floor = saved
 
-    def test_save_load_round_trip_preserves_routing(self, routed_model, tmp_path, small_ecommerce_db):
-        target = str(tmp_path / "routed")
-        routed_model.save(target)
-        assert is_routed_dir(target)
-        loaded = RoutedPredictiveModel.load(target, small_ecommerce_db)
-        assert loaded.quality == routed_model.quality
-        assert loaded.router.quality_floor == routed_model.router.quality_floor
-        keys = entity_keys(routed_model, 10)
-        cutoff = routed_model.db.time_span()[1]
-        for tier in ("green", "yellow", "red"):
-            np.testing.assert_allclose(
-                loaded.predict(keys, cutoff, route=tier),
-                routed_model.predict(keys, cutoff, route=tier),
-            )
-
     def test_tiers_accept_state_dicts_from_before_yellow_owned_green(
         self, routed_model, small_ecommerce_db
     ):
@@ -260,7 +282,7 @@ class TestRoutedModel:
         green.__dict__.update(green_state)  # as pickle restores either class
         yellow.__dict__.update(yellow_state)
         assert yellow.green is None
-        yellow.green = green  # what RoutedPredictiveModel.load does for such a file
+        yellow.green = green  # what PredictiveModel.load does for such a file
         yellow.bind(small_ecommerce_db, routed_model.graph)
         keys = entity_keys(routed_model, 10)
         cutoffs = np.full(len(keys), routed_model.db.time_span()[1], dtype=np.int64)
@@ -367,3 +389,47 @@ class TestServeDegradation:
             assert not service.degraded
             healthy = service.predict(keys, cutoff)
             assert healthy.route["tier"] == "red" and healthy.route["reason"] == "forced"
+
+
+# ----------------------------------------------------------------------
+# Serving: the quality-floor override holds for every model served
+# ----------------------------------------------------------------------
+class TestServeQualityFloor:
+    def test_override_survives_swap_swap_by_version_and_canary(
+        self, routed_model, small_ecommerce_db, tmp_path
+    ):
+        directory = str(tmp_path / "routed")
+        routed_model.save(directory)
+        registry = ModelRegistry(str(tmp_path / "registry"))
+        registry.publish_dir(directory, "churn")
+        cutoff = routed_model.db.time_span()[1]
+        key = entity_keys(routed_model, 1)
+        config = ServeConfig(quality_floor=0.0)
+        service = PredictionService.from_registry(registry, "churn", small_ecommerce_db,
+                                                  config=config)
+        fitted_floor = routed_model.router.quality_floor
+
+        def served_tier():
+            assert service.stats()["router"]["quality_floor"] == 0.0
+            return service.predict(key, cutoff).route["tier"]
+
+        try:
+            assert served_tier() == "green"
+            # Without the override, a 1-row request takes yellow.
+            assert service.model.decide(1).tier == "yellow"
+            # The service applies the floor per call; no model changed.
+            assert service.model.router.quality_floor == fitted_floor
+            service.swap_model(PredictiveModel.load(directory, small_ecommerce_db))
+            assert served_tier() == "green"
+            service.swap(version=1)
+            assert served_tier() == "green"
+            canary = service.start_canary(
+                version=1, config=CanaryConfig(fraction=1.0, promote_after=10**6))
+            challenger = service._canary_slot.model
+            assert served_tier() == "green"
+            assert canary.flush()
+            assert challenger.last_route.rows == 1
+            assert challenger.last_route.tier == "green"
+            assert challenger.router.quality_floor == fitted_floor
+        finally:
+            service.close()

@@ -322,8 +322,9 @@ def test_error_degrades_to_heuristic_and_restores(
 ):
     keys = entity_keys(churn_model, 4)
     cutoff = small_ecommerce_split.test_cutoff
+    # The model path is the ladder's top tier, the GNN: break it.
     monkeypatch.setattr(
-        churn_model, "predict",
+        churn_model, "_red_predict",
         lambda *a, **kw: (_ for _ in ()).throw(RuntimeError("boom")),
     )
     with PredictionService(churn_model) as service:
@@ -349,7 +350,7 @@ def test_no_fallback_propagates_model_errors(
     churn_model, small_ecommerce_split, monkeypatch
 ):
     monkeypatch.setattr(
-        churn_model, "predict",
+        churn_model, "_red_predict",
         lambda *a, **kw: (_ for _ in ()).throw(RuntimeError("boom")),
     )
     with PredictionService(churn_model, ServeConfig(fallback=False)) as service:
@@ -676,7 +677,7 @@ def test_degradation_records_slo_provenance_with_request_ids(
     keys = entity_keys(churn_model, 2)
     cutoff = small_ecommerce_split.test_cutoff
     monkeypatch.setattr(
-        churn_model, "predict",
+        churn_model, "_red_predict",
         lambda *a, **kw: (_ for _ in ()).throw(RuntimeError("injected fault")),
     )
     with PredictionService(churn_model) as service:
