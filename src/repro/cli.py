@@ -455,13 +455,12 @@ def _build_dataset(args: argparse.Namespace):
     _log.info(
         "generating dataset", extra={"dataset": args.dataset, "scale": args.scale, "seed": args.seed},
     )
-    with obs_trace.span("cli.dataset_build"):
+    with obs_trace.span("cli.dataset_build") as span:
         db = spec.build(scale=args.scale, seed=args.seed)
+        rows = sum(t.num_rows for t in db)
+        span.add_counter("dataset.rows", rows)
     db.source = "generated"
-    _log.info(
-        "dataset ready",
-        extra={"dataset": args.dataset, "rows": sum(t.num_rows for t in db)},
-    )
+    _log.info("dataset ready", extra={"dataset": args.dataset, "rows": rows})
     return spec, db
 
 

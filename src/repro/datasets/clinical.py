@@ -20,18 +20,10 @@ GNN.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
-from repro.relational import (
-    ColumnSpec,
-    Database,
-    DType,
-    ForeignKey,
-    Table,
-    TableSchema,
-)
+from repro.datasets.base import assemble, python_round
+from repro.relational import ColumnSpec, Database, DType, ForeignKey, TableSchema
 
 __all__ = ["make_clinical"]
 
@@ -57,48 +49,44 @@ def make_clinical(
     # Visit rate per day: chronic patients visit ~4x as often.
     visit_rate = np.exp(rng.normal(np.log(0.01), 0.5, num_patients)) * np.where(chronic, 4.0, 1.0)
 
-    visit_rows: Dict[str, List] = {"id": [], "patient_id": [], "severity": [], "ts": []}
-    diagnosis_rows: Dict[str, List] = {"id": [], "visit_id": [], "code": [], "ts": []}
-    prescription_rows: Dict[str, List] = {"id": [], "visit_id": [], "drug": [], "ts": []}
+    gap = (1.0 / (visit_rate / _DAY)).tolist()  # mean seconds between visits
+    level = (frailty + np.where(chronic, 0.8, 0.0)).tolist()  # severity before noise
+    is_chronic = chronic.tolist()
 
-    visit_id = diag_id = rx_id = 0
+    # One pass in the generator's draw order.  Severity sets the
+    # prescription draw's rate, so it is computed per visit, in python
+    # floats: the same IEEE doubles as numpy float64 scalars.
+    exponential, integers, normal, poisson, random = (
+        rng.exponential, rng.integers, rng.normal, rng.poisson, rng.random
+    )
+    visit_patient, severities, visit_ts, codes, prescribed, drugs = [], [], [], [], [], []
     for patient in range(num_patients):
-        t = float(rng.integers(0, 30 * _DAY))
-        rate_per_second = visit_rate[patient] / _DAY
+        t = float(integers(0, 30 * _DAY))
         while True:
-            t += rng.exponential(1.0 / rate_per_second)
+            t += exponential(gap[patient])
             if t >= span:
                 break
-            severity = float(
-                np.clip(frailty[patient] + (0.8 if chronic[patient] else 0.0) + rng.normal(0, 0.5), -2, 4)
-            )
-            ts = int(t)
-            visit_rows["id"].append(visit_id)
-            visit_rows["patient_id"].append(patient)
-            visit_rows["severity"].append(round(severity, 2))
-            visit_rows["ts"].append(ts)
+            severity = min(max(level[patient] + normal(0, 0.5), -2.0), 4.0)
+            visit_patient.append(patient)
+            severities.append(severity)
+            visit_ts.append(int(t))
             # Diagnoses: chronic patients usually record their chronic code.
-            if chronic[patient] and rng.random() < 0.8:
-                code = _CHRONIC_CODES[patient % len(_CHRONIC_CODES)]
+            if is_chronic[patient] and random() < 0.8:
+                codes.append(_CHRONIC_CODES[patient % len(_CHRONIC_CODES)])
             else:
-                code = _ACUTE_CODES[int(rng.integers(0, len(_ACUTE_CODES)))]
-            diagnosis_rows["id"].append(diag_id)
-            diagnosis_rows["visit_id"].append(visit_id)
-            diagnosis_rows["code"].append(code)
-            diagnosis_rows["ts"].append(ts)
-            diag_id += 1
+                codes.append(_ACUTE_CODES[integers(0, len(_ACUTE_CODES))])
             # Prescriptions scale with severity.
-            for _ in range(rng.poisson(max(severity, 0.0) + 0.3)):
-                prescription_rows["id"].append(rx_id)
-                prescription_rows["visit_id"].append(visit_id)
-                prescription_rows["drug"].append(_DRUGS[int(rng.integers(0, len(_DRUGS)))])
-                prescription_rows["ts"].append(ts)
-                rx_id += 1
-            visit_id += 1
+            num_drugs = poisson(max(severity, 0.0) + 0.3)
+            prescribed.append(num_drugs)
+            for _ in range(num_drugs):
+                drugs.append(integers(0, len(_DRUGS)))
 
-    db = Database("clinical")
-    db.add_table(
-        Table.from_dict(
+    visit_ids = np.arange(len(visit_ts))
+    visit_ts = np.array(visit_ts, dtype=np.int64)
+    rx_visits = np.repeat(visit_ids, np.array(prescribed, dtype=np.int64))
+
+    return assemble("clinical", [
+        (
             TableSchema(
                 "patients",
                 [
@@ -109,14 +97,12 @@ def make_clinical(
                 primary_key="id",
             ),
             {
-                "id": list(range(num_patients)),
-                "age": np.round(age, 1).tolist(),
-                "sex": sex.tolist(),
+                "id": np.arange(num_patients),
+                "age": np.round(age, 1),
+                "sex": sex.astype(object),
             },
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+        ),
+        (
             TableSchema(
                 "visits",
                 [
@@ -129,11 +115,14 @@ def make_clinical(
                 foreign_keys=[ForeignKey("patient_id", "patients", "id")],
                 time_column="ts",
             ),
-            visit_rows,
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+            {
+                "id": visit_ids,
+                "patient_id": np.array(visit_patient, dtype=np.int64),
+                "severity": python_round(np.array(severities), 2),
+                "ts": visit_ts,
+            },
+        ),
+        (
             TableSchema(
                 "diagnoses",
                 [
@@ -146,11 +135,9 @@ def make_clinical(
                 foreign_keys=[ForeignKey("visit_id", "visits", "id")],
                 time_column="ts",
             ),
-            diagnosis_rows,
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+            {"id": visit_ids, "visit_id": visit_ids, "code": np.array(codes, dtype=object), "ts": visit_ts},
+        ),
+        (
             TableSchema(
                 "prescriptions",
                 [
@@ -163,8 +150,11 @@ def make_clinical(
                 foreign_keys=[ForeignKey("visit_id", "visits", "id")],
                 time_column="ts",
             ),
-            prescription_rows,
-        )
-    )
-    db.validate()
-    return db
+            {
+                "id": np.arange(len(rx_visits)),
+                "visit_id": rx_visits,
+                "drug": np.array(_DRUGS, dtype=object)[np.array(drugs, dtype=np.int64)],
+                "ts": visit_ts[rx_visits],
+            },
+        ),
+    ])

@@ -26,20 +26,12 @@ What this plants:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from bisect import bisect_right
 
 import numpy as np
 
-from repro.relational import (
-    Column,
-    ColumnSpec,
-    Database,
-    DType,
-    ForeignKey,
-    Table,
-    TableSchema,
-    days,
-)
+from repro.datasets.base import assemble, choice_cdfs, python_round
+from repro.relational import ColumnSpec, Database, DType, ForeignKey, TableSchema
 
 __all__ = ["make_ecommerce"]
 
@@ -82,50 +74,51 @@ def make_ecommerce(
     lapse_after = rng.exponential(1.0 / lapse_hazard) * _DAY
     lapse_time = signup + lapse_after.astype(np.int64)
 
-    order_rows: Dict[str, List] = {
-        "id": [], "customer_id": [], "product_id": [], "quantity": [], "amount": [], "ts": []
-    }
-    review_rows: Dict[str, List] = {
-        "id": [], "customer_id": [], "product_id": [], "rating": [], "ts": []
-    }
     category_products = [np.flatnonzero(product_category == c) for c in range(num_categories)]
     category_pop = [popularity[idx] / popularity[idx].sum() for idx in category_products]
+    pools = [pool.tolist() for pool in category_products]
+    preference_cdf = choice_cdfs(preference)
+    pool_cdf = choice_cdfs(category_pop)
+    gap = (1.0 / (base_rate / _DAY)).tolist()  # mean seconds between orders
 
-    oid = rid = 0
+    # One pass in the generator's draw order; a categorical draw is
+    # ``bisect_right(cdf, rng.random())``, the draw ``rng.choice`` makes.
+    # Derived columns come from the raw draws afterwards, as arrays.
+    exponential, integers, normal, random = rng.exponential, rng.integers, rng.normal, rng.random
+    customers, products, quantities, order_noise, order_ts = [], [], [], [], []
+    reviewed, review_noise, review_delay = [], [], []
     for customer in range(num_customers):
         t = float(signup[customer])
         active_until = min(float(lapse_time[customer]), float(span))
-        rate_per_second = base_rate[customer] / _DAY
+        cdf = preference_cdf[customer]
         while True:
-            t += rng.exponential(1.0 / rate_per_second)
+            t += exponential(gap[customer])
             if t >= active_until:
                 break
-            category = rng.choice(num_categories, p=preference[customer])
-            pool = category_products[category]
-            if len(pool) == 0:
+            category = bisect_right(cdf, random())
+            pool = pools[category]
+            if not pool:
                 continue
-            product = int(rng.choice(pool, p=category_pop[category]))
-            quantity = int(rng.integers(1, 4))
-            amount = float(product_price[product] * quantity * np.exp(rng.normal(0, 0.05)))
-            order_rows["id"].append(oid)
-            order_rows["customer_id"].append(customer)
-            order_rows["product_id"].append(product)
-            order_rows["quantity"].append(quantity)
-            order_rows["amount"].append(round(amount, 2))
-            order_rows["ts"].append(int(t))
-            oid += 1
-            if rng.random() < 0.3:
-                rating = float(np.clip(3.0 + product_quality[product] + rng.normal(0, 0.7), 1, 5))
-                review_rows["id"].append(rid)
-                review_rows["customer_id"].append(customer)
-                review_rows["product_id"].append(product)
-                review_rows["rating"].append(round(rating, 1))
-                review_rows["ts"].append(int(t) + int(rng.integers(_DAY, 7 * _DAY)))
-                rid += 1
+            customers.append(customer)
+            products.append(pool[bisect_right(pool_cdf[category], random())])
+            quantities.append(integers(1, 4))
+            order_noise.append(normal(0, 0.05))
+            order_ts.append(int(t))
+            if random() < 0.3:
+                reviewed.append(len(order_ts) - 1)
+                review_noise.append(normal(0, 0.7))
+                review_delay.append(integers(_DAY, 7 * _DAY))
 
-    db = Database("ecommerce")
-    db.add_table(
-        Table.from_dict(
+    customers = np.array(customers, dtype=np.int64)
+    products = np.array(products, dtype=np.int64)
+    quantities = np.array(quantities, dtype=np.int64)
+    order_ts = np.array(order_ts, dtype=np.int64)
+    reviewed = np.array(reviewed, dtype=np.int64)
+    amount = product_price[products] * quantities * np.exp(np.array(order_noise))
+    rating = np.clip(3.0 + product_quality[products[reviewed]] + np.array(review_noise), 1, 5)
+
+    return assemble("ecommerce", [
+        (
             TableSchema(
                 "customers",
                 [
@@ -138,15 +131,13 @@ def make_ecommerce(
                 time_column="signup_ts",
             ),
             {
-                "id": list(range(num_customers)),
-                "region": region.tolist(),
-                "age": np.round(age, 1).tolist(),
-                "signup_ts": signup.tolist(),
+                "id": np.arange(num_customers),
+                "region": region.astype(object),
+                "age": np.round(age, 1),
+                "signup_ts": signup,
             },
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+        ),
+        (
             TableSchema(
                 "products",
                 [
@@ -157,14 +148,12 @@ def make_ecommerce(
                 primary_key="id",
             ),
             {
-                "id": list(range(num_products)),
+                "id": np.arange(num_products),
                 "category": [f"cat{c}" for c in product_category.tolist()],
-                "price": np.round(product_price, 2).tolist(),
+                "price": np.round(product_price, 2),
             },
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+        ),
+        (
             TableSchema(
                 "orders",
                 [
@@ -182,11 +171,16 @@ def make_ecommerce(
                 ],
                 time_column="ts",
             ),
-            order_rows,
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+            {
+                "id": np.arange(len(order_ts)),
+                "customer_id": customers,
+                "product_id": products,
+                "quantity": quantities,
+                "amount": python_round(amount, 2),
+                "ts": order_ts,
+            },
+        ),
+        (
             TableSchema(
                 "reviews",
                 [
@@ -203,8 +197,12 @@ def make_ecommerce(
                 ],
                 time_column="ts",
             ),
-            review_rows,
-        )
-    )
-    db.validate()
-    return db
+            {
+                "id": np.arange(len(reviewed)),
+                "customer_id": customers[reviewed],
+                "product_id": products[reviewed],
+                "rating": python_round(rating, 1),
+                "ts": order_ts[reviewed] + np.array(review_delay, dtype=np.int64),
+            },
+        ),
+    ])

@@ -18,18 +18,12 @@ depth 1 (Figure 1).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from bisect import bisect_right
 
 import numpy as np
 
-from repro.relational import (
-    ColumnSpec,
-    Database,
-    DType,
-    ForeignKey,
-    Table,
-    TableSchema,
-)
+from repro.datasets.base import assemble, choice_cdfs
+from repro.relational import ColumnSpec, Database, DType, ForeignKey, TableSchema
 
 __all__ = ["make_forum"]
 
@@ -54,55 +48,51 @@ def make_forum(
     topic_pref = rng.dirichlet(np.full(len(_TOPICS), 0.6), size=num_users)
     topic_popularity = np.exp(rng.normal(0, 0.5, size=len(_TOPICS)))
 
-    post_rows: Dict[str, List] = {"id": [], "user_id": [], "topic": [], "ts": []}
-    vote_rows: Dict[str, List] = {"id": [], "post_id": [], "voter_id": [], "ts": []}
-    comment_rows: Dict[str, List] = {"id": [], "post_id": [], "user_id": [], "ts": []}
+    topic_cdf = choice_cdfs(topic_pref)
+    # Expected votes on a post, by (author, topic).
+    expected_votes = (np.exp(0.8 * talent)[:, None] * topic_popularity).tolist()
 
+    # One pass in the generator's draw order; a topic draw is
+    # ``bisect_right(cdf, rng.random())``, the draw ``rng.choice`` makes.
+    integers, poisson, random = rng.integers, rng.poisson, rng.random
+    post_user, post_topic, post_ts, vote_counts, voters, vote_delay = [], [], [], [], [], []
+    commented, commenters, comment_delay = [], [], []
     # recent_votes[u] = votes received by u's posts in the previous week.
     recent_votes = np.zeros(num_users)
-    pid = vid = cid = 0
     for week_index in range(num_weeks):
         week_start = week_index * week
-        votes_this_week = np.zeros(num_users)
-        for user in range(num_users):
-            if signup[user] > week_start:
-                continue
-            # The planted two-hop signal: next week's posting rate is
-            # driven by the votes last week's posts received.
-            feedback = sensitivity[user] * np.log1p(recent_votes[user])
-            rate = base_rate[user] * 0.35 * np.exp(0.7 * feedback)
-            num_posts = rng.poisson(min(rate, 6.0))
-            for _ in range(num_posts):
-                topic = int(rng.choice(len(_TOPICS), p=topic_pref[user]))
-                ts = int(week_start + rng.integers(0, week))
-                post_rows["id"].append(pid)
-                post_rows["user_id"].append(user)
-                post_rows["topic"].append(_TOPICS[topic])
-                post_rows["ts"].append(ts)
+        # The planted two-hop signal: next week's posting rate is
+        # driven by the votes last week's posts received.
+        feedback = sensitivity * np.log1p(recent_votes)
+        rate = np.minimum(base_rate * 0.35 * np.exp(0.7 * feedback), 6.0).tolist()
+        received = [0] * num_users
+        for user in np.flatnonzero(signup <= week_start).tolist():
+            for _ in range(poisson(rate[user])):
+                topic = bisect_right(topic_cdf[user], random())
+                ts = week_start + int(integers(0, week))
+                post_user.append(user)
+                post_topic.append(topic)
+                post_ts.append(ts)
                 # Votes arrive shortly after the post.
-                expected_votes = np.exp(0.8 * talent[user]) * topic_popularity[topic]
-                num_votes = rng.poisson(expected_votes)
-                votes_this_week[user] += num_votes
+                num_votes = poisson(expected_votes[user][topic])
+                vote_counts.append(num_votes)
+                received[user] += num_votes
                 for _ in range(num_votes):
-                    voter = int(rng.integers(0, num_users))
-                    vote_rows["id"].append(vid)
-                    vote_rows["post_id"].append(pid)
-                    vote_rows["voter_id"].append(voter)
-                    vote_rows["ts"].append(ts + int(rng.integers(0, 3 * _DAY)))
-                    vid += 1
-                if rng.random() < 0.5:
-                    commenter = int(rng.integers(0, num_users))
-                    comment_rows["id"].append(cid)
-                    comment_rows["post_id"].append(pid)
-                    comment_rows["user_id"].append(commenter)
-                    comment_rows["ts"].append(ts + int(rng.integers(0, 2 * _DAY)))
-                    cid += 1
-                pid += 1
-        recent_votes = votes_this_week
+                    voters.append(integers(0, num_users))
+                    vote_delay.append(integers(0, 3 * _DAY))
+                if random() < 0.5:
+                    commented.append(len(post_ts) - 1)
+                    commenters.append(integers(0, num_users))
+                    comment_delay.append(integers(0, 2 * _DAY))
+        recent_votes = np.array(received, dtype=np.float64)
 
-    db = Database("forum")
-    db.add_table(
-        Table.from_dict(
+    post_ts = np.array(post_ts, dtype=np.int64)
+    post_ids = np.arange(len(post_ts))
+    vote_posts = np.repeat(post_ids, np.array(vote_counts, dtype=np.int64))
+    commented = np.array(commented, dtype=np.int64)
+
+    return assemble("forum", [
+        (
             TableSchema(
                 "users",
                 [
@@ -112,11 +102,9 @@ def make_forum(
                 primary_key="id",
                 time_column="signup_ts",
             ),
-            {"id": list(range(num_users)), "signup_ts": signup.tolist()},
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+            {"id": np.arange(num_users), "signup_ts": signup},
+        ),
+        (
             TableSchema(
                 "posts",
                 [
@@ -129,11 +117,14 @@ def make_forum(
                 foreign_keys=[ForeignKey("user_id", "users", "id")],
                 time_column="ts",
             ),
-            post_rows,
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+            {
+                "id": post_ids,
+                "user_id": np.array(post_user, dtype=np.int64),
+                "topic": np.array(_TOPICS, dtype=object)[np.array(post_topic, dtype=np.int64)],
+                "ts": post_ts,
+            },
+        ),
+        (
             TableSchema(
                 "votes",
                 [
@@ -149,11 +140,14 @@ def make_forum(
                 ],
                 time_column="ts",
             ),
-            vote_rows,
-        )
-    )
-    db.add_table(
-        Table.from_dict(
+            {
+                "id": np.arange(len(vote_posts)),
+                "post_id": vote_posts,
+                "voter_id": np.array(voters, dtype=np.int64),
+                "ts": post_ts[vote_posts] + np.array(vote_delay, dtype=np.int64),
+            },
+        ),
+        (
             TableSchema(
                 "comments",
                 [
@@ -169,8 +163,11 @@ def make_forum(
                 ],
                 time_column="ts",
             ),
-            comment_rows,
-        )
-    )
-    db.validate()
-    return db
+            {
+                "id": np.arange(len(commented)),
+                "post_id": commented,
+                "user_id": np.array(commenters, dtype=np.int64),
+                "ts": post_ts[commented] + np.array(comment_delay, dtype=np.int64),
+            },
+        ),
+    ])

@@ -31,6 +31,8 @@ def _coerce_values(values: Any, dtype: DType) -> np.ndarray:
         for i, value in enumerate(values):
             array[i] = "" if value is None else str(value)
     elif isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind == "f" and dtype != DType.FLOAT64:
+            values = np.where(np.isnan(values), NULL_SENTINELS[dtype], values)
         array = values.astype(np_dtype)
     else:
         sentinel = NULL_SENTINELS[dtype]
@@ -45,9 +47,10 @@ def _coerce_values(values: Any, dtype: DType) -> np.ndarray:
 
 
 def _infer_mask(values: Any, dtype: DType) -> Optional[np.ndarray]:
-    """Infer a null mask from ``None`` entries (and NaN for floats)."""
+    """Infer a null mask from ``None`` and float NaN entries, whatever
+    the target dtype (as the list path does)."""
     if isinstance(values, np.ndarray) and values.dtype != object:
-        if dtype == DType.FLOAT64:
+        if values.dtype.kind == "f":
             nan_mask = np.isnan(values)
             return nan_mask if nan_mask.any() else None
         return None

@@ -14,6 +14,8 @@ import json
 import os
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.obs import get_logger, get_registry
 from repro.relational.column import Column
 from repro.relational.database import Database
@@ -71,21 +73,21 @@ def _save_table(table: Table, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(table.column_names)
-        columns = [table[name] for name in table.column_names]
-        for i in range(table.num_rows):
-            writer.writerow(
-                [_serialize(col.get(i), col.dtype) for col in columns]
-            )
+        writer.writerows(zip(*(_serialize(table[name]) for name in table.column_names)))
 
 
-def _serialize(value, dtype: DType) -> str:
-    if value is None:
-        return _NULL_TOKEN
-    if dtype == DType.BOOL:
-        return "true" if value else "false"
-    if dtype == DType.FLOAT64:
-        return repr(float(value))
-    return str(value)
+def _serialize(column: Column) -> List[str]:
+    """A column's CSV cells: floats by ``repr``, bools as ``true``/``false``,
+    everything else by ``str``, nulls as the empty field."""
+    values = column.values.tolist()
+    if column.dtype == DType.BOOL:
+        cells = ["true" if value else "false" for value in values]
+    else:
+        cells = list(map(repr if column.dtype == DType.FLOAT64 else str, values))
+    if column.mask is not None:
+        for i in np.flatnonzero(column.mask).tolist():
+            cells[i] = _NULL_TOKEN
+    return cells
 
 
 def load_database(directory: str, lenient: bool = False) -> Database:

@@ -17,6 +17,9 @@ Two kinds of helpers:
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,18 @@ from repro.relational import (
 )
 
 DAY = 86400
+
+#: Hypothesis profile with the long budget of the generator-vs-oracle
+#: grid (``tests/test_generator_oracles.py``); CI's perf-smoke step runs
+#: that file with ``--hypothesis-profile=generators-long``.
+LONG_GENERATOR_PROFILE = "generators-long"
+
+try:
+    from hypothesis import settings as _hypothesis_settings
+except ImportError:  # tier-1 installs numpy and pytest only
+    pass
+else:
+    _hypothesis_settings.register_profile(LONG_GENERATOR_PROFILE, max_examples=200, deadline=None)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +153,27 @@ def assert_graphs_equivalent(a, b) -> None:
     for node_type, keys in a.node_keys.items():
         np.testing.assert_array_equal(np.asarray(keys), np.asarray(b.node_keys[node_type]))
     assert graph_fingerprint(a) == graph_fingerprint(b)
+
+
+def column_digest(column) -> str:
+    """SHA-256 of a column's physical dtype, values bytes (strings as a
+    JSON list) and null mask: equal digests are equal columns, bit for bit."""
+    digest = hashlib.sha256(column.values.dtype.str.encode())
+    if column.values.dtype == object:
+        digest.update(json.dumps(column.values.tolist()).encode())
+    else:
+        digest.update(column.values.tobytes())
+    digest.update(column.null_mask().tobytes())
+    return digest.hexdigest()
+
+
+def database_digests(db: Database) -> dict:
+    """``{table: (first 16 hex digits of each column's digest, ...)}``,
+    columns in schema order."""
+    return {
+        table.name: tuple(column_digest(table[name])[:16] for name in table.column_names)
+        for table in db
+    }
 
 
 def subgraph_instances(subgraph) -> dict:

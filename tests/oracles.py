@@ -6,6 +6,7 @@ here, unoptimized and obviously correct, as oracles only.
 
 from __future__ import annotations
 
+import csv
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.baselines.trees import _MISSING_BIN, DecisionTreeRegressor, _Node
 from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.graph.sampler import SampledSubgraph
 from repro.nn.tensor import Tensor
+from repro.relational import DType, Table
 
 
 class LoopNeighborSampler:
@@ -388,3 +390,274 @@ class PowLoopTreeGrower(LoopTreeGrower):
     def square(value):
         """``value`` squared through the scalar power operator."""
         return value**2
+
+
+# ----------------------------------------------------------------------
+# Per-draw generator loops: the oracles for ``repro.datasets``
+# ----------------------------------------------------------------------
+# Each is its generator's body as it shipped before the CDFs were built
+# once and the derived columns computed as arrays: one
+# ``Generator.choice(k, p=row)`` per categorical draw, scalar numpy
+# arithmetic per row, python lists per column.  It returns what that
+# body handed to ``Table.from_dict``, table by table; the differential
+# test builds those tables with the product's schemas and compares
+# every column's bytes.
+_DAY = 86400
+
+
+def loop_ecommerce_rows(
+    num_customers: int = 300,
+    num_products: int = 120,
+    num_categories: int = 6,
+    span_days: int = 360,
+    seed: int = 0,
+) -> Dict[str, Dict[str, list]]:
+    """``make_ecommerce``'s draw loop, as it shipped."""
+    _REGIONS = ["na", "eu", "apac", "latam"]
+    rng = np.random.default_rng(seed)
+    span = span_days * _DAY
+
+    # ---- products -----------------------------------------------------
+    product_category = rng.integers(0, num_categories, size=num_products)
+    category_price = np.exp(rng.normal(2.5, 0.6, size=num_categories))
+    product_price = category_price[product_category] * np.exp(rng.normal(0, 0.3, num_products))
+    product_quality = rng.normal(0, 1, num_products)
+    # Within-category popularity: Zipf-like weights.
+    popularity = 1.0 / (1.0 + rng.permutation(num_products).astype(np.float64))
+
+    # ---- customers ----------------------------------------------------
+    signup = rng.integers(0, span // 2, size=num_customers)
+    base_rate = np.exp(rng.normal(np.log(0.08), 0.7, size=num_customers))  # orders/day
+    lapse_hazard = np.exp(rng.normal(np.log(0.006), 0.8, size=num_customers))
+    preference = rng.dirichlet(np.full(num_categories, 0.5), size=num_customers)
+    region = rng.choice(_REGIONS, size=num_customers)
+    age = np.clip(rng.normal(40, 12, num_customers), 18, 90)
+
+    # Lapse time: exponential with the customer's hazard, after signup.
+    lapse_after = rng.exponential(1.0 / lapse_hazard) * _DAY
+    lapse_time = signup + lapse_after.astype(np.int64)
+
+    order_rows: Dict[str, List] = {
+        "id": [], "customer_id": [], "product_id": [], "quantity": [], "amount": [], "ts": []
+    }
+    review_rows: Dict[str, List] = {
+        "id": [], "customer_id": [], "product_id": [], "rating": [], "ts": []
+    }
+    category_products = [np.flatnonzero(product_category == c) for c in range(num_categories)]
+    category_pop = [popularity[idx] / popularity[idx].sum() for idx in category_products]
+
+    oid = rid = 0
+    for customer in range(num_customers):
+        t = float(signup[customer])
+        active_until = min(float(lapse_time[customer]), float(span))
+        rate_per_second = base_rate[customer] / _DAY
+        while True:
+            t += rng.exponential(1.0 / rate_per_second)
+            if t >= active_until:
+                break
+            category = rng.choice(num_categories, p=preference[customer])
+            pool = category_products[category]
+            if len(pool) == 0:
+                continue
+            product = int(rng.choice(pool, p=category_pop[category]))
+            quantity = int(rng.integers(1, 4))
+            amount = float(product_price[product] * quantity * np.exp(rng.normal(0, 0.05)))
+            order_rows["id"].append(oid)
+            order_rows["customer_id"].append(customer)
+            order_rows["product_id"].append(product)
+            order_rows["quantity"].append(quantity)
+            order_rows["amount"].append(round(amount, 2))
+            order_rows["ts"].append(int(t))
+            oid += 1
+            if rng.random() < 0.3:
+                rating = float(np.clip(3.0 + product_quality[product] + rng.normal(0, 0.7), 1, 5))
+                review_rows["id"].append(rid)
+                review_rows["customer_id"].append(customer)
+                review_rows["product_id"].append(product)
+                review_rows["rating"].append(round(rating, 1))
+                review_rows["ts"].append(int(t) + int(rng.integers(_DAY, 7 * _DAY)))
+                rid += 1
+
+    return {
+        "customers": {
+            "id": list(range(num_customers)),
+            "region": region.tolist(),
+            "age": np.round(age, 1).tolist(),
+            "signup_ts": signup.tolist(),
+        },
+        "products": {
+            "id": list(range(num_products)),
+            "category": [f"cat{c}" for c in product_category.tolist()],
+            "price": np.round(product_price, 2).tolist(),
+        },
+        "orders": order_rows,
+        "reviews": review_rows,
+    }
+
+
+def loop_forum_rows(
+    num_users: int = 250,
+    span_days: int = 360,
+    seed: int = 0,
+) -> Dict[str, Dict[str, list]]:
+    """``make_forum``'s week-by-week, user-by-user loop, as it shipped."""
+    _TOPICS = ["python", "sql", "ml", "devops", "frontend", "random"]
+    rng = np.random.default_rng(seed)
+    num_weeks = span_days // 7
+    week = 7 * _DAY
+
+    signup = rng.integers(0, (span_days // 3) * _DAY, size=num_users)
+    talent = rng.normal(0, 1, size=num_users)
+    base_rate = np.exp(rng.normal(np.log(1.0), 0.4, size=num_users))  # posts/week
+    sensitivity = rng.uniform(0.5, 2.0, size=num_users)
+    topic_pref = rng.dirichlet(np.full(len(_TOPICS), 0.6), size=num_users)
+    topic_popularity = np.exp(rng.normal(0, 0.5, size=len(_TOPICS)))
+
+    post_rows: Dict[str, List] = {"id": [], "user_id": [], "topic": [], "ts": []}
+    vote_rows: Dict[str, List] = {"id": [], "post_id": [], "voter_id": [], "ts": []}
+    comment_rows: Dict[str, List] = {"id": [], "post_id": [], "user_id": [], "ts": []}
+
+    # recent_votes[u] = votes received by u's posts in the previous week.
+    recent_votes = np.zeros(num_users)
+    pid = vid = cid = 0
+    for week_index in range(num_weeks):
+        week_start = week_index * week
+        votes_this_week = np.zeros(num_users)
+        for user in range(num_users):
+            if signup[user] > week_start:
+                continue
+            # The planted two-hop signal: next week's posting rate is
+            # driven by the votes last week's posts received.
+            feedback = sensitivity[user] * np.log1p(recent_votes[user])
+            rate = base_rate[user] * 0.35 * np.exp(0.7 * feedback)
+            num_posts = rng.poisson(min(rate, 6.0))
+            for _ in range(num_posts):
+                topic = int(rng.choice(len(_TOPICS), p=topic_pref[user]))
+                ts = int(week_start + rng.integers(0, week))
+                post_rows["id"].append(pid)
+                post_rows["user_id"].append(user)
+                post_rows["topic"].append(_TOPICS[topic])
+                post_rows["ts"].append(ts)
+                # Votes arrive shortly after the post.
+                expected_votes = np.exp(0.8 * talent[user]) * topic_popularity[topic]
+                num_votes = rng.poisson(expected_votes)
+                votes_this_week[user] += num_votes
+                for _ in range(num_votes):
+                    voter = int(rng.integers(0, num_users))
+                    vote_rows["id"].append(vid)
+                    vote_rows["post_id"].append(pid)
+                    vote_rows["voter_id"].append(voter)
+                    vote_rows["ts"].append(ts + int(rng.integers(0, 3 * _DAY)))
+                    vid += 1
+                if rng.random() < 0.5:
+                    commenter = int(rng.integers(0, num_users))
+                    comment_rows["id"].append(cid)
+                    comment_rows["post_id"].append(pid)
+                    comment_rows["user_id"].append(commenter)
+                    comment_rows["ts"].append(ts + int(rng.integers(0, 2 * _DAY)))
+                    cid += 1
+                pid += 1
+        recent_votes = votes_this_week
+
+    return {
+        "users": {"id": list(range(num_users)), "signup_ts": signup.tolist()},
+        "posts": post_rows,
+        "votes": vote_rows,
+        "comments": comment_rows,
+    }
+
+
+def loop_clinical_rows(
+    num_patients: int = 250,
+    span_days: int = 540,
+    seed: int = 0,
+) -> Dict[str, Dict[str, list]]:
+    """``make_clinical``'s patient-by-patient visit loop, as it shipped."""
+    _CHRONIC_CODES = ["E11", "I10", "J44", "N18"]
+    _ACUTE_CODES = ["J06", "A09", "S93", "H66", "L03", "R51"]
+    _DRUGS = ["metformin", "lisinopril", "salbutamol", "amoxicillin", "ibuprofen", "omeprazole"]
+    rng = np.random.default_rng(seed)
+    span = span_days * _DAY
+
+    age = np.clip(rng.normal(55, 18, num_patients), 18, 95)
+    sex = rng.choice(["f", "m"], size=num_patients)
+    frailty = 0.02 * (age - 55) + rng.normal(0, 0.6, num_patients)
+    chronic = rng.random(num_patients) < (0.25 + 0.15 * (age > 65))
+    # Visit rate per day: chronic patients visit ~4x as often.
+    visit_rate = np.exp(rng.normal(np.log(0.01), 0.5, num_patients)) * np.where(chronic, 4.0, 1.0)
+
+    visit_rows: Dict[str, List] = {"id": [], "patient_id": [], "severity": [], "ts": []}
+    diagnosis_rows: Dict[str, List] = {"id": [], "visit_id": [], "code": [], "ts": []}
+    prescription_rows: Dict[str, List] = {"id": [], "visit_id": [], "drug": [], "ts": []}
+
+    visit_id = diag_id = rx_id = 0
+    for patient in range(num_patients):
+        t = float(rng.integers(0, 30 * _DAY))
+        rate_per_second = visit_rate[patient] / _DAY
+        while True:
+            t += rng.exponential(1.0 / rate_per_second)
+            if t >= span:
+                break
+            severity = float(
+                np.clip(frailty[patient] + (0.8 if chronic[patient] else 0.0) + rng.normal(0, 0.5), -2, 4)
+            )
+            ts = int(t)
+            visit_rows["id"].append(visit_id)
+            visit_rows["patient_id"].append(patient)
+            visit_rows["severity"].append(round(severity, 2))
+            visit_rows["ts"].append(ts)
+            # Diagnoses: chronic patients usually record their chronic code.
+            if chronic[patient] and rng.random() < 0.8:
+                code = _CHRONIC_CODES[patient % len(_CHRONIC_CODES)]
+            else:
+                code = _ACUTE_CODES[int(rng.integers(0, len(_ACUTE_CODES)))]
+            diagnosis_rows["id"].append(diag_id)
+            diagnosis_rows["visit_id"].append(visit_id)
+            diagnosis_rows["code"].append(code)
+            diagnosis_rows["ts"].append(ts)
+            diag_id += 1
+            # Prescriptions scale with severity.
+            for _ in range(rng.poisson(max(severity, 0.0) + 0.3)):
+                prescription_rows["id"].append(rx_id)
+                prescription_rows["visit_id"].append(visit_id)
+                prescription_rows["drug"].append(_DRUGS[int(rng.integers(0, len(_DRUGS)))])
+                prescription_rows["ts"].append(ts)
+                rx_id += 1
+            visit_id += 1
+
+    return {
+        "patients": {
+            "id": list(range(num_patients)),
+            "age": np.round(age, 1).tolist(),
+            "sex": sex.tolist(),
+        },
+        "visits": visit_rows,
+        "diagnoses": diagnosis_rows,
+        "prescriptions": prescription_rows,
+    }
+
+
+# ----------------------------------------------------------------------
+# Cell-by-cell CSV writer: the oracle for ``repro.relational.csvio``
+# ----------------------------------------------------------------------
+def rowwise_save_table(table: Table, path: str) -> None:
+    """``csvio._save_table`` as it shipped: ``Column.get`` and one
+    serialisation per cell, one ``writerow`` per row."""
+
+    def serialize(value, dtype):
+        if value is None:
+            return ""
+        if dtype == DType.BOOL:
+            return "true" if value else "false"
+        if dtype == DType.FLOAT64:
+            return repr(float(value))
+        return str(value)
+
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(table.column_names)
+        columns = [table[name] for name in table.column_names]
+        for i in range(table.num_rows):
+            writer.writerow(
+                [serialize(col.get(i), col.dtype) for col in columns]
+            )

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from repro.datasets import get_dataset
 from repro.relational import (
     ColumnSpec,
     Database,
@@ -15,6 +16,8 @@ from repro.relational import (
     load_database,
     save_database,
 )
+from repro.relational.csvio import _save_table
+from tests.oracles import rowwise_save_table
 
 
 def sample_db():
@@ -183,3 +186,47 @@ class TestLenientLoading:
         lenient = load_database(str(tmp_path / "out"), lenient=True)
         for table in strict:
             assert lenient[table.name] == table
+
+
+class TestColumnWiseWriter:
+    """``save_database`` serialises a column at a time; the cell-by-cell
+    writer it replaced (``tests/oracles.py``) is the byte-level oracle."""
+
+    @staticmethod
+    def edge_table():
+        schema = TableSchema(
+            "edges",
+            [
+                ColumnSpec("i", DType.INT64),
+                ColumnSpec("f", DType.FLOAT64),
+                ColumnSpec("s", DType.STRING),
+                ColumnSpec("b", DType.BOOL),
+                ColumnSpec("t", DType.TIMESTAMP),
+            ],
+        )
+        return Table.from_dict(
+            schema,
+            {
+                "i": [0, -1, 2**62, -(2**63), None, 7],
+                "f": [-0.0, 1e-300, None, 1.0 / 3.0, 1e300, 5e-324],
+                "s": ["a,b", 'say "hi"', "two\nlines", None, "", "trailing\r\n"],
+                "b": [True, None, False, True, False, None],
+                "t": [None, 0, 2**53 + 1, -86400, 1700000000, 1],
+            },
+        )
+
+    def write_both(self, table, tmp_path):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        _save_table(table, str(ours))
+        rowwise_save_table(table, str(theirs))
+        return ours.read_bytes(), theirs.read_bytes()
+
+    def test_nulls_signed_zero_extremes_and_quoting_match_the_oracle(self, tmp_path):
+        ours, theirs = self.write_both(self.edge_table(), tmp_path)
+        assert ours == theirs
+        assert b"-0.0" in ours and b"1e-300" in ours and b'"two\nlines"' in ours
+
+    def test_empty_and_generated_tables_match_the_oracle(self, tmp_path):
+        for table in (Table.empty(self.edge_table().schema), *get_dataset("forum").build(scale=0.2)):
+            ours, theirs = self.write_both(table, tmp_path)
+            assert ours == theirs

@@ -7,14 +7,17 @@ node).  Both are gone from the hot path; these tests fail loudly if
 either comes back, or if a change to the interner or the segment kernel
 makes the default fit draw different nodes.  A routed fit used to spend
 most of its time in the GBDT's per-feature, per-bin split loop; the
-last two tests fail if a per-feature histogram comes back or if the
-default routed fit grows different trees.
+next two tests fail if a per-feature histogram comes back or if the
+default routed fit grows different trees.  Dataset generation used to
+spend most of its time in one ``Generator.choice`` call per categorical
+draw; the last test fails if a per-row ``choice`` comes back.
 """
 
 import contextlib
 import io
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.baselines import DecisionTreeRegressor
@@ -159,3 +162,37 @@ def test_default_routed_fit_grows_exactly_the_trees_it_always_grew(
     calibrate = trace.find("router.calibrate").counters
     assert calibrate["router.quality_bp.raw_gnn"] == int(model.raw_gnn_quality * 10000)
     assert set(model.quality) == {"green", "yellow", "red"}
+
+
+class _CountingGenerator:
+    """A ``Generator`` stand-in that counts ``choice`` calls and forwards
+    everything else to the generator it wraps."""
+
+    def __init__(self, rng: np.random.Generator, calls: list) -> None:
+        self._rng = rng
+        self._calls = calls
+
+    def choice(self, *args, **kwargs):
+        self._calls.append(1)
+        return self._rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("name", ["ecommerce", "forum", "clinical"])
+def test_generators_make_no_per_row_choice_call(monkeypatch, name):
+    """``Generator.choice(k, p=row)`` rebuilds and re-checks its CDF on
+    every call; the generators draw categoricals off CDFs built once, so
+    their ``choice`` count does not grow with the data."""
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *args: _CountingGenerator(default_rng(*args), calls)
+    )
+    counts = []
+    for scale in (1.0, 6.0):
+        calls.clear()
+        get_dataset(name).build(scale=scale, seed=0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1

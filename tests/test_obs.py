@@ -387,6 +387,12 @@ class TestCLIProfile:
         span_names = {span["name"] for span in document["spans"]}
         assert "planner.fit" in span_names
         assert document["metrics"]["sampler.nodes_sampled"]["value"] > 0
+        # The generator's output rides its span, so rows/s reads off the trace.
+        from repro.datasets import get_dataset
+
+        build = next(span for span in document["spans"] if span["name"] == "cli.dataset_build")
+        db = get_dataset("ecommerce").build(scale=0.2, seed=0)
+        assert build["counters"]["dataset.rows"] == sum(table.num_rows for table in db)
 
     def test_no_flags_leaves_collection_off(self, capsys):
         from repro.cli import main

@@ -1,5 +1,7 @@
 """Unit tests for repro.relational.column."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +39,19 @@ class TestConstruction:
         col = Column([100, 200], DType.TIMESTAMP)
         assert col.get(0) == 100
         assert isinstance(col.get(0), int)
+
+    @pytest.mark.parametrize("dtype", [DType.INT64, DType.TIMESTAMP, DType.BOOL])
+    def test_nan_in_float_array_becomes_null_for_any_target(self, dtype):
+        """A float array's NaN is a null whatever the target dtype, as a
+        list's is — not the sentinel of a warning-raising cast."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_array = Column(np.array([1.0, np.nan, 0.0]), dtype)
+        from_list = Column([1.0, float("nan"), 0.0], dtype)
+        assert from_array.to_list() == from_list.to_list()
+        assert from_array.to_list()[1] is None
+        np.testing.assert_array_equal(from_array.null_mask(), from_list.null_mask())
+        assert from_array.values.tobytes() == from_list.values.tobytes()
 
     def test_explicit_mask_normalizes_sentinel(self):
         col = Column([7, 8], DType.INT64, mask=np.array([False, True]))
