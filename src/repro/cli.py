@@ -72,11 +72,9 @@ Observability flags (``fit`` / ``query``):
 Fault-tolerance flags (``fit`` / ``query``; see docs/robustness.md):
 
 * ``--checkpoint-dir DIR`` checkpoints training every epoch; with
-  ``--resume``, a restarted run continues bit-identically from the
-  last committed epoch.
-* ``--max-retries N`` retries transient stage failures with seeded
-  exponential backoff; ``--stage-timeout STAGE=SECONDS`` (repeatable)
-  budgets individual stages.
+  ``--resume``, a restarted run — killed, or failed with an error —
+  continues bit-identically from the last committed epoch (and a
+  checkpoint another fit wrote is refused).
 * ``--fallback`` degrades a failed GNN train stage to the router's
   YELLOW tier (GBDT), then GREEN, instead of failing the run.
 * The ``REPRO_FAULTS`` environment variable (e.g.
@@ -158,15 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--resume", action="store_true",
             help="resume training from the latest checkpoint in --checkpoint-dir",
-        )
-        p.add_argument(
-            "--max-retries", type=int, default=0, metavar="N",
-            help="retries per pipeline stage on transient failures",
-        )
-        p.add_argument(
-            "--stage-timeout", action="append", default=[], metavar="STAGE=SECONDS",
-            help="wall-clock budget for a stage (label, graph_build, train, "
-                 "evaluate); repeatable",
         )
         p.add_argument(
             "--fallback", action="store_true",
@@ -414,29 +403,12 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
 
 def _resilience_config(args: argparse.Namespace) -> Optional[ResilienceConfig]:
     """A ResilienceConfig when any fault-tolerance flag is set, else None."""
-    timeouts = {}
-    for item in args.stage_timeout:
-        stage, sep, seconds = item.partition("=")
-        if not sep:
-            raise SystemExit(f"--stage-timeout expects STAGE=SECONDS, got {item!r}")
-        if stage not in ("label", "graph_build", "train", "evaluate"):
-            raise SystemExit(f"--stage-timeout: unknown stage {stage!r}")
-        timeouts[stage] = float(seconds)
-    enabled = (
-        args.checkpoint_dir or args.resume or args.max_retries
-        or timeouts or args.fallback
-    )
-    if not enabled:
+    if not (args.checkpoint_dir or args.resume or args.fallback):
         return None
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
     return ResilienceConfig(
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        max_retries=args.max_retries,
-        stage_timeouts=timeouts,
-        fallback=args.fallback,
-        seed=args.seed,
+        checkpoint_dir=args.checkpoint_dir, resume=args.resume, fallback=args.fallback
     )
 
 

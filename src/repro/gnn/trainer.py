@@ -6,23 +6,24 @@ loss, backward, clip, step — with early stopping on validation loss and
 best-weight restoration.
 
 Both trainers run their epochs through one shared fault-tolerant
-driver (:class:`_ResilientLoop`):
+loop (:class:`_ResilientLoop`), which owns the one epoch body and the
+one validation-loss body; a trainer contributes only its
+``_batch_loss(seed_type, ids, times, targets, subgraph)``:
 
 * every optimizer step is watched by a divergence guard — a NaN/inf
   loss or an exploding pre-clip gradient norm restores the last good
   epoch snapshot, backs off the learning rate, and replays the epoch,
   a bounded number of times before raising
   :class:`~repro.resilience.DivergenceError`;
-* with a configured ``checkpoint_dir``, every epoch commits an atomic,
-  checksummed checkpoint capturing weights, best weights, optimizer
-  moments, and **all RNG states** (trainer shuffle/negative-sampling
-  and any model dropout generators; the neighbor sampler holds none,
-  its draws are a function of the batch) — so a killed run resumed
-  with ``resume=True`` replays the remaining epochs bit-identically
-  to an uninterrupted run;
-* a cooperative :class:`~repro.resilience.Deadline` may be passed to
-  ``fit``; it is checked at batch boundaries so stage budgets can stop
-  a run mid-epoch.
+* with a :class:`~repro.resilience.ResilienceConfig` ``checkpoint_dir``
+  passed to ``fit``, every epoch commits an atomic, checksummed
+  checkpoint capturing weights, best weights, optimizer moments, whether
+  early stopping has ended the run, and **all RNG states** (trainer
+  shuffle/negative-sampling and any model dropout generators; the
+  neighbor sampler holds none, its draws are a function of the batch) —
+  so a killed or failed run resumed with ``resume=True`` replays the
+  remaining epochs bit-identically to an uninterrupted run, and a
+  finished one resumes as finished.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +44,9 @@ from repro.nn.tensor import Tensor, no_grad
 from repro.obs import get_logger, get_registry
 from repro.obs import trace as obs_trace
 from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.config import ResilienceConfig
 from repro.resilience.faults import corrupt_value, fault_point
 from repro.resilience.guards import DivergenceGuard
-from repro.resilience.retry import Deadline
 
 __all__ = ["TrainConfig", "NodeTaskTrainer", "LinkTaskTrainer"]
 
@@ -65,19 +66,6 @@ class TrainConfig:
     patience: int = 5
     clip_norm: float = 5.0
     seed: int = 0
-    #: Directory for per-epoch checkpoints; None disables them.
-    checkpoint_dir: Optional[str] = None
-    #: Commit a checkpoint every N epochs (the in-memory divergence
-    #: restore point is still refreshed every epoch).
-    checkpoint_every: int = 1
-    #: Resume from the latest checkpoint in ``checkpoint_dir`` if any.
-    resume: bool = False
-    #: Divergence recoveries (restore + LR backoff) before failing.
-    divergence_recoveries: int = 2
-    #: LR multiplier applied on each divergence recovery.
-    lr_backoff: float = 0.5
-    #: Pre-clip gradient norms above this count as divergence.
-    grad_norm_limit: float = 1e6
     #: Batch size for no-grad evaluation/prediction.  Inference builds
     #: no backward graph, so it can usually run much larger batches
     #: than training; ``None`` falls back to ``batch_size``.
@@ -189,12 +177,14 @@ class _Diverged(Exception):
 
 
 class _ResilientLoop:
-    """The shared epoch driver: early stopping, guards, checkpoints, resume.
+    """The shared epoch loop: the one epoch body and validation-loss
+    body, early stopping, guards, checkpoints, resume.
 
-    ``run_epoch(epoch)`` trains one epoch and returns
-    ``(mean_loss, clip_events)``, raising :class:`_Diverged` on a
+    Both bodies call the trainer's ``_batch_loss(seed_type, ids, times,
+    targets, subgraph)``; a training step raises :class:`_Diverged` on a
     divergence condition *before* the offending optimizer step is
-    applied.  ``run_val()`` (optional) returns the validation loss.
+    applied.  ``run_digest`` names the run in every checkpoint, and a
+    resume refuses a checkpoint stamped with another (or none).
     """
 
     CHECKPOINT_SLOT = "train"
@@ -202,25 +192,26 @@ class _ResilientLoop:
     def __init__(
         self,
         trainer,
-        optimizer: Adam,
-        num_examples: int,
-        deadline: Optional[Deadline] = None,
+        resilience: Optional[ResilienceConfig] = None,
+        run_digest: Optional[str] = None,
     ) -> None:
         self.trainer = trainer
-        self.optimizer = optimizer
-        self.num_examples = num_examples
-        self.deadline = deadline
+        self.resilience = resilience or ResilienceConfig()
+        self.run_digest = run_digest
         cfg = trainer.config
-        self.guard = DivergenceGuard(
-            max_recoveries=cfg.divergence_recoveries,
-            lr_factor=cfg.lr_backoff,
-            grad_norm_limit=cfg.grad_norm_limit,
+        self.optimizer = Adam(
+            trainer.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay
         )
-        self.ckpt = CheckpointManager(cfg.checkpoint_dir) if cfg.checkpoint_dir else None
+        self.guard = DivergenceGuard(max_recoveries=self.resilience.divergence_recoveries)
+        directory = self.resilience.checkpoint_dir
+        self.ckpt = CheckpointManager(directory) if directory else None
         self.best_val = float("inf")
         self.best_state = trainer.model.state_dict()
         self.stale = 0
-        self.current_lr = optimizer.lr
+        #: Whether early stopping has ended the run (checkpointed, so a
+        #: finished run resumes as finished).
+        self.stopped = False
+        self.current_lr = self.optimizer.lr
         #: Validation subgraphs kept across epochs (:func:`_eval_batches`):
         #: the sampler would redraw them identically every time.
         self.held: dict = {}
@@ -255,7 +246,9 @@ class _ResilientLoop:
             arrays[f"opt.v.{idx}"] = moment.copy()
         history = self.trainer.history
         meta: Dict[str, Any] = {
+            "run": self.run_digest,
             "next_epoch": next_epoch,
+            "stopped": self.stopped,
             "adam_t": self.optimizer._t,
             "lr": self.optimizer.lr,
             "best_val": self.best_val,
@@ -297,6 +290,7 @@ class _ResilientLoop:
         self.optimizer.lr = float(meta["lr"])
         self.best_val = float(meta["best_val"])
         self.stale = int(meta["stale"])
+        self.stopped = bool(meta["stopped"])
         history = self.trainer.history
         saved = meta["history"]
         history.train_loss[:] = [float(v) for v in saved["train_loss"]]
@@ -318,41 +312,88 @@ class _ResilientLoop:
             self.trainer._target_mean = float(meta["target_mean"])
             self.trainer._target_std = float(meta["target_std"])
 
+    # -- The epoch and validation bodies --------------------------------
+    def _train_epoch(self, seed_type, ids, times, targets) -> Tuple[float, int]:
+        """One shuffled epoch of optimizer steps: ``(mean_loss, clip_events)``."""
+        trainer, optimizer, clip_norm = self.trainer, self.optimizer, self.trainer.config.clip_norm
+        trainer.model.train()
+        clip_events = 0
+        order = trainer._rng.permutation(len(ids))
+        losses = []
+        for batch, subgraph in _epoch_batches(trainer, seed_type, ids, times, order):
+            fault_point("trainer.step")
+            loss = trainer._batch_loss(seed_type, ids[batch], times[batch], targets[batch], subgraph)
+            loss_value = corrupt_value("trainer.loss", float(loss.item()))
+            reason = self.guard.check_loss(loss_value)
+            if reason is not None:
+                raise _Diverged(reason, loss_value)
+            optimizer.zero_grad()
+            loss.backward()
+            norm = optimizer.gather_and_clip(clip_norm)
+            reason = self.guard.check_grad_norm(norm)
+            if reason is not None:
+                raise _Diverged(reason, norm)
+            clip_events += norm > clip_norm
+            optimizer.step()
+            losses.append(loss_value)
+        return float(np.mean(losses)), clip_events
+
+    def _val_loss(self, seed_type, ids, times, targets) -> float:
+        """The row-weighted no-grad loss over the held validation batches."""
+        trainer = self.trainer
+        trainer.model.eval()
+        losses, weights = [], []
+        with no_grad():
+            for rows, subgraph in _eval_batches(trainer, seed_type, ids, times, self.held):
+                loss = trainer._batch_loss(seed_type, ids[rows], times[rows], targets[rows], subgraph)
+                losses.append(loss.item())
+                weights.append(len(ids[rows]))
+        return float(np.average(losses, weights=weights))
+
     # -- Driver ----------------------------------------------------------
-    def run(
-        self,
-        run_epoch: Callable[[int], Tuple[float, int]],
-        run_val: Optional[Callable[[], float]],
-    ) -> None:
+    def _resume(self) -> int:
+        """Restore the committed checkpoint; returns the epoch to run next."""
+        arrays, meta = self.ckpt.load(self.CHECKPOINT_SLOT)
+        if "run" not in meta or meta["run"] != self.run_digest:
+            raise ValueError(
+                f"the checkpoint in {self.ckpt.directory!r} was written by a different "
+                f"fit (query, config or training labels differ, or it predates run "
+                f"stamps); refusing to resume — use a fresh checkpoint directory"
+            )
+        self._restore(arrays, meta)
+        self.guard.recoveries = int(meta["recoveries"])
+        self.current_lr = self.optimizer.lr
+        start_epoch = int(meta["next_epoch"])
+        self.trainer.history.resumed_from_epoch = start_epoch
+        _log.info(
+            "resumed from checkpoint",
+            extra={"checkpoint_dir": self.ckpt.directory, "next_epoch": start_epoch,
+                   "stopped": self.stopped},
+        )
+        return start_epoch
+
+    def run(self, seed_type: str, train: tuple, val: Optional[tuple] = None) -> None:
+        """Train on ``train = (ids, times, targets)``, early-stopping on
+        the loss over ``val`` (same shape) when given, with the guards,
+        checkpoints and resume of the resilience policy; leaves the best
+        weights loaded and the model in eval mode."""
         cfg = self.trainer.config
         history = self.trainer.history
         start_epoch = 0
-        if self.ckpt is not None and cfg.resume and self.ckpt.has(self.CHECKPOINT_SLOT):
-            arrays, meta = self.ckpt.load(self.CHECKPOINT_SLOT)
-            self._restore(arrays, meta)
-            self.guard.recoveries = int(meta.get("recoveries", 0))
-            self.current_lr = self.optimizer.lr
-            start_epoch = int(meta["next_epoch"])
-            history.resumed_from_epoch = start_epoch
-            _log.info(
-                "resumed from checkpoint",
-                extra={"checkpoint_dir": cfg.checkpoint_dir, "next_epoch": start_epoch},
-            )
+        if self.ckpt is not None and self.resilience.resume and self.ckpt.has(self.CHECKPOINT_SLOT):
+            start_epoch = self._resume()
         # The divergence restore point; refreshed after every good epoch.
         last_good = self._snapshot(next_epoch=start_epoch)
 
         epoch = start_epoch
-        stopped_early = False
-        while epoch < cfg.epochs and not stopped_early:
-            if self.deadline is not None:
-                self.deadline.check("trainer.epoch")
+        while epoch < cfg.epochs and not self.stopped:
             epoch_clock = time.perf_counter()
             try:
-                mean_loss, clip_events = run_epoch(epoch)
+                mean_loss, clip_events = self._train_epoch(seed_type, *train)
             except _Diverged as div:
                 self.guard.record_recovery(div.reason, epoch, div.value)
                 history.divergence_recoveries = self.guard.recoveries
-                self.current_lr *= cfg.lr_backoff
+                self.current_lr *= self.guard.lr_factor
                 self._restore(*last_good)
                 self.optimizer.lr = self.current_lr
                 get_registry().counter("resilience.divergence_recoveries").inc()
@@ -364,10 +405,10 @@ class _ResilientLoop:
                 )
                 continue  # replay the same epoch at the reduced LR
             history.train_loss.append(mean_loss)
-            _record_epoch(history, epoch, epoch_clock, self.num_examples, clip_events)
+            _record_epoch(history, epoch, epoch_clock, len(train[0]), clip_events)
 
-            if run_val is not None:
-                val_loss = run_val()
+            if val is not None:
+                val_loss = self._val_loss(seed_type, *val)
                 history.val_loss.append(val_loss)
                 if math.isnan(val_loss):
                     # nan < best is always False, so NaN could silently
@@ -388,19 +429,15 @@ class _ResilientLoop:
                 else:
                     self.stale += 1
                     if self.stale >= cfg.patience:
-                        stopped_early = True
+                        self.stopped = True
 
             last_good = self._snapshot(next_epoch=epoch + 1)
-            if self.ckpt is not None and (
-                (epoch + 1) % max(cfg.checkpoint_every, 1) == 0
-                or stopped_early
-                or epoch + 1 == cfg.epochs
-            ):
+            if self.ckpt is not None:
                 self.ckpt.save(self.CHECKPOINT_SLOT, *last_good)
             fault_point("trainer.epoch")
             epoch += 1
 
-        if run_val is not None:
+        if val is not None:
             self.trainer.model.load_state_dict(self.best_state)
         self.trainer.model.eval()
 
@@ -459,56 +496,23 @@ class NodeTaskTrainer:
         val_ids: Optional[np.ndarray] = None,
         val_times: Optional[np.ndarray] = None,
         val_labels: Optional[np.ndarray] = None,
-        deadline: Optional[Deadline] = None,
+        resilience: Optional[ResilienceConfig] = None,
+        run_digest: Optional[str] = None,
     ) -> _History:
         """Train with early stopping; returns the loss history.
 
         Regression targets are standardized with train statistics (and
-        de-standardized at prediction time).
+        de-standardized at prediction time).  ``resilience`` sets the
+        checkpoint/resume/divergence policy; ``run_digest`` names the
+        run in its checkpoints (see :class:`_ResilientLoop`).
         """
         train_labels = self._prepare_targets(train_labels, fit=True)
-        if val_labels is not None:
-            val_labels = self._prepare_targets(val_labels, fit=False)
-        optimizer = Adam(
-            self.model.parameters(),
-            lr=self.config.lr,
-            weight_decay=self.config.weight_decay,
-        )
-        loop = _ResilientLoop(self, optimizer, num_examples=len(train_ids), deadline=deadline)
-
-        def run_epoch(epoch: int) -> Tuple[float, int]:
-            self.model.train()
-            clip_events = 0
-            order = self._rng.permutation(len(train_ids))
-            epoch_losses = []
-            for batch, subgraph in _epoch_batches(self, seed_type, train_ids, train_times, order):
-                if deadline is not None:
-                    deadline.check("trainer.step")
-                fault_point("trainer.step")
-                loss = self._batch_loss(
-                    seed_type, train_ids[batch], train_times[batch], train_labels[batch], subgraph
-                )
-                loss_value = corrupt_value("trainer.loss", float(loss.item()))
-                reason = loop.guard.check_loss(loss_value)
-                if reason is not None:
-                    raise _Diverged(reason, loss_value)
-                optimizer.zero_grad()
-                loss.backward()
-                norm = optimizer.gather_and_clip(self.config.clip_norm)
-                reason = loop.guard.check_grad_norm(norm)
-                if reason is not None:
-                    raise _Diverged(reason, norm)
-                clip_events += norm > self.config.clip_norm
-                optimizer.step()
-                epoch_losses.append(loss_value)
-            return float(np.mean(epoch_losses)), clip_events
-
-        run_val = None
+        val = None
         if val_ids is not None:
-            run_val = lambda: self._evaluate_loss(
-                seed_type, val_ids, val_times, val_labels, loop.held
-            )
-        loop.run(run_epoch, run_val)
+            val = (val_ids, val_times, self._prepare_targets(val_labels, fit=False))
+        _ResilientLoop(self, resilience, run_digest).run(
+            seed_type, (train_ids, train_times, train_labels), val
+        )
         return self.history
 
     def _prepare_targets(self, labels: np.ndarray, fit: bool) -> np.ndarray:
@@ -531,17 +535,6 @@ class NodeTaskTrainer:
         if self.task_type == "multiclass":
             return cross_entropy(outputs, labels)
         return mse_loss(outputs.reshape(len(ids)), labels)
-
-    def _evaluate_loss(self, seed_type, ids, times, labels, held=None) -> float:
-        self.model.eval()
-        losses = []
-        weights = []
-        with no_grad():
-            for rows, subgraph in _eval_batches(self, seed_type, ids, times, held):
-                loss = self._batch_loss(seed_type, ids[rows], times[rows], labels[rows], subgraph)
-                losses.append(loss.item())
-                weights.append(len(ids[rows]))
-        return float(np.average(losses, weights=weights))
 
     # ------------------------------------------------------------------
     # Prediction
@@ -627,50 +620,18 @@ class LinkTaskTrainer:
         val_query_ids: Optional[np.ndarray] = None,
         val_query_times: Optional[np.ndarray] = None,
         val_pos_item_ids: Optional[np.ndarray] = None,
-        deadline: Optional[Deadline] = None,
+        resilience: Optional[ResilienceConfig] = None,
+        run_digest: Optional[str] = None,
     ) -> _History:
-        """Train on positive (query, item) pairs with sampled negatives."""
+        """Train on positive (query, item) pairs with sampled negatives;
+        ``resilience`` and ``run_digest`` as in :meth:`NodeTaskTrainer.fit`."""
         self._item_embed_cache = None  # parameters are about to change
-        optimizer = Adam(
-            self.model.parameters(),
-            lr=self.config.lr,
-            weight_decay=self.config.weight_decay,
-        )
-        loop = _ResilientLoop(self, optimizer, num_examples=len(query_ids), deadline=deadline)
-
-        def run_epoch(epoch: int) -> Tuple[float, int]:
-            self.model.train()
-            clip_events = 0
-            order = self._rng.permutation(len(query_ids))
-            losses = []
-            for batch, subgraph in _epoch_batches(self, seed_type, query_ids, query_times, order):
-                if deadline is not None:
-                    deadline.check("trainer.step")
-                fault_point("trainer.step")
-                loss = self._batch_loss(
-                    seed_type, query_ids[batch], query_times[batch], pos_item_ids[batch], subgraph
-                )
-                loss_value = corrupt_value("trainer.loss", float(loss.item()))
-                reason = loop.guard.check_loss(loss_value)
-                if reason is not None:
-                    raise _Diverged(reason, loss_value)
-                optimizer.zero_grad()
-                loss.backward()
-                norm = optimizer.gather_and_clip(self.config.clip_norm)
-                reason = loop.guard.check_grad_norm(norm)
-                if reason is not None:
-                    raise _Diverged(reason, norm)
-                clip_events += norm > self.config.clip_norm
-                optimizer.step()
-                losses.append(loss_value)
-            return float(np.mean(losses)), clip_events
-
-        run_val = None
+        val = None
         if val_query_ids is not None:
-            run_val = lambda: self._evaluate_loss(
-                seed_type, val_query_ids, val_query_times, val_pos_item_ids, loop.held
-            )
-        loop.run(run_epoch, run_val)
+            val = (val_query_ids, val_query_times, val_pos_item_ids)
+        _ResilientLoop(self, resilience, run_digest).run(
+            seed_type, (query_ids, query_times, pos_item_ids), val
+        )
         self._item_embed_cache = None  # drop anything cached mid-fit
         return self.history
 
@@ -687,18 +648,6 @@ class LinkTaskTrainer:
             term = bpr_loss(pos_scores, neg_scores)
             total = term if total is None else total + term
         return total * (1.0 / self.num_negatives)
-
-    def _evaluate_loss(self, seed_type, query_ids, query_times, pos_items, held=None) -> float:
-        self.model.eval()
-        losses, weights = [], []
-        with no_grad():
-            for rows, subgraph in _eval_batches(self, seed_type, query_ids, query_times, held):
-                loss = self._batch_loss(
-                    seed_type, query_ids[rows], query_times[rows], pos_items[rows], subgraph
-                )
-                losses.append(loss.item())
-                weights.append(len(query_ids[rows]))
-        return float(np.average(losses, weights=weights))
 
     def score_against_items(
         self,

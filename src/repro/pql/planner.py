@@ -21,16 +21,17 @@ its RED tier, over a GREEN tier left unfitted unless ``fit`` gets a
 ``router`` policy, which also fits YELLOW and calibrates every tier.
 
 Production hardening is opt-in via a
-:class:`~repro.resilience.ResilienceConfig`: per-stage deadline
-budgets and seeded retries, epoch checkpointing with ``--resume``,
-divergence guards inside the trainers, and graceful degradation down
-the tier ladder — a failed GNN train stage leaves a model without red,
-with ``degraded_reason`` in its manifest and in every route record.
+:class:`~repro.resilience.ResilienceConfig`: epoch checkpointing with
+``--resume`` (the one recovery path for a failed fit), divergence
+guards inside the trainers, and graceful degradation down the tier
+ladder — a failed GNN train stage leaves a model without red, with
+``degraded_reason`` in its manifest and in every route record.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -95,14 +96,8 @@ from repro.resilience.checkpoint import (
     sha256_file,
 )
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.faults import fault_point
+from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.guards import DivergenceError
-from repro.resilience.retry import (
-    Deadline,
-    StageFailedError,
-    StageTimeoutError,
-    run_stage,
-)
 
 __all__ = [
     "PlannerConfig",
@@ -118,17 +113,21 @@ __all__ = [
 _log = get_logger("pql.planner")
 
 
-def _run_stage(resilience: Optional[ResilienceConfig], name: str, fn):
-    """Run one compile (or evaluate) stage under ``resilience``'s
-    retry/budget policy; without one, once and unbudgeted."""
-    if resilience is None:
-        return fn(deadline=Deadline(None, stage=name), attempt=0)
-    return run_stage(
-        name,
-        fn,
-        policy=resilience.retry_policy(),
-        budget_seconds=resilience.timeout_for(name),
-    )
+#: What a failed GNN stage may raise for ``fallback`` to degrade on; a
+#: programming error still propagates.
+_DEGRADABLE_ERRORS = (DivergenceError, InjectedFault, OSError)
+
+
+def _run_digest(query_text: str, config: "PlannerConfig", labels: LabelTable) -> str:
+    """What a fit is, for its checkpoints: the query, the planner config
+    as the manifest saves it, and the training labels' rows."""
+    digest = hashlib.sha256(query_text.encode())
+    digest.update(json.dumps(dataclasses.asdict(config), sort_keys=True).encode())
+    for column in (labels.entity_keys, labels.cutoffs, labels.labels, *(labels.item_keys or ())):
+        column = np.asarray(column)
+        digest.update(repr(column.tolist()).encode() if column.dtype == object
+                      else np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
 
 
 class NoSnapshotError(RuntimeError):
@@ -255,7 +254,7 @@ class PredictiveQueryPlanner:
     ) -> None:
         self.db = db
         self.config = config or PlannerConfig()
-        #: Fault-tolerance policy; None = no retries/budgets/fallback.
+        #: Fault-tolerance policy; None = no checkpoints, no fallback.
         self.resilience = resilience
         #: Memoized parse+validate results keyed by query text.  Safe
         #: because bindings depend only on the schema, which a planner
@@ -304,17 +303,12 @@ class PredictiveQueryPlanner:
                                          "entity": binding.query.entity_table},
             )
 
-            def label_stage(deadline: Deadline, attempt: int):
-                with obs_trace.span("planner.label") as label_span:
-                    train = build_label_table(self.db, binding, split.train_cutoffs)
-                    val = build_label_table(self.db, binding, [split.val_cutoff])
-                    label_span.add_counter("label.train_rows", len(train))
-                    label_span.add_counter("label.val_rows", len(val))
-                    label_span.add_counter("label.train_cutoffs", len(split.train_cutoffs))
-                deadline.check("planner.label")
-                return train, val
-
-            train_labels, val_labels = _run_stage(self.resilience, "label", label_stage)
+            with obs_trace.span("planner.label") as label_span:
+                train_labels = build_label_table(self.db, binding, split.train_cutoffs)
+                val_labels = build_label_table(self.db, binding, [split.val_cutoff])
+                label_span.add_counter("label.train_rows", len(train_labels))
+                label_span.add_counter("label.val_rows", len(val_labels))
+                label_span.add_counter("label.train_cutoffs", len(split.train_cutoffs))
             if len(train_labels) == 0:
                 raise ValueError("no training rows: check cutoffs against the data's time span")
             _log.info(
@@ -324,49 +318,26 @@ class PredictiveQueryPlanner:
             train_labels = self._maybe_subsample(train_labels)
             stats_cutoff = min(split.train_cutoffs)
 
-            def graph_stage(deadline: Deadline, attempt: int):
-                with obs_trace.span("planner.graph_build") as build_span:
-                    built = build_graph(self.db, stats_cutoff=stats_cutoff)
-                    build_span.add_counter("graph.nodes", built.total_nodes())
-                    build_span.add_counter("graph.edges", built.total_edges())
-                    build_span.add_counter("graph.node_types", len(built.node_types))
-                    build_span.add_counter("graph.edge_types", len(built.edge_types))
-                deadline.check("planner.graph_build")
-                return built
-
-            graph = _run_stage(self.resilience, "graph_build", graph_stage)
+            with obs_trace.span("planner.graph_build") as build_span:
+                graph = build_graph(self.db, stats_cutoff=stats_cutoff)
+                build_span.add_counter("graph.nodes", graph.total_nodes())
+                build_span.add_counter("graph.edges", graph.total_edges())
+                build_span.add_counter("graph.node_types", len(graph.node_types))
+                build_span.add_counter("graph.edge_types", len(graph.edge_types))
             _log.info(
                 "graph compiled",
                 extra={"nodes": graph.total_nodes(), "edges": graph.total_edges()},
             )
             metadata = GraphMetadata.from_graph(graph)
 
-            def train_stage(deadline: Deadline, attempt: int):
-                # Each attempt rebuilds model + sampler from the seed so a
-                # retry starts clean; after a mid-run failure with
-                # checkpointing enabled, the retry resumes from the last
-                # committed epoch instead of epoch 0.
+            with obs_trace.span("planner.train"):
                 rng = np.random.default_rng(self.config.seed)
                 sampler = self.config.make_sampler(graph)
-                resume = bool(
-                    self.resilience
-                    and (self.resilience.resume
-                         or (attempt > 0 and self.resilience.checkpoint_dir))
-                )
-                if binding.task_type == TaskType.LINK:
-                    return self._fit_link(
-                        binding, split, graph, metadata, sampler, rng,
-                        train_labels, val_labels, deadline=deadline, resume=resume,
-                    )
-                return self._fit_node(
-                    binding, split, graph, metadata, sampler, rng,
-                    train_labels, val_labels, deadline=deadline, resume=resume,
-                )
-
-            with obs_trace.span("planner.train"):
+                fit_gnn = self._fit_link if binding.task_type == TaskType.LINK else self._fit_node
                 try:
-                    model = _run_stage(self.resilience, "train", train_stage)
-                except (StageFailedError, StageTimeoutError, DivergenceError) as err:
+                    model = fit_gnn(binding, graph, metadata, sampler, rng,
+                                    train_labels, val_labels)
+                except _DEGRADABLE_ERRORS as err:
                     if self.resilience is None or not self.resilience.fallback:
                         raise
                     model = self._degrade(binding, graph, train_labels, val_labels, err)
@@ -378,7 +349,6 @@ class PredictiveQueryPlanner:
                            "best_epoch": trainer.history.best_epoch},
                 )
             model.stats_cutoff = stats_cutoff
-            model.resilience = self.resilience
             if router is not None:
                 model.router = router
                 with obs_trace.span("router.fit") as fit_span:
@@ -422,24 +392,19 @@ class PredictiveQueryPlanner:
         _log.warning("degraded to a cheaper tier", extra={"tier": model.available_tiers()[-1]})
         return model
 
-    def _train_config(self, resume: bool) -> TrainConfig:
-        """The inner-loop config with resilience policy threaded in."""
-        tc = self.config.train_config()
-        resil = self.resilience
-        if resil is not None:
-            tc.checkpoint_dir = resil.checkpoint_dir
-            tc.checkpoint_every = resil.checkpoint_every
-            tc.resume = resume
-            tc.divergence_recoveries = resil.divergence_recoveries
-            tc.lr_backoff = resil.lr_backoff
-            tc.grad_norm_limit = resil.grad_norm_limit
-        return tc
+    def _trainer_fit_options(self, binding, train_labels: LabelTable) -> dict:
+        """The resilience policy a trainer's ``fit`` takes, and with
+        checkpoints on, the digest that names this run in them."""
+        resilience = self.resilience
+        digest = None
+        if resilience is not None and resilience.checkpoint_dir:
+            digest = _run_digest(str(binding.query), self.config, train_labels)
+        return {"resilience": resilience, "run_digest": digest}
 
     # ------------------------------------------------------------------
     # Node tasks (binary / regression)
     # ------------------------------------------------------------------
-    def _fit_node(self, binding, split, graph, metadata, sampler, rng, train_labels, val_labels,
-                  deadline=None, resume=False):
+    def _fit_node(self, binding, graph, metadata, sampler, rng, train_labels, val_labels):
         entity_type = binding.query.entity_table
         model = self.config.make_node_network(metadata, rng)
         task = "binary" if binding.task_type == TaskType.BINARY else "regression"
@@ -449,26 +414,24 @@ class PredictiveQueryPlanner:
             pos_weight = (1.0 - rate) / rate
         trainer = NodeTaskTrainer(
             model, graph, sampler, task,
-            config=self._train_config(resume),
+            config=self.config.train_config(),
             pos_weight=pos_weight,
         )
         train_ids = node_index_for_keys(graph, entity_type, train_labels.entity_keys)
-        kwargs = {}
+        kwargs = self._trainer_fit_options(binding, train_labels)
         if len(val_labels):
-            kwargs = dict(
+            kwargs.update(
                 val_ids=node_index_for_keys(graph, entity_type, val_labels.entity_keys),
                 val_times=val_labels.cutoffs,
                 val_labels=val_labels.labels,
             )
-        trainer.fit(entity_type, train_ids, train_labels.cutoffs, train_labels.labels,
-                    deadline=deadline, **kwargs)
+        trainer.fit(entity_type, train_ids, train_labels.cutoffs, train_labels.labels, **kwargs)
         return PredictiveModel(self.db, binding, graph, self.config, node_trainer=trainer)
 
     # ------------------------------------------------------------------
     # Link tasks
     # ------------------------------------------------------------------
-    def _fit_link(self, binding, split, graph, metadata, sampler, rng, train_labels, val_labels,
-                  deadline=None, resume=False):
+    def _fit_link(self, binding, graph, metadata, sampler, rng, train_labels, val_labels):
         entity_type = binding.query.entity_table
         item_type = binding.item_table
         model = self.config.make_link_network(metadata, graph, item_type, rng)
@@ -476,17 +439,17 @@ class PredictiveQueryPlanner:
             model,
             graph,
             sampler,
-            config=self._train_config(resume),
+            config=self.config.train_config(),
             num_negatives=self.config.num_negatives,
         )
         q_ids, q_times, pos_items = self._explode_pairs(graph, entity_type, item_type, train_labels)
         if len(q_ids) == 0:
             raise ValueError("no positive (entity, item) pairs in the training windows")
-        kwargs = {}
+        kwargs = self._trainer_fit_options(binding, train_labels)
         vq, vt, vi = self._explode_pairs(graph, entity_type, item_type, val_labels)
         if len(vq):
-            kwargs = dict(val_query_ids=vq, val_query_times=vt, val_pos_item_ids=vi)
-        trainer.fit(entity_type, q_ids, q_times, pos_items, deadline=deadline, **kwargs)
+            kwargs.update(val_query_ids=vq, val_query_times=vt, val_pos_item_ids=vi)
+        trainer.fit(entity_type, q_ids, q_times, pos_items, **kwargs)
         return PredictiveModel(self.db, binding, graph, self.config, link_trainer=trainer)
 
     def _explode_pairs(self, graph, entity_type, item_type, labels: LabelTable):
@@ -612,8 +575,6 @@ class PredictiveModel:
         #: Feature-statistics cutoff used at fit time (set by the planner;
         #: persisted so a reloaded model rebuilds the identical graph).
         self.stats_cutoff = stats_cutoff
-        #: The planner's resilience policy (not persisted).
-        self.resilience: Optional[ResilienceConfig] = None
         #: Decision record of the most recent routed call.
         self.last_route: Optional[RouteDecision] = None
         self._red_calls = 0
@@ -815,19 +776,13 @@ class PredictiveModel:
     def evaluate(self, cutoff: int, k: int = 10, route: Optional[str] = None) -> Dict[str, float]:
         """Metrics against ground-truth labels computed at ``cutoff``,
         with routed (or ``route``-forced) predictions."""
-        def evaluate_stage(deadline: Deadline, attempt: int) -> Dict[str, float]:
-            with obs_trace.span("planner.evaluate") as eval_span:
-                labels = build_label_table(self.db, self.binding, [int(cutoff)])
-                eval_span.add_counter("eval.rows", len(labels))
-                if self.task_type == TaskType.LINK:
-                    result = self._evaluate_link(labels, k)
-                else:
-                    predictions = self.predict(labels.entity_keys, int(cutoff), route=route)
-                    result = self.node_metrics(labels, predictions)
-            deadline.check("planner.evaluate")
-            return result
-
-        return _run_stage(self.resilience, "evaluate", evaluate_stage)
+        with obs_trace.span("planner.evaluate") as eval_span:
+            labels = build_label_table(self.db, self.binding, [int(cutoff)])
+            eval_span.add_counter("eval.rows", len(labels))
+            if self.task_type == TaskType.LINK:
+                return self._evaluate_link(labels, k)
+            predictions = self.predict(labels.entity_keys, int(cutoff), route=route)
+            return self.node_metrics(labels, predictions)
 
     def node_metrics(self, labels: LabelTable, predictions: np.ndarray) -> Dict[str, float]:
         """The node-task metric report for ``predictions`` against ``labels``."""

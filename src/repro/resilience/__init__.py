@@ -10,16 +10,15 @@ dependency-free and off by default:
   checkpoints and model save/load;
 * :mod:`repro.resilience.guards` — NaN/inf-loss and exploding-gradient
   detection with restore-and-halve-LR recovery;
-* :mod:`repro.resilience.retry` — per-stage deadline budgets and
-  seeded exponential-backoff retries;
 * :mod:`repro.resilience.faults` — a seeded fault injector that makes
   every recovery path above deterministic to test.
 
 :class:`ResilienceConfig` is the single knob surface: the planner
-takes one and threads the relevant pieces into labeling, graph build,
-training, and persistence.  What a failed GNN stage degrades *to* is
-not defined here: with ``fallback`` on, the planner descends the
-router's tier ladder (YELLOW, then GREEN — :mod:`repro.pql.router`).
+takes one and hands it to the trainer's ``fit``.  A failed fit has one
+recovery path, the epoch checkpoint: re-run it with ``resume``.  What a
+failed GNN stage degrades *to* is not defined here: with ``fallback``
+on, the planner descends the router's tier ladder (YELLOW, then GREEN
+— :mod:`repro.pql.router`).
 """
 
 from __future__ import annotations
@@ -48,31 +47,18 @@ from repro.resilience.faults import (
     uninstall,
 )
 from repro.resilience.guards import DivergenceError, DivergenceGuard
-from repro.resilience.retry import (
-    RETRYABLE_ERRORS,
-    Deadline,
-    RetryPolicy,
-    StageFailedError,
-    StageTimeoutError,
-    run_stage,
-)
 
 __all__ = [
     "CheckpointManager",
     "CorruptCheckpointError",
     "CorruptModelError",
-    "Deadline",
     "DivergenceError",
     "DivergenceGuard",
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
     "ResilienceConfig",
-    "RETRYABLE_ERRORS",
-    "RetryPolicy",
     "SimulatedCrash",
-    "StageFailedError",
-    "StageTimeoutError",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_npz",
@@ -82,7 +68,6 @@ __all__ = [
     "get_injector",
     "injected",
     "install",
-    "run_stage",
     "sha256_file",
     "uninstall",
 ]

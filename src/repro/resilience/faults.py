@@ -22,9 +22,9 @@ Spec grammar (one spec per fault, comma-separated in the
 Actions:
 
 * ``raise`` — raise :class:`InjectedFault`, a *transient* error that
-  retry policies treat as retryable;
+  ``--fallback`` degrades on and a ``--resume`` re-run recovers from;
 * ``kill``  — raise :class:`SimulatedCrash`, modelling a hard process
-  death: retry policies do **not** catch it;
+  death: a fit never catches it;
 * ``nan``   — corrupt a value instead of raising; only sites that call
   :func:`corrupt_value` honor it (e.g. ``trainer.loss``);
 * ``delay`` — sleep ``REPRO_FAULTS_DELAY_MS`` milliseconds (default
@@ -67,7 +67,7 @@ _DEFAULT_DELAY_MS = 50.0
 
 
 class InjectedFault(RuntimeError):
-    """A deliberately injected *transient* fault (retryable)."""
+    """A deliberately injected *transient* fault."""
 
     def __init__(self, site: str, call_index: int) -> None:
         super().__init__(f"injected fault at site {site!r} (call #{call_index})")
@@ -76,7 +76,7 @@ class InjectedFault(RuntimeError):
 
 
 class SimulatedCrash(RuntimeError):
-    """A deliberately injected hard crash (never retried in-process)."""
+    """A deliberately injected hard crash, modelling a process death."""
 
     def __init__(self, site: str, call_index: int) -> None:
         super().__init__(f"simulated crash at site {site!r} (call #{call_index})")

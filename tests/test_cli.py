@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,3 +131,25 @@ def test_retired_sampling_knobs_are_refused_not_ignored(flag, field, capsys):
     assert field in json.loads((LEGACY_FIXTURE / "manifest.json").read_text())["config"]
     db = get_dataset("ecommerce").build(scale=0.2, seed=0)
     assert not hasattr(PredictiveModel.load(str(LEGACY_FIXTURE), db).config, field)
+
+
+@pytest.mark.parametrize("flag, value", [("--max-retries", "3"), ("--stage-timeout", "train=600")])
+def test_retired_retry_flags_are_refused(flag, value, capsys):
+    """A failed fit recovers through --checkpoint-dir/--resume only: the
+    stage retry and deadline flags are gone, not ignored."""
+    for argv in (
+        ["fit", "--dataset", "ecommerce", "--task", "churn", flag, value],
+        ["query", "--dataset", "ecommerce", flag, value, QUERY],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_fit_help_lists_at_most_18_long_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert len(flags) <= 18, sorted(flags)

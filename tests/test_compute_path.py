@@ -19,6 +19,7 @@ from repro.gnn import (
     TrainConfig,
     TwoTowerModel,
 )
+from repro.gnn.trainer import _ResilientLoop
 from repro.graph import NeighborSampler, build_graph
 from repro.graph.encoders import (
     _MAX_VOCAB,
@@ -613,7 +614,7 @@ class TestBatchedInference:
         ids = np.arange(16, dtype=np.int64)
         times = np.full(16, 900, dtype=np.int64)
         labels = (ids % 2 == 0).astype(float)
-        whole = trainer._evaluate_loss("customers", ids, times, labels)
+        whole = _ResilientLoop(trainer)._val_loss("customers", ids, times, labels)
         assert np.isfinite(whole)
 
 

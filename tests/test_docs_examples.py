@@ -20,7 +20,9 @@ Covered sources:
   walkthrough (fit the tier ladder, route a call, read the decision);
 * ``docs/ingest.md``         — the streaming walkthrough (snapshot →
   stream a day → query before/after → compact), run sequentially in
-  one shared namespace.
+  one shared namespace;
+* ``docs/robustness.md``     — the resilience snippet (a checkpointed
+  fit, then its resume), at the small scale it is written for.
 
 Blocks that write files do so relative to the current directory, so
 every test runs chdir'd into a tmp dir.
@@ -120,6 +122,15 @@ def test_ingest_walkthrough_runs(tmp_path, monkeypatch):
     assert (tmp_path / "ingest_log" / "base-001").exists()
 
 
+def test_robustness_snippet_runs(tmp_path, monkeypatch):
+    """A checkpointed fit with fallback on, then its resume, as documented."""
+    monkeypatch.chdir(tmp_path)
+    blocks = python_blocks("docs/robustness.md")
+    assert len(blocks) >= 1, "robustness guide lost its resilience example"
+    run_blocks("docs/robustness.md", blocks)
+    assert (tmp_path / "ckpt" / "checkpoint.json").exists()
+
+
 def test_snippet_floor():
     """≥MIN_SNIPPETS snippets are exercised verbatim across the docs."""
     total = (
@@ -129,6 +140,7 @@ def test_snippet_floor():
         + len(python_blocks("docs/observability.md"))
         + len(python_blocks("docs/performance.md"))
         + len(python_blocks("docs/ingest.md"))
+        + len(python_blocks("docs/robustness.md"))
     )
     assert total >= MIN_SNIPPETS, f"only {total} doc snippets are executed"
 

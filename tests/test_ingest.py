@@ -938,11 +938,11 @@ class TestRefreshReachesTheLadder:
 
         # No ranker at all (its GNN stage degraded): green's popularity
         # is the whole ladder, and every rank says so.
-        model = self._model(pipeline, degraded_reason="StageFailedError: no ranker")
+        model = self._model(pipeline, degraded_reason="InjectedFault: no ranker")
         with PredictionService(model) as service:
             ranked = service.rank(self.KEYS, self.CUTOFF, k=3)
             assert ranked.route["tier"] == "green"
-            assert ranked.route["reason"].endswith("no red: StageFailedError: no ranker")
+            assert ranked.route["reason"].endswith("no red: InjectedFault: no ranker")
             items, scores = ranked[0]
             assert (items.tolist(), scores.tolist()) == ([2, 3, 1], [2.0, 2.0, 1.0])
             self._assert_ranks_from_post_ingest_counts(pipeline, model, service)

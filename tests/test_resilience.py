@@ -1,4 +1,4 @@
-"""Fault-tolerance tests: injection, checkpoints, retries, degradation.
+"""Fault-tolerance tests: injection, checkpoints, resume, degradation.
 
 The deterministic fault injector drives every scenario: a NaN loss mid
 epoch, a process kill between checkpoint and commit, a GNN train stage
@@ -24,26 +24,22 @@ from repro.resilience import (
     CheckpointManager,
     CorruptCheckpointError,
     CorruptModelError,
-    Deadline,
     DivergenceError,
     DivergenceGuard,
     FaultInjector,
     FaultSpec,
     InjectedFault,
     ResilienceConfig,
-    RetryPolicy,
     SimulatedCrash,
-    StageFailedError,
-    StageTimeoutError,
     atomic_write_bytes,
     fault_point,
     injected,
-    run_stage,
     uninstall,
 )
 from tests.conftest import tiny_planner_config as fast_config
 
 BINARY_QUERY = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
+LIST_QUERY = "PREDICT LIST(orders.product_id) FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -187,98 +183,6 @@ class TestCheckpointManager:
 
 
 # ----------------------------------------------------------------------
-# Retry + deadlines
-# ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_schedule_is_seeded_and_bounded(self):
-        a = RetryPolicy(max_retries=3, base_delay=0.1, max_delay=0.35, seed=5)
-        b = RetryPolicy(max_retries=3, base_delay=0.1, max_delay=0.35, seed=5)
-        delays_a = [a.delay(i) for i in range(4)]
-        delays_b = [b.delay(i) for i in range(4)]
-        assert delays_a == delays_b
-        # Jitter only inflates: base <= delay <= base * (1 + jitter).
-        for i, delay in enumerate(delays_a):
-            base = min(0.35, 0.1 * 2**i)
-            assert base <= delay <= base * 1.5 + 1e-12
-
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-
-
-class TestRunStage:
-    def policy(self):
-        return RetryPolicy(max_retries=2, base_delay=0.0, seed=0, sleep=lambda s: None)
-
-    def test_retries_transient_errors_then_succeeds(self):
-        attempts = []
-
-        def flaky(deadline, attempt):
-            attempts.append(attempt)
-            if attempt < 2:
-                raise InjectedFault("s", attempt)
-            return "done"
-
-        assert run_stage("label", flaky, policy=self.policy()) == "done"
-        assert attempts == [0, 1, 2]
-
-    def test_exhaustion_wraps_cause(self):
-        def always_fails(deadline, attempt):
-            raise InjectedFault("s", attempt)
-
-        with pytest.raises(StageFailedError) as err:
-            run_stage("label", always_fails, policy=self.policy())
-        assert err.value.stage == "label"
-        assert err.value.attempts == 3
-        assert isinstance(err.value.cause, InjectedFault)
-
-    def test_programming_errors_not_retried(self):
-        calls = []
-
-        def buggy(deadline, attempt):
-            calls.append(attempt)
-            raise KeyError("bug")
-
-        with pytest.raises(KeyError):
-            run_stage("label", buggy, policy=self.policy())
-        assert calls == [0]
-
-    def test_timeout_not_retried(self):
-        calls = []
-
-        def slow(deadline, attempt):
-            calls.append(attempt)
-            deadline._start -= 10.0  # pretend 10s already elapsed
-            deadline.check()
-
-        with pytest.raises(StageTimeoutError):
-            run_stage("train", slow, policy=self.policy(), budget_seconds=0.5)
-        assert calls == [0]
-
-    def test_completed_overrun_is_recorded_not_failed(self):
-        def sluggish(deadline, attempt):
-            deadline._start -= 10.0
-            return "finished"  # never called deadline.check()
-
-        assert run_stage("evaluate", sluggish, budget_seconds=0.5) == "finished"
-
-
-class TestDeadline:
-    def test_unbudgeted_never_expires(self):
-        deadline = Deadline(None, stage="train")
-        assert deadline.remaining == float("inf")
-        deadline.check()
-
-    def test_expiry(self):
-        deadline = Deadline(5.0, stage="train")
-        deadline._start -= 10.0
-        assert deadline.expired
-        with pytest.raises(StageTimeoutError) as err:
-            deadline.check("trainer.step")
-        assert err.value.stage == "train"
-
-
-# ----------------------------------------------------------------------
 # Divergence guard
 # ----------------------------------------------------------------------
 class TestDivergenceGuard:
@@ -325,10 +229,10 @@ class TestTrainerDivergence:
     def test_nan_val_loss_counts_as_no_improvement(
         self, db, split, monkeypatch, caplog, propagating_logs
     ):
-        from repro.gnn.trainer import NodeTaskTrainer
+        from repro.gnn.trainer import _ResilientLoop
 
         calls = {"n": 0}
-        real = NodeTaskTrainer._evaluate_loss
+        real = _ResilientLoop._val_loss
 
         def nan_first(self, *args, **kwargs):
             calls["n"] += 1
@@ -336,7 +240,7 @@ class TestTrainerDivergence:
                 return float("nan")
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(NodeTaskTrainer, "_evaluate_loss", nan_first)
+        monkeypatch.setattr(_ResilientLoop, "_val_loss", nan_first)
         planner = PredictiveQueryPlanner(db, fast_config(epochs=2, patience=10))
         with caplog.at_level("WARNING", logger="repro.gnn.trainer"):
             model = planner.fit(BINARY_QUERY, split)
@@ -349,42 +253,102 @@ class TestTrainerDivergence:
 # ----------------------------------------------------------------------
 # Kill + resume
 # ----------------------------------------------------------------------
+def trained_state(model):
+    """The fitted GNN's history and weights, for bit-identity checks."""
+    trainer = model.node_trainer or model.link_trainer
+    return trainer.history, trainer.model.state_dict()
+
+
+def assert_same_run(a, b):
+    """Two fits trained the same epochs to the same weights."""
+    (hist_a, state_a), (hist_b, state_b) = trained_state(a), trained_state(b)
+    assert hist_a.train_loss == hist_b.train_loss
+    assert hist_a.val_loss == hist_b.val_loss
+    assert hist_a.best_epoch == hist_b.best_epoch
+    assert sorted(state_a) == sorted(state_b)
+    for name in state_a:
+        np.testing.assert_array_equal(state_a[name], state_b[name])
+
+
 class TestKillAndResume:
-    def test_resume_matches_uninterrupted_run(self, db, split, tmp_path):
+    @pytest.mark.parametrize("query", [BINARY_QUERY, LIST_QUERY], ids=["churn", "list"])
+    @pytest.mark.parametrize("fault, error, resumed_from", [
+        # Killed right after epoch 2's checkpoint commits.
+        ("trainer.epoch@2:kill", SimulatedCrash, 2),
+        # Raised mid-epoch 1 (three steps an epoch), after epoch 0's checkpoint.
+        ("trainer.step@5:raise", InjectedFault, 1),
+    ], ids=["kill", "raise"])
+    def test_resume_matches_uninterrupted_run(
+        self, db, split, tmp_path, query, fault, error, resumed_from
+    ):
         # Ground truth: the same config, never interrupted, no checkpoints.
-        baseline = PredictiveQueryPlanner(db, fast_config()).fit(BINARY_QUERY, split)
-        base_hist = baseline.node_trainer.history
+        baseline = PredictiveQueryPlanner(db, fast_config()).fit(query, split)
 
-        # Interrupted run: killed right after epoch 2's checkpoint commits.
         ckpt_dir = str(tmp_path / "ckpt")
-        resil = ResilienceConfig(checkpoint_dir=ckpt_dir)
-        with injected("trainer.epoch@2:kill"):
-            with pytest.raises(SimulatedCrash):
-                PredictiveQueryPlanner(db, fast_config(), resilience=resil).fit(
-                    BINARY_QUERY, split
-                )
+        with injected(fault):
+            with pytest.raises(error):
+                PredictiveQueryPlanner(
+                    db, fast_config(), resilience=ResilienceConfig(checkpoint_dir=ckpt_dir)
+                ).fit(query, split)
 
-        # Resume: picks up at epoch 2 and must replay the rest bit-identically.
+        # Resume: picks up at the committed epoch and must replay the
+        # rest bit-identically.
         resumed = PredictiveQueryPlanner(
             db, fast_config(),
             resilience=ResilienceConfig(checkpoint_dir=ckpt_dir, resume=True),
-        ).fit(BINARY_QUERY, split)
-        res_hist = resumed.node_trainer.history
+        ).fit(query, split)
 
-        assert res_hist.resumed_from_epoch == 2
-        assert res_hist.train_loss == base_hist.train_loss
-        assert res_hist.val_loss == base_hist.val_loss
-        assert res_hist.best_epoch == base_hist.best_epoch
-        base_state = baseline.node_trainer.model.state_dict()
-        res_state = resumed.node_trainer.model.state_dict()
-        assert sorted(base_state) == sorted(res_state)
-        for name in base_state:
-            np.testing.assert_array_equal(base_state[name], res_state[name])
+        assert trained_state(resumed)[0].resumed_from_epoch == resumed_from
+        assert_same_run(resumed, baseline)
         keys = db["customers"]["id"].values[:20]
-        np.testing.assert_array_equal(
-            baseline.predict(keys, split.test_cutoff),
-            resumed.predict(keys, split.test_cutoff),
-        )
+        if query == LIST_QUERY:
+            for got, want in zip(resumed.rank_items(keys, split.test_cutoff, k=5),
+                                 baseline.rank_items(keys, split.test_cutoff, k=5)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+        else:
+            np.testing.assert_array_equal(
+                baseline.predict(keys, split.test_cutoff),
+                resumed.predict(keys, split.test_cutoff),
+            )
+
+    def test_resuming_a_finished_run_trains_nothing(self, db, split, tmp_path):
+        """Early stopping is part of the checkpoint: a run that stopped
+        resumes as stopped, with the same weights and history."""
+        config = fast_config(epochs=30, patience=2, lr=0.05)
+        ckpt_dir = str(tmp_path / "ckpt")
+        finished = PredictiveQueryPlanner(
+            db, config, resilience=ResilienceConfig(checkpoint_dir=ckpt_dir)
+        ).fit(BINARY_QUERY, split)
+        epochs = len(trained_state(finished)[0].train_loss)
+        assert epochs < config.epochs  # it stopped early
+        resumed = PredictiveQueryPlanner(
+            db, config, resilience=ResilienceConfig(checkpoint_dir=ckpt_dir, resume=True)
+        ).fit(BINARY_QUERY, split)
+        assert trained_state(resumed)[0].resumed_from_epoch == epochs
+        assert_same_run(resumed, finished)
+
+    def test_checkpoint_from_another_fit_is_refused(self, db, split, tmp_path):
+        """A checkpoint names the fit that wrote it: resuming a different
+        query (or config) from it fails loudly, as does one without a stamp."""
+        ckpt_dir = str(tmp_path / "ckpt")
+        PredictiveQueryPlanner(
+            db, fast_config(epochs=2), resilience=ResilienceConfig(checkpoint_dir=ckpt_dir)
+        ).fit(BINARY_QUERY, split)
+        resume = ResilienceConfig(checkpoint_dir=ckpt_dir, resume=True)
+        spend = "PREDICT SUM(orders.amount) FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
+        for config, query in ((fast_config(epochs=2), spend), (fast_config(epochs=3), BINARY_QUERY)):
+            with pytest.raises(ValueError, match="different fit") as err:
+                PredictiveQueryPlanner(db, config, resilience=resume).fit(query, split)
+            assert ckpt_dir in str(err.value)
+        manager = CheckpointManager(ckpt_dir)
+        arrays, meta = manager.load("train")
+        del meta["run"]
+        manager.save("train", arrays, meta)
+        with pytest.raises(ValueError, match="different fit"):
+            PredictiveQueryPlanner(db, fast_config(epochs=2), resilience=resume).fit(
+                BINARY_QUERY, split
+            )
 
     def test_checkpoint_with_a_sampler_generator_is_refused(self, db, split, tmp_path):
         """A checkpoint from when the sampler owned a generator carries
@@ -407,33 +371,14 @@ class TestKillAndResume:
                 resilience=ResilienceConfig(checkpoint_dir=ckpt_dir, resume=True),
             ).fit(BINARY_QUERY, split)
 
-    def test_transient_fault_retry_resumes_from_checkpoint(self, db, split, tmp_path):
-        # A retryable fault mid-training: the train stage's second attempt
-        # must resume from the checkpoint instead of starting over.
-        resil = ResilienceConfig(
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            max_retries=1,
-            retry_base_delay=0.0,
-        )
-        planner = PredictiveQueryPlanner(db, fast_config(), resilience=resil)
-        # The step site is only reached on training batches, so call 7
-        # lands in an epoch after at least one checkpoint has committed.
-        with injected("trainer.step@7:raise"):
-            model = planner.fit(BINARY_QUERY, split)
-        history = model.node_trainer.history
-        assert history.resumed_from_epoch > 0
-        assert len(history.train_loss) == fast_config().epochs
-
 
 # ----------------------------------------------------------------------
 # Degradation ladder
 # ----------------------------------------------------------------------
 class TestDegradation:
     def degraded_model(self, db, split, extra_faults="", **resil_overrides):
-        options = dict(fallback=True, max_retries=0)
-        options.update(resil_overrides)
         planner = PredictiveQueryPlanner(
-            db, fast_config(), resilience=ResilienceConfig(**options)
+            db, fast_config(), resilience=ResilienceConfig(fallback=True, **resil_overrides)
         )
         specs = "trainer.step%1.0:raise"
         if extra_faults:
@@ -444,7 +389,7 @@ class TestDegradation:
     def test_gnn_failure_degrades_to_gbdt(self, db, split):
         model = self.degraded_model(db, split)
         assert model.available_tiers() == ["green", "yellow"]  # red is absent
-        assert "StageFailedError" in model.degraded_reason
+        assert model.degraded_reason.startswith("InjectedFault: injected fault at site 'trainer.step'")
         assert model.node_trainer is None
         keys = db["customers"]["id"].values[:10]
         preds = model.predict(keys, split.test_cutoff)
@@ -468,7 +413,7 @@ class TestDegradation:
             db, fast_config(), resilience=ResilienceConfig(fallback=False)
         )
         with injected("trainer.step%1.0:raise"):
-            with pytest.raises(StageFailedError):
+            with pytest.raises(InjectedFault):
                 planner.fit(BINARY_QUERY, split)
 
     def test_degraded_model_from_an_earlier_version_asks_for_a_refit(
@@ -522,7 +467,7 @@ class TestDegradation:
         assert counters["yellow.train_rows"] > 0 and counters["yellow.features"] > 0
         assert routed.green is routed.yellow.green
         assert set(routed.quality) == {"green", "yellow"}
-        assert "StageFailedError" in routed.degraded_reason
+        assert routed.degraded_reason.startswith("InjectedFault: ")
         keys = db["customers"]["id"].values[:6]
         np.testing.assert_array_equal(
             routed.predict(keys, split.test_cutoff, route="yellow"),
@@ -540,6 +485,7 @@ class TestDegradation:
                 split,
             )
         assert model.available_tiers() == ["green"]
+        assert model.degraded_reason.startswith("InjectedFault: ")
         results = model.rank_items(db["customers"]["id"].values[:3], split.test_cutoff, k=5)
         assert len(results) == 3
         metrics = model.evaluate(split.test_cutoff, k=5)

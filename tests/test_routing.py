@@ -124,11 +124,11 @@ class TestDecide:
 
     def test_degraded_red_is_not_a_tier(self):
         model = make_skeleton(self.QUALITY, self.COSTS, quality_floor=1.0)
-        model.node_trainer, model.degraded_reason = None, "StageFailedError: boom"
+        model.node_trainer, model.degraded_reason = None, "InjectedFault: boom"
         assert model.available_tiers() == ["green", "yellow"]
         decision = model.decide(8)
         assert decision.tier == "yellow"
-        assert decision.reason.endswith("no red: StageFailedError: boom")
+        assert decision.reason.endswith("no red: InjectedFault: boom")
         with pytest.raises(ValueError, match="unavailable"):
             model.decide(8, route="red")
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint: dead relative links + CLI flag coverage.
 
-Two checks, both cheap enough to run on every push (the CI
+Three checks, all cheap enough to run on every push (the CI
 ``docs-check`` job):
 
 1. **Dead links** — every relative markdown link in ``README.md`` and
@@ -11,6 +11,9 @@ Two checks, both cheap enough to run on every push (the CI
    (walked live out of the argparse tree, so the list can never go
    stale) must be mentioned in at least one document.  A flag nobody
    documents is a flag nobody finds.
+3. **No stale flags** — every ``--flag`` in the first column of the
+   flag table in ``docs/pql_reference.md`` must exist in the CLI, so a
+   retired flag cannot linger in the reference.
 
 Exit code 0 when clean; 1 with one ``PROBLEM:`` line per finding.
 
@@ -28,6 +31,7 @@ from pathlib import Path
 from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+FLAG_TABLE = REPO_ROOT / "docs" / "pql_reference.md"
 
 #: Markdown inline links: [text](target) — images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -55,20 +59,22 @@ def check_links(files: List[Path]) -> List[str]:
 
 
 def public_flags() -> Dict[str, List[str]]:
-    """Every long option flag per subcommand, straight from argparse."""
+    """Every long option flag per subcommand (``registry fsck`` and the
+    other nested ones included), straight from argparse."""
     from repro.cli import _build_parser
 
-    parser = _build_parser()
-    subparsers = next(
-        action for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
     flags: Dict[str, List[str]] = {}
-    for command, sub in subparsers.choices.items():
-        for action in sub._actions:
+
+    def walk(parser: argparse.ArgumentParser, command: str) -> None:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, f"{command} {name}".strip())
             for option in action.option_strings:
-                if option.startswith("--") and option != "--help":
+                if option.startswith("--") and option != "--help" and command:
                     flags.setdefault(option, []).append(command)
+
+    walk(_build_parser(), "")
     return flags
 
 
@@ -84,9 +90,30 @@ def check_flag_coverage(files: List[Path]) -> List[str]:
     return problems
 
 
+def check_flag_table(path: Path = FLAG_TABLE) -> List[str]:
+    """Flags the reference's ``| flag | subcommands | meaning |`` table
+    lists that the CLI does not accept."""
+    known = public_flags()
+    problems = []
+    in_table = False
+    for line in path.read_text().splitlines():
+        if line.startswith("| flag |"):
+            in_table = True
+        elif in_table and not line.startswith("|"):
+            in_table = False
+        elif in_table:
+            for flag in re.findall(r"--[a-z][a-z0-9-]*", line.split("|")[1]):
+                if flag not in known:
+                    problems.append(
+                        f"{path.relative_to(REPO_ROOT)}: flag table lists {flag}, "
+                        f"which the CLI does not accept"
+                    )
+    return problems
+
+
 def main() -> int:
     files = doc_files()
-    problems = check_links(files) + check_flag_coverage(files)
+    problems = check_links(files) + check_flag_coverage(files) + check_flag_table()
     for problem in problems:
         print(f"PROBLEM: {problem}", file=sys.stderr)
     if problems:
