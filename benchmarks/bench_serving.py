@@ -19,10 +19,9 @@ for a first (cold) pass and again for a warm one:
   its warm p99 sits in the same ``--check`` regression gate as the
   steady-state modes, so a swap that stalls the hot path fails CI.
 
-A further probe measures **telemetry overhead**: the batched mode is
-re-run with live telemetry fully on (every request traced,
-``trace_sample_rate=1.0``, SLO monitoring armed) and again with
-telemetry disabled; the throughput gap must stay within 5%.
+A further probe measures **telemetry overhead**: the CPU cost of the
+serving telemetry touchpoints, counted in full, must stay within 5% of
+the CPU a request costs to serve with telemetry on.
 
 Usage::
 
@@ -290,108 +289,97 @@ TELEMETRY_PROBE_ROUNDS = 3         # arms interleave across rounds
 
 
 def _telemetry_touchpoint_cost(
-    telemetry_config, batches: int = 400, wave: int = 64
+    model, config: ServeConfig, batches: int = 400, wave: int = 64
 ) -> float:
-    """CPU µs/request of the batcher's telemetry touchpoints, alone.
+    """CPU µs/request of the serving telemetry touchpoints, alone.
 
-    Replays exactly the instrumentation the micro-batcher performs per
-    coalesced batch — ID assignment, windowed histogram feeding, the
-    span-collection window, trace retention, SLO accounting — without
-    the model call or the worker thread.  Single-threaded CPU time
-    over tens of thousands of requests is deterministic to a fraction
-    of a microsecond, which an end-to-end A/B on a busy machine is
-    not.  Mirrors :meth:`MicroBatcher._execute`; keep in sync.
+    Replays exactly the telemetry the micro-batcher and service perform
+    per coalesced batch — request-ID assignment and head sampling,
+    windowed histogram feeding, the batch's request-ID context, the
+    span-collection window, trace retention, and the service's
+    per-batch outcome window and SLO check — without the model call or
+    the worker thread.  Single-threaded CPU time over tens of thousands
+    of requests is deterministic to a fraction of a microsecond, which
+    an end-to-end A/B on a busy machine is not.  Mirrors
+    :meth:`MicroBatcher._execute`; keep in sync.
     """
-    from repro.obs import get_registry, reset_registry
+    from repro.obs import reset_registry
     from repro.obs import trace as obs_trace
-    from repro.obs.telemetry import ServingTelemetry, set_current_request_ids
+    from repro.serve import batcher as batcher_module
 
     reset_registry()
-    telemetry = ServingTelemetry(telemetry_config)
-    registry = get_registry()
+    service = PredictionService(model, config=config, name="bench-touchpoints")
+    batcher = service._batcher
     latencies = [float(i % 7) + 1.0 for i in range(wave)]
-    cpu_start = time.process_time()
-    for _ in range(batches):
-        admitted = [telemetry.admit() for _ in range(wave)]
-        request_ids = [request_id for request_id, _ in admitted]
-        registry.histogram("serve.queue_wait_ms").observe_many(latencies)
-        spans = None
-        set_current_request_ids(request_ids)
-        try:
-            if any(sampled for _, sampled in admitted):
-                with obs_trace.collect(scope="thread") as batch_trace:
-                    with obs_trace.span("serve.batch"):
-                        pass
-                spans = batch_trace.to_dict()["spans"]
-        finally:
-            set_current_request_ids(())
-        registry.histogram("serve.batch_rows").observe(wave)
-        registry.histogram("serve.execute_ms").observe(1.0)
-        registry.histogram("serve.latency_ms").observe_many(latencies)
-        batch_info = {
-            "rows": wave, "requests": wave,
-            "request_ids": request_ids, "execute_ms": 1.0,
-        }
-        if spans:
-            batch_info["spans"] = spans
-        for (request_id, sampled), latency in zip(admitted, latencies):
-            if sampled:
-                telemetry.record_trace({
-                    "request_id": request_id, "op": "predict", "rows": 1,
-                    "outcome": "ok", "queue_wait_ms": latency,
-                    "latency_ms": latency, "batch": batch_info,
-                })
-        telemetry.on_resolved_batch([
-            (request_id, latency, True)
-            for (request_id, _), latency in zip(admitted, latencies)
-        ])
-    cpu = time.process_time() - cpu_start
-    reset_registry()
+    try:
+        cpu_start = time.process_time()
+        for _ in range(batches):
+            admitted = [batcher._admit() for _ in range(wave)]
+            batcher.histograms["serve.queue_wait_ms"].observe_many(latencies)
+            batcher_module._batch_context.request_ids = tuple(
+                request_id for request_id, _ in admitted)
+            try:
+                spans = None
+                if any(sampled for _, sampled in admitted):
+                    with obs_trace.collect(scope="thread") as batch_trace:
+                        with obs_trace.span("serve.batch"):
+                            pass
+                    spans = batch_trace.to_dict()["spans"]
+                batcher.histograms["serve.batch_rows"].observe(wave)
+                batcher.histograms["serve.execute_ms"].observe(1.0)
+                batch_info = {
+                    "rows": wave, "requests": wave,
+                    "request_ids": list(batcher_module.current_request_ids()),
+                    "execute_ms": 1.0,
+                }
+                if spans:
+                    batch_info["spans"] = spans
+                for (request_id, sampled), latency in zip(admitted, latencies):
+                    if sampled:
+                        batcher._traces.append({
+                            "request_id": request_id, "op": "predict", "rows": 1,
+                            "outcome": "ok", "queue_wait_ms": latency,
+                            "latency_ms": latency, "batch": batch_info,
+                        })
+                batcher.histograms["serve.latency_ms"].observe_many(latencies)
+                service._on_batch(wave, 0)
+            finally:
+                batcher_module._batch_context.request_ids = ()
+        cpu = time.process_time() - cpu_start
+    finally:
+        service.close()
+        reset_registry()
     return cpu / (batches * wave) * 1e6
 
 
 def run_telemetry_probe(model, keys: np.ndarray, cutoff: int) -> Dict:
-    """Warm batched throughput with live telemetry vs telemetry off.
+    """The telemetry touchpoints' CPU as a share of serving CPU.
 
-    The gated ``enabled`` arm runs telemetry as an operator would ship
-    it: windowed histograms, SLO monitoring armed, and head sampling at
-    10% — head sampling exists precisely so tracing cost lands on a
-    fraction of requests.  A third ``full_tracing`` arm
-    (``trace_sample_rate=1.0``) is recorded for information but not
-    gated.
+    The gated ``shipped`` arm runs telemetry as an operator would ship
+    it: SLO check armed and head sampling at 10% — head sampling exists
+    precisely so tracing cost lands on a fraction of requests.  A
+    ``full_tracing`` arm (``trace_sample_rate=1.0``) is recorded for
+    information but not gated.
 
-    The **gate** is deterministic: the telemetry touchpoints' unit CPU
-    cost (:func:`_telemetry_touchpoint_cost`, enabled minus disabled)
-    as a fraction of the end-to-end serving CPU per request.  An
-    end-to-end enabled-vs-disabled A/B cannot gate a 5% effect — on a
-    shared machine the intrinsic per-request CPU wanders by more than
-    that between identical runs — but it is still *recorded* here, so
-    the report shows both the exact instrumentation cost and the
-    in-situ numbers.  The end-to-end passes are closed-loop waves
-    (:func:`run_wave_pass`) with arms interleaved in rotating order,
-    CPU-time medians/minima reported, and cyclic GC frozen so
-    whole-heap scans aren't billed to whichever arm tripped the
-    allocation threshold.
+    The **gate** is deterministic: the touchpoints' unit CPU cost
+    (:func:`_telemetry_touchpoint_cost`, counted in full — telemetry
+    has no off switch to subtract) as a fraction of the end-to-end
+    serving CPU per request of the same arm.  The end-to-end passes
+    are closed-loop waves (:func:`run_wave_pass`) with arms
+    interleaved in rotating order, CPU-time minima and rate medians
+    reported, and cyclic GC frozen so whole-heap scans aren't billed
+    to whichever arm tripped the allocation threshold.
     """
     arms = {
-        "enabled": dict(
-            telemetry_enabled=True,
-            trace_sample_rate=TELEMETRY_PROBE_SAMPLE_RATE,
-            slo_p99_ms=500.0,
-        ),
-        "full_tracing": dict(
-            telemetry_enabled=True, trace_sample_rate=1.0, slo_p99_ms=500.0
-        ),
-        "disabled": dict(telemetry_enabled=False),
+        "shipped": dict(trace_sample_rate=TELEMETRY_PROBE_SAMPLE_RATE, slo_p99_ms=500.0),
+        "full_tracing": dict(trace_sample_rate=1.0, slo_p99_ms=500.0),
     }
+    configs = {label: replace(MODES["batched-10ms"], **overrides)
+               for label, overrides in arms.items()}
     reps = int(np.ceil(TELEMETRY_PROBE_REQUESTS / len(keys)))
     probe_keys = np.tile(keys, reps)[:TELEMETRY_PROBE_REQUESTS]
     rates: Dict[str, List[float]] = {label: [] for label in arms}
     cpus: Dict[str, List[float]] = {label: [] for label in arms}
-    # The enabled arm allocates more, so cyclic GC would fire more
-    # often there and bill whole-heap scans (the model included) to
-    # whichever arm tripped the threshold.  Freeze the heap and pause
-    # collection so both arms pay identical GC cost: none.
     gc.collect()
     gc.freeze()
     gc.disable()
@@ -400,8 +388,8 @@ def run_telemetry_probe(model, keys: np.ndarray, cutoff: int) -> Dict:
         for round_index in range(TELEMETRY_PROBE_ROUNDS):
             order = labels[round_index % len(labels):] + labels[:round_index % len(labels)]
             for label in order:
-                config = replace(MODES["batched-10ms"], **arms[label])
-                service = PredictionService(model, config=config, name=f"bench-tel-{label}")
+                service = PredictionService(model, config=configs[label],
+                                            name=f"bench-tel-{label}")
                 try:
                     run_wave_pass(service, probe_keys, cutoff)  # warm-up, discarded
                     measured = run_wave_pass(service, probe_keys, cutoff)
@@ -409,38 +397,29 @@ def run_telemetry_probe(model, keys: np.ndarray, cutoff: int) -> Dict:
                     cpus[label].append(measured["cpu_us_per_request"])
                 finally:
                     service.close()
+        unit = {
+            label: min(_telemetry_touchpoint_cost(model, config) for _ in range(3))
+            for label, config in configs.items()
+        }
     finally:
         gc.enable()
         gc.unfreeze()
         gc.collect()
     rate = {label: float(np.median(samples)) for label, samples in rates.items()}
     cpu = {label: float(min(samples)) for label, samples in cpus.items()}
-
-    # Deterministic gate: unit cost of the touchpoints vs serving CPU.
-    def touchpoints(telemetry_config) -> float:
-        return min(_telemetry_touchpoint_cost(telemetry_config) for _ in range(3))
-
-    unit = {
-        label: touchpoints(
-            replace(MODES["batched-10ms"], **overrides).telemetry_config()
-        )
-        for label, overrides in arms.items()
-    }
-    serving_cpu = cpu["disabled"]
-    overhead = max(0.0, unit["enabled"] - unit["disabled"]) / serving_cpu
-    full_overhead = max(0.0, unit["full_tracing"] - unit["disabled"]) / serving_cpu
+    overhead = unit["shipped"] / cpu["shipped"]
+    full_overhead = unit["full_tracing"] / cpu["full_tracing"]
     return {
         "mode": "batched-10ms",
         "trace_sample_rate": TELEMETRY_PROBE_SAMPLE_RATE,
         "requests_per_pass": TELEMETRY_PROBE_REQUESTS,
         "rounds": TELEMETRY_PROBE_ROUNDS,
-        "touchpoint_us_enabled": round(unit["enabled"], 3),
-        "touchpoint_us_disabled": round(unit["disabled"], 3),
+        "touchpoint_us_shipped": round(unit["shipped"], 3),
         "touchpoint_us_full_tracing": round(unit["full_tracing"], 3),
-        "cpu_us_per_request_enabled": round(cpu["enabled"], 2),
-        "cpu_us_per_request_disabled": round(cpu["disabled"], 2),
-        "rows_per_sec_enabled": round(rate["enabled"], 1),
-        "rows_per_sec_disabled": round(rate["disabled"], 1),
+        "cpu_us_per_request_shipped": round(cpu["shipped"], 2),
+        "cpu_us_per_request_full_tracing": round(cpu["full_tracing"], 2),
+        "rows_per_sec_shipped": round(rate["shipped"], 1),
+        "rows_per_sec_full_tracing": round(rate["full_tracing"], 1),
         "overhead_pct": round(overhead * 100.0, 2),
         "full_tracing_overhead_pct": round(full_overhead * 100.0, 2),
         "limit_pct": round(TELEMETRY_OVERHEAD_LIMIT * 100.0, 2),
@@ -517,9 +496,8 @@ def main(argv=None) -> int:
           f"(required {ACCEPTANCE_SPEEDUP:.1f}x)")
     probe = report["telemetry"]
     print(f"telemetry overhead: {probe['overhead_pct']:.2f}% of serving CPU "
-          f"(touchpoints {probe['touchpoint_us_enabled']:.2f} vs "
-          f"{probe['touchpoint_us_disabled']:.2f} us/req on "
-          f"{probe['cpu_us_per_request_disabled']:.1f} us/req serving, "
+          f"(touchpoints {probe['touchpoint_us_shipped']:.2f} us/req on "
+          f"{probe['cpu_us_per_request_shipped']:.1f} us/req serving, "
           f"limit {probe['limit_pct']:.0f}%)")
 
     with open(args.output, "w") as handle:

@@ -258,11 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="window p99 latency target; breaches record SLO events",
     )
     serve.add_argument(
-        "--no-telemetry", action="store_true",
-        help="disable windowed histograms, request tracing, and SLO "
-             "monitoring (lifetime aggregates only)",
-    )
-    serve.add_argument(
         "--stats-json", metavar="PATH",
         help="write the final telemetry snapshot (stats + health + full "
              "metrics registry) to PATH on shutdown; render it with "
@@ -605,7 +600,7 @@ def _open_service(args: argparse.Namespace, config):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.telemetry import render_data_summary, stats_document
+    from repro.obs.report import render_data_summary, stats_document
     from repro.pql import NoSnapshotError
     from repro.resilience import CorruptModelError
     from repro.serve import RegistryError, ServeConfig, serve_loop
@@ -626,7 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fallback=not args.no_fallback,
         route=args.route,
         quality_floor=args.quality_floor,
-        telemetry_enabled=not args.no_telemetry,
         telemetry_window_s=args.telemetry_window_s,
         trace_sample_rate=args.trace_sample_rate,
         slo_p99_ms=args.slo_p99_ms,
@@ -792,7 +786,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.telemetry import render_prometheus, render_stats_text
+    from repro.obs.report import render_prometheus, render_stats_text
 
     with open(args.snapshot, encoding="utf-8") as handle:
         document = json.load(handle)

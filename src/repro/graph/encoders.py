@@ -248,18 +248,18 @@ class FeatureGrower:
     ) -> np.ndarray:
         """Codes for the new rows under the frozen vocabulary.
 
-        Mirrors both cold branches of ``_encode_categorical``: a stored
+        Mirrors both cold branches of ``_encode_categorical``: a
         vocabulary maps hits directly and hashes misses into the
-        overflow buckets; an empty vocabulary (the hashed-all branch —
-        which cold also takes for a column with *zero* fit-window
-        values) hashes into ``_MAX_VOCAB`` buckets.
+        overflow buckets (an empty one — a column with no fit-window
+        values — sends every value there); the hashed-all branch, an
+        empty vocabulary over ``_MAX_VOCAB`` codes, hashes into those.
         """
         null_code = base.cardinality - 1 - _OVERFLOW_BUCKETS
         overflow_start = null_code + 1
         as_text = values[rows].astype(str)
         new_null = null_mask[rows]
         uniq, inverse = np.unique(as_text, return_inverse=True)
-        if base.vocabulary:
+        if base.vocabulary or null_code != _MAX_VOCAB:
             unique_codes = np.array(
                 [
                     base.vocabulary[text]
@@ -371,11 +371,14 @@ def _encode_categorical(
     usable = fit_mask & ~null_mask
     as_text = values.astype(str)
     seen = np.unique(as_text[usable]).tolist()
-    if len(seen) > _MAX_VOCAB:
+    hash_all = len(seen) > _MAX_VOCAB
+    if hash_all:
         # Hash everything: cardinality = _MAX_VOCAB + null + overflow.
         vocabulary: Dict[str, int] = {}
         base = _MAX_VOCAB
     else:
+        # An empty fit window gives an empty vocabulary: every value is
+        # unseen and lands in the overflow buckets, inside cardinality.
         vocabulary = {value: i for i, value in enumerate(seen)}
         base = len(seen)
     null_code = base
@@ -383,7 +386,7 @@ def _encode_categorical(
     cardinality = overflow_start + _OVERFLOW_BUCKETS
 
     uniq, inverse = np.unique(as_text, return_inverse=True)
-    if vocabulary:
+    if not hash_all:
         unique_codes = np.array(
             [
                 vocabulary[text]

@@ -11,12 +11,14 @@ Three complementary instruments, all dependency-free:
   the ``repro.*`` namespace with one ``configure_logging(verbosity)``
   entry point.
 
-:mod:`repro.obs.report` renders a collected trace as the EXPLAIN
-ANALYZE-style stage tree the CLI prints under ``--profile``, and
-:mod:`repro.obs.telemetry` layers live-serving telemetry on top:
-sliding-window histograms, per-request tracing with head sampling,
-SLO budget monitoring with provenance events, and Prometheus/JSON
-exposition.
+:mod:`repro.obs.metrics` also holds :class:`WindowedHistogram`, the
+sliding-window instrument behind a live server's ``serve.*``
+percentiles.  :mod:`repro.obs.report` renders a collected trace as the
+EXPLAIN ANALYZE-style stage tree the CLI prints under ``--profile``,
+and a serving snapshot as Prometheus text, a JSON document, or the
+``repro stats`` table.  The serving state itself — request IDs, head
+sampling, the trace ring, the SLO check and the event log — lives in
+:mod:`repro.serve`.
 """
 
 from repro.obs.logs import configure_logging, get_logger
@@ -25,19 +27,18 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    WindowedHistogram,
     get_registry,
     reset_registry,
 )
-from repro.obs.report import render_trace, stage_timings, trace_document, write_trace_json
-from repro.obs.telemetry import (
-    RequestTracer,
-    SLOMonitor,
-    ServingTelemetry,
-    TelemetryConfig,
-    WindowedHistogram,
+from repro.obs.report import (
     render_prometheus,
     render_stats_text,
+    render_trace,
+    stage_timings,
     stats_document,
+    trace_document,
+    write_trace_json,
 )
 from repro.obs.trace import (
     Span,
@@ -56,11 +57,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RequestTracer",
-    "SLOMonitor",
-    "ServingTelemetry",
     "Span",
-    "TelemetryConfig",
     "Trace",
     "WindowedHistogram",
     "add_counter",

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import time
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -34,6 +36,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "WindowedHistogram",
     "get_registry",
     "percentile",
     "reset_registry",
@@ -173,6 +176,117 @@ def _percentile_key(q: float) -> str:
     return f"p{int(q)}" if float(q).is_integer() else f"p{q:g}"
 
 
+class WindowedHistogram(Histogram):
+    """Sliding-window histogram: streaming percentiles over recent values.
+
+    Observations older than ``window_seconds`` (or beyond the
+    ``max_samples`` ring-buffer capacity) fall out of the summary, so a
+    long-running server answers "what is the p99 *now*" in bounded
+    memory.  ``total_count`` and ``total_sum`` still cover everything
+    ever observed — the monotonic figures a scraper needs.  A
+    :class:`Histogram` subclass, so ``registry.histogram(name)`` finds
+    the windowed instrument registered under ``name``.
+    """
+
+    __slots__ = (
+        "window_seconds", "max_samples", "total_count", "total_sum",
+        "_window_values", "_chunks", "_clock",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        window_seconds: float = 60.0,
+        max_samples: int = 4096,
+        percentiles: Sequence[float] = DEFAULT_PERCENTILES,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        if window_seconds <= 0:
+            raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
+        if max_samples < 1:
+            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+        super().__init__(name, percentiles=percentiles)
+        self.window_seconds = float(window_seconds)
+        self.max_samples = int(max_samples)
+        self.total_count = 0
+        self.total_sum = 0.0
+        # Values and their timestamps live in parallel: one float per
+        # observation, one (timestamp, count) chunk per observe call —
+        # batch feeding stamps a whole micro-batch with one tuple.
+        self._window_values: Deque[float] = deque()
+        self._chunks: Deque[Tuple[float, int]] = deque()
+        self._clock = clock
+
+    def observe(self, value: float) -> None:
+        """Record one observation, evicting anything past the window."""
+        now = self._clock()
+        value = float(value)
+        with self._lock:
+            self.total_count += 1
+            self.total_sum += value
+            self._window_values.append(value)
+            self._chunks.append((now, 1))
+            self._evict(now)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record a batch of observations with one timestamp and lock."""
+        if not values:
+            return
+        now = self._clock()
+        floats = [float(v) for v in values]
+        with self._lock:
+            self.total_count += len(floats)
+            self.total_sum += sum(floats)
+            self._window_values.extend(floats)
+            self._chunks.append((now, len(floats)))
+            self._evict(now)
+
+    def _evict(self, now: float) -> None:
+        """Drop samples past the window or capacity (lock is held)."""
+        horizon = now - self.window_seconds
+        values, chunks = self._window_values, self._chunks
+        while chunks and chunks[0][0] < horizon:
+            _, dropped = chunks.popleft()
+            for _ in range(dropped):
+                values.popleft()
+        excess = len(values) - self.max_samples
+        while excess > 0:
+            stamp, count = chunks[0]
+            take = min(count, excess)
+            for _ in range(take):
+                values.popleft()
+            if take == count:
+                chunks.popleft()
+            else:
+                chunks[0] = (stamp, count - take)
+            excess -= take
+
+    def _snapshot(self) -> List[float]:
+        """Values currently inside the window, oldest first."""
+        now = self._clock()
+        with self._lock:
+            self._evict(now)
+            return list(self._window_values)
+
+    @property
+    def count(self) -> int:
+        """Observations currently inside the window."""
+        return len(self._snapshot())
+
+    def summary(self, percentiles: Optional[Sequence[float]] = None) -> Dict[str, float]:
+        """Window count/min/mean/percentiles/max + lifetime totals."""
+        values = self._snapshot()
+        result = self._summarize(values, percentiles)
+        result["window_seconds"] = self.window_seconds
+        result["total_count"] = self.total_count
+        result["total_sum"] = self.total_sum
+        return result
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready ``{type, ...summary}`` record."""
+        return {"type": "windowed_histogram", **self.summary()}
+
+
 class MetricsRegistry:
     """Named instruments, created on first use, exported as one dict."""
 
@@ -209,16 +323,13 @@ class MetricsRegistry:
         name: str,
         window_seconds: float = 60.0,
         max_samples: int = 4096,
-    ):
+    ) -> WindowedHistogram:
         """The sliding-window histogram named ``name`` (created on first use).
 
-        Returns a :class:`~repro.obs.telemetry.WindowedHistogram` — a
-        :class:`Histogram` subclass, so later ``histogram(name)``
-        lookups find the same instrument.  Requesting a windowed view
-        of a name already registered as a plain histogram raises.
+        Later ``histogram(name)`` lookups find the same instrument;
+        requesting a windowed view of a name already registered as a
+        plain histogram raises.
         """
-        from repro.obs.telemetry import WindowedHistogram
-
         return self._get(
             name, WindowedHistogram,
             window_seconds=window_seconds, max_samples=max_samples,

@@ -302,6 +302,17 @@ class PredictiveQueryPlanner:
                 "query compiled", extra={"task_type": binding.task_type.value,
                                          "entity": binding.query.entity_table},
             )
+            stats_cutoff = min(split.train_cutoffs)
+            span = self.db.time_span()
+            if span is not None and stats_cutoff < span[0]:
+                # The encoders fit every statistic and vocabulary on rows
+                # at or before the earliest training cutoff: here, none.
+                raise ValueError(
+                    f"training cutoff {stats_cutoff} precedes every timestamped "
+                    f"row (the first is at {span[0]}), so the feature encoders "
+                    f"would fit on no data; drop that cutoff or move it to "
+                    f"{span[0]} or later"
+                )
 
             with obs_trace.span("planner.label") as label_span:
                 train_labels = build_label_table(self.db, binding, split.train_cutoffs)
@@ -316,7 +327,6 @@ class PredictiveQueryPlanner:
             )
 
             train_labels = self._maybe_subsample(train_labels)
-            stats_cutoff = min(split.train_cutoffs)
 
             with obs_trace.span("planner.graph_build") as build_span:
                 graph = build_graph(self.db, stats_cutoff=stats_cutoff)

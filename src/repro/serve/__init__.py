@@ -34,13 +34,12 @@ Everything is instrumented through :mod:`repro.obs` under ``serve.*``
 (request/reject/expiry counters, queue-wait and execute latency
 histograms, batch-size distribution) and those instruments are reset
 per service instance, so one model version's numbers never leak into
-the next's.  With telemetry enabled (the default) the latency
-histograms are **sliding windows** with streaming p50/p95/p99, every
-request carries a request ID through micro-batch coalescing, a
-configurable fraction retain full per-request span trees, and an SLO
-monitor records provenance events (which requests tripped the
-degradation ladder and why) — see
-:mod:`repro.obs.telemetry` and docs/observability.md.
+the next's.  The latency histograms are **sliding windows** with
+streaming p50/p95/p99, every request carries a request ID through
+micro-batch coalescing, a configurable fraction retain full
+per-request span trees, and the service's one bounded event log
+records provenance (which requests tripped the degradation ladder or
+the p99 budget, and why) — see docs/observability.md.
 """
 
 from repro.serve.batcher import (

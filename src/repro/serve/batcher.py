@@ -35,18 +35,22 @@ batcher exploits that without changing request semantics:
   was admitted under.
 
 Every admitted request is assigned a **request ID** (``req-000001``,
-…) by the :class:`~repro.obs.telemetry.ServingTelemetry` facade; the
-ID survives coalescing (each request keeps its own ID inside the
-shared batch), rides on the :class:`ResponseFuture`, names the request
-in SLO provenance events, and — for head-sampled requests — keys a
-retained per-request span tree that nests the batch's model spans.
+…) at admission; the ID survives coalescing (each request keeps its
+own ID inside the shared batch), rides on the :class:`ResponseFuture`,
+and names the request in provenance events: while a batch executes,
+:func:`current_request_ids` returns its IDs on the executing thread.
+A deterministic fraction (``trace_sample_rate``) of requests is
+head-sampled, and each sampled request's trace — queue wait, outcome,
+latency and the batch's span tree — is kept in a ring of the last
+:data:`TRACE_CAPACITY` (:meth:`MicroBatcher.traces`).
 
 Instrumentation (``serve.*`` counters/histograms in the global
 :mod:`repro.obs` registry): ``serve.requests``, ``serve.rows``,
 ``serve.rejected``, ``serve.expired``, ``serve.batches``,
-``serve.errors``, plus ``serve.batch_rows``, ``serve.queue_wait_ms``,
-``serve.execute_ms``, and ``serve.latency_ms`` histograms (sliding
-windows with streaming p50/p95/p99 when telemetry is enabled).
+``serve.errors``, plus the ``serve.batch_rows``,
+``serve.queue_wait_ms``, ``serve.execute_ms`` and ``serve.latency_ms``
+histograms — always sliding windows of ``window_seconds`` with
+streaming p50/p95/p99, so a long-running server stays bounded.
 """
 
 from __future__ import annotations
@@ -62,11 +66,7 @@ import numpy as np
 
 from repro.obs import get_logger, get_registry
 from repro.obs import trace as obs_trace
-from repro.obs.telemetry import (
-    ServingTelemetry,
-    TelemetryConfig,
-    set_current_request_ids,
-)
+from repro.obs.metrics import WindowedHistogram
 
 __all__ = [
     "DeadlineExceededError",
@@ -74,9 +74,21 @@ __all__ = [
     "QueueFullError",
     "ResponseFuture",
     "ServiceClosedError",
+    "TRACE_CAPACITY",
+    "current_request_ids",
 ]
 
 _log = get_logger("serve.batcher")
+
+#: Sampled per-request traces kept; older ones fall off the ring.
+TRACE_CAPACITY = 32
+
+_batch_context = threading.local()
+
+
+def current_request_ids() -> Tuple[str, ...]:
+    """The request IDs of the batch executing on this thread (or ())."""
+    return getattr(_batch_context, "request_ids", ())
 
 
 class QueueFullError(RuntimeError):
@@ -185,15 +197,17 @@ class MicroBatcher:
     per-entity values for ``predict``, a list of per-entity
     ``(item_keys, scores)`` pairs for ``rank``.
 
-    ``telemetry`` supplies request IDs, head-sampling decisions, and
-    the SLO feed; when omitted a disabled facade is created so every
-    request still gets an ID.
+    ``on_batch(requests, errors)``, when given, is called on the
+    executor after every batch resolves — its request IDs still in
+    :func:`current_request_ids` — with how many requests the batch
+    resolved and how many of them failed.
     """
 
     def __init__(
         self, runner: Callable[[str, int, np.ndarray, np.ndarray, Any], Any], *,
         max_batch_size: int = 64, max_wait_ms: float = 0.0, max_queue_depth: int = 256,
-        telemetry: Optional[ServingTelemetry] = None,
+        window_seconds: float = 60.0, trace_sample_rate: float = 0.0,
+        on_batch: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -201,13 +215,30 @@ class MicroBatcher:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        if window_seconds <= 0:
+            raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
+        if not 0.0 <= trace_sample_rate <= 1.0:
+            raise ValueError(f"trace_sample_rate must be in [0, 1], got {trace_sample_rate}")
         self._runner = runner
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ms = float(max_wait_ms)
         self.max_queue_depth = int(max_queue_depth)
-        self.telemetry = telemetry if telemetry is not None else ServingTelemetry(
-            TelemetryConfig(enabled=False)
-        )
+        self.window_seconds = float(window_seconds)
+        self.trace_sample_rate = float(trace_sample_rate)
+        self._on_batch = on_batch
+        #: Requests given an ID / chosen for trace retention so far.
+        self.admitted = 0
+        self.sampled = 0
+        self._sample_acc = 0.0
+        self._admit_lock = threading.Lock()
+        self._traces: Deque[Dict[str, Any]] = deque(maxlen=TRACE_CAPACITY)
+        registry = get_registry()
+        #: The windowed ``serve.*`` histograms this batcher feeds.
+        self.histograms: Dict[str, WindowedHistogram] = {
+            name: registry.windowed_histogram(name, window_seconds=self.window_seconds)
+            for name in ("serve.latency_ms", "serve.queue_wait_ms",
+                         "serve.execute_ms", "serve.batch_rows")
+        }
         self._queue: Deque[_Request] = deque()
         self._lock = threading.Lock()
         self._nonempty = threading.Condition(self._lock)
@@ -216,6 +247,28 @@ class MicroBatcher:
         # thread whose ident is in _driver (the worker is stopped).
         self._driver: Optional[int] = None
         self._start_worker()
+
+    def _admit(self) -> Tuple[str, bool]:
+        """The next request ID and its head-sampling decision.
+
+        Sampling is deterministic error diffusion — exactly
+        ``trace_sample_rate`` of requests (every one at 1.0, every other
+        at 0.5, none at 0.0) — so replayed traffic samples identically.
+        """
+        with self._admit_lock:
+            self.admitted += 1
+            sampled = False
+            if self.trace_sample_rate > 0.0:
+                self._sample_acc += self.trace_sample_rate
+                if self._sample_acc >= 1.0 - 1e-9:
+                    self._sample_acc -= 1.0
+                    self.sampled += 1
+                    sampled = True
+            return f"req-{self.admitted:06d}", sampled
+
+    def traces(self) -> List[Dict[str, Any]]:
+        """The retained traces of head-sampled requests, oldest first."""
+        return list(self._traces)
 
     def _start_worker(self) -> None:
         self._thread = threading.Thread(
@@ -248,7 +301,7 @@ class MicroBatcher:
             raise ValueError("request must name at least one entity")
         now = time.monotonic()
         deadline = now + deadline_ms / 1000.0 if deadline_ms is not None else None
-        request_id, sampled = self.telemetry.admit()
+        request_id, sampled = self._admit()
         request = _Request(op=op, entity_keys=entity_keys, cutoffs=cutoffs,
                            k=int(k), deadline=deadline,
                            request_id=request_id, sampled=sampled, context=context,
@@ -420,7 +473,7 @@ class MicroBatcher:
             trace["latency_ms"] = round(latency_ms, 3)
         if batch is not None:
             trace["batch"] = batch
-        self.telemetry.record_trace(trace)
+        self._traces.append(trace)
 
     def _execute(self, batch: List[_Request]) -> None:
         registry = get_registry()
@@ -433,9 +486,6 @@ class MicroBatcher:
             except Exception as err:
                 request.future._finish(error=err)
             return
-        # (request_id, latency_ms, ok) for every request this batch
-        # resolves, fed to the SLO window in one call at the end.
-        resolved: List[Tuple[str, float, bool]] = []
         now = time.monotonic()
         live: List[_Request] = []
         queue_waits: List[float] = []
@@ -448,21 +498,30 @@ class MicroBatcher:
                 request.future._finish(error=DeadlineExceededError(
                     "deadline expired while queued"
                 ))
-                resolved.append((request.request_id, wait_ms, False))
                 self._record_trace(request, outcome="expired_queued")
             else:
                 queue_waits.append(wait_ms)
                 live.append(request)
         if queue_waits:
-            registry.histogram("serve.queue_wait_ms").observe_many(queue_waits)
-        if not live:
-            self.telemetry.on_resolved_batch(resolved)
-            return
+            self.histograms["serve.queue_wait_ms"].observe_many(queue_waits)
+        _batch_context.request_ids = tuple(r.request_id for r in live)
+        try:
+            failed = len(batch) - len(live)
+            if live:
+                failed += self._execute_live(live)
+            if self._on_batch is not None:
+                self._on_batch(len(batch), failed)
+        finally:
+            _batch_context.request_ids = ()
+
+    def _execute_live(self, live: List[_Request]) -> int:
+        """One runner call for the unexpired requests; resolves each and
+        returns how many failed."""
+        registry = get_registry()
         keys = np.concatenate([r.entity_keys for r in live])
         cutoffs = np.concatenate([r.cutoffs for r in live])
         registry.counter("serve.batches").inc()
-        registry.histogram("serve.batch_rows").observe(len(keys))
-        request_ids = [r.request_id for r in live]
+        self.histograms["serve.batch_rows"].observe(len(keys))
         first = live[0]
         # When a head-sampled request rides in this batch, capture the
         # model spans in a thread-private collection window so the
@@ -474,7 +533,6 @@ class MicroBatcher:
         kwargs = {} if first.route is None else {"route": first.route}
         results = error = None
         start = time.monotonic()
-        set_current_request_ids(request_ids)
         try:
             with window as batch_trace, obs_trace.span("serve.batch") as batch_span:
                 batch_span.add_counter("serve.batch_rows", len(keys))
@@ -482,13 +540,11 @@ class MicroBatcher:
                     first.op, first.k, keys, cutoffs, first.context, **kwargs)
         except Exception as err:
             error = err
-        finally:
-            set_current_request_ids(())
         elapsed_ms = (time.monotonic() - start) * 1000.0
         batch_info: Dict[str, Any] = {
             "rows": int(len(keys)),
             "requests": len(live),
-            "request_ids": list(request_ids),
+            "request_ids": list(current_request_ids()),
             "execute_ms": round(elapsed_ms, 3),
         }
         if sampled and batch_trace.roots:
@@ -496,9 +552,9 @@ class MicroBatcher:
         if error is not None:
             registry.counter("serve.errors").inc()
         else:
-            registry.histogram("serve.execute_ms").observe(elapsed_ms)
+            self.histograms["serve.execute_ms"].observe(elapsed_ms)
         done = time.monotonic()
-        offset = 0
+        offset = failed = 0
         latencies: List[float] = []
         for request in live:
             stop = offset + len(request.entity_keys)
@@ -519,9 +575,10 @@ class MicroBatcher:
             latency_ms = request.future.latency_seconds() * 1000.0
             if failure is None:
                 latencies.append(latency_ms)
-            resolved.append((request.request_id, latency_ms, failure is None))
+            else:
+                failed += 1
             self._record_trace(request, outcome, latency_ms=latency_ms, batch=batch_info)
             offset = stop
         if latencies:
-            registry.histogram("serve.latency_ms").observe_many(latencies)
-        self.telemetry.on_resolved_batch(resolved)
+            self.histograms["serve.latency_ms"].observe_many(latencies)
+        return failed

@@ -31,7 +31,7 @@ every predict/rank response reports the tier that answered as
     {"id": ..., "status": "error", "error": "queue_full", "message": "..."}
 
 ``stats`` answers the full telemetry snapshot (windowed ``serve.*``
-percentiles, SLO events, sampled request traces) as JSON, or — with
+percentiles, the service's event log, sampled request traces) as JSON, or — with
 ``"format": "prometheus"`` — the whole metrics registry rendered as
 Prometheus text format in the ``prometheus`` response field.
 ``health`` is the cheap probe: degradation state, queue depth, and
@@ -73,7 +73,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 import numpy as np
 
 from repro.obs import get_logger
-from repro.obs.telemetry import render_prometheus
+from repro.obs.report import render_prometheus
 from repro.serve.batcher import (
     DeadlineExceededError,
     QueueFullError,

@@ -70,28 +70,51 @@ A fresh instance starts with clean telemetry: construction drops the
 reported for this service are this service's alone.  A hot swap keeps
 them — the serving timeline is continuous across versions, and the
 ``swapped`` event marks the boundary.
+
+The service keeps **one bounded event log** (:meth:`events`, the last
+:data:`EVENT_LOG_CAPACITY`): every ``degraded``/``restored`` ladder
+move, ``swapped`` and ``canary_*`` lifecycle step, and
+``slo_breach``/``slo_recovered`` edge of the ``slo_p99_ms`` budget
+records its reason, the window at that moment, and the request IDs of
+the batch that triggered it.  ``lifecycle()["transitions"]`` is the
+log's lifecycle kinds.  A graph refresh is too frequent for the log:
+it counts ``serve.graph_refreshes`` and sets
+``lifecycle()["last_refresh"]``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import get_logger, get_registry
-from repro.obs.telemetry import ServingTelemetry, TelemetryConfig, current_request_ids
 from repro.pql.ast import TaskType
 from repro.pql.router import TIERS, check_route
 from repro.resilience.faults import fault_point
-from repro.serve.batcher import MicroBatcher, ResponseFuture
+from repro.serve.batcher import MicroBatcher, ResponseFuture, current_request_ids
 from repro.serve.canary import CanaryConfig, CanaryController
 
 __all__ = ["PredictionService", "ServeConfig"]
 
 _log = get_logger("serve.service")
+
+#: Events the service log keeps; older ones fall off.
+EVENT_LOG_CAPACITY = 64
+#: The event kinds ``lifecycle()["transitions"]`` reports.
+LIFECYCLE_KINDS = ("swapped", "canary_promoted", "canary_rolled_back")
+#: The SLO check sorts the latency window, so it is amortized: it runs
+#: after a batch with a failure, after every batch while breaching
+#: (prompt recovery), and otherwise once this many requests or this
+#: many seconds have passed since the last check.
+SLO_CHECK_EVERY = 2048
+SLO_CHECK_INTERVAL_S = 0.25
+#: Batches of outcome counts the error-rate window holds at most.
+_OUTCOME_BATCHES = 8192
 
 
 @dataclass
@@ -125,19 +148,12 @@ class ServeConfig:
     #: the best tier's validation quality); None keeps each model's
     #: fit-time setting.
     quality_floor: Optional[float] = None
-    #: Live telemetry master switch: windowed ``serve.*`` histograms,
-    #: request tracing, and SLO monitoring (request IDs are always on).
-    telemetry_enabled: bool = True
-    #: Sliding window for ``serve.*`` histograms and SLO budgets (s).
+    #: Sliding window for ``serve.*`` histograms and the SLO budget (s).
     telemetry_window_s: float = 60.0
     #: Fraction of requests whose full span tree is retained ([0, 1]).
     trace_sample_rate: float = 0.0
-    #: Ring-buffer capacity for retained per-request traces.
-    trace_capacity: int = 32
     #: Window p99 target (ms); breaches record SLO events.  None = off.
     slo_p99_ms: Optional[float] = None
-    #: Window error-rate target ([0, 1]); None = off.
-    slo_error_rate: Optional[float] = None
     #: Default canary budgets (used when :meth:`PredictionService.start_canary`
     #: is not given an explicit :class:`CanaryConfig`).
     canary_fraction: float = 0.25
@@ -154,17 +170,6 @@ class ServeConfig:
             max_divergence=self.canary_max_divergence,
             max_latency_ratio=self.canary_max_latency_ratio,
             max_error_rate=self.canary_max_error_rate,
-        )
-
-    def telemetry_config(self) -> TelemetryConfig:
-        """The :class:`TelemetryConfig` slice of this config."""
-        return TelemetryConfig(
-            enabled=self.telemetry_enabled,
-            window_seconds=self.telemetry_window_s,
-            trace_sample_rate=self.trace_sample_rate,
-            trace_capacity=self.trace_capacity,
-            slo_p99_ms=self.slo_p99_ms,
-            slo_error_rate=self.slo_error_rate,
         )
 
 
@@ -246,23 +251,30 @@ class PredictionService:
         self._state_lock = threading.Lock()
         self._canary: Optional[CanaryController] = None
         self._canary_slot: Optional[_ModelSlot] = None
-        #: Completed lifecycle transitions, oldest first (JSON-ready).
-        self._transitions: List[Dict[str, Any]] = []
+        self._events: Deque[Dict[str, Any]] = deque(maxlen=EVENT_LOG_CAPACITY)
+        self._event_seq = 0
+        self._last_refresh: Optional[Dict[str, Any]] = None
+        # The outcome window: (time, requests, errors) per batch.
+        self._outcomes: Deque[Tuple[float, int, int]] = deque(maxlen=_OUTCOME_BATCHES)
+        self._since_check = 0
+        self._last_check = float("-inf")
+        self._slo_breaching = False
         # The registry handle/db/name backing swap(version=...); set by
         # from_registry, absent for directly-constructed services.
         self._registry = None
         self._db = None
         self._registry_name: Optional[str] = None
         self.reset_metrics()
-        # Telemetry registers the windowed serve.* histograms, so it must
-        # come after reset_metrics() dropped the predecessor's instruments.
-        self.telemetry = ServingTelemetry(self.config.telemetry_config())
+        # The batcher registers the windowed serve.* histograms, so it
+        # must come after reset_metrics() dropped the predecessor's.
         self._batcher = MicroBatcher(
             self._execute,
             max_batch_size=self.config.max_batch_size,
             max_wait_ms=self.config.max_wait_ms,
             max_queue_depth=self.config.max_queue_depth,
-            telemetry=self.telemetry,
+            window_seconds=self.config.telemetry_window_s,
+            trace_sample_rate=self.config.trace_sample_rate,
+            on_batch=self._on_batch,
         )
         _log.info(
             "service started",
@@ -328,6 +340,84 @@ class PredictionService:
         registry = get_registry()
         registry.drop_prefix("serve.")
         registry.drop_prefix("router.")
+
+    def _record_event(self, kind: str, reason: str,
+                      request_ids: Optional[List[str]] = None,
+                      **extra: Any) -> Dict[str, Any]:
+        """Append one event to the log and return it.
+
+        ``request_ids`` default to the batch executing on this thread
+        (none outside a batch); ``extra`` fields carry the kind's own
+        provenance (versions, the canary's comparison window).
+        """
+        event = {
+            "seq": 0,
+            "time": time.time(),
+            "kind": kind,
+            "reason": reason,
+            "request_ids": list(current_request_ids() if request_ids is None
+                                else request_ids),
+            "window": self.window(),
+            **extra,
+        }
+        with self._state_lock:
+            self._event_seq += 1
+            event["seq"] = self._event_seq
+            self._events.append(event)
+        return event
+
+    def events(self) -> List[Dict[str, Any]]:
+        """The event log, oldest first."""
+        with self._state_lock:
+            return list(self._events)
+
+    def _on_batch(self, requests: int, errors: int) -> None:
+        """The batcher's per-batch hook: feed the outcome window, then
+        run the SLO check when it is due (see :data:`SLO_CHECK_EVERY`)."""
+        now = time.monotonic()
+        with self._state_lock:
+            self._outcomes.append((now, requests, errors))
+            self._since_check += requests
+            due = self.config.slo_p99_ms is not None and (
+                errors > 0
+                or self._slo_breaching
+                or self._since_check >= SLO_CHECK_EVERY
+                or now - self._last_check >= SLO_CHECK_INTERVAL_S
+            )
+            if due:
+                self._since_check = 0
+                self._last_check = now
+        if due:
+            self._check_slo()
+
+    def _check_slo(self) -> None:
+        """Edge-triggered check of the window p99 against ``slo_p99_ms``."""
+        target = self.config.slo_p99_ms
+        p99 = self._batcher.histograms["serve.latency_ms"].summary().get("p99")
+        breaching = p99 is not None and p99 > target
+        with self._state_lock:
+            changed = breaching != self._slo_breaching
+            self._slo_breaching = breaching
+        if changed and breaching:
+            self._record_event(
+                "slo_breach", f"window p99 {p99:.1f}ms > target {target:.1f}ms")
+        elif changed:
+            self._record_event("slo_recovered", "window back inside budget")
+
+    def window(self) -> Dict[str, Any]:
+        """The window's requests, errors, error rate and latency summary."""
+        latency = self._batcher.histograms["serve.latency_ms"].summary()
+        horizon = time.monotonic() - self.config.telemetry_window_s
+        with self._state_lock:
+            recent = [(r, e) for stamp, r, e in self._outcomes if stamp >= horizon]
+        requests = sum(r for r, _ in recent)
+        errors = sum(e for _, e in recent)
+        return {
+            "requests": requests,
+            "errors": errors,
+            "error_rate": errors / requests if requests else 0.0,
+            "latency_ms": latency,
+        }
 
     # ------------------------------------------------------------------
     # Request surface
@@ -448,12 +538,9 @@ class PredictionService:
             self._degraded_reason = reason
             self._breaches = 0
         get_registry().counter("serve.fallbacks").inc()
-        # Provenance: which requests were in flight when the ladder
-        # engaged — the batcher stamps the executing batch's request IDs
-        # into a thread-local before calling into the model path.
-        self.telemetry.record_event(
-            "degraded", reason, request_ids=current_request_ids()
-        )
+        # Provenance: the event names the requests of the batch that was
+        # executing when the ladder engaged (the batcher's thread-local).
+        self._record_event("degraded", reason)
         _log.warning(f"serving degraded to the {rung} rung", extra={"reason": reason})
         return rung
 
@@ -602,23 +689,14 @@ class PredictionService:
             self._rung = None
             self._degraded_reason = None
             self._breaches = 0
-        transition = {
-            "kind": "swapped",
-            "time": time.time(),
-            "from": previous.label,
-            "to": slot.label,
-            "reason": reason,
-            "restored_by": "swap" if was_degraded else None,
-        }
-        self._transitions.append(transition)
-        self.telemetry.record_event(
-            "swapped", f"live model {previous.label} -> {slot.label}: {reason}",
-            from_version=previous.label, to_version=slot.label,
+        transition = self._record_event(
+            "swapped", reason, **{"from": previous.label, "to": slot.label,
+                                  "restored_by": "swap" if was_degraded else None},
         )
         if was_degraded:
             # The ladder was engaged against the old model; the swap is
             # what restored full service, and provenance says so.
-            self.telemetry.record_event(
+            self._record_event(
                 "restored", "degradation cleared by model swap", restored_by="swap"
             )
         _log.info(
@@ -644,17 +722,14 @@ class PredictionService:
         in-place graph growth (``IngestPipeline.process``) reaches a
         live service safely; the model's memos reconcile themselves
         with the grown graph on the next request, or inside this
-        barrier if ``apply_fn`` also calls ``refresh_model``.  Records a
-        ``graph_refreshed`` provenance event and returns ``apply_fn``'s
-        result.
+        barrier if ``apply_fn`` also calls ``refresh_model``.  Counts
+        ``serve.graph_refreshes``, sets ``lifecycle()["last_refresh"]``
+        (no event: under ingest every batch refreshes) and returns
+        ``apply_fn``'s result.
         """
         result = self._batcher.run_barrier(apply_fn)
-        self.telemetry.record_event("graph_refreshed", reason)
-        self._transitions.append({
-            "kind": "graph_refreshed",
-            "time": time.time(),
-            "reason": reason,
-        })
+        get_registry().counter("serve.graph_refreshes").inc()
+        self._last_refresh = {"time": time.time(), "reason": reason}
         _log.info("graph refreshed between micro-batches", extra={"reason": reason})
         return result
 
@@ -700,7 +775,7 @@ class PredictionService:
         )
         self._canary_slot = slot
         self._canary = controller
-        self.telemetry.record_event(
+        self._record_event(
             "canary_started",
             f"shadowing {controller.config.fraction:.0%} of live traffic to "
             f"{slot.label} (promote after {controller.config.promote_after})",
@@ -731,11 +806,7 @@ class PredictionService:
         slot = self._canary_slot
         self._canary_slot = None
         transition = self._swap_to(slot, warm=False, reason=f"canary promote: {reason}")
-        self._transitions.append({
-            "kind": "canary_promoted", "time": time.time(),
-            "to": slot.label, "reason": reason, "canary": controller.report(),
-        })
-        self.telemetry.record_event(
+        self._record_event(
             "canary_promoted", reason,
             request_ids=controller.recent_request_ids(),
             challenger=slot.label, canary=controller.report(),
@@ -751,11 +822,7 @@ class PredictionService:
         slot = self._canary_slot
         self._canary_slot = None
         label = slot.label if slot is not None else controller.challenger_label
-        self._transitions.append({
-            "kind": "canary_rolled_back", "time": time.time(),
-            "challenger": label, "reason": reason, "canary": controller.report(),
-        })
-        self.telemetry.record_event(
+        self._record_event(
             "canary_rolled_back", reason,
             request_ids=controller.recent_request_ids(),
             challenger=label, canary=controller.report(),
@@ -782,19 +849,21 @@ class PredictionService:
             self._degraded_reason = None
             self._breaches = 0
         if was_degraded:
-            self.telemetry.record_event(
+            self._record_event(
                 "restored", "operator restore: climbed back to the model path",
                 restored_by="operator",
             )
 
     def lifecycle(self) -> Dict[str, Any]:
-        """JSON-ready lifecycle state: live version, transitions, canary."""
+        """JSON-ready lifecycle state: live version, transitions (the
+        event log's lifecycle kinds), last graph refresh, canary."""
         canary = self._canary
         return {
             "live": self._slot.label,
             "version": self._slot.version,
             "registry_model": self._registry_name,
-            "transitions": list(self._transitions),
+            "transitions": [e for e in self.events() if e["kind"] in LIFECYCLE_KINDS],
+            "last_refresh": self._last_refresh,
             "canary": canary.report() if canary is not None else None,
         }
 
@@ -815,7 +884,21 @@ class PredictionService:
             "data": self.model.data_summary(),
             "queue_depth": self._batcher.queue_depth,
             "metrics": metrics,
-            "telemetry": self.telemetry.snapshot(),
+            "telemetry": {
+                "window_seconds": self.config.telemetry_window_s,
+                "trace_sample_rate": self.config.trace_sample_rate,
+                "requests_admitted": self._batcher.admitted,
+                "requests_sampled": self._batcher.sampled,
+                "slo": {
+                    "window_seconds": self.config.telemetry_window_s,
+                    "p99_target_ms": self.config.slo_p99_ms,
+                    "error_rate_target": None,
+                    "breaching": self._slo_breaching,
+                    "window": self.window(),
+                    "events": self.events(),
+                },
+                "traces": self._batcher.traces(),
+            },
             "lifecycle": self.lifecycle(),
         }
         model = self._slot.model
@@ -834,7 +917,6 @@ class PredictionService:
 
     def health(self) -> Dict[str, Any]:
         """Cheap liveness/degradation probe for load balancers and CLIs."""
-        slo = self.telemetry.slo
         canary = self._canary
         return {
             "status": "degraded" if self.degraded else "ok",
@@ -842,8 +924,8 @@ class PredictionService:
             "degraded": self.degraded,
             "degraded_reason": self._degraded_reason,
             "queue_depth": self._batcher.queue_depth,
-            "slo_breaching": slo.breaching,
-            "window": slo.window(),
+            "slo_breaching": self._slo_breaching,
+            "window": self.window(),
             "canary": canary.state if canary is not None else None,
         }
 

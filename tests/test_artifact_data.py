@@ -43,7 +43,7 @@ from repro.datasets import get_dataset
 from repro.datasets.base import DatasetSpec
 from repro.graph import build_graph
 from repro.graph.cache import graph_fingerprint
-from repro.obs.telemetry import render_stats_text, stats_document
+from repro.obs.report import render_stats_text, stats_document
 from repro.pql import (
     NoSnapshotError,
     PredictiveModel,

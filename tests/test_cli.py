@@ -153,3 +153,12 @@ def test_fit_help_lists_at_most_18_long_flags(capsys):
     assert exit_info.value.code == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
     assert len(flags) <= 18, sorted(flags)
+
+
+def test_serve_help_lists_at_most_25_long_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert len(flags) <= 25, sorted(flags)
+    assert "--no-telemetry" not in flags

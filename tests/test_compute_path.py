@@ -438,7 +438,8 @@ def _reference_encode(name, values, null_mask, fit_mask):
     """The original per-row loop, kept as the behavioral pin."""
     usable = fit_mask & ~null_mask
     seen = sorted({str(v) for v in values[usable]})
-    if len(seen) > _MAX_VOCAB:
+    hash_all = len(seen) > _MAX_VOCAB
+    if hash_all:
         vocabulary, base = {}, _MAX_VOCAB
     else:
         vocabulary = {value: i for i, value in enumerate(seen)}
@@ -451,7 +452,7 @@ def _reference_encode(name, values, null_mask, fit_mask):
             codes[i] = null_code
         else:
             text = str(raw)
-            if vocabulary:
+            if not hash_all:
                 code = vocabulary.get(text)
                 codes[i] = (
                     code if code is not None
@@ -495,6 +496,18 @@ class TestCategoricalEncoding:
         null_mask[7] = True
         fit_mask = np.ones(len(values), dtype=bool)
         self._compare(values, null_mask, fit_mask)
+
+    def test_empty_fit_window_codes_stay_inside_cardinality(self):
+        # Every value arrives after the fit window: all are unseen and
+        # hash into the overflow buckets, never past the cardinality.
+        values = ["red", "blue", "green", "red"]
+        null_mask = np.array([False, False, True, False])
+        fit_mask = np.zeros(4, dtype=bool)
+        self._compare(values, null_mask, fit_mask)
+        encoding = _encode_categorical(
+            "col", np.asarray(values, dtype=object), null_mask, fit_mask)
+        assert encoding.vocabulary == {}
+        assert encoding.codes.max() < encoding.cardinality == 1 + _OVERFLOW_BUCKETS
 
     def test_all_null_column(self):
         values = ["x", "y", "z"]

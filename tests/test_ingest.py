@@ -713,6 +713,25 @@ class TestFeatureGrower:
             np.testing.assert_array_equal(a.codes, b.codes)
             assert a.cardinality == b.cardinality
 
+    def test_empty_fit_window_grows_like_cold_path(self):
+        # Every row postdates the stats cutoff: the column's vocabulary is
+        # empty, and every code still lands inside its cardinality.
+        schema = TableSchema(
+            "events",
+            [ColumnSpec("id", DType.INT64), ColumnSpec("kind", DType.STRING),
+             ColumnSpec("ts", DType.TIMESTAMP)],
+            primary_key="id", time_column="ts",
+        )
+        table = Table.from_dict(schema, {"id": [1, 2], "kind": ["a", "b"], "ts": [500, 600]})
+        base = encode_table_features(table, 400)
+        delta = Table.from_dict(schema, {"id": [3, 4], "kind": ["c", None], "ts": [700, 800]})
+        grown_table = table.append(delta)
+        grown = FeatureGrower(400).grow(grown_table, base)
+        cold = encode_table_features(grown_table, 400)
+        for a, b in zip(grown.categorical, cold.categorical):
+            np.testing.assert_array_equal(a.codes, b.codes)
+            assert a.codes.max() < a.cardinality == b.cardinality
+
 
 # ----------------------------------------------------------------------
 # The change journal, and what a delta cannot reach

@@ -206,7 +206,7 @@ def test_sigkill_mid_publish_subprocess(
 # Hot swap: zero downtime under concurrent load
 # ----------------------------------------------------------------------
 def lifecycle_service(registry, db, version=1, **overrides) -> PredictionService:
-    config = ServeConfig(max_wait_ms=1.0, telemetry_enabled=True, **overrides)
+    config = ServeConfig(max_wait_ms=1.0, **overrides)
     return PredictionService.from_registry(
         registry, "churn", db, version=version, config=config
     )
@@ -257,7 +257,7 @@ def test_swap_under_concurrent_load_zero_errors(
     # Traffic straddled the swap: both versions actually served, and
     # nothing was ever admitted under a model that wasn't live.
     assert seen_versions == {"churn@v1", "churn@v2"}
-    kinds = [e["kind"] for e in service.telemetry.slo.events()]
+    kinds = [e["kind"] for e in service.events()]
     assert "swapped" in kinds
 
 
@@ -321,7 +321,7 @@ def test_swap_resets_degradation_with_provenance(
         service.swap(version=2)
         assert not service.degraded
         assert len(service.predict(keys, CUTOFF)) == len(keys)
-        events = service.telemetry.slo.events()
+        events = service.events()
         restored = [e for e in events if e["kind"] == "restored"]
         assert restored and restored[-1]["restored_by"] == "swap"
     finally:
@@ -364,9 +364,9 @@ def test_canary_promotes_on_sustained_parity(
         assert report["compared_requests"] >= 8
         assert report["errors"] == 0
         assert report["mean_divergence"] == 0.0  # same weights, same answers
-        kinds = [e["kind"] for e in service.telemetry.slo.events()]
+        kinds = [e["kind"] for e in service.events()]
         assert "canary_started" in kinds and "canary_promoted" in kinds
-        promoted = [e for e in service.telemetry.slo.events()
+        promoted = [e for e in service.events()
                     if e["kind"] == "canary_promoted"][-1]
         assert promoted["canary"]["state"] == "promoted"
         assert promoted["request_ids"], "promotion must name its evidence"
@@ -398,7 +398,7 @@ def test_canary_rolls_back_on_challenger_errors(
         assert service.name == "churn@v1"
         assert not service.degraded
         assert len(service.predict(keys, CUTOFF)) == len(keys)
-        events = service.telemetry.slo.events()
+        events = service.events()
         rolled = [e for e in events if e["kind"] == "canary_rolled_back"]
         assert rolled and "error rate" in rolled[-1]["reason"]
         assert rolled[-1]["challenger"] == "churn@v2"

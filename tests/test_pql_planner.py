@@ -125,6 +125,29 @@ class TestConfigKnobs:
         )
         assert np.isfinite(model.evaluate(split.test_cutoff)["auroc"])
 
+    def test_pre_data_training_cutoff_is_refused_before_any_encoder(
+        self, db, split, monkeypatch
+    ):
+        from repro.eval.splits import TemporalSplit
+        from repro.pql import planner as planner_module
+
+        horizon = 30 * DAY
+        early = db.time_span()[0] - horizon
+        pre_data = TemporalSplit(
+            train_cutoffs=(early,) + split.train_cutoffs,
+            val_cutoff=split.val_cutoff, test_cutoff=split.test_cutoff,
+        )
+        built = []
+        monkeypatch.setattr(planner_module, "build_graph",
+                            lambda *a, **kw: built.append(a))
+        planner = PredictiveQueryPlanner(db, fast_config(epochs=1))
+        with pytest.raises(ValueError, match=f"training cutoff {early} precedes"):
+            planner.fit(
+                "PREDICT COUNT(orders) = 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
+                pre_data,
+            )
+        assert built == []
+
     def test_empty_training_rows_raise(self, db):
         span = db.time_span()
         # Cutoffs before any entity exists.

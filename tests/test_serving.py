@@ -683,14 +683,14 @@ def test_degradation_records_slo_provenance_with_request_ids(
     with PredictionService(churn_model) as service:
         service.predict(keys, cutoff)
         assert service.degraded
-        events = service.telemetry.slo.snapshot()["events"]
+        events = service.events()
         degraded = [e for e in events if e["kind"] == "degraded"]
         assert len(degraded) == 1
         # The provenance event names the fault and the triggering request.
         assert "injected fault" in degraded[0]["reason"]
         assert degraded[0]["request_ids"] == ["req-000001"]
         service.restore()
-        kinds = [e["kind"] for e in service.telemetry.slo.events()]
+        kinds = [e["kind"] for e in service.events()]
         assert kinds[-1] == "restored"
 
 

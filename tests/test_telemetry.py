@@ -1,17 +1,22 @@
-"""Tests for :mod:`repro.obs.telemetry` — the live serving telemetry layer.
+"""Tests for live serving telemetry.
 
 Covers the windowed histograms (time + capacity eviction with an
-injectable clock), deterministic request-ID assignment and head
-sampling, SLO budget edge-triggering and provenance events, the
-thread-safety contracts of the metrics registry and trace collector,
-request-ID propagation through micro-batch coalescing, and the
-exposition surface (Prometheus text, stats documents, CLI rendering).
+injectable clock), the batcher's deterministic request-ID assignment,
+head sampling and trace ring, the service's SLO check (edge-triggered,
+amortized, read off the windowed ``serve.latency_ms``) and its one
+bounded event log, the thread-safety contracts of the metrics registry
+and trace collector, request-ID propagation through micro-batch
+coalescing, and the exposition surface (Prometheus text, stats
+documents, CLI rendering).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,22 +26,15 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
+    WindowedHistogram,
     get_registry,
     reset_registry,
 )
-from repro.obs.telemetry import (
-    RequestTracer,
-    SLOMonitor,
-    ServingTelemetry,
-    TelemetryConfig,
-    WindowedHistogram,
-    current_request_ids,
-    render_prometheus,
-    render_stats_text,
-    set_current_request_ids,
-    stats_document,
-)
-from repro.serve.batcher import MicroBatcher
+from repro.obs.report import render_prometheus, render_stats_text, stats_document
+from repro.pql.ast import TaskType
+from repro.serve import PredictionService, ServeConfig
+from repro.serve import service as service_module
+from repro.serve.batcher import TRACE_CAPACITY, MicroBatcher, current_request_ids
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +58,68 @@ class FakeClock:
         self.now += seconds
 
 
+class StubModel:
+    """The model surface :class:`PredictionService` touches, no training.
+
+    ``delay_s`` makes every predict that slow; ``fail`` makes it raise.
+    """
+
+    task_type = TaskType.BINARY
+    degraded_reason = None
+    last_route = None
+    quality: dict = {}
+    raw_gnn_quality = None
+    blend_alpha = None
+    router = SimpleNamespace(quality_floor=0.0)
+    cost = SimpleNamespace(per_row_ms=lambda: {})
+
+    def __init__(self) -> None:
+        self.delay_s = 0.0
+        self.fail = False
+
+    def available_tiers(self):
+        return ["green", "red"]
+
+    def data_summary(self):
+        return {"data_source": "stub", "rows": 3}
+
+    def predict(self, keys, cutoffs, **policy):
+        if self.fail:
+            raise RuntimeError("stub model failure")
+        time.sleep(self.delay_s)
+        return np.zeros(len(keys))
+
+
+def stub_service(**overrides) -> PredictionService:
+    """A service over :class:`StubModel` that fails instead of degrading."""
+    return PredictionService(StubModel(), ServeConfig(fallback=False, **overrides))
+
+
+def predict(service: PredictionService) -> bool:
+    """One blocking single-row predict; whether it succeeded."""
+    try:
+        service.predict([1], 0)
+        return True
+    except RuntimeError:
+        return False
+
+
+def answer_all(batcher: MicroBatcher, count: int) -> list:
+    """Submit ``count`` one-row requests one at a time; their futures."""
+    futures = []
+    for key in range(count):
+        future = batcher.submit("predict", np.array([key]), np.array([0]))
+        future.result(timeout=10.0)
+        futures.append(future)
+    return futures
+
+
+def zeros_batcher(**kwargs) -> MicroBatcher:
+    return MicroBatcher(
+        lambda op, k, keys, cutoffs, context=None: np.zeros(len(keys)), **kwargs
+    )
+
+
 # ----------------------------------------------------------------------
 # WindowedHistogram
 # ----------------------------------------------------------------------
@@ -75,6 +135,7 @@ class TestWindowedHistogram:
         assert summary["count"] == 1
         assert summary["min"] == 3.0
         assert summary["total_count"] == 3  # lifetime survives eviction
+        assert summary["total_sum"] == 6.0
         assert summary["window_seconds"] == 10.0
 
     def test_capacity_cap_splits_batch_chunks(self):
@@ -128,6 +189,19 @@ class TestWindowedHistogram:
         registry.histogram("plain")
         with pytest.raises(TypeError):
             registry.windowed_histogram("plain")
+
+    def test_serve_histograms_are_always_windowed(self):
+        batcher = zeros_batcher(window_seconds=5.0)
+        try:
+            answer_all(batcher, 2)
+        finally:
+            batcher.close()
+        exported = get_registry().to_dict()
+        for name in ("serve.latency_ms", "serve.queue_wait_ms",
+                     "serve.execute_ms", "serve.batch_rows"):
+            assert exported[name]["type"] == "windowed_histogram"
+            assert exported[name]["window_seconds"] == 5.0
+        assert exported["serve.latency_ms"]["total_count"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -231,145 +305,213 @@ class TestConcurrentMutation:
 
 
 # ----------------------------------------------------------------------
-# RequestTracer
+# The batcher's request IDs, head sampling and trace ring
 # ----------------------------------------------------------------------
 class TestRequestTracer:
+    """The batcher's request IDs, head sampling and trace ring (the class
+    name is kept so the test IDs stay stable)."""
+
+    def sampled_ids(self, rate: float, count: int):
+        batcher = zeros_batcher(trace_sample_rate=rate)
+        try:
+            answer_all(batcher, count)
+        finally:
+            batcher.close()
+        assert batcher.admitted == count
+        return [t["request_id"] for t in batcher.traces()], batcher
+
     def test_sequential_ids(self):
-        tracer = RequestTracer()
-        ids = [tracer.admit()[0] for _ in range(3)]
-        assert ids == ["req-000001", "req-000002", "req-000003"]
+        batcher = zeros_batcher()
+        try:
+            futures = answer_all(batcher, 3)
+        finally:
+            batcher.close()
+        assert [f.request_id for f in futures] == ["req-000001", "req-000002", "req-000003"]
 
     def test_sampling_is_deterministic_error_diffusion(self):
-        tracer = RequestTracer(sample_rate=0.5)
-        decisions = [tracer.admit()[1] for _ in range(6)]
-        assert decisions == [False, True, False, True, False, True]
-        assert tracer.admitted == 6 and tracer.sampled == 3
+        ids, batcher = self.sampled_ids(0.5, 6)
+        assert ids == ["req-000002", "req-000004", "req-000006"]
+        assert batcher.sampled == 3
 
     def test_rate_one_samples_everything_rate_zero_nothing(self):
-        assert all(RequestTracer(1.0).admit()[1] for _ in range(1))
-        tracer = RequestTracer(1.0)
-        assert [tracer.admit()[1] for _ in range(4)] == [True] * 4
-        tracer = RequestTracer(0.0)
-        assert [tracer.admit()[1] for _ in range(4)] == [False] * 4
+        ids, _ = self.sampled_ids(1.0, 4)
+        assert ids == [f"req-{n:06d}" for n in range(1, 5)]
+        ids, batcher = self.sampled_ids(0.0, 4)
+        assert ids == [] and batcher.sampled == 0
 
     def test_quarter_rate_admits_every_fourth(self):
-        tracer = RequestTracer(sample_rate=0.25)
-        decisions = [tracer.admit()[1] for _ in range(8)]
-        assert decisions == [False, False, False, True] * 2
+        ids, _ = self.sampled_ids(0.25, 8)
+        assert ids == ["req-000004", "req-000008"]
 
     def test_trace_ring_buffer_drops_oldest(self):
-        tracer = RequestTracer(capacity=3)
-        for n in range(5):
-            tracer.record({"request_id": f"req-{n:06d}"})
-        retained = [t["request_id"] for t in tracer.traces()]
-        assert retained == ["req-000002", "req-000003", "req-000004"]
+        ids, _ = self.sampled_ids(1.0, TRACE_CAPACITY + 5)
+        assert ids == [f"req-{n:06d}" for n in range(6, TRACE_CAPACITY + 6)]
+
+    def test_concurrent_admissions_get_unique_ids_and_exact_sampling(self):
+        batcher = zeros_batcher(trace_sample_rate=0.5, max_queue_depth=4096)
+        threads_n, per_thread = 8, 200
+        futures: list = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def submit() -> None:
+                for key in range(per_thread):
+                    futures.append(
+                        batcher.submit("predict", np.array([key]), np.array([0])))
+
+            workers = [threading.Thread(target=submit) for _ in range(threads_n)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(30.0)
+            assert not any(t.is_alive() for t in workers)
+            for future in futures:
+                future.result(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+            batcher.close()
+        total = threads_n * per_thread
+        assert len({f.request_id for f in futures}) == total == batcher.admitted
+        assert batcher.sampled == total // 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RequestTracer(sample_rate=1.5)
+            zeros_batcher(trace_sample_rate=1.5)
         with pytest.raises(ValueError):
-            RequestTracer(capacity=0)
+            zeros_batcher(window_seconds=0.0)
 
 
 # ----------------------------------------------------------------------
-# SLOMonitor
+# The service's SLO check and event log
 # ----------------------------------------------------------------------
 class TestSLOMonitor:
+    """The service's SLO check, outcome window and event log (the class
+    name is kept so the test IDs stay stable)."""
+
     def test_p99_breach_and_recovery_are_edge_triggered(self):
-        clock = FakeClock()
-        slo = SLOMonitor(
-            window_seconds=10.0, p99_target_ms=100.0, check_every=1, clock=clock
-        )
-        for n in range(5):
-            slo.on_request(f"req-{n:06d}", 250.0)
-        assert slo.breaching
-        clock.advance(11.0)  # slow requests age out of the window
-        slo.on_request("req-000006", 5.0)
-        assert not slo.breaching
-        kinds = [e["kind"] for e in slo.events()]
-        assert kinds == ["slo_breach", "slo_recovered"]
-        breach = slo.events()[0]
+        with stub_service(slo_p99_ms=20.0, telemetry_window_s=0.5) as service:
+            service.model.delay_s = 0.04
+            for _ in range(3):
+                assert predict(service)
+            assert service.health()["slo_breaching"]
+            time.sleep(0.6)  # slow requests age out of the window
+            service.model.delay_s = 0.0
+            assert predict(service)
+            assert not service.health()["slo_breaching"]
+            events = service.events()
+        assert [e["kind"] for e in events] == ["slo_breach", "slo_recovered"]
+        breach = events[0]
         assert "p99" in breach["reason"]
-        # The breach fires on the first slow request and names it.
-        assert "req-000000" in breach["request_ids"]
+        # The breach fires on the first slow request and names its batch.
+        assert breach["request_ids"] == ["req-000001"]
+        assert events[1]["request_ids"] == ["req-000004"]
 
-    def test_error_rate_breach_carries_triggering_ids(self):
-        slo = SLOMonitor(error_rate_target=0.25, check_every=1)
-        slo.on_batch(
-            [("req-000001", 1.0, True), ("req-000002", 1.0, False),
-             ("req-000003", 1.0, False)]
-        )
-        assert slo.breaching
-        event = slo.events()[0]
-        assert event["kind"] == "slo_breach"
-        assert "error rate" in event["reason"]
-        assert event["window"]["errors"] == 2
-        assert "req-000002" in event["request_ids"]
-
-    def test_budget_checks_are_amortized_but_failures_check_immediately(self):
-        clock = FakeClock()
-        slo = SLOMonitor(
-            p99_target_ms=10.0, check_every=10, check_interval_s=1e9, clock=clock
-        )
-        slo.on_request("req-000001", 1.0)  # first feed always evaluates
-        for n in range(2, 11):
-            slo.on_request(f"req-{n:06d}", 500.0)
-        # Nine requests since the last check: the sort hasn't re-run yet.
-        assert not slo.breaching
-        slo.on_request("req-000011", 500.0)  # tenth trips check_every
-        assert slo.breaching
+    def test_budget_checks_are_amortized_but_failures_check_immediately(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "SLO_CHECK_EVERY", 10)
+        monkeypatch.setattr(service_module, "SLO_CHECK_INTERVAL_S", 1e9)
+        with stub_service(slo_p99_ms=10.0) as service:
+            assert predict(service)  # the first batch always evaluates
+            service.model.delay_s = 0.02
+            for _ in range(9):
+                assert predict(service)
+            # Nine requests since the last check: the sort hasn't re-run yet.
+            assert not service.health()["slo_breaching"]
+            assert predict(service)  # the tenth trips SLO_CHECK_EVERY
+            assert service.health()["slo_breaching"]
         # A failed request forces an immediate evaluation regardless.
-        slow = SLOMonitor(
-            error_rate_target=0.1, check_every=10_000, check_interval_s=1e9,
-            clock=clock,
-        )
-        slow.on_request("req-000001", 1.0)
-        slow.on_request("req-000002", 1.0, ok=False)
-        assert slow.breaching
+        with stub_service(slo_p99_ms=10.0) as service:
+            assert predict(service)
+            service.model.delay_s = 0.02
+            for _ in range(3):
+                assert predict(service)
+            assert not service.health()["slo_breaching"]
+            service.model.fail = True
+            assert not predict(service)
+            assert service.health()["slo_breaching"]
 
     def test_window_counters_age_out_in_chunks(self):
-        clock = FakeClock()
-        slo = SLOMonitor(window_seconds=10.0, check_every=1, clock=clock)
-        slo.on_batch([("req-000001", 1.0, True), ("req-000002", 1.0, False)])
-        clock.advance(5.0)
-        slo.on_batch([("req-000003", 1.0, True)])
-        window = slo.window()
-        assert window["requests"] == 3 and window["errors"] == 1
-        clock.advance(6.0)  # first chunk expires, second survives
-        window = slo.window()
+        with stub_service(telemetry_window_s=1.0) as service:
+            assert predict(service)
+            service.model.fail = True
+            assert not predict(service)
+            time.sleep(0.5)
+            service.model.fail = False
+            assert predict(service)
+            window = service.health()["window"]
+            assert window["requests"] == 3 and window["errors"] == 1
+            assert window["error_rate"] == pytest.approx(1 / 3)
+            time.sleep(0.7)  # the first two batches expire, the third survives
+            window = service.health()["window"]
         assert window["requests"] == 1 and window["errors"] == 0
 
-    def test_record_event_defaults_to_recent_request_ids(self):
-        slo = SLOMonitor()
-        slo.on_request("req-000007", 3.0)
-        event = slo.record_event("degraded", "model path failed")
-        assert event["request_ids"] == ["req-000007"]
-        explicit = slo.record_event("restored", "healthy", request_ids=["req-000009"])
+    def test_record_event_defaults_to_the_executing_batch_ids(self):
+        with stub_service() as service:
+            model = service.model
+
+            def degrade(keys, cutoffs, **policy):
+                # Recorded on the executor, inside the batch's model call.
+                service._record_event("degraded", "from inside the batch")
+                return np.zeros(len(keys))
+
+            assert predict(service)
+            model.predict = degrade
+            assert predict(service)
+            service.restore()  # not degraded: records nothing
+            outside = service._record_event("note", "from the operator thread")
+            explicit = service._record_event("note", "named", request_ids=["req-000009"])
+            events = service.events()
+        assert events[0]["request_ids"] == ["req-000002"]
+        assert outside["request_ids"] == []
         assert explicit["request_ids"] == ["req-000009"]
-        assert [e["seq"] for e in slo.events()] == [1, 2]
+        assert [e["seq"] for e in events] == [1, 2, 3]
 
     def test_event_log_is_bounded(self):
-        slo = SLOMonitor(max_events=2)
-        for n in range(4):
-            slo.record_event("note", f"event {n}")
-        reasons = [e["reason"] for e in slo.events()]
-        assert reasons == ["event 2", "event 3"]
+        capacity = service_module.EVENT_LOG_CAPACITY
+        with stub_service() as service:
+            for n in range(capacity + 6):
+                service.swap_model(service.model, warm=False, reason=f"swap {n}")
+            events = service.events()
+        assert len(events) == capacity
+        assert events[0]["reason"] == "swap 6"
+        assert events[-1]["seq"] == capacity + 6
 
     def test_shared_latency_histogram_is_not_double_observed(self):
-        shared = WindowedHistogram("serve.latency_ms")
-        slo = SLOMonitor(latency=shared, check_every=1)
-        shared.observe_many([5.0, 6.0])  # the batcher's own observation
-        slo.on_batch([("req-000001", 5.0, True), ("req-000002", 6.0, True)])
-        assert shared.summary()["count"] == 2  # monitor read, didn't re-add
-        assert slo.window()["latency_ms"]["count"] == 2
+        with stub_service(slo_p99_ms=500.0) as service:
+            assert predict(service) and predict(service)
+            window = service.health()["window"]
+        shared = get_registry().histogram("serve.latency_ms")
+        assert isinstance(shared, WindowedHistogram)
+        assert shared.summary()["count"] == 2  # the batcher's observations only
+        assert window["latency_ms"]["count"] == 2
+        assert window["requests"] == 2
 
     def test_snapshot_is_json_ready(self):
-        slo = SLOMonitor(p99_target_ms=50.0, check_every=1)
-        slo.on_request("req-000001", 99.0)
-        snapshot = json.loads(json.dumps(slo.snapshot()))
-        assert snapshot["breaching"] is True
-        assert snapshot["p99_target_ms"] == 50.0
-        assert snapshot["window"]["requests"] == 1
+        with stub_service(slo_p99_ms=0.0) as service:
+            assert predict(service)
+            snapshot = json.loads(json.dumps(service.stats()["telemetry"]))
+        slo = snapshot["slo"]
+        assert slo["breaching"] is True
+        assert slo["p99_target_ms"] == 0.0
+        assert slo["window"]["requests"] == 1
+        assert "enabled" not in snapshot
+        assert snapshot["requests_admitted"] == 1
+
+
+def test_graph_refreshes_keep_the_event_log_and_lifecycle_bounded():
+    with stub_service() as service:
+        swapped = service.swap_model(service.model, warm=False, reason="new weights")
+        for _ in range(1000):
+            service.refresh_graph(lambda: None, reason="ingest batch")
+        events = service.events()
+        lifecycle = service.lifecycle()
+    assert len(events) <= service_module.EVENT_LOG_CAPACITY
+    assert [e["kind"] for e in events] == ["swapped"]
+    assert lifecycle["transitions"] == [swapped]
+    assert swapped["from"] == "model" and swapped["reason"] == "new weights"
+    assert lifecycle["last_refresh"]["reason"] == "ingest batch"
+    assert get_registry().counter("serve.graph_refreshes").value == 1000
 
 
 # ----------------------------------------------------------------------
@@ -377,9 +519,6 @@ class TestSLOMonitor:
 # ----------------------------------------------------------------------
 class TestRequestIdPropagation:
     def test_coalesced_requests_keep_distinct_ids_and_shared_batch(self):
-        telemetry = ServingTelemetry(
-            TelemetryConfig(enabled=True, trace_sample_rate=1.0, trace_capacity=64)
-        )
         gate, blocking = threading.Event(), threading.Event()
         runner_ids: list = []
 
@@ -391,7 +530,7 @@ class TestRequestIdPropagation:
             return np.asarray(keys, dtype=float) * 2.0
 
         batcher = MicroBatcher(
-            runner, max_batch_size=8, max_wait_ms=50.0, telemetry=telemetry
+            runner, max_batch_size=8, max_wait_ms=50.0, trace_sample_rate=1.0
         )
         try:
             # A sacrificial request pins the worker inside the runner so
@@ -411,8 +550,8 @@ class TestRequestIdPropagation:
         assert second.request_id == "req-000003"
         # The coalesced batch executed once, carrying both IDs.
         assert runner_ids[1] == (first.request_id, second.request_id)
-        assert current_request_ids() == ()  # context cleared after batch
-        by_id = {t["request_id"]: t for t in telemetry.traces()}
+        assert current_request_ids() == ()  # context is per executing thread
+        by_id = {t["request_id"]: t for t in batcher.traces()}
         assert set(by_id) == {"req-000001", "req-000002", "req-000003"}
         trace = by_id[first.request_id]
         assert trace["outcome"] == "ok"
@@ -428,18 +567,25 @@ class TestRequestIdPropagation:
         )
 
     def test_batch_context_helpers(self):
-        set_current_request_ids(["req-000001", "req-000002"])
-        assert current_request_ids() == ("req-000001", "req-000002")
-        set_current_request_ids(())
+        seen: list = []
+
+        def runner(op, k, keys, cutoffs, context=None):
+            seen.append(current_request_ids())
+            return np.zeros(len(keys))
+
+        batcher = MicroBatcher(runner, on_batch=lambda *_: seen.append(current_request_ids()))
+        try:
+            answer_all(batcher, 2)
+        finally:
+            batcher.close()
+        # Set for the runner and the per-batch hook, cleared in between.
+        assert seen == [("req-000001",)] * 2 + [("req-000002",)] * 2
         assert current_request_ids() == ()
 
     def test_unsampled_requests_retain_no_trace(self):
-        telemetry = ServingTelemetry(
-            TelemetryConfig(enabled=True, trace_sample_rate=0.0)
-        )
-        batcher = MicroBatcher(
-            lambda op, k, keys, cutoffs, context=None: np.zeros(len(keys)),
-            max_wait_ms=0.0, telemetry=telemetry,
+        outcomes: list = []
+        batcher = zeros_batcher(
+            trace_sample_rate=0.0, on_batch=lambda *counts: outcomes.append(counts)
         )
         try:
             future = batcher.submit("predict", np.array([1]), np.array([0]))
@@ -447,27 +593,14 @@ class TestRequestIdPropagation:
         finally:
             batcher.close()
         assert future.request_id == "req-000001"
-        assert telemetry.traces() == []
-        # Resolved requests still feed the SLO window.
-        assert telemetry.slo.window()["requests"] == 1
+        assert batcher.traces() == []
+        # Resolved requests still feed the outcome window.
+        assert outcomes == [(1, 0)]
 
 
 # ----------------------------------------------------------------------
 # Exposition: Prometheus text, stats documents, CLI rendering
 # ----------------------------------------------------------------------
-class _StubService:
-    """The minimal surface :func:`stats_document` needs."""
-
-    def __init__(self, telemetry: ServingTelemetry) -> None:
-        self.telemetry = telemetry
-
-    def stats(self):
-        return {"name": "stub-model", "telemetry": self.telemetry.snapshot()}
-
-    def health(self):
-        return {"status": "ok", "name": "stub-model", "degraded_reason": None}
-
-
 class TestExposition:
     def test_prometheus_counters_gauges_histograms(self):
         registry = MetricsRegistry()
@@ -484,7 +617,28 @@ class TestExposition:
         assert 'serve_latency_ms{quantile="0.5"}' in text
         assert 'serve_latency_ms{quantile="0.99"}' in text
         assert "serve_latency_ms_count 4" in text
+        assert "serve_latency_ms_sum 10" in text
         assert "serve_latency_ms_window_seconds 60" in text
+
+    def test_prometheus_count_never_decreases_across_eviction(self):
+        clock = FakeClock()
+        hist = WindowedHistogram("serve.latency_ms", window_seconds=10.0, clock=clock)
+
+        def scrape():
+            text = render_prometheus({hist.name: hist.to_dict()})
+            return {line.split()[0]: float(line.split()[1])
+                    for line in text.splitlines() if not line.startswith("#")}
+
+        hist.observe_many([5.0] * 100)
+        before = scrape()
+        clock.advance(20.0)  # every earlier sample leaves the window
+        hist.observe(1.0)
+        after = scrape()
+        assert before["serve_latency_ms_count"] == 100
+        assert after["serve_latency_ms_count"] == 101
+        assert after["serve_latency_ms_sum"] == before["serve_latency_ms_sum"] + 1.0
+        # The quantiles stay windowed: they describe the last 10 s only.
+        assert after['serve_latency_ms{quantile="0.99"}'] == 1.0
 
     def test_prometheus_accepts_exported_dict(self):
         registry = MetricsRegistry()
@@ -501,34 +655,82 @@ class TestExposition:
         assert render_prometheus(MetricsRegistry()) == ""
 
     def test_stats_document_and_text_rendering(self):
-        telemetry = ServingTelemetry(TelemetryConfig(enabled=True))
-        get_registry().counter("serve.requests").inc(2)
-        telemetry.record_event(
-            "degraded", "model path failed", request_ids=["req-000002"]
-        )
-        telemetry.record_trace(
-            {"request_id": "req-000002", "op": "predict",
-             "outcome": "ok", "latency_ms": 4.2}
-        )
-        service = _StubService(telemetry)
-        document = json.loads(json.dumps(stats_document(service)))
+        with stub_service(slo_p99_ms=0.0, trace_sample_rate=1.0) as service:
+            assert predict(service) and predict(service)
+            document = json.loads(json.dumps(stats_document(service)))
         assert set(document) == {"generated_at", "service", "health", "metrics"}
         assert document["metrics"]["serve.requests"]["value"] == 2
         text = render_stats_text(document)
-        assert "service stub-model: ok" in text
+        assert "service model: ok" in text
+        assert "data: data_source=stub rows=3" in text
         assert "serve.requests" in text
-        assert "#1 degraded: model path failed [requests: req-000002]" in text
-        assert "sampled traces (1 retained):" in text
-        assert "req-000002 predict outcome=ok latency=4.200ms" in text
+        assert "#1 slo_breach: window p99 " in text
+        assert "[requests: req-000001]" in text
+        assert "sampled traces (2 retained):" in text
+        assert "req-000002 predict outcome=ok latency=" in text
 
     def test_stats_cli_renders_snapshot(self, tmp_path, capsys):
-        telemetry = ServingTelemetry(TelemetryConfig(enabled=True))
-        get_registry().windowed_histogram("serve.latency_ms").observe(7.0)
-        snapshot = tmp_path / "stats.json"
-        snapshot.write_text(json.dumps(stats_document(_StubService(telemetry))))
+        with stub_service() as service:
+            assert predict(service)
+            snapshot = tmp_path / "stats.json"
+            snapshot.write_text(json.dumps(stats_document(service)))
         assert cli.main(["stats", str(snapshot)]) == 0
-        assert "service stub-model: ok" in capsys.readouterr().out
+        assert "service model: ok" in capsys.readouterr().out
         assert cli.main(["stats", str(snapshot), "--format", "prometheus"]) == 0
         assert 'serve_latency_ms{quantile="0.99"}' in capsys.readouterr().out
         assert cli.main(["stats", str(snapshot), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["health"]["status"] == "ok"
+
+    def test_stats_cli_renders_an_earlier_snapshot_format(self, tmp_path, capsys):
+        # A snapshot as servers with a telemetry on/off switch wrote it:
+        # ``telemetry.enabled``, windowed histograms without a lifetime
+        # sum, and swap events naming versions as from_/to_version.
+        latency = {"type": "windowed_histogram", "count": 2, "min": 1.0,
+                   "mean": 1.5, "p50": 1.5, "p95": 1.95, "p99": 1.99,
+                   "max": 2.0, "window_seconds": 60.0, "total_count": 7}
+        window = {"requests": 2, "errors": 0, "error_rate": 0.0, "latency_ms": latency}
+        document = {
+            "generated_at": 1700000000.0,
+            "service": {
+                "name": "churn@v2", "task_type": "binary", "degraded": False,
+                "data": {"data_source": "snapshot", "rows": 120},
+                "telemetry": {
+                    "enabled": True, "window_seconds": 60.0,
+                    "trace_sample_rate": 1.0, "requests_admitted": 7,
+                    "requests_sampled": 7,
+                    "slo": {"window_seconds": 60.0, "p99_target_ms": None,
+                            "error_rate_target": None, "breaching": False,
+                            "window": window,
+                            "events": [{"seq": 1, "time": 1700000000.0,
+                                        "kind": "swapped",
+                                        "reason": "live model churn@v1 -> churn@v2: nightly",
+                                        "request_ids": ["req-000005"],
+                                        "window": window,
+                                        "from_version": "churn@v1",
+                                        "to_version": "churn@v2"}]},
+                    "traces": [{"request_id": "req-000007", "op": "predict",
+                                "rows": 1, "outcome": "ok",
+                                "queue_wait_ms": 0.1, "latency_ms": 1.25}],
+                },
+                "lifecycle": {"live": "churn@v2", "transitions": []},
+            },
+            "health": {"status": "ok", "name": "churn@v2", "slo_breaching": False,
+                       "window": window},
+            "metrics": {"serve.requests": {"type": "counter", "value": 7.0},
+                        "serve.latency_ms": latency},
+        }
+        snapshot = tmp_path / "earlier.json"
+        snapshot.write_text(json.dumps(document))
+        assert cli.main(["stats", str(snapshot)]) == 0
+        text = capsys.readouterr().out
+        assert "service churn@v2: ok" in text
+        assert "data: data_source=snapshot rows=120" in text
+        assert "#1 swapped: live model churn@v1 -> churn@v2: nightly" in text
+        assert "req-000007 predict outcome=ok latency=1.250ms" in text
+        assert cli.main(["stats", str(snapshot), "--format", "prometheus"]) == 0
+        prometheus = capsys.readouterr().out
+        assert "serve_requests_total 7" in prometheus
+        assert "serve_latency_ms_count 7" in prometheus  # the lifetime count
+        assert "serve_latency_ms_sum 3" in prometheus    # no lifetime sum: the window's
+        assert cli.main(["stats", str(snapshot), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == document

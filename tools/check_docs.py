@@ -11,9 +11,11 @@ Three checks, all cheap enough to run on every push (the CI
    (walked live out of the argparse tree, so the list can never go
    stale) must be mentioned in at least one document.  A flag nobody
    documents is a flag nobody finds.
-3. **No stale flags** — every ``--flag`` in the first column of the
-   flag table in ``docs/pql_reference.md`` must exist in the CLI, so a
-   retired flag cannot linger in the reference.
+3. **No stale flags** — every ``--flag`` in a flag column (a column
+   whose header names a flag, such as ``docs/pql_reference.md``'s
+   ``flag`` or ``docs/serving.md``'s ``CLI flag``) of any table in
+   ``README.md`` or ``docs/*.md`` must exist in the CLI, so a retired
+   flag cannot linger in a reference table.
 
 Exit code 0 when clean; 1 with one ``PROBLEM:`` line per finding.
 
@@ -31,7 +33,6 @@ from pathlib import Path
 from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-FLAG_TABLE = REPO_ROOT / "docs" / "pql_reference.md"
 
 #: Markdown inline links: [text](target) — images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -90,30 +91,36 @@ def check_flag_coverage(files: List[Path]) -> List[str]:
     return problems
 
 
-def check_flag_table(path: Path = FLAG_TABLE) -> List[str]:
-    """Flags the reference's ``| flag | subcommands | meaning |`` table
-    lists that the CLI does not accept."""
+def check_flag_tables(files: List[Path]) -> List[str]:
+    """Flags that a table's flag column lists but the CLI does not accept."""
     known = public_flags()
     problems = []
-    in_table = False
-    for line in path.read_text().splitlines():
-        if line.startswith("| flag |"):
-            in_table = True
-        elif in_table and not line.startswith("|"):
-            in_table = False
-        elif in_table:
-            for flag in re.findall(r"--[a-z][a-z0-9-]*", line.split("|")[1]):
-                if flag not in known:
-                    problems.append(
-                        f"{path.relative_to(REPO_ROOT)}: flag table lists {flag}, "
-                        f"which the CLI does not accept"
-                    )
+    for path in files:
+        flag_columns: List[int] = []  # of the table being read; [] outside one
+        previous = ""
+        for line in path.read_text().splitlines():
+            cells = line.split("|")
+            if not line.startswith("|"):
+                flag_columns = []
+            elif not previous.startswith("|"):  # a header row
+                flag_columns = [i for i, cell in enumerate(cells)
+                                if "flag" in cell.lower()]
+            else:
+                for i in flag_columns:
+                    for flag in re.findall(r"--[a-z][a-z0-9-]*", cells[i]):
+                        if flag not in known:
+                            problems.append(
+                                f"{path.relative_to(REPO_ROOT)}: flag table lists "
+                                f"{flag}, which the CLI does not accept"
+                            )
+            previous = line
     return problems
 
 
 def main() -> int:
     files = doc_files()
-    problems = check_links(files) + check_flag_coverage(files) + check_flag_table()
+    problems = (check_links(files) + check_flag_coverage(files)
+                + check_flag_tables(files))
     for problem in problems:
         print(f"PROBLEM: {problem}", file=sys.stderr)
     if problems:
