@@ -12,12 +12,13 @@ for a first (cold) pass and again for a warm one:
   the same traffic amortized into ~1/64th as many model calls
 * ``swap-under-load`` — the zero-downtime lifecycle drill: sustained
   closed-loop traffic from concurrent clients while the service
-  hot-swaps registry versions mid-run and a canary (whose challenger
-  is fault-injected to fail) is forced through its rollback path.
-  The run must answer **every** request — zero failures, zero drops,
-  both versions observed in responses, the canary rolled back — and
-  its warm p99 sits in the same ``--check`` regression gate as the
-  steady-state modes, so a swap that stalls the hot path fails CI.
+  hot-swaps registry versions mid-run and then compares a challenger
+  whose every replayed call is fault-injected to fail.  The run must
+  answer **every** request — zero failures, zero drops, both versions
+  observed in responses, every replayed batch reported failed, no
+  swap but the mid-run one — and its warm p99 sits in the same
+  ``--check`` regression gate as the steady-state modes, so a swap
+  that stalls the hot path fails CI.
 
 A further probe measures **telemetry overhead**: the CPU cost of the
 serving telemetry touchpoints, counted in full, must stay within 5% of
@@ -59,7 +60,7 @@ from repro.eval.splits import make_temporal_split
 from repro.obs import Histogram
 from repro.pql import PlannerConfig, PredictiveQueryPlanner, parse
 from repro.resilience import injected
-from repro.serve import CanaryConfig, ModelRegistry, PredictionService, ServeConfig
+from repro.serve import ModelRegistry, PredictionService, ServeConfig
 
 REGRESSION_TOLERANCE = 0.30      # fail --check below 70% of baseline throughput
 P99_TOLERANCE = 0.30             # fail --check above 130% of baseline warm p99...
@@ -169,17 +170,18 @@ LIFECYCLE_CLIENTS = 4  # concurrent closed-loop clients in swap-under-load
 
 def run_swap_under_load(model, db, keys: np.ndarray, cutoff: int,
                         clients: int = LIFECYCLE_CLIENTS) -> Dict:
-    """Sustained traffic with a mid-run hot swap and a forced canary rollback.
+    """Sustained traffic with a mid-run hot swap and a failing compare.
 
     Publishes the model twice into a throwaway registry, serves ``v1``,
     and pushes ``clients`` closed-loop request streams through it.  A
     third of the way in, the service hot-swaps to ``v2``; two thirds in,
-    a canary starts against ``v1`` with its shadow seam fault-injected
-    to raise, which must drive the controller through the rollback path
-    while live traffic keeps flowing.  Every request must be answered:
-    a single failed or dropped request — or a missing swap/rollback —
-    fails the run, and the measured warm p50/p99 feed the same
-    regression gate as the steady-state modes.
+    it compares ``v1`` with the challenger seam fault-injected to
+    raise, while live traffic keeps flowing.  Every request must be
+    answered, the compare must report every replayed batch failed, and
+    nothing but the mid-run swap may change the live model: a single
+    failed or dropped request, or a missed failure or an extra swap,
+    fails the run.  The measured warm p50/p99 feed the same regression
+    gate as the steady-state modes.
     """
     root = tempfile.mkdtemp(prefix="bench_registry_")
     service = None
@@ -226,23 +228,12 @@ def run_swap_under_load(model, db, keys: np.ndarray, cutoff: int,
         wait_for(total // 3)
         transition = service.swap(version=2, reason="bench swap-under-load")
         wait_for(2 * total // 3)
-        # Challenger shadow executions always raise -> error budget (0.0)
-        # breaks on the first shadow -> the controller must roll back.
-        with injected("canary.shadow%1.0:raise"):
-            controller = service.start_canary(
-                version=1,
-                config=CanaryConfig(fraction=1.0, promote_after=10**6,
-                                    max_error_rate=0.0),
-            )
-            for thread in threads:
-                thread.join()
-            spins = 0
-            while controller.state == "running" and spins < 200:
-                # Traffic already drained before a shadow was evaluated;
-                # feed a few more batches (unmeasured) to force the call.
-                service.predict(keys[:4], cutoff)
-                controller.flush(5.0)
-                spins += 1
+        # Every replayed challenger call raises; the replay runs as one
+        # barrier between the clients' batches.
+        with injected("service.compare%1.0:raise"):
+            compared = service.compare(version=1)
+        for thread in threads:
+            thread.join()
         wall = time.perf_counter() - start
         cpu = time.process_time() - cpu_start
 
@@ -254,7 +245,8 @@ def run_swap_under_load(model, db, keys: np.ndarray, cutoff: int,
         summary = latency.summary()
         dropped = sum(1 for f in failures if f.startswith("QueueFullError"))
         failed = len(failures) - dropped
-        rolled_back = controller.state == "rolled_back"
+        caught = compared["errors"] == compared["batches"] > 0
+        swaps = sum(1 for event in service.events() if event["kind"] == "swapped")
         zero_downtime = not failures and len(answered) == total
         return {
             "clients": clients,
@@ -268,12 +260,14 @@ def run_swap_under_load(model, db, keys: np.ndarray, cutoff: int,
             },
             "swap": {"from": transition["from"], "to": transition["to"]},
             "versions_served": sorted(labels),
-            "canary": controller.report(),
+            "compare": {key: compared[key] for key in
+                        ("challenger", "batches", "rows", "errors", "incumbent_errors")},
+            "swaps": swaps,
             "failed_requests": failed,
             "dropped_requests": dropped,
             "zero_downtime": zero_downtime,
             "passed": (
-                zero_downtime and rolled_back
+                zero_downtime and caught and swaps == 1
                 and labels == {"bench@v1", "bench@v2"}
             ),
         }
@@ -491,7 +485,8 @@ def main(argv=None) -> int:
           f"{lifecycle['failed_requests']} failed, "
           f"{lifecycle['dropped_requests']} dropped, "
           f"served {'+'.join(lifecycle['versions_served'])}, "
-          f"canary {lifecycle['canary']['state']}")
+          f"compare {lifecycle['compare']['errors']}/{lifecycle['compare']['batches']} "
+          f"batches failed, {lifecycle['swaps']} swap")
     print(f"batched speedup (warm): {report['acceptance']['batched_speedup_warm']:.2f}x "
           f"(required {ACCEPTANCE_SPEEDUP:.1f}x)")
     probe = report["telemetry"]
@@ -522,7 +517,8 @@ def main(argv=None) -> int:
             f"(failed={lifecycle['failed_requests']} "
             f"dropped={lifecycle['dropped_requests']} "
             f"versions={lifecycle['versions_served']} "
-            f"canary={lifecycle['canary']['state']})",
+            f"compare_errors={lifecycle['compare']['errors']}/"
+            f"{lifecycle['compare']['batches']} swaps={lifecycle['swaps']})",
             file=sys.stderr,
         )
         return 1

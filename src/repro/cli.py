@@ -25,9 +25,8 @@
         saved before snapshots existed and are ignored otherwise.
         ``--registry ROOT --model-name NAME`` loads from a
         versioned model registry instead and unlocks the lifecycle
-        verbs (``swap``/``canary``/``lifecycle``; defaults via
-        ``--canary-fraction``, ``--promote-after``, ``--rollback-on``);
-        see docs/serving.md.  SIGTERM/SIGINT drain in-flight requests
+        verbs (``swap``/``compare``/``lifecycle``); see
+        docs/serving.md.  SIGTERM/SIGINT drain in-flight requests
         and exit 0.  Live telemetry (``--trace-sample-rate``,
         ``--telemetry-window-s``, ``--slo-p99-ms``, ``--stats-json``)
         is documented in docs/observability.md.
@@ -262,22 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the final telemetry snapshot (stats + health + full "
              "metrics registry) to PATH on shutdown; render it with "
              "`repro stats PATH`",
-    )
-    serve.add_argument(
-        "--canary-fraction", type=float, default=0.25, metavar="RATE",
-        help="default fraction of live batches shadowed to a canary "
-             "challenger (wire `canary start` requests may override)",
-    )
-    serve.add_argument(
-        "--promote-after", type=int, default=50, metavar="N",
-        help="shadowed requests with sustained parity before a canary "
-             "challenger is auto-promoted",
-    )
-    serve.add_argument(
-        "--rollback-on", action="append", default=[], metavar="KEY=VALUE",
-        help="canary rollback budget (repeatable): divergence=F (mean "
-             "output divergence), latency-ratio=F (challenger p95 / "
-             "incumbent p95), error-rate=F (shadow-execution errors)",
     )
     add_verbosity(serve)
 
@@ -547,27 +530,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
-_ROLLBACK_KEYS = {
-    "divergence": "canary_max_divergence",
-    "latency-ratio": "canary_max_latency_ratio",
-    "error-rate": "canary_max_error_rate",
-}
-
-
-def _rollback_budgets(items: List[str]) -> dict:
-    """Parse repeated ``--rollback-on KEY=VALUE`` into ServeConfig fields."""
-    budgets = {}
-    for item in items:
-        key, sep, value = item.partition("=")
-        if not sep or key not in _ROLLBACK_KEYS:
-            raise SystemExit(
-                f"--rollback-on expects KEY=VALUE with KEY in "
-                f"{sorted(_ROLLBACK_KEYS)}, got {item!r}"
-            )
-        budgets[_ROLLBACK_KEYS[key]] = float(value)
-    return budgets
-
-
 def _open_service(args: argparse.Namespace, config):
     """The service ``repro serve`` runs, over the data snapshot its
     artifact carries.  Only an artifact saved before snapshots existed
@@ -609,9 +571,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--registry requires --model-name")
     if not 0.0 <= args.trace_sample_rate <= 1.0:
         raise SystemExit("--trace-sample-rate must be in [0, 1]")
-    if not 0.0 <= args.canary_fraction <= 1.0:
-        raise SystemExit("--canary-fraction must be in [0, 1]")
-    rollback = _rollback_budgets(args.rollback_on)
     config = ServeConfig(
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
@@ -624,9 +583,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         telemetry_window_s=args.telemetry_window_s,
         trace_sample_rate=args.trace_sample_rate,
         slo_p99_ms=args.slo_p99_ms,
-        canary_fraction=args.canary_fraction,
-        canary_promote_after=args.promote_after,
-        **rollback,
     )
     try:
         service = _open_service(args, config)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.relational.schema import TableSchema
-from repro.relational.types import DType
+from repro.relational.types import DType, exact_int
 
 __all__ = [
     "RowEvent",
@@ -88,8 +88,7 @@ def _coerce(value: Any, dtype: DType) -> Any:
         return bool(value)
     if dtype == DType.FLOAT64:
         return float(value)
-    # INT64 / TIMESTAMP
-    return int(float(value))
+    return exact_int(value)  # INT64 / TIMESTAMP
 
 
 def validate_event(event: RowEvent, schema: TableSchema) -> RowEvent:

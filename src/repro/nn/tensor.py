@@ -27,7 +27,7 @@ __all__ = ["Tensor", "no_grad", "as_dtype"]
 
 
 class _GradMode(threading.local):
-    """Per-thread autograd switch: a serving or canary thread under
+    """Per-thread autograd switch: a serving thread under
     :func:`no_grad` must not turn graph construction off (or, on exit,
     leave it off) for a trainer on another thread."""
 

@@ -23,8 +23,8 @@ on the hot path.  Enable collection around a region with
     print(trace.to_dict())
 
 The collector is **thread-safe**: every thread keeps its own open-span
-stack, so spans opened concurrently (the serving micro-batcher worker,
-the canary worker, and programmatic callers) nest correctly within
+stack, so spans opened concurrently (the serving micro-batcher worker
+and programmatic callers) nest correctly within
 their own thread and land as separate roots of the same trace.  Trace
 assembly (root registration, finalization) is lock-protected.
 

@@ -21,7 +21,7 @@ from repro.relational.column import Column
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
-from repro.relational.types import DType
+from repro.relational.types import DType, exact_int
 from repro.resilience.faults import fault_point
 
 __all__ = ["save_database", "load_database", "schema_manifest", "MalformedRowError"]
@@ -178,4 +178,4 @@ def _parse(cell: str, dtype: DType):
         return cell.strip().lower() in ("1", "true", "t", "yes")
     if dtype == DType.FLOAT64:
         return float(cell)
-    return int(float(cell))
+    return exact_int(cell)

@@ -21,10 +21,12 @@ read naturally, e.g. ``cutoff + days(30)``.
 from __future__ import annotations
 
 import enum
+import operator
 
 import numpy as np
 
-__all__ = ["DType", "Timestamp", "NULL_SENTINELS", "days", "hours", "numpy_dtype_for"]
+__all__ = ["DType", "Timestamp", "NULL_SENTINELS", "days", "hours", "numpy_dtype_for",
+           "exact_int"]
 
 #: Alias used in signatures that accept epoch-second timestamps.
 Timestamp = int
@@ -88,3 +90,41 @@ def days(n: float) -> int:
 def hours(n: float) -> int:
     """Duration of ``n`` hours, in epoch seconds."""
     return int(round(n * _SECONDS_PER_HOUR))
+
+
+_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+def exact_int(value) -> int:
+    """``value`` as an INT64/TIMESTAMP cell, exactly.
+
+    Integers and integer text keep every digit (no detour through a
+    float, which rounds above 2**53); integral floats and float text
+    such as ``3.0`` or ``"1e3"`` are accepted.  Non-integral or
+    non-finite input raises ``ValueError``, a value outside int64
+    ``OverflowError``.
+    """
+    if type(value) is int:
+        number = value
+    elif isinstance(value, str):
+        try:
+            number = int(value)
+        except ValueError:
+            # Rare (float text), so the decimal module loads only here.
+            from decimal import Decimal, InvalidOperation
+
+            try:
+                number = Decimal(value.strip())
+            except InvalidOperation:
+                raise ValueError(f"not a number: {value!r}") from None
+            if not number.is_finite() or number != number.to_integral_value():
+                raise ValueError(f"not an integer: {value!r}") from None
+    elif isinstance(value, (float, np.floating)):
+        if not float(value).is_integer():
+            raise ValueError(f"not an integer: {value!r}")
+        number = int(value)
+    else:
+        number = operator.index(value)  # numpy integers, bool
+    if not _INT64_MIN <= number <= _INT64_MAX:
+        raise OverflowError(f"{value!r} is outside the int64 range")
+    return int(number)

@@ -21,14 +21,12 @@ into an in-process prediction service:
   route one rung down the model's GREEN < YELLOW < RED tier ladder,
   :mod:`repro.pql.router`) when the model path raises or breaks its
   latency budget, **zero-downtime hot swap** between registry
-  versions, and warm subgraph / item-embedding caches shared across
-  requests;
-* :mod:`repro.serve.canary` — :class:`CanaryController`, shadowing a
-  fraction of live traffic to a challenger model and auto-promoting
-  on sustained parity / rolling back on regression;
+  versions, a deterministic **compare** of a challenger on a replay
+  of recently served batches, and warm subgraph / item-embedding
+  caches shared across requests;
 * :mod:`repro.serve.protocol` — the JSON-lines request/response
   encoding behind ``python -m repro serve``, including the ``swap`` /
-  ``canary`` / ``lifecycle`` management verbs.
+  ``compare`` / ``lifecycle`` management verbs.
 
 Everything is instrumented through :mod:`repro.obs` under ``serve.*``
 (request/reject/expiry counters, queue-wait and execute latency
@@ -49,7 +47,6 @@ from repro.serve.batcher import (
     ResponseFuture,
     ServiceClosedError,
 )
-from repro.serve.canary import CanaryConfig, CanaryController
 from repro.serve.protocol import (
     GracefulShutdown,
     ShutdownLatch,
@@ -60,8 +57,6 @@ from repro.serve.registry import ModelRegistry, RegistryError, RegistryVersionEr
 from repro.serve.service import PredictionService, ServeConfig
 
 __all__ = [
-    "CanaryConfig",
-    "CanaryController",
     "DeadlineExceededError",
     "GracefulShutdown",
     "ShutdownLatch",

@@ -13,9 +13,7 @@ by the echoed ``id``).  Requests:
     {"op": "health"}
     {"op": "ping"}
     {"op": "swap", "version": 3}
-    {"op": "canary", "action": "start", "version": 4, "fraction": 0.25}
-    {"op": "canary", "action": "status"}
-    {"op": "canary", "action": "cancel"}
+    {"op": "compare", "version": 4}
     {"op": "lifecycle"}
 
 Optional fields: ``id`` (any JSON value, echoed back), ``deadline_ms``
@@ -43,13 +41,15 @@ not whatever happens to be live when the line is written.
 
 Lifecycle verbs drive zero-downtime model management on a running
 service: ``swap`` hot-swaps to another registry version (warmed off
-the hot path; in-flight requests finish on the old model), ``canary``
-starts/inspects/cancels a shadow-traffic evaluation of a challenger,
-and ``lifecycle`` reports the live version, transition history, and
-canary state.  A verb executes at its own position in the stream —
-every earlier line has been admitted and answered by the old model,
-and no later line is parsed until the verb finished — so a piped
-script gets deterministic before/after semantics.
+the hot path; in-flight requests finish on the old model), ``compare``
+replays the recently served batches on the live model and on a
+challenger version and answers the report (divergence, errors, cost,
+route mix) without swapping, and ``lifecycle`` reports the live
+version, transition history, and the last compare report.  A verb
+executes at its own position in the stream — every earlier line has
+been admitted and answered by the old model, and no later line is
+parsed until the verb finished — so a piped script gets deterministic
+before/after semantics.
 
 Error kinds: ``bad_request``, ``queue_full``, ``deadline_exceeded``,
 ``closed``, ``internal``.  The loop itself never crashes on a bad
@@ -64,7 +64,6 @@ coalesces like concurrent programmatic callers, without a timer.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import select
 import time
@@ -86,7 +85,7 @@ __all__ = ["GracefulShutdown", "ShutdownLatch", "parse_request", "serve_loop"]
 
 _log = get_logger("serve.protocol")
 
-_OPS = ("predict", "rank", "stats", "health", "ping", "swap", "canary", "lifecycle")
+_OPS = ("predict", "rank", "stats", "health", "ping", "swap", "compare", "lifecycle")
 
 
 class BadRequestError(ValueError):
@@ -138,12 +137,6 @@ def parse_request(line) -> Dict[str, Any]:
         fmt = request.get("format", "json")
         if fmt not in ("json", "prometheus"):
             raise BadRequestError(f"stats format must be json|prometheus, got {fmt!r}")
-    if op == "canary":
-        action = request.get("action", "status")
-        if action not in ("start", "status", "cancel"):
-            raise BadRequestError(
-                f"canary action must be start|status|cancel, got {action!r}"
-            )
     return request
 
 
@@ -201,7 +194,7 @@ def _future_error(request_id, err: BaseException) -> Dict[str, Any]:
 
 
 def _lifecycle_execute(service: PredictionService, request: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute a swap/canary/lifecycle verb, returning its response.
+    """Execute a swap/compare/lifecycle verb, returning its response.
 
     The loop drains everything admitted earlier before calling this
     and parses no later line until it returns — challenger warming
@@ -217,28 +210,9 @@ def _lifecycle_execute(service: PredictionService, request: Dict[str, Any]) -> D
                 version=version, reason=request.get("reason", "swap requested over the wire"),
             )
             return _ok(request_id, swapped=transition, live=service.name)
-        if op == "lifecycle":
-            return _ok(request_id, lifecycle=service.lifecycle())
-        action = request.get("action", "status")
-        if action == "start":
-            knobs = {
-                key: request[key] for key in
-                ("fraction", "promote_after", "max_divergence",
-                 "max_latency_ratio", "max_error_rate", "min_compare")
-                if key in request
-            }
-            # Request knobs layer over the service's configured
-            # canary defaults (--canary-fraction and friends).
-            controller = service.start_canary(
-                version=version,
-                config=dataclasses.replace(service.config.canary_config(), **knobs)
-                if knobs else None,
-            )
-            return _ok(request_id, canary=controller.report())
-        controller = service.canary
-        if action == "cancel":
-            service.cancel_canary(request.get("reason", "cancelled over the wire"))
-        return _ok(request_id, canary=controller.report() if controller else None)
+        if op == "compare":
+            return _ok(request_id, compare=service.compare(version=version))
+        return _ok(request_id, lifecycle=service.lifecycle())
     except (ValueError, RuntimeError) as err:
         return _error(request_id, "bad_request", f"{type(err).__name__}: {err}")
     except Exception as err:  # registry/IO failures must not kill the loop

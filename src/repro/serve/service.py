@@ -13,7 +13,7 @@ currently **live**:
     f = service.predict_async(keys, cutoff)        # future, bulk
     ...
     service.swap(version=3)                        # hot swap, zero downtime
-    service.start_canary(version=4)                # judge v4 on live traffic
+    report = service.compare(version=4)            # replay recent batches on v4
     ...
     f.result()
     service.close()
@@ -51,9 +51,10 @@ Behind ``predict``/``rank`` sits the full serving contract:
   path; a
   successful swap resets the degradation ladder and latency budgets
   (provenance ``restored_by: swap``) and records a ``swapped`` event;
-* **canary** — :meth:`start_canary` shadows a fraction of live
-  traffic to a challenger and auto-promotes on sustained parity or
-  rolls back on regression (see :mod:`repro.serve.canary`);
+* **compare** — :meth:`compare` judges a challenger by replaying the
+  last :data:`REPLAY_BATCHES` live batches on the live model and on
+  the challenger inside one barrier; promotion is :meth:`swap`,
+  rollback is not swapping;
 * **warm start** — requests for LIST queries share the memoized
   item-tower embeddings, and :meth:`warmup` primes them (and pays the
   model's first-call costs) before traffic arrives;
@@ -61,7 +62,7 @@ Behind ``predict``/``rank`` sits the full serving contract:
   GREEN/YELLOW/RED tier the live model's router picks (or the tier
   forced per request / by ``ServeConfig.route``; a plain fit answers
   from red), under ``ServeConfig.quality_floor`` when set — for every
-  model the service runs, swapped-in and canary challengers included;
+  model the service runs, swapped-in and compared challengers included;
   the decision rides back on the result (``.route`` on the returned
   array/rankings) and is counted per tier as ``serve.route.<tier>``.
 
@@ -73,17 +74,18 @@ them — the serving timeline is continuous across versions, and the
 
 The service keeps **one bounded event log** (:meth:`events`, the last
 :data:`EVENT_LOG_CAPACITY`): every ``degraded``/``restored`` ladder
-move, ``swapped`` and ``canary_*`` lifecycle step, and
+move, ``swapped`` and ``compared`` lifecycle step, and
 ``slo_breach``/``slo_recovered`` edge of the ``slo_p99_ms`` budget
 records its reason, the window at that moment, and the request IDs of
 the batch that triggered it.  ``lifecycle()["transitions"]`` is the
-log's lifecycle kinds.  A graph refresh is too frequent for the log:
+log's ``swapped`` records.  A graph refresh is too frequent for the log:
 it counts ``serve.graph_refreshes`` and sets
 ``lifecycle()["last_refresh"]``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from collections import deque
@@ -97,7 +99,6 @@ from repro.pql.ast import TaskType
 from repro.pql.router import TIERS, check_route
 from repro.resilience.faults import fault_point
 from repro.serve.batcher import MicroBatcher, ResponseFuture, current_request_ids
-from repro.serve.canary import CanaryConfig, CanaryController
 
 __all__ = ["PredictionService", "ServeConfig"]
 
@@ -106,7 +107,9 @@ _log = get_logger("serve.service")
 #: Events the service log keeps; older ones fall off.
 EVENT_LOG_CAPACITY = 64
 #: The event kinds ``lifecycle()["transitions"]`` reports.
-LIFECYCLE_KINDS = ("swapped", "canary_promoted", "canary_rolled_back")
+LIFECYCLE_KINDS = ("swapped",)
+#: Live batches the replay ring keeps for :meth:`PredictionService.compare`.
+REPLAY_BATCHES = 64
 #: The SLO check sorts the latency window, so it is amortized: it runs
 #: after a batch with a failure, after every batch while breaching
 #: (prompt recovery), and otherwise once this many requests or this
@@ -154,23 +157,6 @@ class ServeConfig:
     trace_sample_rate: float = 0.0
     #: Window p99 target (ms); breaches record SLO events.  None = off.
     slo_p99_ms: Optional[float] = None
-    #: Default canary budgets (used when :meth:`PredictionService.start_canary`
-    #: is not given an explicit :class:`CanaryConfig`).
-    canary_fraction: float = 0.25
-    canary_promote_after: int = 50
-    canary_max_divergence: float = 0.25
-    canary_max_latency_ratio: float = 3.0
-    canary_max_error_rate: float = 0.0
-
-    def canary_config(self) -> CanaryConfig:
-        """The default :class:`CanaryConfig` slice of this config."""
-        return CanaryConfig(
-            fraction=self.canary_fraction,
-            promote_after=self.canary_promote_after,
-            max_divergence=self.canary_max_divergence,
-            max_latency_ratio=self.canary_max_latency_ratio,
-            max_error_rate=self.canary_max_error_rate,
-        )
 
 
 class RoutedPrediction(np.ndarray):
@@ -249,8 +235,11 @@ class PredictionService:
         self._degraded_reason: Optional[str] = None
         self._breaches = 0
         self._state_lock = threading.Lock()
-        self._canary: Optional[CanaryController] = None
-        self._canary_slot: Optional[_ModelSlot] = None
+        # The last live-slot batches, as (op, k, keys, cutoffs, route):
+        # the arrays the batcher built, kept by reference.
+        self._replay: Deque[Tuple[str, int, np.ndarray, np.ndarray, Optional[str]]] = (
+            deque(maxlen=REPLAY_BATCHES))
+        self._last_compare: Optional[Dict[str, Any]] = None
         self._events: Deque[Dict[str, Any]] = deque(maxlen=EVENT_LOG_CAPACITY)
         self._event_seq = 0
         self._last_refresh: Optional[Dict[str, Any]] = None
@@ -297,7 +286,7 @@ class PredictionService:
         version carries.
 
         A registry-backed service can later :meth:`swap` to (or
-        :meth:`start_canary` against) any other published version by
+        :meth:`compare` against) any other published version by
         number alone; those bind to the database this first load
         settled on, so they never read another snapshot.
         """
@@ -348,7 +337,7 @@ class PredictionService:
 
         ``request_ids`` default to the batch executing on this thread
         (none outside a batch); ``extra`` fields carry the kind's own
-        provenance (versions, the canary's comparison window).
+        provenance (versions, a compare report).
         """
         event = {
             "seq": 0,
@@ -604,6 +593,8 @@ class PredictionService:
         """
         if slot is None:
             slot = self._slot
+        if slot is self._slot:
+            self._replay.append((op, k, keys, cutoffs, route))
         rung = self._rung
         if rung is not None:
             return self._run_degraded(slot, op, k, keys, cutoffs, rung)
@@ -621,13 +612,6 @@ class PredictionService:
             return self._run_degraded(slot, op, k, keys, cutoffs, rung)
         elapsed_ms = (time.monotonic() - start) * 1000.0
         self._settle(slot, None, result, len(keys), elapsed_ms)
-        canary = self._canary
-        if canary is not None and slot is self._slot:
-            # Shadow only traffic served by the *incumbent* slot: batches
-            # still draining from a pre-swap slot are not representative.
-            canary.maybe_shadow(
-                op, k, keys, cutoffs, result, elapsed_ms, current_request_ids()
-            )
         return result
 
     # ------------------------------------------------------------------
@@ -642,7 +626,7 @@ class PredictionService:
             return _ModelSlot(model, label=label, version=None)
         if self._registry is None or self._registry_name is None:
             raise ValueError(
-                "swap/canary by version requires a registry-backed service "
+                "swap/compare by version requires a registry-backed service "
                 "(use PredictionService.from_registry, or pass a model object)"
             )
         resolved = (
@@ -734,104 +718,92 @@ class PredictionService:
         return result
 
     # ------------------------------------------------------------------
-    # Canary
+    # Compare
     # ------------------------------------------------------------------
-    def start_canary(
-        self,
-        version: Optional[int] = None,
-        model=None,
-        name: Optional[str] = None,
-        config: Optional[CanaryConfig] = None,
-        warm: bool = True,
-    ) -> CanaryController:
-        """Shadow live traffic to a challenger; auto-promote or roll back.
+    def compare(self, version: Optional[int] = None, model=None,
+                name: Optional[str] = None) -> Dict[str, Any]:
+        """Judge a challenger by replaying recent live batches on it.
 
-        The challenger (a registry ``version`` or a ``model`` object)
-        is warmed, then a :class:`CanaryController` begins re-executing
-        a fraction of live batches against it off the hot path.  On
-        sustained parity the controller calls back into the service and
-        the challenger is hot-swapped live (it is already warm, so the
-        promote itself is instant); on regression it is discarded and
-        the incumbent keeps serving.  Either way an edge-triggered
-        ``canary_promoted`` / ``canary_rolled_back`` event records the
-        reason, comparison window, and triggering request IDs.
+        The challenger (a registry ``version``, default the latest, or
+        a ``model`` object) is loaded and warmed, then one barrier
+        (:meth:`MicroBatcher.run_barrier`) scores each of the last
+        :data:`REPLAY_BATCHES` batches the live slot served on the live
+        model and on the challenger, under the route each batch
+        requested.  No live batch and no graph refresh overlaps the
+        replay, and the sampler seeds a batch from its contents, so the
+        same batches on the same models and graph give the same report;
+        live requests queue behind the replay for its ``elapsed_ms``.
+        Nothing is swapped: promotion is :meth:`swap`, rollback is not
+        swapping.  The report is logged as a ``compared`` event, kept
+        as ``lifecycle()["last_compare"]`` and returned.
         """
-        if self._canary is not None and self._canary.state == "running":
-            raise RuntimeError(
-                f"a canary is already running ({self._canary.challenger_label}); "
-                f"cancel it before starting another"
-            )
-        slot = self._resolve_challenger(model, name, version)
-        if warm:
-            self._warm_slot(slot, num_entities=16, cutoff=None)
-        controller = CanaryController(
-            challenger_runner=lambda op, k, keys, cutoffs: self._model_call(
-                slot, op, k, keys, cutoffs
-            ),
-            config=config if config is not None else self.config.canary_config(),
-            on_promote=self._on_canary_promote,
-            on_rollback=self._on_canary_rollback,
-            challenger_label=slot.label,
-        )
-        self._canary_slot = slot
-        self._canary = controller
+        challenger = self._resolve_challenger(model, name, version)
+        self._warm_slot(challenger, num_entities=16, cutoff=None)
+        report = self._batcher.run_barrier(lambda: self._replay_on(challenger),
+                                           timeout=None)
+        self._last_compare = report
+        mean = report["mean_divergence"]
         self._record_event(
-            "canary_started",
-            f"shadowing {controller.config.fraction:.0%} of live traffic to "
-            f"{slot.label} (promote after {controller.config.promote_after})",
-            challenger=slot.label, canary=controller.report(),
+            "compared",
+            f"replayed {report['batches']} batches ({report['rows']} rows) on "
+            f"{challenger.label}: mean divergence "
+            f"{'n/a' if mean is None else f'{mean:.4f}'}, {report['errors']} errors",
+            challenger=challenger.label, compare=report,
         )
-        _log.info(
-            "canary started",
-            extra={"challenger": slot.label,
-                   "fraction": controller.config.fraction},
-        )
-        return controller
+        _log.info("challenger compared", extra={"challenger": challenger.label,
+                                                "batches": report["batches"]})
+        return report
 
-    @property
-    def canary(self) -> Optional[CanaryController]:
-        """The active (or most recently finished) canary controller."""
-        return self._canary
-
-    def cancel_canary(self, reason: str = "cancelled by operator") -> None:
-        """Stop the running canary without promoting or rolling back."""
-        controller = self._canary
-        if controller is None:
-            return
-        controller.cancel(reason)
-        controller.close()
-        self._canary_slot = None
-
-    def _on_canary_promote(self, controller: CanaryController, reason: str) -> None:
-        slot = self._canary_slot
-        self._canary_slot = None
-        transition = self._swap_to(slot, warm=False, reason=f"canary promote: {reason}")
-        self._record_event(
-            "canary_promoted", reason,
-            request_ids=controller.recent_request_ids(),
-            challenger=slot.label, canary=controller.report(),
-        )
-        controller.close()
-        _log.info(
-            "canary promoted",
-            extra={"challenger": slot.label, "reason": reason,
-                   "swap": transition["to"]},
-        )
-
-    def _on_canary_rollback(self, controller: CanaryController, reason: str) -> None:
-        slot = self._canary_slot
-        self._canary_slot = None
-        label = slot.label if slot is not None else controller.challenger_label
-        self._record_event(
-            "canary_rolled_back", reason,
-            request_ids=controller.recent_request_ids(),
-            challenger=label, canary=controller.report(),
-        )
-        controller.close()
-        _log.warning(
-            "canary rolled back",
-            extra={"challenger": label, "reason": reason},
-        )
+    def _replay_on(self, challenger: _ModelSlot) -> Dict[str, Any]:
+        """Score the replay ring on the live slot and ``challenger``;
+        runs inside :meth:`compare`'s barrier."""
+        start = time.monotonic()
+        sides = {"incumbent": self._slot, "challenger": challenger}
+        batches = list(self._replay)
+        digests = {side: hashlib.sha256() for side in sides}
+        ms = {side: 0.0 for side in sides}
+        answered = {side: 0 for side in sides}
+        routes: Dict[str, Dict[str, int]] = {side: {} for side in sides}
+        failures: Dict[str, List[str]] = {side: [] for side in sides}
+        divergences: List[float] = []
+        for op, k, keys, cutoffs, route in batches:
+            results = {}
+            for side, slot in sides.items():
+                began = time.monotonic()
+                try:
+                    if side == "challenger":
+                        fault_point("service.compare")
+                    result = self._model_call(slot, op, k, keys, cutoffs, route=route)
+                except Exception as err:
+                    failures[side].append(f"{type(err).__name__}: {err}")
+                    continue
+                ms[side] += (time.monotonic() - began) * 1000.0
+                answered[side] += len(keys)
+                decision = getattr(result, "route", None)
+                tier = decision["tier"] if decision is not None else "unrouted"
+                routes[side][tier] = routes[side].get(tier, 0) + len(keys)
+                digests[side].update(_result_bytes(op, result))
+                results[side] = result
+            if len(results) == 2:
+                divergences.extend(
+                    _divergence(op, results["incumbent"], results["challenger"]))
+        return {
+            "incumbent": sides["incumbent"].label,
+            "challenger": challenger.label,
+            "batches": len(batches),
+            "rows": sum(len(batch[2]) for batch in batches),
+            "mean_divergence": round(float(np.mean(divergences)), 6) if divergences else None,
+            "max_divergence": round(float(np.max(divergences)), 6) if divergences else None,
+            "errors": len(failures["challenger"]),
+            "error_messages": list(dict.fromkeys(failures["challenger"])),
+            "incumbent_errors": len(failures["incumbent"]),
+            "sha256": {side: digest.hexdigest() for side, digest in digests.items()},
+            "routes": routes,
+            "ms_per_row": {side: round(ms[side] / answered[side], 4) if answered[side]
+                           else None for side in sides},
+            "graph_version": self._slot.model.graph.version,
+            "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),
+        }
 
     # ------------------------------------------------------------------
     # Introspection / shutdown
@@ -856,15 +828,14 @@ class PredictionService:
 
     def lifecycle(self) -> Dict[str, Any]:
         """JSON-ready lifecycle state: live version, transitions (the
-        event log's lifecycle kinds), last graph refresh, canary."""
-        canary = self._canary
+        event log's swaps), last graph refresh, last compare report."""
         return {
             "live": self._slot.label,
             "version": self._slot.version,
             "registry_model": self._registry_name,
             "transitions": [e for e in self.events() if e["kind"] in LIFECYCLE_KINDS],
             "last_refresh": self._last_refresh,
-            "canary": canary.report() if canary is not None else None,
+            "last_compare": self._last_compare,
         }
 
     def stats(self) -> Dict[str, Any]:
@@ -917,7 +888,6 @@ class PredictionService:
 
     def health(self) -> Dict[str, Any]:
         """Cheap liveness/degradation probe for load balancers and CLIs."""
-        canary = self._canary
         return {
             "status": "degraded" if self.degraded else "ok",
             "name": self.name,
@@ -926,15 +896,10 @@ class PredictionService:
             "queue_depth": self._batcher.queue_depth,
             "slo_breaching": self._slo_breaching,
             "window": self.window(),
-            "canary": canary.state if canary is not None else None,
         }
 
     def close(self, drain: bool = True) -> None:
-        """Shut the request queue and canary down (idempotent)."""
-        controller = self._canary
-        if controller is not None:
-            controller.cancel("service closing")
-            controller.close()
+        """Shut the request queue down (idempotent)."""
         self._batcher.close(drain=drain)
 
     def __enter__(self) -> "PredictionService":
@@ -942,3 +907,28 @@ class PredictionService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _result_bytes(op: str, result) -> bytes:
+    """A batch result's bytes, as :meth:`PredictionService.compare` hashes them."""
+    if op == "predict":
+        return np.ascontiguousarray(result).tobytes()
+    return b"".join(np.ascontiguousarray(items).tobytes()
+                    + np.ascontiguousarray(scores).tobytes() for items, scores in result)
+
+
+def _divergence(op: str, incumbent, challenger) -> List[float]:
+    """Per-row divergence of two batch results: ``|c - i| / (|i| + 1)``
+    for predictions (absolute for probabilities, relative for large
+    regression values), ``1 - overlap@k`` of the item sets for rankings."""
+    if op == "predict":
+        inc = np.asarray(incumbent, dtype=np.float64).reshape(-1)
+        cha = np.asarray(challenger, dtype=np.float64).reshape(-1)
+        n = min(len(inc), len(cha))
+        return (np.abs(cha[:n] - inc[:n]) / (np.abs(inc[:n]) + 1.0)).tolist()
+    out: List[float] = []
+    for inc_row, cha_row in zip(incumbent, challenger):
+        inc_items = set(np.asarray(inc_row[0]).tolist())
+        cha_items = set(np.asarray(cha_row[0]).tolist())
+        out.append(1.0 - len(inc_items & cha_items) / max(len(inc_items), 1))
+    return out

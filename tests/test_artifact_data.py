@@ -271,12 +271,14 @@ def test_start_paths_never_call_the_generator(fitted, tmp_path, monkeypatch, cap
         monkeypatch, capsys,
         ["--registry", root, "--model-name", "churn", "--model-version", "1"],
         [dict(predict, id=1), {"op": "swap", "id": 2, "version": 2}, dict(predict, id=3),
-         {"op": "canary", "id": 4, "action": "start", "version": 1}])
+         {"op": "compare", "id": 4, "version": 1}])
     assert code == 0 and "data_source=snapshot" in err
     assert [r["status"] for r in responses] == ["ok"] * 4
     assert responses[0]["model_version"] == "churn@v1" and "route" in responses[0]
     assert responses[2]["model_version"] == "churn@v2" and responses[2]["route"] == "red"
     assert responses[2]["predictions"] == direct[0]["predictions"]
+    # Both served batches replay on v1 over the same loaded database.
+    assert responses[3]["compare"]["batches"] == 2 and responses[3]["compare"]["errors"] == 0
 
 
 def test_registry_service_binds_swaps_to_the_loaded_database(fitted, tmp_path, monkeypatch):

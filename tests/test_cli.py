@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.datasets import get_dataset
 from repro.pql import PlannerConfig, PredictiveModel
+from repro.serve import ServeConfig
 
 
 class TestTasks:
@@ -155,10 +157,15 @@ def test_fit_help_lists_at_most_18_long_flags(capsys):
     assert len(flags) <= 18, sorted(flags)
 
 
-def test_serve_help_lists_at_most_25_long_flags(capsys):
+def test_serve_help_lists_at_most_22_long_flags(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["serve", "--help"])
     assert exit_info.value.code == 0
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
-    assert len(flags) <= 25, sorted(flags)
+    assert len(flags) <= 22, sorted(flags)
     assert "--no-telemetry" not in flags
+    assert not flags & {"--canary-fraction", "--promote-after", "--rollback-on"}
+
+
+def test_serve_config_has_at_most_13_fields():
+    assert len(dataclasses.fields(ServeConfig)) <= 13

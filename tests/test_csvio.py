@@ -118,6 +118,32 @@ class TestCSVRoundtrip:
         assert loaded["orders"] == db["orders"]
 
 
+@pytest.mark.parametrize("cell, expected", [
+    ("9007199254740993", 9007199254740993),   # 2**53 + 1: no float detour
+    ("9223372036854775807", 2 ** 63 - 1),
+    ("3.0", 3),
+    ("1e3", 1000),
+    ("3.7", None),                            # non-integral: rejected
+    ("nan", None),
+])
+def test_integer_cells_parse_exactly(tmp_path, cell, expected):
+    from repro.relational.csvio import MalformedRowError
+
+    directory = tmp_path / "out"
+    save_database(sample_db(), str(directory))
+    csv_path = directory / "users.csv"
+    lines = csv_path.read_text().splitlines()
+    assert lines[0].endswith(",ts")
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + cell
+    csv_path.write_text("\n".join(lines) + "\n")
+    if expected is None:
+        with pytest.raises(MalformedRowError) as err:
+            load_database(str(directory))
+        assert (err.value.row_number, err.value.column) == (2, "ts")
+    else:
+        assert int(load_database(str(directory))["users"]["ts"].values[0]) == expected
+
+
 class TestLenientLoading:
     """Malformed rows: strict mode pinpoints them, lenient quarantines them."""
 

@@ -12,7 +12,7 @@ Covered sources:
 * ``README.md``              — the quickstart and streaming-ingest
   blocks, each standalone;
 * ``docs/serving.md``        — all blocks, run sequentially in one
-  shared namespace (quickstart, then the hot-swap + canary lifecycle
+  shared namespace (quickstart, then the hot-swap + compare lifecycle
   walkthrough that continues it);
 * ``docs/observability.md``  — all blocks (spans, metrics, serving
   telemetry, logging), run sequentially in one shared namespace;
@@ -84,7 +84,7 @@ def test_readme_streaming_quickstart_runs(tmp_path, monkeypatch):
 
 
 def test_serving_walkthrough_runs(tmp_path, monkeypatch):
-    """Quickstart + hot-swap + canary blocks compose into one program."""
+    """Quickstart + hot-swap + compare blocks compose into one program."""
     monkeypatch.chdir(tmp_path)
     blocks = python_blocks("docs/serving.md")
     assert len(blocks) >= 3, "serving guide lost its lifecycle walkthrough"

@@ -124,6 +124,26 @@ class TestValidateEvent:
         with pytest.raises(EventValidationError, match="cannot coerce"):
             validate_event(order_event("not-a-number"), schema)
 
+    @pytest.mark.parametrize("raw, expected", [
+        (9007199254740993, 9007199254740993),     # 2**53 + 1: no float detour
+        ("9007199254740993", 9007199254740993),
+        (np.int64(2 ** 62 + 1), 2 ** 62 + 1),
+        (3.0, 3),
+        ("3.0", 3),
+        (3.7, None),                              # non-integral: rejected
+        ("3.7", None),
+        (float("inf"), None),
+    ])
+    def test_integer_values_coerce_exactly(self, raw, expected):
+        schema = shop_db()["orders"].schema
+        if expected is None:
+            with pytest.raises(EventValidationError, match="column 'ts'"):
+                validate_event(order_event(205, ts=raw), schema)
+        else:
+            event = validate_event(order_event(205, ts=raw), schema)
+            assert event.timestamp == event.values["ts"] == expected
+            assert type(event.timestamp) is int
+
     def test_rejects_wrong_table(self):
         with pytest.raises(EventValidationError, match="wrong table"):
             validate_event(RowEvent("orders", {}), shop_db()["customers"].schema)

@@ -1,4 +1,4 @@
-"""Zero-downtime model lifecycle: crash-safe publishes, hot swap, canary.
+"""Zero-downtime model lifecycle: crash-safe publishes, hot swap, compare.
 
 Three layers of guarantees under test:
 
@@ -11,13 +11,16 @@ Three layers of guarantees under test:
   :meth:`PredictionService.swap` sees zero errors, zero drops, and
   every response's ``model_version`` names a model that was live at
   its admission.
-* **Canary** — a challenger shadowing live traffic auto-promotes on
-  sustained parity and auto-rolls-back on injected shadow failures,
-  with edge-triggered provenance events either way.
+* **Compare** — a challenger is judged by replaying the recently
+  served batches inside one barrier: deterministic (the incumbent's
+  replay is the bytes it served), ordered after a graph refresh that
+  holds the barrier, and never a swap — failures are reported, the
+  live model keeps serving.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -34,7 +37,6 @@ import pytest
 from repro.pql import PredictiveQueryPlanner
 from repro.resilience import SimulatedCrash, injected
 from repro.serve import (
-    CanaryConfig,
     ModelRegistry,
     PredictionService,
     RegistryVersionError,
@@ -329,21 +331,17 @@ def test_swap_resets_degradation_with_provenance(
 
 
 # ----------------------------------------------------------------------
-# Canary: auto-promote on parity, auto-rollback on regression
+# Compare: a deterministic replay of recently served batches
 # ----------------------------------------------------------------------
-def drive_until(service, keys, predicate, rounds=60):
-    """Pump predict traffic until ``predicate()`` or rounds exhaust."""
-    for _ in range(rounds):
-        service.predict(keys, CUTOFF)
-        canary = service.canary
-        if canary is not None:
-            canary.flush()
-        if predicate():
-            return True
-    return predicate()
+TIMING_FIELDS = ("ms_per_row", "elapsed_ms")
 
 
-def test_canary_promotes_on_sustained_parity(
+def serve_batches(service, keys, count):
+    """``count`` one-request batches of varying size; their answers."""
+    return [service.predict(keys[: 1 + i % len(keys)], CUTOFF) for i in range(count)]
+
+
+def test_compare_identical_version_reports_zero_divergence(
     churn_model, small_ecommerce_db, tmp_path,
 ):
     registry = make_registry_with_v1(tmp_path, churn_model)
@@ -351,65 +349,66 @@ def test_canary_promotes_on_sustained_parity(
     service = lifecycle_service(registry, small_ecommerce_db)
     keys = entity_keys(service.model, 4)
     try:
-        controller = service.start_canary(
-            version=2,
-            config=CanaryConfig(fraction=1.0, promote_after=8, min_compare=2),
-        )
-        assert drive_until(
-            service, keys, lambda: controller.state == "promoted"
-        ), controller.report()
-        # The challenger went live via the swap path, already warm.
-        assert service.name == "churn@v2"
-        report = controller.report()
-        assert report["compared_requests"] >= 8
-        assert report["errors"] == 0
-        assert report["mean_divergence"] == 0.0  # same weights, same answers
-        kinds = [e["kind"] for e in service.events()]
-        assert "canary_started" in kinds and "canary_promoted" in kinds
-        promoted = [e for e in service.events()
-                    if e["kind"] == "canary_promoted"][-1]
-        assert promoted["canary"]["state"] == "promoted"
-        assert promoted["request_ids"], "promotion must name its evidence"
-        # Post-promotion traffic is served by v2, not re-shadowed.
-        service.predict(keys, CUTOFF)
-        assert service.lifecycle()["live"] == "churn@v2"
-    finally:
-        service.close()
-
-
-def test_canary_rolls_back_on_challenger_errors(
-    churn_model, small_ecommerce_db, tmp_path,
-):
-    registry = make_registry_with_v1(tmp_path, churn_model)
-    assert registry.publish(churn_model, "churn") == 2
-    service = lifecycle_service(registry, small_ecommerce_db)
-    keys = entity_keys(service.model, 4)
-    try:
-        with injected("canary.shadow%1.0:raise"):
-            controller = service.start_canary(
-                version=2,
-                config=CanaryConfig(fraction=1.0, promote_after=8,
-                                    max_error_rate=0.0),
-            )
-            assert drive_until(
-                service, keys, lambda: controller.state == "rolled_back"
-            ), controller.report()
-        # The incumbent never blinked.
+        serve_batches(service, keys, 6)
+        report = service.compare(version=2)
+        assert report["challenger"] == "churn@v2" and report["incumbent"] == "churn@v1"
+        assert report["batches"] == 6 and report["rows"] == 1 + 2 + 3 + 4 + 1 + 2
+        assert report["mean_divergence"] == report["max_divergence"] == 0.0
+        assert report["errors"] == 0 and report["error_messages"] == []
+        assert report["routes"]["challenger"] == report["routes"]["incumbent"] == {"red": 13}
+        # Nothing was swapped; the report is an event and lifecycle state.
         assert service.name == "churn@v1"
-        assert not service.degraded
-        assert len(service.predict(keys, CUTOFF)) == len(keys)
         events = service.events()
-        rolled = [e for e in events if e["kind"] == "canary_rolled_back"]
-        assert rolled and "error rate" in rolled[-1]["reason"]
-        assert rolled[-1]["challenger"] == "churn@v2"
-        # Edge-triggered: exactly one decision event.
-        assert len(rolled) == 1
-        assert not any(e["kind"] == "canary_promoted" for e in events)
+        assert [e["kind"] for e in events] == ["compared"]
+        assert events[0]["compare"] == report
+        assert service.lifecycle()["last_compare"] == report
+        assert service.lifecycle()["transitions"] == []
     finally:
         service.close()
 
 
-def test_canary_wire_verbs_start_status_cancel(
+def test_compare_reports_challenger_errors_and_leaves_live_untouched(
+    churn_model, small_ecommerce_db, tmp_path,
+):
+    registry = make_registry_with_v1(tmp_path, churn_model)
+    assert registry.publish(churn_model, "churn") == 2
+    service = lifecycle_service(registry, small_ecommerce_db)
+    keys = entity_keys(service.model, 4)
+    stop = threading.Event()
+    errors = []
+
+    def client():
+        while not stop.is_set():
+            try:
+                service.predict(keys[:2], CUTOFF)
+            except Exception as err:  # no live request may fail
+                errors.append(err)
+
+    thread = threading.Thread(target=client)
+    try:
+        serve_batches(service, keys, 4)
+        thread.start()
+        with injected("service.compare%1.0:raise"):
+            report = service.compare(version=2)
+        stop.set()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert report["batches"] >= 4
+        assert report["errors"] == report["batches"]
+        assert report["error_messages"][0].startswith("InjectedFault")
+        assert report["mean_divergence"] is None and report["incumbent_errors"] == 0
+        # The incumbent never blinked, and nothing was promoted.
+        assert not errors
+        assert service.name == "churn@v1" and not service.degraded
+        assert len(service.predict(keys, CUTOFF)) == len(keys)
+        kinds = [e["kind"] for e in service.events()]
+        assert kinds == ["compared"]
+    finally:
+        stop.set()
+        service.close()
+
+
+def test_compare_wire_verb_answers_the_report(
     churn_model, small_ecommerce_db, tmp_path,
 ):
     registry = make_registry_with_v1(tmp_path, churn_model)
@@ -417,13 +416,11 @@ def test_canary_wire_verbs_start_status_cancel(
     service = lifecycle_service(registry, small_ecommerce_db)
     keys = entity_keys(service.model, 2).tolist()
     lines = [
-        {"op": "canary", "id": 1, "action": "status"},
-        {"op": "canary", "id": 2, "action": "start", "version": 2,
-         "fraction": 1.0, "promote_after": 500},
-        {"op": "predict", "id": 3, "entity_keys": keys, "cutoff": CUTOFF},
-        {"op": "canary", "id": 4, "action": "status"},
-        {"op": "canary", "id": 5, "action": "cancel"},
-        {"op": "canary", "id": 6, "action": "start", "version": 99},
+        {"op": "predict", "id": 1, "entity_keys": keys, "cutoff": CUTOFF},
+        {"op": "predict", "id": 2, "entity_keys": keys[:1], "cutoff": CUTOFF},
+        {"op": "compare", "id": 3, "version": 2},
+        {"op": "lifecycle", "id": 4},
+        {"op": "compare", "id": 5, "version": 99},
     ]
     stdin = io.StringIO("".join(json.dumps(l) + "\n" for l in lines))
     stdout = io.StringIO()
@@ -432,14 +429,113 @@ def test_canary_wire_verbs_start_status_cancel(
     finally:
         service.close()
     responses = {r["id"]: r for r in map(json.loads, stdout.getvalue().splitlines())}
-    assert responses[1]["canary"] is None          # nothing running yet
-    assert responses[2]["canary"]["state"] == "running"
-    assert responses[2]["canary"]["fraction"] == 1.0
-    assert responses[4]["canary"]["challenger"] == "churn@v2"
-    assert responses[5]["canary"]["state"] == "cancelled"
+    report = responses[3]["compare"]
+    assert report["challenger"] == "churn@v2" and report["errors"] == 0
+    # The verb drained both earlier predicts first: they are the replay.
+    assert report["rows"] == 3 and report["mean_divergence"] == 0.0
+    assert responses[4]["lifecycle"]["last_compare"] == report
+    assert responses[4]["lifecycle"]["live"] == "churn@v1"
     # Unknown version: a clean protocol error, not a dead loop.
-    assert responses[6]["status"] == "error"
-    assert responses[6]["error"] == "bad_request"
+    assert responses[5]["status"] == "error"
+    assert responses[5]["error"] == "bad_request"
+
+
+def test_compare_waits_for_a_refresh_holding_the_barrier(
+    churn_model, small_ecommerce_db, tmp_path,
+):
+    registry = make_registry_with_v1(tmp_path, churn_model)
+    assert registry.publish(churn_model, "churn") == 2
+    service = lifecycle_service(registry, small_ecommerce_db)
+    keys = entity_keys(service.model, 2)
+    order = []
+    entered, release = threading.Event(), threading.Event()
+    replay_on = service._replay_on
+
+    def spy(challenger):
+        order.append("replay")
+        return replay_on(challenger)
+
+    def hold():
+        entered.set()
+        assert release.wait(30)
+        order.append("refresh done")
+
+    service._replay_on = spy
+    try:
+        serve_batches(service, keys, 2)
+        refresh = threading.Thread(target=service.refresh_graph, args=(hold,))
+        refresh.start()
+        assert entered.wait(30)
+        reports = []
+        compare = threading.Thread(target=lambda: reports.append(service.compare(version=2)))
+        compare.start()
+        deadline = time.monotonic() + 30
+        while service._batcher.queue_depth == 0:  # compare's barrier is queued
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        assert order == [] and compare.is_alive()
+        release.set()
+        refresh.join(30)
+        compare.join(30)
+        assert not refresh.is_alive() and not compare.is_alive()
+        assert order == ["refresh done", "replay"]
+        assert reports[0]["batches"] == 2 and reports[0]["errors"] == 0
+    finally:
+        release.set()
+        service.close()
+
+
+def test_compare_replay_is_the_served_bytes_and_repeats(
+    churn_model, small_ecommerce_db, tmp_path,
+):
+    registry = make_registry_with_v1(tmp_path, churn_model)
+    service = lifecycle_service(registry, small_ecommerce_db)
+    keys = entity_keys(service.model, 5)
+    try:
+        served = serve_batches(service, keys, 8)
+        first = service.compare(version=1)
+        second = service.compare(version=1)
+    finally:
+        service.close()
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in served))
+    assert first["sha256"]["incumbent"] == digest.hexdigest()
+    assert first["sha256"]["challenger"] == digest.hexdigest()
+    assert first["mean_divergence"] == first["max_divergence"] == 0.0
+    assert first["errors"] == 0 and first["batches"] == 8
+    drop = lambda report: {k: v for k, v in report.items() if k not in TIMING_FIELDS}
+    assert drop(first) == drop(second)
+
+
+def test_compare_catches_a_challenger_that_fails_on_load_sized_batches(
+    churn_model, small_ecommerce_db, tmp_path,
+):
+    """Concurrent load coalesces requests into bigger batches; the ring
+    keeps those batches whole, so a challenger that fails only on them
+    fails in the replay too (a shadow thread offered nothing more)."""
+    registry = make_registry_with_v1(tmp_path, churn_model)
+    service = PredictionService.from_registry(
+        registry, "churn", small_ecommerce_db, version=1,
+        config=ServeConfig(max_batch_size=8, max_wait_ms=10_000.0))
+    keys = entity_keys(service.model, 2)
+    challenger = registry.load("churn", small_ecommerce_db, version=1)
+    predict = challenger.predict
+
+    def fails_on_big_batches(batch_keys, cutoffs, **policy):
+        if policy and len(batch_keys) > 4:   # warmup passes no policy
+            raise RuntimeError(f"{len(batch_keys)}-row batch")
+        return predict(batch_keys, cutoffs, **policy)
+
+    challenger.predict = fails_on_big_batches
+    try:
+        # Four 2-row requests fill one 8-row batch, which ships at once.
+        futures = [service.predict_async(keys, CUTOFF) for _ in range(4)]
+        assert all(len(f.result(30)) == 2 for f in futures)
+        report = service.compare(model=challenger, name="churn@flaky")
+    finally:
+        service.close()
+    assert report["batches"] == 1 and report["rows"] == 8
+    assert report["errors"] == 1
+    assert report["error_messages"] == ["RuntimeError: 8-row batch"]
 
 
 # ----------------------------------------------------------------------

@@ -210,7 +210,7 @@ class TestGraphMechanics:
 
     def test_no_grad_is_per_thread(self):
         # Interleaved no_grad blocks on two threads (a serving worker and a
-        # canary worker) used to leave the process-global flag stuck off.
+        # trainer) used to leave the process-global flag stuck off.
         import threading
 
         inside, leave = threading.Barrier(3), threading.Barrier(3)

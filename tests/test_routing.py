@@ -28,7 +28,7 @@ from repro.eval.metrics import auroc
 from repro.obs import get_registry
 from repro.pql import PredictiveModel, PredictiveQueryPlanner, RouterConfig, build_label_table
 from repro.pql.router import CostModel, GreenTier, YellowTier
-from repro.serve import CanaryConfig, ModelRegistry, PredictionService, ServeConfig
+from repro.serve import ModelRegistry, PredictionService, ServeConfig
 from tests.conftest import make_split, tiny_planner_config
 
 CHURN_QUERY = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
@@ -395,7 +395,7 @@ class TestServeDegradation:
 # Serving: the quality-floor override holds for every model served
 # ----------------------------------------------------------------------
 class TestServeQualityFloor:
-    def test_override_survives_swap_swap_by_version_and_canary(
+    def test_override_survives_swap_swap_by_version_and_compare(
         self, routed_model, small_ecommerce_db, tmp_path
     ):
         directory = str(tmp_path / "routed")
@@ -423,13 +423,12 @@ class TestServeQualityFloor:
             assert served_tier() == "green"
             service.swap(version=1)
             assert served_tier() == "green"
-            canary = service.start_canary(
-                version=1, config=CanaryConfig(fraction=1.0, promote_after=10**6))
-            challenger = service._canary_slot.model
-            assert served_tier() == "green"
-            assert canary.flush()
-            assert challenger.last_route.rows == 1
-            assert challenger.last_route.tier == "green"
-            assert challenger.router.quality_floor == fitted_floor
+            # The compared challenger answers the replayed 1-row batches
+            # under the same override, on a freshly loaded model.
+            report = service.compare(version=1)
+            assert report["batches"] == report["rows"] == 3
+            assert report["routes"]["challenger"] == {"green": 3}
+            assert report["errors"] == 0 and report["mean_divergence"] == 0.0
+            assert service.model.router.quality_floor == fitted_floor
         finally:
             service.close()

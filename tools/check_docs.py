@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation lint: dead relative links + CLI flag coverage.
+"""Documentation lint: dead relative links, CLI flags, wire verbs.
 
-Three checks, all cheap enough to run on every push (the CI
+Four checks, all cheap enough to run on every push (the CI
 ``docs-check`` job):
 
 1. **Dead links** — every relative markdown link in ``README.md`` and
@@ -16,6 +16,10 @@ Three checks, all cheap enough to run on every push (the CI
    ``flag`` or ``docs/serving.md``'s ``CLI flag``) of any table in
    ``README.md`` or ``docs/*.md`` must exist in the CLI, so a retired
    flag cannot linger in a reference table.
+4. **No stale wire verbs** — every ``{"op": "X"`` example in
+   ``README.md`` or ``docs/*.md`` must name a verb of
+   ``repro.serve.protocol``, so a retired verb cannot linger in an
+   example.
 
 Exit code 0 when clean; 1 with one ``PROBLEM:`` line per finding.
 
@@ -37,6 +41,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Markdown inline links: [text](target) — images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
+#: A JSON-lines request example: {"op": "X" ...
+_WIRE_OP = re.compile(r'\{"op":\s*"([^"]*)"')
 
 
 def doc_files() -> List[Path]:
@@ -117,10 +123,22 @@ def check_flag_tables(files: List[Path]) -> List[str]:
     return problems
 
 
+def check_wire_verbs(files: List[Path]) -> List[str]:
+    """Request examples whose ``op`` the serve protocol does not accept."""
+    from repro.serve.protocol import _OPS
+
+    return [
+        f"{path.relative_to(REPO_ROOT)}: example uses wire verb {op!r}, "
+        f"which the serve protocol does not accept"
+        for path in files for op in _WIRE_OP.findall(path.read_text())
+        if op not in _OPS
+    ]
+
+
 def main() -> int:
     files = doc_files()
     problems = (check_links(files) + check_flag_coverage(files)
-                + check_flag_tables(files))
+                + check_flag_tables(files) + check_wire_verbs(files))
     for problem in problems:
         print(f"PROBLEM: {problem}", file=sys.stderr)
     if problems:
