@@ -68,13 +68,14 @@ class EdgeType:
 
 
 class _EdgeStore:
-    """Edge list plus dst-keyed CSR with time-sorted neighbor lists.
+    """A dst-keyed CSR with time-sorted neighbor lists.
 
-    The original (unsorted) ``src_ids``/``dst_ids``/``times`` are kept
-    next to the CSR arrays.
+    The CSR is the only copy of the edges: ``nbr_src``/``nbr_time``
+    hold them sorted by ``(dst, time)`` (ties in input order) and
+    ``indptr`` delimits each destination's segment.
     """
 
-    __slots__ = ("src_ids", "dst_ids", "times", "indptr", "nbr_src", "nbr_time")
+    __slots__ = ("indptr", "nbr_src", "nbr_time")
 
     def __init__(
         self,
@@ -83,47 +84,25 @@ class _EdgeStore:
         times: np.ndarray,
         num_dst: int,
     ) -> None:
-        self.src_ids = np.asarray(src_ids, dtype=np.int64)
-        self.dst_ids = np.asarray(dst_ids, dtype=np.int64)
-        self.times = np.asarray(times, dtype=np.int64)
-        if not (len(self.src_ids) == len(self.dst_ids) == len(self.times)):
+        src_ids = np.asarray(src_ids, dtype=np.int64)
+        dst_ids = np.asarray(dst_ids, dtype=np.int64)
+        times = np.asarray(times, dtype=np.int64)
+        if not (len(src_ids) == len(dst_ids) == len(times)):
             raise ValueError("src/dst/time arrays must have equal length")
-        # CSR keyed by dst, neighbors sorted by (dst, time).
-        order = np.lexsort((self.times, self.dst_ids))
-        sorted_dst = self.dst_ids[order]
-        self.nbr_src = self.src_ids[order]
-        self.nbr_time = self.times[order]
-        counts = np.bincount(sorted_dst, minlength=num_dst)
+        order = np.lexsort((times, dst_ids))
+        self.nbr_src = src_ids[order]
+        self.nbr_time = times[order]
+        counts = np.bincount(dst_ids, minlength=num_dst)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
     @property
     def num_edges(self) -> int:
         return len(self.nbr_src)
 
-    def neighbors_before(self, dst: int, time: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Incoming neighbors of ``dst`` with edge time <= ``time``.
-
-        Returns (source ids, edge times); both may be empty.
-        """
-        start, stop = self.indptr[dst], self.indptr[dst + 1]
-        times = self.nbr_time[start:stop]
-        # Neighbor list is time-ascending: the valid ones are a prefix.
-        valid = int(np.searchsorted(times, time, side="right"))
-        return self.nbr_src[start : start + valid], times[:valid]
-
-    def all_neighbors(self, dst: int) -> np.ndarray:
-        """All incoming neighbors of ``dst`` regardless of time."""
-        start, stop = self.indptr[dst], self.indptr[dst + 1]
-        return self.nbr_src[start:stop]
-
     def count_before(self, dst: int, time: int) -> int:
         """Number of incoming neighbors of ``dst`` with edge time <= ``time``."""
         start, stop = self.indptr[dst], self.indptr[dst + 1]
         return int(np.searchsorted(self.nbr_time[start:stop], time, side="right"))
-
-    def degree(self) -> np.ndarray:
-        """In-degree per destination node."""
-        return np.diff(self.indptr)
 
     def merged(
         self,
@@ -132,45 +111,52 @@ class _EdgeStore:
         times: np.ndarray,
         num_dst: int,
     ) -> "_EdgeStore":
-        """A new store holding this store's edges plus a delta batch.
+        """This store plus a delta batch, byte-equal to a cold store over
+        the base edges then the delta (``num_dst``: the grown count).
 
-        Bit-identical to rebuilding from scratch over the concatenated
-        raw edge list: the primary constructor's ``lexsort`` is stable,
-        so base rows precede delta rows within any equal ``(dst, time)``
-        group — which is exactly what inserting each delta edge *after*
-        the base edges with time ``<= t`` (``searchsorted`` side
-        ``"right"``) reproduces, at the cost of the delta instead of
-        the whole edge list.  ``num_dst`` is the (possibly grown)
-        destination node count.
+        The cold ``lexsort`` is stable, so base edges precede delta
+        edges on equal ``(dst, time)``: a binary search with side
+        ``"right"`` over each destination's segment, run for the whole
+        delta at once.  When every delta edge lands past all base edges
+        (always, for a reverse foreign key: its destination is the new
+        child row), the sorted delta is appended.
         """
         d_src = np.asarray(src_ids, dtype=np.int64)
         d_dst = np.asarray(dst_ids, dtype=np.int64)
         d_times = np.asarray(times, dtype=np.int64)
         order = np.lexsort((d_times, d_dst))
         s_src, s_dst, s_times = d_src[order], d_dst[order], d_times[order]
-        old_num_dst = len(self.indptr) - 1
-        positions = np.full(len(s_dst), self.indptr[-1], dtype=np.int64)
-        in_range = s_dst < old_num_dst
-        for d in np.unique(s_dst[in_range]):
-            rows = np.flatnonzero(s_dst == d)
-            start, stop = self.indptr[d], self.indptr[d + 1]
-            segment = self.nbr_time[start:stop]
-            positions[rows] = start + np.searchsorted(segment, s_times[rows], side="right")
-        old_counts = np.diff(self.indptr)
-        if num_dst > old_num_dst:
-            old_counts = np.concatenate(
-                [old_counts, np.zeros(num_dst - old_num_dst, dtype=np.int64)]
-            )
-        counts = old_counts + np.bincount(d_dst, minlength=num_dst)
+        total = len(self.nbr_src)
+        base_ptr = np.pad(self.indptr, (0, num_dst + 1 - len(self.indptr)), mode="edge")
         store = _EdgeStore.__new__(_EdgeStore)
-        store.nbr_src = np.insert(self.nbr_src, positions, s_src)
-        store.nbr_time = np.insert(self.nbr_time, positions, s_times)
-        store.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        # Raw arrays keep event order (base rows then delta rows),
-        # mirroring how a cold build consumes appended table rows.
-        store.src_ids = np.concatenate([self.src_ids, d_src])
-        store.dst_ids = np.concatenate([self.dst_ids, d_dst])
-        store.times = np.concatenate([self.times, d_times])
+        store.indptr = base_ptr + np.cumsum(np.bincount(s_dst + 1, minlength=num_dst + 1))
+        if not len(s_dst) or base_ptr[s_dst[0]] == total:
+            store.nbr_src = np.concatenate([self.nbr_src, s_src])
+            store.nbr_time = np.concatenate([self.nbr_time, s_times])
+            return store
+        # Each delta edge goes after the base edges of its segment with
+        # time <= its own; bisect only where the segment's last base
+        # edge is later (a streamed edge is usually the latest).
+        lo, positions = base_ptr[s_dst], base_ptr[s_dst + 1]
+        hi = positions - 1
+        inner = np.flatnonzero((lo <= hi) & (self.nbr_time[hi] > s_times))
+        lo, hi, t = lo[inner], hi[inner], s_times[inner]
+        while True:
+            active = lo < hi
+            if not active.any():
+                break
+            mid = (lo + hi) >> 1
+            right = self.nbr_time[mid] <= t
+            lo = np.where(active & right, mid + 1, lo)
+            hi = np.where(active & ~right, mid, hi)
+        positions[inner] = lo
+        slots = positions + np.arange(len(s_dst))
+        kept = np.ones(total + len(s_dst), dtype=bool)
+        kept[slots] = False
+        store.nbr_src = np.empty(len(kept), dtype=np.int64)
+        store.nbr_time = np.empty(len(kept), dtype=np.int64)
+        store.nbr_src[slots], store.nbr_time[slots] = s_src, s_times
+        store.nbr_src[kept], store.nbr_time[kept] = self.nbr_src, self.nbr_time
         return store
 
 
@@ -402,28 +388,9 @@ class HeteroGraph:
         """Per-node timestamps of one type."""
         return self._node_times[node_type]
 
-    def edges(self, edge_type: EdgeType) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw (src, dst, time) arrays of one edge type, in insertion order."""
-        store = self._edges[edge_type]
-        return store.src_ids, store.dst_ids, store.times
-
     def edge_types_into(self, node_type: str) -> List[EdgeType]:
         """Edge types whose destination is ``node_type``."""
         return [et for et in self._edges if et.dst == node_type]
-
-    def in_degree(self, edge_type: EdgeType) -> np.ndarray:
-        """In-degree of destination nodes under one edge type."""
-        return self._edges[edge_type].degree()
-
-    def neighbors_before(
-        self, edge_type: EdgeType, dst: int, time: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Time-valid incoming neighbors of one node (see :class:`_EdgeStore`)."""
-        return self._edges[edge_type].neighbors_before(dst, time)
-
-    def all_neighbors(self, edge_type: EdgeType, dst: int) -> np.ndarray:
-        """All incoming neighbors regardless of time (leaky; for ablation)."""
-        return self._edges[edge_type].all_neighbors(dst)
 
     def count_before(self, edge_type: EdgeType, dst: int, time: int) -> int:
         """Time-valid in-degree of one node under one edge type."""

@@ -7,7 +7,8 @@ grown database.  The identity rests on three append-only facts:
 
 * node indices are row positions, and rows only append;
 * the cold CSR sort (stable lexsort by ``(dst, time)``) is reproduced
-  by the stable merge in ``_EdgeStore.merged``;
+  by ``_EdgeStore.merged``, which places each delta edge after the
+  base edges of its destination with time ``<=`` its own;
 * feature statistics are fitted at ``stats_cutoff``, and the fast
   path only accepts rows strictly after it, so frozen statistics
   encode new rows to the same bytes a full re-encode would.
@@ -90,6 +91,8 @@ class DeltaGraphBuilder:
         self._grower = FeatureGrower(stats_cutoff)
         span = db.time_span()
         self.watermark: Optional[int] = int(span[1]) if span is not None else None
+        #: (graph version, appliable events) of the last :meth:`screen`.
+        self._screened: Tuple[int, Tuple[RowEvent, ...]] = (-1, ())
 
     # -- screening ------------------------------------------------------
     def screen(
@@ -146,29 +149,33 @@ class DeltaGraphBuilder:
                 if pk is not None:
                     arriving[event.table].discard(event.values[pk])
             unresolved.extend(dropped)
+        self._screened = (self.graph.version, tuple(appliable))
         return appliable, duplicates, unresolved
 
     # -- application ----------------------------------------------------
     def apply(self, events: List[RowEvent]) -> DeltaReport:
         """Append ``events`` to the database and graph, incrementally.
 
-        Events must be validated and screened (strict: a duplicate key
-        raises :class:`EventValidationError`, an unresolved reference
-        raises :class:`UnresolvedReferenceError`).  Returns the
-        :class:`DeltaReport` of what changed.
+        Events must be validated.  They are screened here (strict: a
+        duplicate key raises :class:`EventValidationError`, an
+        unresolved reference raises :class:`UnresolvedReferenceError`)
+        unless they are the appliable events :meth:`screen` last returned
+        and the graph has not changed since (so the pipeline screens a
+        batch once).  Returns the :class:`DeltaReport` of what changed.
         """
-        appliable, duplicates, unresolved = self.screen(events)
-        if duplicates:
-            event, reason = duplicates[0]
-            raise EventValidationError(event.table, reason)
-        if unresolved:
-            event = unresolved[0]
-            schema = self.db[event.table].schema
-            for fk in schema.foreign_keys:
-                key = event.values[fk.column]
-                if key is not None and key not in self.graph.key_index(fk.ref_table):
-                    raise UnresolvedReferenceError(event.table, fk.column, key)
-            raise UnresolvedReferenceError(event.table, "?", None)
+        if self._screened != (self.graph.version, tuple(events)):
+            _, duplicates, unresolved = self.screen(events)
+            if duplicates:
+                event, reason = duplicates[0]
+                raise EventValidationError(event.table, reason)
+            if unresolved:
+                event = unresolved[0]
+                schema = self.db[event.table].schema
+                for fk in schema.foreign_keys:
+                    key = event.values[fk.column]
+                    if key is not None and key not in self.graph.key_index(fk.ref_table):
+                        raise UnresolvedReferenceError(event.table, fk.column, key)
+                raise UnresolvedReferenceError(event.table, "?", None)
 
         grouped: Dict[str, List[RowEvent]] = {}
         for event in events:

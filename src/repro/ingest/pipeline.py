@@ -156,6 +156,7 @@ class IngestPipeline:
         report.quarantined = len(unresolved)
         if appliable:
             report.segment = self.log.append(appliable)
+            # ``apply`` trusts the screen just made: one screen a batch.
             report.delta = self.builder.apply(appliable)
             report.applied = len(appliable)
         self._count(report)

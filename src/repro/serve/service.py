@@ -40,7 +40,9 @@ Behind ``predict``/``rank`` sits the full serving contract:
   ``reason`` starting ``degraded:``), and
   each descent is recorded (``serve.fallbacks`` counter, ``degraded``
   in :meth:`stats`) so monitoring can tell fast-but-crude from
-  healthy;
+  healthy.  A request forcing a tier the live model lacks is refused
+  at admission (``bad_request`` on the wire), so only a raise inside
+  a tier descends the ladder;
 * **hot swap** — :meth:`swap` (and :meth:`swap_model`) replaces the
   live model **between micro-batches with zero downtime**: every
   request captures the live :class:`_ModelSlot` at admission and its
@@ -220,6 +222,12 @@ class _ModelSlot:
         self.version = version
         #: Its tiers, cheapest first; the last is the model path.
         self.rungs = model.available_tiers()
+
+    def admit(self, route: Optional[str]) -> Optional[str]:
+        """``route`` if this model can answer it, else ``ValueError``."""
+        if route is not None and check_route(route) != "auto" and route not in self.rungs:
+            raise ValueError(f"route {route!r} unavailable; tiers: {self.rungs}")
+        return route
 
 
 class PredictionService:
@@ -436,7 +444,7 @@ class PredictionService:
             deadline_ms=deadline_ms if deadline_ms is not None
             else self.config.default_deadline_ms,
             context=slot,
-            route=route if route is None else check_route(route),
+            route=slot.admit(route),
         )
 
     def predict(self, entity_keys, cutoff, deadline_ms: Optional[float] = None,
@@ -459,7 +467,7 @@ class PredictionService:
             deadline_ms=deadline_ms if deadline_ms is not None
             else self.config.default_deadline_ms,
             context=slot,
-            route=route if route is None else check_route(route),
+            route=slot.admit(route),
         )
 
     def rank(

@@ -18,14 +18,50 @@ from repro.nn.tensor import Tensor
 from repro.relational import DType, Table
 
 
+# ----------------------------------------------------------------------
+# Scalar CSR readers: the sampler reads the CSR arrays in bulk instead
+# ----------------------------------------------------------------------
+def neighbors_before(
+    graph: HeteroGraph, edge_type: EdgeType, dst: int, time: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(source ids, edge times) of the edges into ``dst`` with time
+    <= ``time``: a prefix of its time-ascending CSR segment."""
+    store = graph._edges[edge_type]
+    start, stop = store.indptr[dst], store.indptr[dst + 1]
+    times = store.nbr_time[start:stop]
+    valid = int(np.searchsorted(times, time, side="right"))
+    return store.nbr_src[start:start + valid], times[:valid]
+
+
+def all_neighbors(graph: HeteroGraph, edge_type: EdgeType, dst: int) -> np.ndarray:
+    """Source ids of every edge into ``dst``, whatever its time (leaky)."""
+    store = graph._edges[edge_type]
+    return store.nbr_src[store.indptr[dst]:store.indptr[dst + 1]]
+
+
+def in_degree(graph: HeteroGraph, edge_type: EdgeType) -> np.ndarray:
+    """Edges into each destination node of ``edge_type``."""
+    return np.diff(graph._edges[edge_type].indptr)
+
+
+def edge_list(
+    graph: HeteroGraph, edge_type: EdgeType
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, time) arrays of ``edge_type`` read off its CSR:
+    grouped by destination, time-ascending within each."""
+    store = graph._edges[edge_type]
+    dst_ids = np.repeat(np.arange(len(store.indptr) - 1), in_degree(graph, edge_type))
+    return store.nbr_src, dst_ids, store.nbr_time
+
+
 class LoopNeighborSampler:
     """Per-node loop sampler: the oracle for :class:`repro.graph.NeighborSampler`.
 
     Same contract — every valid neighbor when there are at most
     ``fanout`` of them, otherwise exactly ``fanout`` drawn uniformly
     without replacement, never anything newer than the seed time — but
-    it walks one node at a time through the graph's scalar API
-    (``neighbors_before`` / ``count_before``) and draws with
+    it walks one node at a time through scalar reads
+    (``neighbors_before`` above, ``HeteroGraph.count_before``) and draws with
     ``rng.choice``.  It consumes the generator differently, so it agrees
     with the product sampler in distribution and on every deterministic
     quantity (degrees, low-degree neighborhoods), not draw for draw.
@@ -95,16 +131,16 @@ class LoopNeighborSampler:
         if self.time_respecting:
             degrees = [float(self.graph.count_before(et, orig, ctx_time)) for et in incoming]
         else:
-            degrees = [float(len(self.graph.all_neighbors(et, orig))) for et in incoming]
+            degrees = [float(len(all_neighbors(self.graph, et, orig))) for et in incoming]
         subgraph.set_degrees_block(node_type, [local], [degrees])
 
     def _sample_neighbors(
         self, edge_type: EdgeType, dst: int, ctx_time: int, fanout: int
     ) -> np.ndarray:
         if self.time_respecting:
-            candidates, _ = self.graph.neighbors_before(edge_type, dst, ctx_time)
+            candidates, _ = neighbors_before(self.graph, edge_type, dst, ctx_time)
         else:
-            candidates = self.graph.all_neighbors(edge_type, dst)
+            candidates = all_neighbors(self.graph, edge_type, dst)
         if len(candidates) <= fanout:
             return candidates
         return candidates[self.rng.choice(len(candidates), size=fanout, replace=False)]
@@ -188,7 +224,7 @@ def snapshot_subgraph(
         local_of[node_type] = mapping
 
     for edge_type in graph.edge_types:
-        src_ids, dst_ids, times = graph.edges(edge_type)
+        src_ids, dst_ids, times = edge_list(graph, edge_type)
         valid = (
             (times <= cutoff)
             & (local_of[edge_type.src][src_ids] >= 0)

@@ -14,6 +14,7 @@ from repro.datasets import make_ecommerce
 from repro.pql import build_label_table, parse, validate
 from repro.relational import execute_sql
 from repro.relational.sql import SQLError
+from tests.oracles import in_degree
 
 DAY = 86400
 
@@ -116,7 +117,7 @@ class TestGraphVsSQL:
         from repro.graph.builder import node_index_for_keys
 
         graph = build_graph(db, encode_features=False)
-        degrees = graph.in_degree(EdgeType("orders", "customer_id", "customers"))
+        degrees = in_degree(graph, EdgeType("orders", "customer_id", "customers"))
         sql = execute_sql(
             db, "SELECT customer_id, COUNT(*) AS n FROM orders GROUP BY customer_id"
         )

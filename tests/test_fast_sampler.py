@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import NeighborSampler, build_graph
 from tests.conftest import shop_db, subgraph_instances
-from tests.oracles import LoopNeighborSampler, snapshot_subgraph
+from tests.oracles import LoopNeighborSampler, neighbors_before, snapshot_subgraph
 
 #: (seed ids, seed times) over the shop graph's two customers: one
 #: cutoff shared by every seed, then a different cutoff per seed.
@@ -162,7 +162,7 @@ class TestUniqueMode:
             src, dst = sub.edges_for(order_edge)
             for seed_local, seed_id, cutoff in zip(sub.seed_locals, seed_ids, seed_times):
                 picked = sub.node_orig("orders")[src[dst == seed_local]].tolist()
-                valid, _ = g.neighbors_before(order_edge, seed_id, cutoff)
+                valid, _ = neighbors_before(g, order_edge, seed_id, cutoff)
                 assert len(picked) == len(set(picked)) == min(2, len(valid))
                 assert set(picked) <= set(valid.tolist())
 

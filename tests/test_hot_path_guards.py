@@ -10,11 +10,14 @@ most of its time in the GBDT's per-feature, per-bin split loop; the
 next two tests fail if a per-feature histogram comes back or if the
 default routed fit grows different trees.  Dataset generation used to
 spend most of its time in one ``Generator.choice`` call per categorical
-draw; the last test fails if a per-row ``choice`` comes back.
+draw; the next test fails if a per-row ``choice`` comes back.  An
+ingest batch used to merge into the CSR with one binary search per
+destination it touched; the last test fails if that loop comes back.
 """
 
 import contextlib
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.baselines import DecisionTreeRegressor
 from repro.cli import main as cli_main
 from repro.datasets import get_dataset
 from repro.graph import NeighborSampler, SampledSubgraph, build_graph
+from repro.graph.hetero import _EdgeStore
 from repro.nn.segment import SegmentPlan
 from repro.pql import PlannerConfig, PredictiveQueryPlanner, RouterConfig
 from tests.conftest import shop_db, tiny_planner_config
@@ -196,3 +200,33 @@ def test_generators_make_no_per_row_choice_call(monkeypatch, name):
         get_dataset(name).build(scale=scale, seed=0)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 1
+
+
+def test_edge_merge_calls_do_not_grow_with_destinations():
+    """Merging 500 edges into one destination and into 500 makes the
+    same calls: the delta is placed by one vectorised search.  Every
+    segment holds 8 edges and every delta edge lands inside one, so
+    both merges search; a per-destination loop adds calls per
+    destination."""
+    num_dst, degree = 600, 8
+    base = _EdgeStore(
+        np.zeros(num_dst * degree), np.repeat(np.arange(num_dst), degree),
+        np.tile(np.arange(degree) * 10, num_dst), num_dst,
+    )
+
+    def calls(dst_ids):
+        count = [0]
+
+        def tally(frame, event, arg):
+            if event in ("call", "c_call"):
+                count[0] += 1
+
+        sys.setprofile(tally)
+        try:
+            merged = base.merged(np.ones(500), dst_ids, np.full(500, 35), num_dst)
+        finally:
+            sys.setprofile(None)
+        assert merged.num_edges == num_dst * degree + 500
+        return count[0]
+
+    assert calls(np.zeros(500, dtype=np.int64)) == calls(np.arange(500)) < 200

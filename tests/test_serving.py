@@ -501,6 +501,34 @@ def test_serve_loop_answers_in_order_and_survives_bad_lines(
     assert responses[4]["stats"]["metrics"]["serve.requests"]["value"] == 1
 
 
+def test_request_for_an_absent_tier_is_refused_without_degrading(
+    churn_model, small_ecommerce_split
+):
+    """One client's forced route to a tier the model lacks is that
+    client's bad request; the next plain request still gets the GNN."""
+    assert churn_model.available_tiers() == ["green", "red"]
+    cutoff = int(small_ecommerce_split.test_cutoff)
+    keys = entity_keys(churn_model, 3).tolist()
+    lines = [
+        json.dumps({"op": "predict", "id": "bad", "entity_keys": keys[:1],
+                    "cutoff": cutoff, "route": "yellow"}),
+        json.dumps({"op": "predict", "id": "plain", "entity_keys": keys, "cutoff": cutoff}),
+        json.dumps({"op": "health", "id": "h"}),
+    ]
+    stdout = io.StringIO()
+    with PredictionService(churn_model) as service:
+        assert serve_loop(service, io.StringIO("\n".join(lines) + "\n"), stdout) == 3
+        assert not service.degraded
+        with pytest.raises(ValueError, match="unavailable"):
+            service.predict(keys, cutoff, route="yellow")
+    by_id = {r["id"]: r for r in map(json.loads, stdout.getvalue().splitlines())}
+    assert by_id["bad"]["error"] == "bad_request"
+    assert "'yellow' unavailable" in by_id["bad"]["message"]
+    plain = by_id["plain"]
+    assert plain["status"] == "ok" and plain["route"] == "red" and plain["degraded"] is False
+    assert by_id["h"]["health"]["status"] == "ok"
+
+
 def test_serve_loop_stats_and_health_expose_windowed_telemetry(
     churn_model, small_ecommerce_split
 ):
