@@ -17,7 +17,7 @@ shared weights slightly behind and strictly fewer parameters.
 import numpy as np
 import pytest
 
-from harness import GNN_CONFIG, dataset_and_split, fit_pql_gnn, fmt, print_table
+from harness import dataset_and_split, fit_pql_gnn, fmt, print_table
 
 AGGREGATIONS = ["mean", "sum", "max"]
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from harness import (
-    GNN_CONFIG,
     dataset_and_split,
     fit_pql_gnn,
     fmt,

@@ -36,11 +36,6 @@ from repro.pql import PlannerConfig, PredictiveQueryPlanner, build_label_table, 
 
 DAY = 86400
 
-#: Planner configuration used for every PQL-GNN row in every table —
-#: the declarative claim is that one config serves all tasks.
-GNN_CONFIG = dict(hidden_dim=32, num_layers=2, epochs=15, patience=4, batch_size=256, seed=0)
-
-
 @functools.lru_cache(maxsize=None)
 def dataset_and_split(dataset_name: str, task_name: str, scale: float = 1.0, seed: int = 0):
     """Build (db, task, split) for one registered task, cached."""
@@ -53,8 +48,14 @@ def dataset_and_split(dataset_name: str, task_name: str, scale: float = 1.0, see
 
 
 def fit_pql_gnn(db, query: str, split: TemporalSplit, **overrides):
-    """Train the declarative pipeline and return the trained model."""
-    config = PlannerConfig(**{**GNN_CONFIG, **overrides})
+    """Train the declarative pipeline and return the trained model.
+
+    Every PQL-GNN row of every table starts from ``PlannerConfig()``,
+    the configuration ``repro fit`` runs — the declarative claim is
+    that one config serves all tasks; ``overrides`` are only the knobs
+    a figure varies.
+    """
+    config = PlannerConfig(**overrides)
     planner = PredictiveQueryPlanner(db, config)
     return planner.fit(query, split)
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.baselines import FeatureBuilder, GradientBoostingClassifier, LogisticRegression
 from repro.datasets import make_ecommerce
 from repro.eval import auroc, average_precision, make_temporal_split
-from repro.pql import PlannerConfig, PredictiveQueryPlanner, build_label_table
+from repro.pql import PredictiveQueryPlanner, build_label_table
 
 DAY = 86400
 QUERY = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
@@ -29,7 +29,7 @@ def main() -> None:
     split = make_temporal_split(start, end, horizon_seconds=30 * DAY, num_train_cutoffs=3)
 
     # ---- declarative: the whole ML pipeline is the query --------------
-    planner = PredictiveQueryPlanner(db, PlannerConfig(hidden_dim=32, num_layers=2, epochs=15))
+    planner = PredictiveQueryPlanner(db)
     model = planner.fit(QUERY, split)
     gnn_metrics = model.evaluate(split.test_cutoff)
 

@@ -18,7 +18,7 @@ import tempfile
 from repro.baselines import FeatureBuilder, GradientBoostingClassifier
 from repro.datasets import make_clinical
 from repro.eval import auroc, make_temporal_split
-from repro.pql import PlannerConfig, PredictiveQueryPlanner, build_label_table
+from repro.pql import PredictiveQueryPlanner, build_label_table
 from repro.relational import save_database
 
 DAY = 86400
@@ -31,7 +31,7 @@ def main() -> None:
     start, end = db.time_span()
     split = make_temporal_split(start, end, horizon_seconds=60 * DAY, num_train_cutoffs=3)
 
-    planner = PredictiveQueryPlanner(db, PlannerConfig(hidden_dim=32, num_layers=2, epochs=15))
+    planner = PredictiveQueryPlanner(db)
 
     print(f"Query: {READMIT}")
     model = planner.fit(READMIT, split)

@@ -14,7 +14,7 @@ Run:  python examples/forum_engagement_analysis.py
 
 from repro.datasets import make_forum
 from repro.eval import make_temporal_split
-from repro.pql import PlannerConfig, PredictiveQueryPlanner, explain_relations
+from repro.pql import PredictiveQueryPlanner, explain_relations
 from repro.relational import execute_sql
 
 DAY = 86400
@@ -44,7 +44,7 @@ def main() -> None:
     print(f"\nStep 2 — predict declaratively:\n  {QUERY}")
     start, end = db.time_span()
     split = make_temporal_split(start, end, horizon_seconds=14 * DAY, num_train_cutoffs=3)
-    planner = PredictiveQueryPlanner(db, PlannerConfig(hidden_dim=32, num_layers=2, epochs=15))
+    planner = PredictiveQueryPlanner(db)
     model = planner.fit(QUERY, split)
     metrics = model.evaluate(split.test_cutoff)
     print(f"  test AUROC = {metrics['auroc']:.3f}  (positive rate {metrics['positive_rate']:.2f})")

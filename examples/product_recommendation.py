@@ -40,9 +40,7 @@ def main() -> None:
     start, end = db.time_span()
     split = make_temporal_split(start, end, horizon_seconds=30 * DAY, num_train_cutoffs=2)
 
-    planner = PredictiveQueryPlanner(
-        db, PlannerConfig(hidden_dim=32, num_layers=2, epochs=10, num_negatives=4)
-    )
+    planner = PredictiveQueryPlanner(db, PlannerConfig(epochs=10))
     model = planner.fit(QUERY, split)
     gnn_metrics = model.evaluate(split.test_cutoff, k=K)
 

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 from repro.datasets import make_ecommerce
 from repro.eval import make_temporal_split
-from repro.pql import PlannerConfig, PredictiveQueryPlanner
+from repro.pql import PredictiveQueryPlanner
 
 DAY = 86400
 
@@ -27,7 +27,7 @@ def main() -> None:
     query = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
     print(f"\nQuery: {query}")
 
-    planner = PredictiveQueryPlanner(db, PlannerConfig(hidden_dim=32, num_layers=2, epochs=15))
+    planner = PredictiveQueryPlanner(db)
     model = planner.fit(query, split)
 
     print("\nTest metrics (future cutoff, never seen in training):")

@@ -120,10 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", required=True, choices=sorted(REGISTRY))
         p.add_argument("--scale", type=float, default=1.0, help="dataset size multiplier")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=15)
-        p.add_argument("--layers", type=int, default=2)
-        p.add_argument("--hidden", type=int, default=32)
-        p.add_argument("--conv", choices=["sage", "gat"], default="sage")
+        # Model flags default to None: an unset flag keeps PlannerConfig's default.
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--layers", type=int)
+        p.add_argument("--hidden", type=int)
+        p.add_argument("--conv", choices=["sage", "gat"])
         p.add_argument(
             "--infer-batch-size", type=int, default=None, metavar="N",
             help="micro-batch size for no-grad eval/predict; defaults to "
@@ -138,7 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--quality-floor", type=float, default=None, metavar="F",
             help="routing quality floor as a fraction of the best tier's "
-                 "validation quality (default 0.98); implies --route auto",
+                 f"validation quality (default {RouterConfig.quality_floor}); "
+                 "implies --route auto",
         )
         p.add_argument(
             "--profile", action="store_true",
@@ -171,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="train an arbitrary PQL query")
     add_common(query)
     query.add_argument("pql", help="the PQL query string")
-    query.add_argument("--train-cutoffs", type=int, default=3, help="training snapshots")
+    query.add_argument("--train-cutoffs", type=int, help="training snapshots")
 
     sql = sub.add_parser("sql", help="run a SQL SELECT against a generated dataset")
     sql.add_argument("--dataset", required=True, choices=sorted(REGISTRY))
@@ -369,14 +371,15 @@ def _cmd_tasks() -> int:
 
 
 def _planner_config(args: argparse.Namespace) -> PlannerConfig:
-    return PlannerConfig(
-        hidden_dim=args.hidden,
-        num_layers=args.layers,
-        epochs=args.epochs,
-        seed=args.seed,
-        conv_type=args.conv,
-        infer_batch_size=args.infer_batch_size,
-    )
+    """``PlannerConfig()`` with the model flags that were given."""
+    flags = {
+        "hidden_dim": args.hidden,
+        "num_layers": args.layers,
+        "epochs": args.epochs,
+        "conv_type": args.conv,
+        "infer_batch_size": args.infer_batch_size,
+    }
+    return PlannerConfig(seed=args.seed, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _resilience_config(args: argparse.Namespace) -> Optional[ResilienceConfig]:
@@ -414,17 +417,21 @@ def _build_dataset(args: argparse.Namespace):
     return spec, db
 
 
-def _fit_and_report(db, query_text: str, num_train_cutoffs: int, args, save: Optional[str]) -> int:
+def _fit_and_report(
+    db, query_text: str, num_train_cutoffs: Optional[int], args, save: Optional[str]
+) -> int:
     span = db.time_span()
     horizon = parse(query_text).horizon_seconds
-    split = make_temporal_split(span[0], span[1], horizon, num_train_cutoffs=num_train_cutoffs)
+    cutoffs = {} if num_train_cutoffs is None else {"num_train_cutoffs": num_train_cutoffs}
+    split = make_temporal_split(span[0], span[1], horizon, **cutoffs)
     print(f"query: {query_text}")
     print(
         f"split: {len(split.train_cutoffs)} train cutoffs, "
         f"val@{split.val_cutoff}, test@{split.test_cutoff}"
     )
-    planner = PredictiveQueryPlanner(db, _planner_config(args), resilience=_resilience_config(args))
-    _log.info("fit started", extra={"epochs": args.epochs, "layers": args.layers})
+    config = _planner_config(args)
+    planner = PredictiveQueryPlanner(db, config, resilience=_resilience_config(args))
+    _log.info("fit started", extra={"epochs": config.epochs, "layers": config.num_layers})
     model = planner.fit(query_text, split, router=_router_config(args))
     if model.quality:
         router, per_row = model.router, model.cost.per_row_ms()

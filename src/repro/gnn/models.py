@@ -10,7 +10,7 @@ import numpy as np
 from repro.gnn.conv import HeteroGATConv, HeteroSAGEConv
 from repro.graph.hetero import EdgeType, HeteroGraph, TIME_MIN
 from repro.graph.sampler import SampledSubgraph
-from repro.nn.layers import Dropout, Embedding, Linear, MLP
+from repro.nn.layers import Embedding, Linear, MLP
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_dtype
 
@@ -53,39 +53,13 @@ class GraphMetadata:
         )
 
 
-#: Periods (days) of the optional Fourier age encoding — daily,
-#: weekly, monthly, and yearly rhythms.
-_FOURIER_PERIODS_DAYS = (1.0, 7.0, 30.0, 365.0)
-
-
-def _time_features(
-    ctx_times: np.ndarray, node_times: np.ndarray, encoding: str = "log"
-) -> np.ndarray:
-    """Seed-relative time channels per node instance.
-
-    ``"log"`` (default): ``log1p(age in days)`` plus an is-static flag.
-    ``"fourier"``: the log channels plus sin/cos of the age at four
-    calendar periods, letting the model express periodicity (weekly
-    shopping, seasonal visits) instead of only recency.
-    """
+def _time_features(ctx_times: np.ndarray, node_times: np.ndarray) -> np.ndarray:
+    """Seed-relative time channels per node instance: ``log1p(age in
+    days)`` plus an is-static flag."""
     static = node_times == TIME_MIN
     age_seconds = np.where(static, 0.0, ctx_times.astype(np.float64) - node_times.astype(np.float64))
     age_days = np.maximum(age_seconds, 0.0) / _SECONDS_PER_DAY
-    channels = [np.log1p(age_days), static.astype(np.float64)]
-    if encoding == "fourier":
-        for period in _FOURIER_PERIODS_DAYS:
-            phase = 2.0 * np.pi * age_days / period
-            channels.append(np.sin(phase))
-            channels.append(np.cos(phase))
-    elif encoding != "log":
-        raise ValueError(f"time encoding must be 'log' or 'fourier', got {encoding!r}")
-    return np.column_stack(channels)
-
-
-def _time_feature_dim(encoding: str) -> int:
-    if encoding == "fourier":
-        return 2 + 2 * len(_FOURIER_PERIODS_DAYS)
-    return 2
+    return np.column_stack([np.log1p(age_days), static.astype(np.float64)])
 
 
 class NodeEncoder(Module):
@@ -103,14 +77,11 @@ class NodeEncoder(Module):
         dim: int,
         rng: np.random.Generator,
         degree_features: bool = True,
-        time_encoding: str = "log",
         dtype=None,
     ) -> None:
         super().__init__()
         self.dim = dim
-        self.time_encoding = time_encoding
         self.dtype = as_dtype(dtype)
-        time_dim = _time_feature_dim(time_encoding)
         self.numeric_linears: Dict[str, Linear] = {}
         self.time_linears: Dict[str, Linear] = {}
         self.degree_linears: Dict[str, Linear] = {}
@@ -121,7 +92,7 @@ class NodeEncoder(Module):
                 self.numeric_linears[node_type] = Linear(
                     metadata.numeric_dims[node_type], dim, rng, bias=False, dtype=dtype
                 )
-            self.time_linears[node_type] = Linear(time_dim, dim, rng, bias=False, dtype=dtype)
+            self.time_linears[node_type] = Linear(2, dim, rng, bias=False, dtype=dtype)
             if degree_features and metadata.incoming_counts.get(node_type, 0) > 0:
                 self.degree_linears[node_type] = Linear(
                     metadata.incoming_counts[node_type], dim, rng, bias=False, dtype=dtype
@@ -139,12 +110,7 @@ class NodeEncoder(Module):
             orig = subgraph.node_orig(node_type)
             ctx = subgraph.node_ctx_time(node_type)
             state = self.type_bias[node_type] + self.time_linears[node_type](
-                Tensor(
-                    _time_features(
-                        ctx, graph.node_times(node_type)[orig], encoding=self.time_encoding
-                    ),
-                    dtype=self.dtype,
-                )
+                Tensor(_time_features(ctx, graph.node_times(node_type)[orig]), dtype=self.dtype)
             )
             degree_linear = self.degree_linears.get(node_type)
             if degree_linear is not None:
@@ -179,20 +145,15 @@ class HeteroGNN(Module):
         rng: np.random.Generator,
         aggregation: str = "mean",
         shared_weights: bool = False,
-        dropout: float = 0.0,
         degree_features: bool = True,
         conv_type: str = "sage",
-        time_encoding: str = "log",
         dtype=None,
     ) -> None:
         super().__init__()
         self.metadata = metadata
         self.dtype = as_dtype(dtype)
         self.encoder = NodeEncoder(
-            metadata, hidden_dim, rng,
-            degree_features=degree_features,
-            time_encoding=time_encoding,
-            dtype=dtype,
+            metadata, hidden_dim, rng, degree_features=degree_features, dtype=dtype
         )
         if conv_type == "sage":
             self.convs = [
@@ -214,7 +175,6 @@ class HeteroGNN(Module):
             ]
         else:
             raise ValueError(f"conv_type must be 'sage' or 'gat', got {conv_type!r}")
-        self.dropout = Dropout(dropout, rng) if dropout > 0 else None
         self.head = MLP([hidden_dim, hidden_dim, out_dim], rng, dtype=dtype)
 
     @property
@@ -227,8 +187,6 @@ class HeteroGNN(Module):
         hidden = self.encoder(subgraph, graph)
         for conv in self.convs:
             hidden = conv(hidden, subgraph)
-            if self.dropout is not None:
-                hidden = {t: self.dropout(h) for t, h in hidden.items()}
         return hidden[subgraph.seed_type].take(subgraph.seed_locals)
 
     def forward(self, subgraph: SampledSubgraph, graph: HeteroGraph) -> Tensor:
@@ -254,7 +212,6 @@ class TwoTowerModel(Module):
         embed_dim: int,
         num_layers: int,
         rng: np.random.Generator,
-        dropout: float = 0.0,
         dtype=None,
     ) -> None:
         super().__init__()
@@ -266,7 +223,6 @@ class TwoTowerModel(Module):
             out_dim=embed_dim,
             num_layers=num_layers,
             rng=rng,
-            dropout=dropout,
             dtype=dtype,
         )
         self.item_embedding = Embedding(num_items, embed_dim, rng, dtype=dtype)

@@ -18,12 +18,12 @@ one validation-loss body; a trainer contributes only its
 * with a :class:`~repro.resilience.ResilienceConfig` ``checkpoint_dir``
   passed to ``fit``, every epoch commits an atomic, checksummed
   checkpoint capturing weights, best weights, optimizer moments, whether
-  early stopping has ended the run, and **all RNG states** (trainer
-  shuffle/negative-sampling and any model dropout generators; the
-  neighbor sampler holds none, its draws are a function of the batch) —
-  so a killed or failed run resumed with ``resume=True`` replays the
-  remaining epochs bit-identically to an uninterrupted run, and a
-  finished one resumes as finished.
+  early stopping has ended the run, and the trainer's RNG state (its
+  one generator shuffles and draws negatives; the models hold none, and
+  the neighbor sampler holds none either, its draws are a function of
+  the batch) — so a killed or failed run resumed with ``resume=True``
+  replays the remaining epochs bit-identically to an uninterrupted run,
+  and a finished one resumes as finished.
 """
 
 from __future__ import annotations
@@ -57,9 +57,15 @@ _log = get_logger("gnn.trainer")
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for :class:`NodeTaskTrainer`."""
+    """Hyperparameters for :class:`NodeTaskTrainer`.
 
-    epochs: int = 30
+    The one place each loop default is written.
+    :class:`~repro.pql.planner.PlannerConfig` takes its ``epochs``,
+    ``batch_size``, ``seed`` and ``infer_batch_size`` defaults from
+    here; the optimizer and early-stopping values are set only here.
+    """
+
+    epochs: int = 15
     batch_size: int = 256
     lr: float = 5e-3
     weight_decay: float = 1e-5
@@ -216,23 +222,6 @@ class _ResilientLoop:
         #: the sampler would redraw them identically every time.
         self.held: dict = {}
 
-    # -- RNG plumbing ---------------------------------------------------
-    def _generators(self) -> List[np.random.Generator]:
-        """Every generator whose draws shape training, in a stable order."""
-        found: List[np.random.Generator] = [self.trainer._rng]
-        for module in self.trainer.model.modules():
-            for attr in ("rng", "_rng"):
-                candidate = getattr(module, attr, None)
-                if isinstance(candidate, np.random.Generator):
-                    found.append(candidate)
-        unique: List[np.random.Generator] = []
-        seen = set()
-        for gen in found:
-            if id(gen) not in seen:
-                seen.add(id(gen))
-                unique.append(gen)
-        return unique
-
     # -- Snapshot / restore ---------------------------------------------
     def _snapshot(self, next_epoch: int) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         arrays: Dict[str, np.ndarray] = {}
@@ -262,7 +251,7 @@ class _ResilientLoop:
                 "examples_per_sec": list(history.examples_per_sec),
                 "clip_events": int(history.clip_events),
             },
-            "rng_states": [gen.bit_generator.state for gen in self._generators()],
+            "rng_states": [self.trainer._rng.bit_generator.state],
             "target_mean": getattr(self.trainer, "_target_mean", None),
             "target_std": getattr(self.trainer, "_target_std", None),
         }
@@ -299,15 +288,12 @@ class _ResilientLoop:
         history.examples_per_sec[:] = [float(v) for v in saved["examples_per_sec"]]
         history.clip_events = int(saved["clip_events"])
         history.best_epoch = int(meta["best_epoch"])
-        generators = self._generators()
         states = meta["rng_states"]
-        if len(generators) != len(states):
+        if len(states) != 1:
             raise ValueError(
-                f"checkpoint has {len(states)} RNG states but the trainer "
-                f"exposes {len(generators)} generators — model architecture changed?"
+                f"checkpoint has {len(states)} RNG states; a trainer has one generator"
             )
-        for gen, state in zip(generators, states):
-            gen.bit_generator.state = state
+        self.trainer._rng.bit_generator.state = states[0]
         if meta.get("target_mean") is not None:
             self.trainer._target_mean = float(meta["target_mean"])
             self.trainer._target_std = float(meta["target_std"])
@@ -316,7 +302,6 @@ class _ResilientLoop:
     def _train_epoch(self, seed_type, ids, times, targets) -> Tuple[float, int]:
         """One shuffled epoch of optimizer steps: ``(mean_loss, clip_events)``."""
         trainer, optimizer, clip_norm = self.trainer, self.optimizer, self.trainer.config.clip_norm
-        trainer.model.train()
         clip_events = 0
         order = trainer._rng.permutation(len(ids))
         losses = []
@@ -341,7 +326,6 @@ class _ResilientLoop:
     def _val_loss(self, seed_type, ids, times, targets) -> float:
         """The row-weighted no-grad loss over the held validation batches."""
         trainer = self.trainer
-        trainer.model.eval()
         losses, weights = [], []
         with no_grad():
             for rows, subgraph in _eval_batches(trainer, seed_type, ids, times, self.held):
@@ -376,7 +360,7 @@ class _ResilientLoop:
         """Train on ``train = (ids, times, targets)``, early-stopping on
         the loss over ``val`` (same shape) when given, with the guards,
         checkpoints and resume of the resilience policy; leaves the best
-        weights loaded and the model in eval mode."""
+        weights loaded."""
         cfg = self.trainer.config
         history = self.trainer.history
         start_epoch = 0
@@ -439,7 +423,6 @@ class _ResilientLoop:
 
         if val is not None:
             self.trainer.model.load_state_dict(self.best_state)
-        self.trainer.model.eval()
 
 
 class NodeTaskTrainer:
@@ -468,7 +451,6 @@ class NodeTaskTrainer:
         sampler: NeighborSampler,
         task_type: str,
         config: Optional[TrainConfig] = None,
-        pos_weight: Optional[float] = None,
     ) -> None:
         if task_type not in _TASK_TYPES:
             raise ValueError(f"task_type must be one of {_TASK_TYPES}, got {task_type!r}")
@@ -477,8 +459,6 @@ class NodeTaskTrainer:
         self.sampler = sampler
         self.task_type = task_type
         self.config = config or TrainConfig()
-        #: Weight on the positive-class BCE term (binary tasks only).
-        self.pos_weight = pos_weight
         self.history = _History()
         self._rng = np.random.default_rng(self.config.seed)
         self._target_mean = 0.0
@@ -529,9 +509,7 @@ class NodeTaskTrainer:
     def _batch_loss(self, seed_type, ids, times, labels, subgraph):
         outputs = self.model(subgraph, self.graph)
         if self.task_type == "binary":
-            return binary_cross_entropy_with_logits(
-                outputs.reshape(len(ids)), labels, pos_weight=self.pos_weight
-            )
+            return binary_cross_entropy_with_logits(outputs.reshape(len(ids)), labels)
         if self.task_type == "multiclass":
             return cross_entropy(outputs, labels)
         return mse_loss(outputs.reshape(len(ids)), labels)
@@ -546,7 +524,6 @@ class NodeTaskTrainer:
         Multiclass → class probabilities, shape (n, C).
         Regression → de-standardized values, shape (n,).
         """
-        self.model.eval()
         outputs: List[np.ndarray] = []
         with no_grad():
             for _, subgraph in _eval_batches(self, seed_type, ids, times):
@@ -574,7 +551,6 @@ class NodeTaskTrainer:
         """
         if self.task_type == "multiclass":
             raise ValueError("export_scores supports binary and regression tasks only")
-        self.model.eval()
         outputs: List[np.ndarray] = []
         with no_grad():
             for _, subgraph in _eval_batches(self, seed_type, ids, times):
@@ -657,7 +633,6 @@ class LinkTaskTrainer:
         item_ids: np.ndarray,
     ) -> np.ndarray:
         """Score every query against every item: (num_queries, num_items)."""
-        self.model.eval()
         blocks: List[np.ndarray] = []
         with no_grad():
             items = self._cached_item_embeddings(item_ids)

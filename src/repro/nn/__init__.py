@@ -5,9 +5,10 @@ This package replaces the paper's PyTorch dependency.  It provides
 * :mod:`repro.nn.tensor` — the autograd :class:`Tensor` with broadcasted
   arithmetic, matmul, reductions, indexing, and activation functions;
 * :mod:`repro.nn.module` — the :class:`Module` base class with
-  parameter registration and train/eval modes;
+  parameter registration and state dicts (no train/eval mode: no layer
+  behaves differently in training);
 * :mod:`repro.nn.layers` — ``Linear``, ``MLP``, ``Embedding``,
-  ``LayerNorm``, ``Dropout``, ``Sequential``;
+  ``LayerNorm``, ``Sequential``;
 * :mod:`repro.nn.losses` — classification/regression/ranking losses;
 * :mod:`repro.nn.optim` — ``SGD``, ``Adam``, ``AdamW`` (flat-buffer
   vectorized by default), gradient clipping and LR schedules;
@@ -19,7 +20,7 @@ This package replaces the paper's PyTorch dependency.  It provides
 from repro.nn.tensor import Tensor, as_dtype, no_grad
 from repro.nn import functional
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, MLP, ReLU, Sequential, Tanh
+from repro.nn.layers import Embedding, LayerNorm, Linear, MLP, ReLU, Sequential, Tanh
 from repro.nn.losses import (
     binary_cross_entropy_with_logits,
     bpr_loss,
@@ -43,7 +44,6 @@ __all__ = [
     "MLP",
     "Embedding",
     "LayerNorm",
-    "Dropout",
     "ReLU",
     "Tanh",
     "Sequential",

@@ -16,7 +16,6 @@ __all__ = [
     "MLP",
     "Embedding",
     "LayerNorm",
-    "Dropout",
     "ReLU",
     "Tanh",
     "Sequential",
@@ -73,29 +72,6 @@ class Tanh(Module):
         return x.tanh()
 
 
-class Dropout(Module):
-    """Inverted dropout: active only in training mode.
-
-    The generator is stored so repeated forward passes draw fresh masks
-    while the whole run stays reproducible from one seed.
-    """
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Randomly zero units in training mode; identity in eval mode."""
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-        return x * Tensor(mask)
-
-
 class Sequential(Module):
     """Run modules in order."""
 
@@ -117,7 +93,7 @@ class Sequential(Module):
 
 
 class MLP(Module):
-    """Multi-layer perceptron with ReLU activations and optional dropout.
+    """Multi-layer perceptron with ReLU activations.
 
     Parameters
     ----------
@@ -125,8 +101,6 @@ class MLP(Module):
         Layer widths, e.g. ``[64, 128, 1]`` builds two linear layers.
     rng:
         Random generator for initialization.
-    dropout:
-        Dropout probability applied after every hidden activation.
     final_activation:
         Whether to apply ReLU after the last layer too (default off,
         so the MLP can produce logits/regression outputs).
@@ -138,7 +112,6 @@ class MLP(Module):
         self,
         dims: Sequence[int],
         rng: np.random.Generator,
-        dropout: float = 0.0,
         final_activation: bool = False,
         dtype=None,
     ) -> None:
@@ -148,17 +121,14 @@ class MLP(Module):
         self.layers: List[Linear] = [
             Linear(d_in, d_out, rng, dtype=dtype) for d_in, d_out in zip(dims[:-1], dims[1:])
         ]
-        self.dropout = Dropout(dropout, rng) if dropout > 0 else None
         self.final_activation = final_activation
 
     def forward(self, x: Tensor) -> Tensor:
-        """Run the linear stack with fused linear+ReLU (+dropout) between layers."""
+        """Run the linear stack with fused linear+ReLU between layers."""
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             if i < last or self.final_activation:
                 x = F.linear_relu(x, layer.weight, layer.bias)
-                if self.dropout is not None:
-                    x = self.dropout(x)
             else:
                 x = layer(x)
         return x

@@ -1,4 +1,4 @@
-"""Module base class: parameter registration, train/eval, state dicts."""
+"""Module base class: parameter registration and state dicts."""
 
 from __future__ import annotations
 
@@ -9,12 +9,6 @@ import numpy as np
 from repro.nn.tensor import Tensor
 
 __all__ = ["Module", "Parameter"]
-
-# Bumped whenever any module is built or has a module/container attribute
-# assigned, so a flat module list cached at one epoch is still complete
-# while the epoch has not moved.  (The one edit this cannot see is moving
-# an already-built module into an existing dict/list in place.)
-_structure_epoch = [0]
 
 
 class Parameter(Tensor):
@@ -34,19 +28,11 @@ class Module:
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances
     as attributes; those are discovered automatically for
-    :meth:`parameters`, :meth:`state_dict`, and mode switching.
-    Dict-valued attributes of modules/parameters (as used by
-    heterogeneous GNN layers keyed by relation) are also traversed.
+    :meth:`parameters` and :meth:`state_dict`.  Dict-valued attributes
+    of modules/parameters (as used by heterogeneous GNN layers keyed by
+    relation) are also traversed.  A module has no train/eval mode:
+    nothing it computes differs between training and inference.
     """
-
-    def __init__(self) -> None:
-        _structure_epoch[0] += 1
-        self.training = True
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if isinstance(value, (Module, dict, list, tuple)):
-            _structure_epoch[0] += 1
-        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Discovery
@@ -92,53 +78,9 @@ class Module:
         """All parameters, depth-first."""
         return [param for _, param in self.named_parameters()]
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants (shared modules once)."""
-        yield from self._flat_modules()
-
-    def _flat_modules(self) -> Tuple["Module", ...]:
-        """:meth:`modules` as a tuple, re-walked only after the structure
-        epoch moved (mode switches run on every predict call)."""
-        epoch = _structure_epoch[0]
-        cached = self.__dict__.get("_flat")
-        if cached is None or cached[0] != epoch:
-            # Nested so attribute discovery (which descends one container
-            # level) never mistakes the cache for child modules.
-            cached = self.__dict__["_flat"] = (epoch, tuple(self._modules(set())))
-        return cached[1]
-
-    def _modules(self, seen: set) -> Iterator["Module"]:
-        if id(self) in seen:
-            return
-        seen.add(id(self))
-        yield self
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value._modules(seen)
-            elif isinstance(value, dict):
-                for item in value.values():
-                    if isinstance(item, Module):
-                        yield from item._modules(seen)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item._modules(seen)
-
     # ------------------------------------------------------------------
-    # Mode and gradients
+    # Gradients
     # ------------------------------------------------------------------
-    def train(self) -> "Module":
-        """Switch to training mode (enables dropout etc.)."""
-        for module in self._flat_modules():
-            module.__dict__["training"] = True
-        return self
-
-    def eval(self) -> "Module":
-        """Switch to evaluation mode."""
-        for module in self._flat_modules():
-            module.__dict__["training"] = False
-        return self
-
     def zero_grad(self) -> None:
         """Clear gradients of all parameters."""
         for param in self.parameters():

@@ -79,7 +79,6 @@ def explain_relations(
                 return raw.sigmoid().data
             return raw.data * trainer._target_std + trainer._target_mean
 
-    trainer.model.eval()
     importances: Dict[str, float] = {}
     baseline_scores: List[np.ndarray] = []
     knocked_scores: Dict[EdgeType, List[np.ndarray]] = {et: [] for et in graph.edge_types}

@@ -145,27 +145,23 @@ class PlannerConfig:
     """Hyperparameters of the compiled pipeline.
 
     The defaults are deliberately task-agnostic: the declarative claim
-    is that one configuration serves every query.
+    is that one configuration serves every query.  ``PlannerConfig()``
+    is what ``repro fit`` trains with no model flags, and what every
+    benchmark figure starts from.  The training loop's own literals
+    (epochs, batch size, seed; learning rate, weight decay, clipping,
+    patience) are written once, on :class:`TrainConfig`.
     """
 
     hidden_dim: int = 32
     num_layers: int = 2
     fanouts: Optional[List[int]] = None  # default: [8] * num_layers
-    dropout: float = 0.0
     aggregation: str = "mean"
     shared_weights: bool = False
     #: Message-passing layer family: "sage" (default) or "gat".
     conv_type: str = "sage"
-    #: Seed-relative time encoding: "log" (default) or "fourier"
-    #: (adds sin/cos channels at daily/weekly/monthly/yearly periods).
-    time_encoding: str = "log"
-    epochs: int = 30
-    batch_size: int = 256
-    lr: float = 5e-3
-    weight_decay: float = 1e-5
-    patience: int = 5
-    clip_norm: float = 5.0
-    seed: int = 0
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    seed: int = TrainConfig.seed
     #: The leaky ablation switch (Figure 3); keep True everywhere else.
     time_respecting: bool = True
     #: Encode each node's time-valid in-degree per relation (strong
@@ -174,15 +170,10 @@ class PlannerConfig:
     degree_features: bool = True
     #: Cap on training rows (subsampled reproducibly); None = no cap.
     max_train_rows: Optional[int] = None
-    #: Negatives per positive for LIST queries.
-    num_negatives: int = 4
-    #: Weight positive BCE terms by the inverse class ratio (binary
-    #: tasks with skewed labels); improves recall at some AUROC cost.
-    auto_pos_weight: bool = False
     #: Batch size for no-grad inference (evaluation, predict,
     #: rank_items); None falls back to ``batch_size``.  Inference holds
     #: no backward graph, so this can usually be several times larger.
-    infer_batch_size: Optional[int] = None
+    infer_batch_size: Optional[int] = TrainConfig.infer_batch_size
 
     # ``rng`` is unused; kept for its reader benchmarks/e2e/layers.py until the re-baseline PR.
     def make_sampler(self, graph, rng=None) -> NeighborSampler:
@@ -203,10 +194,8 @@ class PlannerConfig:
             rng=rng,
             aggregation=self.aggregation,
             shared_weights=self.shared_weights,
-            dropout=self.dropout,
             degree_features=self.degree_features,
             conv_type=self.conv_type,
-            time_encoding=self.time_encoding,
             dtype=MODEL_DTYPE,
         )
 
@@ -219,7 +208,6 @@ class PlannerConfig:
             embed_dim=self.hidden_dim,
             num_layers=self.num_layers,
             rng=rng,
-            dropout=self.dropout,
             dtype=MODEL_DTYPE,
         )
 
@@ -230,14 +218,12 @@ class PlannerConfig:
         return [8] * max(self.num_layers, 1)
 
     def train_config(self) -> TrainConfig:
-        """The inner loop's hyperparameters."""
+        """The inner loop's hyperparameters: this config's schedule and
+        seed, and :class:`TrainConfig`'s optimizer and early-stopping
+        defaults."""
         return TrainConfig(
             epochs=self.epochs,
             batch_size=self.batch_size,
-            lr=self.lr,
-            weight_decay=self.weight_decay,
-            patience=self.patience,
-            clip_norm=self.clip_norm,
             seed=self.seed,
             infer_batch_size=self.infer_batch_size,
         )
@@ -418,15 +404,7 @@ class PredictiveQueryPlanner:
         entity_type = binding.query.entity_table
         model = self.config.make_node_network(metadata, rng)
         task = "binary" if binding.task_type == TaskType.BINARY else "regression"
-        pos_weight = None
-        if task == "binary" and self.config.auto_pos_weight:
-            rate = float(np.clip(train_labels.positive_rate, 1e-3, 1 - 1e-3))
-            pos_weight = (1.0 - rate) / rate
-        trainer = NodeTaskTrainer(
-            model, graph, sampler, task,
-            config=self.config.train_config(),
-            pos_weight=pos_weight,
-        )
+        trainer = NodeTaskTrainer(model, graph, sampler, task, config=self.config.train_config())
         train_ids = node_index_for_keys(graph, entity_type, train_labels.entity_keys)
         kwargs = self._trainer_fit_options(binding, train_labels)
         if len(val_labels):
@@ -445,13 +423,7 @@ class PredictiveQueryPlanner:
         entity_type = binding.query.entity_table
         item_type = binding.item_table
         model = self.config.make_link_network(metadata, graph, item_type, rng)
-        trainer = LinkTaskTrainer(
-            model,
-            graph,
-            sampler,
-            config=self.config.train_config(),
-            num_negatives=self.config.num_negatives,
-        )
+        trainer = LinkTaskTrainer(model, graph, sampler, config=self.config.train_config())
         q_ids, q_times, pos_items = self._explode_pairs(graph, entity_type, item_type, train_labels)
         if len(q_ids) == 0:
             raise ValueError("no positive (entity, item) pairs in the training windows")
@@ -1010,11 +982,9 @@ class PredictiveModel:
             weights_path = _verified(directory, files["weights"], manifest.get("weights_sha256"))
             weights = np.load(weights_path)
             network.load_state_dict({name: weights[name] for name in weights.files})
-            network.eval()
             if link:
                 trainers["link_trainer"] = LinkTaskTrainer(
-                    network, graph, sampler, config=config.train_config(),
-                    num_negatives=config.num_negatives,
+                    network, graph, sampler, config=config.train_config()
                 )
             else:
                 task = "binary" if binding.task_type == TaskType.BINARY else "regression"

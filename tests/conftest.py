@@ -22,6 +22,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import make_ecommerce, make_forum
 from repro.eval import make_temporal_split
@@ -42,12 +43,7 @@ DAY = 86400
 #: that file with ``--hypothesis-profile=generators-long``.
 LONG_GENERATOR_PROFILE = "generators-long"
 
-try:
-    from hypothesis import settings as _hypothesis_settings
-except ImportError:  # tier-1 installs numpy and pytest only
-    pass
-else:
-    _hypothesis_settings.register_profile(LONG_GENERATOR_PROFILE, max_examples=200, deadline=None)
+settings.register_profile(LONG_GENERATOR_PROFILE, max_examples=200, deadline=None)
 
 
 # ----------------------------------------------------------------------
@@ -198,14 +194,14 @@ def make_split(db: Database, horizon_days: int, num_train_cutoffs: int = 2):
 
 def planner_config(**overrides) -> PlannerConfig:
     """Small-but-still-learns config for integration tests."""
-    defaults = dict(hidden_dim=16, num_layers=1, epochs=6, patience=3, batch_size=128, seed=0)
+    defaults = dict(hidden_dim=16, num_layers=1, epochs=6, batch_size=128, seed=0)
     defaults.update(overrides)
     return PlannerConfig(**defaults)
 
 
 def tiny_planner_config(**overrides) -> PlannerConfig:
     """Fastest config that still trains (resilience/differential tests)."""
-    defaults = dict(hidden_dim=8, num_layers=1, epochs=4, patience=4, batch_size=64, seed=0)
+    defaults = dict(hidden_dim=8, num_layers=1, epochs=4, batch_size=64, seed=0)
     defaults.update(overrides)
     return PlannerConfig(**defaults)
 

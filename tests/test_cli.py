@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _planner_config, main
 from repro.datasets import get_dataset
 from repro.pql import PlannerConfig, PredictiveModel
 from repro.serve import ServeConfig
@@ -133,6 +133,47 @@ def test_retired_sampling_knobs_are_refused_not_ignored(flag, field, capsys):
     assert field in json.loads((LEGACY_FIXTURE / "manifest.json").read_text())["config"]
     db = get_dataset("ecommerce").build(scale=0.2, seed=0)
     assert not hasattr(PredictiveModel.load(str(LEGACY_FIXTURE), db).config, field)
+
+
+#: PlannerConfig fields no product path set, each with a value a caller
+#: might have tried; the loop keeps one literal for the optimizer ones
+#: (TrainConfig, LinkTaskTrainer) and none for the other three.
+RETIRED_FIT_KNOBS = {
+    "dropout": 0.1, "time_encoding": "fourier", "auto_pos_weight": True, "lr": 0.01,
+    "weight_decay": 0.0, "clip_norm": 1.0, "num_negatives": 8, "patience": 4,
+}
+
+
+@pytest.mark.parametrize("field, value", sorted(RETIRED_FIT_KNOBS.items()))
+def test_retired_fit_knobs_are_refused_not_ignored(field, value):
+    with pytest.raises(TypeError):
+        PlannerConfig(**{field: value})
+    assert field in json.loads((LEGACY_FIXTURE / "manifest.json").read_text())["config"]
+
+
+def test_a_manifest_with_retired_fit_knobs_still_loads():
+    db = get_dataset("ecommerce").build(scale=0.2, seed=0)
+    config = PredictiveModel.load(str(LEGACY_FIXTURE), db).config
+    assert not any(hasattr(config, field) for field in RETIRED_FIT_KNOBS)
+
+
+def test_planner_config_has_at_most_13_fields():
+    assert len(dataclasses.fields(PlannerConfig)) <= 13
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--dataset", "ecommerce", "--task", "churn"],
+    ["query", "--dataset", "ecommerce", QUERY],
+], ids=["fit", "query"])
+def test_no_model_flags_fit_exactly_the_default_config(argv):
+    """The CLI restates no default: without model flags it trains
+    ``PlannerConfig()``, which is also the configuration the end-to-end
+    benchmark spells out; a given flag overrides just its field."""
+    parser = _build_parser()
+    assert _planner_config(parser.parse_args(argv)) == PlannerConfig()
+    assert PlannerConfig(hidden_dim=32, num_layers=2, epochs=15, seed=0) == PlannerConfig()
+    flagged = parser.parse_args(argv + ["--epochs", "3", "--conv", "gat", "--seed", "2"])
+    assert _planner_config(flagged) == PlannerConfig(epochs=3, conv_type="gat", seed=2)
 
 
 @pytest.mark.parametrize("flag, value", [("--max-retries", "3"), ("--stage-timeout", "train=600")])

@@ -279,7 +279,6 @@ class TestSnapshotSubgraph:
         metadata = GraphMetadata.from_graph(g)
         model = HeteroGNN(metadata, hidden_dim=8, out_dim=1, num_layers=2,
                           rng=np.random.default_rng(0))
-        model.eval()
         exact = snapshot_subgraph(g, 10**9, "customers", [0, 1])
         sampler = NeighborSampler(g, fanouts=[100, 100], seed=1)
         sampled = sampler.sample("customers", np.array([0, 1]), np.full(2, 10**9))

@@ -23,10 +23,7 @@ from repro.relational import Database, Table
 from tests.conftest import LONG_GENERATOR_PROFILE, database_digests
 from tests.oracles import loop_clinical_rows, loop_ecommerce_rows, loop_forum_rows
 
-try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # tier-1 installs numpy and pytest only
-    given = None
+from hypothesis import given, settings, strategies as st
 
 #: The oracle of each registered dataset, called with the sizes the
 #: registry derived from ``scale`` (read back off the built database).
@@ -79,7 +76,6 @@ def test_edge_parameters_equal_the_oracle(build, oracle, kwargs):
     assert_equals_oracle(build(**kwargs), oracle(**kwargs))
 
 
-@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
 def test_random_grid_points_equal_the_oracle():
     long_run = settings.get_current_profile_name() == LONG_GENERATOR_PROFILE
 

@@ -382,50 +382,12 @@ class TestTwoTower:
 
 
 class TestTimeEncoding:
-    def test_fourier_widens_time_features(self):
+    def test_time_features_are_log_age_and_static_flag(self):
         from repro.gnn.models import _time_features
+        from repro.graph.hetero import TIME_MIN
 
-        ctx = np.array([100 * 86400, 200 * 86400])
-        node = np.array([0, 100 * 86400])
-        log_feats = _time_features(ctx, node, encoding="log")
-        fourier_feats = _time_features(ctx, node, encoding="fourier")
-        assert log_feats.shape == (2, 2)
-        assert fourier_feats.shape == (2, 10)
-        # Fourier channels are bounded.
-        assert np.abs(fourier_feats[:, 2:]).max() <= 1.0
-
-    def test_bad_encoding_rejected(self):
-        from repro.gnn.models import _time_features
-
-        with pytest.raises(ValueError):
-            _time_features(np.array([1]), np.array([0]), encoding="wavelet")
-
-    def test_model_with_fourier_encoding_runs(self):
-        db = shop_db(num_customers=10)
-        graph = build_graph(db)
-        metadata = GraphMetadata.from_graph(graph)
-        model = HeteroGNN(
-            metadata, hidden_dim=8, out_dim=1, num_layers=1,
-            rng=np.random.default_rng(0), time_encoding="fourier",
+        ctx = np.array([100 * 86400, 200 * 86400, 50 * 86400])
+        node = np.array([0, 100 * 86400, TIME_MIN])
+        np.testing.assert_allclose(
+            _time_features(ctx, node), [[np.log1p(100.0), 0.0], [np.log1p(100.0), 0.0], [0.0, 1.0]]
         )
-        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
-        sub = sampler.sample("customers", np.arange(4), np.full(4, 2000))
-        out = model(sub, graph)
-        assert out.shape == (4, 1)
-        out.sum().backward()
-
-    def test_planner_fourier_end_to_end(self):
-        from repro.datasets import make_ecommerce
-        from repro.eval import make_temporal_split
-        from repro.pql import PlannerConfig, PredictiveQueryPlanner
-
-        db = make_ecommerce(num_customers=60, seed=0)
-        span = db.time_span()
-        split = make_temporal_split(span[0], span[1], 30 * 86400, num_train_cutoffs=2)
-        planner = PredictiveQueryPlanner(
-            db, PlannerConfig(hidden_dim=8, num_layers=1, epochs=2, time_encoding="fourier")
-        )
-        model = planner.fit(
-            "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS", split
-        )
-        assert np.isfinite(model.evaluate(split.test_cutoff)["auroc"])

@@ -65,10 +65,7 @@ from repro.relational.types import DType
 from repro.resilience import SimulatedCrash, injected
 from tests.conftest import assert_subgraphs_identical, shop_db
 
-try:
-    from hypothesis import example, given, settings, strategies as st
-except ImportError:  # tier-1 installs numpy and pytest only
-    given = None
+from hypothesis import example, given, settings, strategies as st
 
 
 def order_event(oid, customer=10, product=1, amount=1.0, ts=600):
@@ -680,8 +677,6 @@ class TestEdgeStoreMerge:
             np.testing.assert_array_equal(merged.nbr_time, cold.nbr_time)
 
     def test_merge_matches_cold_store_property(self):
-        if given is None:
-            pytest.skip("hypothesis is not installed")
         _merge_matches_cold_store()
 
     def test_append_edges_validates(self):
@@ -705,52 +700,53 @@ class TestEdgeStoreMerge:
         assert after[-1] == before[-1]  # new node has no edges yet
 
 
-if given is not None:
-    #: Few distinct times, so ``(dst, time)`` ties are common, with the
-    #: static-edge stamp among them.
-    _TIMES = st.sampled_from([TIME_MIN, 0, 1, 2, 5])
+#: Few distinct times, so ``(dst, time)`` ties are common, with the
+#: static-edge stamp among them.
+_TIMES = st.sampled_from([TIME_MIN, 0, 1, 2, 5])
 
-    @st.composite
-    def _merge_cases(draw):
-        """(destinations, destinations grown first, base edges, delta edges);
-        an edge is ``(src, dst, time)``."""
-        num_dst = draw(st.integers(1, 6))
-        grown = draw(st.integers(0, 3))
-        edge = lambda dsts: st.tuples(st.integers(0, 4), st.integers(0, dsts - 1), _TIMES)
-        base = draw(st.lists(edge(num_dst), max_size=24))
-        delta = draw(st.lists(edge(num_dst + grown), min_size=1, max_size=24))
-        return num_dst, grown, base, delta
 
-    @settings(max_examples=300, deadline=None)
-    @given(_merge_cases())
-    # The empty base.
-    @example((2, 0, [], [(0, 1, 5), (1, 0, TIME_MIN), (2, 1, 5)]))
-    # All-append: every delta edge goes to a destination grown first.
-    @example((2, 2, [(0, 0, 1), (1, 1, 5)], [(0, 3, 1), (3, 2, 0), (1, 3, 1)]))
-    # A delta longer than its destination's segment, tied with it and
-    # with itself on (dst, time), around static edges.
-    @example((1, 0, [(0, 0, 2), (1, 0, TIME_MIN)],
-              [(1, 0, 2), (2, 0, 1), (3, 0, 2), (4, 0, TIME_MIN), (0, 0, 5)]))
-    def _merge_matches_cold_store(case):
-        """``merged`` equals a cold store over the base edges then the
-        delta, after any ``grow_node_type`` padding of the base."""
-        num_dst, grown, base, delta = case
-        graph = HeteroGraph()
-        graph.add_node_type("src", 5)
-        graph.add_node_type("dst", num_dst)
-        edge_type = EdgeType("src", "rel", "dst")
-        src, dst, times = np.array(base, dtype=np.int64).reshape(-1, 3).T
-        graph.add_edge_type(edge_type, src, dst, times)
-        graph.grow_node_type("dst", np.zeros(grown, dtype=np.int64))
-        d_src, d_dst, d_times = np.array(delta, dtype=np.int64).T
-        merged = graph._edges[edge_type].merged(d_src, d_dst, d_times, num_dst + grown)
-        cold = _EdgeStore(
-            np.concatenate([src, d_src]), np.concatenate([dst, d_dst]),
-            np.concatenate([times, d_times]), num_dst + grown,
-        )
-        for name in ("indptr", "nbr_src", "nbr_time"):
-            assert getattr(merged, name).dtype == getattr(cold, name).dtype == np.int64
-            np.testing.assert_array_equal(getattr(merged, name), getattr(cold, name))
+@st.composite
+def _merge_cases(draw):
+    """(destinations, destinations grown first, base edges, delta edges);
+    an edge is ``(src, dst, time)``."""
+    num_dst = draw(st.integers(1, 6))
+    grown = draw(st.integers(0, 3))
+    edge = lambda dsts: st.tuples(st.integers(0, 4), st.integers(0, dsts - 1), _TIMES)
+    base = draw(st.lists(edge(num_dst), max_size=24))
+    delta = draw(st.lists(edge(num_dst + grown), min_size=1, max_size=24))
+    return num_dst, grown, base, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_merge_cases())
+# The empty base.
+@example((2, 0, [], [(0, 1, 5), (1, 0, TIME_MIN), (2, 1, 5)]))
+# All-append: every delta edge goes to a destination grown first.
+@example((2, 2, [(0, 0, 1), (1, 1, 5)], [(0, 3, 1), (3, 2, 0), (1, 3, 1)]))
+# A delta longer than its destination's segment, tied with it and
+# with itself on (dst, time), around static edges.
+@example((1, 0, [(0, 0, 2), (1, 0, TIME_MIN)],
+          [(1, 0, 2), (2, 0, 1), (3, 0, 2), (4, 0, TIME_MIN), (0, 0, 5)]))
+def _merge_matches_cold_store(case):
+    """``merged`` equals a cold store over the base edges then the
+    delta, after any ``grow_node_type`` padding of the base."""
+    num_dst, grown, base, delta = case
+    graph = HeteroGraph()
+    graph.add_node_type("src", 5)
+    graph.add_node_type("dst", num_dst)
+    edge_type = EdgeType("src", "rel", "dst")
+    src, dst, times = np.array(base, dtype=np.int64).reshape(-1, 3).T
+    graph.add_edge_type(edge_type, src, dst, times)
+    graph.grow_node_type("dst", np.zeros(grown, dtype=np.int64))
+    d_src, d_dst, d_times = np.array(delta, dtype=np.int64).T
+    merged = graph._edges[edge_type].merged(d_src, d_dst, d_times, num_dst + grown)
+    cold = _EdgeStore(
+        np.concatenate([src, d_src]), np.concatenate([dst, d_dst]),
+        np.concatenate([times, d_times]), num_dst + grown,
+    )
+    for name in ("indptr", "nbr_src", "nbr_time"):
+        assert getattr(merged, name).dtype == getattr(cold, name).dtype == np.int64
+        np.testing.assert_array_equal(getattr(merged, name), getattr(cold, name))
 
 
 # ----------------------------------------------------------------------

@@ -85,14 +85,12 @@ class TestGoldenPipeline:
         """
         from repro.datasets import make_ecommerce
         from repro.eval import make_temporal_split
-        from repro.pql import PlannerConfig, PredictiveQueryPlanner
+        from repro.pql import PredictiveQueryPlanner
 
         db = make_ecommerce(num_customers=300, seed=0)
         start, end = db.time_span()
         split = make_temporal_split(start, end, horizon_seconds=30 * 86400, num_train_cutoffs=3)
-        planner = PredictiveQueryPlanner(
-            db, PlannerConfig(hidden_dim=32, num_layers=2, epochs=15, patience=4, seed=0)
-        )
+        planner = PredictiveQueryPlanner(db)
         model = planner.fit(
             "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS", split
         )

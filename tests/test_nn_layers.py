@@ -7,7 +7,6 @@ from repro.nn import (
     Adam,
     AdamW,
     CosineSchedule,
-    Dropout,
     Embedding,
     LayerNorm,
     Linear,
@@ -57,41 +56,6 @@ class TestModule:
         assert "stack.0.w" in names and "stack.1.w" in names
         assert model.num_parameters() == 2 + 3 + 2 + 1 + 2 + 2
 
-    def test_train_eval_propagates(self):
-        model = Sequential(Dropout(0.5, rng()), ReLU())
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
-
-    def test_mode_switch_reaches_modules_added_after_the_first_call(self):
-        class Net(Module):
-            def __init__(self):
-                super().__init__()
-                self.trunk = Sequential(Linear(2, 2, rng()), Dropout(0.5, rng()))
-                self.heads = {"a": Linear(2, 1, rng())}
-
-        model = Net()
-        model.eval()  # the first call caches the flat module list
-        assert model._flat_modules() is model._flat_modules()  # ... and reuses it
-        model.heads["b"] = Linear(2, 1, rng())      # in-place dict growth
-        model.trunk.extra = Dropout(0.1, rng())     # attribute on a descendant
-        model.late = ReLU()                         # attribute on the root
-        added = [model.heads["b"], model.trunk.extra, model.late]
-        assert all(m.training for m in added)
-        model.eval()
-        walked = list(model._modules(set()))        # the uncached reference walk
-        assert list(model.modules()) == walked
-        assert all(m in walked for m in added)
-        assert all(not m.training for m in walked)
-        model.trunk.train()                         # a subtree switched on its own
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in walked)
-        # The cache is never mistaken for children or parameters.
-        assert not any(name.startswith("_flat") for name, _ in model.named_parameters())
-
     def test_state_dict_roundtrip(self):
         a = MLP([3, 4, 1], rng())
         b = MLP([3, 4, 1], np.random.default_rng(99))
@@ -138,7 +102,7 @@ class TestLayers:
             MLP([3], rng())
 
     def test_mlp_forward_and_backward(self):
-        model = MLP([3, 8, 8, 1], rng(), dropout=0.0)
+        model = MLP([3, 8, 8, 1], rng())
         x = Tensor(np.random.default_rng(1).normal(size=(10, 3)))
         loss = (model(x) ** 2).mean()
         loss.backward()
@@ -175,21 +139,6 @@ class TestLayers:
         (layer(x) ** 2).sum().backward()
         assert x.grad is not None
         assert layer.gamma.grad is not None
-
-    def test_dropout_train_vs_eval(self):
-        layer = Dropout(0.5, rng())
-        x = Tensor(np.ones((100, 10)))
-        layer.train()
-        dropped = layer(x)
-        assert (dropped.data == 0).any()
-        # inverted dropout keeps expectation
-        assert abs(dropped.data.mean() - 1.0) < 0.2
-        layer.eval()
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_dropout_bad_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng())
 
     def test_sequential_indexing(self):
         model = Sequential(Linear(2, 2, rng()), ReLU())

@@ -283,23 +283,6 @@ class TestExplain:
 
 
 class TestAutoPosWeight:
-    def test_auto_pos_weight_set_for_binary(self, db, split):
-        planner = PredictiveQueryPlanner(db, fast_config(epochs=1, auto_pos_weight=True))
-        model = planner.fit(
-            "PREDICT COUNT(orders WHERE amount > 50) > 0 FOR EACH customers.id "
-            "ASSUMING HORIZON 30 DAYS",
-            split,
-        )
-        assert model.node_trainer.pos_weight is not None
-        assert model.node_trainer.pos_weight > 1.0  # positives are the minority
-
-    def test_auto_pos_weight_not_set_for_regression(self, db, split):
-        planner = PredictiveQueryPlanner(db, fast_config(epochs=1, auto_pos_weight=True))
-        model = planner.fit(
-            "PREDICT SUM(orders.amount) FOR EACH customers.id ASSUMING HORIZON 30 DAYS", split
-        )
-        assert model.node_trainer.pos_weight is None
-
     def test_evaluate_includes_calibration(self, db, split):
         planner = PredictiveQueryPlanner(db, fast_config(epochs=1))
         model = planner.fit(

@@ -7,6 +7,7 @@ the resilience layer promises — bit-identical resume, intact previous
 saves, a degraded model with recorded provenance.
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -18,7 +19,7 @@ import pytest
 
 from repro import obs
 from repro.eval.metrics import auroc, average_precision, brier_score, expected_calibration_error
-from repro.pql import PredictiveQueryPlanner, RouterConfig
+from repro.pql import PlannerConfig, PredictiveQueryPlanner, RouterConfig
 from repro.pql.planner import PredictiveModel
 from repro.resilience import (
     CheckpointManager,
@@ -241,7 +242,7 @@ class TestTrainerDivergence:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(_ResilientLoop, "_val_loss", nan_first)
-        planner = PredictiveQueryPlanner(db, fast_config(epochs=2, patience=10))
+        planner = PredictiveQueryPlanner(db, fast_config(epochs=2))
         with caplog.at_level("WARNING", logger="repro.gnn.trainer"):
             model = planner.fit(BINARY_QUERY, split)
         history = model.node_trainer.history
@@ -312,10 +313,17 @@ class TestKillAndResume:
                 resumed.predict(keys, split.test_cutoff),
             )
 
-    def test_resuming_a_finished_run_trains_nothing(self, db, split, tmp_path):
+    def test_resuming_a_finished_run_trains_nothing(self, db, split, tmp_path, monkeypatch):
         """Early stopping is part of the checkpoint: a run that stopped
         resumes as stopped, with the same weights and history."""
-        config = fast_config(epochs=30, patience=2, lr=0.05)
+        # Patience and learning rate are TrainConfig's; a short patience
+        # at a hot rate ends this run well before its epoch cap.
+        train_config = PlannerConfig.train_config
+        monkeypatch.setattr(
+            PlannerConfig, "train_config",
+            lambda self: dataclasses.replace(train_config(self), patience=2, lr=0.05),
+        )
+        config = fast_config(epochs=30)
         ckpt_dir = str(tmp_path / "ckpt")
         finished = PredictiveQueryPlanner(
             db, config, resilience=ResilienceConfig(checkpoint_dir=ckpt_dir)

@@ -27,10 +27,7 @@ from repro.baselines.trees import (
 )
 from tests.oracles import LoopTreeGrower, PowLoopTreeGrower
 
-try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # tier-1 installs numpy and pytest only
-    given = None
+from hypothesis import given, settings, strategies as st
 
 COLUMN_KINDS = (
     "normal", "nan_heavy", "all_nan", "constant", "duplicate", "mirror", "few_ints", "binary",
@@ -223,7 +220,6 @@ def test_fitted_estimators_carry_no_plan():
     assert set(vars(model._binner)) == {"max_bins", "edges_", "_matrix"}
 
 
-@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
 def test_random_boosters_equal_the_loop_node_for_node():
     @settings(max_examples=200, deadline=None)
     @given(

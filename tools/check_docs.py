@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Documentation lint: dead relative links, CLI flags, wire verbs.
+"""Documentation lint: dead relative links, CLI flags, wire verbs, and
+the test environment's declared imports.
 
-Four checks, all cheap enough to run on every push (the CI
+Five checks, all cheap enough to run on every push (the CI
 ``docs-check`` job):
 
 1. **Dead links** — every relative markdown link in ``README.md`` and
@@ -20,6 +21,11 @@ Four checks, all cheap enough to run on every push (the CI
    ``README.md`` or ``docs/*.md`` must name a verb of
    ``repro.serve.protocol``, so a retired verb cannot linger in an
    example.
+5. **Declared test imports** — every third-party package a module
+   under ``tests/`` or ``benchmarks/`` imports (anything that is
+   neither the standard library nor a module of this repository) must
+   be declared in ``pyproject.toml``: a dependency or the ``dev``
+   extra, which is what every CI job that runs tests installs.
 
 Exit code 0 when clean; 1 with one ``PROBLEM:`` line per finding.
 
@@ -31,10 +37,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -135,10 +143,46 @@ def check_wire_verbs(files: List[Path]) -> List[str]:
     ]
 
 
+def declared_packages() -> Set[str]:
+    """Import names of ``pyproject.toml``'s dependencies and ``dev`` extra."""
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["dev"]
+    return {re.split(r"[<>=!~;\[ ]", req, 1)[0].lower().replace("-", "_")
+            for req in requirements}
+
+
+def check_test_imports() -> List[str]:
+    """Third-party imports under tests/ and benchmarks/ that pyproject
+    does not declare."""
+    local = {"repro", "tests", "benchmarks", "tools"}
+    for base in ("src", "tests", "benchmarks", "tools"):
+        for path in (REPO_ROOT / base).rglob("*"):
+            if path.suffix == ".py" or path.is_dir():
+                local.add(path.stem)
+    allowed = local | set(sys.stdlib_module_names) | declared_packages()
+    problems = []
+    for base in ("tests", "benchmarks"):
+        for path in sorted((REPO_ROOT / base).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                problems.extend(
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno}: imports {top!r}, "
+                    f"which pyproject.toml does not declare (dependencies or the dev extra)"
+                    for top in {name.split(".")[0] for name in names} - allowed
+                )
+    return problems
+
+
 def main() -> int:
     files = doc_files()
     problems = (check_links(files) + check_flag_coverage(files)
-                + check_flag_tables(files) + check_wire_verbs(files))
+                + check_flag_tables(files) + check_wire_verbs(files)
+                + check_test_imports())
     for problem in problems:
         print(f"PROBLEM: {problem}", file=sys.stderr)
     if problems:
