@@ -29,7 +29,8 @@ prefixes of this order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -44,6 +45,16 @@ _DAY = 86400.0
 _MAX_ONE_HOT = 10
 
 
+def _lookup(column, index: Dict[object, int]) -> np.ndarray:
+    """``index[value]`` per row of ``column`` in one C-level pass; -1
+    where the value is null or not in ``index``."""
+    found = np.fromiter(
+        map(index.get, column.values.tolist(), repeat(-1)), dtype=np.int64, count=len(column.values)
+    )
+    found[column.null_mask()] = -1
+    return found
+
+
 @dataclass
 class _ChildLink:
     """A child table reachable via one FK hop from the entity."""
@@ -51,6 +62,7 @@ class _ChildLink:
     table: Table
     fk_column: str
     numeric_columns: List[str]
+    groups: np.ndarray  # entity slot per child row, -1 for none
 
 
 @dataclass
@@ -61,6 +73,7 @@ class _GrandchildLink:
     table: Table
     fk_column: str  # grandchild column referencing the child's pk
     numeric_columns: List[str]
+    groups: np.ndarray  # entity slot per grandchild row (through its child), -1 for none
 
 
 class FeatureBuilder:
@@ -94,9 +107,10 @@ class FeatureBuilder:
         if pk is None:
             raise ValueError(f"entity table {entity_table!r} needs a primary key")
         self._pk = pk
-        self._key_to_slot = {
-            key: i for i, key in enumerate(self.entity_table[pk].values.tolist())
-        }
+        keys = self.entity_table[pk].values.tolist()
+        self._key_to_slot = dict(zip(keys, range(len(keys))))
+        # Which entity each child and grandchild row belongs to does not
+        # depend on the cutoff: the links carry it, looked up once here.
         self._children = self._find_children()
         self._grandchildren = self._find_grandchildren() if include_two_hop else []
         self._one_hot_vocab = self._fit_one_hot()
@@ -124,6 +138,7 @@ class FeatureBuilder:
                             table=table,
                             fk_column=fk.column,
                             numeric_columns=self._numeric_feature_columns(table),
+                            groups=_lookup(table[fk.column], self._key_to_slot),
                         )
                     )
         return children
@@ -134,6 +149,10 @@ class FeatureBuilder:
             child_pk = child.table.schema.primary_key
             if child_pk is None:
                 continue
+            child_keys = child.table[child_pk].values.tolist()
+            child_rows = dict(zip(child_keys, range(len(child_keys))))
+            # A grandchild row with no child row reads the appended -1.
+            entity_of_row = np.append(child.groups, -1)
             for table in self.db:
                 if table.schema.time_column is None or table.name == child.table.name:
                     continue
@@ -145,6 +164,7 @@ class FeatureBuilder:
                                 table=table,
                                 fk_column=fk.column,
                                 numeric_columns=self._numeric_feature_columns(table),
+                                groups=entity_of_row[_lookup(table[fk.column], child_rows)],
                             )
                         )
         return links
@@ -218,34 +238,29 @@ class FeatureBuilder:
         if entity_keys.shape != cutoffs.shape:
             raise ValueError("entity_keys and cutoffs must have equal length")
         out = np.full((len(entity_keys), self.num_features), np.nan)
-        slots = np.fromiter(
-            (self._key_to_slot[key] for key in entity_keys.tolist()),
-            dtype=np.int64,
-            count=len(entity_keys),
-        )
+        slots = self.slots(entity_keys)
         for cutoff in np.unique(cutoffs):
             rows = np.flatnonzero(cutoffs == cutoff)
             block = self._build_at_cutoff(int(cutoff))
             out[rows] = block[slots[rows]]
         return out
 
+    def slots(self, entity_keys: np.ndarray) -> np.ndarray:
+        """Entity-table row of each key, in one C-level pass (``KeyError``
+        on an unknown key)."""
+        keys = np.asarray(entity_keys).tolist()
+        return np.fromiter(map(self._key_to_slot.__getitem__, keys), dtype=np.int64, count=len(keys))
+
     def _build_at_cutoff(self, cutoff: int) -> np.ndarray:
         """Features for ALL entities at one cutoff, shape (num_entities, F)."""
         num_entities = self.entity_table.num_rows
         columns: List[np.ndarray] = []
         columns.extend(self._own_columns(cutoff))
-        child_row_groups = {}
+        # Every child's counts come before any child's numerics (the priority order).
         for child in self._children:
-            counts_block, numerics_block, groups = self._child_columns(child, cutoff, num_entities)
-            columns.extend(counts_block)
-            child_row_groups[child.table.name] = (child, groups)
-            # numeric blocks appended after all counts per the priority order
-        # re-walk to preserve ordering: counts (already added), then numerics
-        numeric_columns: List[np.ndarray] = []
+            columns.extend(self._child_counts(child, cutoff, num_entities))
         for child in self._children:
-            _, numerics_block, _ = self._child_columns(child, cutoff, num_entities, counts_only=False)
-            numeric_columns.extend(numerics_block)
-        columns.extend(numeric_columns)
+            columns.extend(self._child_numerics(child, cutoff, num_entities))
         for grandchild in self._grandchildren:
             columns.extend(self._grandchild_columns(grandchild, cutoff, num_entities))
         matrix = np.column_stack(columns) if columns else np.zeros((num_entities, 0))
@@ -287,73 +302,46 @@ class FeatureBuilder:
         masks.append(past)
         return masks
 
-    def _child_groups(self, child: _ChildLink, num_entities: int) -> np.ndarray:
-        fk = child.table[child.fk_column]
-        groups = np.full(child.table.num_rows, -1, dtype=np.int64)
-        valid = ~fk.null_mask()
-        for i in np.flatnonzero(valid):
-            slot = self._key_to_slot.get(fk.values[i])
-            if slot is not None:
-                groups[i] = slot
-        return groups
-
-    def _child_columns(
-        self, child: _ChildLink, cutoff: int, num_entities: int, counts_only: bool = True
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
+    def _child_counts(self, child: _ChildLink, cutoff: int, num_entities: int) -> List[np.ndarray]:
         times = child.table[child.table.schema.time_column].values.astype(np.float64)
-        groups = self._child_groups(child, num_entities)
         masks = self._window_masks(times, cutoff)
-        counts_block: List[np.ndarray] = []
-        numerics_block: List[np.ndarray] = []
-        if counts_only:
+        columns = [
+            aggregate_grouped_values("count", np.where(mask, child.groups, -1), num_entities)
+            for mask in masks
+        ]
+        past_groups = np.where(masks[-1], child.groups, -1)
+        last = aggregate_grouped_values("max", past_groups, num_entities, values=times)
+        first = aggregate_grouped_values("min", past_groups, num_entities, values=times)
+        return columns + [(cutoff - last) / _DAY, (cutoff - first) / _DAY]
+
+    def _child_numerics(self, child: _ChildLink, cutoff: int, num_entities: int) -> List[np.ndarray]:
+        times = child.table[child.table.schema.time_column].values.astype(np.float64)
+        masks = self._window_masks(times, cutoff)
+        columns: List[np.ndarray] = []
+        for column_name in child.numeric_columns:
+            column = child.table[column_name]
+            values = column.values.astype(np.float64)
+            valid = ~column.null_mask()
             for mask in masks:
-                window_groups = np.where(mask, groups, -1)
-                counts_block.append(
-                    aggregate_grouped_values("count", window_groups, num_entities)
-                )
-            past_groups = np.where(masks[-1], groups, -1)
-            last = aggregate_grouped_values("max", past_groups, num_entities, values=times)
-            first = aggregate_grouped_values("min", past_groups, num_entities, values=times)
-            counts_block.append((cutoff - last) / _DAY)
-            counts_block.append((cutoff - first) / _DAY)
-        else:
-            for column_name in child.numeric_columns:
-                column = child.table[column_name]
-                values = column.values.astype(np.float64)
-                valid = ~column.null_mask()
-                for mask in masks:
-                    window_groups = np.where(mask, groups, -1)
-                    for func in ("sum", "avg", "max"):
-                        numerics_block.append(
-                            aggregate_grouped_values(
-                                func, window_groups, num_entities, values=values, valid=valid
-                            )
+                window_groups = np.where(mask, child.groups, -1)
+                for func in ("sum", "avg", "max"):
+                    columns.append(
+                        aggregate_grouped_values(
+                            func, window_groups, num_entities, values=values, valid=valid
                         )
-        return counts_block, numerics_block, groups
+                    )
+        return columns
 
     def _grandchild_columns(
         self, grandchild: _GrandchildLink, cutoff: int, num_entities: int
     ) -> List[np.ndarray]:
-        child = grandchild.child
-        child_pk = child.table.schema.primary_key
-        child_groups = self._child_groups(child, num_entities)
-        child_key_to_entity = {
-            key: child_groups[i]
-            for i, key in enumerate(child.table[child_pk].values.tolist())
-        }
-        fk = grandchild.table[grandchild.fk_column]
-        groups = np.full(grandchild.table.num_rows, -1, dtype=np.int64)
-        valid = ~fk.null_mask()
-        for i in np.flatnonzero(valid):
-            entity = child_key_to_entity.get(fk.values[i], -1)
-            groups[i] = entity
         times = grandchild.table[grandchild.table.schema.time_column].values.astype(np.float64)
         masks = self._window_masks(times, cutoff)
         columns: List[np.ndarray] = []
         for mask in masks:
-            window_groups = np.where(mask, groups, -1)
+            window_groups = np.where(mask, grandchild.groups, -1)
             columns.append(aggregate_grouped_values("count", window_groups, num_entities))
-        past_groups = np.where(masks[-1], groups, -1)
+        past_groups = np.where(masks[-1], grandchild.groups, -1)
         for column_name in grandchild.numeric_columns:
             column = grandchild.table[column_name]
             columns.append(

@@ -20,7 +20,9 @@ A faithful stand-in for the LightGBM/XGBoost baseline:
 
 NaN feature values are routed to their own bin (missing-value support,
 matching how the manual-feature baseline produces undefined
-aggregates).
+aggregates).  Only ``fit`` bins: prediction descends on raw values,
+each node comparing against its split value ``edges[threshold_bin - 1]``
+— the same leaves as the binned walk (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ class _Binner:
         self.max_bins = max_bins
         self.edges_: List[np.ndarray] = []
 
-    #: Row-count at or below which transform uses one broadcast compare
-    #: against the padded edge matrix instead of per-feature
-    #: searchsorted — same bins, far fewer Python-level iterations.
-    _BROADCAST_ROWS = 256
-
     def fit(self, x: np.ndarray) -> "_Binner":
         """Compute per-feature quantile edges from training data."""
         self.edges_ = []
@@ -65,11 +62,8 @@ class _Binner:
         return self
 
     def _edge_matrix(self) -> np.ndarray:
-        """Per-feature edges padded to a rectangle with +inf (cached).
-
-        Padding with +inf keeps the ``edge <= value`` count — which is
-        exactly ``searchsorted(edges, value, side="right")`` — unchanged.
-        """
+        """Per-feature edges padded to a rectangle with +inf (cached;
+        the split values of :func:`_raw_walk` are read off it)."""
         matrix = getattr(self, "_matrix", None)
         if matrix is None:
             width = max((len(edges) for edges in self.edges_), default=0)
@@ -84,16 +78,6 @@ class _Binner:
         if not self.edges_:
             raise RuntimeError("binner not fitted")
         n, num_features = x.shape
-        if n <= self._BROADCAST_ROWS:
-            # Small batches (the serving path) pay mostly per-feature
-            # Python overhead in the loop below; one (n, F, E) compare
-            # produces identical bins in a single vector pass.
-            matrix = self._edge_matrix()
-            finite = np.isfinite(x)
-            safe = np.where(finite, x, 0.0)
-            binned = (matrix[None, :, :] <= safe[:, :, None]).sum(axis=2, dtype=np.int32) + 1
-            binned[~finite] = _MISSING_BIN
-            return binned
         binned = np.zeros((n, num_features), dtype=np.int32)
         for j in range(num_features):
             column = x[:, j]
@@ -106,6 +90,27 @@ class _Binner:
     def num_bins(self, feature: int) -> int:
         """Bins for one feature, including the missing bin."""
         return len(self.edges_[feature]) + 2
+
+
+def _raw_walk(binner: _Binner, feature, threshold_bin, left, right) -> Tuple[np.ndarray, ...]:
+    """What a descent on raw values reads besides the node arrays: each
+    node's split value — a finite ``v`` has bin ``<= t`` exactly when
+    ``v < edges[t - 1]`` (a leaf's is unused) — and its children,
+    right at ``2 * node`` and left at ``2 * node + 1``."""
+    split = binner._edge_matrix()[feature, np.maximum(threshold_bin, 1) - 1]
+    return split, np.stack([right, left], axis=1).ravel()
+
+
+def _descend(x, idx, feature, split, children, missing_left, depth: int) -> np.ndarray:
+    """Step the nodes ``idx`` (one row of it per row of ``x``) ``depth``
+    times on raw values; a non-finite value goes its node's missing way."""
+    flat = x.ravel()
+    base = np.arange(len(x)).reshape((-1,) + (1,) * (idx.ndim - 1)) * x.shape[1]
+    for _ in range(depth):
+        values = flat.take(base + feature.take(idx))
+        go_left = np.where(np.isfinite(values), values < split.take(idx), missing_left.take(idx))
+        idx = children.take(2 * idx + go_left)
+    return idx
 
 
 class _SplitPlan:
@@ -171,7 +176,11 @@ class DecisionTreeRegressor:
         """Predict raw targets (requires :meth:`fit`)."""
         if self._binner is None:
             raise RuntimeError("tree was fit via fit_binned; use predict_binned")
-        return self.predict_binned(self._binner.transform(np.asarray(x, dtype=np.float64)))
+        feature, threshold, left, right, value, _, missing_left = self.flat()
+        x = np.asarray(x, dtype=np.float64)
+        split, children = _raw_walk(self._binner, feature, threshold, left, right)
+        start = np.zeros(len(x), dtype=np.int64)
+        return value[_descend(x, start, feature, split, children, missing_left, self.max_depth)]
 
     # -- ensemble-facing API --------------------------------------------
     def fit_binned(
@@ -402,7 +411,11 @@ class _Boosting:
         if self.best_iteration_ is not None:
             self.trees_ = self.trees_[: self.best_iteration_ + 1]
         self._arena = None
+        self.__dict__.pop("_walk", None)
         return self
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_walk"}
 
     def _ensure_arena(self) -> Optional[Tuple[np.ndarray, ...]]:
         """All trees' nodes concatenated into one arena, plus per-tree roots.
@@ -430,19 +443,21 @@ class _Boosting:
         return arena
 
     def _raw_predict(self, x: np.ndarray) -> np.ndarray:
+        """Descend every tree on raw values against the arena's split
+        values (built once from the arena, never pickled): the binned
+        walk's leaves, without binning the rows."""
         if self._binner is None:
             raise RuntimeError("model not fitted")
-        binned = self._binner.transform(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
         arena = self._ensure_arena()
         if arena is None:
-            return np.full(len(binned), self.base_score_)
+            return np.full(len(x), self.base_score_)
         feature, threshold, left, right, value, missing_left, roots = arena
-        idx = np.repeat(roots[None, :], len(binned), axis=0)
-        rows = np.arange(len(binned))[:, None]
-        for _ in range(self.max_depth):
-            bins = binned[rows, feature[idx]]
-            go_left = np.where(bins == _MISSING_BIN, missing_left[idx], bins <= threshold[idx])
-            idx = np.where(go_left, left[idx], right[idx])
+        walk = self.__dict__.get("_walk")
+        if walk is None:
+            walk = self._walk = _raw_walk(self._binner, feature, threshold, left, right)
+        idx = np.repeat(roots[None, :], len(x), axis=0)
+        idx = _descend(x, idx, feature, *walk, missing_left, self.max_depth)
         return self.base_score_ + self.learning_rate * value[idx].sum(axis=1)
 
 

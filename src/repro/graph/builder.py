@@ -102,9 +102,8 @@ def node_index_for_keys(graph: HeteroGraph, node_type: str, keys: np.ndarray) ->
     Raises ``KeyError`` if any key is unknown.
     """
     mapping = graph.key_index(node_type)
-    out = np.empty(len(keys), dtype=np.int64)
-    for i, key in enumerate(np.asarray(keys).tolist()):
-        if key not in mapping:
-            raise KeyError(f"unknown {node_type} key: {key!r}")
-        out[i] = mapping[key]
-    return out
+    keys = np.asarray(keys).tolist()
+    try:  # one C-level pass: no Python frame per key
+        return np.fromiter(map(mapping.__getitem__, keys), dtype=np.int64, count=len(keys))
+    except KeyError as unknown:
+        raise KeyError(f"unknown {node_type} key: {unknown.args[0]!r}") from None

@@ -75,7 +75,7 @@ class _EdgeStore:
     ``indptr`` delimits each destination's segment.
     """
 
-    __slots__ = ("indptr", "nbr_src", "nbr_time")
+    __slots__ = ("indptr", "nbr_src", "nbr_time", "_search")
 
     def __init__(
         self,
@@ -94,15 +94,32 @@ class _EdgeStore:
         self.nbr_time = times[order]
         counts = np.bincount(dst_ids, minlength=num_dst)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self._search = None  # count_before's keys, built on first use
 
     @property
     def num_edges(self) -> int:
         return len(self.nbr_src)
 
-    def count_before(self, dst: int, time: int) -> int:
-        """Number of incoming neighbors of ``dst`` with edge time <= ``time``."""
-        start, stop = self.indptr[dst], self.indptr[dst + 1]
-        return int(np.searchsorted(self.nbr_time[start:stop], time, side="right"))
+    def count_before(self, dst: np.ndarray, time: np.ndarray) -> np.ndarray:
+        """Per ``(dst[i], time[i])``: incoming edges of ``dst[i]`` with
+        edge time <= ``time[i]``, every row in one vectorised bisection.
+
+        Edge ``e``'s search key is ``dst_e * U + rank_e``, with
+        ``rank_e < U`` its time's index among the store's ``U`` distinct
+        times.  The keys ascend in CSR order, so the keys below
+        ``dst * U + (distinct times <= time)`` are the earlier segments
+        plus the visible prefix of ``dst``'s.  They are built on first
+        use: a merge makes a new store, and padding ``indptr`` for new
+        destinations leaves every key where it was.
+        """
+        if self._search is None:
+            distinct, ranks = np.unique(self.nbr_time, return_inverse=True)
+            owner = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+            self._search = distinct, owner * len(distinct) + ranks
+        distinct, keys = self._search
+        dst = np.asarray(dst, dtype=np.int64)
+        bound = dst * len(distinct) + distinct.searchsorted(time, side="right")
+        return keys.searchsorted(bound) - self.indptr[dst]
 
     def merged(
         self,
@@ -129,6 +146,7 @@ class _EdgeStore:
         total = len(self.nbr_src)
         base_ptr = np.pad(self.indptr, (0, num_dst + 1 - len(self.indptr)), mode="edge")
         store = _EdgeStore.__new__(_EdgeStore)
+        store._search = None
         store.indptr = base_ptr + np.cumsum(np.bincount(s_dst + 1, minlength=num_dst + 1))
         if not len(s_dst) or base_ptr[s_dst[0]] == total:
             store.nbr_src = np.concatenate([self.nbr_src, s_src])
@@ -392,8 +410,8 @@ class HeteroGraph:
         """Edge types whose destination is ``node_type``."""
         return [et for et in self._edges if et.dst == node_type]
 
-    def count_before(self, edge_type: EdgeType, dst: int, time: int) -> int:
-        """Time-valid in-degree of one node under one edge type."""
+    def count_before(self, edge_type: EdgeType, dst: np.ndarray, time: np.ndarray) -> np.ndarray:
+        """Time-valid in-degrees under one edge type, one per ``(dst, time)`` pair."""
         return self._edges[edge_type].count_before(dst, time)
 
     def __repr__(self) -> str:

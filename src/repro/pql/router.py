@@ -7,10 +7,11 @@ GNN sample-and-infer pipeline.  Every
 and a router that, per request, executes the cheapest plan clearing a
 configurable quality floor:
 
-* **GREEN** — the time-valid activity count (binary searches over the
-  graph's time-sorted CSR) under a linear/logistic calibration fitted
-  on the training labels.  Microseconds per row, no features, no
-  model; LIST queries rank by time-valid item popularity.
+* **GREEN** — the time-valid activity count (one vectorised search per
+  relation over the graph's time-sorted CSR for a whole batch) under a
+  linear/logistic calibration fitted on the training labels.
+  Microseconds per row, no features, no model; LIST queries rank by
+  time-valid item popularity.
 * **YELLOW** — the from-scratch GBDT over auto-extracted relational
   features (:mod:`repro.baselines.trees` + ``features``), with the
   green activity signal stacked in as an extra column so the mid-tier
@@ -255,8 +256,9 @@ class CostModel:
 class GreenTier:
     """The time-valid activity count, optionally calibrated.
 
-    Answers from the compiled graph's time-sorted CSR alone (one binary
-    search per entity and relation).  Unfitted (zero training) it
+    Answers from the compiled graph's time-sorted CSR alone: one
+    vectorised search per relation answers every requested row
+    (``HeteroGraph.count_before``).  Unfitted (zero training) it
     scores ``count / (count + 1)`` (binary) or the raw count
     (regression); :meth:`fit` calibrates log-activity (linear/logistic);
     LIST queries rank by item popularity among facts visible at the
@@ -308,16 +310,19 @@ class GreenTier:
     def _counts(self, node_ids: np.ndarray, cutoffs: np.ndarray, edge_types) -> np.ndarray:
         counts = np.zeros(len(node_ids), dtype=np.float64)
         for edge_type in edge_types:
-            for i, (node, cutoff) in enumerate(zip(node_ids.tolist(), cutoffs.tolist())):
-                counts[i] += self._graph.count_before(edge_type, int(node), int(cutoff))
+            counts += self._graph.count_before(edge_type, node_ids, cutoffs)
         return counts
 
-    def activity(self, entity_keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-        """Raw time-valid fact counts (the shared green/yellow signal)."""
+    def activity(
+        self, entity_keys: np.ndarray, cutoffs: np.ndarray, node_ids: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Raw time-valid fact counts (the shared green/yellow signal);
+        ``node_ids``, when given, are the keys' node ids, looked up already."""
         if self._graph is None:
             raise RuntimeError("GreenTier is unbound; call bind(db, graph) first")
-        ids = node_index_for_keys(self._graph, self.entity_table, np.asarray(entity_keys))
-        return self._counts(ids, np.asarray(cutoffs, dtype=np.int64), self._entity_edges)
+        if node_ids is None:
+            node_ids = node_index_for_keys(self._graph, self.entity_table, np.asarray(entity_keys))
+        return self._counts(node_ids, np.asarray(cutoffs, dtype=np.int64), self._entity_edges)
 
     def fit(self, entity_keys: np.ndarray, cutoffs: np.ndarray, labels: np.ndarray) -> "GreenTier":
         """Calibrate log-activity against the labels (linear/logistic)."""
@@ -383,7 +388,9 @@ class YellowTier:
 
     Feature blocks are built once per distinct cutoff and memoized
     (serving traffic clusters on few cutoffs), so a warm yellow call is
-    a row gather plus tree traversal — orders of magnitude under the
+    one key lookup, a block row gather per cutoff, green's count search
+    and one descent of all trees on the raw values — a fixed number of
+    numpy passes whatever the row count, orders of magnitude under the
     GNN's sample-and-infer.  Pickles with the green tier it stacks;
     :meth:`bind` re-attaches the database and the graph.
     """
@@ -442,17 +449,15 @@ class YellowTier:
         entity_keys = np.asarray(entity_keys)
         cutoffs = np.asarray(cutoffs, dtype=np.int64)
         out = np.full((len(entity_keys), builder.num_features), np.nan)
-        slots = np.fromiter(
-            (builder._key_to_slot[key] for key in entity_keys.tolist()),
-            dtype=np.int64,
-            count=len(entity_keys),
-        )
+        slots = builder.slots(entity_keys)
         for cutoff in np.unique(cutoffs).tolist():
             rows = np.flatnonzero(cutoffs == cutoff)
             block = self._blocks.get(cutoff, lambda: builder._build_at_cutoff(cutoff))
             out[rows] = block[slots[rows]]
         if self.hybrid and self.green is not None:
-            stacked = np.log1p(self.green.activity(entity_keys, cutoffs))[:, None]
+            # The builder's slots are the graph's node ids: both number
+            # the entity table's rows in order.
+            stacked = np.log1p(self.green.activity(entity_keys, cutoffs, slots))[:, None]
             out = np.hstack([out, stacked])
         return out
 

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.trees import _MISSING_BIN, DecisionTreeRegressor, _Node
-from repro.graph.hetero import EdgeType, HeteroGraph
+from repro.graph.hetero import EdgeType, HeteroGraph, _EdgeStore
 from repro.graph.sampler import SampledSubgraph
 from repro.nn.tensor import Tensor
 from repro.relational import DType, Table
@@ -31,6 +31,18 @@ def neighbors_before(
     times = store.nbr_time[start:stop]
     valid = int(np.searchsorted(times, time, side="right"))
     return store.nbr_src[start:start + valid], times[:valid]
+
+
+def segment_count_before(store: _EdgeStore, dst: int, time: int) -> int:
+    """Edges into ``dst`` with time <= ``time``: one binary search over
+    its time-ascending segment (the oracle for ``_EdgeStore.count_before``)."""
+    start, stop = store.indptr[dst], store.indptr[dst + 1]
+    return int(np.searchsorted(store.nbr_time[start:stop], time, side="right"))
+
+
+def count_before(graph: HeteroGraph, edge_type: EdgeType, dst: int, time: int) -> int:
+    """Time-valid in-degree of one node under one edge type."""
+    return segment_count_before(graph._edges[edge_type], dst, time)
 
 
 def all_neighbors(graph: HeteroGraph, edge_type: EdgeType, dst: int) -> np.ndarray:
@@ -61,7 +73,7 @@ class LoopNeighborSampler:
     ``fanout`` of them, otherwise exactly ``fanout`` drawn uniformly
     without replacement, never anything newer than the seed time — but
     it walks one node at a time through scalar reads
-    (``neighbors_before`` above, ``HeteroGraph.count_before``) and draws with
+    (``neighbors_before`` and ``count_before`` above) and draws with
     ``rng.choice``.  It consumes the generator differently, so it agrees
     with the product sampler in distribution and on every deterministic
     quantity (degrees, low-degree neighborhoods), not draw for draw.
@@ -129,7 +141,7 @@ class LoopNeighborSampler:
         if not incoming:
             return
         if self.time_respecting:
-            degrees = [float(self.graph.count_before(et, orig, ctx_time)) for et in incoming]
+            degrees = [float(count_before(self.graph, et, orig, ctx_time)) for et in incoming]
         else:
             degrees = [float(len(all_neighbors(self.graph, et, orig))) for et in incoming]
         subgraph.set_degrees_block(node_type, [local], [degrees])
@@ -320,8 +332,8 @@ def at_take(tensor: Tensor, indices: np.ndarray) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Per-feature, per-bin split scan: the oracle for
-# ``repro.baselines.trees.DecisionTreeRegressor``
+# Per-feature, per-bin split scan and the binned descent: the oracles
+# for ``repro.baselines.trees``
 # ----------------------------------------------------------------------
 class LoopTreeGrower(DecisionTreeRegressor):
     """The tree grower as it shipped before the all-feature histogram
@@ -426,6 +438,55 @@ class PowLoopTreeGrower(LoopTreeGrower):
     def square(value):
         """``value`` squared through the scalar power operator."""
         return value**2
+
+
+def binned_raw_predict(model, x: np.ndarray) -> np.ndarray:
+    """A booster's raw score by the walk that shipped before the raw
+    split values: bin every row (``_Binner.transform``), then descend
+    the arena comparing bins with each node's ``threshold_bin``."""
+    binned = model._binner.transform(np.asarray(x, dtype=np.float64))
+    arena = model._ensure_arena()
+    if arena is None:
+        return np.full(len(binned), model.base_score_)
+    feature, threshold, left, right, value, missing_left, roots = arena
+    idx = np.repeat(roots[None, :], len(binned), axis=0)
+    rows = np.arange(len(binned))[:, None]
+    for _ in range(model.max_depth):
+        bins = binned[rows, feature[idx]]
+        go_left = np.where(bins == _MISSING_BIN, missing_left[idx], bins <= threshold[idx])
+        idx = np.where(go_left, left[idx], right[idx])
+    return model.base_score_ + model.learning_rate * value[idx].sum(axis=1)
+
+
+# ----------------------------------------------------------------------
+# Per-row foreign-key lookups: the oracles for the entity slots
+# ``repro.baselines.features`` links carry
+# ----------------------------------------------------------------------
+def loop_child_groups(builder, child) -> np.ndarray:
+    """The entity slot of each child row (-1: null or unknown key), one
+    dict lookup per non-null row."""
+    fk = child.table[child.fk_column]
+    groups = np.full(child.table.num_rows, -1, dtype=np.int64)
+    for i in np.flatnonzero(~fk.null_mask()):
+        slot = builder._key_to_slot.get(fk.values[i])
+        if slot is not None:
+            groups[i] = slot
+    return groups
+
+
+def loop_grandchild_groups(builder, grandchild) -> np.ndarray:
+    """The entity slot of each grandchild row through its child row."""
+    child = grandchild.child
+    child_groups = loop_child_groups(builder, child)
+    child_key_to_entity = {
+        key: child_groups[i]
+        for i, key in enumerate(child.table[child.table.schema.primary_key].values.tolist())
+    }
+    fk = grandchild.table[grandchild.fk_column]
+    groups = np.full(grandchild.table.num_rows, -1, dtype=np.int64)
+    for i in np.flatnonzero(~fk.null_mask()):
+        groups[i] = child_key_to_entity.get(fk.values[i], -1)
+    return groups
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ from repro.relational import (
     TableSchema,
 )
 
+from tests.oracles import loop_child_groups, loop_grandchild_groups
+
 RNG = np.random.default_rng(0)
 DAY = 86400
 
@@ -215,8 +217,9 @@ class TestMatrixFactorization:
             model.fit(np.array([0]), np.array([0, 1]))
 
 
-def feature_db():
-    """users ← posts ← votes chain for 1-hop and 2-hop features."""
+def feature_db(post_users=(1, 1, 2), vote_posts=(10, 10, 12)):
+    """users ← posts ← votes chain for 1-hop and 2-hop features; the
+    foreign-key columns may hold ``None``."""
     db = Database("f")
     db.add_table(
         Table.from_dict(
@@ -255,7 +258,7 @@ def feature_db():
             ),
             {
                 "id": [10, 11, 12],
-                "user_id": [1, 1, 2],
+                "user_id": list(post_users),
                 "score": [1.0, 3.0, 7.0],
                 "ts": [5 * DAY, 20 * DAY, 25 * DAY],
             },
@@ -274,7 +277,7 @@ def feature_db():
                 foreign_keys=[ForeignKey("post_id", "posts", "id")],
                 time_column="ts",
             ),
-            {"id": [100, 101, 102], "post_id": [10, 10, 12], "ts": [6 * DAY, 7 * DAY, 26 * DAY]},
+            {"id": [100, 101, 102], "post_id": list(vote_posts), "ts": [6 * DAY, 7 * DAY, 26 * DAY]},
         )
     )
     db.validate()
@@ -282,6 +285,25 @@ def feature_db():
 
 
 class TestFeatureBuilder:
+    @pytest.mark.parametrize("db", ["null_keys", "forum"])
+    def test_row_groups_equal_the_per_row_lookup(self, db, forum_db):
+        """Each link carries its rows' entity slots, looked up once at
+        construction; the per-row dict loops the builder ran at every
+        cutoff (``tests/oracles.py``) are the reference."""
+        if db == "null_keys":
+            builder = FeatureBuilder(feature_db((1, None, 2), (10, None, 11)), "users")
+        else:
+            builder = FeatureBuilder(forum_db, "users")
+        assert builder._children and builder._grandchildren
+        for child in builder._children:
+            assert child.groups.tolist() == loop_child_groups(builder, child).tolist()
+        for grandchild in builder._grandchildren:
+            expected = loop_grandchild_groups(builder, grandchild)
+            assert grandchild.groups.tolist() == expected.tolist()
+        if db == "null_keys":
+            assert builder._children[0].groups.tolist() == [0, -1, 1]
+            assert builder._grandchildren[0].groups.tolist() == [0, -1, -1]
+
     def test_feature_names_and_width(self):
         builder = FeatureBuilder(feature_db(), "users", windows_days=(7, 30))
         x = builder.build(np.array([1, 2]), np.array([30 * DAY, 30 * DAY]))

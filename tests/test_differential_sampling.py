@@ -24,7 +24,7 @@ from tests.conftest import (
     subgraph_instances,
     tiny_planner_config,
 )
-from tests.oracles import LoopNeighborSampler
+from tests.oracles import LoopNeighborSampler, count_before
 
 ECOM_QUERY = "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS"
 
@@ -69,7 +69,7 @@ def test_property_no_path_sees_the_future(seed_time, other_time, fanout, rng_see
         seed_degrees = sub.node_degrees("customers")[sub.seed_locals]
         for j, edge_type in enumerate(g.edge_types_into("customers")):
             assert seed_degrees[:, j].tolist() == [
-                g.count_before(edge_type, i, t) for i, t in zip(seed_ids, seed_times)
+                count_before(g, edge_type, i, t) for i, t in zip(seed_ids, seed_times)
             ], impl
     if fanout >= 3:  # no shop node has more than 3 neighbors under one edge type
         assert subgraph_instances(subs["vectorized"]) == subgraph_instances(subs["reference"])

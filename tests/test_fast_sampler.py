@@ -4,7 +4,7 @@
 Cases that exercise the time-valid counts run once with a single-cutoff
 seed batch and once with a mixed-cutoff one: the sampler takes a
 shortcut when every seed shares one cutoff, and both arms must agree
-with ``graph.count_before`` and the oracle.
+with ``count_before`` and the sampler oracle (``tests/oracles.py``).
 """
 
 import numpy as np
@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import NeighborSampler, build_graph
 from tests.conftest import shop_db, subgraph_instances
-from tests.oracles import LoopNeighborSampler, neighbors_before, snapshot_subgraph
+from tests.oracles import (
+    LoopNeighborSampler, count_before, neighbors_before, snapshot_subgraph,
+)
 
 #: (seed ids, seed times) over the shop graph's two customers: one
 #: cutoff shared by every seed, then a different cutoff per seed.
@@ -87,7 +89,7 @@ class TestVectorizedSampler:
                 degrees = f_sub.node_degrees(node_type)
                 for j, edge_type in enumerate(g.edge_types_into(node_type)):
                     expected = [
-                        g.count_before(edge_type, orig, ctx)
+                        count_before(g, edge_type, orig, ctx)
                         for orig, ctx in zip(
                             f_sub.node_orig(node_type).tolist(),
                             f_sub.node_ctx_time(node_type).tolist(),
@@ -248,8 +250,8 @@ class TestSnapshotSubgraph:
 
         et = EdgeType("orders", "customer_id", "customers")
         col = g.edge_types_into("customers").index(et)
-        assert degrees[0, col] == g.count_before(et, 0, 250)
-        assert degrees[1, col] == g.count_before(et, 1, 250)
+        assert degrees[0, col] == count_before(g, et, 0, 250)
+        assert degrees[1, col] == count_before(g, et, 1, 250)
 
     def test_invalid_seed_rejected(self):
         from repro.relational import Column

@@ -12,7 +12,11 @@ default routed fit grows different trees.  Dataset generation used to
 spend most of its time in one ``Generator.choice`` call per categorical
 draw; the next test fails if a per-row ``choice`` comes back.  An
 ingest batch used to merge into the CSR with one binary search per
-destination it touched; the last test fails if that loop comes back.
+destination it touched; the next test fails if that loop comes back.
+A routed predict used to count each row's activity with one binary
+search per row and relation, look its keys up one by one and bin its
+rows before walking the trees; the last test fails if a per-row call
+or a predict-time binning comes back.
 """
 
 import contextlib
@@ -24,6 +28,7 @@ import pytest
 
 from repro import obs
 from repro.baselines import DecisionTreeRegressor
+from repro.baselines.trees import _Binner
 from repro.cli import main as cli_main
 from repro.datasets import get_dataset
 from repro.graph import NeighborSampler, SampledSubgraph, build_graph
@@ -230,3 +235,45 @@ def test_edge_merge_calls_do_not_grow_with_destinations():
         return count[0]
 
     assert calls(np.zeros(500, dtype=np.int64)) == calls(np.arange(500)) < 200
+
+
+def test_routed_predict_calls_do_not_grow_with_rows(
+    small_ecommerce_db, small_ecommerce_split, monkeypatch
+):
+    """A routed ``auto`` predict (YELLOW answers) and a forced ``green``
+    one make the same Python-level calls for 256 rows as for 1: GREEN's
+    time-valid counts, YELLOW's key lookup, block gather and tree descent
+    are a fixed number of numpy passes per batch.  Only ``fit`` bins.
+    Floor 1.0 leaves ``auto`` only the best tier, YELLOW here, whatever
+    the cost estimates read."""
+    model = PredictiveQueryPlanner(small_ecommerce_db, tiny_planner_config()).fit(
+        "PREDICT COUNT(orders) > 0 FOR EACH customers.id ASSUMING HORIZON 30 DAYS",
+        small_ecommerce_split, router=RouterConfig(),
+    )
+    cutoff = small_ecommerce_split.test_cutoff
+    keys = small_ecommerce_db["customers"]["id"].values
+
+    def forbidden(self, x):
+        raise AssertionError("a predict binned its rows")
+
+    monkeypatch.setattr(_Binner, "transform", forbidden)
+
+    def calls(route, rows):
+        batch = np.resize(keys, rows)
+        model.predict(batch, cutoff, route=route, quality_floor=1.0)  # builds what is built once
+        count = [0]
+
+        def tally(frame, event, arg):
+            if event in ("call", "c_call"):
+                count[0] += 1
+
+        sys.setprofile(tally)
+        try:
+            model.predict(batch, cutoff, route=route, quality_floor=1.0)
+        finally:
+            sys.setprofile(None)
+        return model.last_route.tier, count[0]
+
+    for route, tier in (("auto", "yellow"), ("green", "green")):
+        one, many = calls(route, 1), calls(route, 256)
+        assert one == many and one[0] == tier, (one, many)

@@ -13,7 +13,16 @@ in the last bit (``mirror`` columns).  The loop as it shipped squared
 with scalar ``**`` (libm ``pow``, one ulp off the product on about one
 input in a thousand): the seeded cases also run against that
 arithmetic, the random ones cannot (see ``LoopTreeGrower``).
+
+Prediction descends on raw values, each node comparing against its
+split value ``edges[threshold_bin - 1]``; ``binned_raw_predict`` (the
+oracles) bins the rows first and compares bins, as prediction did
+before.  Every booster below must score the same bytes both ways on
+rows that put NaN, ``±inf``, every bin edge and its neighbouring
+floats in every column.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +34,7 @@ from repro.baselines.trees import (
     _Binner,
     _SplitPlan,
 )
-from tests.oracles import LoopTreeGrower, PowLoopTreeGrower
+from tests.oracles import LoopTreeGrower, PowLoopTreeGrower, binned_raw_predict
 
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +109,25 @@ def assert_booster_replays_under_the_loop(model, x, y, grower=LoopTreeGrower) ->
         raw = raw + model.learning_rate * tree.predict_binned(binned)
 
 
+def probe_rows(rng: np.random.Generator, binner: _Binner, x: np.ndarray, n: int = 200):
+    """Rows whose every column draws from the fit's values, the column's
+    bin edges, the floats either side of each edge, NaN and ``±inf``."""
+    columns = []
+    for j, edges in enumerate(binner.edges_):
+        pool = np.concatenate([
+            x[:, j], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [np.nan, np.inf, -np.inf],
+        ])
+        columns.append(rng.choice(pool, n))
+    return np.stack(columns, axis=1)
+
+
+def assert_raw_walk_is_the_binned_walk(model, x, seed) -> None:
+    probe = probe_rows(np.random.default_rng(seed), model._binner, x)
+    for rows in (probe, probe[:1], probe[:0]):
+        assert model._raw_predict(rows).tobytes() == binned_raw_predict(model, rows).tobytes()
+
+
 def check_boosting_case(
     seed, n, kinds, loss, leaf, max_bins, subsample, max_depth=3, grower=LoopTreeGrower
 ) -> int:
@@ -123,6 +151,7 @@ def check_boosting_case(
     )
     model.fit(x, y, eval_set=(val_x, val_y))
     assert_booster_replays_under_the_loop(model, x, y, grower)
+    assert_raw_walk_is_the_binned_walk(model, x, seed)
     return sum(len(tree.nodes) for tree in model.trees_)
 
 
@@ -218,6 +247,35 @@ def test_fitted_estimators_carry_no_plan():
     }
     assert set(vars(model.trees_[0])) <= set(vars(tree))
     assert set(vars(model._binner)) == {"max_bins", "edges_", "_matrix"}
+
+
+def test_a_tree_predicts_its_binned_leaves_from_raw_values():
+    rng = np.random.default_rng(9)
+    x = make_features(rng, 300, COLUMN_KINDS)
+    tree = DecisionTreeRegressor(min_samples_leaf=3).fit(x, np.nan_to_num(x[:, 0]) + x[:, 6])
+    assert len(tree.nodes) > 7
+    probe = probe_rows(rng, tree._binner, x)
+    expected = tree.predict_binned(tree._binner.transform(probe))
+    assert tree.predict(probe).tobytes() == expected.tobytes()
+
+
+def test_prediction_never_bins_and_never_pickles_its_split_values(monkeypatch):
+    """Only ``fit`` bins.  The split values a predict builds stay out of
+    the pickle, so a saved booster holds what it held before they
+    existed, and a reloaded one rebuilds them to the same scores."""
+    rng = np.random.default_rng(10)
+    x = make_features(rng, 200, COLUMN_KINDS)
+    model = GradientBoostingClassifier(num_rounds=5).fit(x, (x[:, 0] > 0).astype(np.float64))
+    probe = probe_rows(rng, model._binner, x)
+
+    def forbidden(self, x):
+        raise AssertionError("prediction binned its rows")
+
+    monkeypatch.setattr(_Binner, "transform", forbidden)
+    scores = model.predict_proba(probe)
+    reloaded = pickle.loads(pickle.dumps(model))
+    assert set(vars(model)) - set(vars(reloaded)) == {"_walk"}
+    assert reloaded.predict_proba(probe).tobytes() == scores.tobytes()
 
 
 def test_random_boosters_equal_the_loop_node_for_node():
