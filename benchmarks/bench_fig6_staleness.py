@@ -66,8 +66,8 @@ def test_fig6_streaming_staleness():
     The walk-forward arm above quantifies decay when the graph is
     frozen at fit time.  This arm closes the loop the ingest subsystem
     enables: the tail of the dataset is carved into an event stream,
-    applied incrementally to the *live* model's graph, and the
-    staleness policy decides when to propagate — so the model answers
+    applied incrementally to the *live* model's graph, and the model
+    reconciles with each batch (``refresh_model``) — so it answers
     at cutoffs it could never have evaluated from its fit-time
     snapshot.  Headline numbers (throughput, bit-identity) are gated
     in ``BENCH_ingest.json``; this arm asserts the quality-side claim:
@@ -75,7 +75,7 @@ def test_fig6_streaming_staleness():
     frontier.
     """
     from bench_ingest import carve_stream
-    from repro.ingest import DeltaGraphBuilder, RefreshPolicy, refresh_model
+    from repro.ingest import DeltaGraphBuilder, refresh_model
 
     db, task, _ = dataset_and_split("ecommerce", "churn")
     t_cut, base, events = carve_stream(db, 400)
@@ -92,19 +92,8 @@ def test_fig6_streaming_staleness():
     builder = DeltaGraphBuilder(
         model.db, graph=model.graph, stats_cutoff=model.stats_cutoff
     )
-    policy = RefreshPolicy(max_staleness=7 * DAY, touched_threshold=0.05)
-    refreshes = 0
-    batches = 0
     for offset in range(0, len(events), 100):
-        delta = builder.apply(events[offset : offset + 100])
-        policy.observe(delta)
-        batches += 1
-        if policy.due():
-            refresh_model(model, policy.drain())
-            refreshes += 1
-    if policy.pending is not None:
-        refresh_model(model, policy.drain())
-        refreshes += 1
+        refresh_model(model, builder.apply(events[offset : offset + 100]))
 
     live_cutoff = int(builder.watermark - horizon)
     live_auroc = model.evaluate(live_cutoff)["auroc"]
@@ -112,12 +101,10 @@ def test_fig6_streaming_staleness():
         "Figure 6 (streaming): model quality at the stream frontier",
         ["", "fit-time", "frontier"],
         [["cutoff", str(val_cutoff), str(live_cutoff)],
-         ["auroc", fmt(stale_auroc), fmt(live_auroc)],
-         ["refreshes", "-", f"{refreshes}/{batches} batches"]],
+         ["auroc", fmt(stale_auroc), fmt(live_auroc)]],
     )
     # The frontier cutoff lies beyond the fit-time snapshot entirely —
     # answering there at all is the ingest path's doing, and quality
     # holds up.
     assert live_cutoff > t_cut - horizon
     assert live_auroc > 0.7
-    assert refreshes >= 1

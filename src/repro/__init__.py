@@ -44,10 +44,13 @@ import os as _os
 # Every matmul here is (rows x hidden) @ (hidden x hidden) with hidden ~32:
 # too small for OpenBLAS's thread fan-out to pay, and waking its idle
 # worker thread costs ~40 ms a call on a shared 2-vCPU host (a 1 s stall
-# in the first training batches of one `repro fit` in three).  Only takes
-# effect when set before numpy loads; a caller's own setting wins.
+# in the first training batches of one `repro fit` in three).  The
+# variable only takes effect when set before numpy loads, so
+# ``repro._blas`` also pins numpy's bundled OpenBLAS through its own
+# entry point, whatever the import order.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from repro._blas import BLAS as _BLAS  # noqa: E402,F401 — pins on import
 from repro.relational import Database, Table, TableSchema, ColumnSpec, ForeignKey, DType
 from repro.pql import PlannerConfig, PredictiveQueryPlanner, parse
 from repro.eval import make_temporal_split

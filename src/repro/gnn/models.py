@@ -151,6 +151,7 @@ class HeteroGNN(Module):
     ) -> None:
         super().__init__()
         self.metadata = metadata
+        self.out_dim = out_dim
         self.dtype = as_dtype(dtype)
         self.encoder = NodeEncoder(
             metadata, hidden_dim, rng, degree_features=degree_features, dtype=dtype
@@ -197,34 +198,28 @@ class HeteroGNN(Module):
 class TwoTowerModel(Module):
     """Retrieval model for link prediction (e.g. next-purchase).
 
-    The *query* tower is a :class:`HeteroGNN` over the seed entity's
-    temporal neighborhood; the *item* tower combines a learned id
-    embedding with the item's encoded features.  Scores are dot
-    products, so scoring a query against the full catalogue is one
+    The *query* tower is the :class:`HeteroGNN` it is given, built by
+    the caller (the same builder as a node query's network) over the
+    seed entity's temporal neighborhood; its ``out_dim`` is the
+    embedding width.  The *item* tower combines a learned id embedding
+    with the item's encoded features, in the tower's dtype.  Scores are
+    dot products, so scoring a query against the full catalogue is one
     matrix multiply.
     """
 
     def __init__(
         self,
+        query_tower: HeteroGNN,
         metadata: GraphMetadata,
         item_type: str,
         num_items: int,
-        embed_dim: int,
-        num_layers: int,
         rng: np.random.Generator,
-        dtype=None,
     ) -> None:
         super().__init__()
         self.item_type = item_type
-        self.dtype = as_dtype(dtype)
-        self.query_tower = HeteroGNN(
-            metadata,
-            hidden_dim=embed_dim,
-            out_dim=embed_dim,
-            num_layers=num_layers,
-            rng=rng,
-            dtype=dtype,
-        )
+        self.query_tower = query_tower
+        self.dtype = dtype = query_tower.dtype
+        embed_dim = query_tower.out_dim
         self.item_embedding = Embedding(num_items, embed_dim, rng, dtype=dtype)
         item_numeric = metadata.numeric_dims.get(item_type, 0)
         self.item_feature_linear = (

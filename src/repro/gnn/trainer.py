@@ -38,7 +38,7 @@ import numpy as np
 from repro.gnn.models import HeteroGNN, TwoTowerModel
 from repro.graph.hetero import HeteroGraph
 from repro.graph.sampler import NeighborSampler
-from repro.nn.losses import binary_cross_entropy_with_logits, bpr_loss, cross_entropy, mse_loss
+from repro.nn.losses import binary_cross_entropy_with_logits, bpr_loss, mse_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs import get_logger, get_registry
@@ -50,7 +50,7 @@ from repro.resilience.guards import DivergenceGuard
 
 __all__ = ["TrainConfig", "NodeTaskTrainer", "LinkTaskTrainer"]
 
-_TASK_TYPES = ("binary", "multiclass", "regression")
+_TASK_TYPES = ("binary", "regression")
 
 _log = get_logger("gnn.trainer")
 
@@ -431,15 +431,14 @@ class NodeTaskTrainer:
     Parameters
     ----------
     model:
-        The GNN; its ``out_dim`` must match the task (1 for binary and
-        regression, C for multiclass).
+        The GNN; its ``out_dim`` is 1.
     graph:
         The full heterogeneous graph.
     sampler:
         Time-respecting sampler whose depth should equal the model's
         message-passing depth.
     task_type:
-        ``"binary"``, ``"multiclass"``, or ``"regression"``.
+        ``"binary"`` or ``"regression"``.
     config:
         Loop hyperparameters.
     """
@@ -496,8 +495,6 @@ class NodeTaskTrainer:
         return self.history
 
     def _prepare_targets(self, labels: np.ndarray, fit: bool) -> np.ndarray:
-        if self.task_type == "multiclass":
-            return np.asarray(labels, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.float64)
         if self.task_type == "regression":
             if fit:
@@ -510,8 +507,6 @@ class NodeTaskTrainer:
         outputs = self.model(subgraph, self.graph)
         if self.task_type == "binary":
             return binary_cross_entropy_with_logits(outputs.reshape(len(ids)), labels)
-        if self.task_type == "multiclass":
-            return cross_entropy(outputs, labels)
         return mse_loss(outputs.reshape(len(ids)), labels)
 
     # ------------------------------------------------------------------
@@ -521,7 +516,6 @@ class NodeTaskTrainer:
         """Model predictions for the given seeds.
 
         Binary → probability of the positive class, shape (n,).
-        Multiclass → class probabilities, shape (n, C).
         Regression → de-standardized values, shape (n,).
         """
         outputs: List[np.ndarray] = []
@@ -530,8 +524,6 @@ class NodeTaskTrainer:
                 raw = self.model(subgraph, self.graph)
                 if self.task_type == "binary":
                     outputs.append(raw.reshape(len(raw)).sigmoid().data)
-                elif self.task_type == "multiclass":
-                    outputs.append(raw.softmax(axis=-1).data)
                 else:
                     outputs.append(
                         raw.reshape(len(raw)).data * self._target_std + self._target_mean
@@ -549,8 +541,6 @@ class NodeTaskTrainer:
         Sampling follows the same deterministic-inference contract as
         :meth:`predict`, so exported scores are reproducible.
         """
-        if self.task_type == "multiclass":
-            raise ValueError("export_scores supports binary and regression tasks only")
         outputs: List[np.ndarray] = []
         with no_grad():
             for _, subgraph in _eval_batches(self, seed_type, ids, times):

@@ -78,23 +78,6 @@ class NodeFeatures:
         """Width of the numeric block."""
         return self.numeric.shape[1]
 
-    def take(self, indices: np.ndarray) -> "NodeFeatures":
-        """Feature rows for a subset of nodes (used by sampled subgraphs)."""
-        return NodeFeatures(
-            numeric=self.numeric[indices],
-            numeric_names=self.numeric_names,
-            categorical=[
-                CategoricalEncoding(
-                    name=cat.name,
-                    codes=cat.codes[indices],
-                    cardinality=cat.cardinality,
-                    vocabulary=cat.vocabulary,
-                )
-                for cat in self.categorical
-            ],
-        )
-
-
 @lru_cache(maxsize=65536)
 def _stable_hash(text: str) -> int:
     """Deterministic FNV-1a string hash (python's builtin is salted per process).

@@ -7,10 +7,10 @@ and time-ordered into crash-safe, time-partitioned segments
 (:mod:`repro.ingest.segments`), and are applied as incremental CSR
 deltas to the live :class:`~repro.graph.hetero.HeteroGraph`
 (:mod:`repro.ingest.delta`) — bit-identical to a cold rebuild at the
-same watermark.  Staleness-aware refresh hooks
-(:mod:`repro.ingest.refresh`) invalidate only what a delta actually
-touched: per-cutoff memos, item-embedding memos, and router cost
-snapshots survive unless their inputs changed.
+same watermark.  Every memo reconciles itself against the graph's
+change journal and drops only what a delta touched;
+:func:`~repro.ingest.refresh.refresh_model` optionally does that now,
+inside the caller's barrier.
 """
 
 from repro.ingest.delta import DeltaGraphBuilder, DeltaReport
@@ -21,7 +21,7 @@ from repro.ingest.events import (
     UnresolvedReferenceError,
 )
 from repro.ingest.pipeline import IngestPipeline, IngestReport
-from repro.ingest.refresh import RefreshPolicy, refresh_model
+from repro.ingest.refresh import refresh_model
 from repro.ingest.segments import SegmentLog
 from repro.ingest.sources import CSVDropSource, InProcessSource
 
@@ -37,6 +37,5 @@ __all__ = [
     "DeltaReport",
     "IngestPipeline",
     "IngestReport",
-    "RefreshPolicy",
     "refresh_model",
 ]

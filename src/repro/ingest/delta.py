@@ -44,20 +44,18 @@ __all__ = ["DeltaGraphBuilder", "DeltaReport"]
 
 @dataclass
 class DeltaReport:
-    """What one applied delta changed — for the refresh policy, logs
-    and the CLI (memos read the graph's own journal, which this digests).
+    """What one applied delta changed — for logs and the CLI (memos
+    read the graph's own journal, which this digests).
 
     ``touched`` maps node type → node indices whose rows or incident
     edges changed (new nodes and the existing foreign-key parents they
     attached to).  ``touched_fraction`` is the worst-case fraction of
-    *pre-delta* nodes touched in any one type — the selectivity signal
-    the refresh policy thresholds on.  ``min_event_time`` is the
-    earliest timestamp the delta introduced (``TIME_MIN`` when it
-    contained static rows, which are visible at every context time).
+    *pre-delta* nodes touched in any one type — the delta's
+    selectivity.  The earliest timestamp it introduced is the
+    journal's ``min_time`` (:meth:`HeteroGraph.changes_since`).
     """
 
     touched: Dict[str, np.ndarray] = field(default_factory=dict)
-    min_event_time: int = TIME_MIN
     watermark: Optional[int] = None
     num_events: int = 0
     new_nodes: Dict[str, int] = field(default_factory=dict)
@@ -270,7 +268,7 @@ class DeltaGraphBuilder:
 
         # What changed is the graph's to say: its journal saw every append.
         change = self.graph.changes_since(version)
-        report.touched, report.min_event_time = change.touched, change.min_time
+        report.touched = change.touched
         report.watermark = self.watermark
         fractions = [
             len(ids[ids < old_counts.get(name, 0)]) / old_counts[name]

@@ -6,9 +6,6 @@ node with a hand-written backward:
 
 * :func:`addmm`           — ``x @ W + b`` as one node
 * :func:`linear_relu`     — ``relu(x @ W + b)`` as one node
-* :func:`softmax_cross_entropy` — mean NLL over integer targets;
-  backward is the classic ``softmax - onehot`` without materializing
-  log-softmax intermediates in the graph
 * :func:`bce_with_logits` — elementwise binary cross-entropy from
   logits; backward is ``sigmoid(z) - y`` (per-example, pre-reduction)
 
@@ -29,7 +26,6 @@ from repro.nn.tensor import Tensor
 __all__ = [
     "addmm",
     "linear_relu",
-    "softmax_cross_entropy",
     "bce_with_logits",
 ]
 
@@ -93,31 +89,6 @@ def linear_relu(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Ten
 # ----------------------------------------------------------------------
 # Loss kernels
 # ----------------------------------------------------------------------
-def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy over integer class targets, fused.
-
-    Backward is the closed form ``(softmax - onehot) / n`` — one
-    buffer, versus the log-softmax/one-hot/multiply/mean chain of the
-    unfused composition.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_norm
-    rows = np.arange(len(targets))
-    nll = -log_probs[rows, targets]
-    data = np.asarray(nll.mean(), dtype=logits.data.dtype)
-
-    def backward(grad: np.ndarray) -> None:
-        if not logits.requires_grad:
-            return
-        scale = np.asarray(grad, dtype=logits.data.dtype) / max(len(targets), 1)
-        grad_logits = np.exp(log_probs)
-        grad_logits[rows, targets] -= 1.0
-        grad_logits *= scale
-        logits._accumulate(grad_logits, owned=True)
-
-    return Tensor._make(data, (logits,), backward)
 
 
 def bce_with_logits(

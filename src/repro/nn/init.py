@@ -10,20 +10,13 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "normal", "zeros"]
+__all__ = ["xavier_uniform", "normal", "zeros"]
 
 
 def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     """Glorot/Xavier uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform for ReLU networks: U(-a, a) with a = sqrt(6 / fan_in)."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -15,10 +15,6 @@ __all__ = [
     "Linear",
     "MLP",
     "Embedding",
-    "LayerNorm",
-    "ReLU",
-    "Tanh",
-    "Sequential",
 ]
 
 
@@ -54,42 +50,6 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         """Affine transform of the last axis (fused ``addmm`` on 2-D input)."""
         return F.addmm(x, self.weight, self.bias)
-
-
-class ReLU(Module):
-    """ReLU as a module (for use in :class:`Sequential`)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Elementwise max(x, 0)."""
-        return x.relu()
-
-
-class Tanh(Module):
-    """Tanh as a module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Elementwise tanh."""
-        return x.tanh()
-
-
-class Sequential(Module):
-    """Run modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.steps = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Pass ``x`` through every step in order."""
-        for step in self.steps:
-            x = step(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.steps[index]
 
 
 class MLP(Module):
@@ -154,20 +114,3 @@ class Embedding(Module):
         return self.weight.take(indices)
 
 
-class LayerNorm(Module):
-    """Layer normalization over the last axis with learned scale/shift."""
-
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=None) -> None:
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim), dtype=dtype)
-        self.beta = Parameter(np.zeros(dim), dtype=dtype)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered / (var + self.eps).sqrt()
-        return normalized * self.gamma + self.beta

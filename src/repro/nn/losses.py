@@ -16,10 +16,7 @@ from repro.nn.tensor import Tensor
 
 __all__ = [
     "binary_cross_entropy_with_logits",
-    "cross_entropy",
     "mse_loss",
-    "l1_loss",
-    "huber_loss",
     "bpr_loss",
 ]
 
@@ -40,38 +37,10 @@ def binary_cross_entropy_with_logits(
     return F.bce_with_logits(logits, targets, pos_weight=weight).mean()
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Multiclass cross-entropy: ``logits`` is (n, C), ``targets`` int (n,)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    n, _ = logits.shape
-    if targets.shape != (n,):
-        raise ValueError(f"targets shape {targets.shape} does not match batch {n}")
-    return F.softmax_cross_entropy(logits, targets)
-
-
 def mse_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
     """Mean squared error."""
     diff = pred - Tensor(np.asarray(targets, dtype=pred.data.dtype).reshape(pred.shape))
     return (diff * diff).mean()
-
-
-def l1_loss(pred: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean absolute error."""
-    diff = pred - Tensor(np.asarray(targets, dtype=pred.data.dtype).reshape(pred.shape))
-    return diff.abs().mean()
-
-
-def huber_loss(pred: Tensor, targets: np.ndarray, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic within ``delta``, linear outside.
-
-    Implemented with the smooth form
-    ``delta^2 * (sqrt(1 + (r/delta)^2) - 1)`` (pseudo-Huber), which has
-    the same asymptotics and is differentiable everywhere.
-    """
-    targets = np.asarray(targets, dtype=pred.data.dtype).reshape(pred.shape)
-    residual = pred - Tensor(targets)
-    scaled = residual * (1.0 / delta)
-    return (((scaled * scaled + 1.0).sqrt() - 1.0) * (delta**2)).mean()
 
 
 def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:

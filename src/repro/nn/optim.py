@@ -1,11 +1,11 @@
-"""Optimizers, gradient clipping, and learning-rate schedules.
+"""Adam and AdamW over flat parameter storage, with fused gradient clipping.
 
 Optimizers keep *flat* storage: at construction every parameter's
 storage is rebound to a view into one contiguous buffer per dtype, so
 an update step is a handful of vectorized numpy ops over the whole
 model instead of a Python loop per parameter.  The layout is recorded
 in a manifest (:meth:`Optimizer.layout_manifest`) and the
-per-parameter optimizer state (``_m``/``_v``/``_velocity``) is still
+per-parameter optimizer state (``_m``/``_v``) is still
 addressable by parameter index, which is the form checkpoints use.
 
 The flat step is constructed to be *bit-identical* in every dtype to
@@ -28,12 +28,8 @@ from repro.nn.module import Parameter
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
     "AdamW",
-    "clip_grad_norm",
-    "StepSchedule",
-    "CosineSchedule",
 ]
 
 
@@ -127,8 +123,9 @@ class FlatParamSpace:
         """Global L2 norm of the gathered flat gradients.
 
         Accumulated per parameter in registration order with the exact
-        ``(grad ** 2).sum()`` reduction :func:`clip_grad_norm` uses, so
-        flat clipping stays bit-identical to it (a BLAS dot over the
+        ``(grad ** 2).sum()`` reduction the per-parameter oracle uses
+        (``clip_grad_norm`` in ``tests/oracles.py``), so flat clipping
+        stays bit-identical to it (a BLAS dot over the
         whole buffer can differ in the last ulp and would break
         checkpoint equivalence).
         """
@@ -252,59 +249,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._flat_velocity = self._flat.alloc_like() if momentum else None
-        self._scratch = self._flat.alloc_like()
-
-    @property
-    def _velocity(self) -> Dict[int, np.ndarray]:
-        return self._flat.state_views(self._flat_velocity)
-
-    @_velocity.setter
-    def _velocity(self, value: Dict[int, np.ndarray]) -> None:
-        if self._flat_velocity is not None:
-            self._flat.load_state(self._flat_velocity, value)
-
-    def step(self) -> None:
-        """Apply one (momentum) SGD update from accumulated gradients."""
-        self._ensure_gathered()
-        saved = self._save_missing([self._flat_velocity])
-        for gi, group in enumerate(self._flat.groups):
-            # All arithmetic lands in persistent scratch: zero
-            # allocations per step, bit-identical to the per-parameter
-            # loop (float +/* are bitwise commutative).
-            scratch = self._scratch[gi]
-            grad = group.grad
-            if self.weight_decay:
-                np.multiply(group.data, self.weight_decay, out=scratch)
-                scratch += grad
-                grad = scratch
-            if self.momentum:
-                velocity = self._flat_velocity[gi]
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            if grad is scratch:
-                scratch *= self.lr
-            else:
-                np.multiply(grad, self.lr, out=scratch)
-            group.data -= scratch
-        self._restore_missing(saved, [self._flat_velocity])
-        self._gathered = False
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015)."""
 
@@ -392,55 +336,3 @@ class AdamW(Adam):
     _decoupled_decay = True
 
 
-def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clipping norm.  (Optimizers provide the vectorized
-    :meth:`Optimizer.gather_and_clip` instead; this per-parameter
-    version is for ad-hoc use outside an optimizer step.)
-    """
-    total = 0.0
-    for param in parameters:
-        if param.grad is not None:
-            total += float((param.grad**2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for param in parameters:
-            if param.grad is not None:
-                param.grad *= scale
-    return norm
-
-
-class StepSchedule:
-    """Multiply the optimizer LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch and update the LR."""
-        self._epoch += 1
-        self.optimizer.lr = self._base_lr * (self.gamma ** (self._epoch // self.step_size))
-
-
-class CosineSchedule:
-    """Cosine decay from the base LR to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0) -> None:
-        self.optimizer = optimizer
-        self.total_epochs = max(total_epochs, 1)
-        self.min_lr = min_lr
-        self._base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch and update the LR."""
-        self._epoch = min(self._epoch + 1, self.total_epochs)
-        progress = self._epoch / self.total_epochs
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        self.optimizer.lr = self.min_lr + (self._base_lr - self.min_lr) * cosine

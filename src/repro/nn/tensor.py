@@ -139,10 +139,6 @@ class Tensor:
     def _item_error(self) -> float:
         raise ValueError(f"item() requires a one-element tensor, got shape {self.shape}")
 
-    def numpy(self) -> np.ndarray:
-        """The raw data array (shared, do not mutate)."""
-        return self.data
-
     # ------------------------------------------------------------------
     # Graph plumbing
     # ------------------------------------------------------------------
@@ -262,9 +258,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-self._lift(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return self._lift(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = self._lift(other)
         data = self.data * other.data
@@ -290,20 +283,6 @@ class Tensor:
                 other._accumulate(-grad * self.data / (other.data**2))
 
         return Tensor._make(data, (self, other), backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._lift(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = self._lift(other)
@@ -333,30 +312,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        """Elementwise natural log."""
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        """Elementwise square root."""
-        return self**0.5
-
-    def tanh(self) -> "Tensor":
-        """Elementwise tanh."""
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data**2))
 
         return Tensor._make(data, (self,), backward)
 
@@ -412,27 +367,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def abs(self) -> "Tensor":
-        """Elementwise absolute value (subgradient 0 at 0)."""
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Elementwise clamp; gradient is zero outside [low, high]."""
-        data = np.clip(self.data, low, high)
-        inside = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * inside)
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -459,24 +393,6 @@ class Tensor:
         else:
             count = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / max(count, 1))
-
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        """Maximum over one axis; gradient flows to (first) argmax."""
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            expanded = data if keepdims else np.expand_dims(data, axis=axis)
-            mask = self.data == expanded
-            # Split gradient across ties to keep it a subgradient.
-            counts = mask.sum(axis=axis, keepdims=True)
-            if not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.where(mask, g / counts, 0.0))
-
-        return Tensor._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Shape ops
@@ -536,55 +452,3 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = -1) -> "Tensor":
-        """Concatenate tensors along ``axis``."""
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            grad = np.asarray(grad)
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * grad.ndim
-                    slicer[axis] = slice(start, stop)
-                    tensor._accumulate(grad[tuple(slicer)])
-
-        return Tensor._make(data, tuple(tensors), backward)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Stack tensors along a new axis."""
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            grad = np.asarray(grad)
-            for i, tensor in enumerate(tensors):
-                if tensor.requires_grad:
-                    tensor._accumulate(np.take(grad, i, axis=axis))
-
-        return Tensor._make(data, tuple(tensors), backward)
-
-    # ------------------------------------------------------------------
-    # Softmax family (stable)
-    # ------------------------------------------------------------------
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        """Numerically stable log-softmax along ``axis``."""
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        data = shifted - log_norm
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                softmax = np.exp(data)
-                grad = np.asarray(grad)
-                self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
-
-        return Tensor._make(data, (self,), backward)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        """Numerically stable softmax along ``axis``."""
-        return self.log_softmax(axis=axis).exp()

@@ -262,13 +262,14 @@ class GreenTier:
     scores ``count / (count + 1)`` (binary) or the raw count
     (regression); :meth:`fit` calibrates log-activity (linear/logistic);
     LIST queries rank by item popularity among facts visible at the
-    cutoff, fitted or not.  Pickles names and coefficients only: the
-    graph is re-attached with :meth:`bind` after load.
+    cutoff, fitted or not, computed per call and memoized nowhere.
+    Pickles names and coefficients only: the graph is re-attached with
+    :meth:`bind` after load.
     """
 
     kind = GREEN
     #: What :meth:`bind` attaches; not pickled.
-    _BOUND = ("_graph", "_entity_edges", "_item_edges", "_popularity")
+    _BOUND = ("_graph", "_entity_edges", "_item_edges")
     _graph = None
 
     def __init__(self, entity_table: str, task: str, item_table: str = "") -> None:
@@ -298,14 +299,7 @@ class GreenTier:
         self._graph = graph
         self._entity_edges = graph.edge_types_into(self.entity_table)
         self._item_edges = graph.edge_types_into(self.item_table) if self.item_table else []
-        #: Per-cutoff memo of the item-popularity vector (rank path).
-        self._popularity = CutoffMemo(graph, sized_by=self.item_table)
         return self
-
-    def reconcile(self) -> Dict[str, int]:
-        """Reconcile the popularity memo with the graph now rather than
-        on the next rank; returns the ``refresh_model`` counter."""
-        return {"popularity_dropped": self._popularity.reconcile()}
 
     def _counts(self, node_ids: np.ndarray, cutoffs: np.ndarray, edge_types) -> np.ndarray:
         counts = np.zeros(len(node_ids), dtype=np.float64)
@@ -350,14 +344,14 @@ class GreenTier:
             return np.asarray(self.calibrator.predict_proba(x), dtype=np.float64)
         return np.asarray(self.calibrator.predict(x), dtype=np.float64)
 
-    def _popularity_at(self, cutoff: int) -> np.ndarray:
-        def count() -> np.ndarray:
-            num_items = self._graph.num_nodes(self.item_table)
-            ids = np.arange(num_items, dtype=np.int64)
-            times = np.full(num_items, cutoff, dtype=np.int64)
-            return self._counts(ids, times, self._item_edges)
-
-        return self._popularity.get(cutoff, count)
+    def _popularity(self, cutoffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Item popularity at each distinct cutoff, (distinct, items), and
+        each row's index into it: one count search per item relation."""
+        distinct, row_of = np.unique(np.asarray(cutoffs, dtype=np.int64), return_inverse=True)
+        num_items = self._graph.num_nodes(self.item_table)
+        ids = np.tile(np.arange(num_items, dtype=np.int64), len(distinct))
+        counts = self._counts(ids, np.repeat(distinct, num_items), self._item_edges)
+        return counts.reshape(len(distinct), num_items), row_of
 
     def rank(
         self, entity_keys: np.ndarray, cutoffs: np.ndarray, k: int
@@ -365,22 +359,17 @@ class GreenTier:
         """Top-``k`` (item_keys, scores) per entity by time-valid popularity."""
         if not self.item_table:
             raise RuntimeError("green ranking needs an item table (LIST queries only)")
-        item_keys = self._graph.node_keys[self.item_table]
-        out = []
-        for cutoff in np.asarray(cutoffs, dtype=np.int64).tolist():
-            scores = self._popularity_at(int(cutoff))
-            top = np.argsort(-scores, kind="stable")[:k]
-            out.append((item_keys[top], scores[top]))
-        return out
+        popularity, row_of = self._popularity(cutoffs)
+        top = np.argsort(-popularity, axis=1, kind="stable")[:, :k]
+        items = self._graph.node_keys[self.item_table][top][row_of]
+        scores = np.take_along_axis(popularity, top, axis=1)[row_of]
+        return list(zip(items, scores))
 
     def score_against_items(self, seed_type, query_ids, query_times, item_ids) -> np.ndarray:
         """Popularity scores per query, (queries, items) — the scorer
         surface a LIST model without a ranker evaluates through."""
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        scores = np.empty((len(query_ids), len(item_ids)), dtype=np.float64)
-        for row, cutoff in enumerate(np.asarray(query_times, dtype=np.int64).tolist()):
-            scores[row] = self._popularity_at(int(cutoff))[item_ids]
-        return scores
+        popularity, row_of = self._popularity(query_times)
+        return popularity[:, np.asarray(item_ids, dtype=np.int64)][row_of]
 
 
 class YellowTier:

@@ -17,7 +17,7 @@ binary columnar snapshot file (:mod:`repro.relational.snapshot`) that
 loads in milliseconds and round-trips every value exactly.
 """
 
-from repro.relational.types import DType, NULL_SENTINELS, Timestamp, days, hours
+from repro.relational.types import DType, NULL_SENTINELS, Timestamp
 from repro.relational.column import Column
 from repro.relational.schema import ColumnSpec, ForeignKey, TableSchema
 from repro.relational.table import Table
@@ -31,8 +31,6 @@ __all__ = [
     "DType",
     "NULL_SENTINELS",
     "Timestamp",
-    "days",
-    "hours",
     "Column",
     "ColumnSpec",
     "ForeignKey",

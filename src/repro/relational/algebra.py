@@ -19,7 +19,6 @@ from repro.relational.types import DType
 __all__ = [
     "select",
     "inner_join",
-    "left_join",
     "group_aggregate",
     "AGGREGATES",
     "aggregate_grouped_values",
@@ -123,87 +122,8 @@ def inner_join(
     return Table(schema, columns)
 
 
-def left_join(
-    left: Table,
-    right: Table,
-    left_on: str,
-    right_on: str,
-    right_suffix: str = "_right",
-) -> Table:
-    """Left outer equi-join; unmatched left rows get nulls on the right."""
-    left_col, right_col = left[left_on], right[right_on]
-    right_valid = ~right_col.null_mask()
-    right_rows = np.flatnonzero(right_valid)
-    index: Dict[Any, List[int]] = {}
-    for i, key in zip(right_rows.tolist(), right_col.values[right_rows].tolist()):
-        index.setdefault(key, []).append(i)
-    left_mask = left_col.null_mask()
-    left_idx: List[int] = []
-    right_idx: List[int] = []  # -1 = unmatched
-    for i in range(left.num_rows):
-        matches = None if left_mask[i] else index.get(left_col.values[i])
-        if matches:
-            left_idx.extend([i] * len(matches))
-            right_idx.extend(matches)
-        else:
-            left_idx.append(i)
-            right_idx.append(-1)
-    left_indices = np.asarray(left_idx, dtype=np.int64)
-    right_indices = np.asarray(right_idx, dtype=np.int64)
-    unmatched = right_indices < 0
-    safe_right = np.where(unmatched, 0, right_indices)
-    schema, rename = _merge_schemas(left, right, right_suffix)
-    columns: Dict[str, Column] = {
-        name: left[name].take(left_indices) for name in left.column_names
-    }
-    for original, renamed in rename.items():
-        gathered = right[original].take(safe_right) if right.num_rows else Column.full(
-            len(left_indices), None, right.schema.dtype_of(original)
-        )
-        mask = gathered.null_mask() | unmatched
-        columns[renamed] = Column(gathered.values, gathered.dtype, mask=mask)
-    return Table(schema, columns)
-
-
-def _agg_count(values: np.ndarray, valid: np.ndarray) -> float:
-    return float(valid.sum())
-
-
-def _agg_sum(values: np.ndarray, valid: np.ndarray) -> float:
-    return float(values[valid].sum()) if valid.any() else 0.0
-
-
-def _agg_avg(values: np.ndarray, valid: np.ndarray) -> Optional[float]:
-    return float(values[valid].mean()) if valid.any() else None
-
-
-def _agg_min(values: np.ndarray, valid: np.ndarray) -> Optional[float]:
-    return float(values[valid].min()) if valid.any() else None
-
-
-def _agg_max(values: np.ndarray, valid: np.ndarray) -> Optional[float]:
-    return float(values[valid].max()) if valid.any() else None
-
-
-def _agg_exists(values: np.ndarray, valid: np.ndarray) -> float:
-    return 1.0 if valid.any() else 0.0
-
-
-def _agg_count_distinct(values: np.ndarray, valid: np.ndarray) -> float:
-    return float(len(np.unique(values[valid]))) if valid.any() else 0.0
-
-
-#: Supported aggregate functions.  Each maps (values, valid-mask) of one
-#: group to a float (or ``None`` for empty-group avg/min/max).
-AGGREGATES: Dict[str, Callable[[np.ndarray, np.ndarray], Optional[float]]] = {
-    "count": _agg_count,
-    "sum": _agg_sum,
-    "avg": _agg_avg,
-    "min": _agg_min,
-    "max": _agg_max,
-    "exists": _agg_exists,
-    "count_distinct": _agg_count_distinct,
-}
+#: Supported aggregate functions (:func:`aggregate_grouped_values`).
+AGGREGATES = ("count", "sum", "avg", "min", "max", "exists", "count_distinct")
 
 
 def aggregate_grouped_values(

@@ -207,46 +207,6 @@ class Column:
         mask = self.mask[keep] if self.mask is not None else None
         return Column(self.values[keep], self.dtype, mask=mask)
 
-    def fill_null(self, value: Any) -> "Column":
-        """Replace nulls with ``value``."""
-        if self.mask is None:
-            return self
-        values = self.values.copy()
-        values[self.mask] = value
-        return Column(values, self.dtype)
-
-    def astype(self, dtype: DType) -> "Column":
-        """Cast to another logical dtype."""
-        if dtype == self.dtype:
-            return self
-        if dtype == DType.STRING:
-            values = np.empty(len(self), dtype=object)
-            for i in range(len(self)):
-                item = self.get(i)
-                values[i] = "" if item is None else str(item)
-            return Column(values, dtype, mask=self.mask)
-        if self.dtype == DType.STRING:
-            np_dtype = numpy_dtype_for(dtype)
-            out = np.empty(len(self), dtype=np_dtype)
-            mask = self.null_mask().copy()
-            for i in range(len(self)):
-                if mask[i]:
-                    out[i] = NULL_SENTINELS[dtype]
-                    continue
-                text = self.values[i]
-                if text == "":
-                    mask[i] = True
-                    out[i] = NULL_SENTINELS[dtype]
-                elif dtype == DType.BOOL:
-                    out[i] = text.strip().lower() in ("1", "true", "t", "yes")
-                elif dtype == DType.FLOAT64:
-                    out[i] = float(text)
-                else:
-                    out[i] = int(float(text))
-            return Column(out, dtype, mask=mask)
-        values = self.values.astype(numpy_dtype_for(dtype))
-        return Column(values, dtype, mask=self.mask)
-
     # ------------------------------------------------------------------
     # Comparisons (produce boolean numpy masks; nulls compare false)
     # ------------------------------------------------------------------

@@ -75,12 +75,6 @@ class Database:
             raise ValueError(f"table {table.name!r} already exists in database {self.name!r}")
         self._tables[table.name] = table
 
-    def drop_table(self, table_name: str) -> None:
-        """Remove a table."""
-        if table_name not in self._tables:
-            raise KeyError(f"database {self.name!r} has no table {table_name!r}")
-        del self._tables[table_name]
-
     # ------------------------------------------------------------------
     # Integrity
     # ------------------------------------------------------------------
@@ -168,9 +162,3 @@ class Database:
                 snap.add_table(table.filter(keep))
         return snap
 
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-table row/column counts (used by the Table 1 benchmark)."""
-        return {
-            table.name: {"rows": table.num_rows, "columns": len(table.column_names)}
-            for table in self
-        }

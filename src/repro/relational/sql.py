@@ -393,16 +393,6 @@ def _order_and_limit(working: Table, query: _Query, base_name: str) -> Table:
     return working
 
 
-def _rename_column(table: Table, old: str, new: str) -> Table:
-    specs = [
-        ColumnSpec(new if spec.name == old else spec.name, spec.dtype)
-        for spec in table.schema.columns
-    ]
-    schema = TableSchema(name=table.name, columns=specs)
-    columns = {new if name == old else name: table[name] for name in table.column_names}
-    return Table(schema, columns)
-
-
 def _execute_aggregation(working: Table, query: _Query, base_name: str) -> Table:
     aggs = {}
     plain_columns = []

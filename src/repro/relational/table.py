@@ -191,34 +191,3 @@ class Table:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def describe(self) -> Dict[str, Dict[str, Any]]:
-        """Per-column summary statistics.
-
-        Numeric/timestamp columns report min/max/mean and null count;
-        string and boolean columns report distinct-value counts (top 5
-        values for strings).  Intended for interactive exploration.
-        """
-        from repro.relational.types import DType
-
-        summary: Dict[str, Dict[str, Any]] = {}
-        for name in self.column_names:
-            column = self[name]
-            entry: Dict[str, Any] = {
-                "dtype": column.dtype.value,
-                "nulls": column.null_count,
-            }
-            if column.dtype.is_numeric:
-                entry["min"] = column.min()
-                entry["max"] = column.max()
-                if column.dtype == DType.FLOAT64 or column.dtype == DType.INT64:
-                    entry["mean"] = column.mean() if self.num_rows else None
-            elif column.dtype == DType.STRING:
-                counts = column.value_counts()
-                entry["distinct"] = len(counts)
-                entry["top"] = sorted(counts, key=lambda v: (-counts[v], v))[:5]
-            elif column.dtype == DType.BOOL:
-                counts = column.value_counts()
-                entry["true"] = counts.get(True, 0)
-                entry["false"] = counts.get(False, 0)
-            summary[name] = entry
-        return summary

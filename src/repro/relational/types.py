@@ -13,9 +13,7 @@ STRING      ``object``               arbitrary python strings
 TIMESTAMP   ``int64``                seconds since the unix epoch
 ========== =======================  =========================================
 
-Timestamps are plain integers (seconds).  The helpers :func:`days` and
-:func:`hours` convert human-scale durations into seconds so call sites
-read naturally, e.g. ``cutoff + days(30)``.
+Timestamps are plain integers (seconds).
 """
 
 from __future__ import annotations
@@ -25,14 +23,11 @@ import operator
 
 import numpy as np
 
-__all__ = ["DType", "Timestamp", "NULL_SENTINELS", "days", "hours", "numpy_dtype_for",
+__all__ = ["DType", "Timestamp", "NULL_SENTINELS", "numpy_dtype_for",
            "exact_int"]
 
 #: Alias used in signatures that accept epoch-second timestamps.
 Timestamp = int
-
-_SECONDS_PER_HOUR = 3600
-_SECONDS_PER_DAY = 24 * _SECONDS_PER_HOUR
 
 
 class DType(enum.Enum):
@@ -80,16 +75,6 @@ def numpy_dtype_for(dtype: DType) -> np.dtype:
         DType.TIMESTAMP: np.dtype(np.int64),
     }
     return mapping[dtype]
-
-
-def days(n: float) -> int:
-    """Duration of ``n`` days, in epoch seconds."""
-    return int(round(n * _SECONDS_PER_DAY))
-
-
-def hours(n: float) -> int:
-    """Duration of ``n`` hours, in epoch seconds."""
-    return int(round(n * _SECONDS_PER_HOUR))
 
 
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1

@@ -7,6 +7,7 @@ here, unoptimized and obviously correct, as oracles only.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from repro.baselines.trees import _MISSING_BIN, DecisionTreeRegressor, _Node
 from repro.graph.hetero import EdgeType, HeteroGraph, _EdgeStore
 from repro.graph.sampler import SampledSubgraph
+from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
 from repro.relational import DType, Table
 
@@ -43,6 +45,28 @@ def segment_count_before(store: _EdgeStore, dst: int, time: int) -> int:
 def count_before(graph: HeteroGraph, edge_type: EdgeType, dst: int, time: int) -> int:
     """Time-valid in-degree of one node under one edge type."""
     return segment_count_before(graph._edges[edge_type], dst, time)
+
+
+def loop_popularity(tier, cutoff: int) -> np.ndarray:
+    """A bound LIST ``GreenTier``'s item popularity at one cutoff, item by
+    item and relation by relation."""
+    graph = tier._graph
+    return np.array([
+        float(sum(count_before(graph, edge_type, item, cutoff) for edge_type in tier._item_edges))
+        for item in range(graph.num_nodes(tier.item_table))
+    ], dtype=np.float64)
+
+
+def loop_green_rank(tier, cutoffs: np.ndarray, k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``GreenTier.rank`` row by row: one popularity vector and one stable
+    sort per requested cutoff (the oracle for its one-pass batch)."""
+    item_keys = tier._graph.node_keys[tier.item_table]
+    out = []
+    for cutoff in np.asarray(cutoffs, dtype=np.int64).tolist():
+        scores = loop_popularity(tier, cutoff)
+        top = np.argsort(-scores, kind="stable")[:k]
+        out.append((item_keys[top], scores[top]))
+    return out
 
 
 def all_neighbors(graph: HeteroGraph, edge_type: EdgeType, dst: int) -> np.ndarray:
@@ -329,6 +353,28 @@ def at_take(tensor: Tensor, indices: np.ndarray) -> Tensor:
             tensor._accumulate(at_sum(np.asarray(grad), indices, len(tensor.data)))
 
     return Tensor._make(tensor.data[indices], (tensor,), backward)
+
+
+# ----------------------------------------------------------------------
+# Per-parameter gradient clipping: the oracle for Adam's fused clip
+# ----------------------------------------------------------------------
+def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
+    """Scale gradients so their global L2 norm is at most ``max_norm``.
+
+    Returns the pre-clipping norm.  ``Optimizer.gather_and_clip`` does
+    the same over the flat buffer, bit for bit.
+    """
+    total = 0.0
+    for param in parameters:
+        if param.grad is not None:
+            total += float((param.grad**2).sum())
+    norm = math.sqrt(total)
+    if norm > max_norm and norm > 0:
+        scale = max_norm / norm
+        for param in parameters:
+            if param.grad is not None:
+                param.grad *= scale
+    return norm
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ no-grad inference surface.
 
 The op-by-op compositions the fused kernels replaced and the
 per-parameter optimizer loops the flat steps replaced are defined here
-as oracles (``unfused_*``, ``LoopSGD``, ``LoopAdam``)."""
+as oracles (``unfused_*``, ``LoopAdam``)."""
 
 from types import SimpleNamespace
 
@@ -28,10 +28,9 @@ from repro.graph.encoders import (
     _stable_hash,
 )
 from repro.nn import Tensor, functional as F, no_grad
-from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import MLP, Linear
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
+from repro.nn.optim import Adam, AdamW
 from repro.nn.tensor import as_dtype
 from repro.relational import (
     ColumnSpec,
@@ -41,6 +40,8 @@ from repro.relational import (
     Table,
     TableSchema,
 )
+from tests.gradcheck import check_gradients
+from tests.oracles import clip_grad_norm
 
 
 # ======================================================================
@@ -55,13 +56,6 @@ def unfused_linear_relu(x, weight, bias=None):
     return unfused_addmm(x, weight, bias).relu()
 
 
-def unfused_softmax_cross_entropy(logits, targets):
-    targets = np.asarray(targets, dtype=np.int64)
-    log_probs = logits.log_softmax(axis=-1)
-    one_hot = np.eye(logits.data.shape[-1], dtype=logits.data.dtype)[targets]
-    return -(log_probs * Tensor(one_hot)).sum(axis=-1).mean()
-
-
 def unfused_bce_with_logits(logits, targets, pos_weight=None):
     targets = np.asarray(targets, dtype=logits.data.dtype)
     per_example = logits.softplus() - logits * Tensor(targets)
@@ -71,12 +65,11 @@ def unfused_bce_with_logits(logits, targets, pos_weight=None):
     return per_example
 
 
-#: fused? -> namespace with linear_relu / softmax_cross_entropy / bce_with_logits
+#: fused? -> namespace with linear_relu / bce_with_logits
 KERNELS = {
     True: F,
     False: SimpleNamespace(
         linear_relu=unfused_linear_relu,
-        softmax_cross_entropy=unfused_softmax_cross_entropy,
         bce_with_logits=unfused_bce_with_logits,
     ),
 }
@@ -114,11 +107,6 @@ class TestFusedKernelGradients:
         check_gradients(lambda t: F.linear_relu(x, t, b).sum(), self.w)
         check_gradients(lambda t: F.linear_relu(x, w, t).sum(), self.b)
 
-    def test_softmax_cross_entropy_grad(self):
-        targets = np.array([0, 2, 5, 1, 3])
-        logits = np.random.default_rng(4).normal(size=(5, 6))
-        check_gradients(lambda t: F.softmax_cross_entropy(t, targets), logits)
-
     def test_bce_with_logits_grad(self):
         targets = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         logits = np.random.default_rng(5).normal(size=5)
@@ -134,12 +122,9 @@ class TestFusedKernelGradients:
     def test_unfused_fallback_gradchecks(self):
         # The oracle compositions must pass the same checks, and so
         # must the kernels' own fall-back for inputs that are not 2-D.
-        targets = np.array([0, 2, 5, 1, 3])
-        logits = np.random.default_rng(4).normal(size=(5, 6))
         w, b = Tensor(self.w), Tensor(self.b)
         check_gradients(lambda t: unfused_addmm(t, w, b).sum(), self.x)
         check_gradients(lambda t: unfused_linear_relu(t, w, b).sum(), self.x)
-        check_gradients(lambda t: unfused_softmax_cross_entropy(t, targets), logits)
         bce_targets = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         bce_logits = np.random.default_rng(5).normal(size=5)
         check_gradients(
@@ -160,13 +145,13 @@ class TestFusedVsUnfused:
         x_data = rng.normal(size=(6, 5))
         w_data = rng.normal(size=(5, 7))
         b_data = rng.normal(size=7)
-        targets = rng.integers(0, 7, size=6)
+        targets = rng.integers(0, 2, size=(6, 7)).astype(np.float64)
         kernels = KERNELS[fused]
         x = Tensor(x_data, requires_grad=True, dtype=dtype)
         w = Tensor(w_data, requires_grad=True, dtype=dtype)
         b = Tensor(b_data, requires_grad=True, dtype=dtype)
         hidden = kernels.linear_relu(x, w, b)
-        loss = kernels.softmax_cross_entropy(hidden, targets)
+        loss = kernels.bce_with_logits(hidden, targets).mean()
         loss.backward()
         return loss.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
 
@@ -206,34 +191,6 @@ def _make_params(seed=0):
 def _random_grads(params, seed):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=param.data.shape) for param in params]
-
-
-class LoopSGD:
-    """Per-parameter SGD loop: the oracle for the flat :class:`SGD` step."""
-
-    def __init__(self, parameters, lr, momentum=0.0, weight_decay=0.0):
-        self.parameters, self.lr = list(parameters), lr
-        self.momentum, self.weight_decay = momentum, weight_decay
-        self._velocity = {}
-
-    def gather_and_clip(self, max_norm):
-        return clip_grad_norm(self.parameters, max_norm)
-
-    def step(self):
-        for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(i)
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[i] = velocity
-                grad = velocity
-            param.data -= self.lr * grad
 
 
 class LoopAdam:
@@ -298,14 +255,12 @@ class TestFlatOptimizerEquivalence:
     @pytest.mark.parametrize(
         "flat_cls,loop_cls,kwargs",
         [
-            (SGD, LoopSGD, dict(lr=0.05)),
-            (SGD, LoopSGD, dict(lr=0.05, momentum=0.9, weight_decay=0.01)),
             (Adam, LoopAdam, dict(lr=0.01)),
             (Adam, LoopAdam, dict(lr=0.01, weight_decay=0.02)),
             (AdamW, lambda p, **kw: LoopAdam(p, decoupled=True, **kw),
              dict(lr=0.01, weight_decay=0.02)),
         ],
-        ids=["sgd", "sgd-momentum-wd", "adam", "adam-wd", "adamw"],
+        ids=["adam", "adam-wd", "adamw"],
     )
     def test_bit_identical_to_reference(self, flat_cls, loop_cls, kwargs):
         flat = self._run(lambda p: flat_cls(p, **kwargs))
@@ -426,8 +381,9 @@ class TestComputeDtype:
         )
         out = model(subgraph, graph)
         assert out.data.dtype == np.float32
-        tower = TwoTowerModel(metadata, item_type="customers", num_items=4,
-                              embed_dim=8, num_layers=0, rng=rng, dtype="float32")
+        query = HeteroGNN(metadata, hidden_dim=8, out_dim=8, num_layers=0, rng=rng,
+                          dtype="float32")
+        tower = TwoTowerModel(query, metadata, item_type="customers", num_items=4, rng=rng)
         assert all(p.data.dtype == np.float32 for p in tower.parameters())
 
 
@@ -635,10 +591,10 @@ class TestItemEmbeddingCache:
     def _link_trainer(self):
         graph = build_graph(_tiny_db())
         metadata = GraphMetadata.from_graph(graph)
-        model = TwoTowerModel(metadata, item_type="customers",
-                              num_items=graph.num_nodes("customers"),
-                              embed_dim=8, num_layers=0,
-                              rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        query = HeteroGNN(metadata, hidden_dim=8, out_dim=8, num_layers=0, rng=rng)
+        model = TwoTowerModel(query, metadata, item_type="customers",
+                              num_items=graph.num_nodes("customers"), rng=rng)
         sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         config = TrainConfig(epochs=1, batch_size=8)
         return LinkTaskTrainer(model, graph, sampler, config=config), graph

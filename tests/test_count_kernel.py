@@ -8,7 +8,9 @@ per-row binary search over one destination's segment that it replaced
 Counts are integers, so they must be *equal*, row for row — through
 empty segments, edges tied with the cutoff, static (``TIME_MIN``)
 edges, a ``grow_node_type`` that pads ``indptr`` after the keys were
-built, and the new store an ``append_edges`` merge makes.
+built, and the new store an ``append_edges`` merge makes.  GREEN's
+LIST ranking, one popularity count per distinct cutoff and one sort
+per call, is byte-equal to its per-row loop (``loop_green_rank``).
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.graph import build_graph
 from repro.graph.hetero import TIME_MIN, EdgeType, HeteroGraph
 from tests.conftest import shop_db
-from tests.oracles import count_before, segment_count_before
+from tests.oracles import count_before, loop_green_rank, loop_popularity, segment_count_before
 
 #: Few distinct times, so edges tie with each other and with cutoffs.
 _TIMES = st.sampled_from([TIME_MIN, 0, 1, 2, 5])
@@ -87,3 +89,26 @@ def test_graph_counts_every_node_at_every_cutoff_in_one_call():
         assert graph.count_before(edge_type, dst, at).tolist() == [
             count_before(graph, edge_type, d, c) for d, c in zip(dst.tolist(), at.tolist())
         ]
+
+
+def test_green_ranks_a_batch_as_its_per_row_loop_does():
+    from repro.pql.router import GreenTier
+
+    db = shop_db()
+    graph = build_graph(db)
+    green = GreenTier("customers", "link", item_table="products").bind(db, graph)
+    # Repeated, unsorted and out-of-range cutoffs, so rows share and tie.
+    cutoffs = np.array([400, TIME_MIN, 150, 400, 10**12, 0, 150, 250], dtype=np.int64)
+    keys = np.zeros(len(cutoffs), dtype=np.int64)  # rank reads no entity key
+    for k in (1, 2, 50):
+        got, want = green.rank(keys, cutoffs, k), loop_green_rank(green, cutoffs, k)
+        assert len(got) == len(want) == len(cutoffs)
+        for (items, scores), (want_items, want_scores) in zip(got, want):
+            assert items.dtype == want_items.dtype and items.tolist() == want_items.tolist()
+            assert scores.dtype == want_scores.dtype and scores.tobytes() == want_scores.tobytes()
+    item_ids = np.array([2, 0, 1, 0], dtype=np.int64)
+    scores = green.score_against_items("customers", keys, cutoffs, item_ids)
+    assert scores.dtype == np.float64 and scores.shape == (len(cutoffs), len(item_ids))
+    want = np.stack([loop_popularity(green, c)[item_ids] for c in cutoffs.tolist()])
+    assert scores.tobytes() == want.tobytes()
+    assert green.rank(keys[:0], cutoffs[:0], 3) == []

@@ -274,24 +274,6 @@ class TestTrainer:
         # Predictions live on the label scale, not the standardized scale.
         assert 30.0 < preds.mean() < 120.0
 
-    def test_multiclass_output_shape(self):
-        db = shop_db(num_customers=20)
-        graph = build_graph(db)
-        metadata = GraphMetadata.from_graph(graph)
-        model = HeteroGNN(metadata, hidden_dim=8, out_dim=3, num_layers=1, rng=np.random.default_rng(0))
-        sampler = NeighborSampler(graph, fanouts=[4], seed=1)
-        trainer = NodeTaskTrainer(
-            model, graph, sampler, task_type="multiclass",
-            config=TrainConfig(epochs=2, batch_size=8),
-        )
-        ids = np.arange(20)
-        times = np.full(20, 2000, dtype=np.int64)
-        labels = ids % 3
-        trainer.fit("customers", ids, times, labels)
-        preds = trainer.predict("customers", ids, times)
-        assert preds.shape == (20, 3)
-        np.testing.assert_allclose(preds.sum(axis=1), 1.0)
-
     def test_bad_task_type(self):
         db = shop_db(num_customers=4)
         graph = build_graph(db)
@@ -364,13 +346,13 @@ class TestTwoTower:
     def test_scores_shape(self):
         graph = build_graph(shop_db(num_customers=10))
         metadata = GraphMetadata.from_graph(graph)
+        rng = np.random.default_rng(0)
         model = TwoTowerModel(
+            HeteroGNN(metadata, hidden_dim=8, out_dim=8, num_layers=1, rng=rng),
             metadata,
             item_type="orders",
             num_items=graph.num_nodes("orders"),
-            embed_dim=8,
-            num_layers=1,
-            rng=np.random.default_rng(0),
+            rng=rng,
         )
         sampler = NeighborSampler(graph, fanouts=[4], seed=1)
         sub = sampler.sample("customers", np.arange(3), np.full(3, 2000))

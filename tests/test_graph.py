@@ -245,12 +245,6 @@ class TestEncoders:
         assert cat.vocabulary == {}
         assert cat.codes.max() < cat.cardinality
 
-    def test_take_subsets_features(self):
-        feats = encode_table_features(shop_db()["orders"])
-        sub = feats.take(np.array([0, 2]))
-        assert sub.num_nodes == 2
-        assert sub.numeric.shape[1] == feats.numeric.shape[1]
-
     def test_empty_feature_table(self):
         schema = TableSchema("t", [ColumnSpec("id", DType.INT64)], primary_key="id")
         feats = encode_table_features(Table.from_dict(schema, {"id": [1, 2]}))

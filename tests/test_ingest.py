@@ -18,8 +18,7 @@ Covers the `repro.ingest` subsystem end to end:
   empty-segment compaction;
 * the incremental layers underneath: ``_EdgeStore.merged`` vs the
   cold stable lexsort, :class:`FeatureGrower` fast path vs full
-  re-encode, the graph's change journal, and
-  :class:`RefreshPolicy` scheduling;
+  re-encode, and the graph's change journal;
 * the one staleness rule: every holder of graph-derived state follows
   a delta nobody told it about (no ``refresh_model``), including one
   older than the graph's change journal.
@@ -49,7 +48,6 @@ from repro.ingest import (
     EventValidationError,
     IngestPipeline,
     InProcessSource,
-    RefreshPolicy,
     RowEvent,
     SegmentLog,
     UnresolvedReferenceError,
@@ -575,7 +573,7 @@ class TestPipelinePolicies:
 
 
 # ----------------------------------------------------------------------
-# Delta reports and refresh policy
+# Delta reports
 # ----------------------------------------------------------------------
 class TestDeltaReport:
     def test_touched_and_fractions(self, pipeline):
@@ -585,64 +583,20 @@ class TestDeltaReport:
         assert delta.new_edges == 4  # two FKs, forward + reverse
         assert delta.touched["customers"].tolist() == [0]   # customer 10
         assert delta.touched["products"].tolist() == [0]    # product 1
-        assert delta.min_event_time == 600
         assert delta.watermark == 600
         # Worst case: 1 of 2 customers touched.
         assert delta.touched_fraction == pytest.approx(0.5)
 
     def test_static_rows_collapse_min_time(self, pipeline):
-        report = pipeline.process([customer_event(30)])
-        assert report.delta.min_event_time == TIME_MIN
+        version = pipeline.graph.version
+        pipeline.process([customer_event(30)])
+        assert pipeline.graph.changes_since(version).min_time == TIME_MIN
 
     def test_graph_grows_in_place(self, pipeline):
         graph = pipeline.graph
         assert graph.num_nodes("orders") == 5
         pipeline.process([order_event(205, ts=600)])
         assert graph.num_nodes("orders") == 6  # same object, grown
-
-
-class TestRefreshPolicy:
-    def _delta(self, **overrides):
-        from repro.ingest.delta import DeltaReport
-        base = dict(touched={"customers": np.array([0])}, min_event_time=600,
-                    watermark=600, num_events=1, new_nodes={}, new_edges=0,
-                    touched_fraction=0.001)
-        base.update(overrides)
-        return DeltaReport(**base)
-
-    def test_big_delta_due_immediately(self):
-        policy = RefreshPolicy(max_staleness=3600, touched_threshold=0.01)
-        policy.observe(self._delta(touched_fraction=0.5))
-        assert policy.due()
-
-    def test_small_delta_defers_until_staleness_budget(self):
-        policy = RefreshPolicy(max_staleness=3600, touched_threshold=0.01)
-        policy.observe(self._delta(watermark=600))
-        assert policy.due()  # never refreshed: anything pending is due
-        policy.drain()
-        policy.observe(self._delta(watermark=1000))
-        assert not policy.due()  # 400s stale < 3600s budget
-        policy.observe(self._delta(watermark=600 + 3600))
-        assert policy.due()
-
-    def test_observe_merges_pending_deltas(self):
-        policy = RefreshPolicy()
-        policy.observe(self._delta(touched={"customers": np.array([0])},
-                                   min_event_time=700, watermark=700))
-        policy.observe(self._delta(touched={"customers": np.array([1])},
-                                   min_event_time=600, watermark=800,
-                                   new_nodes={"orders": 2}, new_edges=4))
-        merged = policy.drain()
-        assert merged.touched["customers"].tolist() == [0, 1]
-        assert merged.min_event_time == 600
-        assert merged.watermark == 800
-        assert merged.num_events == 2
-        assert policy.pending is None
-
-    def test_empty_delta_ignored(self):
-        policy = RefreshPolicy()
-        policy.observe(self._delta(num_events=0))
-        assert policy.pending is None and not policy.due()
 
 
 # ----------------------------------------------------------------------
@@ -846,7 +800,7 @@ class TestChangeJournal:
             order_event(206, customer=20, product=1, ts=610),
         ]).delta
         change = graph.changes_since(version)
-        assert change.min_time == delta.min_event_time == 600
+        assert change.min_time == 600
         assert change.grown == {"orders"}
         assert sorted(change.touched) == sorted(delta.touched)
         for node_type, ids in delta.touched.items():
@@ -966,25 +920,21 @@ class TestForgettingRefreshIsSafe:
 
     def test_holder_left_behind_the_journal_drops_everything(self):
         from repro.graph.hetero import JOURNAL_LEN
-        from repro.pql.router import GreenTier
 
         db = shop_db()
         builder = DeltaGraphBuilder(db, stats_cutoff=400)
         graph = builder.graph
         sampler = NeighborSampler(graph, fanouts=[2, 2], seed=0)
-        green = GreenTier("customers", "link", item_table="products").bind(db, graph)
         # Memo entries the time rule would keep if it could see the
-        # change: customer 20's degrees and popularity, both at cutoff 450.
+        # change: customer 20's degrees at cutoff 450.
         batch = ("customers", np.array([1], dtype=np.int64), np.array([450], dtype=np.int64))
         sampler.sample(*batch)
-        green.rank(np.array([20]), np.array([450]), 3)
         version, schema, oid = graph.version, db["orders"].schema, 205
         while graph.version - version <= JOURNAL_LEN:
             builder.apply([validate_event(order_event(oid, customer=10, ts=600 + oid), schema)])
             oid += 1
         assert graph.changes_since(version) is None
         assert graph.changes_since(graph.version - JOURNAL_LEN) is not None
-        assert green.reconcile() == {"popularity_dropped": 1}
         fresh = NeighborSampler(graph, fanouts=[2, 2], seed=0)
         late = ("customers", np.array([0, 1], dtype=np.int64), np.array([10**6] * 2, dtype=np.int64))
         for probe in (batch, late):

@@ -17,7 +17,6 @@ from repro.relational import (
     ForeignKey,
     Table,
     TableSchema,
-    days,
 )
 
 DAY = 86400

@@ -61,22 +61,6 @@ class TestJoins:
         assert joined.num_rows == 1
         assert joined["x"].to_list() == [1]
 
-    def test_left_join_keeps_unmatched(self):
-        left = table_from("l", k=[1, 2], x=[10, 20])
-        right = table_from("r", k=[2], y=[200])
-        joined = algebra.left_join(left, right, "k", "k")
-        assert joined.num_rows == 2
-        by_key = {row["k"]: row for row in joined.iter_rows()}
-        assert by_key[1]["y"] is None
-        assert by_key[2]["y"] == 200
-
-    def test_left_join_empty_right(self):
-        left = table_from("l", k=[1], x=[10])
-        right = table_from("r", k=[], y=[])
-        joined = algebra.left_join(left, right, "k", "k")
-        assert joined.num_rows == 1
-        assert joined["y"].to_list() == [None]
-
     def test_join_string_keys(self):
         left = table_from("l", k=["a", "b"], x=[1, 2])
         right = table_from("r", k=["b"], y=[9])

@@ -108,36 +108,6 @@ class TestTransforms:
         kept = col.filter(np.array([True, False, True, False]))
         assert kept.to_list() == [1, 3]
 
-    def test_fill_null(self):
-        col = Column([1, None], DType.INT64)
-        assert col.fill_null(-1).to_list() == [1, -1]
-
-    def test_fill_null_noop_without_nulls(self):
-        col = Column([1, 2], DType.INT64)
-        assert col.fill_null(0) is col
-
-    def test_astype_int_to_float(self):
-        col = Column([1, None], DType.INT64).astype(DType.FLOAT64)
-        assert col.dtype == DType.FLOAT64
-        assert col.to_list() == [1.0, None]
-
-    def test_astype_to_string(self):
-        col = Column([1, None], DType.INT64).astype(DType.STRING)
-        assert col.to_list() == ["1", None]
-
-    def test_astype_string_to_int(self):
-        col = Column(["5", "", "7"], DType.STRING).astype(DType.INT64)
-        assert col.to_list() == [5, None, 7]
-
-    def test_astype_string_to_bool(self):
-        col = Column(["true", "no"], DType.STRING).astype(DType.BOOL)
-        assert col.to_list() == [True, False]
-
-    def test_astype_identity(self):
-        col = Column([1], DType.INT64)
-        assert col.astype(DType.INT64) is col
-
-
 class TestComparisons:
     def test_equals_scalar(self):
         col = Column([1, 2, None], DType.INT64)

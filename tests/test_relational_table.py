@@ -244,13 +244,3 @@ class TestDatabase:
         db.add_table(Table.from_dict(static_schema, {"id": [1, 2]}))
         assert db.snapshot(0)["dims"].num_rows == 2
 
-    def test_stats(self):
-        stats = self.make_db().stats()
-        assert stats["orders"]["rows"] == 4
-
-    def test_drop_table(self):
-        db = self.make_db()
-        db.drop_table("orders")
-        assert "orders" not in db
-        with pytest.raises(KeyError):
-            db.drop_table("orders")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gnn import GraphMetadata, LinkTaskTrainer, TrainConfig, TwoTowerModel
+from repro.gnn import GraphMetadata, HeteroGNN, LinkTaskTrainer, TrainConfig, TwoTowerModel
 from repro.graph import NeighborSampler, build_graph
 from repro.relational import (
     ColumnSpec,
@@ -76,13 +76,13 @@ def block_db(num_users=24, num_items=10, events_per_user=10, seed=0):
 def make_trainer(db, epochs=10, seed=0):
     graph = build_graph(db)
     metadata = GraphMetadata.from_graph(graph)
+    rng = np.random.default_rng(seed)
     model = TwoTowerModel(
+        HeteroGNN(metadata, hidden_dim=12, out_dim=12, num_layers=2, rng=rng),
         metadata,
         item_type="items",
         num_items=graph.num_nodes("items"),
-        embed_dim=12,
-        num_layers=2,
-        rng=np.random.default_rng(seed),
+        rng=rng,
     )
     sampler = NeighborSampler(graph, fanouts=[6, 6], seed=seed + 1)
     trainer = LinkTaskTrainer(
