@@ -433,6 +433,35 @@ def test_legacy_layouts_publish_reload_and_fsck_clean(legacy_db, tmp_path):
         registry.load("legacy_routed_model", legacy_db)
 
 
+#: SHA-256 of the red top-5 (item keys, scores) for customers 1..20 at
+#: cutoff 28985214, as the release that wrote the fixture ranked them.
+LEGACY_LINK_RANKED = "023a803c1f357b0308bf0db543a16db64ca3e530bb147dbca1107cf3e2e780c0"
+
+
+@pytest.mark.parametrize("recorded", [
+    {}, {"aggregation": "sum", "shared_weights": True, "degree_features": False}])
+def test_legacy_list_model_loads_the_tower_it_was_trained_with(recorded, legacy_db, tmp_path):
+    """``tests/fixtures/legacy_link_gat_model`` is ``repro fit --task
+    next_product --conv gat`` (ecommerce scale 0.2 seed 0, hidden 8, one
+    layer, one epoch) from the release whose query tower ignored the
+    layer settings: it trained a SAGE/mean tower whatever the manifest
+    recorded, so every recorded layer setting loads as that tower."""
+    directory = tmp_path / "model"
+    shutil.copytree(FIXTURES / "legacy_link_gat_model", directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["config"].update(recorded)
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    for db in (None, legacy_db):
+        model = PredictiveModel.load(str(directory), db)
+        assert (model.config.conv_type, model.config.aggregation,
+                model.config.shared_weights, model.config.degree_features) == (
+                    "sage", "mean", False, True)
+        ranked = model.rank_items(np.arange(1, 21), 28985214, k=5, route="red")
+        assert hashlib.sha256(b"".join(
+            np.ascontiguousarray(part).tobytes() for row in ranked for part in row
+        )).hexdigest() == LEGACY_LINK_RANKED
+
+
 # ----------------------------------------------------------------------
 # Missing and corrupt artifacts
 # ----------------------------------------------------------------------
